@@ -5,10 +5,11 @@ predictor.  The incremental machinery replaces the per-step signature
 search + cold MLP training with a drift check plus a warm-started
 temporal refit, so this bench measures exactly that substitution:
 
-* a **cold** run (``REPRO_WARM_REFIT=0``, ``REPRO_DRIFT_GATE=0``,
-  ``refit_every_steps=1``): every step re-runs the full search + cold
-  fit — per-step cost read from the ``online.fit`` span;
-* an **incremental** run (gates on, cadence cap out of reach): one
+* a **cold** run (``REPRO_WARM_REFIT=0``, ``refit_every_steps=1``):
+  every step re-runs the full search + cold fit — per-step cost read
+  from the ``online.fit`` span (the cadence cap is always due, so the
+  drift score is never consulted);
+* an **incremental** run (warm refits on, cadence cap out of reach): one
   initial fit, then drift-checked warm temporal refits — per-step cost
   read from the ``online.refit_temporal`` + ``online.drift_check``
   spans.
@@ -40,7 +41,7 @@ from repro import obs
 from repro.benchhelpers import print_table
 from repro.core.config import AtmConfig
 from repro.core.online import run_online_fleet
-from repro.core.runtime import DRIFT_GATE_ENV_VAR, WARM_REFIT_ENV_VAR
+from repro.core.runtime import WARM_REFIT_ENV_VAR
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.trace.generator import FleetConfig, generate_fleet
 
@@ -93,9 +94,8 @@ def _digest(result) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-def _with_gates(warm: bool, drift: bool):
+def _with_warm(warm: bool):
     os.environ[WARM_REFIT_ENV_VAR] = "1" if warm else "0"
-    os.environ[DRIFT_GATE_ENV_VAR] = "1" if drift else "0"
 
 
 def _timed_run(fleet, config, refit_every: int) -> dict:
@@ -130,15 +130,12 @@ def _timed_run(fleet, config, refit_every: int) -> dict:
 def run_bench(n_boxes: int, days: int, enforce: bool, quick: bool = False) -> dict:
     fleet = _fleet(n_boxes, days)
     config = _config()
-    saved = {
-        name: os.environ.get(name)
-        for name in (WARM_REFIT_ENV_VAR, DRIFT_GATE_ENV_VAR)
-    }
+    saved = os.environ.get(WARM_REFIT_ENV_VAR)
     try:
-        _with_gates(warm=False, drift=False)
+        _with_warm(False)
         cold = _timed_run(fleet, config, refit_every=1)
 
-        _with_gates(warm=True, drift=True)
+        _with_warm(True)
         incremental = _timed_run(fleet, config, refit_every=NEVER)
 
         obs.reset_metrics()
@@ -146,11 +143,10 @@ def run_bench(n_boxes: int, days: int, enforce: bool, quick: bool = False) -> di
             run_online_fleet(fleet, config, refit_every_steps=NEVER, jobs=2)
         )
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop(WARM_REFIT_ENV_VAR, None)
+        else:
+            os.environ[WARM_REFIT_ENV_VAR] = saved
         obs.reset_metrics()
 
     # Per-step predictor-refresh cost: the full search+fit of a cold step

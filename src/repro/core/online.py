@@ -47,17 +47,17 @@ Steps are *incremental* by default, restarting nothing they can reuse:
   baseline; the expensive signature search re-runs early only when the
   score exceeds ``drift_threshold``.  ``refit_every_steps`` is thereby
   demoted to a fallback cap: set it large and let drift decide.
-  ``REPRO_DRIFT_GATE=0`` restores the pure cadence.  With the default
-  ``refit_every_steps=1`` the cap is always due, so both gates leave the
-  legacy path bit-identical.
+  ``drift_threshold=inf`` gives the pure cadence.  With the default
+  ``refit_every_steps=1`` the cap is always due and the drift score is
+  never consulted.
 
 :func:`run_online_fleet` fans boxes out across worker processes exactly
 like the offline pipeline: :class:`~repro.core.executor.FleetExecutor`
 windowed streaming dispatch, :class:`~repro.store.shards.ShardedFleet`
 accepted with manifest-only eligibility and zero-pickle
 :class:`~repro.store.shards.BoxShardRef` dispatch, and one streaming
-aggregation fold shared with the serial path (bit-identical for any
-worker count).
+aggregation fold for every worker count (bit-identical to the serial
+path).
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ from repro.core.degrade import (
     sanitize_demands,
 )
 from repro.core.executor import FleetExecutor
-from repro.core.runtime import drift_gate_enabled
-from repro.core.streaming import fleet_results
 from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
 from repro.resizing.evaluate import ResizingAlgorithm, resize_allocation
@@ -170,6 +168,21 @@ class OnlineRunResult:
         return [s for s in self.steps if s.resource is resource]
 
 
+def _check_cadence(refit_every_steps: int, drift_threshold: Optional[float]) -> None:
+    """Validate the cadence cap and drift threshold of an online run.
+
+    ``not drift_threshold >= 0`` also rejects NaN, which compares false
+    against every drift score and would silently turn re-search off.
+    """
+    if refit_every_steps < 1:
+        raise ValueError("refit_every_steps must be >= 1")
+    if drift_threshold is not None and not drift_threshold >= 0:
+        raise ValueError(
+            "drift_threshold must be >= 0 (inf turns drift re-search "
+            f"off), got {drift_threshold}"
+        )
+
+
 class OnlineAtmController:
     """Day-by-day rolling ATM for one box.
 
@@ -185,13 +198,13 @@ class OnlineAtmController:
         least every k steps.  Intermediate steps keep the fitted spatial
         model but re-anchor the temporal models on the advanced training
         window (warm-started when ``REPRO_WARM_REFIT`` is on) — the
-        practical deployment compromise.  With the drift gate enabled the
-        search also re-runs *early* whenever the drift score exceeds
-        ``drift_threshold``, so a large cap is safe.
+        practical deployment compromise.  The search also re-runs *early*
+        whenever the drift score exceeds ``drift_threshold``, so a large
+        cap is safe.
     drift_threshold:
         Drift-score trigger of the early re-search (``None`` =
-        :data:`DRIFT_THRESHOLD_DEFAULT`).  Only consulted between cadence
-        refits and only while ``REPRO_DRIFT_GATE`` is on.
+        :data:`DRIFT_THRESHOLD_DEFAULT`; ``inf`` turns it off, leaving the
+        pure cadence).  Only consulted between cadence refits.
     """
 
     def __init__(
@@ -201,10 +214,7 @@ class OnlineAtmController:
         refit_every_steps: int = 1,
         drift_threshold: Optional[float] = None,
     ) -> None:
-        if refit_every_steps < 1:
-            raise ValueError("refit_every_steps must be >= 1")
-        if drift_threshold is not None and drift_threshold < 0:
-            raise ValueError("drift_threshold must be >= 0")
+        _check_cadence(refit_every_steps, drift_threshold)
         self.box = box
         self.config = config or AtmConfig()
         self.refit_every_steps = refit_every_steps
@@ -241,7 +251,7 @@ class OnlineAtmController:
         """Whether this step re-runs the signature search.
 
         Due when no predictor exists or the cadence cap expired; between
-        cap refits, the drift gate may pull the search forward: the spatial
+        cap refits, the drift score may pull the search forward: the spatial
         model's relative reconstruction error on the advanced window is
         compared against its fit-time baseline, and a rise beyond
         ``drift_threshold`` means the signature set no longer explains the
@@ -254,8 +264,6 @@ class OnlineAtmController:
             if self._predictor is not None:
                 obs.inc("online.refit.cap")
             return True
-        if not drift_gate_enabled():
-            return False
         with obs.span("online.drift_check"):
             drift = (
                 self._predictor.reconstruction_error(train)
@@ -558,6 +566,7 @@ def run_online_fleet(
     path); results aggregate in fleet box order for any worker count.
     ``chunksize`` and ``retries`` forward to the executor.
     """
+    _check_cadence(refit_every_steps, drift_threshold)
     cfg = config or AtmConfig()
     needed = cfg.training_windows + cfg.horizon_windows
     if hasattr(fleet, "box_refs"):
@@ -586,11 +595,7 @@ def run_online_fleet(
 
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
     with obs.span("online.fleet"):
-        # One fold for both the streaming and the materialized path: only
-        # the iterator differs (see repro.core.streaming), so the two are
-        # bit-identical by construction.
-        for result, events in fleet_results(
-            executor,
+        for result, events in executor.imap(
             _run_box_online,
             eligible,
             cfg,

@@ -20,9 +20,8 @@ At paper scale the fleet argument can be a
 manifest alone, workers receive few-hundred-byte shard *descriptors*
 instead of pickled traces and memory-map their boxes locally, and results
 are folded into the aggregates as chunks land
-(:mod:`repro.core.streaming`) instead of accumulating a full result list
-— peak RSS stays flat as the fleet grows.  ``REPRO_STREAM_AGG=0``
-restores the materialized-list path for bit-identical verification.
+(:meth:`FleetExecutor.imap`) instead of accumulating a full result list
+— peak RSS stays flat as the fleet grows.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.core.degrade import (
 )
 from repro.core.executor import FleetExecutor, default_chunksize
 from repro.core.results import PredictionAccuracy, ape_cdf
-from repro.core.streaming import fleet_results
+from repro.prediction.registry import has_fleet_fitter
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
 from repro.timeseries.ecdf import Ecdf
 from repro.timeseries.metrics import finite_mean
@@ -180,25 +179,6 @@ def _run_box_ladder(
         return None, events
 
 
-def _fused_eligible(config: AtmConfig) -> bool:
-    """Whether the fleet-fused training plane applies under ``config``.
-
-    Fusion needs the batched temporal engine (it extends the same kernel)
-    and a registered fleet fitter for the configured model; either
-    ``REPRO_FUSED_FLEET=0`` or ``REPRO_BATCHED_TEMPORAL=0`` restores
-    strictly per-box stage execution.
-    """
-    from repro.core import runtime
-    from repro.prediction.registry import has_fleet_fitter
-    from repro.prediction.temporal.batched import batched_temporal_enabled
-
-    return (
-        runtime.fused_fleet_enabled()
-        and batched_temporal_enabled()
-        and has_fleet_fitter(config.prediction.temporal_model)
-    )
-
-
 def _run_box_atm_fused_chunk(
     items, config: AtmConfig, degrade: bool, resume: bool = False
 ) -> List[Tuple[Optional[BoxAtmResult], List[DegradationEvent]]]:
@@ -241,7 +221,7 @@ def _run_box_atm_fused_chunk(
     # Gather: resume probes, forecast probes, signature searches.  Boxes
     # with a stored forecast skip fitting entirely (``finish``); the rest
     # contribute their signature histories to the fused pass (``pending``).
-    pending: List[Tuple[int, AtmController, object, List]] = []
+    pending: List[Tuple[int, AtmController, object, object, List]] = []
     finish: List[Tuple[int, AtmController, object, object]] = []
     for pos in range(len(items)):
         try:
@@ -388,7 +368,7 @@ def run_fleet_atm(
         )
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
     chunk_fn = None
-    if _fused_eligible(cfg):
+    if has_fleet_fitter(cfg.prediction.temporal_model):
         chunk_fn = _run_box_atm_fused_chunk
         if chunksize is None:
             # Cap fused chunks: the gather phase holds a whole chunk's
@@ -406,11 +386,10 @@ def run_fleet_atm(
             )
     obs.inc("pipeline.boxes", len(eligible))
     with obs.span("pipeline.fleet"):
-        # One fold for both the streaming and the materialized path: only
-        # the iterator differs (see repro.core.streaming), so the two are
-        # bit-identical by construction.
-        for result, events in fleet_results(
-            executor, _run_box_atm, eligible, cfg, degrade, resume, chunk_fn=chunk_fn
+        # Results are folded as chunks land, so at most O(workers) heavy
+        # per-box results are resident at once.
+        for result, events in executor.imap(
+            _run_box_atm, eligible, cfg, degrade, resume, chunk_fn=chunk_fn
         ):
             out.report.extend(events)
             if result is None:

@@ -10,10 +10,6 @@ Variable                    Default    Meaning
 ==========================  =========  =========================================
 ``REPRO_JOBS``              ``1``      Worker processes for fleet fan-out
                                        (``<= 0`` = all cores).
-``REPRO_VECTOR_SPATIAL``    on         Vectorized spatial linear-algebra engine
-                                       (``0`` restores per-column reference).
-``REPRO_BATCHED_TEMPORAL``  on         Batched multi-series temporal training
-                                       (``0`` forces per-series fits).
 ``REPRO_SIGNATURE_CACHE``   on         In-process memory tier of the signature
                                        search (``0`` disables memoization).
 ``REPRO_METRICS``           on         :mod:`repro.obs` counters/span timers
@@ -24,22 +20,10 @@ Variable                    Default    Meaning
 ``REPRO_STORE``             unset      Directory of the persistent artifact
                                        store's disk tier
                                        (see :mod:`repro.store`).
-``REPRO_STREAM_AGG``        on         Streaming constant-memory fleet
-                                       aggregation (``0`` restores the
-                                       full-result-list path for bit-identical
-                                       verification).
 ``REPRO_WARM_REFIT``        on         Warm-started temporal refits in the
                                        online controller (``0`` forces cold
                                        per-step fits, the bit-identical
                                        legacy path).
-``REPRO_DRIFT_GATE``        on         Drift-gated signature re-search in the
-                                       online controller (``0`` restores the
-                                       fixed ``refit_every_steps`` cadence).
-``REPRO_FUSED_FLEET``       on         Fleet-level fused temporal training:
-                                       chunk workers merge all their boxes'
-                                       signature fits into cross-box
-                                       mega-batches (``0`` restores strictly
-                                       per-box stage execution).
 ``REPRO_ROUTE_QUEUES``      ``2``      Responder queues the ticket-operations
                                        loop routes incidents into (CLI
                                        ``tickets --queues`` overrides).
@@ -63,14 +47,10 @@ environment per case.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "BATCHED_ENV_VAR",
-    "DRIFT_GATE_ENV_VAR",
     "FAULTS_ENV_VAR",
-    "FUSED_FLEET_ENV_VAR",
     "FAULTS_SEED_ENV_VAR",
     "JOBS_ENV_VAR",
     "METRICS_ENV_VAR",
@@ -80,41 +60,27 @@ __all__ = [
     "SLA_ACK_ENV_VAR",
     "SLA_RESOLVE_ENV_VAR",
     "STORE_ENV_VAR",
-    "STREAM_AGG_ENV_VAR",
-    "VECTOR_ENV_VAR",
     "WARM_REFIT_ENV_VAR",
-    "RuntimeSettings",
-    "batched_temporal_enabled",
-    "drift_gate_enabled",
     "env_jobs",
     "faults_seed",
     "faults_spec",
-    "fused_fleet_enabled",
     "metrics_enabled",
     "route_queues",
     "scenario_name",
-    "settings",
     "signature_cache_enabled",
     "sla_ack_windows",
     "sla_resolve_windows",
     "store_dir",
-    "stream_agg_enabled",
-    "vector_spatial_enabled",
     "warm_refit_enabled",
 ]
 
 JOBS_ENV_VAR = "REPRO_JOBS"
-VECTOR_ENV_VAR = "REPRO_VECTOR_SPATIAL"
-BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 SIGNATURE_CACHE_ENV_VAR = "REPRO_SIGNATURE_CACHE"
 METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 STORE_ENV_VAR = "REPRO_STORE"
-STREAM_AGG_ENV_VAR = "REPRO_STREAM_AGG"
 WARM_REFIT_ENV_VAR = "REPRO_WARM_REFIT"
-DRIFT_GATE_ENV_VAR = "REPRO_DRIFT_GATE"
-FUSED_FLEET_ENV_VAR = "REPRO_FUSED_FLEET"
 ROUTE_QUEUES_ENV_VAR = "REPRO_ROUTE_QUEUES"
 SCENARIO_ENV_VAR = "REPRO_SCENARIO"
 SLA_ACK_ENV_VAR = "REPRO_SLA_ACK_WINDOWS"
@@ -146,16 +112,6 @@ def env_jobs() -> Optional[int]:
     return _int_or_error(JOBS_ENV_VAR, raw)
 
 
-def vector_spatial_enabled() -> bool:
-    """Whether the vectorized spatial engine is active (default on)."""
-    return _flag(VECTOR_ENV_VAR)
-
-
-def batched_temporal_enabled() -> bool:
-    """Whether batched multi-series temporal training is active (default on)."""
-    return _flag(BATCHED_ENV_VAR)
-
-
 def signature_cache_enabled() -> bool:
     """Whether the signature search's memory tier is active (default on)."""
     return _flag(SIGNATURE_CACHE_ENV_VAR)
@@ -183,25 +139,10 @@ def store_dir() -> Optional[str]:
     return raw or None
 
 
-def stream_agg_enabled() -> bool:
-    """Whether streaming fleet aggregation is active (default on)."""
-    return _flag(STREAM_AGG_ENV_VAR)
-
-
 def warm_refit_enabled() -> bool:
     """Whether online temporal refits warm-start from stored parameters
     (default on)."""
     return _flag(WARM_REFIT_ENV_VAR)
-
-
-def drift_gate_enabled() -> bool:
-    """Whether the online signature re-search is drift-gated (default on)."""
-    return _flag(DRIFT_GATE_ENV_VAR)
-
-
-def fused_fleet_enabled() -> bool:
-    """Whether fleet-level fused temporal training is active (default on)."""
-    return _flag(FUSED_FLEET_ENV_VAR)
 
 
 def _int_env(name: str, default: int, minimum: int) -> int:
@@ -217,7 +158,7 @@ def scenario_name() -> Optional[str]:
 
     Resolution to a :class:`repro.trace.ScenarioSpec` happens in
     :func:`repro.trace.resolve_scenario`; this accessor only owns the
-    environment read so the variable appears in :func:`settings`.
+    environment read.
     """
     raw = os.environ.get(SCENARIO_ENV_VAR, "").strip()
     return raw or None
@@ -237,51 +178,3 @@ def sla_resolve_windows() -> int:
     """Default resolve deadline in windows (``REPRO_SLA_RESOLVE_WINDOWS``)."""
     return _int_env(SLA_RESOLVE_ENV_VAR, default=4, minimum=0)
 
-
-@dataclass(frozen=True)
-class RuntimeSettings:
-    """One validated snapshot of every runtime gate."""
-
-    jobs: Optional[int]
-    vector_spatial: bool
-    batched_temporal: bool
-    signature_cache: bool
-    metrics: bool
-    faults_spec: str
-    faults_seed: int
-    store_dir: Optional[str]
-    stream_agg: bool
-    warm_refit: bool
-    drift_gate: bool
-    fused_fleet: bool
-    route_queues: int
-    sla_ack_windows: int
-    sla_resolve_windows: int
-    scenario: Optional[str]
-
-
-def settings() -> RuntimeSettings:
-    """Parse and validate the full environment in one pass.
-
-    Raises the first parse error it meets (invalid ``REPRO_JOBS`` /
-    ``REPRO_FAULTS_SEED``); the per-gate accessors stay independent, so a
-    bad jobs value cannot break an unrelated subsystem's gate.
-    """
-    return RuntimeSettings(
-        jobs=env_jobs(),
-        vector_spatial=vector_spatial_enabled(),
-        batched_temporal=batched_temporal_enabled(),
-        signature_cache=signature_cache_enabled(),
-        metrics=metrics_enabled(),
-        faults_spec=faults_spec(),
-        faults_seed=faults_seed(),
-        store_dir=store_dir(),
-        stream_agg=stream_agg_enabled(),
-        warm_refit=warm_refit_enabled(),
-        drift_gate=drift_gate_enabled(),
-        fused_fleet=fused_fleet_enabled(),
-        route_queues=route_queues(),
-        sla_ack_windows=sla_ack_windows(),
-        sla_resolve_windows=sla_resolve_windows(),
-        scenario=scenario_name(),
-    )

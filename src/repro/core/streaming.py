@@ -4,18 +4,10 @@ At paper scale (6K boxes) the fleet sweeps cannot park every per-box
 result in a list before reducing: a ``BoxAtmResult`` carries predicted
 and allocation matrices, so a full-fleet result list costs O(fleet ×
 trace) RAM for values the aggregates immediately collapse into scalars.
-This module holds the pieces both fleet entry points
-(:func:`repro.core.pipeline.run_fleet_atm`,
-:func:`repro.resizing.evaluate.evaluate_fleet_resizing`) share:
+The fleet drivers therefore fold :meth:`FleetExecutor.imap
+<repro.core.executor.FleetExecutor.imap>`'s ordered generator as chunks
+land, and this module holds the reducer they share:
 
-* :func:`fleet_results` — the gate between the streaming and the
-  materialized dispatch.  With ``REPRO_STREAM_AGG`` on (the default) it
-  returns :meth:`FleetExecutor.imap`'s ordered generator, so each heavy
-  per-box result is folded and dropped before the next chunk lands; with
-  the gate off it returns the fully materialized ``map`` list — the
-  legacy path kept for bit-identical verification.  Both produce the
-  same values in the same order, so the *fold code is shared verbatim*
-  by construction and equivalence is structural, not coincidental.
 * :class:`TicketHistogram` — an incremental fixed-bin reducer over
   per-box ticket reductions (the Fig. 8/10 axis), so reduction shapes
   survive a streaming sweep without any per-box list growing with
@@ -29,38 +21,9 @@ and must never become the thing that scales with fleet size.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import List
 
-from repro.core import runtime
-from repro.core.executor import FleetExecutor
-
-__all__ = ["TicketHistogram", "fleet_results"]
-
-
-def fleet_results(
-    executor: FleetExecutor,
-    fn: Callable[..., Any],
-    items: Iterable[Any],
-    *common: Any,
-    chunk_fn: Optional[Callable[..., Sequence[Any]]] = None,
-) -> Iterator[Any]:
-    """Yield per-item worker results in input order, streaming when gated on.
-
-    ``REPRO_STREAM_AGG`` on (default): :meth:`FleetExecutor.imap` — chunks
-    are yielded as they land and the caller's fold releases each result
-    before the next arrives, keeping resident results O(workers).
-
-    ``REPRO_STREAM_AGG=0``: :meth:`FleetExecutor.map` materializes the
-    full result list first (the pre-streaming behaviour), then iterates
-    it — the verification path for bit-identical comparison.
-
-    ``chunk_fn`` is forwarded to the executor unchanged: when given, each
-    chunk's items are handed to it together instead of looping ``fn``
-    (the fleet-fused training plane rides through here).
-    """
-    if runtime.stream_agg_enabled():
-        return executor.imap(fn, items, *common, chunk_fn=chunk_fn)
-    return iter(executor.map(fn, items, *common, chunk_fn=chunk_fn))
+__all__ = ["TicketHistogram"]
 
 
 class TicketHistogram:

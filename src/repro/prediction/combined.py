@@ -3,17 +3,16 @@
 Fitting: run the signature search on the training matrix, then fit one
 temporal model per signature series — handed to the model's batched
 multi-series kernel in one call when it has one (the neural default does;
-``REPRO_BATCHED_TEMPORAL=0`` forces the per-series loop).  Predicting:
+other models fit series by series).  Predicting:
 forecast the signatures temporally, then reconstruct every dependent series
 through its spatial (linear) model — the expensive temporal machinery runs
 only on the reduced signature set, which is the paper's entire scalability
 argument.
 
 The spatial half of the pipeline (signature search and reconstruction) runs
-on the vectorized linear-algebra engine by default: Gram-based VIF stepwise
-elimination sharing CBC's correlation matrix, one multi-RHS ``lstsq`` for
-all dependent models, and a single-matmul reconstruction.
-``REPRO_VECTOR_SPATIAL=0`` restores the per-column reference paths.
+on vectorized linear algebra: Gram-based VIF stepwise elimination sharing
+CBC's correlation matrix, one multi-RHS ``lstsq`` for all dependent models,
+and a single-matmul reconstruction.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.prediction.registry import (
     has_warm_fitter,
     make_temporal_model,
 )
-from repro.prediction.temporal.batched import batched_temporal_enabled
 from repro.prediction.temporal.warm import warm_refit_enabled
 from repro.prediction.spatial.signatures import (
     SignatureSearchConfig,
@@ -245,7 +243,6 @@ class SpatialTemporalPredictor:
             fitted = None
             if (
                 indices
-                and batched_temporal_enabled()
                 and self.warm_refits
                 and warm_refit_enabled()
                 and has_warm_fitter(self.config.temporal_model)
@@ -260,9 +257,9 @@ class SpatialTemporalPredictor:
                 )
                 if warm_result is not None:
                     fitted, self._warm_state = warm_result
-            if fitted is None and indices and batched_temporal_enabled():
+            if fitted is None and indices:
                 # One vectorized pass over all signature series of the box
-                # (REPRO_BATCHED_TEMPORAL=0 forces the per-series loop below).
+                # (None for models without a batch fitter: loop below).
                 fitted = fit_temporal_batch(
                     self.config.temporal_model,
                     [arr[idx] for idx in indices],

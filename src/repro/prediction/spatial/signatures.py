@@ -35,7 +35,6 @@ from repro.store import (
 )
 from repro.timeseries.correlation import pairwise_correlation_matrix
 from repro.timeseries.regression import OlsFit, fit_dependent_models, stepwise_eliminate
-from repro.timeseries.vector import vector_spatial_enabled
 
 __all__ = [
     "SPATIAL_STAGE",
@@ -144,19 +143,14 @@ class SpatialModel:
         out[list(self.signature_indices)] = sig
         if not self.dependent_indices:
             return out
-        if vector_spatial_enabled():
-            # All dependent rows in one (T, S) @ (S, D) matmul + intercepts.
-            coef = np.column_stack(
-                [self.models[idx].coefficients for idx in self.dependent_indices]
-            )
-            intercepts = np.array(
-                [self.models[idx].intercept for idx in self.dependent_indices]
-            )
-            out[list(self.dependent_indices)] = (sig.T @ coef + intercepts).T
-            return out
-        regressors = sig.T  # (T, n_signatures)
-        for idx in self.dependent_indices:
-            out[idx] = self.models[idx].predict(regressors)
+        # All dependent rows in one (T, S) @ (S, D) matmul + intercepts.
+        coef = np.column_stack(
+            [self.models[idx].coefficients for idx in self.dependent_indices]
+        )
+        intercepts = np.array(
+            [self.models[idx].intercept for idx in self.dependent_indices]
+        )
+        out[list(self.dependent_indices)] = (sig.T @ coef + intercepts).T
         return out
 
     def fitted(self, data: np.ndarray) -> np.ndarray:

@@ -15,8 +15,7 @@ implements that spectrum from scratch:
 * :mod:`repro.prediction.temporal.neural` — a NumPy multi-layer perceptron
   over seasonal-lag and time-of-day features (the ATM default).
 * :mod:`repro.prediction.temporal.batched` — the batched training kernel
-  that fits all of a box's signature MLPs in one vectorized pass
-  (``REPRO_BATCHED_TEMPORAL=0`` falls back to per-series fits).
+  that fits all of a box's signature MLPs in one vectorized pass.
 * :mod:`repro.prediction.temporal.seasonal` — the shared vectorized
   slot-mean / seasonal-lag feature pipeline.
 * :mod:`repro.prediction.temporal.warm` — warm-started refits chaining
@@ -26,9 +25,7 @@ implements that spectrum from scratch:
 
 from repro.prediction.temporal.ar import AutoRegressivePredictor
 from repro.prediction.temporal.batched import (
-    BATCHED_ENV_VAR,
     BatchFitState,
-    batched_temporal_enabled,
     fit_neural_batch,
     fit_neural_fused,
 )
@@ -48,7 +45,6 @@ from repro.prediction.temporal.warm import (
 )
 
 __all__ = [
-    "BATCHED_ENV_VAR",
     "WARM_REFIT_ENV_VAR",
     "ArimaPredictor",
     "BatchFitState",
@@ -60,7 +56,6 @@ __all__ = [
     "NeuralNetPredictor",
     "SeasonalMeanPredictor",
     "SeasonalNaivePredictor",
-    "batched_temporal_enabled",
     "fit_neural_batch",
     "fit_neural_batch_warm",
     "fit_neural_fused",

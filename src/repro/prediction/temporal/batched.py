@@ -31,11 +31,9 @@ Histories of different lengths are grouped and each equal-length group is
 batched (within a box all signature series share the training window, so
 this is one group in practice).
 
-Set ``REPRO_BATCHED_TEMPORAL=0`` to fall back to per-series serial fits
-everywhere the kernel is threaded (``SpatialTemporalPredictor`` → the whole
-fig09/fig10 pipeline).  The kernel composes with the process-level
-``FleetExecutor`` (PR 1) multiplicatively: processes fan out over boxes,
-the batch axis vectorizes within a box.
+The kernel composes with the process-level ``FleetExecutor``
+multiplicatively: processes fan out over boxes, the batch axis vectorizes
+within a box.
 """
 
 from __future__ import annotations
@@ -53,19 +51,13 @@ from repro.prediction.temporal.seasonal import (
 )
 
 __all__ = [
-    "BATCHED_ENV_VAR",
     "FUSED_SLAB_MODELS",
     "BatchFitState",
-    "batched_temporal_enabled",
     "fit_equal_length_state",
     "fit_neural_batch",
     "fit_neural_fused",
     "models_from_params",
 ]
-
-#: Environment variable gating the batched kernel (default: enabled;
-#: parsed by :mod:`repro.core.runtime`).
-BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 
 #: Default slab width of the fleet-fused kernel: how many models train in
 #: one ``(K, P)`` tensor pass.  Wider slabs amortize more Python dispatch
@@ -78,14 +70,6 @@ BATCHED_ENV_VAR = "REPRO_BATCHED_TEMPORAL"
 FUSED_SLAB_MODELS = 64
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def batched_temporal_enabled() -> bool:
-    """Whether the batched kernel is enabled (``REPRO_BATCHED_TEMPORAL``)."""
-    # Lazy import: prediction must stay importable without repro.core.
-    from repro.core.runtime import batched_temporal_enabled as _enabled
-
-    return _enabled()
 
 
 def fit_neural_batch(

@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.core import faults
 from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
-from repro.core.streaming import TicketHistogram, fleet_results
+from repro.core.streaming import TicketHistogram
 from repro.resizing.baselines import max_min_fairness_allocation, stingy_allocation
 from repro.resizing.greedy import solve_greedy
 from repro.resizing.mckp import build_mckp
@@ -410,8 +410,7 @@ def evaluate_fleet_resizing(
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
     :class:`repro.store.shards.ShardedFleet`; for the latter, work items
     carry shard descriptors that workers memory-map locally, and results
-    stream into the aggregates as chunks land (``REPRO_STREAM_AGG=0``
-    restores the materialized-list path).
+    stream into the aggregates as chunks land.
 
     Parameters
     ----------
@@ -454,10 +453,7 @@ def evaluate_fleet_resizing(
     obs.inc("resize.boxes", len(items))
     summary = FleetReduction()
     with obs.span("resize.fleet"):
-        # Shared fold for the streaming and materialized paths; only the
-        # iterator differs (see repro.core.streaming).
-        for results, events in fleet_results(
-            executor,
+        for results, events in executor.imap(
             _evaluate_box_worker,
             items,
             tuple(resources),

@@ -13,7 +13,7 @@ The fleet loop reuses the whole scaling substrate:
 * per-box work fans out through :class:`repro.core.executor.FleetExecutor`
   (``jobs``), accepting :class:`~repro.store.shards.ShardedFleet` refs so
   workers memory-map their boxes;
-* results stream through :func:`repro.core.streaming.fleet_results` and
+* results stream through :meth:`FleetExecutor.imap` and
   fold into fixed-size reducers — per-box payloads (ticket records,
   usage slices) never accumulate in the parent, so the loop is
   constant-memory at 6k boxes;
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro import obs
 from repro.core.executor import FleetExecutor
-from repro.core.streaming import fleet_results
 from repro.store import ArtifactKey, config_fingerprint, default_store, register_codec
 from repro.tickets.incidents import group_incidents
 from repro.tickets.monitor import tickets_for_box
@@ -470,9 +469,8 @@ def run_fleet_ops(
 ) -> FleetOpsResult:
     """Run the monitor → incident → route → resolve loop over a fleet.
 
-    Every box is eligible (the loop needs no training windows).  The fold
-    is shared verbatim between the streaming and the materialized path
-    (:func:`repro.core.streaming.fleet_results`), so serial, parallel and
+    Every box is eligible (the loop needs no training windows).  Results
+    are folded in fleet order as chunks land, so serial, parallel and
     sharded runs produce identical aggregates and digests.
     """
     cfg = config or OpsConfig()
@@ -485,7 +483,7 @@ def run_fleet_ops(
         raise ValueError("fleet contains no boxes")
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
     with obs.span("ops.fleet"):
-        for result in fleet_results(executor, run_box_ops, items, cfg, resume):
+        for result in executor.imap(run_box_ops, items, cfg, resume):
             out.fold(result)
     return out
 

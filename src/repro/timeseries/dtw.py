@@ -27,8 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.timeseries.vector import vector_spatial_enabled
-
 __all__ = ["dtw_distance", "dtw_matrix", "dtw_path", "dtw_distance_matrix"]
 
 _INF = np.inf
@@ -176,21 +174,12 @@ def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarra
     pair axis leading, so the whole batch costs one DP's worth of Python
     overhead.  Returns the ``(n_pairs,)`` distances.
 
-    Two implementations produce bit-identical results: the reference
-    wavefront (fancy-indexed gathers, fresh temporaries per diagonal) and a
-    low-overhead variant that transposes the problem so the pair axis is
-    innermost — every per-diagonal operand becomes a contiguous
-    ``(width, n_pairs)`` block and every temporary a preallocated ``out=``
-    buffer, with the same elementwise subtract/square/min/add.
-    ``REPRO_VECTOR_SPATIAL=0`` selects the reference.
+    The problem is transposed so the pair axis is innermost: every
+    per-diagonal operand becomes a contiguous ``(width, n_pairs)`` block
+    and every temporary a preallocated ``out=`` buffer.  The result is
+    bit-identical to :func:`_dtw_batch_reference` (fancy-indexed gathers,
+    fresh temporaries per diagonal), which the tests keep as the oracle.
     """
-    if vector_spatial_enabled():
-        return _dtw_batch_fast(p, q, window)
-    return _dtw_batch_reference(p, q, window)
-
-
-def _dtw_batch_fast(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarray:
-    """Transposed wavefront: contiguous diagonal blocks + ``out=`` buffers."""
     n_pairs, n = p.shape
     half = window if window is not None else n  # band half-width
     # Pair axis last: a diagonal's rows lo..hi slice contiguous memory.
@@ -231,7 +220,7 @@ def _dtw_batch_fast(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.n
 
 
 def _dtw_batch_reference(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarray:
-    """The reference wavefront implementation (see :func:`_dtw_batch`)."""
+    """The reference wavefront: the oracle :func:`_dtw_batch` must match."""
     n_pairs, n = p.shape
     half = window if window is not None else n  # band half-width
     # Padded wavefront buffers, indexed by row i + 1; column 0 is a sentinel.

@@ -13,8 +13,7 @@ Section III uses three regression ingredients:
 All of it is implemented on NumPy's least-squares solver; no statistics
 package is required.
 
-Each hot operation has a vectorized twin (gated by ``REPRO_VECTOR_SPATIAL``,
-see :mod:`repro.timeseries.vector`):
+Each hot operation runs on a vectorized form:
 
 * All VIFs at once as the diagonal of the inverse correlation matrix of
   the candidate set — the classic Gram identity ``VIF_k = inv(R)[k, k]``,
@@ -38,8 +37,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.timeseries.vector import vector_spatial_enabled
 
 __all__ = [
     "OlsFit",
@@ -141,8 +138,7 @@ def fit_ols_multi(targets: np.ndarray, regressors: np.ndarray) -> List[OlsFit]:
     Equivalent to ``[fit_ols(targets[:, k], regressors) for k in ...]`` but
     solved as one multi-right-hand-side ``lstsq`` (the design matrix is
     factorized once) with the residual statistics batched as column
-    reductions.  The reference per-column loop runs when
-    ``REPRO_VECTOR_SPATIAL=0``.
+    reductions.
     """
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
@@ -157,8 +153,6 @@ def fit_ols_multi(targets: np.ndarray, regressors: np.ndarray) -> List[OlsFit]:
     n_targets = y.shape[1]
     if n_targets == 0:
         return []
-    if not vector_spatial_enabled():
-        return [fit_ols(y[:, k], x) for k in range(n_targets)]
 
     design = np.column_stack([np.ones(x.shape[0]), x])
     solution, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -268,10 +262,9 @@ def variance_inflation_factors(
     x = _design(series_matrix)
     if x.shape[1] < 2:
         return np.ones(x.shape[1])
-    if vector_spatial_enabled():
-        vifs = _vif_gram(x, corr)
-        if vifs is not None:
-            return vifs
+    vifs = _vif_gram(x, corr)
+    if vifs is not None:
+        return vifs
     return _vif_reference(x)
 
 
@@ -422,10 +415,9 @@ def stepwise_eliminate(
     x = _design(series_matrix)
     if vif_threshold <= 1.0:
         raise ValueError("vif_threshold must exceed 1.0")
-    if vector_spatial_enabled():
-        result = _stepwise_gram(x, vif_threshold, min_keep, corr)
-        if result is not None:
-            return result
+    result = _stepwise_gram(x, vif_threshold, min_keep, corr)
+    if result is not None:
+        return result
     return _stepwise_reference(x, vif_threshold, min_keep)
 
 

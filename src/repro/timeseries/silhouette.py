@@ -12,13 +12,14 @@ picks the cluster count with the maximal average.
 Singleton clusters get ``s(i) = 0`` following Rousseeuw's convention (the
 value is undefined; zero is neutral).
 
-Two implementations coexist (see :mod:`repro.timeseries.vector`): the
-reference per-item loop, and a vectorized path that forms a cluster
-indicator matrix and obtains every item-to-cluster distance sum as one
-``distances @ indicator`` matmul.  For the silhouette sweep over all
-dendrogram cuts, :func:`mean_silhouettes_for_cuts` does the ``(n, n)``
-matmul once against the finest cut and aggregates coarser cuts from it —
-one small matmul per cut instead of O(n^2) Python iterations per cut.
+Silhouettes are computed by forming a cluster indicator matrix and
+obtaining every item-to-cluster distance sum as one
+``distances @ indicator`` matmul; the definitional per-item loop
+(``_silhouette_values_reference``) is kept as the tests' oracle.  For the
+silhouette sweep over all dendrogram cuts, :func:`mean_silhouettes_for_cuts`
+does the ``(n, n)`` matmul once against the finest cut and aggregates
+coarser cuts from it — one small matmul per cut instead of O(n^2) Python
+iterations per cut.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.timeseries.vector import vector_spatial_enabled
 
 __all__ = [
     "silhouette_values",
@@ -104,8 +103,20 @@ def _silhouette_from_sums(
     return np.where(own_sizes <= 1, 0.0, values)
 
 
-def _silhouette_values_vector(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Per-item silhouettes via one ``d @ indicator`` matmul."""
+def silhouette_values(distances: np.ndarray, labels: Sequence[int]) -> np.ndarray:
+    """Return the per-item silhouette values for a flat clustering.
+
+    Every item-to-cluster distance sum comes from one ``d @ indicator``
+    matmul.
+
+    Parameters
+    ----------
+    distances:
+        Symmetric ``(n, n)`` dissimilarity matrix.
+    labels:
+        Cluster label for each of the ``n`` items.
+    """
+    d, lab = _validate(distances, labels)
     n = d.shape[0]
     _, inverse = np.unique(lab, return_inverse=True)
     k = int(inverse.max()) + 1 if n else 0
@@ -116,22 +127,6 @@ def _silhouette_values_vector(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
     sums = d @ onehot
     sizes = onehot.sum(axis=0)
     return _silhouette_from_sums(sums, sizes, inverse, np.diagonal(d).copy())
-
-
-def silhouette_values(distances: np.ndarray, labels: Sequence[int]) -> np.ndarray:
-    """Return the per-item silhouette values for a flat clustering.
-
-    Parameters
-    ----------
-    distances:
-        Symmetric ``(n, n)`` dissimilarity matrix.
-    labels:
-        Cluster label for each of the ``n`` items.
-    """
-    d, lab = _validate(distances, labels)
-    if vector_spatial_enabled():
-        return _silhouette_values_vector(d, lab)
-    return _silhouette_values_reference(d, lab)
 
 
 def mean_silhouette(distances: np.ndarray, labels: Sequence[int]) -> float:
@@ -189,20 +184,14 @@ def mean_silhouettes_for_cuts(
 
     ``labelings`` maps each candidate cluster count to its flat labels —
     exactly the shape :meth:`HierarchicalClustering.cuts` returns, which is
-    the intended producer.  The vectorized path shares the expensive
-    ``(n, n)`` matmul across all (nested) cuts; the reference path scores
-    each cut with the per-item loop.
+    the intended producer.  The expensive ``(n, n)`` matmul is shared
+    across all (nested) cuts.
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got {d.shape}")
     if not labelings:
         return {}
-    if not vector_spatial_enabled():
-        return {
-            k: float(_silhouette_values_reference(*_validate(d, labelings[k])).mean())
-            for k in labelings
-        }
     self_distance = np.diagonal(d).copy()
     return {
         k: float(_silhouette_from_sums(sums, sizes, lab, self_distance).mean())

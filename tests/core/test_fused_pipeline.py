@@ -3,8 +3,9 @@
 The fused chunk worker (:func:`repro.core.pipeline._run_box_atm_fused_chunk`)
 claims to be observable only as wall-clock: same per-box results, same
 degradation events, same store artifacts under the same keys as the
-strictly per-box path.  These tests pin that across the gate, worker
-counts, fault injection, and cross-path resume.
+strictly per-box :func:`repro.core.pipeline._run_box_atm`.  These tests
+pin that against the per-box oracle, across worker counts, fault
+injection, and cross-path resume.
 """
 
 import os
@@ -14,9 +15,14 @@ import pytest
 from repro import obs
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
-from repro.core.faults import FaultPlan, FaultRule, fault_plan
-from repro.core.pipeline import FUSED_CHUNK_BOXES, run_fleet_atm
-from repro.core.runtime import FUSED_FLEET_ENV_VAR
+from repro.core.faults import FaultPlan, FaultRule, InjectedFault, fault_plan
+from repro.core.pipeline import (
+    FUSED_CHUNK_BOXES,
+    FleetAtmResult,
+    _run_box_atm,
+    _run_box_atm_fused_chunk,
+    run_fleet_atm,
+)
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import clear_memory_tiers
 from repro.trace.generator import FleetConfig, generate_fleet
@@ -29,18 +35,36 @@ def fleet():
     return generate_fleet(FleetConfig(n_boxes=4, days=6, seed=7))
 
 
-def run(fleet, fused, **kwargs):
-    """One fleet run with the fused gate pinned, counters isolated."""
-    previous = os.environ.get(FUSED_FLEET_ENV_VAR)
-    os.environ[FUSED_FLEET_ENV_VAR] = "1" if fused else "0"
+def _fold(pairs):
+    """Fold per-box ``(result, events)`` pairs the way ``run_fleet_atm`` does."""
+    out = FleetAtmResult(config=NEURAL)
+    for result, events in pairs:
+        out.report.extend(events)
+        if result is not None:
+            out.accuracies.append(result.accuracy)
+            for reduction in result.reductions.values():
+                out.reduction.add(reduction)
+    return out
+
+
+def run(fleet, fused, degrade=True, resume=False):
+    """Every box through one chunk worker, counters isolated.
+
+    ``fused=False`` is the oracle: ``_run_box_atm`` box by box.
+    """
+    items = list(fleet)
     obs.reset_metrics()
-    try:
-        result = run_fleet_atm(fleet, NEURAL, **kwargs)
-    finally:
-        if previous is None:
-            os.environ.pop(FUSED_FLEET_ENV_VAR, None)
-        else:
-            os.environ[FUSED_FLEET_ENV_VAR] = previous
+    if fused:
+        pairs = _run_box_atm_fused_chunk(items, NEURAL, degrade, resume)
+    else:
+        pairs = [_run_box_atm(item, NEURAL, degrade, resume) for item in items]
+    return _fold(pairs), obs.metrics_snapshot()["counters"]
+
+
+def run_fleet(fleet, **kwargs):
+    """A full ``run_fleet_atm`` (fused for the neural model), counters isolated."""
+    obs.reset_metrics()
+    result = run_fleet_atm(fleet, NEURAL, **kwargs)
     return result, obs.metrics_snapshot()["counters"]
 
 
@@ -49,19 +73,23 @@ class TestEquivalence:
         baseline, base_counters = run(fleet, fused=False)
         fused, counters = run(fleet, fused=True)
         assert fingerprint_result(fused) == fingerprint_result(baseline)
-        # The per-box leg must not have engaged the fused plane...
+        # The per-box oracle must not have engaged the fused plane...
         assert "fused.groups" not in base_counters
-        # ...and the fused leg must have, with zero per-box fallbacks.
+        # ...and the fused chunk must have, with zero per-box fallbacks.
         assert counters["fused.groups"] > 0
         assert counters.get("fused.fallback_boxes", 0) == 0
+        # run_fleet_atm takes the fused plane and folds the same numbers.
+        fleet_run, fleet_counters = run_fleet(fleet)
+        assert fleet_counters["fused.groups"] > 0
+        assert fingerprint_result(fleet_run) == fingerprint_result(baseline)
 
     def test_parallel_fused_matches_serial(self, fleet):
-        serial, _ = run(fleet, fused=True)
-        parallel, _ = run(fleet, fused=True, jobs=2)
+        serial, _ = run_fleet(fleet)
+        parallel, _ = run_fleet(fleet, jobs=2)
         assert fingerprint_result(parallel) == fingerprint_result(serial)
 
     def test_events_empty_on_clean_run(self, fleet):
-        fused, _ = run(fleet, fused=True)
+        fused, _ = run_fleet(fleet)
         assert fused.report.events == []
 
 
@@ -78,7 +106,6 @@ class TestChunkPolicy:
             return original(items, *common)
 
         monkeypatch.setattr(pipeline, "_run_box_atm_fused_chunk", spy)
-        monkeypatch.setenv(FUSED_FLEET_ENV_VAR, "1")
         run_fleet_atm(fleet, NEURAL)
         # 4 boxes < the 64-box cap: one chunk holds the whole fleet.
         assert seen["chunk"] == min(fleet.n_boxes, FUSED_CHUNK_BOXES)
@@ -101,16 +128,22 @@ class TestFaultParity:
         # Every box fell back to the per-box ladder, none silently lost.
         assert counters["fused.fallback_boxes"] == fleet.n_boxes
         assert len(fused.accuracies) == fleet.n_boxes
+        with fault_plan(plan):
+            fleet_run, _ = run_fleet(fleet)
+        assert fingerprint_result(fleet_run) == fingerprint_result(baseline)
+        assert fleet_run.report == baseline.report
 
     def test_fail_fast_parity(self, fleet):
         plan = FaultPlan(
             rules=(FaultRule(kind="fit_error", probability=1.0, once=True),)
         )
-        from repro.core.faults import InjectedFault
-
+        for fused in (False, True):
+            with fault_plan(plan):
+                with pytest.raises(InjectedFault):
+                    run(fleet, fused=fused, degrade=False)
         with fault_plan(plan):
             with pytest.raises(InjectedFault):
-                run(fleet, fused=True, degrade=False)
+                run_fleet(fleet, degrade=False)
 
 
 class TestStoreStability:
@@ -131,7 +164,7 @@ class TestStoreStability:
 
     def test_fused_artifacts_resume_on_per_box_path(self, fleet, store_env):
         """Cross-path resume: fused writes, per-box serves from the store."""
-        fused, _ = run(fleet, fused=True)
+        fused, _ = run_fleet(fleet)
         clear_memory_tiers()
         resumed, counters = run(fleet, fused=False, resume=True)
         assert counters["pipeline.resume.hits"] == fleet.n_boxes
@@ -140,7 +173,7 @@ class TestStoreStability:
     def test_per_box_artifacts_resume_on_fused_path(self, fleet, store_env):
         baseline, _ = run(fleet, fused=False)
         clear_memory_tiers()
-        resumed, counters = run(fleet, fused=True, resume=True)
+        resumed, counters = run_fleet(fleet, resume=True)
         assert counters["pipeline.resume.hits"] == fleet.n_boxes
         # Everything served from the store: the fused fit never ran.
         assert "fused.groups" not in counters
@@ -148,7 +181,7 @@ class TestStoreStability:
 
     def test_store_keys_identical_across_paths(self, fleet, store_env):
         """A per-box rerun over a fused-built store adds zero files."""
-        run(fleet, fused=True)
+        run_fleet(fleet)
         after_fused = self._files(store_env)
         assert after_fused  # the run did materialize artifacts
         clear_memory_tiers()

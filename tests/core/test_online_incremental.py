@@ -3,15 +3,19 @@
 Pins the three invariants of the incremental step machinery:
 
 * **Legacy bit-identity** — with ``refit_every_steps=1`` the cadence cap
-  is always due, so the gates change nothing; and with both gates off the
-  cold per-step path is exactly the pre-incremental controller.
+  is always due, so neither warm refits nor the drift threshold change
+  anything; with warm refits off and ``drift_threshold=inf`` the cold
+  per-step path is exactly the pre-incremental controller.
 * **Drift-gate behavior** — on a stable workload the gate skips the
   signature search between cadence refits (regression-pinned counters);
-  a sufficiently low threshold makes it fire early.
+  a sufficiently low threshold makes it fire early, and an infinite one
+  leaves the pure cadence.
 * **Serial/parallel/sharded bit-identity** — ``run_online_fleet`` folds
   to the same digests for any worker count, for memory-mapped shards, and
   under injected faults/degradations.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro import obs
 from repro.core import faults
 from repro.core.config import AtmConfig
 from repro.core.online import OnlineAtmController, run_online_fleet
-from repro.core.runtime import DRIFT_GATE_ENV_VAR, WARM_REFIT_ENV_VAR
+from repro.core.runtime import WARM_REFIT_ENV_VAR
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import clear_memory_tiers
 from repro.store.shards import load_fleet_shards, write_fleet_shards
@@ -31,7 +35,6 @@ from repro.trace.generator import FleetConfig, generate_box, generate_fleet
 def _clean_env(monkeypatch):
     for name in (
         WARM_REFIT_ENV_VAR,
-        DRIFT_GATE_ENV_VAR,
         "REPRO_JOBS",
         "REPRO_STORE",
         faults.FAULTS_ENV_VAR,
@@ -45,9 +48,8 @@ def _clean_env(monkeypatch):
     obs.reset_metrics()
 
 
-def _gates_off(monkeypatch):
+def _warm_off(monkeypatch):
     monkeypatch.setenv(WARM_REFIT_ENV_VAR, "0")
-    monkeypatch.setenv(DRIFT_GATE_ENV_VAR, "0")
 
 
 def _neural_config():
@@ -97,8 +99,10 @@ class TestLegacyBitIdentity:
         box = generate_box(2, FleetConfig(days=7, seed=41))
         config = _neural_config()
         with_gates = OnlineAtmController(box, config, refit_every_steps=1).run()
-        _gates_off(monkeypatch)
-        without = OnlineAtmController(box, config, refit_every_steps=1).run()
+        _warm_off(monkeypatch)
+        without = OnlineAtmController(
+            box, config, refit_every_steps=1, drift_threshold=math.inf
+        ).run()
         assert _run_digest(with_gates) == _run_digest(without)
         assert not with_gates.degradations and not without.degradations
 
@@ -139,19 +143,31 @@ class TestDriftGate:
         assert c.get("online.drift_skips", 0) == 0  # cap preempts the check
         assert c.get("online.refit.drift", 0) == 0
 
-    def test_gate_off_restores_pure_cadence(self, monkeypatch):
-        monkeypatch.setenv(DRIFT_GATE_ENV_VAR, "0")
+    def test_gate_off_restores_pure_cadence(self):
+        """drift_threshold=inf: scored every step, never re-searched early."""
         box = generate_box(2, FleetConfig(days=8, seed=41))
-        OnlineAtmController(box, _neural_config(), refit_every_steps=100).run()
+        controller = OnlineAtmController(
+            box, _neural_config(), refit_every_steps=100, drift_threshold=math.inf
+        )
+        controller.run()
         c = _counters()
         assert c["online.refit"] == 1
-        assert c.get("online.drift_skips", 0) == 0  # never even scored
+        assert c["online.drift_skips"] == controller.n_steps - 1
         assert c.get("online.refit.drift", 0) == 0
 
     def test_bad_threshold_rejected(self):
         box = generate_box(2, FleetConfig(days=7, seed=41))
-        with pytest.raises(ValueError, match="drift_threshold"):
-            OnlineAtmController(box, _neural_config(), drift_threshold=-0.1)
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="drift_threshold.*inf"):
+                OnlineAtmController(box, _neural_config(), drift_threshold=bad)
+            # The fleet driver rejects it up front instead of failing
+            # every box down the degradation ladder.
+            with pytest.raises(ValueError, match="drift_threshold"):
+                run_online_fleet(
+                    generate_fleet(FleetConfig(n_boxes=1, days=7, seed=41)),
+                    _neural_config(),
+                    drift_threshold=bad,
+                )
 
 
 class TestWarmColdParity:
@@ -167,7 +183,7 @@ class TestWarmColdParity:
         assert warm_epoch_counters.get("warm.models_warm", 0) > 0
 
         obs.reset_metrics()
-        _gates_off(monkeypatch)
+        _warm_off(monkeypatch)
         cold = OnlineAtmController(box, config, refit_every_steps=1).run()
         assert not cold.degradations
 

@@ -12,16 +12,12 @@ from repro.store import STORE_ENV_VAR
 def _clean_env(monkeypatch):
     for name in (
         runtime.JOBS_ENV_VAR,
-        runtime.VECTOR_ENV_VAR,
-        runtime.BATCHED_ENV_VAR,
         runtime.SIGNATURE_CACHE_ENV_VAR,
         runtime.METRICS_ENV_VAR,
         runtime.FAULTS_ENV_VAR,
         runtime.FAULTS_SEED_ENV_VAR,
         runtime.STORE_ENV_VAR,
         runtime.WARM_REFIT_ENV_VAR,
-        runtime.DRIFT_GATE_ENV_VAR,
-        runtime.FUSED_FLEET_ENV_VAR,
         runtime.ROUTE_QUEUES_ENV_VAR,
         runtime.SLA_ACK_ENV_VAR,
         runtime.SLA_RESOLVE_ENV_VAR,
@@ -32,33 +28,22 @@ def _clean_env(monkeypatch):
 class TestFlags:
     @pytest.mark.parametrize("raw", ["0", "false", "OFF", "No", " 0 "])
     def test_falsy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.VECTOR_ENV_VAR, raw)
-        assert not runtime.vector_spatial_enabled()
+        monkeypatch.setenv(runtime.SIGNATURE_CACHE_ENV_VAR, raw)
+        assert not runtime.signature_cache_enabled()
 
     @pytest.mark.parametrize("raw", ["1", "on", "yes", "anything-else"])
     def test_truthy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.VECTOR_ENV_VAR, raw)
-        assert runtime.vector_spatial_enabled()
+        monkeypatch.setenv(runtime.SIGNATURE_CACHE_ENV_VAR, raw)
+        assert runtime.signature_cache_enabled()
 
     def test_unset_means_default_on(self):
-        assert runtime.vector_spatial_enabled()
-        assert runtime.batched_temporal_enabled()
         assert runtime.signature_cache_enabled()
         assert runtime.metrics_enabled()
         assert runtime.warm_refit_enabled()
-        assert runtime.drift_gate_enabled()
-        assert runtime.fused_fleet_enabled()
-
-    def test_fused_fleet_gate_disables(self, monkeypatch):
-        monkeypatch.setenv(runtime.FUSED_FLEET_ENV_VAR, "0")
-        assert not runtime.fused_fleet_enabled()
-        assert not runtime.settings().fused_fleet
 
     def test_online_gates_disable(self, monkeypatch):
         monkeypatch.setenv(runtime.WARM_REFIT_ENV_VAR, "0")
-        monkeypatch.setenv(runtime.DRIFT_GATE_ENV_VAR, "off")
         assert not runtime.warm_refit_enabled()
-        assert not runtime.drift_gate_enabled()
 
     def test_gates_parse_independently(self, monkeypatch):
         # A broken jobs value must not take down unrelated gates.
@@ -124,23 +109,6 @@ class TestStrings:
 
     def test_faults_spec_default_empty(self):
         assert runtime.faults_spec() == ""
-
-
-class TestSettings:
-    def test_snapshot(self, monkeypatch):
-        monkeypatch.setenv(runtime.JOBS_ENV_VAR, "2")
-        monkeypatch.setenv(runtime.BATCHED_ENV_VAR, "0")
-        monkeypatch.setenv(runtime.FAULTS_ENV_VAR, "slow:p=1.0")
-        monkeypatch.setenv(runtime.STORE_ENV_VAR, "/tmp/s")
-        monkeypatch.setenv(runtime.WARM_REFIT_ENV_VAR, "0")
-        s = runtime.settings()
-        assert s.jobs == 2
-        assert s.vector_spatial and not s.batched_temporal
-        assert s.faults_spec == "slow:p=1.0" and s.faults_seed == 0
-        assert s.store_dir == "/tmp/s"
-        assert not s.warm_refit and s.drift_gate
-        assert s.route_queues == 2
-        assert s.sla_ack_windows == 1 and s.sla_resolve_windows == 4
 
 
 class TestLegacyConstantsAgree:

@@ -1,12 +1,12 @@
-"""Streaming aggregation: bit-identity with the list path, shard dispatch.
+"""Streaming aggregation: bit-identity with a per-box oracle, shard dispatch.
 
-The acceptance bar for the streaming engine: with ``REPRO_STREAM_AGG`` on
-(default) versus off (the materialized legacy path), every downstream
-number — per-box accuracies, ticket counts, fleet means, degradation
-reports — is bit-identical, including on fleets where injected faults
-drive boxes down the degradation ladder.  And a shard-backed fleet must
-reproduce the in-RAM fleet's results exactly while workers receive only
-descriptors.
+The acceptance bar for the streaming fold: a parallel run whose results
+are folded as chunks land reproduces every downstream number — per-box
+accuracies, ticket counts, fleet means, degradation reports — of a
+materialized list of per-box worker results computed in-process,
+including on fleets where injected faults drive boxes down the
+degradation ladder.  And a shard-backed fleet must reproduce the in-RAM
+fleet's results exactly while workers receive only descriptors.
 """
 
 import math
@@ -15,15 +15,19 @@ import pytest
 
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
-from repro.core.pipeline import run_fleet_atm
-from repro.core.runtime import STREAM_AGG_ENV_VAR, stream_agg_enabled
+from repro.core.pipeline import FleetAtmResult, _run_box_atm, run_fleet_atm
 from repro.core.streaming import TicketHistogram
 from repro.prediction.spatial.signatures import ClusteringMethod
-from repro.resizing.evaluate import evaluate_fleet_resizing
+from repro.resizing.evaluate import (
+    FleetReduction,
+    ResizingAlgorithm,
+    _evaluate_box_worker,
+    evaluate_fleet_resizing,
+)
 from repro.store.shards import write_fleet_shards, load_fleet_shards
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
-from repro.trace.model import FORBID_GENERATION_ENV_VAR
+from repro.trace.model import FORBID_GENERATION_ENV_VAR, Resource
 
 
 @pytest.fixture(autouse=True)
@@ -40,24 +44,8 @@ def atm_config():
     )
 
 
-class TestGate:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(STREAM_AGG_ENV_VAR, raising=False)
-        assert stream_agg_enabled()
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        assert not stream_agg_enabled()
-
-    def test_settings_snapshot_carries_gate(self, monkeypatch):
-        from repro.core.runtime import settings
-
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "off")
-        assert settings().stream_agg is False
-
-
 class TestStreamingEquivalence:
-    """Streaming fold == materialized fold, bit for bit."""
+    """Streaming fold == a fold over the materialized per-box list, bit for bit."""
 
     def test_atm_identical_on_degraded_fleet(
         self, pipeline_fleet_6d, atm_config, monkeypatch
@@ -65,10 +53,15 @@ class TestStreamingEquivalence:
         # Inject primary-fit faults so boxes actually climb the ladder:
         # equivalence must hold for reports too, not just happy paths.
         monkeypatch.setenv("REPRO_FAULTS", "fit_error:p=0.5")
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "1")
         streamed = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        listed = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
+        listed = FleetAtmResult(config=atm_config)
+        for box in pipeline_fleet_6d:
+            result, events = _run_box_atm(box, atm_config, True)
+            listed.report.extend(events)
+            if result is not None:
+                listed.accuracies.append(result.accuracy)
+                for reduction in result.reductions.values():
+                    listed.reduction.add(reduction)
         assert fingerprint_result(streamed) == fingerprint_result(listed)
         assert streamed.report == listed.report
         assert not streamed.report.ok  # the faults really fired
@@ -76,12 +69,24 @@ class TestStreamingEquivalence:
     def test_resize_identical_on_faulty_fleet(self, small_fleet, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "box_error:p=0.4")
         policy = TicketPolicy(60.0)
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "1")
         streamed = evaluate_fleet_resizing(
             small_fleet, policy, eval_windows=96, jobs=2
         )
-        monkeypatch.setenv(STREAM_AGG_ENV_VAR, "0")
-        listed = evaluate_fleet_resizing(small_fleet, policy, eval_windows=96, jobs=2)
+        listed = FleetReduction()
+        resources = (Resource.CPU, Resource.RAM)
+        for box in small_fleet:
+            results, events = _evaluate_box_worker(
+                (box, {resource: None for resource in resources}),
+                resources,
+                policy,
+                tuple(ResizingAlgorithm),
+                96,
+                5.0,
+                True,
+            )
+            listed.report.extend(events)
+            for result in results:
+                listed.add(result)
         assert streamed.results == listed.results
         assert streamed.report == listed.report
         assert not streamed.report.ok

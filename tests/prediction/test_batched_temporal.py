@@ -4,21 +4,21 @@ The batched trainer (:mod:`repro.prediction.temporal.batched`) claims
 *bit-identical* results to per-series ``NeuralNetPredictor.fit`` — not a
 tolerance, equality.  These tests pin that claim across seeds, box shapes,
 history lengths and the early-stopping edge cases, plus the integration
-through the combined predictor and the ``REPRO_BATCHED_TEMPORAL`` gate.
+through the combined predictor against per-series
+``make_temporal_model(...).fit``.
 """
 
 import numpy as np
 import pytest
 
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
-from repro.prediction.registry import fit_temporal_batch, has_batch_fitter
-from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
-from repro.prediction.temporal.batched import (
-    BATCHED_ENV_VAR,
-    _fit_equal_length,
-    batched_temporal_enabled,
-    fit_neural_batch,
+from repro.prediction.registry import (
+    fit_temporal_batch,
+    has_batch_fitter,
+    make_temporal_model,
 )
+from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
+from repro.prediction.temporal.batched import _fit_equal_length, fit_neural_batch
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
 
 # A small config keeps every fit fast; bit-equivalence is config-agnostic.
@@ -104,22 +104,6 @@ class TestEquivalence:
         assert_equivalent(serial, batched, horizon=96)
 
 
-class TestGate:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCHED_ENV_VAR, raising=False)
-        assert batched_temporal_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "FALSE"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(BATCHED_ENV_VAR, value)
-        assert not batched_temporal_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", ""])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(BATCHED_ENV_VAR, value)
-        assert batched_temporal_enabled()
-
-
 class TestRegistry:
     def test_neural_has_batch_fitter(self):
         assert has_batch_fitter("neural")
@@ -139,23 +123,35 @@ class TestCombinedIntegration:
     def _matrix(self, seed=21, n_series=6, days=5, period=24):
         rng = np.random.default_rng(seed)
         t = np.arange(days * period)
-        base = 30 + 20 * np.sin(2 * np.pi * t / period)
+        # Two uncorrelated workload shapes, so the search keeps two
+        # signatures and the temporal fit is a real (K=2) batch.
+        bases = (
+            30 + 20 * np.sin(2 * np.pi * t / period),
+            30 + 20 * np.sin(2 * np.pi * t / period + np.pi / 2),
+        )
         return np.vstack(
             [
-                rng.uniform(0.5, 2.0) * base + rng.normal(0, 1.0, size=t.size)
-                for _ in range(n_series)
+                rng.uniform(0.5, 2.0) * bases[i % 2] + rng.normal(0, 1.0, size=t.size)
+                for i in range(n_series)
             ]
         )
 
-    def test_batched_matches_serial_pipeline(self, monkeypatch):
+    def test_batched_matches_serial_pipeline(self):
         config = SpatialTemporalConfig(
             search=SignatureSearchConfig(method=ClusteringMethod.CBC),
             temporal_model="neural",
             period=24,
         )
         data = self._matrix()
-        monkeypatch.setenv(BATCHED_ENV_VAR, "0")
-        serial = SpatialTemporalPredictor(config).fit_predict(data, 24)
-        monkeypatch.setenv(BATCHED_ENV_VAR, "1")
-        batched = SpatialTemporalPredictor(config).fit_predict(data, 24)
-        np.testing.assert_array_equal(serial.predictions, batched.predictions)
+        predictor = SpatialTemporalPredictor(config)
+        batched = predictor.fit_predict(data, 24)
+        spatial = predictor.spatial_model
+        assert len(spatial.signature_indices) >= 2  # a real batch, not K=1
+        serial = np.vstack(
+            [
+                make_temporal_model("neural", period=24).fit(data[idx]).predict(24)
+                for idx in spatial.signature_indices
+            ]
+        )
+        expected = np.clip(spatial.reconstruct(serial), config.clip_min, np.inf)
+        np.testing.assert_array_equal(batched.predictions, expected)

@@ -1,13 +1,15 @@
 """Randomized equivalence tests for the vectorized spatial-search engine.
 
-Every vectorized path introduced under ``REPRO_VECTOR_SPATIAL`` (Gram-based
-VIFs, downdated stepwise elimination, multi-RHS OLS, matmul silhouettes,
-the batched DTW wavefront) must make the *same decisions* as the retained
-reference implementation — identical kept/removed columns, identical best
-cuts, bitwise-equal DTW distances — with numeric outputs agreeing to tight
-tolerances.  These tests drive both paths over randomized and adversarial
-inputs (constant series, rank-deficient designs, singleton clusters, tied
-scores) and compare them directly.
+Every vectorized kernel (Gram-based VIFs, downdated stepwise elimination,
+multi-RHS OLS, matmul silhouettes, the batched DTW wavefront) must make the
+*same decisions* as its definitional oracle — the ``_*_reference``
+implementations and per-column ``fit_ols`` — with identical kept/removed
+columns, identical best cuts, bitwise-equal DTW distances, and numeric
+outputs agreeing to tight tolerances.  These tests drive both over
+randomized and adversarial inputs (constant series, rank-deficient
+designs, singleton clusters, tied scores) and compare them directly; the
+end-to-end search decisions are pinned to the values the reference search
+produced.
 """
 
 import numpy as np
@@ -17,8 +19,10 @@ from repro.timeseries import regression as reg
 from repro.timeseries import silhouette as sil
 from repro.timeseries.clustering import HierarchicalClustering
 from repro.timeseries.correlation import pairwise_correlation_matrix
-from repro.timeseries.dtw import _dtw_batch_fast, _dtw_batch_reference, dtw_distance_matrix
+from repro.timeseries import dtw
+from repro.timeseries.dtw import _dtw_batch, _dtw_batch_reference, dtw_distance_matrix
 from repro.timeseries.regression import (
+    fit_dependent_models,
     fit_ols,
     fit_ols_multi,
     stepwise_eliminate,
@@ -31,17 +35,6 @@ from repro.timeseries.silhouette import (
     mean_silhouettes_for_cuts,
     silhouette_values,
 )
-from repro.timeseries.vector import VECTOR_ENV_VAR, vector_spatial_enabled
-
-
-@pytest.fixture()
-def gate_off(monkeypatch):
-    monkeypatch.setenv(VECTOR_ENV_VAR, "0")
-
-
-@pytest.fixture()
-def gate_on(monkeypatch):
-    monkeypatch.setenv(VECTOR_ENV_VAR, "1")
 
 
 def _random_design(rng, n, k, constant_cols=(), duplicate_of=None):
@@ -61,22 +54,6 @@ def _random_distances(rng, n):
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
     return d
-
-
-class TestGate:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(VECTOR_ENV_VAR, raising=False)
-        assert vector_spatial_enabled()
-
-    @pytest.mark.parametrize("raw", ["0", "false", "off", "no", " OFF ", "No"])
-    def test_off_values(self, monkeypatch, raw):
-        monkeypatch.setenv(VECTOR_ENV_VAR, raw)
-        assert not vector_spatial_enabled()
-
-    @pytest.mark.parametrize("raw", ["1", "true", "on", "", "yes"])
-    def test_on_values(self, monkeypatch, raw):
-        monkeypatch.setenv(VECTOR_ENV_VAR, raw)
-        assert vector_spatial_enabled()
 
 
 class TestVifEquivalence:
@@ -119,7 +96,7 @@ class TestVifEquivalence:
         shared = variance_inflation_factors(x, corr=corr)
         assert np.allclose(direct, shared, rtol=1e-8, atol=1e-10)
 
-    def test_fewer_than_two_columns(self, gate_on):
+    def test_fewer_than_two_columns(self):
         assert np.array_equal(variance_inflation_factors(np.ones((10, 1))), [1.0])
 
 
@@ -183,7 +160,7 @@ class TestMultiRhsOls:
             assert m.r2 == pytest.approx(s.r2, rel=1e-8, abs=1e-10)
             assert m.residual_std == pytest.approx(s.residual_std, rel=1e-8, abs=1e-10)
 
-    def test_constant_target_r2_one_both_paths(self, gate_on):
+    def test_constant_target_r2_one_both_paths(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 3))
         y = np.column_stack([np.full(40, 2.5), rng.normal(size=40)])
@@ -214,15 +191,17 @@ class TestMultiRhsOls:
         s = fit_ols(y, x)
         assert np.allclose(m.coefficients, s.coefficients, rtol=1e-8, atol=1e-10)
 
-    def test_gate_off_is_per_column_loop(self, gate_off):
+    def test_gate_off_is_per_column_loop(self):
+        """The spatial model's entry point agrees with per-column fit_ols."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(25, 3))
         y = rng.normal(size=(25, 2))
-        multi = fit_ols_multi(y, x)
+        multi = fit_dependent_models(x, y)
         singles = [fit_ols(y[:, k], x) for k in range(2)]
         for m, s in zip(multi, singles):
-            assert np.array_equal(m.coefficients, s.coefficients)
-            assert m.intercept == s.intercept
+            assert np.allclose(m.coefficients, s.coefficients, rtol=1e-8, atol=1e-10)
+            assert m.intercept == pytest.approx(s.intercept, rel=1e-8, abs=1e-10)
+            assert m.residual_std == pytest.approx(s.residual_std, rel=1e-8, abs=1e-10)
 
 
 class TestSilhouetteEquivalence:
@@ -234,14 +213,14 @@ class TestSilhouetteEquivalence:
         k = int(rng.integers(2, n))
         labels = rng.integers(0, k, size=n)
         ref = sil._silhouette_values_reference(d, labels)
-        vec = sil._silhouette_values_vector(d, labels)
+        vec = silhouette_values(d, labels)
         assert np.allclose(ref, vec, rtol=1e-9, atol=1e-12)
 
     def test_singleton_clusters_are_zero(self):
         rng = np.random.default_rng(0)
         d = _random_distances(rng, 6)
         labels = np.array([0, 1, 2, 3, 4, 5])  # all singletons
-        assert np.array_equal(sil._silhouette_values_vector(d, labels), np.zeros(6))
+        assert np.array_equal(silhouette_values(d, labels), np.zeros(6))
         assert np.array_equal(sil._silhouette_values_reference(d, labels), np.zeros(6))
 
     def test_single_cluster_is_zero(self):
@@ -254,7 +233,7 @@ class TestSilhouetteEquivalence:
         d = np.zeros((4, 4))
         labels = [0, 0, 1, 1]
         ref = sil._silhouette_values_reference(d, np.asarray(labels))
-        vec = sil._silhouette_values_vector(d, np.asarray(labels))
+        vec = silhouette_values(d, labels)
         assert np.array_equal(ref, vec)
 
     def test_noncontiguous_labels(self):
@@ -262,7 +241,7 @@ class TestSilhouetteEquivalence:
         d = _random_distances(rng, 8)
         labels = np.array([10, 10, 3, 3, 7, 7, 3, 10])
         ref = sil._silhouette_values_reference(d, labels)
-        vec = sil._silhouette_values_vector(d, labels)
+        vec = silhouette_values(d, labels)
         assert np.allclose(ref, vec, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -315,16 +294,19 @@ class TestSilhouetteEquivalence:
         labelings = [[0, 0, 1, 1], [0, 1, 2, 0], [0, 1, 2, 3]]
         assert best_cluster_count(d, labelings, [2, 3, 4]) == 2
 
-    def test_gate_off_matches_gate_on(self, monkeypatch):
+    def test_gate_off_matches_gate_on(self):
+        """The best cut equals the one the per-item reference loop picks."""
         rng = np.random.default_rng(23)
         d = _random_distances(rng, 12)
         cuts = HierarchicalClustering(d).cuts(range(2, 7))
-        monkeypatch.setenv(VECTOR_ENV_VAR, "1")
-        on = best_silhouette_cut(d, cuts)
-        monkeypatch.setenv(VECTOR_ENV_VAR, "0")
-        off = best_silhouette_cut(d, cuts)
-        assert on[1] == off[1] and on[2] == off[2]
-        assert on[0] == pytest.approx(off[0], rel=1e-9, abs=1e-12)
+        score, k, labels = best_silhouette_cut(d, cuts)
+        reference = {
+            c: float(sil._silhouette_values_reference(d, np.asarray(cuts[c])).mean())
+            for c in cuts
+        }
+        best_k = min(cuts, key=lambda c: (-reference[c], c))
+        assert k == best_k and labels == list(cuts[best_k])
+        assert score == pytest.approx(reference[best_k], rel=1e-9, abs=1e-12)
 
 
 class TestDtwBatchEquivalence:
@@ -335,24 +317,48 @@ class TestDtwBatchEquivalence:
         p = rng.normal(size=(20, 40))
         q = rng.normal(size=(20, 40))
         assert np.array_equal(
-            _dtw_batch_fast(p, q, window), _dtw_batch_reference(p, q, window)
+            _dtw_batch(p, q, window), _dtw_batch_reference(p, q, window)
         )
 
     def test_distance_matrix_gate_equivalence(self, monkeypatch):
+        """The pairwise matrix is bitwise the one the reference wavefront builds."""
         rng = np.random.default_rng(6)
         series = rng.normal(size=(9, 50))
-        monkeypatch.setenv(VECTOR_ENV_VAR, "1")
-        on = dtw_distance_matrix(series, window=5, zscore=True)
-        monkeypatch.setenv(VECTOR_ENV_VAR, "0")
-        off = dtw_distance_matrix(series, window=5, zscore=True)
-        assert np.array_equal(on, off)
+        fast = dtw_distance_matrix(series, window=5, zscore=True)
+        monkeypatch.setattr(dtw, "_dtw_batch", _dtw_batch_reference)
+        reference = dtw_distance_matrix(series, window=5, zscore=True)
+        assert np.array_equal(fast, reference)
 
 
 class TestSearchGateEquivalence:
-    """REPRO_VECTOR_SPATIAL=0 restores the reference search end to end."""
+    """End-to-end search decisions, pinned to the reference search's output."""
+
+    #: (signature, dependent, initial-signature indices, cluster labels) the
+    #: per-column reference search produced on ``_search_data()``.
+    PINNED = {
+        "cbc": (
+            (2, 3, 6),
+            (0, 1, 4, 5, 7, 8, 9),
+            (1, 2, 3, 4, 5, 6),
+            (0, 1, 3, 4, 5, 2, 0, 2, 1, 0),
+        ),
+        "dtw": (
+            (1, 6, 7),
+            (0, 2, 3, 4, 5, 8, 9),
+            (1, 4, 6, 7),
+            (0, 1, 2, 2, 3, 2, 0, 2, 1, 0),
+        ),
+    }
+
+    @staticmethod
+    def _search_data():
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(3, 96))
+        mix = rng.normal(size=(10, 3))
+        return mix @ base + 0.2 * rng.normal(size=(10, 96))
 
     @pytest.mark.parametrize("method_name", ["cbc", "dtw"])
-    def test_full_search_identical_decisions(self, monkeypatch, method_name):
+    def test_full_search_identical_decisions(self, method_name):
         from repro.prediction.spatial.cache import SIGNATURE_CACHE
         from repro.prediction.spatial.signatures import (
             ClusteringMethod,
@@ -360,46 +366,44 @@ class TestSearchGateEquivalence:
             search_signature_set,
         )
 
-        rng = np.random.default_rng(31)
-        base = rng.normal(size=(3, 96))
-        mix = rng.normal(size=(10, 3))
-        data = mix @ base + 0.2 * rng.normal(size=(10, 96))
+        data = self._search_data()
         cfg = SignatureSearchConfig(method=ClusteringMethod(method_name))
-
-        models = {}
-        for raw in ("1", "0"):
-            monkeypatch.setenv(VECTOR_ENV_VAR, raw)
-            SIGNATURE_CACHE.clear()
-            models[raw] = search_signature_set(data, cfg)
         SIGNATURE_CACHE.clear()
-        on, off = models["1"], models["0"]
-        assert on.signature_indices == off.signature_indices
-        assert on.dependent_indices == off.dependent_indices
-        assert on.initial_signature_indices == off.initial_signature_indices
-        assert on.cluster_labels == off.cluster_labels
-        for idx in on.dependent_indices:
+        model = search_signature_set(data, cfg)
+        SIGNATURE_CACHE.clear()
+        assert (
+            model.signature_indices,
+            model.dependent_indices,
+            model.initial_signature_indices,
+            model.cluster_labels,
+        ) == self.PINNED[method_name]
+        regressors = data[list(model.signature_indices)].T
+        for idx in model.dependent_indices:
+            oracle = fit_ols(data[idx], regressors)
             assert np.allclose(
-                on.models[idx].coefficients,
-                off.models[idx].coefficients,
+                model.models[idx].coefficients,
+                oracle.coefficients,
                 rtol=1e-8,
                 atol=1e-10,
             )
 
-    def test_reconstruct_gate_equivalence(self, monkeypatch):
+    def test_reconstruct_gate_equivalence(self):
+        """reconstruct's single matmul == OlsFit.predict per dependent."""
         from repro.prediction.spatial.cache import SIGNATURE_CACHE
         from repro.prediction.spatial.signatures import search_signature_set
 
         rng = np.random.default_rng(13)
         base = rng.normal(size=(2, 80))
         data = rng.normal(size=(6, 2)) @ base + 0.1 * rng.normal(size=(6, 80))
-        monkeypatch.setenv(VECTOR_ENV_VAR, "1")
         SIGNATURE_CACHE.clear()
         model = search_signature_set(data)
-        sig = data[list(model.signature_indices)]
-        on = model.reconstruct(sig)
-        monkeypatch.setenv(VECTOR_ENV_VAR, "0")
-        off = model.reconstruct(sig)
         SIGNATURE_CACHE.clear()
-        assert np.allclose(on, off, rtol=1e-9, atol=1e-12)
-        # Signature rows pass through verbatim either way.
-        assert np.array_equal(on[list(model.signature_indices)], sig)
+        sig = data[list(model.signature_indices)]
+        out = model.reconstruct(sig)
+        assert model.dependent_indices  # the matmul path really ran
+        for idx in model.dependent_indices:
+            assert np.allclose(
+                out[idx], model.models[idx].predict(sig.T), rtol=1e-9, atol=1e-12
+            )
+        # Signature rows pass through verbatim.
+        assert np.array_equal(out[list(model.signature_indices)], sig)
