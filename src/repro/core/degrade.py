@@ -46,7 +46,7 @@ class DegradationEvent:
     """One recorded rung transition (or whole-box failure)."""
 
     box_id: str
-    stage: str              # "fit", "predict", or "run"
+    stage: str              # "fit", "predict", "run", or "fleet"
     rung: str               # the rung reached: seasonal_mean / hold / failed
     reason: str             # repr() of the triggering exception
     step: Optional[int] = None  # online controller step; None for one-shot runs

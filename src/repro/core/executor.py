@@ -8,9 +8,9 @@ with chunked scheduling, while keeping three guarantees:
 
 1. **Deterministic aggregation.**  Results are always returned in the
    input (box) order, no matter which worker finished first.
-2. **Bit-identical serial fallback.**  ``jobs=1`` (the default, also
+2. **One result at every worker count.**  ``jobs=1`` (the default, also
    selectable via ``REPRO_JOBS=1``) runs the exact same per-item function
-   in-process, in order — byte-for-byte the pre-engine behaviour.  The
+   in-process, in order, over the same chunks a pool would receive.  The
    per-box computations themselves are deterministic (every random draw
    is seeded per fit), so ``jobs=N`` produces numerically identical
    results; only wall-clock changes.
@@ -45,6 +45,11 @@ in-flight descriptors and the out-of-order buffer stay proportional to
 the worker count, not the fleet.  :meth:`FleetExecutor.map` is
 ``list(imap(...))``: one dispatch path, two consumption styles.
 
+Fleet drivers (``run_fleet_atm``, ``run_online_fleet``,
+``evaluate_fleet_resizing``, ``run_fleet_ops``) all run through
+:func:`run_fleet`, take their items from :func:`fleet_items` and, when
+resumable, touch the store only via :func:`resume_probe`.
+
 Worker observability: each chunk ships its worker-process metrics
 snapshot back with its results, and the parent merges them into the
 session registry — ``jobs=N`` reports the same :mod:`repro.obs` counters
@@ -55,6 +60,7 @@ reports the fleet's true memory high-water mark across all processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -74,8 +80,12 @@ from typing import (
 
 from repro import obs
 from repro.core import faults, runtime
+from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
 
-__all__ = ["JOBS_ENV_VAR", "FleetExecutor", "resolve_jobs", "default_chunksize"]
+__all__ = [
+    "JOBS_ENV_VAR", "FleetExecutor", "resolve_jobs", "default_chunksize",
+    "fleet_items", "resume_probe", "run_fleet",
+]
 
 #: In-flight chunks per worker for windowed dispatch: deep enough that no
 #: worker ever idles waiting for the parent, shallow enough that pending
@@ -234,18 +244,7 @@ class FleetExecutor:
     ) -> List[R]:
         """Return ``[fn(item, *common) for item in items]``, possibly in parallel.
 
-        ``fn`` must be a module-level (picklable) callable when ``jobs > 1``.
-        Results keep the input order regardless of worker completion order;
-        a worker exception propagates to the caller, and chunks not yet
-        started are cancelled rather than run to completion (fail fast —
-        a poisoned box should not cost the wall-clock of the whole fleet).
-
-        ``chunk_fn``, when given, replaces the per-item loop *inside each
-        chunk*: it is called as ``chunk_fn(chunk_items, *common)`` and
-        must return one result per item, in order.  Dispatch, ordering,
-        windowing and metrics are unchanged — only the intra-chunk
-        execution strategy differs (the fused training plane batches all
-        boxes of a chunk into cross-box mega-fits this way).
+        The list form of :meth:`imap`, which documents the semantics.
         """
         return list(self.imap(fn, items, *common, chunk_fn=chunk_fn))
 
@@ -258,42 +257,39 @@ class FleetExecutor:
     ) -> Iterator[R]:
         """Yield ``fn(item, *common)`` for each item, in input order.
 
-        The streaming form of :meth:`map`: same dispatch, same ordering,
-        same fail-fast and timeout semantics, but results are yielded as
-        their chunks complete instead of accumulated in a list, and at
-        most ``workers * 4`` chunks are in flight at a time.  Callers that
-        fold results incrementally (``run_fleet_atm`` and the other fleet
-        drivers) therefore hold O(workers) chunk results, not O(fleet).
+        ``fn`` must be a module-level (picklable) callable when ``jobs > 1``.
+        Results are yielded as their chunks complete, with at most
+        ``workers * 4`` chunks in flight, so a caller that folds them
+        incrementally (:func:`run_fleet`) holds O(workers) chunk results,
+        not O(fleet).  Out-of-order completions are buffered until their
+        predecessors land, so the caller always sees input order.  A
+        worker exception propagates to the caller, and chunks not yet
+        started are cancelled rather than run to completion (fail fast —
+        a poisoned box should not cost the wall-clock of the whole fleet).
 
-        Out-of-order completions are buffered until their predecessors
-        land, so the caller always sees deterministic input order; the
-        buffer is bounded by the in-flight window.
-
-        See :meth:`map` for ``chunk_fn`` semantics; the serial path
-        applies it over the same ``chunksize`` slices a parallel run
-        would ship, so chunk boundaries are identical at every ``jobs``.
+        ``chunk_fn``, when given, replaces the per-item loop *inside each
+        chunk*: it is called as ``chunk_fn(chunk_items, *common)`` and
+        must return one result per item, in order (the fused training
+        plane batches a chunk's boxes into cross-box mega-fits this way).
+        The serial path applies it over the same ``chunksize`` slices a
+        parallel run would ship, so chunk boundaries match at every
+        ``jobs``.
         """
         work = list(items)
+        obs.inc("executor.items", len(work))
+        chunk = self.chunksize or default_chunksize(len(work), self.jobs)
+        chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         if self.jobs == 1 or len(work) <= 1:
-            obs.inc("executor.items", len(work))
-            if chunk_fn is not None and work:
-                chunk = self.chunksize or default_chunksize(len(work), self.jobs)
-                for lo in range(0, len(work), chunk):
-                    part = work[lo : lo + chunk]
-                    for result in _run_chunk_items(
-                        chunk_fn, part, common, self.retries
-                    ):
-                        yield result
-            else:
+            if chunk_fn is None:
                 for item in work:
                     yield _run_item(fn, item, common, self.retries)
+            else:
+                for part in chunks:
+                    yield from _run_chunk_items(chunk_fn, part, common, self.retries)
             obs.record_peak_rss()
             return
 
-        chunk = self.chunksize or default_chunksize(len(work), self.jobs)
-        chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         workers = min(self.jobs, len(chunks))
-        obs.inc("executor.items", len(work))
         obs.inc("executor.chunks", len(chunks))
         context = (
             multiprocessing.get_context(self.mp_context) if self.mp_context else None
@@ -357,3 +353,85 @@ class FleetExecutor:
             raise
         pool.shutdown(wait=True)
         obs.record_peak_rss()
+
+
+def fleet_items(fleet, min_windows: int = 0) -> list:
+    """The work items of every box with at least ``min_windows`` windows.
+
+    A :class:`~repro.store.shards.ShardedFleet` contributes its shard
+    descriptors, filtered on the manifest alone: no shard is opened in
+    the parent, and each worker maps its boxes through ``resolve_box``.
+    An in-RAM fleet contributes its boxes themselves.
+    """
+    from repro.store.shards import ShardedFleet  # lazy: shards imports us
+
+    boxes = fleet.box_refs() if isinstance(fleet, ShardedFleet) else fleet
+    return [box for box in boxes if box.n_windows >= min_windows]
+
+
+def _discard(value: Any) -> None:
+    """The ``save`` of a store probe that must not write."""
+
+
+def resume_probe(
+    namespace: str, key: Callable[[], Any], resume: bool
+) -> Tuple[Optional[Any], Callable[[Any], None]]:
+    """A per-box unit's one touch of its resumable store artifact.
+
+    Returns ``(cached, save)``.  Without a persistent store nothing is
+    read or written: ``cached`` is ``None`` and ``save`` discards.  With
+    one, ``key()`` names the box's artifact; under ``resume`` a stored
+    value comes back as ``cached`` (counted as
+    ``<namespace>.resume.hits``), and otherwise ``save(value)``
+    materializes the freshly computed value under that key, so an
+    interrupted fleet run leaves every finished box on disk.
+    """
+    from repro.store import default_store  # lazy: the store imports core
+
+    store = default_store()
+    if not store.persistent:
+        return None, _discard
+    artifact = key()
+    if resume:
+        cached = store.get(artifact, memory=False)
+        if cached is not None:
+            obs.inc(f"{namespace}.resume.hits")
+            return cached, _discard
+    return None, functools.partial(store.put, artifact, memory=False)
+
+
+def run_fleet(
+    unit: Callable[..., R], items: Sequence[Any], *common: Any,
+    fold: Callable[[R], None], span: str, fleet: Any, min_windows: int = 0,
+    report: Optional[ErrorReport] = None, jobs: Optional[int] = None,
+    chunksize: Optional[int] = None, retries: int = 0,
+    chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
+) -> None:
+    """Run ``unit(item, *common)`` on every item; ``fold`` each result in order.
+
+    The shared body of the fleet drivers: ``items`` come from
+    :func:`fleet_items` (filtered at ``min_windows``), the fan-out is
+    :meth:`FleetExecutor.imap` under the driver's ``span``, and ``fold``
+    sees each box's result as its chunk lands, so at most O(workers)
+    results are resident at once.
+
+    The empty-fleet rule: with no eligible item, a degrading driver passes
+    its aggregate's ``report`` and gets one ``stage="fleet"`` event, rung
+    ``failed`` (counted as ``<namespace>.fleets_empty``); with
+    ``report=None`` a :class:`ValueError` naming the fleet is raised.
+    """
+    if not items:
+        reason = (
+            f"no box in fleet {fleet.name!r} has the {min_windows} windows required"
+            if min_windows
+            else f"fleet {fleet.name!r} contains no boxes"
+        )
+        if report is None:
+            raise ValueError(reason)
+        obs.inc(f"{span.split('.')[0]}.fleets_empty")
+        report.add(DegradationEvent(f"fleet:{fleet.name}", "fleet", RUNG_FAILED, reason))
+        return
+    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
+    with obs.span(span):
+        for result in executor.imap(unit, items, *common, chunk_fn=chunk_fn):
+            fold(result)

@@ -51,13 +51,9 @@ Steps are *incremental* by default, restarting nothing they can reuse:
   ``refit_every_steps=1`` the cap is always due and the drift score is
   never consulted.
 
-:func:`run_online_fleet` fans boxes out across worker processes exactly
-like the offline pipeline: :class:`~repro.core.executor.FleetExecutor`
-windowed streaming dispatch, :class:`~repro.store.shards.ShardedFleet`
-accepted with manifest-only eligibility and zero-pickle
-:class:`~repro.store.shards.BoxShardRef` dispatch, and one streaming
-aggregation fold for every worker count (bit-identical to the serial
-path).
+:func:`run_online_fleet` fans boxes out through the same engine as the
+offline pipeline (:func:`~repro.core.executor.run_fleet`), in-RAM or
+sharded, with one in-order fold for every worker count.
 """
 
 from __future__ import annotations
@@ -79,7 +75,7 @@ from repro.core.degrade import (
     ErrorReport,
     sanitize_demands,
 )
-from repro.core.executor import FleetExecutor
+from repro.core.executor import fleet_items, run_fleet
 from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
 from repro.resizing.evaluate import ResizingAlgorithm, resize_allocation
@@ -509,11 +505,10 @@ def _run_box_online(
 ) -> Tuple[Optional[OnlineRunResult], List[DegradationEvent]]:
     """Per-box unit of work; module-level so pool workers can unpickle it.
 
-    ``box`` may be a :class:`repro.store.shards.BoxShardRef`, in which
-    case the shard is memory-mapped here in the worker — the parent never
-    pickles trace data.  Failures outside the controller's own ladder
-    yield ``(None, [failed event])`` under ``degrade`` instead of
-    aborting the fleet.
+    ``box`` may be a shard descriptor, mapped here in the worker.
+    Failures outside the controller's own ladder yield
+    ``(None, [failed event])`` under ``degrade`` instead of aborting the
+    fleet.
     """
     from repro.store.shards import resolve_box
 
@@ -558,53 +553,28 @@ def run_online_fleet(
     restore fail-fast propagation (including the no-eligible-box
     ``ValueError``).
 
-    ``fleet`` may be an in-RAM :class:`FleetTrace` or a
-    :class:`repro.store.shards.ShardedFleet`; for the latter, eligibility
-    is read from the manifest and workers receive shard descriptors they
-    memory-map locally.  ``jobs`` fans boxes out across worker processes
-    (``None`` reads ``REPRO_JOBS``; 1 = serial, the bit-identical legacy
-    path); results aggregate in fleet box order for any worker count.
-    ``chunksize`` and ``retries`` forward to the executor.
+    ``fleet`` may be in RAM or sharded; ``jobs`` (``None`` reads
+    ``REPRO_JOBS``; 1 = serial), ``chunksize`` and ``retries`` configure
+    the fan-out (:func:`repro.core.executor.run_fleet`), whose results
+    aggregate in fleet box order, identically for any worker count.
     """
     _check_cadence(refit_every_steps, drift_threshold)
     cfg = config or AtmConfig()
     needed = cfg.training_windows + cfg.horizon_windows
-    if hasattr(fleet, "box_refs"):
-        # Sharded fleet: eligibility comes from the manifest; no shard is
-        # opened in the parent, and workers receive the refs themselves.
-        eligible = [ref for ref in fleet.box_refs() if ref.n_windows >= needed]
-    else:
-        eligible = [box for box in fleet if box.n_windows >= needed]
-
     results: Dict[str, OnlineRunResult] = {}
     report = ErrorReport()
-    if not eligible:
-        reason = f"no box in fleet {fleet.name!r} supports an online run"
-        if not degrade:
-            raise ValueError(reason)
-        obs.inc("online.fleets_empty")
-        report.add(
-            DegradationEvent(
-                box_id=f"fleet:{fleet.name}",
-                stage="fleet",
-                rung=RUNG_FAILED,
-                reason=reason,
-            )
-        )
-        return OnlineFleetResult(results=results, report=report)
 
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
-    with obs.span("online.fleet"):
-        for result, events in executor.imap(
-            _run_box_online,
-            eligible,
-            cfg,
-            refit_every_steps,
-            drift_threshold,
-            degrade,
-        ):
-            report.extend(events)
-            if result is None:
-                continue
+    def fold(pair: Tuple[Optional[OnlineRunResult], List[DegradationEvent]]) -> None:
+        result, events = pair
+        report.extend(events)
+        if result is not None:
             results[result.box_id] = result
+
+    run_fleet(
+        _run_box_online, fleet_items(fleet, needed),
+        cfg, refit_every_steps, drift_threshold, degrade,
+        fold=fold, span="online.fleet", fleet=fleet, min_windows=needed,
+        report=report if degrade else None,
+        jobs=jobs, chunksize=chunksize, retries=retries,
+    )
     return OnlineFleetResult(results=results, report=report)

@@ -7,27 +7,23 @@ Runs the per-box ATM controller over every box of a fleet and aggregates:
 * signature-set statistics (how much of the fleet needed temporal models).
 
 Per-box runs are independent (the paper deploys ATM per box), so the fleet
-loop fans out across processes through :class:`repro.core.executor.FleetExecutor`
-when ``jobs > 1``; ``jobs=1`` (the default) is the bit-identical serial path.
+loop is the shared engine :func:`repro.core.executor.run_fleet`: boxes fan
+out across processes when ``jobs > 1`` and their results are folded into
+the aggregates in box order as chunks land, so peak RSS stays flat as the
+fleet grows.  At paper scale the fleet can be a
+:class:`repro.store.shards.ShardedFleet`, whose workers receive shard
+descriptors and memory-map their boxes locally.
 
 A failing box degrades instead of aborting the fleet: the per-box unit of
 work climbs the policy ladder (configured model → seasonal-mean fallback →
 reported failure) and :class:`FleetAtmResult.report` carries the structured
 degradation events; healthy boxes are unaffected, bit for bit.
-
-At paper scale the fleet argument can be a
-:class:`repro.store.shards.ShardedFleet`: eligibility is decided from the
-manifest alone, workers receive few-hundred-byte shard *descriptors*
-instead of pickled traces and memory-map their boxes locally, and results
-are folded into the aggregates as chunks land
-(:meth:`FleetExecutor.imap`) instead of accumulating a full result list
-— peak RSS stays flat as the fleet grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.atm import AtmController, BoxAtmResult
@@ -38,7 +34,9 @@ from repro.core.degrade import (
     DegradationEvent,
     ErrorReport,
 )
-from repro.core.executor import FleetExecutor, default_chunksize
+from repro.core.executor import (
+    default_chunksize, fleet_items, resolve_jobs, resume_probe, run_fleet,
+)
 from repro.core.results import PredictionAccuracy, ape_cdf
 from repro.prediction.registry import has_fleet_fitter
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
@@ -101,9 +99,11 @@ def _seasonal_fallback_config(config: AtmConfig) -> AtmConfig:
     )
 
 
-def _run_box_atm(
-    box, config: AtmConfig, degrade: bool, resume: bool = False
-) -> Tuple[Optional[BoxAtmResult], List[DegradationEvent]]:
+#: One box's outcome: its result (``None`` = failed) and degradation events.
+BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
+
+
+def _run_box_atm(box, config: AtmConfig, degrade: bool, resume: bool = False) -> BoxOutcome:
     """Per-box unit of work; module-level so pool workers can unpickle it.
 
     Climbs the degradation ladder: the configured model first; on failure
@@ -111,38 +111,26 @@ def _run_box_atm(
     second failure the box is reported as failed (``None`` result) rather
     than aborting the fleet.  ``degrade=False`` restores fail-fast.
 
-    With a persistent artifact store the completed ``(result, events)``
-    pair is materialized per box, so an interrupted fleet run leaves each
-    finished box's outcome on disk; ``resume=True`` serves those boxes
-    from the store (counted as ``pipeline.resume.hits``) and computes only
-    the rest — bit-identical to an uninterrupted run.
-
-    ``box`` may be a :class:`repro.store.shards.BoxShardRef`, in which
-    case the shard is memory-mapped here in the worker — the parent never
-    pickles trace data.
+    ``box`` may be a shard descriptor, mapped here in the worker; the
+    ``(result, events)`` pair is the box's resumable artifact
+    (:func:`~repro.core.executor.resume_probe`, namespace ``pipeline``).
     """
     from repro.core import stages
-    from repro.store import default_store
     from repro.store.shards import resolve_box
 
     box = resolve_box(box)
-    store = default_store()
-    key = stages.box_result_key(box, config, degrade) if store.persistent else None
-    if resume and key is not None:
-        cached = store.get(key, memory=False)
-        if cached is not None:
-            obs.inc("pipeline.resume.hits")
-            result, events = cached
-            return result, list(events)
-    result, events = _run_box_ladder(box, config, degrade)
-    if key is not None:
-        store.put(key, (result, events), memory=False)
-    return result, events
+    cached, save = resume_probe(
+        "pipeline", lambda: stages.box_result_key(box, config, degrade), resume
+    )
+    if cached is not None:
+        result, events = cached
+        return result, list(events)
+    pair = _run_box_ladder(box, config, degrade)
+    save(pair)
+    return pair
 
 
-def _run_box_ladder(
-    box, config: AtmConfig, degrade: bool
-) -> Tuple[Optional[BoxAtmResult], List[DegradationEvent]]:
+def _run_box_ladder(box, config: AtmConfig, degrade: bool) -> BoxOutcome:
     """The degradation ladder itself (no store interaction)."""
     events: List[DegradationEvent] = []
     try:
@@ -181,7 +169,7 @@ def _run_box_ladder(
 
 def _run_box_atm_fused_chunk(
     items, config: AtmConfig, degrade: bool, resume: bool = False
-) -> List[Tuple[Optional[BoxAtmResult], List[DegradationEvent]]]:
+) -> List[BoxOutcome]:
     """Whole-chunk unit of work: fuse every box's temporal fits into one pass.
 
     Produces exactly ``_run_box_atm(item, ...)`` for each item — same
@@ -206,13 +194,9 @@ def _run_box_atm_fused_chunk(
     from repro.core import stages
     from repro.prediction.combined import SpatialTemporalPredictor
     from repro.prediction.registry import fit_temporal_fleet_batch
-    from repro.store import default_store
     from repro.store.shards import resolve_box
 
-    out: List[Optional[Tuple[Optional[BoxAtmResult], List[DegradationEvent]]]] = [
-        None
-    ] * len(items)
-    store = default_store()
+    out: List[Optional[BoxOutcome]] = [None] * len(items)
 
     def fallback(pos: int) -> None:
         obs.inc("fused.fallback_boxes")
@@ -221,33 +205,29 @@ def _run_box_atm_fused_chunk(
     # Gather: resume probes, forecast probes, signature searches.  Boxes
     # with a stored forecast skip fitting entirely (``finish``); the rest
     # contribute their signature histories to the fused pass (``pending``).
-    pending: List[Tuple[int, AtmController, object, object, List]] = []
-    finish: List[Tuple[int, AtmController, object, object]] = []
+    # ``save`` persists a box's finished (result, events) pair.
+    pending: List[Tuple[int, AtmController, Callable, object, List]] = []
+    finish: List[Tuple[int, AtmController, Callable, object]] = []
     for pos in range(len(items)):
         try:
             box = resolve_box(items[pos])
-            result_key = (
-                stages.box_result_key(box, config, degrade)
-                if store.persistent
-                else None
+            cached, save = resume_probe(
+                "pipeline", lambda: stages.box_result_key(box, config, degrade), resume
             )
-            if resume and result_key is not None:
-                cached = store.get(result_key, memory=False)
-                if cached is not None:
-                    obs.inc("pipeline.resume.hits")
-                    result, events = cached
-                    out[pos] = (result, list(events))
-                    continue
+            if cached is not None:
+                result, events = cached
+                out[pos] = (result, list(events))
+                continue
             controller = AtmController(box, config)
             demands, forecast_key, prediction = stages.probe_forecast(controller)
             if prediction is not None:
-                finish.append((pos, controller, result_key, prediction))
+                finish.append((pos, controller, save, prediction))
                 continue
             predictor = SpatialTemporalPredictor(config.prediction)
             with obs.span("atm.fit"):
                 histories = predictor.begin_fit(demands)
             controller._predictor = predictor
-            pending.append((pos, controller, result_key, forecast_key, histories))
+            pending.append((pos, controller, save, forecast_key, histories))
         except Exception:
             if not degrade:
                 raise
@@ -274,7 +254,7 @@ def _run_box_atm_fused_chunk(
 
     # Scatter: complete each fused box's forecast, then run its sizing
     # and evaluation stages exactly as the per-box orchestrator would.
-    for (pos, controller, result_key, forecast_key, _), models in zip(
+    for (pos, controller, save, forecast_key, _), models in zip(
         pending, groups
     ):
         try:
@@ -284,20 +264,19 @@ def _run_box_atm_fused_chunk(
             controller._predictor.finish_fit(models)
             prediction = controller.predict(config.horizon_windows)
             stages.store_forecast(forecast_key, prediction)
-            finish.append((pos, controller, result_key, prediction))
+            finish.append((pos, controller, save, prediction))
         except Exception:
             if not degrade:
                 raise
             fallback(pos)
 
     # Evaluate: sizing + accuracy for every box that holds a forecast.
-    for pos, controller, result_key, prediction in finish:
+    for pos, controller, save, prediction in finish:
         try:
             with obs.span("pipeline.box_run"):
                 result = stages.evaluate_forecast_stages(controller, prediction)
-            pair: Tuple[Optional[BoxAtmResult], List[DegradationEvent]] = (result, [])
-            if result_key is not None:
-                store.put(result_key, pair, memory=False)
+            pair: BoxOutcome = (result, [])
+            save(pair)
             out[pos] = pair
         except Exception:
             if not degrade:
@@ -320,12 +299,13 @@ def run_fleet_atm(
 
     Boxes too short for the configured training + horizon windows are
     skipped (the paper likewise restricts its ATM study to the subset of
-    gap-free boxes).
+    gap-free boxes).  When no box is long enough, the result is empty and
+    ``result.report`` holds one fleet-level ``failed`` event — or, with
+    ``degrade=False``, a :class:`ValueError` names the fleet.
 
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
-    :class:`repro.store.shards.ShardedFleet`; for the latter, eligibility
-    is read from the manifest and workers receive shard descriptors they
-    memory-map locally — no trace data crosses the process boundary.
+    :class:`repro.store.shards.ShardedFleet` (see
+    :func:`repro.core.executor.fleet_items`).
 
     Parameters
     ----------
@@ -334,9 +314,9 @@ def run_fleet_atm(
         fleets); aggregates are always kept.
     jobs:
         Worker processes for the per-box fan-out.  ``None`` reads the
-        ``REPRO_JOBS`` environment variable (default 1 = serial, the
-        bit-identical legacy path); ``jobs <= 0`` uses all cores.  Results
-        are aggregated in fleet box order for any worker count.
+        ``REPRO_JOBS`` environment variable (default 1 = serial);
+        ``jobs <= 0`` uses all cores.  Results are aggregated in fleet box
+        order, identically for any worker count.
     chunksize:
         Boxes per scheduled pool task (parallel path only); defaults to
         ~4 chunks per worker.
@@ -356,17 +336,7 @@ def run_fleet_atm(
     cfg = config or AtmConfig()
     out = FleetAtmResult(config=cfg)
     needed = cfg.training_windows + cfg.horizon_windows
-    if hasattr(fleet, "box_refs"):
-        # Sharded fleet: eligibility comes from the manifest; no shard is
-        # opened in the parent, and workers receive the refs themselves.
-        eligible = [ref for ref in fleet.box_refs() if ref.n_windows >= needed]
-    else:
-        eligible = [box for box in fleet if box.n_windows >= needed]
-    if not eligible:
-        raise ValueError(
-            f"no box in fleet {fleet.name!r} has the {needed} windows required"
-        )
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
+    items = fleet_items(fleet, needed)
     chunk_fn = None
     if has_fleet_fitter(cfg.prediction.temporal_model):
         chunk_fn = _run_box_atm_fused_chunk
@@ -376,27 +346,29 @@ def run_fleet_atm(
             # the chunk size, never the fleet size.  Serially there is no
             # straggler risk to balance, so take the whole cap — bigger
             # chunks mean fuller mega-batches.
-            executor.chunksize = (
+            workers = resolve_jobs(jobs)
+            chunksize = (
                 FUSED_CHUNK_BOXES
-                if executor.jobs == 1
-                else min(
-                    default_chunksize(len(eligible), executor.jobs),
-                    FUSED_CHUNK_BOXES,
-                )
+                if workers == 1
+                else min(default_chunksize(len(items), workers), FUSED_CHUNK_BOXES)
             )
-    obs.inc("pipeline.boxes", len(eligible))
-    with obs.span("pipeline.fleet"):
-        # Results are folded as chunks land, so at most O(workers) heavy
-        # per-box results are resident at once.
-        for result, events in executor.imap(
-            _run_box_atm, eligible, cfg, degrade, resume, chunk_fn=chunk_fn
-        ):
-            out.report.extend(events)
-            if result is None:
-                continue
-            out.accuracies.append(result.accuracy)
-            for reduction in result.reductions.values():
-                out.reduction.add(reduction)
-            if keep_box_results:
-                out.box_results.append(result)
+
+    def fold(pair: BoxOutcome) -> None:
+        result, events = pair
+        out.report.extend(events)
+        if result is None:
+            return
+        out.accuracies.append(result.accuracy)
+        for reduction in result.reductions.values():
+            out.reduction.add(reduction)
+        if keep_box_results:
+            out.box_results.append(result)
+
+    obs.inc("pipeline.boxes", len(items))
+    run_fleet(
+        _run_box_atm, items, cfg, degrade, resume,
+        fold=fold, span="pipeline.fleet", fleet=fleet, min_windows=needed,
+        report=out.report if degrade else None,
+        jobs=jobs, chunksize=chunksize, retries=retries, chunk_fn=chunk_fn,
+    )
     return out

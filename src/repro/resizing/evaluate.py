@@ -319,40 +319,28 @@ def _evaluate_box_worker(
     event instead of aborting the sweep (``degrade=False`` restores the
     fail-fast propagation).
 
-    With a persistent artifact store each completed box's sweep is
-    materialized; ``resume=True`` serves stored boxes (counted as
-    ``resize.resume.hits``) and computes only the rest.
-
-    The box half of ``item`` may be a
-    :class:`repro.store.shards.BoxShardRef`; the shard is memory-mapped
-    here in the worker rather than pickled by the parent.
+    The box half of ``item`` may be a shard descriptor, mapped here in
+    the worker; the box's sweep is its resumable artifact
+    (:func:`~repro.core.executor.resume_probe`, namespace ``resize``).
     """
     # Local imports: repro.core.stages itself imports this module.
     from repro.core import stages
-    from repro.store import default_store
+    from repro.core.executor import resume_probe
     from repro.store.shards import resolve_box
 
     box, sizing_by_resource = item
     box = resolve_box(box)
-    store = default_store()
-    key = None
-    if store.persistent:
-        key = stages.resize_eval_key(
-            box,
-            sizing_by_resource,
-            resources,
-            policy,
-            algorithms,
-            eval_windows,
-            epsilon_pct,
-            degrade,
-        )
-    if resume and key is not None:
-        cached = store.get(key, memory=False)
-        if cached is not None:
-            obs.inc("resize.resume.hits")
-            results, events = cached
-            return list(results), list(events)
+    cached, save = resume_probe(
+        "resize",
+        lambda: stages.resize_eval_key(
+            box, sizing_by_resource, resources, policy, algorithms,
+            eval_windows, epsilon_pct, degrade,
+        ),
+        resume,
+    )
+    if cached is not None:
+        results, events = cached
+        return list(results), list(events)
     out: List[BoxReduction] = []
     try:
         faults.inject_slow(box.box_id)
@@ -373,24 +361,17 @@ def _evaluate_box_worker(
                         epsilon_pct=epsilon_pct,
                     )
                 )
+        pair: Tuple[List[BoxReduction], List[DegradationEvent]] = (out, [])
     except Exception as exc:
         if not degrade:
             raise
         obs.inc("resize.boxes_failed")
-        events = [
-            DegradationEvent(
-                box_id=box.box_id,
-                stage="run",
-                rung=RUNG_FAILED,
-                reason=repr(exc),
-            )
-        ]
-        if key is not None:
-            store.put(key, ([], events), memory=False)
-        return [], events
-    if key is not None:
-        store.put(key, (out, []), memory=False)
-    return out, []
+        event = DegradationEvent(
+            box_id=box.box_id, stage="run", rung=RUNG_FAILED, reason=repr(exc)
+        )
+        pair = ([], [event])
+    save(pair)
+    return pair
 
 
 def evaluate_fleet_resizing(
@@ -407,10 +388,8 @@ def evaluate_fleet_resizing(
 ) -> FleetReduction:
     """Run the resizing comparison across a fleet (the Fig. 8 study).
 
-    ``fleet`` may be an in-RAM :class:`FleetTrace` or a
-    :class:`repro.store.shards.ShardedFleet`; for the latter, work items
-    carry shard descriptors that workers memory-map locally, and results
-    stream into the aggregates as chunks land.
+    ``fleet`` may be in RAM or sharded (see
+    :func:`repro.core.executor.run_fleet`).
 
     Parameters
     ----------
@@ -423,48 +402,39 @@ def evaluate_fleet_resizing(
         actual evaluation demands.
     jobs:
         Worker processes for the per-box fan-out (``None`` reads
-        ``REPRO_JOBS``, default 1 = serial).  Each worker receives the
-        pickled boxes of its chunk plus their sizing matrices; results are
-        aggregated in fleet box order for any worker count.
+        ``REPRO_JOBS``, default 1 = serial); results are aggregated in
+        fleet box order for any worker count.
     degrade:
         Collect partial results on per-box failures (default), reporting
-        them in ``result.report``; ``False`` restores fail-fast.
+        them in ``result.report``; ``False`` restores fail-fast.  A fleet
+        without boxes yields an empty summary with one fleet-level
+        ``failed`` event, or a :class:`ValueError` when not degrading.
     resume:
         Serve boxes whose sweep artifact is already materialized in the
         persistent store (``REPRO_STORE`` / ``--store``); no-op without
         one.
     """
-    from repro.core.executor import FleetExecutor
+    from repro.core.executor import fleet_items, run_fleet
 
-    # Sharded fleets contribute refs (box_id available from the manifest);
-    # in-RAM fleets contribute the boxes themselves.
-    boxes = fleet.box_refs() if hasattr(fleet, "box_refs") else fleet
-    items = []
-    for box in boxes:
-        sizing_by_resource: Dict[Resource, Optional[np.ndarray]] = {}
-        if sizing_demands is not None:
-            for resource in resources:
-                sizing_by_resource[resource] = sizing_demands.get(
-                    (box.box_id, resource)
-                )
-        items.append((box, sizing_by_resource))
+    sizing = sizing_demands or {}
+    items = [
+        (box, {resource: sizing.get((box.box_id, resource)) for resource in resources})
+        for box in fleet_items(fleet)
+    ]
 
-    executor = FleetExecutor(jobs=jobs)
-    obs.inc("resize.boxes", len(items))
     summary = FleetReduction()
-    with obs.span("resize.fleet"):
-        for results, events in executor.imap(
-            _evaluate_box_worker,
-            items,
-            tuple(resources),
-            policy,
-            tuple(algorithms),
-            eval_windows,
-            epsilon_pct,
-            degrade,
-            resume,
-        ):
-            summary.report.extend(events)
-            for result in results:
-                summary.add(result)
+
+    def fold(pair: Tuple[List[BoxReduction], List[DegradationEvent]]) -> None:
+        results, events = pair
+        summary.report.extend(events)
+        for result in results:
+            summary.add(result)
+
+    obs.inc("resize.boxes", len(items))
+    run_fleet(
+        _evaluate_box_worker, items, tuple(resources), policy, tuple(algorithms),
+        eval_windows, epsilon_pct, degrade, resume,
+        fold=fold, span="resize.fleet", fleet=fleet,
+        report=summary.report if degrade else None, jobs=jobs,
+    )
     return summary

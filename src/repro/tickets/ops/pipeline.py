@@ -10,11 +10,11 @@ and explained by content-addressed evidence bundles
 
 The fleet loop reuses the whole scaling substrate:
 
-* per-box work fans out through :class:`repro.core.executor.FleetExecutor`
+* per-box work fans out through :func:`repro.core.executor.run_fleet`
   (``jobs``), accepting :class:`~repro.store.shards.ShardedFleet` refs so
   workers memory-map their boxes;
-* results stream through :meth:`FleetExecutor.imap` and
-  fold into fixed-size reducers — per-box payloads (ticket records,
+* results stream through :meth:`~repro.core.executor.FleetExecutor.imap`
+  and fold into fixed-size reducers — per-box payloads (ticket records,
   usage slices) never accumulate in the parent, so the loop is
   constant-memory at 6k boxes;
 * each box's outcome is a ``ticket_ops`` artifact in :mod:`repro.store`
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.executor import FleetExecutor
+from repro.core.executor import fleet_items, resume_probe, run_fleet
 from repro.store import ArtifactKey, config_fingerprint, default_store, register_codec
 from repro.tickets.incidents import group_incidents
 from repro.tickets.monitor import tickets_for_box
@@ -96,7 +96,8 @@ class OpsConfig:
     #: ATM configuration's ``box_result`` artifact (a prior ``predict``
     #: run against the same store) and attaches its forecast and resize
     #: allocations to the evidence bundles of incidents inside the
-    #: forecast horizon.  ``None`` (the default) keeps bundles and keys
+    #: forecast horizon; which artifact it found is part of the
+    #: ``ticket_ops`` key.  ``None`` (the default) keeps bundles and keys
     #: exactly as before.
     atm: Optional["AtmConfig"] = None
 
@@ -200,17 +201,23 @@ def _max_open_incidents(routed) -> int:
     return peak
 
 
-def _box_ops_key(box, config: OpsConfig) -> ArtifactKey:
+def _box_ops_key(box, config: OpsConfig, atm_key: Optional[ArtifactKey]) -> ArtifactKey:
     from repro.core.stages import box_fingerprint
 
+    config_fp = config_fingerprint(config)
+    if config.atm is not None:
+        # Which stored ATM outcome the evidence attaches (``atm_key``, or
+        # none) changes the bundles, so it is part of the key.
+        forecast = None if atm_key is None else f"{atm_key.data_fp}:{atm_key.config_fp}"
+        config_fp = config_fingerprint({"ops": config_fp, "forecast": forecast})
     return ArtifactKey(
         stage=TICKET_OPS_STAGE,
         data_fp=box_fingerprint(box),
-        config_fp=config_fingerprint(config),
+        config_fp=config_fp,
     )
 
 
-def _probe_forecast_evidence(box, atm, store):
+def _probe_forecast_evidence(key: ArtifactKey, store):
     """Fetch one box's stored ATM outcome for evidence attachment.
 
     Returns ``(predicted, allocations, forecast_fp)`` — the ``(2M, H)``
@@ -220,10 +227,8 @@ def _probe_forecast_evidence(box, atm, store):
     Ops runs never *compute* forecasts; they only explain incidents with
     whatever a prior ATM run already persisted.
     """
-    from repro.core.stages import box_result_key
     from repro.trace.model import Resource
 
-    key = box_result_key(box, atm)
     cached = store.get(key, memory=False)
     if cached is None:
         return None, None, None
@@ -253,23 +258,26 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
     ``resume=True`` serves finished boxes from the store (counted as
     ``ops.resume.hits``) with identical digests and evidence keys.
     """
+    from repro.core.stages import box_result_key
     from repro.store.shards import resolve_box
 
     box = resolve_box(box)
     store = default_store()
-    key = _box_ops_key(box, config) if store.persistent else None
-    if resume and key is not None:
-        cached = store.get(key, memory=False)
-        if cached is not None:
-            obs.inc("ops.resume.hits")
-            _record_box_metrics(cached)
-            return cached
+    atm_key = None  # the stored ATM outcome to explain incidents with
+    if config.atm is not None and store.persistent:
+        atm_key = box_result_key(box, config.atm)
+        if not store.path_for(atm_key).exists():
+            atm_key = None
+    cached, save = resume_probe(
+        "ops", lambda: _box_ops_key(box, config, atm_key), resume
+    )
+    if cached is not None:
+        _record_box_metrics(cached)
+        return cached
 
     predicted = allocations = forecast_fp = None
-    if config.atm is not None and store.persistent:
-        predicted, allocations, forecast_fp = _probe_forecast_evidence(
-            box, config.atm, store
-        )
+    if atm_key is not None:
+        predicted, allocations, forecast_fp = _probe_forecast_evidence(atm_key, store)
     # Windows the stored forecast actually covers: incidents outside the
     # horizon get forecast-free bundles (the forecast says nothing there).
     forecast_lo = forecast_hi = -1
@@ -359,8 +367,7 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
             evidence_refs=tuple(evidence_refs),
             rows=result_rows,
         )
-    if key is not None:
-        store.put(key, result, memory=False)
+    save(result)
     _record_box_metrics(result)
     return result
 
@@ -469,22 +476,17 @@ def run_fleet_ops(
 ) -> FleetOpsResult:
     """Run the monitor → incident → route → resolve loop over a fleet.
 
-    Every box is eligible (the loop needs no training windows).  Results
-    are folded in fleet order as chunks land, so serial, parallel and
-    sharded runs produce identical aggregates and digests.
+    Every box is eligible (the loop needs no training windows); a fleet
+    without boxes raises :class:`ValueError`.  Results are folded in fleet
+    order as chunks land, so serial, parallel and sharded runs produce
+    identical aggregates and digests.
     """
     cfg = config or OpsConfig()
     out = FleetOpsResult(config=cfg)
-    if hasattr(fleet, "box_refs"):
-        items = list(fleet.box_refs())
-    else:
-        items = list(fleet)
-    if not items:
-        raise ValueError("fleet contains no boxes")
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
-    with obs.span("ops.fleet"):
-        for result in executor.imap(run_box_ops, items, cfg, resume):
-            out.fold(result)
+    run_fleet(
+        run_box_ops, fleet_items(fleet), cfg, resume,
+        fold=out.fold, span="ops.fleet", fleet=fleet, jobs=jobs, chunksize=chunksize,
+    )
     return out
 
 

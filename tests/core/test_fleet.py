@@ -1,0 +1,348 @@
+"""The shared fleet engine: one fan-out, resume and fold path for four drivers.
+
+``run_fleet_atm``, ``run_online_fleet``, ``evaluate_fleet_resizing`` and
+``run_fleet_ops`` all go through :func:`repro.core.executor.run_fleet`.
+The differential matrix below pins that each driver gives one aggregate
+digest whatever the worker count, the fleet's backing (in RAM or a shard
+store) and, for the three resumable drivers, whether its boxes were
+computed or served from the store; and that all four follow one
+empty-fleet rule.  ATM runs twice: with its fused chunk function (a
+neural model) and per box (a model without a fleet fitter).  The engine pieces — :func:`fleet_items` and
+:func:`resume_probe` — are unit-tested at the end.
+"""
+
+import hashlib
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+from repro import obs
+from repro.benchhelpers.scaling import fingerprint_result
+from repro.core.config import AtmConfig
+from repro.core.executor import fleet_items, resume_probe
+from repro.core.online import run_online_fleet
+from repro.core.pipeline import run_fleet_atm
+from repro.prediction.spatial.signatures import ClusteringMethod
+from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
+from repro.store import clear_memory_tiers
+from repro.store.shards import (
+    BoxShardRef,
+    ShardedFleet,
+    ShardManifest,
+    load_fleet_shards,
+    write_fleet_shards,
+)
+from repro.tickets.ops import FleetOpsResult, OpsConfig, run_box_ops, run_fleet_ops
+from repro.tickets.policy import TicketPolicy
+from repro.trace import model
+from repro.trace.generator import FleetConfig, generate_fleet
+from repro.trace.model import FORBID_GENERATION_ENV_VAR
+
+#: Neural, so ATM takes its fused chunk path; three days is exactly the
+#: training + horizon span, so every box is eligible for ATM and online.
+ATM = AtmConfig.with_clustering(
+    ClusteringMethod.CBC,
+    temporal_model="neural",
+    training_windows=192,
+    horizon_windows=96,
+)
+#: A model without a fleet fitter: ATM runs ``_run_box_atm`` per item.
+ATM_PER_BOX = AtmConfig.with_clustering(
+    ClusteringMethod.CBC,
+    temporal_model="seasonal_mean",
+    training_windows=192,
+    horizon_windows=96,
+)
+POLICY = TicketPolicy(60.0)
+N_BOXES = 3
+
+
+@pytest.fixture(autouse=True)
+def _isolated(monkeypatch):
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    model._SHARD_TIER_ACTIVE = False
+    clear_memory_tiers()
+    obs.reset_metrics()
+    yield
+    model._SHARD_TIER_ACTIVE = False
+    clear_memory_tiers()
+    obs.reset_metrics()
+
+
+@pytest.fixture(scope="module")
+def in_ram():
+    return generate_fleet(FleetConfig(n_boxes=N_BOXES, days=3, seed=5), name="engine")
+
+
+@pytest.fixture(scope="module")
+def sharded(in_ram, tmp_path_factory):
+    root = tmp_path_factory.mktemp("engine-shards")
+    write_fleet_shards(in_ram, root)
+    return load_fleet_shards(root)
+
+
+def _digest(*parts) -> str:
+    return hashlib.blake2b(repr(parts).encode(), digest_size=12).hexdigest()
+
+
+def _chunksize(jobs):
+    return 1 if jobs > 1 else None
+
+
+def _atm(fleet, jobs, resume=False, degrade=True, config=ATM):
+    return run_fleet_atm(
+        fleet,
+        config,
+        jobs=jobs,
+        chunksize=_chunksize(jobs),
+        resume=resume,
+        degrade=degrade,
+    )
+
+
+def _atm_per_box(fleet, jobs, **kwargs):
+    return _atm(fleet, jobs, config=ATM_PER_BOX, **kwargs)
+
+
+def _atm_digest(result):
+    return _digest(fingerprint_result(result), result.report)
+
+
+def _online(fleet, jobs, resume=False, degrade=True):
+    return run_online_fleet(
+        fleet, ATM, jobs=jobs, chunksize=_chunksize(jobs), degrade=degrade
+    )
+
+
+def _online_digest(result):
+    per_box = [
+        (r.box_id, r.total_tickets(static=True), r.total_tickets(), r.mean_ape())
+        for r in result.values()
+    ]
+    return _digest(per_box, result.report)
+
+
+def _resize(fleet, jobs, resume=False, degrade=True):
+    # No chunksize option: the default already gives one box per chunk.
+    return evaluate_fleet_resizing(
+        fleet,
+        POLICY,
+        (ResizingAlgorithm.ATM, ResizingAlgorithm.STINGY),
+        eval_windows=96,
+        jobs=jobs,
+        resume=resume,
+        degrade=degrade,
+    )
+
+
+def _resize_digest(summary):
+    # ``feasible`` is a NumPy bool when computed and a bool when decoded
+    # from the store: compare values, not reprs.
+    rows = [
+        (r.box_id, r.resource, r.algorithm, r.tickets_before, r.tickets_after,
+         bool(r.feasible))
+        for r in summary.results
+    ]
+    return _digest(rows, summary.report)
+
+
+def _ops(fleet, jobs, resume=False, degrade=True):
+    # No degradation ladder: ``degrade`` has no ops counterpart.
+    return run_fleet_ops(
+        fleet, OpsConfig(), jobs=jobs, chunksize=_chunksize(jobs), resume=resume
+    )
+
+
+def _ops_digest(result):
+    return _digest(
+        result.boxes,
+        result.tickets,
+        result.incidents,
+        result.assignment_digest,
+        result.evidence_digest,
+        result.queue_counts,
+        result.top_incidents,
+    )
+
+
+class Driver(NamedTuple):
+    run: Callable
+    digest: Callable[..., str]
+    #: Counter namespace of its resume hits; ``None`` = not resumable.
+    resume_ns: Optional[str]
+    #: Whether the driver has a degradation ladder (a ``degrade`` option).
+    has_ladder: bool
+    #: Ids of the boxes folded into an aggregate, in fold order (``None``:
+    #: the aggregate keeps no ids; see ``test_ops_folds_in_box_order``).
+    box_ids: Optional[Callable[..., list]]
+
+    def digest_of(self, fleet, jobs, **kwargs) -> str:
+        return self.digest(self.run(fleet, jobs, **kwargs))
+
+
+def _atm_ids(result):
+    return [accuracy.box_id for accuracy in result.accuracies]
+
+
+DRIVERS = {
+    "atm": Driver(_atm, _atm_digest, "pipeline", True, _atm_ids),
+    "atm_per_box": Driver(_atm_per_box, _atm_digest, "pipeline", True, _atm_ids),
+    "online": Driver(_online, _online_digest, None, True, list),
+    "resize": Driver(
+        _resize,
+        _resize_digest,
+        "resize",
+        True,
+        lambda summary: list(dict.fromkeys(r.box_id for r in summary.results)),
+    ),
+    "ops": Driver(_ops, _ops_digest, "ops", False, None),
+}
+
+MATRIX = [
+    pytest.param(name, jobs, backing, mode, id=f"{name}-jobs{jobs}-{backing}-{mode}")
+    for name, driver in DRIVERS.items()
+    for jobs in (1, 2)
+    for backing in ("ram", "sharded")
+    for mode in (("fresh", "resume") if driver.resume_ns else ("fresh",))
+]
+
+#: Reference digest per driver: in RAM, serial, no store.
+_REFERENCE = {}
+
+
+def _reference(name, in_ram):
+    if name not in _REFERENCE:
+        _REFERENCE[name] = DRIVERS[name].digest_of(in_ram, 1)
+        obs.reset_metrics()
+    return _REFERENCE[name]
+
+
+@pytest.mark.parametrize("name,jobs,backing,mode", MATRIX)
+def test_one_digest_per_driver(
+    name, jobs, backing, mode, in_ram, sharded, tmp_path, monkeypatch
+):
+    driver = DRIVERS[name]
+    expected = _reference(name, in_ram)
+    fleet = in_ram if backing == "ram" else sharded
+    if mode == "resume":
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        assert driver.digest_of(fleet, 1) == expected  # populates the store
+        clear_memory_tiers()
+    obs.reset_metrics()
+    result = driver.run(fleet, jobs, resume=mode == "resume")
+    assert driver.digest(result) == expected
+    if driver.box_ids is not None:
+        assert driver.box_ids(result) == [box.box_id for box in in_ram.boxes]
+    counters = obs.metrics_snapshot()["counters"]
+    if jobs > 1:
+        assert counters["executor.chunks"] >= 2
+    if mode == "resume":
+        assert counters[f"{driver.resume_ns}.resume.hits"] == N_BOXES
+
+
+@pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail-fast"])
+@pytest.mark.parametrize("name", list(DRIVERS))
+def test_empty_fleet_rule(name, degrade, tmp_path):
+    driver = DRIVERS[name]
+    empty = ShardedFleet(tmp_path, manifest=ShardManifest(name="void", boxes=[]))
+    if not (degrade and driver.has_ladder):
+        with pytest.raises(ValueError, match="'void'"):
+            driver.run(empty, 1, degrade=degrade)
+        return
+    result = driver.run(empty, 1, degrade=degrade)
+    (event,) = result.report.events
+    assert (event.box_id, event.stage, event.rung) == ("fleet:void", "fleet", "failed")
+    assert "'void'" in event.reason
+    assert driver.box_ids(result) == []
+    counters = obs.metrics_snapshot()["counters"]
+    assert sum(v for k, v in counters.items() if k.endswith(".fleets_empty")) == 1
+    assert counters.get("executor.items", 0) == 0
+
+
+def test_ops_folds_in_box_order(in_ram):
+    oracle = FleetOpsResult(config=OpsConfig())
+    for box in in_ram.boxes:
+        oracle.fold(run_box_ops(box, OpsConfig()))
+    assert _ops_digest(_ops(in_ram, 2)) == _ops_digest(oracle)
+
+
+class TestFleetItems:
+    def test_in_ram_boxes_filtered_by_length(self, in_ram):
+        assert fleet_items(in_ram) == list(in_ram.boxes)
+        assert fleet_items(in_ram, in_ram.boxes[0].n_windows + 1) == []
+
+    def test_sharded_refs_from_the_manifest_alone(self, sharded, monkeypatch):
+        monkeypatch.setenv(FORBID_GENERATION_ENV_VAR, "1")
+        items = fleet_items(sharded, ATM.training_windows + ATM.horizon_windows)
+        assert [type(item) for item in items] == [BoxShardRef] * N_BOXES
+        assert [item.box_id for item in items] == [
+            meta.box_id for meta in sharded.manifest.boxes
+        ]
+        assert fleet_items(sharded, 10**6) == []
+        # No shard was opened in this process: the tier flag is still
+        # clear, so materializing trips the guard only once it marks it.
+        assert not model.shard_tier_active()
+        with pytest.raises(RuntimeError, match="materialization is forbidden"):
+            sharded.materialize()
+
+
+class _FakeStore:
+    def __init__(self, persistent, stored=None):
+        self.persistent = persistent
+        self.stored = dict(stored or {})
+        self.calls = []
+
+    def get(self, key, memory=True):
+        self.calls.append(("get", key, memory))
+        return self.stored.get(key)
+
+    def put(self, key, value, memory=True):
+        self.calls.append(("put", key, memory))
+        self.stored[key] = value
+
+
+class TestResumeProbe:
+    """The one probe/put every resumable per-box unit goes through."""
+
+    def _unit(self, store, monkeypatch, resume=True):
+        """A resumable unit as the drivers write it; returns its value."""
+        monkeypatch.setattr("repro.store.default_store", lambda: store)
+        self.computed = 0
+
+        def compute():
+            self.computed += 1
+            return "fresh"
+
+        cached, save = resume_probe("unit", lambda: "k", resume)
+        if cached is not None:
+            return cached
+        value = compute()
+        save(value)
+        return value
+
+    def test_miss_computes_and_puts(self, monkeypatch):
+        store = _FakeStore(persistent=True)
+        assert self._unit(store, monkeypatch) == "fresh"
+        assert self.computed == 1
+        assert store.calls == [("get", "k", False), ("put", "k", False)]
+        assert "unit.resume.hits" not in obs.metrics_snapshot()["counters"]
+
+    def test_hit_counts_and_skips_compute(self, monkeypatch):
+        store = _FakeStore(persistent=True, stored={"k": "stored"})
+        assert self._unit(store, monkeypatch) == "stored"
+        assert self.computed == 0
+        assert store.calls == [("get", "k", False)]
+        assert obs.metrics_snapshot()["counters"]["unit.resume.hits"] == 1
+
+    def test_without_resume_recomputes_and_puts(self, monkeypatch):
+        store = _FakeStore(persistent=True, stored={"k": "stored"})
+        assert self._unit(store, monkeypatch, resume=False) == "fresh"
+        assert store.calls == [("put", "k", False)]
+
+    def test_memory_only_store_is_never_touched(self, monkeypatch):
+        store = _FakeStore(persistent=False, stored={"k": "stored"})
+        monkeypatch.setattr("repro.store.default_store", lambda: store)
+        cached, save = resume_probe("unit", lambda: pytest.fail("keyed"), True)
+        assert cached is None
+        save("fresh")
+        assert store.calls == []

@@ -184,7 +184,8 @@ class TestFleetRunner:
         (event,) = result.report.events
         assert event.rung == "failed"
         assert event.stage == "fleet"
-        assert "supports an online run" in event.reason
+        assert event.box_id == f"fleet:{fleet.name}"
+        assert "windows required" in event.reason
         assert np.isnan(result.reduction_percent())
 
     def test_no_eligible_boxes_rejected_when_fail_fast(self, config):

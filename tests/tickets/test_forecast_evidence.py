@@ -16,7 +16,7 @@ from repro import obs
 from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import ArtifactKey, clear_memory_tiers, default_store
-from repro.tickets.ops import EVIDENCE_STAGE, OpsConfig, run_box_ops
+from repro.tickets.ops import EVIDENCE_STAGE, OpsConfig, run_box_ops, run_fleet_ops
 from repro.trace.generator import FleetConfig, generate_fleet
 
 CFG = FleetConfig(n_boxes=4, days=2, seed=13)
@@ -112,3 +112,23 @@ class TestForecastEvidence:
         plain_refs = set(plain.evidence_refs)
         enriched_refs = set(enriched.evidence_refs)
         assert plain_refs != enriched_refs
+
+    def test_resume_after_atm_run_attaches_the_forecast(self, store_env):
+        """An ops outcome stored before its ATM run must not serve a later
+        resume: the forecast materialized since changes the bundles."""
+        fleet = generate_fleet(CFG)
+        config = OpsConfig(atm=_atm_config())
+        run_fleet_ops(fleet, config)  # no forecasts to attach yet
+        run_fleet_atm(fleet, config.atm)
+        obs.reset_metrics()
+        resumed = run_fleet_ops(fleet, config, resume=True)
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get("ops.resume.hits", 0) == 0
+        assert counters["ops.evidence.forecasts"] > 0
+        fresh = run_fleet_ops(fleet, config)
+        assert resumed.evidence_digest == fresh.evidence_digest
+        # The enriched outcome resumes in its turn.
+        obs.reset_metrics()
+        again = run_fleet_ops(fleet, config, resume=True)
+        assert obs.metrics_snapshot()["counters"]["ops.resume.hits"] == len(fleet.boxes)
+        assert again.evidence_digest == fresh.evidence_digest
