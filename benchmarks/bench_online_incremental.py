@@ -5,12 +5,12 @@ predictor.  The incremental machinery replaces the per-step signature
 search + cold MLP training with a drift check plus a warm-started
 temporal refit, so this bench measures exactly that substitution:
 
-* a **cold** run (``REPRO_WARM_REFIT=0``, ``refit_every_steps=1``):
-  every step re-runs the full search + cold fit — per-step cost read
-  from the ``online.fit`` span (the cadence cap is always due, so the
-  drift score is never consulted);
-* an **incremental** run (warm refits on, cadence cap out of reach): one
-  initial fit, then drift-checked warm temporal refits — per-step cost
+* a **cold** run (``refit_every_steps=1``): every step re-runs the full
+  search, which resets the warm chain, so every fit is cold — per-step
+  cost read from the ``online.fit`` span (the cadence cap is always due,
+  so the drift score is never consulted);
+* an **incremental** run (cadence cap out of reach): one initial fit,
+  then drift-checked warm temporal refits — per-step cost
   read from the ``online.refit_temporal`` + ``online.drift_check``
   spans.
 
@@ -31,7 +31,6 @@ Also runnable as a script::
 import argparse
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from repro import obs
 from repro.benchhelpers import print_table
 from repro.core.config import AtmConfig
 from repro.core.online import run_online_fleet
-from repro.core.runtime import WARM_REFIT_ENV_VAR
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.trace.generator import FleetConfig, generate_fleet
 
@@ -94,10 +92,6 @@ def _digest(result) -> str:
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 
-def _with_warm(warm: bool):
-    os.environ[WARM_REFIT_ENV_VAR] = "1" if warm else "0"
-
-
 def _timed_run(fleet, config, refit_every: int) -> dict:
     obs.reset_metrics()
     start = time.perf_counter()
@@ -130,24 +124,14 @@ def _timed_run(fleet, config, refit_every: int) -> dict:
 def run_bench(n_boxes: int, days: int, enforce: bool, quick: bool = False) -> dict:
     fleet = _fleet(n_boxes, days)
     config = _config()
-    saved = os.environ.get(WARM_REFIT_ENV_VAR)
-    try:
-        _with_warm(False)
-        cold = _timed_run(fleet, config, refit_every=1)
+    cold = _timed_run(fleet, config, refit_every=1)
+    incremental = _timed_run(fleet, config, refit_every=NEVER)
 
-        _with_warm(True)
-        incremental = _timed_run(fleet, config, refit_every=NEVER)
-
-        obs.reset_metrics()
-        parallel_digest = _digest(
-            run_online_fleet(fleet, config, refit_every_steps=NEVER, jobs=2)
-        )
-    finally:
-        if saved is None:
-            os.environ.pop(WARM_REFIT_ENV_VAR, None)
-        else:
-            os.environ[WARM_REFIT_ENV_VAR] = saved
-        obs.reset_metrics()
+    obs.reset_metrics()
+    parallel_digest = _digest(
+        run_online_fleet(fleet, config, refit_every_steps=NEVER, jobs=2)
+    )
+    obs.reset_metrics()
 
     # Per-step predictor-refresh cost: the full search+fit of a cold step
     # vs the drift check + warm temporal refit of an incremental step.

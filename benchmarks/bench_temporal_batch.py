@@ -2,11 +2,11 @@
 
 For every box of the shared pipeline fleet the ATM fit trains one MLP per
 signature series.  This bench times that inner loop both ways — per-series
-``NeuralNetPredictor.fit`` versus the batched tensor kernel
-(``fit_neural_batch``) — on the exact signature histories the fig09/fig10
-pipeline trains on, asserts the results are bit-identical, and requires a
-≥3× aggregate speedup (single-process vectorization: no extra cores
-needed).
+``NeuralNetPredictor.fit`` versus the batched tensor kernel behind the
+registry's one-box fit (``fit_temporal_batch("neural", ...)``) — on the
+exact signature histories the fig09/fig10 pipeline trains on, asserts the
+results are bit-identical, and requires a ≥3× aggregate speedup
+(single-process vectorization: no extra cores needed).
 
 It also re-times the fig09/fig10 pipeline compute at ``jobs=1`` and writes
 ``BENCH_temporal.json`` next to the repo root — per-box fit seconds plus
@@ -33,7 +33,7 @@ from repro.benchhelpers.scaling import fingerprint_result
 from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.cache import SIGNATURE_CACHE
 from repro.prediction.spatial.signatures import ClusteringMethod, search_signature_set
-from repro.prediction.temporal.batched import fit_neural_batch
+from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
 
 pytestmark = pytest.mark.slow
@@ -84,7 +84,9 @@ def per_box_speedup(n_boxes=8, config=None):
         serial_s, serial = _time_best(
             lambda: [NeuralNetPredictor(mlp).fit(h) for h in histories]
         )
-        batched_s, batched = _time_best(lambda: fit_neural_batch(histories, mlp))
+        batched_s, batched = _time_best(
+            lambda: fit_temporal_batch("neural", histories, period=mlp.period)
+        )
         for s, b in zip(serial, batched):
             np.testing.assert_array_equal(s.predict(96), b.predict(96))
         rows.append(

@@ -34,7 +34,8 @@ from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
 from repro.store import STORE_ENV_VAR
 from repro.tickets import DEFAULT_THRESHOLDS, correlation_cdfs, fleet_ticket_summary
-from repro.tickets.ops.assign import ASSIGN_STRATEGIES
+from repro.tickets.ops.assign import ASSIGN_STRATEGIES, AssignPolicy
+from repro.tickets.ops.route import SlaPolicy
 from repro.tickets.policy import TicketPolicy
 from repro.trace import (
     FleetConfig,
@@ -51,7 +52,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _scenario_from_args(args: argparse.Namespace):
-    """Resolve ``--scenario`` (falling back to $REPRO_SCENARIO) to a spec."""
+    """Resolve ``--scenario`` (default ``paper-fig2``) to a spec."""
     return resolve_scenario(getattr(args, "scenario", None))
 
 
@@ -62,6 +63,13 @@ def _fleet_from_args(args: argparse.Namespace):
         return load_fleet_csv(args.input)
     config = FleetConfig(n_boxes=args.boxes, days=args.days, seed=args.seed)
     return generate_fleet(config, scenario=_scenario_from_args(args))
+
+
+def _atm_config(args: argparse.Namespace) -> AtmConfig:
+    """The ATM configuration selected by ``--method``/``--temporal``."""
+    return AtmConfig.with_clustering(
+        ClusteringMethod(args.method), temporal_model=args.temporal
+    )
 
 
 def _print_degradations(report) -> None:
@@ -108,9 +116,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
-    config = AtmConfig.with_clustering(
-        ClusteringMethod(args.method), temporal_model=args.temporal
-    )
+    config = _atm_config(args)
     resume = _apply_store_args(args)
     result = run_fleet_atm(fleet, config, jobs=args.jobs, resume=resume)
     print_table(
@@ -171,9 +177,7 @@ def _cmd_resize(args: argparse.Namespace) -> int:
 
 def _cmd_online(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
-    config = AtmConfig.with_clustering(
-        ClusteringMethod(args.method), temporal_model=args.temporal
-    )
+    config = _atm_config(args)
     _apply_store_args(args)
     result = run_online_fleet(
         fleet,
@@ -215,41 +219,23 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 
 def _cmd_tickets(args: argparse.Namespace) -> int:
-    from repro.tickets.ops import (
-        AssignPolicy,
-        OpsConfig,
-        ScoringPolicy,
-        SlaPolicy,
-        run_fleet_ops,
-    )
+    from repro.tickets.ops import OpsConfig, ScoringPolicy, run_fleet_ops
 
     fleet = _fleet_from_args(args)
     resume = _apply_store_args(args)
-    # Flags override the env knobs, which override the package defaults.
-    queues = args.queues if args.queues is not None else runtime.route_queues()
-    ack = (
-        args.ack_windows
-        if args.ack_windows is not None
-        else runtime.sla_ack_windows()
-    )
-    resolve = (
-        args.resolve_windows
-        if args.resolve_windows is not None
-        else runtime.sla_resolve_windows()
-    )
     atm = None
     if args.atm_evidence:
         if not runtime.store_dir():
             raise SystemExit("--atm-evidence requires --store or $REPRO_STORE")
-        atm = AtmConfig.with_clustering(
-            ClusteringMethod(args.method), temporal_model=args.temporal
-        )
+        atm = _atm_config(args)
     config = OpsConfig(
         policy=TicketPolicy(threshold_pct=args.threshold),
         max_gap_windows=args.max_gap,
         scoring=ScoringPolicy(),
-        assign=AssignPolicy(n_queues=queues, strategy=args.strategy),
-        sla=SlaPolicy(ack_windows=ack, resolve_windows=resolve),
+        assign=AssignPolicy(n_queues=args.queues, strategy=args.strategy),
+        sla=SlaPolicy(
+            ack_windows=args.ack_windows, resolve_windows=args.resolve_windows
+        ),
         atm=atm,
     )
     result = run_fleet_ops(fleet, config, jobs=args.jobs, resume=resume)
@@ -394,7 +380,27 @@ def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
         "scenario (see repro.trace.NAMED_SCENARIOS, e.g. paper-fig2, "
         "web-diurnal, batch, spiky, ramp, weekend-heavy, mixed, "
         "regime-shift) or a path to a ScenarioSpec JSON file "
-        "(default: $REPRO_SCENARIO or paper-fig2, the calibrated profile)",
+        "(default: paper-fig2, the calibrated profile)",
+    )
+
+
+def _add_model_arguments(
+    parser: argparse.ArgumentParser, of_run: Optional[str] = None
+) -> None:
+    """``--method``/``--temporal``; ``of_run`` names the ATM run they select."""
+    parser.add_argument(
+        "--method",
+        choices=[m.value for m in ClusteringMethod],
+        default="cbc",
+        help="signature clustering method" + (f" of {of_run}" if of_run else ""),
+    )
+    parser.add_argument(
+        "--temporal",
+        choices=list(available_temporal_models()),
+        default="neural",
+        help=f"temporal model of {of_run}"
+        if of_run
+        else "temporal model for the signature series",
     )
 
 
@@ -455,18 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="full-ATM prediction + reduction")
     _add_fleet_arguments(predict, days=6)
     _add_jobs_argument(predict)
-    predict.add_argument(
-        "--method",
-        choices=[m.value for m in ClusteringMethod],
-        default="cbc",
-        help="signature clustering method",
-    )
-    predict.add_argument(
-        "--temporal",
-        choices=list(available_temporal_models()),
-        default="neural",
-        help="temporal model for the signature series",
-    )
+    _add_model_arguments(predict)
     predict.set_defaults(func=_cmd_predict)
 
     resize = sub.add_parser("resize", help="oracle resizing comparison")
@@ -497,18 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "early (default 0.15; only consulted between cadence refits; "
         "inf gives the pure cadence)",
     )
-    online.add_argument(
-        "--method",
-        choices=[m.value for m in ClusteringMethod],
-        default="cbc",
-        help="signature clustering method",
-    )
-    online.add_argument(
-        "--temporal",
-        choices=list(available_temporal_models()),
-        default="neural",
-        help="temporal model for the signature series",
-    )
+    _add_model_arguments(online)
     online.set_defaults(func=_cmd_online)
 
     tickets = sub.add_parser(
@@ -526,23 +510,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="windows of silence that still merge tickets into one incident",
     )
     tickets.add_argument(
-        "--queues", type=int, default=None, metavar="N",
-        help="responder queues (default: $REPRO_ROUTE_QUEUES or 2)",
+        "--queues", type=int, default=AssignPolicy.n_queues, metavar="N",
+        help="responder queues (default: %(default)s)",
     )
     tickets.add_argument(
         "--strategy", choices=list(ASSIGN_STRATEGIES), default="round_robin",
         help="incident → queue assignment strategy",
     )
     tickets.add_argument(
-        "--ack-windows", type=int, default=None, dest="ack_windows", metavar="W",
-        help="SLA ack deadline in ticketing windows "
-        "(default: $REPRO_SLA_ACK_WINDOWS or 1)",
+        "--ack-windows", type=int, default=SlaPolicy.ack_windows,
+        dest="ack_windows", metavar="W",
+        help="SLA ack deadline in ticketing windows (default: %(default)s)",
     )
     tickets.add_argument(
-        "--resolve-windows", type=int, default=None, dest="resolve_windows",
-        metavar="W",
-        help="SLA resolve deadline in ticketing windows "
-        "(default: $REPRO_SLA_RESOLVE_WINDOWS or 4)",
+        "--resolve-windows", type=int, default=SlaPolicy.resolve_windows,
+        dest="resolve_windows", metavar="W",
+        help="SLA resolve deadline in ticketing windows (default: %(default)s)",
     )
     tickets.add_argument(
         "--atm-evidence", action="store_true", dest="atm_evidence",
@@ -551,18 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         "incident's evidence bundle (requires --store or $REPRO_STORE; "
         "--method/--temporal must match the predict run)",
     )
-    tickets.add_argument(
-        "--method",
-        choices=[m.value for m in ClusteringMethod],
-        default="cbc",
-        help="signature clustering method of the ATM run --atm-evidence reads",
-    )
-    tickets.add_argument(
-        "--temporal",
-        choices=list(available_temporal_models()),
-        default="neural",
-        help="temporal model of the ATM run --atm-evidence reads",
-    )
+    _add_model_arguments(tickets, of_run="the ATM run --atm-evidence reads")
     tickets.set_defaults(func=_cmd_tickets)
 
     testbed = sub.add_parser("testbed", help="simulated MediaWiki experiment")

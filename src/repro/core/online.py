@@ -39,8 +39,8 @@ Steps are *incremental* by default, restarting nothing they can reuse:
   warm-refit chain (:mod:`repro.prediction.temporal.warm`): each
   temporal refit resumes from the previous step's ``(K, P)`` parameter
   state instead of re-training from scratch, with a validation-loss
-  guard and per-step persistence for interrupted-run resume.
-  ``REPRO_WARM_REFIT=0`` restores cold per-step fits.
+  guard and per-step persistence for interrupted-run resume.  With
+  ``refit_every_steps=1`` every step re-searches, so every fit is cold.
 * **Drift-gated re-search** — between cadence refits the controller
   scores workload drift as the rise of the spatial model's relative
   reconstruction error on the advanced window over its fit-time
@@ -193,7 +193,7 @@ class OnlineAtmController:
         Cadence cap on the (expensive) signature search: re-run it at
         least every k steps.  Intermediate steps keep the fitted spatial
         model but re-anchor the temporal models on the advanced training
-        window (warm-started when ``REPRO_WARM_REFIT`` is on) — the
+        window (warm-started from the previous step's fit) — the
         practical deployment compromise.  The search also re-runs *early*
         whenever the drift score exceeds ``drift_threshold``, so a large
         cap is safe.

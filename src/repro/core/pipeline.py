@@ -241,12 +241,11 @@ def _run_box_atm_fused_chunk(
     if pending:
         try:
             with obs.span("predict.temporal_fit"):
-                fitted = fit_temporal_fleet_batch(
+                groups = fit_temporal_fleet_batch(
                     config.prediction.temporal_model,
                     [histories for (_, _, _, _, histories) in pending],
                     period=config.prediction.period,
                 )
-            groups = [None] * len(pending) if fitted is None else fitted
         except Exception:
             if not degrade:
                 raise

@@ -20,22 +20,6 @@ Variable                    Default    Meaning
 ``REPRO_STORE``             unset      Directory of the persistent artifact
                                        store's disk tier
                                        (see :mod:`repro.store`).
-``REPRO_WARM_REFIT``        on         Warm-started temporal refits in the
-                                       online controller (``0`` forces cold
-                                       per-step fits, the bit-identical
-                                       legacy path).
-``REPRO_ROUTE_QUEUES``      ``2``      Responder queues the ticket-operations
-                                       loop routes incidents into (CLI
-                                       ``tickets --queues`` overrides).
-``REPRO_SCENARIO``          unset      Default trace scenario (a name from
-                                       :data:`repro.trace.NAMED_SCENARIOS`
-                                       or a JSON spec path); CLI
-                                       ``--scenario`` overrides.  Unset means
-                                       the calibrated ``paper-fig2`` profile.
-``REPRO_SLA_ACK_WINDOWS``   ``1``      Ack deadline of the incident SLA clock,
-                                       in ticketing windows.
-``REPRO_SLA_RESOLVE_WINDOWS`` ``4``    Resolve deadline of the incident SLA
-                                       clock, in ticketing windows.
 ==========================  =========  =========================================
 
 Boolean gates share one falsy set: ``0``, ``false``, ``off``, ``no``
@@ -54,24 +38,14 @@ __all__ = [
     "FAULTS_SEED_ENV_VAR",
     "JOBS_ENV_VAR",
     "METRICS_ENV_VAR",
-    "ROUTE_QUEUES_ENV_VAR",
-    "SCENARIO_ENV_VAR",
     "SIGNATURE_CACHE_ENV_VAR",
-    "SLA_ACK_ENV_VAR",
-    "SLA_RESOLVE_ENV_VAR",
     "STORE_ENV_VAR",
-    "WARM_REFIT_ENV_VAR",
     "env_jobs",
     "faults_seed",
     "faults_spec",
     "metrics_enabled",
-    "route_queues",
-    "scenario_name",
     "signature_cache_enabled",
-    "sla_ack_windows",
-    "sla_resolve_windows",
     "store_dir",
-    "warm_refit_enabled",
 ]
 
 JOBS_ENV_VAR = "REPRO_JOBS"
@@ -80,11 +54,6 @@ METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 STORE_ENV_VAR = "REPRO_STORE"
-WARM_REFIT_ENV_VAR = "REPRO_WARM_REFIT"
-ROUTE_QUEUES_ENV_VAR = "REPRO_ROUTE_QUEUES"
-SCENARIO_ENV_VAR = "REPRO_SCENARIO"
-SLA_ACK_ENV_VAR = "REPRO_SLA_ACK_WINDOWS"
-SLA_RESOLVE_ENV_VAR = "REPRO_SLA_RESOLVE_WINDOWS"
 
 #: The one spelling of "disabled" every boolean gate accepts.
 _FALSY = frozenset({"0", "false", "off", "no"})
@@ -137,44 +106,3 @@ def store_dir() -> Optional[str]:
     """Directory of the artifact store's disk tier; ``None`` when unset."""
     raw = os.environ.get(STORE_ENV_VAR, "").strip()
     return raw or None
-
-
-def warm_refit_enabled() -> bool:
-    """Whether online temporal refits warm-start from stored parameters
-    (default on)."""
-    return _flag(WARM_REFIT_ENV_VAR)
-
-
-def _int_env(name: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    value = _int_or_error(name, raw) if raw else default
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def scenario_name() -> Optional[str]:
-    """Default trace scenario (``REPRO_SCENARIO``); ``None`` when unset.
-
-    Resolution to a :class:`repro.trace.ScenarioSpec` happens in
-    :func:`repro.trace.resolve_scenario`; this accessor only owns the
-    environment read.
-    """
-    raw = os.environ.get(SCENARIO_ENV_VAR, "").strip()
-    return raw or None
-
-
-def route_queues() -> int:
-    """Default responder-queue count of the ops loop (``REPRO_ROUTE_QUEUES``)."""
-    return _int_env(ROUTE_QUEUES_ENV_VAR, default=2, minimum=1)
-
-
-def sla_ack_windows() -> int:
-    """Default ack deadline in ticketing windows (``REPRO_SLA_ACK_WINDOWS``)."""
-    return _int_env(SLA_ACK_ENV_VAR, default=1, minimum=0)
-
-
-def sla_resolve_windows() -> int:
-    """Default resolve deadline in windows (``REPRO_SLA_RESOLVE_WINDOWS``)."""
-    return _int_env(SLA_RESOLVE_ENV_VAR, default=4, minimum=0)
-

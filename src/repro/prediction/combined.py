@@ -1,7 +1,8 @@
 """The full ATM spatial-temporal predictor for one box.
 
 Fitting: run the signature search on the training matrix, then fit one
-temporal model per signature series — handed to the model's batched
+temporal model per signature series through the registry
+(:mod:`repro.prediction.registry`), which hands them to the model's
 multi-series kernel in one call when it has one (the neural default does;
 other models fit series by series).  Predicting:
 forecast the signatures temporally, then reconstruct every dependent series
@@ -24,13 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.prediction.base import TemporalPredictor
-from repro.prediction.registry import (
-    fit_temporal_batch,
-    fit_temporal_batch_warm,
-    has_warm_fitter,
-    make_temporal_model,
-)
-from repro.prediction.temporal.warm import warm_refit_enabled
+from repro.prediction.registry import fit_temporal_batch, fit_temporal_batch_warm
 from repro.prediction.spatial.signatures import (
     SignatureSearchConfig,
     SpatialModel,
@@ -97,9 +92,8 @@ class SpatialTemporalPredictor:
     ) -> None:
         """``warm_refits=True`` opts refits into the warm-started chain.
 
-        Off by default so one-shot (offline) fits stay byte-identical to
-        the historical path; the online controller opts in, and
-        ``REPRO_WARM_REFIT=0`` overrides the opt-in globally.
+        Off by default, so one-shot (offline) fits stay cold; the online
+        controller opts in (see :mod:`repro.prediction.temporal.warm`).
         """
         self.config = config or SpatialTemporalConfig()
         self.warm_refits = bool(warm_refits)
@@ -122,11 +116,7 @@ class SpatialTemporalPredictor:
 
     def fit(self, train_matrix: Sequence[Sequence[float]]) -> "SpatialTemporalPredictor":
         """Fit signature search, spatial models and per-signature temporal models."""
-        arr = self._validate_train(train_matrix)
-        obs.inc("predict.fits")
-        with obs.span("predict.signature_search"):
-            spatial = search_signature_set(arr, self.config.search)
-        return self._adopt(spatial, arr)
+        return self.finish_fit(self._fit_temporal(self.begin_fit(train_matrix)))
 
     def fit_from_spatial(
         self, spatial: SpatialModel, train_matrix: Sequence[Sequence[float]]
@@ -145,7 +135,7 @@ class SpatialTemporalPredictor:
                 f"train matrix has {arr.shape[0]}"
             )
         obs.inc("predict.fits")
-        return self._adopt(spatial, arr)
+        return self.finish_fit(self._fit_temporal(self._install(spatial, arr)))
 
     def begin_fit(self, train_matrix: Sequence[Sequence[float]]) -> "list[np.ndarray]":
         """First half of :meth:`fit`: signature search, temporal fits deferred.
@@ -162,6 +152,10 @@ class SpatialTemporalPredictor:
         obs.inc("predict.fits")
         with obs.span("predict.signature_search"):
             spatial = search_signature_set(arr, self.config.search)
+        return self._install(spatial, arr)
+
+    def _install(self, spatial: SpatialModel, arr: np.ndarray) -> "list[np.ndarray]":
+        """Adopt ``spatial`` for ``arr``; return the histories to fit."""
         self._spatial = spatial
         self._warm_state = None  # a new spatial model resets the refit chain
         self._temporal = {}
@@ -201,16 +195,6 @@ class SpatialTemporalPredictor:
             raise ValueError(f"train matrix must be 2-D (n_series, T), got {arr.shape}")
         return arr
 
-    def _adopt(
-        self, spatial: SpatialModel, arr: np.ndarray
-    ) -> "SpatialTemporalPredictor":
-        self._spatial = spatial
-        self._warm_state = None  # a new spatial model resets the refit chain
-        self._temporal = self._fit_temporal(arr)
-        self._train = arr
-        self._baseline_recon_error = self.reconstruction_error(arr)
-        return self
-
     def reconstruction_error(self, matrix: Sequence[Sequence[float]]) -> float:
         """Relative Frobenius error of the spatial in-sample reconstruction.
 
@@ -235,44 +219,18 @@ class SpatialTemporalPredictor:
             raise RuntimeError("predictor has not been fitted")
         return self._baseline_recon_error
 
-    def _fit_temporal(self, arr: np.ndarray) -> Dict[int, TemporalPredictor]:
-        """Fit one temporal model per signature series of ``arr``."""
-        assert self._spatial is not None
-        indices = list(self._spatial.signature_indices)
+    def _fit_temporal(self, histories: "list[np.ndarray]") -> "list[TemporalPredictor]":
+        """Fit one temporal model per signature history, in order."""
+        name, period = self.config.temporal_model, self.config.period
         with obs.span("predict.temporal_fit"):
-            fitted = None
-            if (
-                indices
-                and self.warm_refits
-                and warm_refit_enabled()
-                and has_warm_fitter(self.config.temporal_model)
-            ):
+            if self.warm_refits:
                 # Warm-started chain: resume from the previous refit's
                 # parameter state and keep the new one for the next.
-                warm_result = fit_temporal_batch_warm(
-                    self.config.temporal_model,
-                    [arr[idx] for idx in indices],
-                    period=self.config.period,
-                    warm=self._warm_state,
+                fitted, self._warm_state = fit_temporal_batch_warm(
+                    name, histories, period=period, warm=self._warm_state
                 )
-                if warm_result is not None:
-                    fitted, self._warm_state = warm_result
-            if fitted is None and indices:
-                # One vectorized pass over all signature series of the box
-                # (None for models without a batch fitter: loop below).
-                fitted = fit_temporal_batch(
-                    self.config.temporal_model,
-                    [arr[idx] for idx in indices],
-                    period=self.config.period,
-                )
-            if fitted is None:
-                fitted = [
-                    make_temporal_model(
-                        self.config.temporal_model, period=self.config.period
-                    ).fit(arr[idx])
-                    for idx in indices
-                ]
-        return dict(zip(indices, fitted))
+                return fitted
+            return fit_temporal_batch(name, histories, period=period)
 
     def refit_temporal(
         self, train_matrix: Sequence[Sequence[float]]
@@ -297,7 +255,10 @@ class SpatialTemporalPredictor:
                 f"model expects {self._train.shape[0]}"
             )
         obs.inc("predict.temporal_refits")
-        self._temporal = self._fit_temporal(arr)
+        indices = self._spatial.signature_indices
+        self._temporal = dict(
+            zip(indices, self._fit_temporal([arr[idx] for idx in indices]))
+        )
         self._train = arr
         return self
 

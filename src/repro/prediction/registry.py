@@ -5,14 +5,19 @@ plugged into the ATM framework"; this registry is that plug point.  Core
 configs reference temporal models by name so experiments can swap the
 signature predictor without code changes.
 
-Models that ship a batched multi-series training kernel also register a
-*batch fitter* here; :func:`fit_temporal_batch` is how the combined
-predictor hands all signature series of a box to one vectorized fit.
+The registry is also the one place that knows which models ship a
+multi-series training kernel.  :func:`fit_temporal_batch` (one box's
+signature series) and :func:`fit_temporal_batch_warm` (the same, chained
+fit to fit) hand a kernel model's series to one vectorized fit and fit
+every other model series by series, so callers never branch on which
+kind of model they hold.  :func:`fit_temporal_fleet_batch` fuses many
+boxes into one pass and exists only for kernel models
+(:func:`has_fleet_fitter`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from repro.prediction.temporal import (
     NeuralNetPredictor,
     SeasonalMeanPredictor,
     SeasonalNaivePredictor,
-    fit_neural_batch,
     fit_neural_batch_warm,
     fit_neural_fused,
 )
@@ -37,9 +41,7 @@ __all__ = [
     "fit_temporal_batch",
     "fit_temporal_batch_warm",
     "fit_temporal_fleet_batch",
-    "has_batch_fitter",
     "has_fleet_fitter",
-    "has_warm_fitter",
     "make_temporal_model",
     "temporal_model_version",
 ]
@@ -96,49 +98,68 @@ def temporal_model_version(name: str) -> int:
     return _VERSIONS.get(name, 1)
 
 
-_BATCH_FITTERS: Dict[
-    str, Callable[[Sequence[np.ndarray], int], List[TemporalPredictor]]
-] = {
-    "neural": lambda histories, period: list(
-        fit_neural_batch(histories, MlpConfig(period=period))
+class _Kernel(NamedTuple):
+    """A model's multi-series training kernel; both fits are bit-identical
+    to per-series fits of the model.
+
+    ``fleet(groups, period, fleet)`` trains *groups* of histories (one per
+    box) in fused cross-box batches and returns one model list per group.
+    With ``fleet`` set, a group whose histories fail validation gets
+    ``None`` (the caller re-runs exactly that box down the per-box path);
+    with it cleared, the failure raises as a one-box fit's would.
+
+    ``warm(histories, period, state)`` fits one box's histories from an
+    opaque fit-to-fit state (see :mod:`repro.prediction.temporal.warm`)
+    and returns the models with the next state.
+    """
+
+    fleet: Callable[
+        [List[List[np.ndarray]], int, bool], List[Optional[List[TemporalPredictor]]]
+    ]
+    warm: Callable[
+        [List[np.ndarray], int, Optional[object]],
+        Tuple[List[TemporalPredictor], Optional[object]],
+    ]
+
+
+_KERNELS: Dict[str, _Kernel] = {
+    "neural": _Kernel(
+        fleet=lambda groups, period, fleet: fit_neural_fused(
+            groups, MlpConfig(period=period), fleet=fleet
+        ),
+        warm=lambda histories, period, state: fit_neural_batch_warm(
+            histories, MlpConfig(period=period), warm=state
+        ),
     ),
 }
 
 
-def has_batch_fitter(name: str) -> bool:
-    """Whether :func:`fit_temporal_batch` supports this model name."""
-    return name in _BATCH_FITTERS
+def has_fleet_fitter(name: str) -> bool:
+    """Whether ``name`` has a multi-series kernel (fused fleet fits)."""
+    return name in _KERNELS
+
+
+def _fit_each(
+    name: str, histories: Sequence[np.ndarray], period: int
+) -> List[TemporalPredictor]:
+    """Per-series fits, for models without a multi-series kernel."""
+    return [make_temporal_model(name, period=period).fit(h) for h in histories]
 
 
 def fit_temporal_batch(
     name: str, histories: Sequence[np.ndarray], period: int = 96
-) -> Optional[List[TemporalPredictor]]:
-    """Fit every history with ``name``'s batched kernel, in input order.
+) -> List[TemporalPredictor]:
+    """Fit one ``name`` model per history, in input order.
 
-    Returns ``None`` when the model has no batched fitter — callers fall
-    back to per-series :func:`make_temporal_model` + ``fit`` loops.  Fitted
-    models are equivalent to the per-series path (bit-identical for
-    "neural"; pinned by the batched equivalence test suite).
+    A model with a kernel fits all histories in one vectorized pass,
+    bit-identical to the per-series path (pinned by the registry contract
+    test); any other model fits series by series.  A bad history raises.
     """
-    fitter = _BATCH_FITTERS.get(name)
-    if fitter is None:
-        return None
-    return fitter(list(histories), period)
-
-
-# Warm-capable batch fitters: like _BATCH_FITTERS but chaining a
-# fit-to-fit state (see repro.prediction.temporal.warm).  The state type
-# is fitter-specific and opaque to callers: hold it, pass it back.
-_WARM_FITTERS: Dict[str, Callable[..., Tuple[List[TemporalPredictor], object]]] = {
-    "neural": lambda histories, period, warm: fit_neural_batch_warm(
-        histories, MlpConfig(period=period), warm=warm
-    ),
-}
-
-
-def has_warm_fitter(name: str) -> bool:
-    """Whether :func:`fit_temporal_batch_warm` supports this model name."""
-    return name in _WARM_FITTERS
+    kernel = _KERNELS.get(name)
+    if kernel is None:
+        return _fit_each(name, histories, period)
+    (models,) = kernel.fleet([list(histories)], period, False)
+    return models  # type: ignore[return-value]
 
 
 def fit_temporal_batch_warm(
@@ -146,60 +167,37 @@ def fit_temporal_batch_warm(
     histories: Sequence[np.ndarray],
     period: int = 96,
     warm: Optional[object] = None,
-) -> Optional[Tuple[List[TemporalPredictor], Optional[object]]]:
-    """Warm-started batched fit: resume from ``warm``, return the new state.
+) -> Tuple[List[TemporalPredictor], Optional[object]]:
+    """Warm-started fit: resume from ``warm``, return ``(models, state)``.
 
-    Returns ``None`` when the model has no warm-capable fitter — callers
-    fall back to :func:`fit_temporal_batch` or per-series loops.  An
+    Feed ``state`` back as ``warm`` on the next refit to chain.  An
     incompatible ``warm`` (changed signature count, different model) is
-    ignored by the fitter, which then fits cold and returns a fresh state.
+    ignored by the kernel, which then fits cold and returns a fresh state.
+    A model without a kernel fits series by series and its state is
+    ``None``.
     """
-    fitter = _WARM_FITTERS.get(name)
-    if fitter is None:
-        return None
-    return fitter(list(histories), period, warm)
-
-
-# Fleet fitters: like _BATCH_FITTERS but over *groups* of histories (one
-# group per box), fusing every group's series into cross-box mega-batches.
-# A fleet fitter returns one fitted-model list per group, with None for a
-# group whose histories fail its validation — the caller re-runs exactly
-# those groups down the per-box path, preserving per-box failure isolation.
-_FLEET_FITTERS: Dict[
-    str,
-    Callable[
-        [Sequence[Sequence[np.ndarray]], int],
-        List[Optional[List[TemporalPredictor]]],
-    ],
-] = {
-    "neural": lambda groups, period: list(
-        fit_neural_fused(groups, MlpConfig(period=period))
-    ),
-}
-
-
-def has_fleet_fitter(name: str) -> bool:
-    """Whether :func:`fit_temporal_fleet_batch` supports this model name."""
-    return name in _FLEET_FITTERS
+    kernel = _KERNELS.get(name)
+    if kernel is None:
+        return _fit_each(name, histories, period), None
+    return kernel.warm(list(histories), period, warm)
 
 
 def fit_temporal_fleet_batch(
     name: str,
     history_groups: Sequence[Sequence[np.ndarray]],
     period: int = 96,
-) -> Optional[List[Optional[List[TemporalPredictor]]]]:
+) -> List[Optional[List[TemporalPredictor]]]:
     """Fit many boxes' signature histories in one fused cross-box pass.
 
     ``history_groups`` holds one sequence of signature series per box;
     the result keeps that grouping, each entry fitted in input order and
     bit-identical to handing the same group to :func:`fit_temporal_batch`
-    on its own (pinned by the fused equivalence test suite).  Returns
-    ``None`` when the model has no fleet fitter — callers fall back to
-    per-box fits; a ``None`` *entry* marks one group that failed
-    validation and must take the per-box path (and its degradation
-    ladder) instead.
+    on its own (pinned by the fused equivalence test suite).  A ``None``
+    entry marks one group that failed validation and must take the
+    per-box path (and its degradation ladder) instead.  Only models with
+    a kernel fuse (see :func:`has_fleet_fitter`); any other name raises.
     """
-    fitter = _FLEET_FITTERS.get(name)
-    if fitter is None:
-        return None
-    return fitter([list(group) for group in history_groups], period)
+    kernel = _KERNELS.get(name)
+    if kernel is None:
+        raise ValueError(f"temporal model {name!r} has no fleet fitter")
+    return kernel.fleet([list(group) for group in history_groups], period, True)

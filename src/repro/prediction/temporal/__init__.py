@@ -15,20 +15,17 @@ implements that spectrum from scratch:
 * :mod:`repro.prediction.temporal.neural` — a NumPy multi-layer perceptron
   over seasonal-lag and time-of-day features (the ATM default).
 * :mod:`repro.prediction.temporal.batched` — the batched training kernel
-  that fits all of a box's signature MLPs in one vectorized pass.
+  that fits signature MLPs in vectorized passes: one box's series, or a
+  whole chunk of boxes fused into cross-box slabs.
 * :mod:`repro.prediction.temporal.seasonal` — the shared vectorized
   slot-mean / seasonal-lag feature pipeline.
 * :mod:`repro.prediction.temporal.warm` — warm-started refits chaining
-  batched fits through persisted ``(K, P)`` parameter states
-  (``REPRO_WARM_REFIT=0`` keeps refits cold).
+  batched fits through persisted ``(K, P)`` parameter states (the online
+  controller's refits).
 """
 
 from repro.prediction.temporal.ar import AutoRegressivePredictor
-from repro.prediction.temporal.batched import (
-    BatchFitState,
-    fit_neural_batch,
-    fit_neural_fused,
-)
+from repro.prediction.temporal.batched import BatchFitState, fit_neural_fused
 from repro.prediction.temporal.arima import ArimaPredictor
 from repro.prediction.temporal.holtwinters import HoltWintersPredictor
 from repro.prediction.temporal.naive import (
@@ -38,14 +35,9 @@ from repro.prediction.temporal.naive import (
     SeasonalNaivePredictor,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
-from repro.prediction.temporal.warm import (
-    WARM_REFIT_ENV_VAR,
-    fit_neural_batch_warm,
-    warm_refit_enabled,
-)
+from repro.prediction.temporal.warm import fit_neural_batch_warm
 
 __all__ = [
-    "WARM_REFIT_ENV_VAR",
     "ArimaPredictor",
     "BatchFitState",
     "AutoRegressivePredictor",
@@ -56,8 +48,6 @@ __all__ = [
     "NeuralNetPredictor",
     "SeasonalMeanPredictor",
     "SeasonalNaivePredictor",
-    "fit_neural_batch",
     "fit_neural_batch_warm",
     "fit_neural_fused",
-    "warm_refit_enabled",
 ]

@@ -54,7 +54,6 @@ __all__ = [
     "FUSED_SLAB_MODELS",
     "BatchFitState",
     "fit_equal_length_state",
-    "fit_neural_batch",
     "fit_neural_fused",
     "models_from_params",
 ]
@@ -72,58 +71,36 @@ FUSED_SLAB_MODELS = 64
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def fit_neural_batch(
-    histories: Sequence[Sequence[float]], config: Optional[MlpConfig] = None
-) -> List[NeuralNetPredictor]:
-    """Fit one :class:`NeuralNetPredictor` per history in a vectorized pass.
-
-    Returns fitted predictors in input order, each bit-identical to
-    ``NeuralNetPredictor(config).fit(history)``.  Histories of equal length
-    are trained together; distinct lengths form separate batches.
-    """
-    cfg = config or MlpConfig()
-    arrs = [validate_history(h, minimum=cfg.period + 2) for h in histories]
-    fitted: List[Optional[NeuralNetPredictor]] = [None] * len(arrs)
-    groups: dict = {}
-    for pos, arr in enumerate(arrs):
-        groups.setdefault(arr.size, []).append(pos)
-    for positions in groups.values():
-        if len(positions) == 1:
-            # Degenerate one-model batch: the serial fit is the same math
-            # with less per-op overhead (the 3-D kernel only pays off at
-            # stack width >= 2).
-            pos = positions[0]
-            fitted[pos] = NeuralNetPredictor(cfg).fit(arrs[pos])
-            continue
-        stack = np.stack([arrs[pos] for pos in positions])
-        for pos, model in zip(positions, _fit_equal_length(stack, cfg)):
-            fitted[pos] = model
-    return fitted  # type: ignore[return-value]
-
-
 def fit_neural_fused(
     history_groups: Sequence[Sequence[Sequence[float]]],
     config: Optional[MlpConfig] = None,
     max_models: int = FUSED_SLAB_MODELS,
+    *,
+    fleet: bool = True,
 ) -> List[Optional[List[NeuralNetPredictor]]]:
     """Fit many groups' (boxes') signature models in cross-group mega-batches.
 
-    The fleet-fused twin of calling :func:`fit_neural_batch` once per
-    group: all series of all groups that share a history length join one
-    ragged mega-batch, trained as ``(K, P)`` slabs of at most
-    ``max_models`` models, and the fitted predictors are scattered back
-    into per-group lists in input order.  Every model is bit-identical to
-    its per-group — and therefore per-series serial — fit, because all
-    series share ``config.seed`` (identical RNG streams) and every tensor
-    op in the kernel is row-local with per-row flat reductions (see the
-    y_mean note in :func:`_prepare_batch`); which batch a model happens
-    to ride in cannot change its floats.
+    All series of all groups that share a history length join one ragged
+    mega-batch, trained as ``(K, P)`` slabs of at most ``max_models``
+    models, and the fitted predictors are scattered back into per-group
+    lists in input order.  Every model is bit-identical to its per-series
+    serial ``NeuralNetPredictor(config).fit``, because all series share
+    ``config.seed`` (identical RNG streams) and every tensor op in the
+    kernel is row-local with per-row flat reductions (see the y_mean note
+    in :func:`_prepare_batch`); which batch a model happens to ride in
+    cannot change its floats.  A length bucket of one series takes the
+    serial fit itself (the same math with less per-op overhead).
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
     ``None`` in the returned list instead of poisoning the shared batch —
     the caller re-runs exactly those groups down its per-box path, where
     the same error re-raises and climbs the ladder as it always did.
+
+    ``fleet=False`` is that per-box path: one box's fit through the same
+    code, where a failing history raises its own exception and the
+    ``fused.*`` instruments stay untouched, since nothing fuses across
+    boxes.
     """
     from repro import obs
 
@@ -135,6 +112,8 @@ def fit_neural_fused(
                 [validate_history(h, minimum=cfg.period + 2) for h in group]
             )
         except Exception:
+            if not fleet:
+                raise
             validated.append(None)
     out: List[Optional[List[NeuralNetPredictor]]] = [
         None if group is None else [None] * len(group) for group in validated
@@ -149,11 +128,12 @@ def fit_neural_fused(
     for pos, (_, _, arr) in enumerate(flat):
         by_length.setdefault(arr.size, []).append(pos)
     for positions in by_length.values():
-        obs.inc("fused.groups")
-        obs.gauge_max("fused.models_per_pass", float(min(len(positions), max_models)))
+        if fleet:
+            obs.inc("fused.groups")
+            obs.gauge_max(
+                "fused.models_per_pass", float(min(len(positions), max_models))
+            )
         if len(positions) == 1:
-            # Width-1 stacks take the serial fit, like fit_neural_batch's
-            # degenerate path (bit-identical, less per-op overhead).
             gi, si, arr = flat[positions[0]]
             out[gi][si] = NeuralNetPredictor(cfg).fit(arr)  # type: ignore[index]
             continue
@@ -459,11 +439,6 @@ def models_from_params(
     prepared = _prepare_batch(matrix, cfg)
     net = _BatchedMlp(matrix.shape[0], prepared.sizes, prepared.rng)
     return _models_from_batch(matrix, cfg, prepared, net, state.params, state.epochs)
-
-
-def _fit_equal_length(matrix: np.ndarray, cfg: MlpConfig) -> List[NeuralNetPredictor]:
-    """Train the K models of one equal-length batch; mirrors serial ``fit``."""
-    return fit_equal_length_state(matrix, cfg)[0]
 
 
 def fit_equal_length_state(

@@ -23,9 +23,11 @@ Three safety properties:
   restarted run replays the same deterministic chain, hits the same keys,
   and serves each already-computed refit with zero training — interrupted
   online runs warm-resume bit-identically.
-* **Gate** — ``REPRO_WARM_REFIT=0`` keeps callers on the cold
-  :func:`~repro.prediction.temporal.batched.fit_neural_batch` path, which
-  is bit-identical to the serial per-series fits.
+* **Cold equivalence** — with no initializer the fit is the cold kernel,
+  bit-identical to the serial per-series fits.
+
+Callers opt in per predictor (``SpatialTemporalPredictor(warm_refits=True)``,
+as the online controller does); one-shot offline fits stay cold.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.prediction.base import validate_history
 from repro.prediction.temporal.batched import (
     BatchFitState,
     fit_equal_length_state,
-    fit_neural_batch,
+    fit_neural_fused,
     models_from_params,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
@@ -54,16 +56,10 @@ from repro.store import (
 __all__ = [
     "GUARD_RATIO",
     "WARM_PATIENCE",
-    "WARM_REFIT_ENV_VAR",
     "WARM_STAGE",
     "fit_neural_batch_warm",
-    "warm_refit_enabled",
     "warm_state_key",
 ]
-
-#: Environment variable gating warm-started refits (default: enabled;
-#: parsed by :mod:`repro.core.runtime`).
-WARM_REFIT_ENV_VAR = "REPRO_WARM_REFIT"
 
 #: Artifact-store stage name of persisted warm-start states.
 WARM_STAGE = "warm_params"
@@ -84,14 +80,6 @@ GUARD_RATIO = 32.0
 #: validation wiggles for tens of epochs.  Guard-triggered cold refits
 #: always use the config's full patience.
 WARM_PATIENCE = 3
-
-
-def warm_refit_enabled() -> bool:
-    """Whether warm-started refits are enabled (``REPRO_WARM_REFIT``)."""
-    # Lazy import: prediction must stay importable without repro.core.
-    from repro.core.runtime import warm_refit_enabled as _enabled
-
-    return _enabled()
 
 
 def warm_state_key(
@@ -137,12 +125,13 @@ def fit_neural_batch_warm(
     next refit to chain.  ``warm`` is ignored (cold fit, fresh state) when
     its shape no longer matches — e.g. after a signature re-search changed
     K.  Histories of mixed lengths have no single ``(K, P)`` buffer; those
-    fall back to :func:`fit_neural_batch` and carry no state.
+    take the cold one-box :func:`fit_neural_fused` fit and carry no state.
     """
     cfg = config or MlpConfig()
     arrs = [validate_history(h, minimum=cfg.period + 2) for h in histories]
     if not arrs or len({arr.size for arr in arrs}) != 1:
-        return list(fit_neural_batch(arrs, cfg)), None
+        (models,) = fit_neural_fused([arrs], cfg, fleet=False)
+        return models, None
     stack = np.stack(arrs)
 
     init = warm

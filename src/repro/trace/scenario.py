@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -62,7 +61,6 @@ __all__ = [
     "ARCHETYPES",
     "NAMED_SCENARIOS",
     "PAPER_ARCHETYPE",
-    "SCENARIO_ENV_VAR",
     "CohortSpec",
     "RegimeShift",
     "RenderSpec",
@@ -74,10 +72,6 @@ __all__ = [
 
 #: The calibrated legacy profile — the identity archetype.
 PAPER_ARCHETYPE = "paper-fig2"
-
-#: Default scenario name when neither ``--scenario`` nor the spec argument
-#: is given (see :func:`repro.core.runtime.scenario_name`).
-SCENARIO_ENV_VAR = "REPRO_SCENARIO"
 
 # Seed-sequence salts: envelopes and switch windows draw from their own
 # streams so the core generator's draws stay byte-identical under a spec.
@@ -451,14 +445,13 @@ NAMED_SCENARIOS: Dict[str, ScenarioSpec] = {
 def resolve_scenario(
     spec: Union[None, str, ScenarioSpec],
 ) -> ScenarioSpec:
-    """Turn a CLI/env scenario argument into a :class:`ScenarioSpec`.
+    """Turn a CLI scenario argument into a :class:`ScenarioSpec`.
 
-    ``None`` consults ``$REPRO_SCENARIO`` and falls back to the identity
-    ``paper-fig2`` scenario; a string resolves as a named scenario first,
-    then as a path to a JSON spec.
+    ``None`` means the identity ``paper-fig2`` scenario; a string resolves
+    as a named scenario first, then as a path to a JSON spec.
     """
     if spec is None:
-        spec = os.environ.get(SCENARIO_ENV_VAR, "").strip() or PAPER_ARCHETYPE
+        spec = PAPER_ARCHETYPE
     if isinstance(spec, ScenarioSpec):
         return spec
     if spec in NAMED_SCENARIOS:

@@ -4,8 +4,8 @@ Pins the three invariants of the incremental step machinery:
 
 * **Legacy bit-identity** — with ``refit_every_steps=1`` the cadence cap
   is always due, so neither warm refits nor the drift threshold change
-  anything; with warm refits off and ``drift_threshold=inf`` the cold
-  per-step path is exactly the pre-incremental controller.
+  anything; with cold predictors and ``drift_threshold=inf`` the per-step
+  path is exactly the pre-incremental controller.
 * **Drift-gate behavior** — on a stable workload the gate skips the
   signature search between cadence refits (regression-pinned counters);
   a sufficiently low threshold makes it fire early, and an infinite one
@@ -23,8 +23,9 @@ import pytest
 from repro import obs
 from repro.core import faults
 from repro.core.config import AtmConfig
+from repro.core import online
 from repro.core.online import OnlineAtmController, run_online_fleet
-from repro.core.runtime import WARM_REFIT_ENV_VAR
+from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import clear_memory_tiers
 from repro.store.shards import load_fleet_shards, write_fleet_shards
@@ -34,7 +35,6 @@ from repro.trace.generator import FleetConfig, generate_box, generate_fleet
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     for name in (
-        WARM_REFIT_ENV_VAR,
         "REPRO_JOBS",
         "REPRO_STORE",
         faults.FAULTS_ENV_VAR,
@@ -48,8 +48,13 @@ def _clean_env(monkeypatch):
     obs.reset_metrics()
 
 
-def _warm_off(monkeypatch):
-    monkeypatch.setenv(WARM_REFIT_ENV_VAR, "0")
+def _cold_predictors(monkeypatch):
+    """Build the controller's predictors without the warm-refit chain."""
+    monkeypatch.setattr(
+        online,
+        "SpatialTemporalPredictor",
+        lambda config, **_: SpatialTemporalPredictor(config),
+    )
 
 
 def _neural_config():
@@ -99,7 +104,7 @@ class TestLegacyBitIdentity:
         box = generate_box(2, FleetConfig(days=7, seed=41))
         config = _neural_config()
         with_gates = OnlineAtmController(box, config, refit_every_steps=1).run()
-        _warm_off(monkeypatch)
+        _cold_predictors(monkeypatch)
         without = OnlineAtmController(
             box, config, refit_every_steps=1, drift_threshold=math.inf
         ).run()
@@ -171,7 +176,7 @@ class TestDriftGate:
 
 
 class TestWarmColdParity:
-    def test_incremental_run_matches_cold_reduction(self, monkeypatch):
+    def test_incremental_run_matches_cold_reduction(self):
         """The win condition: incremental steps preserve the control
         decisions' quality — ticket reduction within tolerance of the
         every-step cold-refit run, with zero degradations."""
@@ -183,7 +188,6 @@ class TestWarmColdParity:
         assert warm_epoch_counters.get("warm.models_warm", 0) > 0
 
         obs.reset_metrics()
-        _warm_off(monkeypatch)
         cold = OnlineAtmController(box, config, refit_every_steps=1).run()
         assert not cold.degradations
 

@@ -37,7 +37,6 @@ SHIFT_SPEC = ScenarioSpec(
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WARM_REFIT", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_STORE", raising=False)
     clear_memory_tiers()

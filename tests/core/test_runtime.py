@@ -17,10 +17,6 @@ def _clean_env(monkeypatch):
         runtime.FAULTS_ENV_VAR,
         runtime.FAULTS_SEED_ENV_VAR,
         runtime.STORE_ENV_VAR,
-        runtime.WARM_REFIT_ENV_VAR,
-        runtime.ROUTE_QUEUES_ENV_VAR,
-        runtime.SLA_ACK_ENV_VAR,
-        runtime.SLA_RESOLVE_ENV_VAR,
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -39,11 +35,6 @@ class TestFlags:
     def test_unset_means_default_on(self):
         assert runtime.signature_cache_enabled()
         assert runtime.metrics_enabled()
-        assert runtime.warm_refit_enabled()
-
-    def test_online_gates_disable(self, monkeypatch):
-        monkeypatch.setenv(runtime.WARM_REFIT_ENV_VAR, "0")
-        assert not runtime.warm_refit_enabled()
 
     def test_gates_parse_independently(self, monkeypatch):
         # A broken jobs value must not take down unrelated gates.
@@ -69,34 +60,6 @@ class TestIntegers:
         monkeypatch.setenv(runtime.FAULTS_SEED_ENV_VAR, "7.5")
         with pytest.raises(ValueError, match="REPRO_FAULTS_SEED must be an integer"):
             runtime.faults_seed()
-
-    def test_ops_knob_defaults(self):
-        assert runtime.route_queues() == 2
-        assert runtime.sla_ack_windows() == 1
-        assert runtime.sla_resolve_windows() == 4
-
-    def test_ops_knob_values(self, monkeypatch):
-        monkeypatch.setenv(runtime.ROUTE_QUEUES_ENV_VAR, " 5 ")
-        monkeypatch.setenv(runtime.SLA_ACK_ENV_VAR, "0")
-        monkeypatch.setenv(runtime.SLA_RESOLVE_ENV_VAR, "12")
-        assert runtime.route_queues() == 5
-        assert runtime.sla_ack_windows() == 0
-        assert runtime.sla_resolve_windows() == 12
-
-    def test_ops_knob_minimums_enforced(self, monkeypatch):
-        monkeypatch.setenv(runtime.ROUTE_QUEUES_ENV_VAR, "0")
-        with pytest.raises(ValueError, match="REPRO_ROUTE_QUEUES must be >= 1"):
-            runtime.route_queues()
-        monkeypatch.setenv(runtime.SLA_ACK_ENV_VAR, "-1")
-        with pytest.raises(ValueError, match="REPRO_SLA_ACK_WINDOWS must be >= 0"):
-            runtime.sla_ack_windows()
-
-    def test_ops_knob_invalid_integer(self, monkeypatch):
-        monkeypatch.setenv(runtime.SLA_RESOLVE_ENV_VAR, "soon")
-        with pytest.raises(
-            ValueError, match="REPRO_SLA_RESOLVE_WINDOWS must be an integer"
-        ):
-            runtime.sla_resolve_windows()
 
 
 class TestStrings:

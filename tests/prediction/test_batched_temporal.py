@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
-from repro.prediction.registry import (
-    fit_temporal_batch,
-    has_batch_fitter,
-    make_temporal_model,
-)
+from repro.prediction.registry import fit_temporal_batch, make_temporal_model
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
-from repro.prediction.temporal.batched import _fit_equal_length, fit_neural_batch
+from repro.prediction.temporal.batched import fit_equal_length_state, fit_neural_fused
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
 
 # A small config keeps every fit fast; bit-equivalence is config-agnostic.
@@ -36,6 +32,12 @@ def make_histories(k, size, seed, period=24):
         noise = rng.normal(0, rng.uniform(0.5, 4.0), size)
         out.append(np.maximum(base + trend + noise, 0.0))
     return out
+
+
+def batch_fits(histories, cfg=FAST):
+    """One box's batched fit: the one-group form of the fused kernel."""
+    (models,) = fit_neural_fused([histories], cfg, fleet=False)
+    return models
 
 
 def serial_fits(histories, cfg=FAST):
@@ -62,7 +64,7 @@ class TestEquivalence:
     )
     def test_bit_identical_forecasts(self, k, size, seed):
         histories = make_histories(k, size, seed)
-        batched = fit_neural_batch(histories, FAST)
+        batched = batch_fits(histories)
         assert_equivalent(serial_fits(histories), batched)
 
     def test_models_stop_at_different_epochs(self):
@@ -72,11 +74,11 @@ class TestEquivalence:
         serial = serial_fits(histories)
         epochs = {m._fit_epochs for m in serial}
         assert len(epochs) > 1, "fixture must trigger divergent early stopping"
-        assert_equivalent(serial, fit_neural_batch(histories, FAST))
+        assert_equivalent(serial, batch_fits(histories))
 
     def test_k1_routes_to_serial(self):
         (history,) = make_histories(1, 24 * 5, seed=5)
-        (batched,) = fit_neural_batch([history], FAST)
+        (batched,) = batch_fits([history])
         (serial,) = serial_fits([history])
         assert_equivalent([serial], [batched])
 
@@ -84,7 +86,7 @@ class TestEquivalence:
         # Call the tensor kernel directly with a width-1 stack: the 3-D ops
         # must agree with serial even without the K=1 routing shortcut.
         (history,) = make_histories(1, 24 * 5, seed=6)
-        (batched,) = _fit_equal_length(history[None, :], FAST)
+        (batched,), _ = fit_equal_length_state(history[None, :], FAST)
         (serial,) = serial_fits([history])
         assert_equivalent([serial], [batched])
 
@@ -92,7 +94,7 @@ class TestEquivalence:
         short = make_histories(2, 24 * 4, seed=7)
         long = make_histories(3, 24 * 6, seed=8)
         histories = [short[0], long[0], short[1], long[1], long[2]]
-        batched = fit_neural_batch(histories, FAST)
+        batched = batch_fits(histories)
         assert_equivalent(serial_fits(histories), batched)
 
     def test_default_config(self):
@@ -100,22 +102,15 @@ class TestEquivalence:
         cfg = MlpConfig(max_epochs=12)
         histories = make_histories(3, 96 * 3, seed=9, period=96)
         serial = [NeuralNetPredictor(cfg).fit(h) for h in histories]
-        batched = fit_neural_batch(histories, cfg)
+        batched = batch_fits(histories, cfg)
         assert_equivalent(serial, batched, horizon=96)
 
 
 class TestRegistry:
-    def test_neural_has_batch_fitter(self):
-        assert has_batch_fitter("neural")
-        assert not has_batch_fitter("seasonal_mean")
-
-    def test_unsupported_model_returns_none(self):
-        assert fit_temporal_batch("seasonal_mean", [np.ones(48)], period=24) is None
-
     def test_batch_fitter_order_and_type(self):
         histories = make_histories(3, 24 * 4, seed=10)
         fitted = fit_temporal_batch("neural", histories, period=24)
-        assert fitted is not None and len(fitted) == 3
+        assert len(fitted) == 3
         assert all(isinstance(m, NeuralNetPredictor) for m in fitted)
 
 

@@ -1,10 +1,10 @@
 """Fleet-fused cross-box training: bit-identity, slabs, failure isolation.
 
 The fleet fitter (:func:`repro.prediction.temporal.batched.fit_neural_fused`)
-claims each group's models are *bit-identical* to handing that group to
-:func:`fit_neural_batch` on its own — regardless of which other boxes ride
-in the same mega-batch, how ragged the group sizes are, or where the slab
-boundaries fall.  These tests pin that claim, the ``max_models`` slab
+claims each group's models are *bit-identical* to fitting that group on its
+own (the one-box ``fleet=False`` form) — regardless of which other boxes
+ride in the same mega-batch, how ragged the group sizes are, or where the
+slab boundaries fall.  These tests pin that claim, the ``max_models`` slab
 splitting, per-group failure isolation, and the fused observability
 counters.
 """
@@ -21,7 +21,6 @@ from repro.prediction.registry import (
 from repro.prediction.temporal.batched import (
     FUSED_SLAB_MODELS,
     fit_equal_length_state,
-    fit_neural_batch,
     fit_neural_fused,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
@@ -43,6 +42,12 @@ def make_histories(k, size, seed, period=24):
     return out
 
 
+def fit_one_box(histories, cfg=FAST):
+    """The one-box (unfused) form of the kernel."""
+    (models,) = fit_neural_fused([histories], cfg, fleet=False)
+    return models
+
+
 def assert_group_equivalent(per_box, fused, horizon=24):
     assert len(per_box) == len(fused)
     for s, f in zip(per_box, fused):
@@ -62,7 +67,7 @@ class TestFusedEquivalence:
         fused = fit_neural_fused(groups, FAST)
         for group, fused_models in zip(groups, fused):
             assert fused_models is not None
-            per_box = fit_neural_batch(group, FAST)
+            per_box = fit_one_box(group)
             assert_group_equivalent(per_box, fused_models)
 
     def test_slab_boundary_straddle(self):
@@ -125,11 +130,24 @@ class TestFailureIsolation:
         fused = fit_neural_fused([good, bad, short], FAST)
         assert fused[1] is None
         assert fused[2] is None
-        assert_group_equivalent(fit_neural_batch(good, FAST), fused[0])
+        assert_group_equivalent(fit_one_box(good), fused[0])
 
     def test_all_groups_bad(self):
         fused = fit_neural_fused([[np.full(10, np.nan)]], FAST)
         assert fused == [None]
+
+    def test_one_box_form_raises_and_counts_nothing(self):
+        """fleet=False: the per-box path's own error, no fused instruments."""
+        obs.reset_metrics()
+        with pytest.raises(ValueError) as fused_error:
+            fit_one_box([np.arange(5.0)])
+        with pytest.raises(ValueError) as serial_error:
+            NeuralNetPredictor(FAST).fit(np.arange(5.0))
+        assert repr(fused_error.value) == repr(serial_error.value)
+        fit_one_box(make_histories(2, 24 * 4, seed=41))
+        snap = obs.metrics_snapshot()
+        assert "fused.groups" not in snap["counters"]
+        assert "fused.models_per_pass" not in snap["gauges"]
 
 
 class TestRegistry:
@@ -137,8 +155,9 @@ class TestRegistry:
         assert has_fleet_fitter("neural")
         assert not has_fleet_fitter("seasonal_mean")
 
-    def test_unsupported_model_returns_none(self):
-        assert fit_temporal_fleet_batch("seasonal_mean", [[np.arange(48.0)]]) is None
+    def test_unsupported_model_raises(self):
+        with pytest.raises(ValueError, match="no fleet fitter"):
+            fit_temporal_fleet_batch("seasonal_mean", [[np.arange(48.0)]])
 
     def test_fleet_batch_matches_per_group_batch(self):
         groups = [
@@ -147,7 +166,6 @@ class TestRegistry:
         ]
         # Registry entry points use the default MlpConfig at this period.
         fused = fit_temporal_fleet_batch("neural", groups, period=24)
-        assert fused is not None
         for group, fused_models in zip(groups, fused):
             per_box = fit_temporal_batch("neural", group, period=24)
             assert_group_equivalent(per_box, fused_models, horizon=24)

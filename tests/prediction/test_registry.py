@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.prediction.base import TemporalPredictor, fit_predict
-from repro.prediction.registry import available_temporal_models, make_temporal_model
+from repro.prediction.registry import (
+    available_temporal_models,
+    fit_temporal_batch,
+    fit_temporal_batch_warm,
+    has_fleet_fitter,
+    make_temporal_model,
+)
 
 
 class TestRegistry:
@@ -51,3 +57,30 @@ class TestRegistry:
     def test_period_forwarded(self):
         model = make_temporal_model("seasonal_naive", period=48)
         assert model.period == 48
+
+
+class TestFitContract:
+    """Every registered model plugs into the registry's multi-series fits."""
+
+    @pytest.mark.parametrize("name", available_temporal_models())
+    def test_batch_fits_match_per_series(self, name):
+        period, horizon = 24, 24
+        rng = np.random.default_rng(3)
+        t = np.arange(period * 6)
+        histories = [
+            30 + 10 * np.sin(2 * np.pi * t / period + phase) + rng.normal(0, 1, t.size)
+            for phase in (0.0, 1.0, 2.0)
+        ]
+        expected = [
+            make_temporal_model(name, period=period).fit(h).predict(horizon)
+            for h in histories
+        ]
+
+        batch = fit_temporal_batch(name, histories, period=period)
+        warm, state = fit_temporal_batch_warm(name, histories, period=period)
+
+        for fitted in (batch, warm):
+            assert len(fitted) == len(histories)
+            for model, forecast in zip(fitted, expected):
+                np.testing.assert_array_equal(model.predict(horizon), forecast)
+        assert (state is None) == (not has_fleet_fitter(name))

@@ -2,8 +2,8 @@
 
 The warm kernel's contract (see ``repro.prediction.temporal.warm``):
 
-* with no initializer it is the cold kernel, bit-identical to
-  ``fit_neural_batch``;
+* with no initializer it is the cold kernel, bit-identical to the
+  one-box fit (``fit_neural_fused`` with ``fleet=False``);
 * a warm-started refit converges in far fewer epochs than a cold fit;
 * the validation-loss guard cold-refits any model whose warm fit lands
   materially worse than its previous best — deterministically forced here
@@ -20,7 +20,7 @@ from repro import obs
 from repro.prediction.temporal.batched import (
     BatchFitState,
     fit_equal_length_state,
-    fit_neural_batch,
+    fit_neural_fused,
 )
 from repro.prediction.temporal.neural import MlpConfig
 from repro.prediction.temporal.warm import (
@@ -46,6 +46,12 @@ def _histories(k=3, periods=6, seed=0, offset=0):
     ]
 
 
+def _plain_fit(histories):
+    """The cold one-box fit the warm kernel must match without a state."""
+    (models,) = fit_neural_fused([histories], CFG, fleet=False)
+    return models
+
+
 def _predictions(models):
     return np.stack([m.predict(HORIZON) for m in models])
 
@@ -69,14 +75,14 @@ class TestColdEquivalence:
     def test_no_initializer_matches_plain_batch_kernel(self):
         histories = _histories()
         warm_models, state = fit_neural_batch_warm(histories, CFG)
-        plain = fit_neural_batch(histories, CFG)
+        plain = _plain_fit(histories)
         assert state is not None
         np.testing.assert_array_equal(_predictions(warm_models), _predictions(plain))
 
     def test_single_history_matches_serial_fit(self):
         histories = _histories(k=1)
         warm_models, state = fit_neural_batch_warm(histories, CFG)
-        plain = fit_neural_batch(histories, CFG)  # K==1 delegates to serial fit
+        plain = _plain_fit(histories)  # K==1 delegates to serial fit
         assert state is not None and state.params.shape[0] == 1
         np.testing.assert_array_equal(_predictions(warm_models), _predictions(plain))
 
@@ -85,7 +91,7 @@ class TestColdEquivalence:
         models, state = fit_neural_batch_warm(histories, CFG)
         assert state is None
         np.testing.assert_array_equal(
-            _predictions(models), _predictions(fit_neural_batch(histories, CFG))
+            _predictions(models), _predictions(_plain_fit(histories))
         )
 
 
@@ -123,7 +129,7 @@ class TestWarmChain:
         models, state = fit_neural_batch_warm(histories, CFG, warm=small_state)
         assert state is not None and state.params.shape[0] == 3
         np.testing.assert_array_equal(
-            _predictions(models), _predictions(fit_neural_batch(histories, CFG))
+            _predictions(models), _predictions(_plain_fit(histories))
         )
 
 

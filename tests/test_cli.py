@@ -83,9 +83,8 @@ class TestCommands:
 
         assert digests(serial) == digests(parallel)
 
-    def test_tickets_env_knobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ROUTE_QUEUES", "3")
-        assert main(["tickets", "--boxes", "4", "--seed", "3"]) == 0
+    def test_tickets_env_knobs(self, capsys):
+        assert main(["tickets", "--boxes", "4", "--seed", "3", "--queues", "3"]) == 0
         out = capsys.readouterr().out
         assert "3 queues" in out
 

@@ -24,7 +24,6 @@ from repro.trace.generator import generate_box
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
 from repro.trace.scenario import (
     PAPER_ARCHETYPE,
-    SCENARIO_ENV_VAR,
     _cohort_of,
     _switch_window,
 )
@@ -49,7 +48,6 @@ def _fleet_digest(fleet) -> str:
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv(SCENARIO_ENV_VAR, raising=False)
     monkeypatch.delenv(FORBID_GENERATION_ENV_VAR, raising=False)
 
 
@@ -209,10 +207,6 @@ class TestFingerprints:
 class TestResolveScenario:
     def test_none_defaults_to_identity(self):
         assert resolve_scenario(None).is_identity
-
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(SCENARIO_ENV_VAR, "spiky")
-        assert resolve_scenario(None).name == "spiky"
 
     def test_named_and_spec_path(self, tmp_path):
         assert resolve_scenario("mixed") is NAMED_SCENARIOS["mixed"]
