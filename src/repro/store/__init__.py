@@ -31,7 +31,12 @@ from repro.store.artifacts import (
     memory_tier,
 )
 from repro.store.codecs import Codec, get_codec, register_codec, registered_stages
-from repro.store.fingerprint import STORE_SCHEMA, config_fingerprint, data_fingerprint
+from repro.store.fingerprint import (
+    STORE_SCHEMA,
+    canonical,
+    config_fingerprint,
+    data_fingerprint,
+)
 from repro.store.lru import DEFAULT_MAXSIZE, CacheStats, LruCache
 from repro.store.shards import (
     SHARDS_SCHEMA,
@@ -59,6 +64,7 @@ __all__ = [
     "LruCache",
     "ShardManifest",
     "ShardedFleet",
+    "canonical",
     "clear_memory_tiers",
     "config_fingerprint",
     "data_fingerprint",

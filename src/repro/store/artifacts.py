@@ -32,7 +32,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Container, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class ArtifactStore:
             return None
         try:
             with np.load(path, allow_pickle=False) as npz:
-                header = json.loads(bytes(npz["__meta__"].tobytes()).decode())
+                header = _read_header(npz)
                 if (
                     header.get("schema") != key.schema
                     or header.get("stage") != key.stage
@@ -170,6 +170,35 @@ class ArtifactStore:
         obs.inc(f"store.{key.stage}.hit_disk")
         return value
 
+    def headers(
+        self, stage: str, skip: Container[Path] = ()
+    ) -> Iterator[Tuple[Path, ArtifactKey, Any]]:
+        """``(path, key, meta)`` of every readable ``stage`` artifact on disk.
+
+        Reads only each file's header, never its arrays: the scan behind
+        lookups by something other than the key (e.g. evidence bundles
+        by their own fingerprints).  Paths in ``skip`` are not opened;
+        unreadable files are passed over, as :meth:`get` would miss them.
+        """
+        if self.root is None:
+            return
+        for path in sorted((self.root / stage).glob("*/*.npz")):
+            if path.name.startswith(".tmp-") or path in skip:
+                continue
+            try:
+                with np.load(path, allow_pickle=False) as npz:
+                    header = _read_header(npz)
+                key = ArtifactKey(
+                    stage=header["stage"],
+                    data_fp=header["data_fp"],
+                    config_fp=header["config_fp"],
+                    schema=header["schema"],
+                )
+            except Exception:
+                continue  # torn or foreign file: a miss for get() as well
+            if key.stage == stage and key.schema == STORE_SCHEMA:
+                yield path, key, header.get("meta")
+
     def _write_disk(self, key: ArtifactKey, value: Any) -> None:
         path = self.path_for(key)
         codec = get_codec(key.stage)
@@ -187,10 +216,13 @@ class ArtifactStore:
             meta_array = np.frombuffer(
                 json.dumps(header, allow_nan=True).encode(), dtype=np.uint8
             )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".npz"
-            )
+            try:
+                fd, tmp_name = _mkstemp_beside(path)
+            except FileNotFoundError:
+                # First artifact in this shard directory (or the directory
+                # was removed since): create it once, not on every put.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp_name = _mkstemp_beside(path)
             try:
                 with os.fdopen(fd, "wb") as handle:
                     np.savez(handle, __meta__=meta_array, **arrays)
@@ -205,6 +237,14 @@ class ArtifactStore:
             obs.inc(f"store.{key.stage}.write_errors")
             return
         obs.inc(f"store.{key.stage}.writes")
+
+
+def _read_header(npz) -> dict:
+    return json.loads(bytes(npz["__meta__"].tobytes()).decode())
+
+
+def _mkstemp_beside(path: Path):
+    return tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
 
 
 # The process default, rebuilt whenever the configured root changes (tests

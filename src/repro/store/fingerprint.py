@@ -28,7 +28,13 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["STORE_SCHEMA", "config_fingerprint", "data_fingerprint"]
+__all__ = [
+    "STORE_SCHEMA",
+    "Canonical",
+    "canonical",
+    "config_fingerprint",
+    "data_fingerprint",
+]
 
 #: Artifact schema version, stamped into every key and on-disk artifact.
 #: Bump it whenever the serialized layout of *any* stage changes: old
@@ -47,12 +53,30 @@ def data_fingerprint(data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+@dataclasses.dataclass(frozen=True)
+class Canonical:
+    """A config value already reduced to its canonical form.
+
+    Fingerprints exactly like the value it was made from; build it once
+    with :func:`canonical` when one config is folded into many keys.
+    """
+
+    form: Any
+
+
+def canonical(config: Any) -> Canonical:
+    """``config`` canonicalized once, for reuse inside many fingerprints."""
+    return Canonical(_canonical(config))
+
+
 def _canonical(obj: Any) -> Any:
     """Reduce a config object to a JSON-able canonical form."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj  # json round-trips floats (incl. nan/inf) via repr
+    if isinstance(obj, Canonical):
+        return obj.form
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__name__, "value": _canonical(obj.value)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

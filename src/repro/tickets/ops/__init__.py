@@ -10,8 +10,8 @@ closes the ``monitor → incidents → route → resolve`` loop:
   assignment (:class:`AssignPolicy`: round-robin or sticky-by-box).
 * :mod:`repro.tickets.ops.route`   — the SLA-clock schedule
   (:class:`SlaPolicy`, :class:`SlaClock`) with breach detection.
-* :mod:`repro.tickets.ops.evidence` — per-incident evidence bundles in
-  the content-addressed artifact store.
+* :mod:`repro.tickets.ops.evidence` — per-incident evidence bundles,
+  stored as one pack per box and resolved by their fingerprints.
 * :mod:`repro.tickets.ops.pipeline` — the streaming fleet loop
   (:func:`run_fleet_ops`) behind the CLI ``tickets`` command.
 """
@@ -20,8 +20,10 @@ from repro.tickets.ops.assign import ASSIGN_STRATEGIES, AssignPolicy
 from repro.tickets.ops.evidence import (
     EVIDENCE_STAGE,
     EvidenceBundle,
+    EvidencePack,
     build_evidence,
     evidence_key,
+    resolve_evidence,
 )
 from repro.tickets.ops.pipeline import (
     TICKET_OPS_STAGE,
@@ -47,6 +49,7 @@ __all__ = [
     "AssignPolicy",
     "BoxOpsResult",
     "EvidenceBundle",
+    "EvidencePack",
     "FleetOpsResult",
     "IncidentRow",
     "OpsConfig",
@@ -57,6 +60,7 @@ __all__ = [
     "build_evidence",
     "evidence_key",
     "incident_severity",
+    "resolve_evidence",
     "route_incidents",
     "run_box_ops",
     "run_fleet_ops",

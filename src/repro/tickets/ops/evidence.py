@@ -1,33 +1,49 @@
-"""Per-incident evidence bundles, served from the artifact store.
+"""Per-incident evidence bundles, stored as one evidence pack per box.
 
 An operator opening an incident needs to see *why it fired*: the ticket
 records, the usage context around the incident's windows, the policy that
 tripped, and — when an ATM run produced them — the forecast and resize
 decisions that were (or were not) in force.  An :class:`EvidenceBundle`
-packages exactly that, and persists through :mod:`repro.store` under its
-own content-addressed stage:
+packages exactly that.
+
+Storage follows a truth/render split: the box's usage is the truth and a
+bundle is a view of it.  :func:`~repro.tickets.ops.pipeline.run_box_ops`
+writes one :class:`EvidencePack` per box with incidents, under the box's
+ops key, and the pack stores
+
+* the box's usage once, over the union of its incidents' context windows,
+* each incident's records, clock, rank, score, queue, threshold and
+  context span, with its evidence ref,
+* the forecast and allocations once, flagging the incidents they explain.
+
+Every bundle keeps its own content address (:func:`evidence_key`):
 
 * the **data fingerprint** hashes the usage context slice the bundle
   explains (a poisoned or different trace can never serve the bundle),
 * the **config fingerprint** canonicalizes the ops configuration plus the
   incident's identity (box, span, chronological index),
 
-so a resumed run replays byte-identical bundles from disk, and a bundle
-is resolvable later by reconstructing its key from the same inputs —
-no side index required.
+and :func:`resolve_evidence` serves the bundle from that
+``(data_fp, config_fp)`` pair, bit-equal to what :func:`build_evidence`
+built, through an index over the pack headers built lazily on first use.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from pathlib import Path
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.store import (
     ArtifactKey,
+    ArtifactStore,
     config_fingerprint,
     data_fingerprint,
+    default_store,
     register_codec,
 )
 from repro.tickets.monitor import TicketRecord
@@ -35,14 +51,22 @@ from repro.tickets.ops.route import RoutedIncident, SlaClock
 from repro.trace.model import BoxTrace, Resource
 
 __all__ = [
+    "EVIDENCE_LAYOUT",
     "EVIDENCE_STAGE",
     "EvidenceBundle",
+    "EvidencePack",
     "build_evidence",
     "evidence_key",
+    "resolve_evidence",
 ]
 
-#: Artifact-store stage name of evidence bundles.
+#: Artifact-store stage name of evidence packs.
 EVIDENCE_STAGE = "evidence"
+
+#: Version of the stored evidence layout.  It is folded into the
+#: ``ticket_ops`` and pack keys, so a stored outcome whose refs point at
+#: another layout misses under ``--resume`` and is recomputed.
+EVIDENCE_LAYOUT = "pack/v1"
 
 
 @dataclass(frozen=True)
@@ -78,17 +102,31 @@ class EvidenceBundle:
         return len(self.records)
 
 
+@dataclass(frozen=True)
+class EvidencePack:
+    """One box's evidence bundles and their ``(data_fp, config_fp)`` refs.
+
+    Bundles are in rank order, one ref each; the store keeps the pack as
+    one artifact (see the codec below).  All bundles come from one box,
+    and those carrying a forecast carry the same one.
+    """
+
+    refs: Tuple[Tuple[str, str], ...]
+    bundles: Tuple[EvidenceBundle, ...]
+
+
 def evidence_key(usage_context: np.ndarray, config, box_id: str,
                  start_window: int, end_window: int, index: int,
                  forecast_fp: Optional[str] = None) -> ArtifactKey:
     """Content address of one incident's evidence bundle.
 
-    ``config`` is the governing :class:`~repro.tickets.ops.pipeline.OpsConfig`;
-    ``index`` the incident's chronological index on its box (distinct
-    incidents with identical spans — different resources, say — must not
-    collide).  ``forecast_fp`` identifies the ATM box-result artifact whose
-    forecast/allocations ride in the bundle; folded in only when present,
-    so forecast-free bundles keep their historical keys.
+    ``config`` is the governing :class:`~repro.tickets.ops.pipeline.OpsConfig`,
+    or its :func:`repro.store.canonical` form when one config keys many
+    bundles; ``index`` the incident's chronological index on its box
+    (distinct incidents with identical spans — different resources, say —
+    must not collide).  ``forecast_fp`` identifies the ATM box-result
+    artifact whose forecast/allocations ride in the bundle; folded in only
+    when present, so forecast-free bundles keep their historical keys.
     """
     payload = {
         "config": config,
@@ -112,12 +150,18 @@ def build_evidence(
     context_windows: int,
     predicted: Optional[np.ndarray] = None,
     allocations: Optional[np.ndarray] = None,
+    usage: Optional[np.ndarray] = None,
 ) -> EvidenceBundle:
-    """Assemble the evidence bundle for one routed incident on ``box``."""
+    """Assemble the evidence bundle for one routed incident on ``box``.
+
+    ``usage`` is ``box.usage_matrix()`` when the caller already holds it
+    (one stack per box, not one per incident).
+    """
     incident = routed.incident
     lo = max(0, incident.start_window - context_windows)
     hi = min(box.n_windows, incident.end_window + context_windows + 1)
-    usage = np.ascontiguousarray(box.usage_matrix()[:, lo:hi], dtype=float)
+    if usage is None:
+        usage = box.usage_matrix()
     return EvidenceBundle(
         box_id=box.box_id,
         start_window=incident.start_window,
@@ -130,7 +174,7 @@ def build_evidence(
         records=incident.tickets,
         context_lo=lo,
         context_hi=hi,
-        usage_context=usage,
+        usage_context=np.ascontiguousarray(usage[:, lo:hi], dtype=float),
         predicted=None if predicted is None else np.asarray(predicted, dtype=float),
         allocations=(
             None if allocations is None else np.asarray(allocations, dtype=float)
@@ -138,74 +182,172 @@ def build_evidence(
     )
 
 
+# ------------------------------------------------------------- resolving
+class _PackIndex:
+    """Evidence ref → ``(pack key, row)`` over the pack headers on disk."""
+
+    def __init__(self) -> None:
+        self.rows: Dict[Tuple[str, str], Tuple[ArtifactKey, int]] = {}
+        self.seen: Set[Path] = set()
+
+    def refresh(self, store: ArtifactStore) -> bool:
+        """Index packs written since the last scan; whether any were."""
+        found = False
+        for path, key, meta in store.headers(EVIDENCE_STAGE, skip=self.seen):
+            self.seen.add(path)
+            if not isinstance(meta, dict) or meta.get("layout") != EVIDENCE_LAYOUT:
+                continue  # another layout's file: never resolvable
+            for row, (data_fp, config_fp) in enumerate(meta["refs"]):
+                self.rows[(data_fp, config_fp)] = (key, row)
+            found = True
+        return found
+
+
+_INDEXES: "weakref.WeakKeyDictionary[ArtifactStore, _PackIndex]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def resolve_evidence(
+    data_fp: str, config_fp: str, store: Optional[ArtifactStore] = None
+) -> Optional[EvidenceBundle]:
+    """The evidence bundle stored under ``(data_fp, config_fp)``, or ``None``.
+
+    The operator's cold path: the first call (and any miss) scans the
+    headers of packs not yet indexed in ``store`` (default: the
+    configured store); the ops loop itself writes no index.  A store
+    without a disk tier holds no evidence.
+    """
+    store = store or default_store()
+    if not store.persistent:
+        return None
+    index = _INDEXES.setdefault(store, _PackIndex())
+    while True:
+        hit = index.rows.get((data_fp, config_fp))
+        if hit is not None:
+            pack = store.get(hit[0])
+            if pack is not None:
+                return pack.bundles[hit[1]]
+        if not index.refresh(store):
+            return None
+
+
 # ----------------------------------------------------------------- codec
-def _encode_record(record: TicketRecord) -> dict:
-    return {
-        "box_id": record.box_id,
-        "vm_id": record.vm_id,
-        "resource": record.resource.value,
-        "window": int(record.window),
-        "usage_pct": float(record.usage_pct),
-    }
+#: Ticket-record resource codes: the index in ``Resource``'s member order
+#: (a reorder changes the layout, so it needs a new ``EVIDENCE_LAYOUT``).
+_RESOURCES = tuple(Resource)
+_RESOURCE_CODES = {resource: code for code, resource in enumerate(_RESOURCES)}
 
 
-def _decode_record(raw: dict) -> TicketRecord:
-    return TicketRecord(
-        box_id=str(raw["box_id"]),
-        vm_id=str(raw["vm_id"]),
-        resource=Resource(raw["resource"]),
-        window=int(raw["window"]),
-        usage_pct=float(raw["usage_pct"]),
+def _encode_records(bundles, arrays: dict) -> list:
+    """Every bundle's ticket records as columns in ``arrays``; returns the vm ids.
+
+    A record's box is its bundle's, so it is not stored per record.
+    """
+    records = [record for bundle in bundles for record in bundle.records]
+    if any(r.box_id != bundle.box_id for bundle in bundles for r in bundle.records):
+        raise ValueError("an evidence bundle holds another box's ticket records")
+    vm_ids = sorted({record.vm_id for record in records})
+    vm_codes = {vm_id: code for code, vm_id in enumerate(vm_ids)}
+    arrays["record_vm"] = np.array([vm_codes[r.vm_id] for r in records], dtype=np.int64)
+    arrays["record_resource"] = np.array(
+        [_RESOURCE_CODES[r.resource] for r in records], dtype=np.int64
     )
+    arrays["record_window"] = np.array([r.window for r in records], dtype=np.int64)
+    arrays["record_usage"] = np.array([r.usage_pct for r in records], dtype=float)
+    return vm_ids
 
 
-def _encode_evidence(bundle: EvidenceBundle):
-    arrays = {"usage_context": np.asarray(bundle.usage_context, dtype=float)}
-    if bundle.predicted is not None:
+def _attach_forecast(arrays: dict, bundle: EvidenceBundle) -> bool:
+    """Store ``bundle``'s forecast once per pack; whether it has one."""
+    if bundle.predicted is None and bundle.allocations is None:
+        return False
+    if "predicted" not in arrays:
         arrays["predicted"] = np.asarray(bundle.predicted, dtype=float)
-    if bundle.allocations is not None:
         arrays["allocations"] = np.asarray(bundle.allocations, dtype=float)
+    elif not (
+        np.array_equal(arrays["predicted"], bundle.predicted)
+        and np.array_equal(arrays["allocations"], bundle.allocations)
+    ):
+        raise ValueError("an evidence pack carries one forecast")
+    return True
+
+
+def _encode_pack(pack: EvidencePack):
+    bundles = pack.bundles
+    covered = np.zeros(max(b.context_hi for b in bundles), dtype=bool)
+    for bundle in bundles:
+        covered[bundle.context_lo:bundle.context_hi] = True
+    windows = np.flatnonzero(covered)
+    usage = np.empty((bundles[0].usage_context.shape[0], windows.size))
+    arrays = {"windows": windows, "usage": usage}
+    rows = []
+    for bundle in bundles:
+        at = int(np.searchsorted(windows, bundle.context_lo))
+        usage[:, at:at + bundle.context_hi - bundle.context_lo] = bundle.usage_context
+        rows.append({
+            "box_id": bundle.box_id,
+            "start_window": int(bundle.start_window),
+            "end_window": int(bundle.end_window),
+            "rank": int(bundle.rank),
+            "score": float(bundle.score),
+            "queue": int(bundle.queue),
+            "clock": bundle.clock.to_dict(),
+            "threshold_pct": float(bundle.threshold_pct),
+            "n_records": len(bundle.records),
+            "context_lo": int(bundle.context_lo),
+            "context_hi": int(bundle.context_hi),
+            "forecast": _attach_forecast(arrays, bundle),
+        })
     meta = {
-        "box_id": bundle.box_id,
-        "start_window": int(bundle.start_window),
-        "end_window": int(bundle.end_window),
-        "rank": int(bundle.rank),
-        "score": float(bundle.score),
-        "queue": int(bundle.queue),
-        "clock": bundle.clock.to_dict(),
-        "threshold_pct": float(bundle.threshold_pct),
-        "records": [_encode_record(r) for r in bundle.records],
-        "context_lo": int(bundle.context_lo),
-        "context_hi": int(bundle.context_hi),
+        "layout": EVIDENCE_LAYOUT,
+        "refs": [list(ref) for ref in pack.refs],
+        "vm_ids": _encode_records(bundles, arrays),
+        "bundles": rows,
     }
     return arrays, meta
 
 
-def _decode_evidence(arrays, meta) -> EvidenceBundle:
+def _decode_bundle(arrays, row: dict, records) -> EvidenceBundle:
+    lo, hi = int(row["context_lo"]), int(row["context_hi"])
+    at = int(np.searchsorted(arrays["windows"], lo))
+    forecast = bool(row["forecast"])
+    box_id = str(row["box_id"])
     return EvidenceBundle(
-        box_id=str(meta["box_id"]),
-        start_window=int(meta["start_window"]),
-        end_window=int(meta["end_window"]),
-        rank=int(meta["rank"]),
-        score=float(meta["score"]),
-        queue=int(meta["queue"]),
-        clock=SlaClock.from_dict(meta["clock"]),
-        threshold_pct=float(meta["threshold_pct"]),
-        records=tuple(_decode_record(r) for r in meta["records"]),
-        context_lo=int(meta["context_lo"]),
-        context_hi=int(meta["context_hi"]),
-        usage_context=np.array(arrays["usage_context"], dtype=float),
-        predicted=(
-            np.array(arrays["predicted"], dtype=float)
-            if "predicted" in arrays
-            else None
+        box_id=box_id,
+        start_window=int(row["start_window"]),
+        end_window=int(row["end_window"]),
+        rank=int(row["rank"]),
+        score=float(row["score"]),
+        queue=int(row["queue"]),
+        clock=SlaClock.from_dict(row["clock"]),
+        threshold_pct=float(row["threshold_pct"]),
+        records=tuple(
+            TicketRecord(box_id, vm_id, resource, window, usage_pct)
+            for vm_id, resource, window, usage_pct in itertools.islice(
+                records, int(row["n_records"])
+            )
         ),
-        allocations=(
-            np.array(arrays["allocations"], dtype=float)
-            if "allocations" in arrays
-            else None
-        ),
+        context_lo=lo,
+        context_hi=hi,
+        usage_context=np.array(arrays["usage"][:, at:at + hi - lo], dtype=float),
+        predicted=np.array(arrays["predicted"], dtype=float) if forecast else None,
+        allocations=np.array(arrays["allocations"], dtype=float) if forecast else None,
     )
 
 
-register_codec(EVIDENCE_STAGE, _encode_evidence, _decode_evidence)
+def _decode_pack(arrays, meta) -> EvidencePack:
+    vm_ids = [str(vm_id) for vm_id in meta["vm_ids"]]
+    records = zip(
+        [vm_ids[code] for code in arrays["record_vm"].tolist()],
+        [_RESOURCES[code] for code in arrays["record_resource"].tolist()],
+        arrays["record_window"].tolist(),
+        arrays["record_usage"].tolist(),
+    )
+    return EvidencePack(
+        refs=tuple((str(ref[0]), str(ref[1])) for ref in meta["refs"]),
+        bundles=tuple(_decode_bundle(arrays, row, records) for row in meta["bundles"]),
+    )
+
+
+register_codec(EVIDENCE_STAGE, _encode_pack, _decode_pack)

@@ -18,8 +18,10 @@ The fleet loop reuses the whole scaling substrate:
   usage slices) never accumulate in the parent, so the loop is
   constant-memory at 6k boxes;
 * each box's outcome is a ``ticket_ops`` artifact in :mod:`repro.store`
-  (``--resume`` serves finished boxes), and every incident's evidence
-  bundle persists under its own fingerprint;
+  (``--resume`` serves finished boxes), and the evidence bundles of a
+  box's incidents persist as one evidence pack under the same key, each
+  bundle resolvable from its own fingerprints
+  (:func:`~repro.tickets.ops.evidence.resolve_evidence`);
 * breach/assignment telemetry lands in :mod:`repro.obs`
   (``sla.breaches``, ``sla.ack_breaches``, ``sla.resolve_breaches``,
   ``route.assignments``, ``sla.open_incidents``) inside the workers, and
@@ -43,11 +45,23 @@ import numpy as np
 
 from repro import obs
 from repro.core.executor import fleet_items, resume_probe, run_fleet
-from repro.store import ArtifactKey, config_fingerprint, default_store, register_codec
+from repro.store import (
+    ArtifactKey,
+    canonical,
+    config_fingerprint,
+    default_store,
+    register_codec,
+)
 from repro.tickets.incidents import group_incidents
 from repro.tickets.monitor import tickets_for_box
 from repro.tickets.ops.assign import AssignPolicy
-from repro.tickets.ops.evidence import build_evidence, evidence_key
+from repro.tickets.ops.evidence import (
+    EVIDENCE_LAYOUT,
+    EVIDENCE_STAGE,
+    EvidencePack,
+    build_evidence,
+    evidence_key,
+)
 from repro.tickets.ops.route import SlaPolicy, route_incidents
 from repro.tickets.ops.scoring import ScoringPolicy
 from repro.tickets.policy import DEFAULT_POLICY, TicketPolicy
@@ -161,9 +175,9 @@ class BoxOpsResult:
     """One box's complete ops outcome — small, picklable, store-codable.
 
     Carries counts, digests and evidence *keys* only; the heavy evidence
-    payloads live in the artifact store, resolvable by reconstructing
-    :class:`~repro.store.ArtifactKey` from the ``(data_fp, config_fp)``
-    pairs here.
+    payloads live in the artifact store, resolvable through
+    :func:`~repro.tickets.ops.evidence.resolve_evidence` from the
+    ``(data_fp, config_fp)`` pairs here.
     """
 
     box_id: str
@@ -202,18 +216,20 @@ def _max_open_incidents(routed) -> int:
 
 
 def _box_ops_key(box, config: OpsConfig, atm_key: Optional[ArtifactKey]) -> ArtifactKey:
+    """The box's ``ticket_ops`` key; its evidence pack shares the fingerprints."""
     from repro.core.stages import box_fingerprint
 
-    config_fp = config_fingerprint(config)
+    payload = {"ops": config_fingerprint(config), "evidence": EVIDENCE_LAYOUT}
     if config.atm is not None:
         # Which stored ATM outcome the evidence attaches (``atm_key``, or
         # none) changes the bundles, so it is part of the key.
-        forecast = None if atm_key is None else f"{atm_key.data_fp}:{atm_key.config_fp}"
-        config_fp = config_fingerprint({"ops": config_fp, "forecast": forecast})
+        payload["forecast"] = (
+            None if atm_key is None else f"{atm_key.data_fp}:{atm_key.config_fp}"
+        )
     return ArtifactKey(
         stage=TICKET_OPS_STAGE,
         data_fp=box_fingerprint(box),
-        config_fp=config_fp,
+        config_fp=config_fingerprint(payload),
     )
 
 
@@ -253,10 +269,12 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
 
     ``box`` may be a :class:`repro.store.shards.BoxShardRef` — the shard
     is memory-mapped here in the worker.  With a persistent store the
-    complete outcome is materialized as a ``ticket_ops`` artifact and
-    every incident's evidence bundle under its own fingerprint;
-    ``resume=True`` serves finished boxes from the store (counted as
-    ``ops.resume.hits``) with identical digests and evidence keys.
+    complete outcome is materialized as a ``ticket_ops`` artifact and the
+    box's incidents' evidence bundles as one
+    :class:`~repro.tickets.ops.evidence.EvidencePack` under the same
+    fingerprints; ``resume=True`` serves finished boxes from the store
+    (counted as ``ops.resume.hits``) with identical digests and evidence
+    keys.
     """
     from repro.core.stages import box_result_key
     from repro.store.shards import resolve_box
@@ -268,9 +286,8 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
         atm_key = box_result_key(box, config.atm)
         if not store.path_for(atm_key).exists():
             atm_key = None
-    cached, save = resume_probe(
-        "ops", lambda: _box_ops_key(box, config, atm_key), resume
-    )
+    ops_key = _box_ops_key(box, config, atm_key) if store.persistent else None
+    cached, save = resume_probe("ops", lambda: ops_key, resume)
     if cached is not None:
         _record_box_metrics(cached)
         return cached
@@ -300,7 +317,11 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
         queue_counts = [0] * config.assign.n_queues
         ack_breaches = resolve_breaches = breached = 0
         rows: List[IncidentRow] = []
+        bundles = []
         evidence_refs: List[Tuple[str, str]] = []
+        usage = evidence_config = None
+        if routed:  # one usage stack and one config canonicalization per box
+            usage, evidence_config = box.usage_matrix(), canonical(config)
         # Chronological index per routed incident: evidence keys must not
         # collide for distinct incidents sharing a span.
         chrono_index = {id(incident): i for i, incident in enumerate(incidents)}
@@ -338,19 +359,25 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
                 config.context_windows,
                 predicted=predicted if in_horizon else None,
                 allocations=allocations if in_horizon else None,
+                usage=usage,
             )
             ev_key = evidence_key(
                 bundle.usage_context,
-                config,
+                evidence_config,
                 box.box_id,
                 item.incident.start_window,
                 item.incident.end_window,
                 chrono_index[id(item.incident)],
                 forecast_fp=forecast_fp if in_horizon else None,
             )
-            if store.persistent:
-                store.put(ev_key, bundle, memory=False)
+            bundles.append(bundle)
             evidence_refs.append((ev_key.data_fp, ev_key.config_fp))
+        if bundles and ops_key is not None:
+            pack_key = ArtifactKey(EVIDENCE_STAGE, ops_key.data_fp, ops_key.config_fp)
+            store.put(
+                pack_key, EvidencePack(tuple(evidence_refs), tuple(bundles)),
+                memory=False,
+            )
 
         result_rows = tuple(rows)
         result = BoxOpsResult(

@@ -237,6 +237,61 @@ class TestDiskTier:
         assert counters.get(f"store.{STAGE}.write_errors") == 1
 
 
+    def test_put_into_fresh_root_round_trips(self, tmp_path):
+        store = ArtifactStore(root=tmp_path / "not" / "yet" / "made")
+        key = _key()
+        store.put(key, _value(scale=2.0), memory=False)
+        np.testing.assert_array_equal(
+            store.get(key, memory=False)["payload"], _value(scale=2.0)["payload"]
+        )
+
+    def test_put_after_directory_removed_round_trips(self, tmp_path):
+        import shutil
+
+        store = ArtifactStore(root=tmp_path)
+        first, second = _key(config_fp="one"), _key(config_fp="two")
+        store.put(first, _value(), memory=False)
+        shutil.rmtree(tmp_path / STAGE)
+        obs.reset_metrics()
+        store.put(second, _value(scale=3.0), memory=False)
+        assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.writes") == 1
+        np.testing.assert_array_equal(
+            store.get(second, memory=False)["payload"], _value(scale=3.0)["payload"]
+        )
+        assert store.get(first, memory=False) is None
+
+    def test_existing_directory_is_not_created_again(self, tmp_path, monkeypatch):
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        store.put(key, _value(), memory=False)
+        calls = []
+        real_mkdir = type(tmp_path).mkdir
+
+        def counting_mkdir(path, *args, **kwargs):
+            calls.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
+        store.put(key, _value(scale=5.0), memory=False)
+        assert calls == []
+        np.testing.assert_array_equal(
+            store.get(key, memory=False)["payload"], _value(scale=5.0)["payload"]
+        )
+
+    def test_headers_read_keys_and_meta_of_readable_files(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        good, torn = _key(config_fp="good"), _key(config_fp="torn")
+        store.put(good, _value(), memory=False)
+        store.put(torn, _value(), memory=False)
+        store.path_for(torn).write_bytes(b"not an npz file")
+        found = list(store.headers(STAGE))
+        assert [(path, key, meta) for path, key, meta in found] == [
+            (store.path_for(good), good, {"k": 1})
+        ]
+        assert list(store.headers(STAGE, skip={store.path_for(good)})) == []
+        assert list(store.headers("no_such_stage")) == []
+
+
 class TestDefaultStore:
     def test_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)

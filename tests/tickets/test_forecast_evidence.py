@@ -15,8 +15,8 @@ import pytest
 from repro import obs
 from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
-from repro.store import ArtifactKey, clear_memory_tiers, default_store
-from repro.tickets.ops import EVIDENCE_STAGE, OpsConfig, run_box_ops, run_fleet_ops
+from repro.store import clear_memory_tiers
+from repro.tickets.ops import OpsConfig, resolve_evidence, run_box_ops, run_fleet_ops
 from repro.trace.generator import FleetConfig, generate_fleet
 
 CFG = FleetConfig(n_boxes=4, days=2, seed=13)
@@ -47,13 +47,9 @@ def _atm_config():
 
 
 def _load_bundles(result):
-    store = default_store()
     bundles = []
     for data_fp, config_fp in result.evidence_refs:
-        key = ArtifactKey(
-            stage=EVIDENCE_STAGE, data_fp=data_fp, config_fp=config_fp
-        )
-        payload = store.get(key)
+        payload = resolve_evidence(data_fp, config_fp)
         assert payload is not None
         bundles.append(payload)
     return bundles

@@ -14,6 +14,7 @@ from repro.tickets.ops import (
     EVIDENCE_STAGE,
     AssignPolicy,
     EvidenceBundle,
+    EvidencePack,
     OpsConfig,
     ScoringPolicy,
     SlaClock,
@@ -21,6 +22,7 @@ from repro.tickets.ops import (
     build_evidence,
     evidence_key,
     incident_severity,
+    resolve_evidence,
     route_incidents,
     run_box_ops,
     run_fleet_ops,
@@ -238,6 +240,14 @@ class TestEvidence:
         bundle = build_evidence(spiky_box, routed, 60.0, context_windows=100)
         assert (bundle.context_lo, bundle.context_hi) == (0, 24)
 
+    @staticmethod
+    def _store_pack(bundle, key):
+        """Store ``bundle`` alone in an evidence pack, as the ops loop would."""
+        pack_key = ArtifactKey(EVIDENCE_STAGE, "box-fp", "ops-fp")
+        pack = EvidencePack(((key.data_fp, key.config_fp),), (bundle,))
+        default_store().put(pack_key, pack, memory=False)
+        clear_memory_tiers()
+
     def test_store_round_trip(self, spiky_box, store_env):
         (routed,) = self._routed(spiky_box)
         bundle = build_evidence(spiky_box, routed, 60.0, context_windows=4)
@@ -245,10 +255,8 @@ class TestEvidence:
             bundle.usage_context, OpsConfig(), spiky_box.box_id,
             bundle.start_window, bundle.end_window, 0,
         )
-        store = default_store()
-        store.put(key, bundle, memory=False)
-        clear_memory_tiers()
-        loaded = default_store().get(key, memory=False)
+        self._store_pack(bundle, key)
+        loaded = resolve_evidence(key.data_fp, key.config_fp)
         assert isinstance(loaded, EvidenceBundle)
         assert loaded.records == bundle.records
         assert loaded.clock == bundle.clock
@@ -268,9 +276,8 @@ class TestEvidence:
             bundle.usage_context, OpsConfig(), spiky_box.box_id,
             bundle.start_window, bundle.end_window, 1,
         )
-        default_store().put(key, bundle, memory=False)
-        clear_memory_tiers()
-        loaded = default_store().get(key, memory=False)
+        self._store_pack(bundle, key)
+        loaded = resolve_evidence(key.data_fp, key.config_fp)
         np.testing.assert_array_equal(loaded.predicted, predicted)
         np.testing.assert_array_equal(loaded.allocations, allocations)
 
@@ -403,15 +410,11 @@ class TestResume:
     def test_evidence_resolvable_by_fingerprint(self, small_fleet, store_env):
         run_fleet_ops(small_fleet)
         clear_memory_tiers()
-        store = default_store()
         resolved = 0
         for box in small_fleet:
             result = run_box_ops(box, OpsConfig(), resume=True)
             for data_fp, config_fp in result.evidence_refs:
-                key = ArtifactKey(
-                    stage=EVIDENCE_STAGE, data_fp=data_fp, config_fp=config_fp
-                )
-                bundle = store.get(key, memory=False)
+                bundle = resolve_evidence(data_fp, config_fp)
                 assert isinstance(bundle, EvidenceBundle)
                 assert bundle.box_id == box.box_id
                 resolved += 1
