@@ -17,11 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-try:  # scipy is optional: the pure-numpy loop below is the reference path.
-    from scipy.signal import lfilter as _lfilter
-except Exception:  # pragma: no cover - exercised only without scipy
-    _lfilter = None
-
 __all__ = [
     "diurnal",
     "ar1_noise",
@@ -65,27 +60,25 @@ def ar1_noise(
     """Return a stationary AR(1) series ``x_t = phi x_{t-1} + eps_t``.
 
     The series is started from its stationary distribution so there is no
-    warm-up transient.
+    warm-up transient.  The recurrence runs on Python floats: one
+    multiply-then-add per step in IEEE double, the same arithmetic as
+    ``scipy.signal.lfilter([1], [1, -phi], ...)`` and bit-identical to it
+    (pinned by tests/trace/test_workloads.py), without importing scipy.
     """
+    if n_windows < 1:
+        raise ValueError(f"n_windows must be positive, got {n_windows}")
     if not -1.0 < phi < 1.0:
         raise ValueError(f"phi must be in (-1, 1) for stationarity, got {phi}")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     eps = rng.normal(0.0, sigma, size=n_windows)
     x0 = rng.normal(0.0, sigma / np.sqrt(max(1e-12, 1.0 - phi * phi)))
-    if _lfilter is not None:
-        # lfilter's direct-form recurrence computes y[t] = eps[t] + phi*y[t-1]
-        # — the same multiply-then-add per step as the loop below, so the
-        # output is bit-identical (pinned by tests/trace/test_workloads.py)
-        # while the per-window Python iteration cost disappears.  eps[0] is
-        # never consumed by the recurrence, so it can carry the start value.
-        eps[0] = x0
-        return _lfilter([1.0], [1.0, -phi], eps)
-    out = np.empty(n_windows)
-    out[0] = x0
-    for t in range(1, n_windows):
-        out[t] = phi * out[t - 1] + eps[t]
-    return out
+    x = float(x0)
+    out = [x]
+    for e in eps[1:].tolist():
+        x = phi * x + e
+        out.append(x)
+    return np.array(out)
 
 
 def bursts(

@@ -55,6 +55,15 @@ class TestAr1:
         with pytest.raises(ValueError):
             ar1_noise(rng, 10, phi=1.0)
 
+    @pytest.mark.parametrize("n_windows", [0, -3])
+    def test_nonpositive_windows_rejected_before_any_draw(self, n_windows):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="n_windows"):
+            ar1_noise(rng, n_windows)
+        # The failed call consumed nothing: the stream continues as if it
+        # had never been made.
+        assert rng.random() == np.random.default_rng(5).random()
+
     def test_deterministic_given_seed(self):
         a = ar1_noise(np.random.default_rng(5), 50)
         b = ar1_noise(np.random.default_rng(5), 50)
@@ -134,7 +143,15 @@ class TestAlternatingLoad:
 
 
 class TestAr1LfilterPath:
-    """The scipy lfilter fast path is bit-identical to the Python loop."""
+    """``ar1_noise`` matches its oracles byte for byte.
+
+    The NumPy reference loop below is the definitional recurrence; scipy's
+    ``lfilter`` (the renderer's former fast path, available wherever the
+    ``test`` extra is installed) must agree with it too, so the traces
+    rendered before and after scipy left the import graph are the same.
+    """
+
+    PHIS = [0.8, 0.97, 0.998, -0.5, 0.3]
 
     @staticmethod
     def _reference(rng, n_windows, phi, sigma=1.0):
@@ -146,8 +163,36 @@ class TestAr1LfilterPath:
             out[t] = phi * out[t - 1] + eps[t]
         return out
 
-    @pytest.mark.parametrize("phi", [0.8, 0.97, -0.5, 0.3])
+    @staticmethod
+    def _lfilter(rng, n_windows, phi, sigma=1.0):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        eps = rng.normal(0.0, sigma, size=n_windows)
+        eps[0] = rng.normal(0.0, sigma / np.sqrt(max(1e-12, 1.0 - phi * phi)))
+        return lfilter([1.0], [1.0, -phi], eps)
+
+    @staticmethod
+    def _assert_same_bytes(actual, expected):
+        assert actual.dtype == expected.dtype == np.float64
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("phi", PHIS)
     def test_bit_identical_to_loop(self, phi):
         fast = ar1_noise(np.random.default_rng(7), 500, phi=phi)
         loop = self._reference(np.random.default_rng(7), 500, phi=phi)
-        np.testing.assert_array_equal(fast, loop)
+        self._assert_same_bytes(fast, loop)
+
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_bit_identical_to_lfilter(self, phi):
+        ours = ar1_noise(np.random.default_rng(11), 1500, phi=phi)
+        theirs = self._lfilter(np.random.default_rng(11), 1500, phi=phi)
+        self._assert_same_bytes(ours, theirs)
+
+    @pytest.mark.parametrize("oracle", ["_reference", "_lfilter"])
+    @pytest.mark.parametrize("n_windows,sigma", [(300, 0.0), (1, 1.0), (1, 0.0)])
+    def test_edge_cases(self, oracle, n_windows, sigma):
+        ours = ar1_noise(np.random.default_rng(3), n_windows, phi=0.9, sigma=sigma)
+        theirs = getattr(self, oracle)(
+            np.random.default_rng(3), n_windows, phi=0.9, sigma=sigma
+        )
+        assert ours.shape == (n_windows,)
+        self._assert_same_bytes(ours, theirs)
