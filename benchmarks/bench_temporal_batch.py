@@ -1,12 +1,13 @@
 """Batched temporal training — per-box fit speedup over serial MLP fits.
 
 For every box of the shared pipeline fleet the ATM fit trains one MLP per
-signature series.  This bench times that inner loop both ways — per-series
-``NeuralNetPredictor.fit`` versus the batched tensor kernel behind the
-registry's one-box fit (``fit_temporal_batch("neural", ...)``) — on the
-exact signature histories the fig09/fig10 pipeline trains on, asserts the
-results are bit-identical, and requires a ≥3× aggregate speedup
-(single-process vectorization: no extra cores needed).
+signature series.  This bench times that inner loop both ways — the
+per-series reference loop (``tests/prediction/mlp_oracle.py``, one model
+at a time) versus the batched tensor kernel behind the registry's one-box
+fit (``fit_temporal_batch("neural", ...)``) — on the exact signature
+histories the fig09/fig10 pipeline trains on, asserts the results are
+bit-identical, and requires a ≥3× aggregate speedup (single-process
+vectorization: no extra cores needed).
 
 It also re-times the fig09/fig10 pipeline compute at ``jobs=1`` and writes
 ``BENCH_temporal.json`` next to the repo root — per-box fit seconds plus
@@ -22,6 +23,7 @@ Also runnable as a script::
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -34,7 +36,14 @@ from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.cache import SIGNATURE_CACHE
 from repro.prediction.spatial.signatures import ClusteringMethod, search_signature_set
 from repro.prediction.registry import fit_temporal_batch
-from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.neural import MlpConfig
+
+# The serial side lives with the tests; put the repository root on the
+# path so the import also works when this file runs as a script.
+_ROOT = Path(__file__).resolve().parent.parent
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+from tests.prediction.mlp_oracle import serial_fits  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
@@ -80,10 +89,8 @@ def per_box_speedup(n_boxes=8, config=None):
     for box in fleet.boxes[:n_boxes]:
         histories = _signature_histories(box, cfg)
         if len(histories) < 2:
-            continue  # K=1 routes to the serial path by design
-        serial_s, serial = _time_best(
-            lambda: [NeuralNetPredictor(mlp).fit(h) for h in histories]
-        )
+            continue  # a K=1 box has nothing to batch: no speedup to measure
+        serial_s, serial = _time_best(lambda: serial_fits(histories, mlp))
         batched_s, batched = _time_best(
             lambda: fit_temporal_batch("neural", histories, period=mlp.period)
         )

@@ -7,7 +7,10 @@ epoch on 64×9 matrices).  This module stacks the K models along a leading
 axis and runs forward, backprop and Adam as 3-D ``np.matmul`` tensor ops:
 one Python-level training loop for the whole batch instead of K.
 
-Equivalence to the serial path is exact, not approximate:
+This is the only MLP trainer: ``NeuralNetPredictor.fit`` is a width-1
+call of :func:`fit_equal_length_state`.  Its reference is the per-model
+serial loop kept as a test oracle (``tests/prediction/mlp_oracle.py``),
+and equivalence to it is exact, not approximate:
 
 * Every series uses the same ``MlpConfig.seed``, so the K serial RNG
   streams are identical; drawing the validation split, weight init and
@@ -16,7 +19,7 @@ Equivalence to the serial path is exact, not approximate:
   per stacked slice as the 2-D serial ops, so every float op sees the same
   operands in the same order (pinned by
   ``tests/prediction/test_batched_temporal.py``, which asserts
-  bit-identical forecasts).
+  bit-identical forecasts against the oracle).
 * Early stopping is per-model via a convergence mask: a model whose
   validation loss stalls for ``patience`` epochs leaves the stack exactly
   when its serial twin would break out of the loop, and the batch compacts
@@ -84,12 +87,11 @@ def fit_neural_fused(
     mega-batch, trained as ``(K, P)`` slabs of at most ``max_models``
     models, and the fitted predictors are scattered back into per-group
     lists in input order.  Every model is bit-identical to its per-series
-    serial ``NeuralNetPredictor(config).fit``, because all series share
+    ``NeuralNetPredictor(config).fit``, because all series share
     ``config.seed`` (identical RNG streams) and every tensor op in the
     kernel is row-local with per-row flat reductions (see the y_mean note
     in :func:`_prepare_batch`); which batch a model happens to ride in
-    cannot change its floats.  A length bucket of one series takes the
-    serial fit itself (the same math with less per-op overhead).
+    cannot change its floats.
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
@@ -133,16 +135,42 @@ def fit_neural_fused(
             obs.gauge_max(
                 "fused.models_per_pass", float(min(len(positions), max_models))
             )
-        if len(positions) == 1:
-            gi, si, arr = flat[positions[0]]
-            out[gi][si] = NeuralNetPredictor(cfg).fit(arr)  # type: ignore[index]
-            continue
         stack = np.stack([flat[pos][2] for pos in positions])
         models, _ = fit_equal_length_state(stack, cfg, max_models=max_models)
         for pos, model in zip(positions, models):
             gi, si, _ = flat[pos]
             out[gi][si] = model  # type: ignore[index]
     return out
+
+
+_Layout = List[Tuple[int, int, int, int]]  # (w_off, b_off, in, out) per layer
+
+
+def _param_layout(sizes: Sequence[int]) -> Tuple[_Layout, int, int]:
+    """Flat-row layout of an MLP with layer widths ``sizes``.
+
+    Weights of all layers first, biases after: the L2 gradient term
+    touches exactly ``row[:w_total]`` as one contiguous slice.  Returns
+    ``(layers, w_total, n_params)``.
+    """
+    w_total = sum(i * o for i, o in zip(sizes[:-1], sizes[1:]))
+    layers: _Layout = []
+    w_off, b_off = 0, w_total
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        layers.append((w_off, b_off, fan_in, fan_out))
+        w_off += fan_in * fan_out
+        b_off += fan_out
+    return layers, w_total, b_off
+
+
+def _extract_model(layers: _Layout, row: np.ndarray) -> _Mlp:
+    """The fitted network of one model's flat parameter row."""
+    weights = [
+        row[w_off : w_off + fan_in * fan_out].reshape(fan_in, fan_out)
+        for w_off, _, fan_in, fan_out in layers
+    ]
+    biases = [row[b_off : b_off + fan_out] for _, b_off, _, fan_out in layers]
+    return _Mlp(weights, biases)
 
 
 class _BatchedMlp:
@@ -158,18 +186,7 @@ class _BatchedMlp:
 
     def __init__(self, n_models: int, sizes: Sequence[int], rng: np.random.Generator):
         self.n_models = n_models
-        # Weights of all layers first, biases after: the L2 gradient term
-        # touches exactly params[:, :w_total] as one contiguous slice.
-        self._layers: List[Tuple[int, int, int, int]] = []  # (w_off, b_off, in, out)
-        w_offset = sum(i * o for i, o in zip(sizes[:-1], sizes[1:]))
-        self._w_total = w_offset
-        b_offset = w_offset
-        w_offset = 0
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            self._layers.append((w_offset, b_offset, fan_in, fan_out))
-            w_offset += fan_in * fan_out
-            b_offset += fan_out
-        self._n_params = b_offset
+        self._layers, self._w_total, self._n_params = _param_layout(sizes)
 
         self.params = np.empty((n_models, self._n_params))
         self.grads = np.empty((n_models, self._n_params))
@@ -292,15 +309,6 @@ class _BatchedMlp:
         self._adam_v = self._adam_v[keep]
         self._build_views()
 
-    def extract_model(self, snapshot: np.ndarray, index: int) -> _Mlp:
-        """Serial :class:`_Mlp` for model ``index`` from a params snapshot."""
-        row = snapshot[index]
-        weights, biases = [], []
-        for w_off, b_off, fan_in, fan_out in self._layers:
-            weights.append(row[w_off : w_off + fan_in * fan_out].reshape(fan_in, fan_out))
-            biases.append(row[b_off : b_off + fan_out])
-        return _Mlp.from_params(weights, biases)
-
 
 @dataclass
 class BatchFitState:
@@ -405,15 +413,15 @@ def _models_from_batch(
     matrix: np.ndarray,
     cfg: MlpConfig,
     prepared: _Prepared,
-    net: _BatchedMlp,
     best_state: np.ndarray,
     epochs_run: np.ndarray,
 ) -> List[NeuralNetPredictor]:
+    layers, _, _ = _param_layout(prepared.sizes)
     return [
         NeuralNetPredictor._from_batch_state(
             config=cfg,
             history=matrix[index].copy(),
-            net=net.extract_model(best_state, index),
+            net=_extract_model(layers, best_state[index]),
             depth=prepared.depth,
             slot_mean_vec=prepared.slot_means[index].copy(),
             x_mean=prepared.x_mean[index].copy(),
@@ -437,8 +445,7 @@ def models_from_params(
     store-persisted refit without replaying it.
     """
     prepared = _prepare_batch(matrix, cfg)
-    net = _BatchedMlp(matrix.shape[0], prepared.sizes, prepared.rng)
-    return _models_from_batch(matrix, cfg, prepared, net, state.params, state.epochs)
+    return _models_from_batch(matrix, cfg, prepared, state.params, state.epochs)
 
 
 def fit_equal_length_state(
@@ -450,13 +457,13 @@ def fit_equal_length_state(
 ) -> Tuple[List[NeuralNetPredictor], BatchFitState]:
     """Train one equal-length batch, optionally warm-started.
 
-    Without ``init_params`` this is exactly the cold kernel (serial-fit
-    bit-identity preserved).  With a ``(K, P)`` buffer, training resumes
-    from those weights: the buffer overwrites the He init *after* the init
-    draw (keeping the rng stream aligned with a cold fit), and the warm
-    parameters' own validation loss seeds the early-stopping baseline, so
-    the fit can never return weights worse on validation than its starting
-    point.  ``patience`` overrides ``cfg.patience`` — warm refits pass a
+    Without ``init_params`` this is exactly the cold kernel (bit-identical
+    to the per-model reference loop).  With a ``(K, P)`` buffer, training
+    resumes from those weights: the buffer overwrites the He init *after*
+    the init draw (keeping the rng stream aligned with a cold fit), and the
+    warm parameters' own validation loss seeds the early-stopping baseline,
+    so the fit can never return weights worse on validation than its
+    starting point.  ``patience`` overrides ``cfg.patience`` — warm refits pass a
     short fine-tune patience, since the initializer is already near the
     advanced window's optimum and a full cold-schedule patience mostly
     chases sub-1e-6 validation wiggles.
@@ -545,6 +552,6 @@ def fit_equal_length_state(
             x_train, y_train = x_train[keep], y_train[keep]
             x_val, y_val = x_val[keep], y_val[keep]
 
-    models = _models_from_batch(matrix, cfg, prepared, net, best_state, epochs_run)
+    models = _models_from_batch(matrix, cfg, prepared, best_state, epochs_run)
     state = BatchFitState(params=best_state, best_val=best_val, epochs=epochs_run)
     return models, state

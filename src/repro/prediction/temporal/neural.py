@@ -14,8 +14,10 @@ Because no feature depends on the immediately preceding window, the model
 forecasts the whole next day *directly* (no error-compounding iteration),
 matching the paper's one-day resizing horizon.
 
-The implementation is deliberately self-contained: forward pass, backprop,
-Adam, early stopping — roughly two hundred lines, no frameworks.
+This module holds the model: its config, features and forecast path.
+Training — forward pass, backprop, Adam, early stopping, no frameworks —
+is the batched kernel in :mod:`repro.prediction.temporal.batched`, which
+fits one series as a batch of width one.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.prediction.base import TemporalPredictor, validate_history, validate_horizon
-from repro.prediction.temporal.seasonal import (
-    phase_aligned_slot_means,
-    seasonal_feature_matrix,
-)
+from repro.prediction.temporal.seasonal import seasonal_feature_matrix
 
 __all__ = ["MlpConfig", "NeuralNetPredictor"]
 
@@ -58,42 +57,28 @@ class MlpConfig:
             raise ValueError("period must be >= 2")
         if not 0.0 < self.validation_fraction < 0.5:
             raise ValueError("validation_fraction must be in (0, 0.5)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if not self.l2 >= 0.0:
+            raise ValueError("l2 must be >= 0")
 
 
 class _Mlp:
-    """Bare-bones fully connected regressor with Adam and MSE loss."""
+    """A fitted fully connected regressor: parameters and the forward pass.
 
-    def __init__(self, sizes: Sequence[int], rng: np.random.Generator) -> None:
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)  # He initialization for ReLU
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self._adam_m = [np.zeros_like(w) for w in self.weights] + [
-            np.zeros_like(b) for b in self.biases
-        ]
-        self._adam_v = [np.zeros_like(w) for w in self.weights] + [
-            np.zeros_like(b) for b in self.biases
-        ]
-        self._adam_t = 0
+    Training happens in :mod:`repro.prediction.temporal.batched`; this is
+    one model's slice of the kernel's best-validation snapshot.
+    """
 
-    @classmethod
-    def from_params(
-        cls, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]
-    ) -> "_Mlp":
-        """Assemble a network from trained parameters (fresh Adam state)."""
-        net = cls.__new__(cls)
-        net.weights = [np.asarray(w, dtype=float).copy() for w in weights]
-        net.biases = [np.asarray(b, dtype=float).copy() for b in biases]
-        net._adam_m = [np.zeros_like(w) for w in net.weights] + [
-            np.zeros_like(b) for b in net.biases
-        ]
-        net._adam_v = [np.zeros_like(w) for w in net.weights] + [
-            np.zeros_like(b) for b in net.biases
-        ]
-        net._adam_t = 0
-        return net
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> None:
+        self.weights = [np.asarray(w, dtype=float).copy() for w in weights]
+        self.biases = [np.asarray(b, dtype=float).copy() for b in biases]
 
     def forward(self, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         activations = [x]
@@ -109,41 +94,6 @@ class _Mlp:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def train_batch(self, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> float:
-        out, acts = self.forward(x)
-        n = x.shape[0]
-        delta = 2.0 * (out - y) / n  # dMSE/dout
-        grads_w: List[np.ndarray] = [np.empty(0)] * len(self.weights)
-        grads_b: List[np.ndarray] = [np.empty(0)] * len(self.biases)
-        for idx in range(len(self.weights) - 1, -1, -1):
-            grads_w[idx] = acts[idx].T @ delta + l2 * self.weights[idx]
-            grads_b[idx] = delta.sum(axis=0)
-            if idx > 0:
-                delta = delta @ self.weights[idx].T
-                delta *= acts[idx] > 0  # ReLU gradient
-        self._adam_step(grads_w + grads_b, lr)
-        return float(((out - y) ** 2).mean())
-
-    def _adam_step(self, grads: List[np.ndarray], lr: float) -> None:
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        self._adam_t += 1
-        params = self.weights + self.biases
-        for k, (param, grad) in enumerate(zip(params, grads)):
-            self._adam_m[k] = beta1 * self._adam_m[k] + (1 - beta1) * grad
-            self._adam_v[k] = beta2 * self._adam_v[k] + (1 - beta2) * grad * grad
-            m_hat = self._adam_m[k] / (1 - beta1**self._adam_t)
-            v_hat = self._adam_v[k] / (1 - beta2**self._adam_t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-    def snapshot(self) -> List[np.ndarray]:
-        return [w.copy() for w in self.weights] + [b.copy() for b in self.biases]
-
-    def restore(self, state: List[np.ndarray]) -> None:
-        n = len(self.weights)
-        for k in range(n):
-            self.weights[k] = state[k].copy()
-            self.biases[k] = state[n + k].copy()
-
 
 class NeuralNetPredictor(TemporalPredictor):
     """MLP forecaster over seasonal-lag and time-of-day features."""
@@ -154,9 +104,6 @@ class NeuralNetPredictor(TemporalPredictor):
         self._net: Optional[_Mlp] = None
 
     # ------------------------------------------------------------------ features
-    def _slot_means(self, arr: np.ndarray) -> np.ndarray:
-        return phase_aligned_slot_means(arr, self.config.period)
-
     def _feature_rows(self, arr: np.ndarray, t_indices: np.ndarray) -> np.ndarray:
         """Feature matrix for (virtual) window indices ``t_indices``.
 
@@ -170,61 +117,12 @@ class NeuralNetPredictor(TemporalPredictor):
 
     # ------------------------------------------------------------------ training
     def fit(self, history: Sequence[float]) -> "NeuralNetPredictor":
-        cfg = self.config
-        arr = validate_history(history, minimum=cfg.period + 2)
-        depth = min(cfg.seasonal_depth, max(1, arr.size // cfg.period - 1))
-        self._depth = depth
-        self._slot_mean_vec = self._slot_means(arr)
+        """Train on one history: a width-1 call of the batched kernel."""
+        from repro.prediction.temporal.batched import fit_equal_length_state
 
-        start = depth * cfg.period
-        if start >= arr.size:
-            start = cfg.period
-        t_indices = np.arange(start, arr.size)
-        features = self._feature_rows(arr, t_indices)
-        targets = arr[t_indices][:, None]
-
-        self._x_mean = features.mean(axis=0)
-        self._x_std = features.std(axis=0)
-        self._x_std[self._x_std < 1e-9] = 1.0
-        self._y_mean = float(targets.mean())
-        self._y_std = float(targets.std()) or 1.0
-        x = (features - self._x_mean) / self._x_std
-        y = (targets - self._y_mean) / self._y_std
-
-        rng = np.random.default_rng(cfg.seed)
-        order = rng.permutation(x.shape[0])
-        n_val = max(1, int(cfg.validation_fraction * x.shape[0]))
-        val_idx, train_idx = order[:n_val], order[n_val:]
-        if train_idx.size == 0:
-            train_idx = val_idx
-        x_train, y_train = x[train_idx], y[train_idx]
-        x_val, y_val = x[val_idx], y[val_idx]
-
-        sizes = [x.shape[1], *cfg.hidden_layers, 1]
-        net = _Mlp(sizes, rng)
-        best_val = np.inf
-        best_state = net.snapshot()
-        stale = 0
-        epochs_run = 0
-        for _ in range(cfg.max_epochs):
-            perm = rng.permutation(x_train.shape[0])
-            for lo in range(0, perm.size, cfg.batch_size):
-                batch = perm[lo : lo + cfg.batch_size]
-                net.train_batch(x_train[batch], y_train[batch], cfg.learning_rate, cfg.l2)
-            val_loss = float(((net.predict(x_val) - y_val) ** 2).mean())
-            epochs_run += 1
-            if val_loss < best_val - 1e-6:
-                best_val = val_loss
-                best_state = net.snapshot()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
-        net.restore(best_state)
-        self._net = net
-        self._history = arr
-        self._fit_epochs = epochs_run
+        arr = validate_history(history, minimum=self.config.period + 2)
+        (model,), _ = fit_equal_length_state(arr[None, :], self.config)
+        self.__dict__.update(model.__dict__)
         return self
 
     @classmethod
@@ -243,9 +141,8 @@ class NeuralNetPredictor(TemporalPredictor):
     ) -> "NeuralNetPredictor":
         """Assemble a fitted predictor from the batched trainer's state.
 
-        Used by :mod:`repro.prediction.temporal.batched`; the resulting
-        object is indistinguishable from one produced by :meth:`fit` (same
-        attributes, same vectorized :meth:`predict` path).
+        Used by :mod:`repro.prediction.temporal.batched`; :meth:`fit`
+        adopts the attributes of the one such model it trains.
         """
         model = cls(config)
         model._net = net

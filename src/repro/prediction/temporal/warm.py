@@ -14,7 +14,7 @@ Three safety properties:
 
 * **Validation-loss guard** — warm starts can trap a model in a stale
   optimum after a regime change.  Any model whose new best validation
-  loss exceeds ``guard_ratio`` × its previous best is cold-refit (as a
+  loss exceeds ``GUARD_RATIO`` × its previous best is cold-refit (as a
   compacted sub-batch) and spliced back in, so warm-starting never ships
   a model materially worse than the cold path's.
 * **Persistence** — every fit's outcome is persisted to the artifact
@@ -24,7 +24,7 @@ Three safety properties:
   and serves each already-computed refit with zero training — interrupted
   online runs warm-resume bit-identically.
 * **Cold equivalence** — with no initializer the fit is the cold kernel,
-  bit-identical to the serial per-series fits.
+  bit-identical to the per-series fits.
 
 Callers opt in per predictor (``SpatialTemporalPredictor(warm_refits=True)``,
 as the online controller does); one-shot offline fits stay cold.
@@ -86,7 +86,6 @@ def warm_state_key(
     stack: np.ndarray,
     cfg: MlpConfig,
     init: Optional[BatchFitState],
-    guard_ratio: float,
 ) -> ArtifactKey:
     """Content address of one (possibly warm-started) batched fit.
 
@@ -103,7 +102,7 @@ def warm_state_key(
     config_fp = config_fingerprint(
         {
             "config": cfg,
-            "guard_ratio": guard_ratio,
+            "guard_ratio": GUARD_RATIO,
             "init": init_desc,
             # The effective fine-tune patience shapes the outcome, so a
             # future change must miss (and recompute) old artifacts.
@@ -117,7 +116,6 @@ def fit_neural_batch_warm(
     histories: Sequence[Sequence[float]],
     config: Optional[MlpConfig] = None,
     warm: Optional[BatchFitState] = None,
-    guard_ratio: float = GUARD_RATIO,
 ) -> Tuple[List[NeuralNetPredictor], Optional[BatchFitState]]:
     """Fit one predictor per history, warm-started from a prior state.
 
@@ -140,11 +138,11 @@ def fit_neural_batch_warm(
     ):
         init = None
     if init is not None:
-        fitted = _fit_with_init(stack, cfg, init, guard_ratio)
+        fitted = _fit_with_init(stack, cfg, init)
         if fitted is not None:
             return fitted
         init = None  # parameter-count mismatch: topology changed, go cold
-    return _fit_cold(stack, cfg, guard_ratio)
+    return _fit_cold(stack, cfg)
 
 
 def _serve_cached(
@@ -165,9 +163,9 @@ def _serve_cached(
 
 
 def _fit_with_init(
-    stack: np.ndarray, cfg: MlpConfig, init: BatchFitState, guard_ratio: float
+    stack: np.ndarray, cfg: MlpConfig, init: BatchFitState
 ) -> Optional[Tuple[List[NeuralNetPredictor], BatchFitState]]:
-    key = warm_state_key(stack, cfg, init, guard_ratio)
+    key = warm_state_key(stack, cfg, init)
     served = _serve_cached(stack, cfg, key)
     if served is not None:
         return served
@@ -178,7 +176,7 @@ def _fit_with_init(
             )
         except ValueError:
             return None
-        guard = state.best_val > guard_ratio * init.best_val
+        guard = state.best_val > GUARD_RATIO * init.best_val
         if guard.any():
             # Trapped models get the full cold treatment as a sub-batch;
             # a cold batch of any width is bit-identical per series, so
@@ -196,9 +194,9 @@ def _fit_with_init(
 
 
 def _fit_cold(
-    stack: np.ndarray, cfg: MlpConfig, guard_ratio: float
+    stack: np.ndarray, cfg: MlpConfig
 ) -> Tuple[List[NeuralNetPredictor], BatchFitState]:
-    key = warm_state_key(stack, cfg, None, guard_ratio)
+    key = warm_state_key(stack, cfg, None)
     served = _serve_cached(stack, cfg, key)
     if served is not None:
         return served

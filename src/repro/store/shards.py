@@ -307,26 +307,14 @@ def write_fleet_shards(
     return manifest
 
 
-def _generate_box_shard(index: int, cfg, root: str) -> BoxShardMeta:
-    """Pool-worker unit of parallel generation: one box, generated and sharded.
-
-    Module-level so the executor can pickle it.  Each box's RNG derives
-    from ``(cfg.seed, index)`` alone, so workers produce the exact bytes
-    the serial stream would — content addressing then makes the parallel
-    and serial stores literally the same files.
-    """
-    from repro.trace.generator import generate_box
-
-    return write_box_shard(generate_box(index, cfg), root)
-
-
 def _render_box_shard(index: int, cfg, spec, root: str) -> BoxShardMeta:
-    """Pool-worker unit of parallel *scenario* generation.
+    """Pool-worker unit of parallel generation: one box, rendered and sharded.
 
-    Same contract as :func:`_generate_box_shard`, but the box is rendered
-    through a :class:`ScenarioSpec` — cohort envelopes and regime shifts
-    derive from ``(cfg.seed, index)`` and the spec alone, so parallel and
-    serial scenario stores are byte-identical too.
+    Module-level so the executor can pickle it.  Each box — its RNG,
+    cohort envelope and regime shift — derives from ``(cfg.seed, index)``
+    and the spec alone, so workers produce the exact bytes the serial
+    stream would; content addressing then makes the parallel and serial
+    stores literally the same files.
     """
     from repro.trace.scenario import render_box
 
@@ -357,43 +345,31 @@ def generate_fleet_shards(
     order and every shard is content-addressed, so the manifest — and
     every byte of the store — is identical at any worker count.
 
-    ``scenario`` (a :class:`repro.trace.scenario.ScenarioSpec`) renders
-    boxes through the scenario engine instead of the raw generator; the
-    identity ``paper-fig2`` spec takes the exact legacy path, so its
-    store stays bit-identical to a pre-scenario one.
+    ``scenario`` (a :class:`repro.trace.scenario.ScenarioSpec`, ``None``
+    meaning ``paper-fig2``) renders every box through the scenario engine;
+    the identity ``paper-fig2`` spec takes the exact legacy generator
+    path, so its store stays bit-identical to a pre-scenario one.
     """
     from repro.core.executor import FleetExecutor, resolve_jobs
-    from repro.trace.generator import check_generation_allowed, generate_box
+    from repro.trace.generator import check_generation_allowed
+    from repro.trace.scenario import render_box, resolve_scenario
 
     check_generation_allowed()
-    identity = scenario is None or scenario.is_identity
-    if identity:
-        manifest_scenario = None
-    else:
+    scenario = resolve_scenario(scenario)
+    manifest_scenario = None
+    if not scenario.is_identity:
         manifest_scenario = {
             "name": scenario.name,
             "fingerprint": scenario.fingerprint(),
         }
     if resolve_jobs(jobs) <= 1:
-        if identity:
-            boxes = (generate_box(index, cfg) for index in range(cfg.n_boxes))
-        else:
-            from repro.trace.scenario import render_box
-
-            boxes = (
-                render_box(index, scenario, cfg) for index in range(cfg.n_boxes)
-            )
+        boxes = (render_box(index, scenario, cfg) for index in range(cfg.n_boxes))
         return write_fleet_shards(boxes, root, name=name, scenario=manifest_scenario)
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
     with obs.span("shards.generate"):
-        if identity:
-            metas = executor.map(
-                _generate_box_shard, range(cfg.n_boxes), cfg, str(root)
-            )
-        else:
-            metas = executor.map(
-                _render_box_shard, range(cfg.n_boxes), cfg, scenario, str(root)
-            )
+        metas = executor.map(
+            _render_box_shard, range(cfg.n_boxes), cfg, scenario, str(root)
+        )
     manifest = ShardManifest(name=name, boxes=metas, scenario=manifest_scenario)
     manifest.save(root)
     return manifest

@@ -1,21 +1,22 @@
 """Batched-vs-serial equivalence for the MLP training kernel.
 
 The batched trainer (:mod:`repro.prediction.temporal.batched`) claims
-*bit-identical* results to per-series ``NeuralNetPredictor.fit`` — not a
-tolerance, equality.  These tests pin that claim across seeds, box shapes,
-history lengths and the early-stopping edge cases, plus the integration
-through the combined predictor against per-series
-``make_temporal_model(...).fit``.
+*bit-identical* results to the per-model reference loop in
+:mod:`tests.prediction.mlp_oracle` — not a tolerance, equality.  These
+tests pin that claim across seeds, box shapes, history lengths and the
+early-stopping edge cases, plus the integration through the combined
+predictor against per-series oracle fits.
 """
 
 import numpy as np
 import pytest
 
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
-from repro.prediction.registry import fit_temporal_batch, make_temporal_model
+from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
 from repro.prediction.temporal.batched import fit_equal_length_state, fit_neural_fused
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from tests.prediction.mlp_oracle import SerialNeuralNetPredictor, serial_fits
 
 # A small config keeps every fit fast; bit-equivalence is config-agnostic.
 FAST = MlpConfig(hidden_layers=(8, 4), period=24, max_epochs=40, patience=5)
@@ -40,10 +41,6 @@ def batch_fits(histories, cfg=FAST):
     return models
 
 
-def serial_fits(histories, cfg=FAST):
-    return [NeuralNetPredictor(cfg).fit(h) for h in histories]
-
-
 def assert_equivalent(serial, batched, horizon=24):
     assert len(serial) == len(batched)
     for s, b in zip(serial, batched):
@@ -65,29 +62,29 @@ class TestEquivalence:
     def test_bit_identical_forecasts(self, k, size, seed):
         histories = make_histories(k, size, seed)
         batched = batch_fits(histories)
-        assert_equivalent(serial_fits(histories), batched)
+        assert_equivalent(serial_fits(histories, FAST), batched)
 
     def test_models_stop_at_different_epochs(self):
         # The per-model convergence mask is only exercised when models
         # actually stop at different epochs — pin a case where they do.
         histories = make_histories(6, 24 * 6, seed=11)
-        serial = serial_fits(histories)
+        serial = serial_fits(histories, FAST)
         epochs = {m._fit_epochs for m in serial}
         assert len(epochs) > 1, "fixture must trigger divergent early stopping"
         assert_equivalent(serial, batch_fits(histories))
 
-    def test_k1_routes_to_serial(self):
+    def test_k1_group_matches_oracle(self):
         (history,) = make_histories(1, 24 * 5, seed=5)
         (batched,) = batch_fits([history])
-        (serial,) = serial_fits([history])
+        (serial,) = serial_fits([history], FAST)
         assert_equivalent([serial], [batched])
 
     def test_k1_degenerate_batch_kernel(self):
         # Call the tensor kernel directly with a width-1 stack: the 3-D ops
-        # must agree with serial even without the K=1 routing shortcut.
+        # must agree with the 2-D reference loop.
         (history,) = make_histories(1, 24 * 5, seed=6)
         (batched,), _ = fit_equal_length_state(history[None, :], FAST)
-        (serial,) = serial_fits([history])
+        (serial,) = serial_fits([history], FAST)
         assert_equivalent([serial], [batched])
 
     def test_mixed_history_lengths_grouped(self):
@@ -95,13 +92,13 @@ class TestEquivalence:
         long = make_histories(3, 24 * 6, seed=8)
         histories = [short[0], long[0], short[1], long[1], long[2]]
         batched = batch_fits(histories)
-        assert_equivalent(serial_fits(histories), batched)
+        assert_equivalent(serial_fits(histories, FAST), batched)
 
     def test_default_config(self):
         # The exact production config (period=96, deeper net).
         cfg = MlpConfig(max_epochs=12)
         histories = make_histories(3, 96 * 3, seed=9, period=96)
-        serial = [NeuralNetPredictor(cfg).fit(h) for h in histories]
+        serial = serial_fits(histories, cfg)
         batched = batch_fits(histories, cfg)
         assert_equivalent(serial, batched, horizon=96)
 
@@ -144,7 +141,7 @@ class TestCombinedIntegration:
         assert len(spatial.signature_indices) >= 2  # a real batch, not K=1
         serial = np.vstack(
             [
-                make_temporal_model("neural", period=24).fit(data[idx]).predict(24)
+                SerialNeuralNetPredictor(MlpConfig(period=24)).fit(data[idx]).predict(24)
                 for idx in spatial.signature_indices
             ]
         )

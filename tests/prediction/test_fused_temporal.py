@@ -24,6 +24,7 @@ from repro.prediction.temporal.batched import (
     fit_neural_fused,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from tests.prediction.mlp_oracle import SerialNeuralNetPredictor
 
 # Small config keeps every fit fast; bit-equivalence is config-agnostic.
 FAST = MlpConfig(hidden_layers=(8, 4), period=24, max_epochs=40, patience=5)
@@ -87,10 +88,10 @@ class TestFusedEquivalence:
             assert_group_equivalent(wide, narrow)
 
     def test_single_series_fleet(self):
-        """One group with one series: the degenerate serial route."""
+        """One group with one series: a width-1 slab, equal to the oracle."""
         histories = make_histories(1, 24 * 4, seed=20)
         (fused_models,) = fit_neural_fused([histories], FAST)
-        serial = NeuralNetPredictor(FAST).fit(histories[0])
+        serial = SerialNeuralNetPredictor(FAST).fit(histories[0])
         assert_group_equivalent([serial], fused_models)
 
     def test_equal_length_state_slab_identity(self):

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor, _Mlp
+from tests.prediction.mlp_oracle import SerialMlp, SerialNeuralNetPredictor
 
 
 class TestMlpCore:
     def test_forward_shapes(self, rng):
-        net = _Mlp([3, 8, 1], rng)
+        net = _Mlp(
+            [rng.normal(size=(3, 8)), rng.normal(size=(8, 1))], [np.zeros(8), np.zeros(1)]
+        )
         out = net.predict(rng.normal(size=(5, 3)))
         assert out.shape == (5, 1)
 
     def test_training_reduces_loss(self, rng):
-        net = _Mlp([2, 16, 1], rng)
+        net = SerialMlp([2, 16, 1], rng)
         x = rng.normal(size=(256, 2))
         y = (x[:, :1] * 2.0 - x[:, 1:] * 0.5)
         first = net.train_batch(x, y, lr=1e-2, l2=0.0)
@@ -22,7 +25,7 @@ class TestMlpCore:
         assert last < 0.1 * first
 
     def test_snapshot_restore(self, rng):
-        net = _Mlp([2, 4, 1], rng)
+        net = SerialMlp([2, 4, 1], rng)
         state = net.snapshot()
         x = rng.normal(size=(32, 2))
         before = net.predict(x)
@@ -43,6 +46,48 @@ class TestConfig:
     def test_invalid_validation_fraction(self):
         with pytest.raises(ValueError):
             MlpConfig(validation_fraction=0.9)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", 0),
+            ("max_epochs", 0),
+            ("patience", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1e-2),
+            ("learning_rate", float("nan")),
+            ("l2", -1e-4),
+            ("l2", float("nan")),
+        ],
+    )
+    def test_invalid_training_hyperparameters(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MlpConfig(**{field: value})
+
+
+def diurnal(size, seed, period):
+    rng = np.random.default_rng(seed)
+    t = np.arange(size)
+    return 40 + 25 * np.sin(2 * np.pi * t / period) + rng.normal(0, 2.0, size)
+
+
+class TestFitMatchesOracle:
+    """``fit`` is a width-1 kernel call, bit-identical to the reference loop."""
+
+    @pytest.mark.parametrize(
+        "cfg,size",
+        [
+            (MlpConfig(max_epochs=15), 96 * 5),  # production topology, period 96
+            (MlpConfig(period=24, hidden_layers=(8, 4), max_epochs=40), 24 * 5 + 11),
+        ],
+    )
+    def test_fit_matches_oracle(self, cfg, size):
+        history = diurnal(size, seed=size, period=cfg.period)
+        model = NeuralNetPredictor(cfg)
+        assert model.fit(history) is model
+        oracle = SerialNeuralNetPredictor(cfg).fit(history)
+        assert model._fit_epochs == oracle._fit_epochs
+        np.testing.assert_array_equal(model.predict(cfg.period), oracle.predict(cfg.period))
 
 
 class TestNeuralNetPredictor:

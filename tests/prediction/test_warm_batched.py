@@ -3,7 +3,8 @@
 The warm kernel's contract (see ``repro.prediction.temporal.warm``):
 
 * with no initializer it is the cold kernel, bit-identical to the
-  one-box fit (``fit_neural_fused`` with ``fleet=False``);
+  one-box fit (``fit_neural_fused`` with ``fleet=False``) and, per
+  series, to the reference loop in :mod:`tests.prediction.mlp_oracle`;
 * a warm-started refit converges in far fewer epochs than a cold fit;
 * the validation-loss guard cold-refits any model whose warm fit lands
   materially worse than its previous best — deterministically forced here
@@ -28,7 +29,8 @@ from repro.prediction.temporal.warm import (
     fit_neural_batch_warm,
     warm_state_key,
 )
-from repro.store import clear_memory_tiers
+from repro.store import ArtifactKey, clear_memory_tiers
+from tests.prediction.mlp_oracle import serial_fits
 
 CFG = MlpConfig(period=24, max_epochs=60, seed=7)
 HORIZON = 24
@@ -82,9 +84,10 @@ class TestColdEquivalence:
     def test_single_history_matches_serial_fit(self):
         histories = _histories(k=1)
         warm_models, state = fit_neural_batch_warm(histories, CFG)
-        plain = _plain_fit(histories)  # K==1 delegates to serial fit
+        serial = serial_fits(histories, CFG)
         assert state is not None and state.params.shape[0] == 1
-        np.testing.assert_array_equal(_predictions(warm_models), _predictions(plain))
+        assert warm_models[0]._fit_epochs == serial[0]._fit_epochs
+        np.testing.assert_array_equal(_predictions(warm_models), _predictions(serial))
 
     def test_mixed_lengths_fall_back_without_state(self):
         histories = _histories(k=2) + _histories(k=1, periods=8, seed=5)
@@ -141,7 +144,7 @@ class TestValidationGuard:
         garbage = BatchFitState(
             params=np.full_like(honest.params, 50.0),
             # A sub-float-noise previous best: any refit outcome exceeds
-            # guard_ratio x this, so the guard must fire for every model.
+            # GUARD_RATIO x this, so the guard must fire for every model.
             best_val=np.full(len(histories), 1e-12),
             epochs=np.zeros(len(histories), dtype=int),
         )
@@ -185,10 +188,28 @@ class TestPersistence:
         _, state_a = fit_neural_batch_warm(_histories(seed=11), CFG)
         _, state_b = fit_neural_batch_warm(_histories(seed=12), CFG)
         stack = np.stack([np.asarray(h, dtype=float) for h in histories])
-        key_a = warm_state_key(stack, CFG, state_a, 4.0)
-        key_b = warm_state_key(stack, CFG, state_b, 4.0)
-        key_cold = warm_state_key(stack, CFG, None, 4.0)
+        key_a = warm_state_key(stack, CFG, state_a)
+        key_b = warm_state_key(stack, CFG, state_b)
+        key_cold = warm_state_key(stack, CFG, None)
         assert len({key_a, key_b, key_cold}) == 3
+
+    def test_keys_are_stable_across_releases(self):
+        # Literal keys of an earlier release: a change to the key payload
+        # (e.g. dropping the folded-in guard ratio) would orphan every
+        # persisted warm state, so it must show up here first.
+        stack = np.stack(_histories())
+        init = BatchFitState(
+            params=np.ones((3, 5)),
+            best_val=np.full(3, 0.5),
+            epochs=np.zeros(3, dtype=int),
+        )
+        data_fp = "550e2ed258922cca6bd7d57a2ebbb5f8c71954fa"
+        assert warm_state_key(stack, CFG, None) == ArtifactKey(
+            "warm_params", data_fp, "154a9a58da9b133a7e82ab198ffbde0b76ddfc78"
+        )
+        assert warm_state_key(stack, CFG, init) == ArtifactKey(
+            "warm_params", data_fp, "677635738650bbbdcb10bc62b9f329d799d67d97"
+        )
 
     def test_no_store_means_no_persistence_but_working_chain(self, counters):
         _, cold_state = fit_neural_batch_warm(_histories(), CFG)
