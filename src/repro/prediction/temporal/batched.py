@@ -30,6 +30,16 @@ and equivalence to it is exact, not approximate:
 * A shared Adam step counter is valid because a *live* model's step count
   always equals the global one; converged models take no further steps.
 
+The training step allocates nothing: each slab's :class:`_BatchedMlp`
+owns one workspace that every op writes into with ``out=``, the
+per-epoch shuffle gathers into once-allocated buffers, and early
+stopping compacts in place (survivors move to the front rows; the kernel
+rebinds ``[:K]`` views).  A wide step's temporaries would run to
+megabytes, which glibc hands back to the OS on free and faults in again
+on the next step, at about the cost of the arithmetic itself.  The
+expressions and their order are unchanged, so none of the equivalence
+claims above depends on the workspace.
+
 Histories of different lengths are grouped and each equal-length group is
 batched (within a box all signature series share the training window, so
 this is one group in practice).
@@ -46,6 +56,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.prediction.base import validate_history
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor, _Mlp
 from repro.prediction.temporal.seasonal import (
@@ -63,12 +74,14 @@ __all__ = [
 
 #: Default slab width of the fleet-fused kernel: how many models train in
 #: one ``(K, P)`` tensor pass.  Wider slabs amortize more Python dispatch
-#: but push the per-epoch working set out of cache; on paper-shaped
-#: signature histories (~480 training windows) 64 models is the measured
-#: sweet spot — ~1.45× over per-box batches on one core, while 128+
-#: regresses — and slabs are bit-identical to any other split because
-#: every model's RNG stream and row-local math are independent of its
-#: slab neighbours.
+#: but grow the per-step working set.  On the allocation-free kernel the
+#: width barely matters: fitting the 265 paper-shaped signature histories
+#: (480 windows) of one atmbench fleet-neural repetition took a median
+#: 2.93 / 2.66 / 2.82 / 2.85 CPU-s at 16 / 32 / 64 / 128 models (2-core
+#: x86 host, 8 interleaved rounds, spread 2.1–3.4 s), all within the
+#: host's noise.  64 stays.  Slabs are bit-identical to any other split
+#: because every model's RNG stream and row-local math are independent of
+#: its slab neighbours.
 FUSED_SLAB_MODELS = 64
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -104,8 +117,8 @@ def fit_neural_fused(
     ``fused.*`` instruments stay untouched, since nothing fuses across
     boxes.
     """
-    from repro import obs
-
+    if max_models < 1:
+        raise ValueError(f"max_models must be >= 1, got {max_models}")
     cfg = config or MlpConfig()
     validated: List[Optional[List[np.ndarray]]] = []
     for group in history_groups:
@@ -182,14 +195,36 @@ class _BatchedMlp:
     elementwise ops instead of one op set per layer — elementwise math is
     layout-independent, so every parameter still sees the exact serial
     float sequence.
+
+    A training step allocates nothing.  One workspace, sized once per slab
+    for the initial width and ``rows`` rows (the largest minibatch or
+    validation set it serves), holds every layer's activations, ReLU masks
+    and backprop deltas plus the L2/Adam scratch, and every op writes into
+    it with ``out=``.  Activation buffers are flat and a ``(K, n, width)``
+    view is their contiguous prefix, so each op sees the memory layout a
+    fresh allocation would have had.  :meth:`compact` moves the survivors
+    to the front rows of the parameter and Adam buffers in place and
+    rebinds ``[:K]`` views; the workspace is scratch and just serves
+    narrower views afterwards.
     """
 
-    def __init__(self, n_models: int, sizes: Sequence[int], rng: np.random.Generator):
+    def __init__(
+        self, n_models: int, sizes: Sequence[int], rng: np.random.Generator, rows: int
+    ):
         self.n_models = n_models
         self._layers, self._w_total, self._n_params = _param_layout(sizes)
+        self._widths = list(sizes[1:])
 
-        self.params = np.empty((n_models, self._n_params))
-        self.grads = np.empty((n_models, self._n_params))
+        shape = (n_models, self._n_params)
+        self.params, self.grads = np.empty(shape), np.empty(shape)
+        self._adam_m, self._adam_v = np.zeros(shape), np.zeros(shape)
+        self._adam_t = 0
+        self._scratch, self._step = np.empty(shape), np.empty(shape)
+        self._act_buf = [np.empty(n_models * rows * w) for w in self._widths]
+        self._delta_buf = [np.empty(n_models * rows * w) for w in self._widths]
+        self._mask_buf = [
+            np.empty(n_models * rows * w, dtype=bool) for w in self._widths[:-1]
+        ]
         self._build_views()
 
         for w, b in zip(self.weights, self.biases):
@@ -197,9 +232,6 @@ class _BatchedMlp:
             scale = np.sqrt(2.0 / fan_in)  # He init, drawn once: seeds are shared
             w[:] = rng.normal(0.0, scale, size=w.shape[1:])[None]
             b[:] = 0.0
-        self._adam_m = np.zeros((n_models, self._n_params))
-        self._adam_v = np.zeros((n_models, self._n_params))
-        self._adam_t = 0
 
     def _build_views(self) -> None:
         """Per-layer weight/bias tensors as strided views into the buffers."""
@@ -213,74 +245,99 @@ class _BatchedMlp:
             self.biases.append(self.params[:, b_off:b_end].reshape(-1, 1, fan_out))
             self._grads_w.append(self.grads[:, w_off:w_end].reshape(-1, fan_in, fan_out))
             self._grads_b.append(self.grads[:, b_off:b_end].reshape(-1, 1, fan_out))
+        self._row_views: dict = {}
 
-    def forward(self, x: np.ndarray, with_masks: bool = True):
-        """Forward pass over ``x`` of shape (K, n, d).
+    def _views(self, rows: int):
+        """``(acts, masks, deltas)`` workspace views for ``rows``-row inputs."""
+        views = self._row_views.get(rows)
+        if views is None:
+            k = self.n_models
 
-        Returns output, per-layer activations and the ReLU masks (reused by
-        backprop instead of re-deriving ``acts > 0``; post-ReLU positivity
-        equals pre-ReLU positivity, so the bits match the serial path).
-        All elementwise steps run in place on the matmul result — fewer
-        temporaries, identical float-op order.
+            def prefix(bufs):
+                return [
+                    buf[: k * rows * w].reshape(k, rows, w)
+                    for buf, w in zip(bufs, self._widths)
+                ]
+
+            views = prefix(self._act_buf), prefix(self._mask_buf), prefix(self._delta_buf)
+            self._row_views[rows] = views
+        return views
+
+    def forward(self, x: np.ndarray, with_masks: bool = False) -> np.ndarray:
+        """Forward pass over ``x`` of shape (K, n, d) into the workspace.
+
+        Returns the output activation view, valid until the next call.
+        With ``with_masks`` the ReLU masks are kept for backprop (instead
+        of re-deriving ``acts > 0``; post-ReLU positivity equals pre-ReLU
+        positivity, so the bits match the serial path).  All elementwise
+        steps run in place on the matmul result, in the serial op order.
         """
-        activations = [x]
-        masks = []
+        acts, masks, _ = self._views(x.shape[1])
         out = x
         last = len(self.weights) - 1
         for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = np.matmul(out, w)
+            out = np.matmul(out, w, out=acts[idx])
             out += b
             if idx != last:
                 np.maximum(out, 0.0, out=out)  # ReLU
                 if with_masks:
-                    masks.append(out > 0)
-            activations.append(out)
-        return out, activations, masks
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, with_masks=False)[0]
+                    np.greater(out, 0.0, out=masks[idx])
+        return out
 
     def train_batch(self, x: np.ndarray, y: np.ndarray, lr: float, l2: float) -> None:
         """One minibatch step for all K models (same rows for each model)."""
-        out, acts, masks = self.forward(x)
-        delta = out - y  # dMSE/dout, per model: 2 * (out - y) / n
+        rows = x.shape[1]
+        out = self.forward(x, with_masks=True)
+        acts, masks, deltas = self._views(rows)
+        delta = np.subtract(out, y, out=deltas[-1])  # dMSE/dout: 2 * (out - y) / n
         delta *= 2.0
-        delta /= x.shape[1]
+        delta /= rows
         for idx in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[idx].transpose(0, 2, 1), delta, out=self._grads_w[idx])
+            inputs = acts[idx - 1] if idx > 0 else x
+            np.matmul(inputs.transpose(0, 2, 1), delta, out=self._grads_w[idx])
             # np.add.reduce == ndarray.sum minus the Python method wrapper.
             np.add.reduce(delta, axis=1, keepdims=True, out=self._grads_b[idx])
             if idx > 0:
-                delta = np.matmul(delta, self.weights[idx].transpose(0, 2, 1))
+                w_t = self.weights[idx].transpose(0, 2, 1)
+                if w_t.shape[1] == 1:
+                    # Inner dimension 1: the matmul is an outer product, one
+                    # rounded multiply per element either way.
+                    delta = np.multiply(delta, w_t, out=deltas[idx - 1])
+                else:
+                    delta = np.matmul(delta, w_t, out=deltas[idx - 1])
                 delta *= masks[idx - 1]  # ReLU gradient
         # L2 term for every weight (not bias) in one slice op; elementwise,
         # so the per-parameter float sequence matches the serial
         # ``acts.T @ delta + l2 * w``.
-        self.grads[:, : self._w_total] += l2 * self.params[:, : self._w_total]
+        w_total = self._w_total
+        l2_term = np.multiply(
+            self.params[:, :w_total], l2, out=self._scratch[:, :w_total]
+        )
+        self.grads[:, :w_total] += l2_term
         self._adam_step(lr)
 
     def _adam_step(self, lr: float) -> None:
         """Adam over the whole flat parameter buffer in one op sequence.
 
         Mirrors the serial per-parameter update exactly (same expressions,
-        in-place where the op order is unchanged); operating on the
-        concatenated buffer only changes how the elementwise work is
-        chunked, not any individual float op.
+        in the same order, into the preallocated scratch rows); operating
+        on the concatenated buffer only changes how the elementwise work
+        is chunked, not any individual float op.
         """
         self._adam_t += 1
         c1 = 1 - _ADAM_BETA1**self._adam_t
         c2 = 1 - _ADAM_BETA2**self._adam_t
         grad, m, v = self.grads, self._adam_m, self._adam_v
+        scratch, step = self._scratch, self._step
         m *= _ADAM_BETA1  # m = beta1 * m + (1 - beta1) * grad
-        grad_m = grad * (1 - _ADAM_BETA1)
-        m += grad_m
+        m += np.multiply(grad, 1 - _ADAM_BETA1, out=scratch)
         v *= _ADAM_BETA2  # v = beta2 * v + ((1 - beta2) * grad) * grad
-        grad_v = grad * (1 - _ADAM_BETA2)
+        grad_v = np.multiply(grad, 1 - _ADAM_BETA2, out=scratch)
         grad_v *= grad
         v += grad_v
-        step = m / c1  # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, c1, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
         step *= lr
-        denom = v / c2
+        denom = np.divide(v, c2, out=scratch)
         np.sqrt(denom, out=denom)
         denom += _ADAM_EPS
         step /= denom
@@ -300,14 +357,28 @@ class _BatchedMlp:
 
         Per-slice tensor ops are independent, so shrinking the leading axis
         leaves the surviving models' float streams untouched; the dropped
-        models' best snapshots were taken before they froze.
+        models' best snapshots were taken before they froze.  Gradients and
+        the workspace are rewritten by every step, so only parameters and
+        Adam moments move.
         """
-        self.n_models = int(keep.sum())
-        self.params = self.params[keep]
-        self.grads = np.empty_like(self.params)
-        self._adam_m = self._adam_m[keep]
-        self._adam_v = self._adam_v[keep]
+        self.n_models = int(np.count_nonzero(keep))
+        self.params = _keep_rows(self.params, keep)
+        self._adam_m = _keep_rows(self._adam_m, keep)
+        self._adam_v = _keep_rows(self._adam_v, keep)
+        self.grads = self.grads[: self.n_models]
+        self._scratch = self._scratch[: self.n_models]
+        self._step = self._step[: self.n_models]
         self._build_views()
+
+
+def _keep_rows(array: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the rows selected by ``keep`` to the front of ``array``, in place.
+
+    Returns the ``[:K]`` prefix view holding them, in their original order.
+    """
+    kept = int(np.count_nonzero(keep))
+    array[:kept] = array[keep]
+    return array[:kept]
 
 
 @dataclass
@@ -405,7 +476,9 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
 
 def _flat_val_losses(net: _BatchedMlp, x_val: np.ndarray, y_val: np.ndarray) -> np.ndarray:
     """Per-model validation MSE as flat 1-D reductions (see y_mean note)."""
-    squared = (net.predict(x_val) - y_val) ** 2
+    squared = net.forward(x_val)
+    np.subtract(squared, y_val, out=squared)
+    np.square(squared, out=squared)
     return np.array([float(row.mean()) for row in squared.reshape(net.n_models, -1)])
 
 
@@ -506,7 +579,9 @@ def fit_equal_length_state(
     x_val, y_val = prepared.x_val, prepared.y_val
     rng = prepared.rng
 
-    net = _BatchedMlp(n_models, prepared.sizes, rng)
+    n_train = x_train.shape[1]
+    rows = max(cfg.batch_size, x_val.shape[1])
+    net = _BatchedMlp(n_models, prepared.sizes, rng, rows)
     if init_params is not None:
         if init_params.shape != net.params.shape:
             raise ValueError(
@@ -522,18 +597,27 @@ def fit_equal_length_state(
     effective_patience = cfg.patience if patience is None else patience
     stale = np.zeros(n_models, dtype=int)
     epochs_run = np.zeros(n_models, dtype=int)
+    # The per-epoch shuffle gathers into these once-allocated buffers.
+    x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
+    batch_starts = range(0, n_train, cfg.batch_size)
+    steps = step_models = 0
     # Models still training, as original positions into the (shrinking) stack.
     live = np.arange(n_models)
     for _ in range(cfg.max_epochs):
         if live.size == 0:
             break
-        perm = rng.permutation(x_train.shape[1])
-        x_epoch, y_epoch = x_train[:, perm], y_train[:, perm]  # one gather per epoch
-        for lo in range(0, perm.size, cfg.batch_size):
+        perm = rng.permutation(n_train)
+        # mode="clip" writes straight into ``out`` (the default "raise"
+        # buffers it); a permutation is always in range, so nothing clips.
+        np.take(x_train, perm, axis=1, out=x_epoch, mode="clip")
+        np.take(y_train, perm, axis=1, out=y_epoch, mode="clip")
+        for lo in batch_starts:
             hi = lo + cfg.batch_size
             net.train_batch(
                 x_epoch[:, lo:hi], y_epoch[:, lo:hi], cfg.learning_rate, cfg.l2
             )
+        steps += len(batch_starts)
+        step_models += len(batch_starts) * live.size
         val_loss = _flat_val_losses(net, x_val, y_val)
         epochs_run[live] += 1
         improved = val_loss < best_val[live] - 1e-6
@@ -549,9 +633,14 @@ def fit_equal_length_state(
             keep = ~frozen
             live = live[keep]
             net.compact(keep)
-            x_train, y_train = x_train[keep], y_train[keep]
-            x_val, y_val = x_val[keep], y_val[keep]
+            x_train, y_train = _keep_rows(x_train, keep), _keep_rows(y_train, keep)
+            x_val, y_val = _keep_rows(x_val, keep), _keep_rows(y_val, keep)
+            x_epoch, y_epoch = x_epoch[: live.size], y_epoch[: live.size]
 
+    obs.inc("mlp.model_epochs", float(epochs_run.sum()))
+    obs.inc("mlp.steps", float(steps))
+    obs.inc("mlp.step_models", float(step_models))
+    obs.gauge_max("mlp.epochs_max", float(epochs_run.max(initial=0)))
     models = _models_from_batch(matrix, cfg, prepared, best_state, epochs_run)
     state = BatchFitState(params=best_state, best_val=best_val, epochs=epochs_run)
     return models, state

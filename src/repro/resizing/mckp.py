@@ -114,6 +114,21 @@ class MckpSolution:
         return float(self.allocations.sum())
 
 
+def _unique_descending(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, largest first.
+
+    Equal to ``np.unique(values)[::-1]`` for NaN-free input, down to which
+    of ``-0.0``/``0.0`` survives: it is the same sort followed by the same
+    drop-adjacent-duplicates mask.  ``np.unique`` itself probes
+    ``np.ma.is_masked`` and so imports ``numpy.ma`` (~16 ms) on first use.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep][::-1]
+
+
 def _round_up(values: np.ndarray, epsilon: float) -> np.ndarray:
     if epsilon <= 0:
         return values
@@ -154,7 +169,7 @@ def build_mckp(
         demands = problem.demands[i]
         rounded = _round_up(demands[demands > TICKET_TOLERANCE], eps[i])
         # Candidate effective capacities: unique demand values plus 0.
-        effective = np.unique(rounded)[::-1]  # descending
+        effective = _unique_descending(rounded)
         if literal_formulation:
             caps = effective.copy()
         else:
@@ -163,7 +178,7 @@ def build_mckp(
         # the lower bound, which is the real floor).
         caps = np.append(caps, 0.0)
         caps = np.clip(caps, problem.lower_bounds[i], problem.upper_bounds[i])
-        caps = np.unique(caps)[::-1]
+        caps = _unique_descending(caps)
         # Ticket threshold per candidate: in the literal paper formulation
         # the chosen demand value acts as the effective capacity itself (the
         # running example counts D > D'_v), while the self-consistent

@@ -14,7 +14,7 @@ benchmark times it as its serial side.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +101,19 @@ class SerialNeuralNetPredictor(NeuralNetPredictor):
     mismatch.
     """
 
-    def fit(self, history: Sequence[float]) -> "SerialNeuralNetPredictor":
+    def fit(
+        self,
+        history: Sequence[float],
+        init: Optional[np.ndarray] = None,
+        patience: Optional[int] = None,
+    ) -> "SerialNeuralNetPredictor":
+        """Fit ``history``; ``init`` warm-starts from a flat parameter row.
+
+        ``init`` uses the batched kernel's row layout (every layer's
+        weights, then every layer's biases) and replaces the He init after
+        it is drawn; its own validation loss seeds the early-stopping
+        baseline.  ``patience`` overrides ``config.patience``.
+        """
         cfg = self.config
         arr = validate_history(history, minimum=cfg.period + 2)
         depth = min(cfg.seasonal_depth, max(1, arr.size // cfg.period - 1))
@@ -135,6 +147,12 @@ class SerialNeuralNetPredictor(NeuralNetPredictor):
         sizes = [x.shape[1], *cfg.hidden_layers, 1]
         net = SerialMlp(sizes, rng)
         best_val = np.inf
+        if init is not None:
+            offset = 0
+            for param in net.weights + net.biases:
+                param[...] = init[offset : offset + param.size].reshape(param.shape)
+                offset += param.size
+            best_val = float(((net.predict(x_val) - y_val) ** 2).mean())
         best_state = net.snapshot()
         stale = 0
         epochs_run = 0
@@ -151,7 +169,7 @@ class SerialNeuralNetPredictor(NeuralNetPredictor):
                 stale = 0
             else:
                 stale += 1
-                if stale >= cfg.patience:
+                if stale >= (cfg.patience if patience is None else patience):
                     break
         net.restore(best_state)
         self._net = net

@@ -8,13 +8,20 @@ early-stopping edge cases, plus the integration through the combined
 predictor against per-series oracle fits.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
-from repro.prediction.temporal.batched import fit_equal_length_state, fit_neural_fused
+from repro.prediction.temporal.batched import (
+    _BatchedMlp,
+    fit_equal_length_state,
+    fit_neural_fused,
+)
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
 from tests.prediction.mlp_oracle import SerialNeuralNetPredictor, serial_fits
 
@@ -101,6 +108,89 @@ class TestEquivalence:
         serial = serial_fits(histories, cfg)
         batched = batch_fits(histories, cfg)
         assert_equivalent(serial, batched, horizon=96)
+
+
+class TestWorkspace:
+    """The reused training workspace at every row count it serves."""
+
+    # n_val = 0.3 * 144 = 43 validation rows > batch_size = 16: validation
+    # is the workspace's widest view, minibatches (16, then a 5-row tail)
+    # are narrower prefixes of it.
+    CFG = MlpConfig(
+        hidden_layers=(8, 4), period=24, batch_size=16, validation_fraction=0.3,
+        max_epochs=40, patience=3,
+    )
+
+    def test_compaction_and_warm_start_match_oracle(self):
+        cfg = self.CFG
+        histories = make_histories(8, 24 * 9, seed=12)
+        models, state = fit_equal_length_state(np.stack(histories), cfg)
+        serial = serial_fits(histories, cfg)
+        assert len(set(state.epochs.tolist())) >= 3, "fixture must compact repeatedly"
+        assert_equivalent(serial, models)
+
+        # Warm refit of the next window from the cold best parameters.
+        shifted = [np.roll(h, -24) for h in histories]
+        warm_models, warm_state = fit_equal_length_state(
+            np.stack(shifted), cfg, init_params=state.params, patience=2
+        )
+        warm_serial = [
+            SerialNeuralNetPredictor(cfg).fit(h, init=row, patience=2)
+            for h, row in zip(shifted, state.params)
+        ]
+        assert len(set(warm_state.epochs.tolist())) >= 2
+        assert_equivalent(warm_serial, warm_models)
+
+
+def test_train_step_allocates_nothing():
+    """20 training steps at K=64 stay within a small, fixed allocation slack.
+
+    The workspace is allocated once; what remains are NumPy's transient
+    iterator buffers (~64 KiB each) and Python view objects.
+    """
+    cfg = MlpConfig()
+    k, rows, n_features = 64, 64, 9
+    rng = np.random.default_rng(0)
+    net = _BatchedMlp(k, [n_features, *cfg.hidden_layers, 1], rng, rows)
+    x = rng.normal(size=(k, rows, n_features))
+    y = rng.normal(size=(k, rows, 1))
+    for _ in range(3):  # warm up: build the row views
+        net.train_batch(x, y, cfg.learning_rate, cfg.l2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            net.train_batch(x, y, cfg.learning_rate, cfg.l2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 256 * 1024
+
+
+class TestTrainingCounters:
+    def test_counters_match_fit_state(self):
+        cfg = TestWorkspace.CFG
+        obs.reset_metrics()
+        matrix = np.stack(make_histories(6, 24 * 6, seed=11))
+        _, state = fit_equal_length_state(matrix, cfg)
+        snap = obs.metrics_snapshot()
+        counters, gauges = snap["counters"], snap["gauges"]
+        # 144 samples - 3 days of lags = 72 rows: 21 validation, 51 training.
+        n_batches = -(-51 // cfg.batch_size)
+        epochs_max = int(state.epochs.max())
+        assert len(set(state.epochs.tolist())) > 1  # the width really shrank
+        assert counters["mlp.model_epochs"] == state.epochs.sum()
+        assert counters["mlp.steps"] == epochs_max * n_batches
+        assert counters["mlp.step_models"] == state.epochs.sum() * n_batches
+        assert gauges["mlp.epochs_max"] == epochs_max
+
+    def test_slabs_add_up(self):
+        obs.reset_metrics()
+        matrix = np.stack(make_histories(5, 24 * 4, seed=13))
+        _, state = fit_equal_length_state(matrix, FAST, max_models=2)
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters["mlp.model_epochs"] == state.epochs.sum()
+        assert obs.metrics_snapshot()["gauges"]["mlp.epochs_max"] == state.epochs.max()
 
 
 class TestRegistry:

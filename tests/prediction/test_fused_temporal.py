@@ -137,6 +137,22 @@ class TestFailureIsolation:
         fused = fit_neural_fused([[np.full(10, np.nan)]], FAST)
         assert fused == [None]
 
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [make_histories(2, 24 * 4, seed=42)],
+            [],
+            [[np.full(24 * 4, np.nan)]],
+        ],
+        ids=["valid", "empty", "all-invalid"],
+    )
+    def test_zero_slab_width_raises_before_counting(self, groups):
+        obs.reset_metrics()
+        before = obs.metrics_snapshot()
+        with pytest.raises(ValueError, match="max_models must be >= 1"):
+            fit_neural_fused(groups, FAST, max_models=0)
+        assert obs.metrics_snapshot() == before
+
     def test_one_box_form_raises_and_counts_nothing(self):
         """fleet=False: the per-box path's own error, no fused instruments."""
         obs.reset_metrics()

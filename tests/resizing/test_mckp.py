@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resizing.mckp import build_mckp
+from repro.resizing.mckp import _unique_descending, build_mckp
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 
 PAPER_EXAMPLE = [30.0, 30.0, 40.0, 40.0, 23.0, 25.0, 60.0, 60.0, 60.0, 60.0]
@@ -108,6 +108,30 @@ class TestBuildMckp:
         instance = build_mckp(problem)
         with pytest.raises(ValueError):
             instance.allocation_for((0,))
+
+
+class TestUniqueDescending:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_np_unique_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 200))
+        # Few distinct values (many duplicates), signed zeros, and bounds
+        # clamped in as build_mckp does.
+        values = rng.choice([-0.0, 0.0, 0.5, 1.25, 3.0, 7.5, 1e-9], size=size)
+        values = np.append(values * rng.uniform(0.5, 2.0), 0.0)
+        lo, hi = np.sort(rng.uniform(0.0, 10.0, size=2))
+        for candidate in (values, np.clip(values, lo, hi), np.clip(values, 0.0, hi)):
+            expected = np.unique(candidate)[::-1]
+            got = _unique_descending(candidate)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [[2.0, 0.0, -0.0, 1.0], [2.0, -0.0, 0.0, 1.0], [-0.0, -0.0, 0.0], [4.0]],
+    )
+    def test_edge_cases(self, values):
+        values = np.array(values)
+        assert _unique_descending(values).tobytes() == np.unique(values)[::-1].tobytes()
 
 
 class TestLemma41:
