@@ -10,7 +10,9 @@ the paper's deployment story:
    every series.
 3. :meth:`resize` per resource: build the MCKP from the predicted demands
    and solve it greedily, yielding the capacity allocation the actuator
-   should enforce for the next day.
+   should enforce for the next day.  The sizing step itself is
+   :func:`repro.resizing.evaluate.size_box_resource`, shared with the
+   offline evaluation, the online controller and the testbed.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from repro.core.config import AtmConfig
 from repro.core.degrade import RUNG_PRIMARY, RUNG_SEASONAL, sanitize_demands
 from repro.core.results import PredictionAccuracy
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
-from repro.resizing.evaluate import BoxReduction, ResizingAlgorithm, resize_allocation
-from repro.resizing.problem import ResizingProblem
+from repro.resizing.evaluate import BoxReduction, ResizingAlgorithm, size_box_resource
 from repro.trace.model import BoxTrace, Resource
 
 __all__ = ["AtmController", "BoxAtmResult"]
@@ -137,24 +138,20 @@ class AtmController:
         """
         allocations: Dict[Resource, np.ndarray] = {}
         for resource, demands in predicted.items():
-            current = self.box.allocations(resource)
-            capacity = self.box.capacity(resource)
             bounds = None if lower_bounds is None else lower_bounds.get(resource)
             if bounds is None:
                 bounds = self._default_lower_bounds(resource)
-            bounds = np.minimum(bounds, capacity)
-            problem = ResizingProblem(
-                demands=np.maximum(demands, 0.0),
-                capacity=capacity,
-                alpha=self.config.policy.alpha,
+            [(_, allocations[resource])] = size_box_resource(
+                self.box.box_id,
+                resource,
+                self.box.allocations(resource),
+                self.box.capacity(resource),
+                self.config.policy,
+                (ResizingAlgorithm.ATM,),
+                eval_demands=demands,
+                epsilon_pct=self.config.epsilon_pct,
                 lower_bounds=bounds,
-                upper_bounds=np.full(self.box.n_vms, capacity),
             )
-            epsilon = self.config.epsilon_pct / 100.0 * current
-            allocation, feasible = resize_allocation(
-                problem, ResizingAlgorithm.ATM, epsilon=epsilon, current=current
-            )
-            allocations[resource] = allocation if feasible else current
         return allocations
 
     def _default_lower_bounds(self, resource: Resource) -> np.ndarray:

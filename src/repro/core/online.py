@@ -7,7 +7,8 @@ module implements that extension: a rolling controller that, day after day,
 1. re-fits the spatial-temporal predictor on a sliding training window,
 2. predicts the next resizing window,
 3. actuates new capacity limits (with the ε safety margin and slack
-   redistribution), and
+   redistribution) through the shared sizing step,
+   :func:`repro.resizing.evaluate.size_box_resource`, and
 4. observes the day's *actual* demands, scoring both prediction accuracy
    and realized tickets against the static status quo.
 
@@ -78,7 +79,7 @@ from repro.core.degrade import (
 from repro.core.executor import fleet_items, run_fleet
 from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
-from repro.resizing.evaluate import ResizingAlgorithm, resize_allocation
+from repro.resizing.evaluate import ResizingAlgorithm, size_box_resource
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 from repro.timeseries.metrics import mean_absolute_percentage_error
 from repro.trace.model import BoxTrace, FleetTrace, Resource
@@ -381,17 +382,12 @@ class OnlineAtmController:
                 rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
                 current = self.box.allocations(resource)
                 capacity = self.box.capacity(resource)
-                truth = ResizingProblem(
-                    demands=actual[rows],
-                    capacity=capacity,
-                    alpha=cfg.policy.alpha,
-                    upper_bounds=np.full(m, capacity),
-                )
-                tickets_static = tickets_for_allocation(truth, current)
 
                 if predicted_full is None:
                     # Hold rung: no usable prediction — keep the current
                     # allocation, score no APE, and report the reason.
+                    truth = ResizingProblem(actual[rows], capacity, cfg.policy.alpha)
+                    tickets_static = tickets_for_allocation(truth, current)
                     result.steps.append(
                         OnlineStep(
                             day_index=step,
@@ -414,24 +410,21 @@ class OnlineAtmController:
                 # from future demands.
                 lookback_lo = max(0, start - self.box.windows_per_day)
                 lookback = demands_all[rows, lookback_lo:start]
-                lower = np.minimum(lookback.max(axis=1), capacity)
-                problem = ResizingProblem(
-                    demands=predicted,
-                    capacity=capacity,
-                    alpha=cfg.policy.alpha,
-                    lower_bounds=lower,
-                    upper_bounds=np.full(m, capacity),
-                )
                 with obs.span("online.resize"):
-                    allocation, feasible = resize_allocation(
-                        problem,
-                        ResizingAlgorithm.ATM,
-                        epsilon=cfg.epsilon_pct / 100.0 * current,
-                        current=current,
+                    [(sized, allocation)] = size_box_resource(
+                        self.box.box_id,
+                        resource,
+                        current,
+                        capacity,
+                        cfg.policy,
+                        (ResizingAlgorithm.ATM,),
+                        eval_demands=actual[rows],
+                        sizing_demands=predicted,
+                        epsilon_pct=cfg.epsilon_pct,
+                        lower_bounds=lookback.max(axis=1),
                     )
-                if not feasible:
+                if not sized.feasible:
                     obs.inc("online.infeasible")
-                    allocation = current
                 apes = [
                     mean_absolute_percentage_error(actual[rows][i], predicted[i])
                     for i in range(m)
@@ -441,8 +434,8 @@ class OnlineAtmController:
                     day_index=step,
                     resource=resource,
                     ape=float(np.mean(apes)) if apes else float("nan"),
-                    tickets_static=tickets_static,
-                    tickets_atm=tickets_for_allocation(truth, allocation),
+                    tickets_static=sized.tickets_before,
+                    tickets_atm=sized.tickets_after,
                     allocation=allocation,
                     predicted_mean=float(predicted.mean()),
                     rung=rung,

@@ -326,24 +326,33 @@ def evaluate_forecast_stages(
         prediction.signature_ratio,
     )
 
+    # One sizing per box and resource: the ATM entry's allocation is the
+    # box's next-window allocation, so ATM is solved even when the config
+    # does not evaluate it.
+    algorithms = tuple(cfg.algorithms)
+    if ResizingAlgorithm.ATM not in algorithms:
+        algorithms += (ResizingAlgorithm.ATM,)
     reductions: Dict[Tuple[Resource, ResizingAlgorithm], BoxReduction] = {}
+    allocations: Dict[Resource, np.ndarray] = {}
     m = box.n_vms
     for resource in (Resource.CPU, Resource.RAM):
         rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
-        results = evaluate_box_resizing(
+        sized = evaluate_box_resizing(
             box,
             resource,
             cfg.policy,
-            cfg.algorithms,
+            algorithms,
             eval_demands=actual[rows],
             sizing_demands=per_resource[resource],
             epsilon_pct=cfg.epsilon_pct,
             lower_bounds=controller._default_lower_bounds(resource),
         )
-        for result in results:
-            reductions[(resource, result.algorithm)] = result
+        for reduction, allocation in sized:
+            if reduction.algorithm is ResizingAlgorithm.ATM:
+                allocations[resource] = allocation
+            if reduction.algorithm in cfg.algorithms:
+                reductions[(resource, reduction.algorithm)] = reduction
 
-    allocations = controller.resize(per_resource)
     return BoxAtmResult(
         box_id=box.box_id,
         accuracy=accuracy,

@@ -4,7 +4,10 @@ This module produces the numbers behind Fig. 8 (resizing on *actual*
 demands — the oracle study isolating the algorithms) and, together with the
 core pipeline, Fig. 10 (resizing on *predicted* demands — the full ATM).
 
-For each box and resource:
+:func:`size_box_resource` is ATM's one sizing step: every path that sizes
+a box resource — this evaluation, the offline stage graph, the
+:class:`~repro.core.atm.AtmController`, the online controller and the
+testbed — calls it.  For each box and resource:
 
 1. ``tickets_before``: tickets the evaluation-day demands generate under
    the box's *current* allocations.
@@ -33,7 +36,6 @@ import numpy as np
 from repro import obs
 from repro.core import faults
 from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
-from repro.core.streaming import TicketHistogram
 from repro.resizing.baselines import max_min_fairness_allocation, stingy_allocation
 from repro.resizing.greedy import solve_greedy
 from repro.resizing.mckp import build_mckp
@@ -51,6 +53,7 @@ __all__ = [
     "FleetReduction",
     "reduction_percent",
     "resize_allocation",
+    "size_box_resource",
     "evaluate_box_resizing",
     "evaluate_fleet_resizing",
 ]
@@ -180,13 +183,9 @@ class FleetReduction:
     results: List[BoxReduction] = field(default_factory=list)
     #: Boxes that failed during the fleet sweep (partial-results report).
     report: ErrorReport = field(default_factory=ErrorReport)
-    #: Streaming reduction-shape summary, folded as results arrive
-    #: (O(bins) state regardless of fleet size).
-    histogram: TicketHistogram = field(default_factory=TicketHistogram)
 
     def add(self, result: BoxReduction) -> None:
         self.results.append(result)
-        self.histogram.add(result.clipped_reduction)
 
     def _reductions(
         self, resource: Resource, algorithm: ResizingAlgorithm
@@ -223,14 +222,86 @@ class FleetReduction:
         return before, after
 
 
-def _epsilon_vector(epsilon_pct: float, current_alloc: np.ndarray) -> np.ndarray:
-    """Per-VM ε in demand units: ε percent of the VM's current capacity.
+def size_box_resource(
+    box_id: str,
+    resource: Resource,
+    current: np.ndarray,
+    capacity: float,
+    policy: TicketPolicy,
+    algorithms: Sequence[ResizingAlgorithm],
+    eval_demands: np.ndarray,
+    sizing_demands: Optional[np.ndarray] = None,
+    epsilon_pct: float = 5.0,
+    lower_bounds: Optional[np.ndarray] = None,
+) -> List[Tuple[BoxReduction, np.ndarray]]:
+    """Size one box resource with each algorithm, and score the result.
 
-    The paper's demands are utilization-scaled, so a fixed ε=5 corresponds
-    to five *percentage points*; in absolute demand units that is 5% of the
-    VM's capacity.
+    This is the sizing decision of ATM (paper Section IV), made in one
+    place: problem R over the sizing demands (floored at 0), per-VM lower
+    bounds clamped at the box capacity, every upper bound equal to the
+    capacity, ε of ``epsilon_pct`` percent of each VM's ``current``
+    capacity (the paper's demands are utilization-scaled, so a fixed ε=5
+    is five *percentage points*), and the current allocation held
+    whenever a solve is infeasible.
+
+    Parameters
+    ----------
+    current, capacity:
+        The resource's per-VM allocations before resizing and the box's
+        total allocatable capacity.
+    eval_demands:
+        ``(M, T)`` demands the tickets are counted on — the evaluation
+        window's actual demands.  Callers without ground truth pass the
+        sizing demands here.
+    sizing_demands:
+        Demands fed to the sizing policies; defaults to ``eval_demands``
+        (the Fig. 8 oracle).  Pass predictions for full-ATM evaluation.
+    lower_bounds:
+        Per-VM capacity floors; default is the peak of the sizing demands.
+
+    Returns one ``(reduction, allocation)`` pair per algorithm, in order.
     """
-    return epsilon_pct / 100.0 * current_alloc
+    current = np.asarray(current, dtype=float)
+    sizing = np.maximum(
+        eval_demands if sizing_demands is None else sizing_demands, 0.0
+    )
+    if lower_bounds is None:
+        lower_bounds = sizing.max(axis=1)
+    upper_bounds = np.full(current.shape, capacity)
+    problem = ResizingProblem(
+        demands=sizing,
+        capacity=capacity,
+        alpha=policy.alpha,
+        lower_bounds=np.minimum(lower_bounds, capacity),  # can't demand above the box
+        upper_bounds=upper_bounds,
+    )
+    truth = ResizingProblem(
+        demands=eval_demands,
+        capacity=capacity,
+        alpha=policy.alpha,
+        upper_bounds=upper_bounds,
+    )
+    before = tickets_for_allocation(truth, current)
+
+    epsilon = epsilon_pct / 100.0 * current
+    out: List[Tuple[BoxReduction, np.ndarray]] = []
+    for algorithm in algorithms:
+        allocation, feasible = resize_allocation(
+            problem, algorithm, epsilon=epsilon, current=current
+        )
+        if not feasible:
+            obs.inc("resize.infeasible")
+            allocation = current  # degrade to the status quo
+        reduction = BoxReduction(
+            box_id=box_id,
+            resource=resource,
+            algorithm=algorithm,
+            tickets_before=before,
+            tickets_after=tickets_for_allocation(truth, allocation),
+            feasible=feasible,
+        )
+        out.append((reduction, allocation))
+    return out
 
 
 def evaluate_box_resizing(
@@ -242,65 +313,24 @@ def evaluate_box_resizing(
     sizing_demands: Optional[np.ndarray] = None,
     epsilon_pct: float = 5.0,
     lower_bounds: Optional[np.ndarray] = None,
-) -> List[BoxReduction]:
+) -> List[Tuple[BoxReduction, np.ndarray]]:
     """Evaluate sizing policies on one box and resource.
 
-    Parameters
-    ----------
-    box:
-        The box (provides current allocations and the capacity budget).
-    eval_demands:
-        ``(M, T)`` actual demands of the evaluation window — ticket ground
-        truth.
-    sizing_demands:
-        Demands fed to the sizing policies; defaults to ``eval_demands``
-        (the Fig. 8 oracle).  Pass predictions for full-ATM evaluation.
-    lower_bounds:
-        Per-VM capacity floors; default is the peak of the sizing demands.
+    :func:`size_box_resource` with the box's current allocations and
+    capacity: one ``(reduction, allocation)`` pair per algorithm.
     """
-    sizing = eval_demands if sizing_demands is None else np.asarray(sizing_demands, float)
-    current = box.allocations(resource)
-    capacity = box.capacity(resource)
-    if lower_bounds is None:
-        lower_bounds = sizing.max(axis=1)
-    lower_bounds = np.minimum(lower_bounds, capacity)  # can't demand above the box
-
-    problem = ResizingProblem(
-        demands=sizing,
-        capacity=capacity,
-        alpha=policy.alpha,
+    return size_box_resource(
+        box.box_id,
+        resource,
+        box.allocations(resource),
+        box.capacity(resource),
+        policy,
+        algorithms,
+        eval_demands,
+        sizing_demands=sizing_demands,
+        epsilon_pct=epsilon_pct,
         lower_bounds=lower_bounds,
-        upper_bounds=np.full(box.n_vms, capacity),
     )
-    truth = ResizingProblem(
-        demands=eval_demands,
-        capacity=capacity,
-        alpha=policy.alpha,
-        upper_bounds=np.full(box.n_vms, capacity),
-    )
-    before = tickets_for_allocation(truth, current)
-
-    epsilon = _epsilon_vector(epsilon_pct, current)
-    out: List[BoxReduction] = []
-    for algorithm in algorithms:
-        allocation, feasible = resize_allocation(
-            problem, algorithm, epsilon=epsilon, current=current
-        )
-        if not feasible:
-            obs.inc("resize.infeasible")
-            allocation = current  # degrade to the status quo
-        after = tickets_for_allocation(truth, allocation)
-        out.append(
-            BoxReduction(
-                box_id=box.box_id,
-                resource=resource,
-                algorithm=algorithm,
-                tickets_before=before,
-                tickets_after=after,
-                feasible=feasible,
-            )
-        )
-    return out
 
 
 def _evaluate_box_worker(
@@ -350,17 +380,16 @@ def _evaluate_box_worker(
                 demands = box.demand_matrix(resource)
                 if eval_windows is not None:
                     demands = demands[:, : min(eval_windows, demands.shape[1])]
-                out.extend(
-                    evaluate_box_resizing(
-                        box,
-                        resource,
-                        policy,
-                        algorithms,
-                        eval_demands=demands,
-                        sizing_demands=sizing_by_resource.get(resource),
-                        epsilon_pct=epsilon_pct,
-                    )
+                sized = evaluate_box_resizing(
+                    box,
+                    resource,
+                    policy,
+                    algorithms,
+                    eval_demands=demands,
+                    sizing_demands=sizing_by_resource.get(resource),
+                    epsilon_pct=epsilon_pct,
                 )
+                out.extend(reduction for reduction, _ in sized)
         pair: Tuple[List[BoxReduction], List[DegradationEvent]] = (out, [])
     except Exception as exc:
         if not degrade:

@@ -55,10 +55,12 @@ class ResizingProblem:
             raise ValueError(f"demands must be (M, T), got shape {self.demands.shape}")
         if self.demands.shape[0] < 1 or self.demands.shape[1] < 1:
             raise ValueError("demands must be non-empty")
+        if not np.all(np.isfinite(self.demands)):
+            raise ValueError("demands must be finite")
         if np.any(self.demands < -TICKET_TOLERANCE):
             raise ValueError("demands must be non-negative")
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if not (np.isfinite(self.capacity) and self.capacity > 0):
+            raise ValueError(f"capacity must be positive and finite, got {self.capacity}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         m = self.n_vms
@@ -73,6 +75,8 @@ class ResizingProblem:
         for name, arr in (("lower_bounds", self.lower_bounds), ("upper_bounds", self.upper_bounds)):
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.lower_bounds < 0):
             raise ValueError("lower bounds must be non-negative")
         if np.any(self.upper_bounds < self.lower_bounds - TICKET_TOLERANCE):

@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.resizing.evaluate import ResizingAlgorithm, resize_allocation
-from repro.resizing.problem import ResizingProblem
+from repro.resizing.evaluate import ResizingAlgorithm, size_box_resource
 from repro.testbed.cluster import NodeSpec, TestbedCluster, VMInstance
 from repro.testbed.mediawiki import (
     WikiDeployment,
@@ -26,6 +25,7 @@ from repro.testbed.mediawiki import (
     wiki_two_spec,
 )
 from repro.tickets.policy import TicketPolicy
+from repro.trace.model import Resource
 
 __all__ = ["TestbedConfig", "ExperimentResult", "build_cluster", "run_testbed_experiment"]
 
@@ -269,21 +269,16 @@ def _atm_resize(
         predicted = _seasonal_prediction(history, cfg.resize_every, period)
         current = np.array([vm.cpu_limit for vm in node_vms])
         lookback = min(history.shape[1], period)
-        lower = history[:, -lookback:].max(axis=1)
-        capacity = cluster.nodes[node_name].cpu_capacity
-        problem = ResizingProblem(
-            demands=predicted,
-            capacity=capacity,
-            alpha=policy.alpha,
-            lower_bounds=np.minimum(lower, capacity),
-            upper_bounds=np.full(len(ids), capacity),
+        [(sized, allocation)] = size_box_resource(
+            node_name,
+            Resource.CPU,
+            current,
+            cluster.nodes[node_name].cpu_capacity,
+            policy,
+            (ResizingAlgorithm.ATM,),
+            eval_demands=predicted,
+            epsilon_pct=cfg.epsilon_pct,
+            lower_bounds=history[:, -lookback:].max(axis=1),
         )
-        allocation, feasible = resize_allocation(
-            problem,
-            ResizingAlgorithm.ATM,
-            epsilon=cfg.epsilon_pct / 100.0 * current,
-            current=current,
-        )
-        if not feasible:
-            continue
-        cluster.apply_cpu_limits(window, dict(zip(ids, allocation)))
+        if sized.feasible:
+            cluster.apply_cpu_limits(window, dict(zip(ids, allocation)))

@@ -1,11 +1,15 @@
 """Tests for the per-box ATM controller (repro.core.atm)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.atm import AtmController
 from repro.core.config import AtmConfig
+from repro.core.pipeline import _run_box_atm_fused_chunk
 from repro.prediction.spatial.signatures import ClusteringMethod
+from repro.resizing import evaluate
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.trace.generator import FleetConfig, generate_box
 from repro.trace.model import Resource
@@ -86,3 +90,60 @@ class TestRun:
         demands = box.demand_matrix(Resource.CPU)
         expected = demands[:, 480 - 96 : 480].max(axis=1)
         assert lb == pytest.approx(expected)
+
+
+@pytest.fixture()
+def sizing_calls(monkeypatch):
+    """Count MCKP sizing solves: wrap every ``repro`` binding of
+    :func:`~repro.resizing.evaluate.resize_allocation`, wherever imported."""
+    calls = []
+    real = evaluate.resize_allocation
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "resize_allocation", None) is real:
+            monkeypatch.setattr(module, "resize_allocation", counted)
+    return calls
+
+
+class TestSizingOnce:
+    """Each box and resource is sized once per algorithm, ATM included."""
+
+    def test_run_solves_each_algorithm_once(self, box, fast_config, sizing_calls):
+        AtmController(box, fast_config).run()
+        assert len(sizing_calls) == 2 * len(fast_config.algorithms)
+        assert sizing_calls.count(ResizingAlgorithm.ATM) == 2
+
+    def test_fused_chunk_solves_each_algorithm_once_per_box(self, sizing_calls):
+        config = AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="neural")
+        boxes = [generate_box(b, FleetConfig(days=6, seed=21)) for b in range(2)]
+        pairs = _run_box_atm_fused_chunk(boxes, config, True)
+        assert all(result is not None and not events for result, events in pairs)
+        assert len(sizing_calls) == len(boxes) * 2 * len(config.algorithms)
+
+    def test_resize_matches_run_allocations(self, box, fast_config):
+        controller = AtmController(box, fast_config).fit()
+        allocations = controller.resize(controller.split_prediction(controller.predict()))
+        result = AtmController(box, fast_config).run()
+        assert list(allocations) == list(result.allocations)
+        for resource, allocation in allocations.items():
+            assert allocation.tobytes() == result.allocations[resource].tobytes()
+
+    def test_config_without_atm_still_sizes_atm(self, box, fast_config, sizing_calls):
+        config = AtmConfig.with_clustering(
+            ClusteringMethod.CBC,
+            temporal_model="seasonal_mean",
+            algorithms=(ResizingAlgorithm.STINGY,),
+        )
+        result = AtmController(box, config).run()
+        assert set(result.reductions) == {
+            (Resource.CPU, ResizingAlgorithm.STINGY),
+            (Resource.RAM, ResizingAlgorithm.STINGY),
+        }
+        assert sizing_calls.count(ResizingAlgorithm.ATM) == 2
+        reference = AtmController(box, fast_config).run()
+        for resource, allocation in reference.allocations.items():
+            assert allocation.tobytes() == result.allocations[resource].tobytes()

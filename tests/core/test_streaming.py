@@ -9,14 +9,11 @@ degradation ladder.  And a shard-backed fleet must run while workers
 receive only descriptors and the parent never opens a shard.
 """
 
-import math
-
 import pytest
 
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
 from repro.core.pipeline import FleetAtmResult, _run_box_atm, run_fleet_atm
-from repro.core.streaming import TicketHistogram
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import (
     FleetReduction,
@@ -90,7 +87,6 @@ class TestStreamingEquivalence:
         assert streamed.results == listed.results
         assert streamed.report == listed.report
         assert not streamed.report.ok
-        assert streamed.histogram.as_dict() == listed.histogram.as_dict()
 
 
 class TestShardedDispatch:
@@ -135,47 +131,3 @@ class TestShardedDispatch:
             "failed",
         )
         assert "windows required" in event.reason
-
-
-class TestTicketHistogram:
-    def test_counts_and_mean(self):
-        hist = TicketHistogram(width=5.0)
-        values = (-100.0, -1.0, 0.0, 4.999, 5.0, 100.0)
-        for value in values:
-            hist.add(value)
-        assert hist.total == 6
-        assert hist.nan_count == 0
-        assert sum(hist.counts) == 6
-        assert hist.counts[0] == 1          # -100 lands in the first bin
-        assert hist.counts[-1] == 1         # 100 clamps into the last bin
-        assert hist.mean() == pytest.approx(sum(values) / 6)
-
-    def test_nan_tallied_separately(self):
-        hist = TicketHistogram()
-        hist.add(float("nan"))
-        hist.add(50.0)
-        assert hist.total == 2
-        assert hist.nan_count == 1
-        assert hist.finite_count == 1
-        assert hist.mean() == 50.0
-
-    def test_empty_mean_is_nan(self):
-        assert math.isnan(TicketHistogram().mean())
-
-    def test_as_dict_shape(self):
-        hist = TicketHistogram(width=10.0)
-        hist.add(-5.0)
-        data = hist.as_dict()
-        assert len(data["edges"]) == len(data["counts"]) + 1
-        assert data["edges"][0] == -100.0
-        assert data["edges"][-1] == 100.0
-        assert data["total"] == 1
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError, match="width"):
-            TicketHistogram(width=0.0)
-
-    def test_fleet_reduction_folds_histogram(self, small_fleet):
-        policy = TicketPolicy(60.0)
-        summary = evaluate_fleet_resizing(small_fleet, policy, eval_windows=96)
-        assert summary.histogram.total == len(summary.results)

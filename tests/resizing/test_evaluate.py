@@ -12,8 +12,9 @@ from repro.resizing.evaluate import (
     redistribute_slack,
     reduction_percent,
     resize_allocation,
+    size_box_resource,
 )
-from repro.resizing.problem import ResizingProblem
+from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import Resource
 
@@ -107,7 +108,7 @@ class TestBoxEvaluation:
             [ResizingAlgorithm.ATM],
             eval_demands=box.demand_matrix(Resource.CPU)[:, :96],
         )
-        result = results[0]
+        result, _ = results[0]
         assert result.tickets_after <= result.tickets_before
 
     def test_sizing_vs_eval_demands_split(self, small_fleet):
@@ -126,7 +127,64 @@ class TestBoxEvaluation:
             lower_bounds=np.zeros(box.n_vms),
         )
         # Starved VMs: every nonzero-demand window tickets.
-        assert results[0].tickets_after >= results[0].tickets_before
+        result, allocation = results[0]
+        assert result.tickets_after >= result.tickets_before
+        assert np.all(allocation == 0.0)
+
+
+class TestSizeBoxResource:
+    """The one sizing step every ATM path goes through."""
+
+    def test_each_reduction_scores_its_allocation(self, small_fleet):
+        box = small_fleet.boxes[0]
+        demands = box.demand_matrix(Resource.RAM)[:, :96]
+        capacity = box.capacity(Resource.RAM)
+        sized = evaluate_box_resizing(
+            box, Resource.RAM, TicketPolicy(60.0), tuple(ResizingAlgorithm),
+            eval_demands=demands,
+        )
+        truth = ResizingProblem(demands=demands, capacity=capacity, alpha=0.6)
+        assert [r.algorithm for r, _ in sized] == list(ResizingAlgorithm)
+        for reduction, allocation in sized:
+            assert allocation.shape == (box.n_vms,)
+            assert allocation.sum() <= capacity + 1e-6
+            assert reduction.tickets_after == tickets_for_allocation(truth, allocation)
+            assert reduction.tickets_before == tickets_for_allocation(
+                truth, box.allocations(Resource.RAM)
+            )
+
+    def test_infeasible_holds_current_allocation(self):
+        current = np.array([4.0, 4.0])
+        [(reduction, allocation)] = size_box_resource(
+            "b",
+            Resource.CPU,
+            current,
+            10.0,
+            TicketPolicy(60.0),
+            (ResizingAlgorithm.ATM,),
+            eval_demands=np.full((2, 4), 2.0),
+            lower_bounds=np.array([6.0, 6.0]),  # 12 > capacity 10
+        )
+        assert not reduction.feasible
+        assert allocation is current
+        assert reduction.tickets_after == reduction.tickets_before
+
+    @pytest.mark.parametrize("algorithm", list(ResizingAlgorithm))
+    def test_non_finite_sizing_window_rejected(self, algorithm):
+        sizing = np.full((2, 4), 2.0)
+        sizing[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            size_box_resource(
+                "b",
+                Resource.CPU,
+                np.array([5.0, 5.0]),
+                10.0,
+                TicketPolicy(60.0),
+                (algorithm,),
+                eval_demands=np.full((2, 4), 2.0),
+                sizing_demands=sizing,
+                lower_bounds=np.array([1.0, 1.0]),
+            )
 
 
 class TestFleetEvaluation:

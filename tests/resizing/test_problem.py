@@ -51,6 +51,24 @@ class TestValidation:
                 upper_bounds=np.array([2.0]),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["demands", "capacity", "lower_bounds", "upper_bounds"]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = {
+            "demands": np.array([[1.0, 2.0], [3.0, 4.0]]),
+            "capacity": 10.0,
+            "lower_bounds": np.array([1.0, 1.0]),
+            "upper_bounds": np.array([10.0, 10.0]),
+        }
+        if field == "capacity":
+            kwargs[field] = bad
+        else:
+            kwargs[field][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ResizingProblem(**kwargs)
+
     def test_bounds_feasibility(self):
         p = ResizingProblem(
             demands=np.ones((2, 2)), capacity=3.0, lower_bounds=np.array([2.0, 2.0])
