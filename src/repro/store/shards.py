@@ -46,7 +46,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -307,18 +307,20 @@ def write_fleet_shards(
     return manifest
 
 
-def _render_box_shard(index: int, cfg, spec, root: str) -> BoxShardMeta:
-    """Pool-worker unit of parallel generation: one box, rendered and sharded.
+def _render_shard_block(indices: Sequence[int], cfg, spec, root: str) -> List[BoxShardMeta]:
+    """Render boxes ``indices`` of a scenario and shard each as it lands.
 
-    Module-level so the executor can pickle it.  Each box — its RNG,
-    cohort envelope and regime shift — derives from ``(cfg.seed, index)``
-    and the spec alone, so workers produce the exact bytes the serial
-    stream would; content addressing then makes the parallel and serial
-    stores literally the same files.
+    The unit of shard generation: the serial path runs it over the whole
+    fleet, a pool worker over one contiguous block of box indices (module
+    level so the executor can pickle it).  Each box -- its RNG, cohort
+    envelope and regime shift -- derives from ``(cfg.seed, index)`` and
+    the spec alone, so any split produces the exact bytes of the serial
+    stream; content addressing then makes the stores literally the same
+    files.
     """
-    from repro.trace.scenario import render_box
+    from repro.trace.scenario import render_boxes
 
-    return write_box_shard(render_box(index, spec, cfg), root)
+    return [write_box_shard(box, root) for box in render_boxes(indices, spec, cfg)]
 
 
 def generate_fleet_shards(
@@ -331,28 +333,31 @@ def generate_fleet_shards(
 ) -> ShardManifest:
     """Generate a synthetic fleet straight into a shard store.
 
-    Streams ``generate_box`` output box by box — the full fleet is never
-    resident.  Honours the ``REPRO_FORBID_FLEET_GENERATION`` guard like
-    ``generate_fleet`` itself: the guard is checked *here*, before any
-    worker is spawned, because this entry point is precisely the
-    parent-side synthesis step the guard exists to localize — its own
-    pool workers generate boxes by design, dispatched on box indices (a
-    few bytes each) rather than trace data.
+    Streams rendered boxes into shards one render block at a time -- the
+    full fleet is never resident.  Honours the
+    ``REPRO_FORBID_FLEET_GENERATION`` guard like ``generate_fleet``
+    itself: the guard is checked *here*, before any worker is spawned,
+    because this entry point is precisely the parent-side synthesis step
+    the guard exists to localize -- its own pool workers render boxes by
+    design, dispatched on blocks of box indices (a few bytes each) rather
+    than trace data.
 
     ``jobs`` fans generation across processes through
     :class:`repro.core.executor.FleetExecutor` (``None`` reads
-    ``REPRO_JOBS``; default serial).  Results are collected in box-index
-    order and every shard is content-addressed, so the manifest — and
-    every byte of the store — is identical at any worker count.
+    ``REPRO_JOBS``; default serial), one contiguous block of ``chunksize``
+    box indices per task (default :func:`default_chunksize`).  Results
+    are collected in box-index order and every shard is content-addressed,
+    so the manifest -- and every byte of the store -- is identical at any
+    worker count.  Either path runs under one ``shards.generate`` span.
 
     ``scenario`` (a :class:`repro.trace.scenario.ScenarioSpec`, ``None``
     meaning ``paper-fig2``) renders every box through the scenario engine;
-    the identity ``paper-fig2`` spec takes the exact legacy generator
-    path, so its store stays bit-identical to a pre-scenario one.
+    the identity ``paper-fig2`` spec takes the calibrated generator path,
+    so its store stays bit-identical to a pre-scenario one.
     """
-    from repro.core.executor import FleetExecutor, resolve_jobs
+    from repro.core.executor import FleetExecutor, default_chunksize, resolve_jobs
     from repro.trace.generator import check_generation_allowed
-    from repro.trace.scenario import render_box, resolve_scenario
+    from repro.trace.scenario import resolve_scenario
 
     check_generation_allowed()
     scenario = resolve_scenario(scenario)
@@ -362,14 +367,18 @@ def generate_fleet_shards(
             "name": scenario.name,
             "fingerprint": scenario.fingerprint(),
         }
-    if resolve_jobs(jobs) <= 1:
-        boxes = (render_box(index, scenario, cfg) for index in range(cfg.n_boxes))
-        return write_fleet_shards(boxes, root, name=name, scenario=manifest_scenario)
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
+    n_boxes = cfg.n_boxes
+    workers = resolve_jobs(jobs)
     with obs.span("shards.generate"):
-        metas = executor.map(
-            _render_box_shard, range(cfg.n_boxes), cfg, scenario, str(root)
-        )
+        if workers <= 1:
+            metas = _render_shard_block(range(n_boxes), cfg, scenario, str(root))
+        else:
+            step = chunksize or default_chunksize(n_boxes, workers)
+            blocks = [range(i, min(i + step, n_boxes)) for i in range(0, n_boxes, step)]
+            parts = FleetExecutor(jobs=workers, chunksize=1).map(
+                _render_shard_block, blocks, cfg, scenario, str(root)
+            )
+            metas = [meta for part in parts for meta in part]
     manifest = ShardManifest(name=name, boxes=metas, scenario=manifest_scenario)
     manifest.save(root)
     return manifest

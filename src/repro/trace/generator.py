@@ -26,21 +26,24 @@ reproducible from ``FleetConfig.seed``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.trace.model import FORBID_GENERATION_ENV_VAR, BoxTrace, FleetTrace, VMTrace
-from repro.trace.workloads import ar1_noise, bursts, diurnal
+from repro.trace.workloads import ar1_draws, ar1_rows, bursts, diurnal_rows
 
 __all__ = [
     "FleetConfig",
     "FORBID_GENERATION_ENV_VAR",
     "check_generation_allowed",
+    "ROW_BUDGET",
     "generate_fleet",
     "generate_box",
+    "generate_box_groups",
 ]
 
 # FORBID_GENERATION_ENV_VAR (canonically defined in repro.trace.model, which
@@ -196,34 +199,109 @@ _GHZ_PER_CORE = (2.2, 3.6)
 _RAM_MENU = np.array([2.0, 4.0, 4.0, 8.0, 8.0, 16.0, 32.0, 64.0])  # GB
 
 
-def _unit_variance(signal: np.ndarray) -> np.ndarray:
-    std = signal.std()
-    if std <= 1e-12:
-        return np.zeros_like(signal)
-    return (signal - signal.mean()) / std
+#: Factor series (one diurnal shape plus one AR(1) wander each) computed
+#: together in a render block.  A block closes at the first box boundary at
+#: or past this many rows, so the renderer's working set -- a few
+#: ``(rows, n_windows)`` float64 arrays, ~0.5-0.8 MB each at 7 days of
+#: 15-minute windows -- is the same for 10 boxes or 6,000.
+ROW_BUDGET = 96
+
+#: One render request: the box index, the config it renders under, and the
+#: generator to draw from (``None``: the box's own ``(seed, index)`` stream).
+BoxRequest = Tuple[int, FleetConfig, Optional[np.random.Generator]]
 
 
-def _box_factor(rng: np.random.Generator, cfg: FleetConfig) -> np.ndarray:
-    """A unit-variance box-level activity factor: diurnal + AR(1).
+def _unit_variance_rows(rows: np.ndarray) -> np.ndarray:
+    """Standardize every row to zero mean and unit variance, in place.
+
+    Row reductions over a C-contiguous array give each row the bytes of its
+    own 1-D ``std``/``mean``; a (near-)constant row becomes zeros.
+    """
+    std = rows.std(axis=1)
+    flat = std <= 1e-12
+    rows -= rows.mean(axis=1)[:, None]
+    rows /= np.where(flat, 1.0, std)[:, None]
+    rows[flat] = 0.0
+    return rows
+
+
+class _FactorRows:
+    """Draw-phase record of a block's factor series, in row order.
+
+    Row ``r`` stands for ``unit(w * unit(diurnal) + (1 - w) * unit(ar1))``
+    with its own phase, sharpness, AR(1) coefficient, innovations, start
+    and weight ``w``; :meth:`resolve` computes every row at once.
+    """
+
+    def __init__(self) -> None:
+        self.phase: List[float] = []
+        self.sharpness: List[float] = []
+        self.phi: List[float] = []
+        self.eps: List[np.ndarray] = []
+        self.x0: List[float] = []
+        self.weight: List[float] = []
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+    def add(
+        self,
+        rng: np.random.Generator,
+        cfg: FleetConfig,
+        phase: float,
+        sharpness: float,
+        phi: float,
+    ) -> int:
+        """Draw a row's AR(1) innovations and start; returns the row index.
+
+        The caller draws the row's weight right after (its place in the
+        stream differs between box and per-VM factors) and appends it.
+        """
+        eps, x0 = ar1_draws(rng, cfg.n_windows, phi)
+        self.phase.append(phase)
+        self.sharpness.append(sharpness)
+        self.phi.append(phi)
+        self.eps.append(eps)
+        self.x0.append(x0)
+        return len(self.phi) - 1
+
+    def resolve(self, n_windows: int, windows_per_day: int) -> np.ndarray:
+        """Compute every recorded row: the ``(rows, n_windows)`` factor matrix."""
+        noise = _unit_variance_rows(
+            ar1_rows(np.array(self.phi), np.array(self.x0), self.eps)
+        )
+        self.eps.clear()  # the recurrence copied them; free before the shapes
+        shape = _unit_variance_rows(
+            diurnal_rows(n_windows, windows_per_day, self.phase, self.sharpness)
+        )
+        # w * shape + (1 - w) * noise; the in-place products swap operands only.
+        weight = np.array(self.weight)[:, None]
+        shape *= weight
+        noise *= 1 - weight
+        shape += noise
+        return _unit_variance_rows(shape)
+
+
+def _draw_box_factor(
+    rng: np.random.Generator, cfg: FleetConfig, rows: _FactorRows
+) -> int:
+    """Draw a unit-variance box-level activity factor: diurnal + AR(1).
 
     The diurnal share dominates: production usage repeats day over day,
     which is what makes one-day-ahead prediction tractable at all (the
     paper trains for 5 days and predicts the 6th).
     """
-    shape = diurnal(
-        cfg.n_windows,
-        cfg.windows_per_day,
-        amplitude=1.0,
-        phase=rng.uniform(0.0, 1.0),
-        sharpness=rng.uniform(1.0, 2.0),
-    )
-    noise = ar1_noise(rng, cfg.n_windows, phi=rng.uniform(0.75, 0.92), sigma=1.0)
-    mix = rng.uniform(0.6, 0.9)
-    return _unit_variance(mix * _unit_variance(shape) + (1 - mix) * _unit_variance(noise))
+    phase = rng.uniform(0.0, 1.0)
+    sharpness = rng.uniform(1.0, 2.0)
+    row = rows.add(rng, cfg, phase, sharpness, phi=rng.uniform(0.75, 0.92))
+    rows.weight.append(rng.uniform(0.6, 0.9))
+    return row
 
 
-def _idio_factor(rng: np.random.Generator, cfg: FleetConfig, slow: bool) -> np.ndarray:
-    """Per-VM factor: its own repeatable daily pattern plus AR(1) wander."""
+def _draw_idio_factor(
+    rng: np.random.Generator, cfg: FleetConfig, slow: bool, rows: _FactorRows
+) -> int:
+    """Draw a per-VM factor: its own repeatable daily pattern plus AR(1) wander."""
     if slow:
         # RAM-like: an almost-static level (memory is sticky day over day)
         # plus a mild repeatable daily pattern — tomorrow looks like today,
@@ -234,36 +312,197 @@ def _idio_factor(rng: np.random.Generator, cfg: FleetConfig, slow: bool) -> np.n
     else:
         phi = rng.uniform(0.6, 0.9)
         periodic_weight = rng.uniform(0.55, 0.85)
-    shape = diurnal(
-        cfg.n_windows,
-        cfg.windows_per_day,
-        amplitude=1.0,
-        phase=rng.uniform(0.0, 1.0),
-        sharpness=rng.uniform(1.0, 2.5),
-    )
-    noise = ar1_noise(rng, cfg.n_windows, phi=phi, sigma=1.0)
-    return _unit_variance(
-        periodic_weight * _unit_variance(shape)
-        + (1 - periodic_weight) * _unit_variance(noise)
-    )
+    phase = rng.uniform(0.0, 1.0)
+    sharpness = rng.uniform(1.0, 2.5)
+    row = rows.add(rng, cfg, phase, sharpness, phi)
+    rows.weight.append(periodic_weight)
+    return row
+
+
+def _clamp(value: float, low: float, high: float) -> float:
+    """``float(np.clip(value, low, high))`` for a finite scalar, without NumPy."""
+    return min(max(value, low), high)
 
 
 def _jitter(rng: np.random.Generator, center: float, cfg: FleetConfig) -> float:
-    return float(
-        np.clip(center + rng.uniform(-cfg.loading_jitter, cfg.loading_jitter), 0.05, 0.95)
+    return _clamp(
+        center + rng.uniform(-cfg.loading_jitter, cfg.loading_jitter), 0.05, 0.95
     )
 
 
-def generate_box(
+#: Per-VM draws, one column each: factor rows (``signal`` is the group or
+#: replica factor), CPU loadings ``a, b, c``, the RAM mix (``g, k`` for a
+#: strong pair, else ``d, f, h``), and each resource's hot flag and level.
+_VM_FIELDS = (
+    "signal", "u", "v", "a", "b", "c", "strong", "g", "k", "d", "f", "h",
+    "cpu_hot", "cpu_mu", "cpu_scale", "ram_hot", "ram_mu", "ram_scale",
+)
+
+
+@dataclass
+class _BoxDraw:
+    """Every draw of one box: factor-row indices and per-VM scalars.
+
+    ``vm`` holds one column per :data:`_VM_FIELDS` entry, in VM order, so
+    :meth:`assemble` can replay the level, burst and spike arithmetic for
+    all VMs of the box as 2-D operations.  Unused coefficients (a
+    strong-pair VM's ``d, f, h``, a hot VM's log-normal tail) hold 0 and
+    are never read.
+    """
+
+    box_index: int
+    cfg: FleetConfig
+    shared: int  # factor row of the box-level factor
+    cpu_capacities: np.ndarray
+    ram_capacities: np.ndarray
+    vm: Dict[str, list]
+    bursts: List[np.ndarray]
+    #: ``(vm, anchor, duration, paired, ram_frac, day_heights)`` per train.
+    spikes: List[tuple]
+    headroom_cpu: float
+    headroom_ram: float
+
+    @property
+    def m(self) -> int:
+        return len(self.cpu_capacities)
+
+    def assemble(self, factors: np.ndarray) -> BoxTrace:
+        """Replay the box's usage arithmetic on the resolved factor rows."""
+        cfg = self.cfg
+        col = {key: np.array(values) for key, values in self.vm.items()}
+        shared = factors[self.shared]
+        u = factors[col["u"]]
+        v = factors[col["v"]]
+        cpu_z = (
+            col["a"][:, None] * shared
+            + col["b"][:, None] * factors[col["signal"]]
+            + col["c"][:, None] * u
+        )
+        ram_z = np.empty_like(cpu_z)
+        strong = col["strong"]
+        ram_z[strong] = (
+            col["g"][strong, None] * cpu_z[strong]
+            + col["k"][strong, None] * v[strong]
+        )
+        loose = ~strong
+        ram_z[loose] = (
+            col["d"][loose, None] * shared
+            + col["f"][loose, None] * u[loose]
+            + col["h"][loose, None] * v[loose]
+        )
+        cpu_hot, ram_hot = col["cpu_hot"], col["ram_hot"]
+        cpu = _levels(cpu_z, cpu_hot, col["cpu_mu"], col["cpu_scale"])
+        cpu += np.array(self.bursts)
+        ram = _levels(ram_z, ram_hot, col["ram_mu"], col["ram_scale"])
+        # Every VM that is not hot on a resource drew a spike train, so the
+        # trains add to exactly the rows the per-VM recipe adds them to.
+        cpu_spikes, ram_spikes = _spike_rows(self)
+        cpu[~cpu_hot] += cpu_spikes[~cpu_hot]
+        ram[~ram_hot] += ram_spikes[~ram_hot]
+        cpu = np.clip(cpu, 0.0, cfg.cpu_usage_cap)
+        ram = np.clip(ram, 0.0, cfg.ram_usage_cap)
+
+        box_id = f"box{self.box_index:05d}"
+        vms = [
+            VMTrace(
+                vm_id=f"{box_id}-vm{i:03d}",
+                cpu_capacity=float(self.cpu_capacities[i]),
+                ram_capacity=float(self.ram_capacities[i]),
+                cpu_usage=cpu[i],
+                ram_usage=ram[i],
+            )
+            for i in range(self.m)
+        ]
+        return BoxTrace(
+            box_id=box_id,
+            cpu_capacity=sum(vm.cpu_capacity for vm in vms) * self.headroom_cpu,
+            ram_capacity=sum(vm.ram_capacity for vm in vms) * self.headroom_ram,
+            vms=vms,
+            interval_minutes=cfg.interval_minutes,
+        )
+
+
+def _levels(
+    z: np.ndarray, hot: np.ndarray, mu: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Usage levels: ``mu + sigma * z`` on hot rows, ``mu * exp(s * z)`` on cool."""
+    out = np.empty_like(z)
+    out[hot] = mu[hot, None] + scale[hot, None] * z[hot]
+    cool = ~hot
+    out[cool] = mu[cool, None] * np.exp(scale[cool, None] * z[cool])
+    return out
+
+
+def _draw_spike_trains(
+    rng: np.random.Generator,
+    cfg: FleetConfig,
+    anchors: np.ndarray,
+    n_days: int,
+    vm_index: int,
+) -> List[tuple]:
+    """Draw one VM's scheduled-job spike trains (see :attr:`_BoxDraw.spikes`).
+
+    Every ``day * windows_per_day + anchor`` lies inside the trace
+    (``n_windows`` is a whole number of days), so each participating
+    anchor draws one height factor per day.
+    """
+    trains = []
+    for anchor in anchors:
+        if rng.random() >= cfg.spike_participation:
+            continue
+        height = rng.uniform(*cfg.cpu_spike_height_range)
+        paired = rng.random() < cfg.spike_pair_probability
+        ram_frac = rng.uniform(*cfg.ram_spike_height_fraction)
+        # Scheduled jobs are regular: same start slot and duration every
+        # day, only the height varies.  (Random day-to-day time jitter
+        # would make spikes look unpredictable to any one-day-ahead
+        # model, which real cron jobs are not.)
+        duration = int(rng.integers(1, 3))
+        day_heights = height * rng.uniform(0.85, 1.15, size=n_days)
+        trains.append((vm_index, int(anchor), duration, paired, ram_frac, day_heights))
+    return trains
+
+
+def _spike_rows(draw: "_BoxDraw") -> Tuple[np.ndarray, np.ndarray]:
+    """A box's ``(m, n_windows)`` CPU and RAM spike trains.
+
+    Each window holds the tallest spike landing on it (``maximum.at`` is
+    exact and order-free); a two-window spike on the trace's last slot is
+    cut short.
+    """
+    cfg, m = draw.cfg, draw.m
+    n_windows = cfg.n_windows
+    cpu = np.zeros((m, n_windows))
+    ram = np.zeros((m, n_windows))
+    if not draw.spikes:
+        return cpu, ram
+    vm, anchor, duration, paired, ram_frac, heights = (
+        np.array(column) for column in zip(*draw.spikes)
+    )
+    windows = anchor[:, None] + np.arange(heights.shape[1]) * cfg.windows_per_day
+    flat = vm[:, None] * n_windows + windows
+    ram_heights = heights * ram_frac[:, None]
+    for step, lands in (
+        (0, np.ones(windows.shape, dtype=bool)),
+        (1, (duration[:, None] == 2) & (windows + 1 < n_windows)),
+    ):
+        np.maximum.at(cpu.reshape(-1), flat[lands] + step, heights[lands])
+        lands &= paired[:, None]
+        np.maximum.at(ram.reshape(-1), flat[lands] + step, ram_heights[lands])
+    return cpu, ram
+
+
+def _draw_box(
     box_index: int,
     cfg: FleetConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> BoxTrace:
-    """Generate one box trace.
+    rng: Optional[np.random.Generator],
+    rows: _FactorRows,
+) -> _BoxDraw:
+    """The draw phase of one box: every RNG call, in the recipe's order.
 
-    ``rng`` defaults to a generator derived from ``cfg.seed`` and
-    ``box_index``, so individual boxes can be regenerated independently of
-    the rest of the fleet.
+    No draw depends on a generated series value (the one data-dependent
+    clamp reads a drawn mean), so the factor series are only recorded in
+    ``rows`` here and computed later, a whole block at a time.
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, box_index)))
@@ -277,9 +516,9 @@ def generate_box(
     )
     n_windows = cfg.n_windows
 
-    shared = _box_factor(rng, cfg)
+    shared = _draw_box_factor(rng, cfg, rows)
     n_groups = max(1, min(m // 3, 3))
-    group_factors = [_box_factor(rng, cfg) for _ in range(n_groups)]
+    group_rows = [_draw_box_factor(rng, cfg, rows) for _ in range(n_groups)]
     group_of = rng.integers(0, n_groups, size=m)
 
     # Capacities first: culprit selection is size-weighted below.
@@ -317,7 +556,7 @@ def generate_box(
         replica_set = set(
             rng.choice(cool_vm_ids, size=min(size, len(cool_vm_ids)), replace=False).tolist()
         )
-    replica_factor = _box_factor(rng, cfg)
+    replica_row = _draw_box_factor(rng, cfg, rows)
     replica_mu = rng.uniform(*cfg.cpu_cool_mu_range)
 
     # Box-level backup/batch windows: the times of day at which co-located
@@ -325,134 +564,151 @@ def generate_box(
     spike_anchors = rng.integers(0, cfg.windows_per_day, size=cfg.cpu_spikes_per_day)
     n_days = int(np.ceil(n_windows / cfg.windows_per_day))
 
-    def _vm_spike_trains() -> Tuple[np.ndarray, np.ndarray]:
-        cpu_spikes = np.zeros(n_windows)
-        ram_spikes = np.zeros(n_windows)
-        for anchor in spike_anchors:
-            if rng.random() >= cfg.spike_participation:
-                continue
-            height = rng.uniform(*cfg.cpu_spike_height_range)
-            paired = rng.random() < cfg.spike_pair_probability
-            ram_frac = rng.uniform(*cfg.ram_spike_height_fraction)
-            # Scheduled jobs are regular: same start slot and duration every
-            # day, only the height varies.  (Random day-to-day time jitter
-            # would make spikes look unpredictable to any one-day-ahead
-            # model, which real cron jobs are not.)
-            duration = int(rng.integers(1, 3))
-            for day in range(n_days):
-                start = day * cfg.windows_per_day + int(anchor)
-                if not 0 <= start < n_windows:
-                    continue
-                stop = min(start + duration, n_windows)
-                day_height = height * rng.uniform(0.85, 1.15)
-                cpu_spikes[start:stop] = np.maximum(cpu_spikes[start:stop], day_height)
-                if paired:
-                    ram_spikes[start:stop] = np.maximum(
-                        ram_spikes[start:stop], day_height * ram_frac
-                    )
-        return cpu_spikes, ram_spikes
-
-    vms: List[VMTrace] = []
+    vm: Dict[str, list] = {key: [] for key in _VM_FIELDS}
+    burst_trains: List[np.ndarray] = []
+    spikes: List[tuple] = []
     for i in range(m):
         # --- factor loadings -------------------------------------------------
-        is_replica = i in replica_set
-        if is_replica:
+        if i in replica_set:
             # Replicas ride the shared replica workload almost entirely.
             a = _jitter(rng, 0.20, cfg)
-            b = float(
-                np.clip(cfg.replica_loading + rng.uniform(-0.04, 0.04), 0.5, 0.95)
-            )
-            c = float(np.sqrt(max(0.02, 1.0 - a * a - b * b)))
-            group_signal = replica_factor
+            b = _clamp(cfg.replica_loading + rng.uniform(-0.04, 0.04), 0.5, 0.95)
+            c = math.sqrt(max(0.02, 1.0 - a * a - b * b))
+            vm["signal"].append(replica_row)
         else:
             a = _jitter(rng, cfg.loading_shared_cpu, cfg)  # CPU on shared
             b = _jitter(rng, cfg.loading_group_cpu, cfg)  # CPU on group
-            c = float(np.sqrt(max(0.05, 1.0 - a * a - b * b)))  # CPU idio
-            group_signal = group_factors[group_of[i]]
+            c = math.sqrt(max(0.05, 1.0 - a * a - b * b))  # CPU idio
+            vm["signal"].append(group_rows[group_of[i]])
+        vm["a"].append(a)
+        vm["b"].append(b)
+        vm["c"].append(c)
 
-        u = _idio_factor(rng, cfg, slow=False)  # CPU idiosyncratic
-        v = _idio_factor(rng, cfg, slow=True)  # RAM idiosyncratic
-        cpu_z = a * shared + b * group_signal + c * u
+        vm["u"].append(_draw_idio_factor(rng, cfg, False, rows))  # CPU idio
+        vm["v"].append(_draw_idio_factor(rng, cfg, True, rows))  # RAM idio
 
-        if rng.random() < cfg.strong_pair_fraction:
-            # Request-driven memory: RAM tracks this VM's CPU directly.
+        # RAM signal: ``g * cpu_z + k * v`` for request-driven memory that
+        # tracks this VM's CPU directly, else ``d * S + f * u + h * v``.
+        strong = rng.random() < cfg.strong_pair_fraction
+        if strong:
             g = rng.uniform(*cfg.strong_pair_loading_range)
-            ram_z = g * cpu_z + float(np.sqrt(max(0.02, 1.0 - g * g))) * v
+            k = math.sqrt(max(0.02, 1.0 - g * g))
+            d = f = h = 0.0
         else:
+            g = k = 0.0
             d = _jitter(rng, cfg.loading_shared_ram, cfg)  # RAM on shared
             f = _jitter(rng, cfg.loading_pair, cfg)  # RAM on CPU-idio
-            h = float(np.sqrt(max(0.05, 1.0 - d * d - f * f)))  # RAM idio
-            ram_z = d * shared + f * u + h * v
+            h = math.sqrt(max(0.05, 1.0 - d * d - f * f))  # RAM idio
+        for key, value in (("strong", strong), ("g", g), ("k", k), ("d", d), ("f", f), ("h", h)):
+            vm[key].append(value)
 
         # --- levels -----------------------------------------------------------
-        if i in cpu_hot_vms:
+        cpu_hot = i in cpu_hot_vms
+        if cpu_hot:
             # Culprit VMs split into "pinned" (persistently at or beyond
             # their entitlement, carrying tickets even at the 80% threshold)
             # and diurnal hot spots — this mix keeps Fig. 2b's decay flat.
             if rng.random() < cfg.cpu_pinned_fraction:
                 cpu_mu = rng.uniform(*cfg.cpu_pinned_mu_range)
-                cpu_sigma = rng.uniform(*cfg.cpu_pinned_sigma_range)
+                cpu_scale = rng.uniform(*cfg.cpu_pinned_sigma_range)
             else:
                 cpu_mu = rng.uniform(*cfg.cpu_hot_mu_range)
-                cpu_sigma = rng.uniform(*cfg.cpu_hot_sigma_range)
-            cpu_usage = cpu_mu + cpu_sigma * cpu_z
+                cpu_scale = rng.uniform(*cfg.cpu_hot_sigma_range)
         else:
             # Cool VMs: log-normal shape (low typical level) topped by
             # box-shared scheduled spikes that define the daily peak.  The
             # tail parameter is capped so the continuous part essentially
             # never crosses the lowest ticket threshold on its own.
-            if is_replica:
+            if i in replica_set:
                 cpu_mu = replica_mu * rng.uniform(0.85, 1.15)
             else:
                 cpu_mu = rng.uniform(*cfg.cpu_cool_mu_range)
             s = rng.uniform(*cfg.cpu_cool_lognorm_sigma_range)
-            s = min(s, float(np.log(55.0 / cpu_mu)) / 3.2)
-            cpu_usage = cpu_mu * np.exp(s * cpu_z)
-        cpu_usage = cpu_usage + bursts(
-            rng,
-            n_windows,
-            rate_per_window=cfg.burst_rate,
-            amplitude=cfg.burst_amplitude,
+            cpu_scale = min(s, float(np.log(55.0 / cpu_mu)) / 3.2)
+        burst_trains.append(
+            bursts(
+                rng,
+                n_windows,
+                rate_per_window=cfg.burst_rate,
+                amplitude=cfg.burst_amplitude,
+            )
         )
-        if i in ram_hot_vms:
+        ram_hot = i in ram_hot_vms
+        if ram_hot:
             if rng.random() < cfg.ram_pinned_fraction:
                 ram_mu = rng.uniform(*cfg.ram_pinned_mu_range)
-                ram_sigma = rng.uniform(*cfg.ram_pinned_sigma_range)
+                ram_scale = rng.uniform(*cfg.ram_pinned_sigma_range)
             else:
                 ram_mu = rng.uniform(*cfg.ram_hot_mu_range)
-                ram_sigma = rng.uniform(*cfg.ram_hot_sigma_range)
-            ram_usage = ram_mu + ram_sigma * ram_z
+                ram_scale = rng.uniform(*cfg.ram_hot_sigma_range)
         else:
             ram_mu = rng.uniform(*cfg.ram_cool_mu_range)
             s = rng.uniform(*cfg.ram_cool_lognorm_sigma_range)
-            s = min(s, float(np.log(55.0 / ram_mu)) / 3.2)
-            ram_usage = ram_mu * np.exp(s * ram_z)
-        if i not in cpu_hot_vms or i not in ram_hot_vms:
-            cpu_spikes, ram_spikes = _vm_spike_trains()
-            if i not in cpu_hot_vms:
-                cpu_usage = cpu_usage + cpu_spikes
-            if i not in ram_hot_vms:
-                ram_usage = ram_usage + ram_spikes
-
-        vms.append(
-            VMTrace(
-                vm_id=f"box{box_index:05d}-vm{i:03d}",
-                cpu_capacity=float(cpu_capacities[i]),
-                ram_capacity=float(ram_capacities[i]),
-                cpu_usage=np.clip(cpu_usage, 0.0, cfg.cpu_usage_cap),
-                ram_usage=np.clip(ram_usage, 0.0, cfg.ram_usage_cap),
-            )
-        )
+            ram_scale = min(s, float(np.log(55.0 / ram_mu)) / 3.2)
+        for key, value in (
+            ("cpu_hot", cpu_hot), ("cpu_mu", cpu_mu), ("cpu_scale", cpu_scale),
+            ("ram_hot", ram_hot), ("ram_mu", ram_mu), ("ram_scale", ram_scale),
+        ):
+            vm[key].append(value)
+        if not cpu_hot or not ram_hot:
+            spikes += _draw_spike_trains(rng, cfg, spike_anchors, n_days, i)
 
     headroom_cpu = rng.uniform(*cfg.headroom_range)
     headroom_ram = rng.uniform(*cfg.headroom_range)
-    box = BoxTrace(
-        box_id=f"box{box_index:05d}",
-        cpu_capacity=sum(vm.cpu_capacity for vm in vms) * headroom_cpu,
-        ram_capacity=sum(vm.ram_capacity for vm in vms) * headroom_ram,
-        vms=vms,
-        interval_minutes=cfg.interval_minutes,
+    return _BoxDraw(
+        box_index, cfg, shared, cpu_capacities, ram_capacities, vm,
+        burst_trains, spikes, headroom_cpu, headroom_ram,
     )
+
+
+def _render_block(drawn: List[List[_BoxDraw]], rows: _FactorRows) -> Iterator[List[BoxTrace]]:
+    """The compute phase of one block: resolve its factor rows, then its boxes."""
+    geometry = {(d.cfg.n_windows, d.cfg.windows_per_day) for group in drawn for d in group}
+    if len(geometry) != 1:
+        raise ValueError(
+            f"a render block needs one trace geometry, got {sorted(geometry)}"
+        )
+    factors = rows.resolve(*geometry.pop())
+    for group in drawn:
+        yield [d.assemble(factors) for d in group]
+
+
+def generate_box_groups(
+    groups: Iterable[Sequence[BoxRequest]],
+) -> Iterator[List[BoxTrace]]:
+    """Render groups of boxes block by block, yielding each group's boxes.
+
+    A group is a sequence of ``(box_index, cfg, rng)`` requests that render
+    in the same block (the scenario engine's regime shift renders one box
+    under two configs and splices them).  Each request draws exactly what
+    :func:`generate_box` draws, in the same order; a block closes at the
+    first group boundary at or past :data:`ROW_BUDGET` factor rows, and
+    its factor series are then computed as 2-D arrays.  Every box's bytes
+    are independent of where the block boundaries fall.
+    """
+    rows = _FactorRows()
+    drawn: List[List[_BoxDraw]] = []
+    for group in groups:
+        drawn.append([_draw_box(index, cfg, rng, rows) for index, cfg, rng in group])
+        if len(rows) >= ROW_BUDGET:
+            yield from _render_block(drawn, rows)
+            rows, drawn = _FactorRows(), []
+    if drawn:
+        yield from _render_block(drawn, rows)
+
+
+def generate_box(
+    box_index: int,
+    cfg: FleetConfig,
+    rng: Optional[np.random.Generator] = None,
+) -> BoxTrace:
+    """Generate one box trace: a one-box call of :func:`generate_box_groups`.
+
+    ``rng`` defaults to a generator derived from ``cfg.seed`` and
+    ``box_index``, so individual boxes can be regenerated independently of
+    the rest of the fleet.
+    """
+    (box,) = next(generate_box_groups([[(box_index, cfg, rng)]]))
     return box
 
 
@@ -465,8 +721,7 @@ def generate_fleet(
 
     ``scenario`` (a :class:`repro.trace.scenario.ScenarioSpec`) renders
     the fleet through the scenario engine; ``None`` — or the identity
-    ``paper-fig2`` spec — takes the legacy calibrated path below, bit for
-    bit.
+    ``paper-fig2`` spec — takes the calibrated path below, bit for bit.
     """
     check_generation_allowed()
     cfg = cfg or FleetConfig()
@@ -476,5 +731,6 @@ def generate_fleet(
         return render_fleet(
             scenario, cfg, name=scenario.name if name == "synthetic" else name
         )
-    boxes = [generate_box(b, cfg) for b in range(cfg.n_boxes)]
+    groups = ([(b, cfg, None)] for b in range(cfg.n_boxes))
+    boxes = [box for (box,) in generate_box_groups(groups)]
     return FleetTrace(boxes=boxes, name=name)

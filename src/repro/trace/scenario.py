@@ -36,10 +36,11 @@ cleanly: the pre- and post-shift archetypes produce the *same* VMs with
 the same capacities and culprit identities, and only the usage statistics
 change at the switch window.
 
-The default ``paper-fig2`` scenario is the identity: it renders through
-the exact legacy ``generate_box`` path, bit for bit (pinned by
+The default ``paper-fig2`` scenario is the identity: it renders the
+calibrated generator's boxes unchanged, bit for bit (pinned by
 ``tests/trace/test_scenario.py``), with ``scenario_fp`` left ``None`` so
-pre-scenario artifact keys keep resolving.
+pre-scenario artifact keys keep resolving.  Every scenario renders through
+the generator's block renderer (:func:`render_boxes`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,17 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.store.fingerprint import config_fingerprint
-from repro.trace.generator import FleetConfig, check_generation_allowed, generate_box
+from repro.trace.generator import (
+    FleetConfig,
+    check_generation_allowed,
+    generate_box_groups,
+)
 from repro.trace.model import BoxTrace, FleetTrace
 from repro.trace.workloads import bursts, daily_spikes, diurnal, linear_ramp, weekly
 
@@ -66,6 +72,7 @@ __all__ = [
     "RenderSpec",
     "ScenarioSpec",
     "render_box",
+    "render_boxes",
     "render_fleet",
     "resolve_scenario",
 ]
@@ -580,55 +587,83 @@ def _switch_window(cfg: FleetConfig, shift: RegimeShift, cohort_index: int) -> i
     return int(np.clip(round(fraction * cfg.n_windows), 1, cfg.n_windows - 1))
 
 
-def render_box(
-    box_index: int, spec: ScenarioSpec, cfg: Optional[FleetConfig] = None
-) -> BoxTrace:
-    """Render one box of a scenario.
+class _BoxPlan:
+    """How one box of a scenario renders: its cohort and the configs to draw."""
 
-    The identity scenario takes the exact legacy :func:`generate_box`
-    path.  Otherwise the cohort's archetype renders the box (config
-    overrides + usage envelope), and a cohort with a :class:`RegimeShift`
-    renders *both* archetypes from the same seed and splices them at the
-    seeded switch window — the override restrictions guarantee the two
-    renders agree on VM identities and capacities, so only the workload
-    statistics change mid-trace.
+    def __init__(self, box_index: int, spec: ScenarioSpec, cfg: FleetConfig) -> None:
+        self.box_index = box_index
+        self.cohort_index, self.cohort = _cohort_of(spec, box_index, cfg.n_boxes)
+        self.configs = [_derive_config(cfg, self.cohort.archetype, spec.render)]
+        if self.cohort.shift is not None:
+            self.configs.append(
+                _derive_config(cfg, self.cohort.shift.archetype, spec.render)
+            )
+
+    def finish(self, boxes: List[BoxTrace], spec: ScenarioSpec, cfg: FleetConfig) -> BoxTrace:
+        """Apply the envelope(s) to the rendered box(es) and splice a shift."""
+        box = boxes[0]
+        env = _envelope(self.cohort.archetype, cfg, self.box_index, 0, box.n_vms)
+        if env is not None:
+            _apply_envelope(box, env, self.configs[0])
+
+        if self.cohort.shift is not None:
+            post = boxes[1]
+            if post.n_vms != box.n_vms:  # pragma: no cover - guarded by overrides
+                raise RuntimeError(
+                    f"regime shift on box {self.box_index} changed the VM count "
+                    f"({box.n_vms} -> {post.n_vms}); archetype overrides must "
+                    f"not perturb the pre-capacity RNG stream"
+                )
+            post_env = _envelope(
+                self.cohort.shift.archetype, cfg, self.box_index, 1, post.n_vms
+            )
+            if post_env is not None:
+                _apply_envelope(post, post_env, self.configs[1])
+            switch = _switch_window(cfg, self.cohort.shift, self.cohort_index)
+            for vm, post_vm in zip(box.vms, post.vms):
+                vm.cpu_usage = np.concatenate(
+                    [vm.cpu_usage[:switch], post_vm.cpu_usage[switch:]]
+                )
+                vm.ram_usage = np.concatenate(
+                    [vm.ram_usage[:switch], post_vm.ram_usage[switch:]]
+                )
+
+        box.scenario_fp = spec.fingerprint()
+        return box
+
+
+def render_boxes(
+    indices: Iterable[int], spec: ScenarioSpec, cfg: Optional[FleetConfig] = None
+) -> Iterator[BoxTrace]:
+    """Render boxes of a scenario in index order, block by block.
+
+    The identity scenario renders through the calibrated generator as is.
+    Otherwise the cohort's archetype renders each box (config overrides +
+    usage envelope), and a cohort with a :class:`RegimeShift` renders
+    *both* archetypes from the same seed -- in the same render block --
+    and splices them at the seeded switch window; the override
+    restrictions guarantee the two renders agree on VM identities and
+    capacities, so only the workload statistics change mid-trace.  Every
+    box goes through :func:`repro.trace.generator.generate_box_groups`,
+    so a box's bytes do not depend on which other boxes share its block.
     """
     cfg = cfg or FleetConfig()
     if spec.is_identity:
-        return generate_box(box_index, cfg)
+        groups = ([(index, cfg, None)] for index in indices)
+        for (box,) in generate_box_groups(groups):
+            yield box
+        return
+    plans = [_BoxPlan(index, spec, cfg) for index in indices]
+    groups = ([(plan.box_index, c, None) for c in plan.configs] for plan in plans)
+    for plan, boxes in zip(plans, generate_box_groups(groups)):
+        yield plan.finish(boxes, spec, cfg)
 
-    cohort_index, cohort = _cohort_of(spec, box_index, cfg.n_boxes)
-    pre_cfg = _derive_config(cfg, cohort.archetype, spec.render)
-    box = generate_box(box_index, pre_cfg)
-    env = _envelope(cohort.archetype, cfg, box_index, 0, box.n_vms)
-    if env is not None:
-        _apply_envelope(box, env, pre_cfg)
 
-    if cohort.shift is not None:
-        post_cfg = _derive_config(cfg, cohort.shift.archetype, spec.render)
-        post = generate_box(box_index, post_cfg)
-        if post.n_vms != box.n_vms:  # pragma: no cover - guarded by overrides
-            raise RuntimeError(
-                f"regime shift on box {box_index} changed the VM count "
-                f"({box.n_vms} -> {post.n_vms}); archetype overrides must "
-                f"not perturb the pre-capacity RNG stream"
-            )
-        post_env = _envelope(
-            cohort.shift.archetype, cfg, box_index, 1, post.n_vms
-        )
-        if post_env is not None:
-            _apply_envelope(post, post_env, post_cfg)
-        switch = _switch_window(cfg, cohort.shift, cohort_index)
-        for vm, post_vm in zip(box.vms, post.vms):
-            vm.cpu_usage = np.concatenate(
-                [vm.cpu_usage[:switch], post_vm.cpu_usage[switch:]]
-            )
-            vm.ram_usage = np.concatenate(
-                [vm.ram_usage[:switch], post_vm.ram_usage[switch:]]
-            )
-
-    box.scenario_fp = spec.fingerprint()
-    return box
+def render_box(
+    box_index: int, spec: ScenarioSpec, cfg: Optional[FleetConfig] = None
+) -> BoxTrace:
+    """Render one box of a scenario: a one-box call of :func:`render_boxes`."""
+    return next(render_boxes([box_index], spec, cfg))
 
 
 def render_fleet(
@@ -636,7 +671,7 @@ def render_fleet(
     cfg: Optional[FleetConfig] = None,
     name: Optional[str] = None,
 ) -> FleetTrace:
-    """Render a full fleet from a scenario spec.
+    """Render a full fleet from a scenario spec (span ``trace.render``).
 
     Honours the ``REPRO_FORBID_FLEET_GENERATION`` worker guard exactly
     like :func:`repro.trace.generator.generate_fleet`: scenario rendering
@@ -645,7 +680,8 @@ def render_fleet(
     """
     check_generation_allowed()
     cfg = cfg or FleetConfig()
-    boxes = [render_box(b, spec, cfg) for b in range(cfg.n_boxes)]
+    with obs.span("trace.render"):
+        boxes = list(render_boxes(range(cfg.n_boxes), spec, cfg))
     fleet = FleetTrace(boxes=boxes, name=name or spec.name)
     if not spec.is_identity:
         fleet.scenario_fp = spec.fingerprint()

@@ -19,7 +19,10 @@ import numpy as np
 
 __all__ = [
     "diurnal",
+    "diurnal_rows",
     "ar1_noise",
+    "ar1_draws",
+    "ar1_rows",
     "bursts",
     "daily_spikes",
     "random_walk",
@@ -40,15 +43,39 @@ def diurnal(
     """Return a daily periodic signal in ``[-amplitude, amplitude]``.
 
     ``sharpness > 1`` squeezes the peak (business-hour spikes); ``phase`` is
-    in fractions of a day.
+    in fractions of a day.  A one-row call of :func:`diurnal_rows`.
+    """
+    return amplitude * diurnal_rows(n_windows, windows_per_day, [phase], [sharpness])[0]
+
+
+def diurnal_rows(
+    n_windows: int,
+    windows_per_day: int,
+    phase: "np.ndarray | list[float]",
+    sharpness: "np.ndarray | list[float]",
+) -> np.ndarray:
+    """Return one unit-amplitude :func:`diurnal` shape per ``(phase, sharpness)`` row.
+
+    The ``(rows, n_windows)`` result is computed as single 2-D ``sin`` and
+    ``power`` calls.  Every op is elementwise (in-place products only swap
+    commutative operands), so each row has the bytes of its own 1-D
+    computation (pinned by tests/trace/test_generator_oracle.py).
     """
     if n_windows <= 0 or windows_per_day <= 0:
         raise ValueError("n_windows and windows_per_day must be positive")
-    t = np.arange(n_windows) / windows_per_day
-    base = np.sin(2.0 * np.pi * (t - phase))
-    if sharpness != 1.0:
-        base = np.sign(base) * np.abs(base) ** sharpness
-    return amplitude * base
+    phase = np.asarray(phase, dtype=float)[:, None]
+    sharpness = np.asarray(sharpness, dtype=float)[:, None]
+    base = np.arange(n_windows) / windows_per_day - phase
+    base *= 2.0 * np.pi
+    np.sin(base, out=base)
+    sharp = sharpness != 1.0
+    if sharp.any():
+        # sign(base) * |base| ** sharpness, in place where the row is sharp.
+        shaped = np.abs(base)
+        np.power(shaped, sharpness, out=shaped)
+        shaped *= np.sign(base)
+        np.copyto(base, shaped, where=sharp)
+    return base
 
 
 def ar1_noise(
@@ -60,10 +87,23 @@ def ar1_noise(
     """Return a stationary AR(1) series ``x_t = phi x_{t-1} + eps_t``.
 
     The series is started from its stationary distribution so there is no
-    warm-up transient.  The recurrence runs on Python floats: one
-    multiply-then-add per step in IEEE double, the same arithmetic as
-    ``scipy.signal.lfilter([1], [1, -phi], ...)`` and bit-identical to it
-    (pinned by tests/trace/test_workloads.py), without importing scipy.
+    warm-up transient.  A one-row call of :func:`ar1_rows` on the draws of
+    :func:`ar1_draws`: one multiply-then-add per step in IEEE double, the
+    same arithmetic as ``scipy.signal.lfilter([1], [1, -phi], ...)`` and
+    bit-identical to it (pinned by tests/trace/test_workloads.py), without
+    importing scipy.
+    """
+    eps, x0 = ar1_draws(rng, n_windows, phi, sigma)
+    return ar1_rows(np.array([phi]), np.array([x0]), eps[None, :])[0]
+
+
+def ar1_draws(
+    rng: np.random.Generator, n_windows: int, phi: float, sigma: float = 1.0
+) -> "tuple[np.ndarray, float]":
+    """Draw an AR(1) series' innovations and stationary start ``(eps, x0)``.
+
+    ``eps[0]`` is drawn but unused, so the stream consumption is that of
+    :func:`ar1_noise`; the recurrence itself is :func:`ar1_rows`.
     """
     if n_windows < 1:
         raise ValueError(f"n_windows must be positive, got {n_windows}")
@@ -73,12 +113,27 @@ def ar1_noise(
         raise ValueError("sigma must be non-negative")
     eps = rng.normal(0.0, sigma, size=n_windows)
     x0 = rng.normal(0.0, sigma / np.sqrt(max(1e-12, 1.0 - phi * phi)))
-    x = float(x0)
-    out = [x]
-    for e in eps[1:].tolist():
-        x = phi * x + e
-        out.append(x)
-    return np.array(out)
+    return eps, float(x0)
+
+
+def ar1_rows(phi: np.ndarray, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Run one AR(1) recurrence per row: ``x[r, t] = phi[r] x[r, t-1] + eps[r, t]``.
+
+    ``x[r, 0] = x0[r]``.  The rows advance together, one vector multiply
+    then one vector add per time step; each is the same rounded IEEE op a
+    scalar loop makes, so every row has the bytes of its own serial
+    recurrence.
+    """
+    out = np.array(eps, dtype=float)
+    if out.ndim != 2:
+        raise ValueError(f"eps must be (rows, n_windows), got shape {out.shape}")
+    out[:, 0] = x0
+    step = np.empty(out.shape[0])
+    columns = list(out.T)  # strided views, one per time step
+    for prev, cur in zip(columns, columns[1:]):
+        np.multiply(phi, prev, out=step)
+        np.add(step, cur, out=cur)
+    return out
 
 
 def bursts(

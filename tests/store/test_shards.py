@@ -1,6 +1,7 @@
 """Memory-mapped shard store: round-trip, manifest, refs, and the guard."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from repro.store.shards import (
     write_box_shard,
     write_fleet_shards,
 )
-from repro.trace import model
+from repro.trace import NAMED_SCENARIOS, model, render_fleet
 from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import FORBID_GENERATION_ENV_VAR, FleetTrace
 
@@ -192,6 +193,29 @@ class TestObservability:
         assert snap["counters"]["shards.bytes_mapped"] == manifest.boxes[0].nbytes
         assert snap["gauges"]["shards.max_box_bytes"] == manifest.boxes[0].nbytes
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_generation_records_one_span(self, tmp_path, jobs):
+        """Serial and pool generation both run under one shards.generate span."""
+        obs.reset_metrics()
+        try:
+            generate_fleet_shards(
+                FleetConfig(n_boxes=6, days=1, seed=3), tmp_path, jobs=jobs, chunksize=2
+            )
+            spans = obs.metrics_snapshot()["spans"]
+        finally:
+            obs.reset_metrics()
+        assert spans["shards.generate"]["count"] == 1
+        assert "trace.render" not in spans
+
+    def test_render_fleet_records_one_span(self):
+        obs.reset_metrics()
+        try:
+            render_fleet(NAMED_SCENARIOS["regime-shift"], FleetConfig(n_boxes=3, days=1, seed=3))
+            spans = obs.metrics_snapshot()["spans"]
+        finally:
+            obs.reset_metrics()
+        assert spans["trace.render"]["count"] == 1
+
 
 class TestMaterializationGuard:
     """Satellite: the forbid-generation guard also forbids full-fleet
@@ -277,3 +301,23 @@ class TestParallelGeneration:
             generate_fleet_shards(
                 FleetConfig(n_boxes=2, days=1, seed=1), tmp_path, jobs=2
             )
+
+
+class TestBoundedGeneration:
+    """Generation holds one render block at a time, never the fleet: the
+    contract ``peak_rss_mb`` and ``bench_fleet_scale``'s RSS-growth bound
+    rely on."""
+
+    @staticmethod
+    def _traced_peak(root, n_boxes):
+        tracemalloc.start()
+        try:
+            generate_fleet_shards(FleetConfig(n_boxes=n_boxes, seed=17), root, jobs=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_flat_in_fleet_size(self, tmp_path):
+        small = self._traced_peak(tmp_path / "small", 16)
+        large = self._traced_peak(tmp_path / "large", 128)
+        assert large < 1.5 * small, (small, large)

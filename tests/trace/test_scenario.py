@@ -12,6 +12,7 @@ from repro.trace import (
     NAMED_SCENARIOS,
     CohortSpec,
     FleetConfig,
+    FleetTrace,
     RegimeShift,
     RenderSpec,
     ScenarioSpec,
@@ -20,19 +21,20 @@ from repro.trace import (
     render_fleet,
     resolve_scenario,
 )
-from repro.trace.generator import generate_box
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
 from repro.trace.scenario import (
     PAPER_ARCHETYPE,
     _cohort_of,
     _switch_window,
 )
+from tests.trace import generator_oracle as oracle
 
 SMALL = FleetConfig(n_boxes=4, days=2, seed=20160628)
 
 #: Fleet digest of the calibrated profile at SMALL — the bit-identity pin:
-#: the scenario refactor must never change what the legacy generator (and
-#: therefore the default ``paper-fig2`` scenario) produces.
+#: neither the scenario engine nor the block renderer may change what the
+#: per-box generator (now the test oracle) produces for the default
+#: ``paper-fig2`` scenario.
 PAPER_FIG2_DIGEST = "cf28e23545b78942cf8193e4153439bca60a883a"
 
 
@@ -53,8 +55,9 @@ def _clean_env(monkeypatch):
 
 class TestIdentityPin:
     def test_paper_fig2_is_bit_identical_to_legacy_generator(self):
-        legacy = generate_fleet(SMALL)
+        legacy = FleetTrace(boxes=oracle.generate_fleet_boxes(SMALL))
         assert _fleet_digest(legacy) == PAPER_FIG2_DIGEST
+        assert _fleet_digest(generate_fleet(SMALL)) == PAPER_FIG2_DIGEST
         rendered = render_fleet(NAMED_SCENARIOS[PAPER_ARCHETYPE], SMALL)
         assert _fleet_digest(rendered) == PAPER_FIG2_DIGEST
 
@@ -75,6 +78,78 @@ class TestIdentityPin:
         assert not ScenarioSpec(
             "noisy", render=RenderSpec(noise_scale=2.0)
         ).is_identity
+
+
+#: A fleet long enough to span several render blocks (about 25 factor rows
+#: per box against the block renderer's row budget), so every pin below
+#: crosses block boundaries mid-fleet.
+SPAN = FleetConfig(n_boxes=40, days=2, seed=20160628)
+
+#: Literal render digests at SPAN for every named scenario, recorded from
+#: the per-box generator before the block renderer replaced it.  Archetype
+#: overrides, envelopes and the regime-shift splice all feed these bytes.
+SCENARIO_DIGESTS = {
+    "paper-fig2": "cb885a21a78c79303c94212100f95d84c82a1916",
+    "web-diurnal": "768c7e4efb646b9abd15021dddd9306a3c8ce430",
+    "batch": "61e3e23d6e3baa6694d8468ed5e163ab393027a6",
+    "spiky": "c37ef35f3730829ecd2a109d75cf0861527ae50c",
+    "ramp": "3c9504226a5d4d69159fb33ad34eb42f4419ba5d",
+    "weekend-heavy": "5b6368bdcec3d13c998e385f1170e7c7a915e5be",
+    "mixed": "8673dac6723f5164fb41bd13d63e778499c9eff5",
+    "regime-shift": "80766dfba4116398b3559990c5a278a0e9d63a22",
+}
+
+#: Store-tree digests (manifest plus every shard file) of a 12-box, 1-day
+#: store; the same bytes at any worker count.
+STORE_DIGESTS = {
+    "paper-fig2": "2f8d38f3b2d5d52728304fb3102c52e7681d090c",
+    "regime-shift": "de8f7dc3ae746f1eead8623694b5503dc5a7d9e2",
+}
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.blake2b(digest_size=20)
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestLiteralPins:
+    """Byte pins of every renderer entry point: changing how the fleet is
+    computed must never change what it is."""
+
+    def test_every_named_scenario_matches_its_pin(self):
+        assert set(SCENARIO_DIGESTS) == set(NAMED_SCENARIOS)
+        for name, spec in NAMED_SCENARIOS.items():
+            assert _fleet_digest(render_fleet(spec, SPAN)) == SCENARIO_DIGESTS[name], name
+
+    @pytest.mark.parametrize(
+        "cfg,digest",
+        [
+            (FleetConfig(n_boxes=8, days=1, seed=7), "5d71615bf0b94d245a1743cc3dcf80d646df1e35"),
+            (
+                FleetConfig(n_boxes=8, days=3, windows_per_day=24, seed=7),
+                "feb3214f85166125953598277099ca5f947954c1",
+            ),
+        ],
+        ids=["days1", "wpd24"],
+    )
+    def test_paper_fig2_geometry_pins(self, cfg, digest):
+        assert _fleet_digest(render_fleet(NAMED_SCENARIOS[PAPER_ARCHETYPE], cfg)) == digest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(STORE_DIGESTS))
+    def test_shard_store_tree_pin(self, tmp_path, name, jobs):
+        generate_fleet_shards(
+            FleetConfig(n_boxes=12, days=1, seed=42),
+            tmp_path,
+            name="pin",
+            jobs=jobs,
+            scenario=NAMED_SCENARIOS[name],
+        )
+        assert _tree_digest(tmp_path) == STORE_DIGESTS[name]
 
 
 class TestArchetypes:
@@ -110,7 +185,7 @@ class TestArchetypes:
         draw, so every archetype agrees on them; box capacity folds a
         headroom draw made *after* the usage series, so it may differ.
         """
-        legacy = generate_box(1, SMALL)
+        legacy = oracle.generate_box(1, SMALL)
         for name in ARCHETYPES:
             spec = ScenarioSpec(name, (CohortSpec(name),))
             box = render_box(1, spec, SMALL)
@@ -273,13 +348,15 @@ class TestGenerationGuard:
         assert box.scenario_fp == NAMED_SCENARIOS["spiky"].fingerprint()
 
     def test_worker_shard_unit_renders_under_guard(self, monkeypatch, tmp_path):
-        from repro.store.shards import _render_box_shard
+        from repro.store.shards import _render_shard_block
 
         monkeypatch.setenv(FORBID_GENERATION_ENV_VAR, "1")
-        meta = _render_box_shard(
-            0, SMALL, NAMED_SCENARIOS["spiky"], str(tmp_path)
+        metas = _render_shard_block(
+            range(1, 3), SMALL, NAMED_SCENARIOS["spiky"], str(tmp_path)
         )
-        assert meta.scenario_fp == NAMED_SCENARIOS["spiky"].fingerprint()
+        assert [meta.box_id for meta in metas] == ["box00001", "box00002"]
+        for meta in metas:
+            assert meta.scenario_fp == NAMED_SCENARIOS["spiky"].fingerprint()
 
     def test_parallel_scenario_store_matches_serial(self, monkeypatch, tmp_path):
         serial_root = tmp_path / "serial"
