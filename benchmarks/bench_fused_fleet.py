@@ -241,8 +241,9 @@ def main(argv=None) -> int:
         help=f"{QUICK_BOXES}-box smoke: asserts bit-identity and fused coverage",
     )
     parser.add_argument(
-        "--out", type=str, default="BENCH_fused.json",
-        help="write the JSON report here",
+        "--out", type=str, default=None,
+        help="write the JSON report here (default BENCH_fused.json; "
+        "--quick writes a report only when --out is given)",
     )
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -257,11 +258,13 @@ def main(argv=None) -> int:
     report = measure(boxes, args.jobs)
     if args.quick:
         report["quick"] = True
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
     _print_report(report)
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.quick else "BENCH_fused.json")
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {out}")
     _check(report)
     return 0
 

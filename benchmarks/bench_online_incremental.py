@@ -214,6 +214,10 @@ def _print_report(report: dict) -> None:
         f"reduction delta {report['reduction_delta_pp']:.2f}pp, "
         f"parallel identical: {report['parallel_identical']}"
     )
+    print(
+        f"result digests: cold {report['cold']['digest']}, "
+        f"incremental {report['incremental']['digest']}"
+    )
 
 
 def test_online_incremental_speedup(benchmark):

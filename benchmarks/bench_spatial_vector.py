@@ -1,7 +1,8 @@
 """Vectorized spatial-search engine — kernel speedups and pinned decisions.
 
-Times each vectorized spatial kernel against its retained definitional
-oracle on the inputs the per-box signature search actually feeds it over
+Times each vectorized spatial kernel against its definitional oracle
+(the DTW and silhouette ones live in ``tests/timeseries/spatial_oracle.py``)
+on the inputs the per-box signature search actually feeds it over
 the shared pipeline bench fleet: the batched DTW wavefront
 (``_dtw_batch`` vs ``_dtw_batch_reference``), the silhouette cut sweep
 (``mean_silhouettes_for_cuts`` vs ``_silhouette_values_reference``), the
@@ -31,6 +32,7 @@ Also runnable as a script::
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -47,7 +49,7 @@ from repro.prediction.spatial.signatures import (
     search_signature_set,
 )
 from repro.timeseries.clustering import HierarchicalClustering
-from repro.timeseries.dtw import _dtw_batch, _dtw_batch_reference, dtw_distance_matrix
+from repro.timeseries.dtw import _dtw_batch, dtw_distance_matrix
 from repro.timeseries.ecdf import histogram_shares
 from repro.timeseries.metrics import mean_absolute_percentage_error
 from repro.timeseries.regression import (
@@ -58,11 +60,18 @@ from repro.timeseries.regression import (
     stepwise_eliminate,
     variance_inflation_factors,
 )
-from repro.timeseries.silhouette import (
-    _silhouette_values_reference,
-    mean_silhouettes_for_cuts,
-)
+from repro.timeseries.silhouette import mean_silhouettes_for_cuts
 from repro.trace.model import Resource
+
+# The DTW and silhouette oracles live with the tests; put the repository
+# root on the path so the import also works when this file runs as a script.
+_ROOT = Path(__file__).resolve().parent.parent
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
+from tests.timeseries.spatial_oracle import (  # noqa: E402
+    _dtw_batch_reference,
+    _silhouette_values_reference,
+)
 
 pytestmark = pytest.mark.slow
 

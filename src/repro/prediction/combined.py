@@ -118,25 +118,6 @@ class SpatialTemporalPredictor:
         """Fit signature search, spatial models and per-signature temporal models."""
         return self.finish_fit(self._fit_temporal(self.begin_fit(train_matrix)))
 
-    def fit_from_spatial(
-        self, spatial: SpatialModel, train_matrix: Sequence[Sequence[float]]
-    ) -> "SpatialTemporalPredictor":
-        """Fit around an existing spatial model (warm start).
-
-        Skips the signature search entirely: ``spatial`` is typically a
-        stored artifact of the exact same training matrix (see
-        :mod:`repro.store`), in which case the fitted predictor is
-        bit-identical to a full :meth:`fit`.
-        """
-        arr = self._validate_train(train_matrix)
-        if spatial.n_series != arr.shape[0]:
-            raise ValueError(
-                f"spatial model covers {spatial.n_series} series; "
-                f"train matrix has {arr.shape[0]}"
-            )
-        obs.inc("predict.fits")
-        return self.finish_fit(self._fit_temporal(self._install(spatial, arr)))
-
     def begin_fit(self, train_matrix: Sequence[Sequence[float]]) -> "list[np.ndarray]":
         """First half of :meth:`fit`: signature search, temporal fits deferred.
 
@@ -152,10 +133,6 @@ class SpatialTemporalPredictor:
         obs.inc("predict.fits")
         with obs.span("predict.signature_search"):
             spatial = search_signature_set(arr, self.config.search)
-        return self._install(spatial, arr)
-
-    def _install(self, spatial: SpatialModel, arr: np.ndarray) -> "list[np.ndarray]":
-        """Adopt ``spatial`` for ``arr``; return the histories to fit."""
         self._spatial = spatial
         self._warm_state = None  # a new spatial model resets the refit chain
         self._temporal = {}

@@ -9,8 +9,8 @@ box capacity:
 * :mod:`repro.resizing.mckp` — the Lemma 4.1 transform into a multi-choice
   knapsack problem with the ε discretization factor.
 * :mod:`repro.resizing.greedy` — the paper's greedy MTRV solver.
-* :mod:`repro.resizing.exact` — brute-force and dynamic-programming exact
-  solvers used to validate the greedy's optimality gap.
+* :mod:`repro.resizing.exact` — the dynamic-programming exact solver used
+  to validate the greedy's optimality gap.
 * :mod:`repro.resizing.baselines` — max-min fairness and the "stingy"
   (peak-demand) allocator.
 * :mod:`repro.resizing.actuation` — the cgroups-style actuator interface.
@@ -19,14 +19,13 @@ box capacity:
 """
 
 from repro.resizing.baselines import max_min_fairness_allocation, stingy_allocation
-from repro.resizing.drf import drf_allocation
 from repro.resizing.evaluate import (
     BoxReduction,
     FleetReduction,
     evaluate_fleet_resizing,
     reduction_percent,
 )
-from repro.resizing.exact import solve_bruteforce, solve_dp
+from repro.resizing.exact import solve_dp
 from repro.resizing.greedy import solve_greedy
 from repro.resizing.mckp import MckpGroup, MckpInstance, MckpSolution, build_mckp
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
@@ -39,11 +38,9 @@ __all__ = [
     "MckpSolution",
     "ResizingProblem",
     "build_mckp",
-    "drf_allocation",
     "evaluate_fleet_resizing",
     "max_min_fairness_allocation",
     "reduction_percent",
-    "solve_bruteforce",
     "solve_dp",
     "solve_greedy",
     "stingy_allocation",

@@ -1,71 +1,22 @@
-"""Exact MCKP solvers for validating the greedy's optimality gap.
+"""Exact MCKP solver for validating the greedy's optimality gap.
 
-The paper mentions CPLEX as the standard MILP route; these in-repo solvers
-play that role at validation scale:
-
-* :func:`solve_bruteforce` — exhaustive enumeration over the product of
-  group choices, exact for tiny instances (the lemma/unit-test scale).
-* :func:`solve_dp` — dynamic programming over a discretized capacity grid;
-  exact up to the grid resolution and comfortably handles box-sized
-  instances.  Capacity costs round *up* onto the grid, so the returned
-  solution never violates the true budget (it may be slightly
-  conservative).
+The paper mentions CPLEX as the standard MILP route; :func:`solve_dp`
+plays that role at validation scale.  It is a dynamic program over a
+discretized capacity grid, exact up to the grid resolution, and
+comfortably handles box-sized instances.  Capacity costs round *up* onto
+the grid, so the returned solution never violates the true budget (it may
+be slightly conservative).  The exhaustive enumerator that pins its
+optimum at unit-test scale lives with the tests
+(``tests/resizing/mckp_oracle.py``).
 """
 
 from __future__ import annotations
-
-import itertools
-from typing import Optional
 
 import numpy as np
 
 from repro.resizing.mckp import MckpInstance, MckpSolution
 
-__all__ = ["solve_bruteforce", "solve_dp"]
-
-_MAX_BRUTEFORCE_COMBOS = 2_000_000
-
-
-def solve_bruteforce(instance: MckpInstance) -> MckpSolution:
-    """Exhaustively enumerate choice vectors; exact but exponential.
-
-    Raises ``ValueError`` when the instance has more than ~2M combinations.
-    """
-    combos = 1
-    for group in instance.groups:
-        combos *= group.n_choices
-        if combos > _MAX_BRUTEFORCE_COMBOS:
-            raise ValueError(
-                f"instance too large for brute force ({combos}+ combinations)"
-            )
-    best_choices: Optional[tuple] = None
-    best_key = None
-    for choices in itertools.product(*(range(g.n_choices) for g in instance.groups)):
-        capacity = sum(
-            g.capacities[c] for g, c in zip(instance.groups, choices)
-        )
-        if capacity > instance.capacity + 1e-9:
-            continue
-        tickets = instance.tickets_for(choices)
-        key = (tickets, capacity)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_choices = choices
-    if best_choices is None:
-        # Nothing fits: report the all-smallest configuration as infeasible.
-        fallback = tuple(g.n_choices - 1 for g in instance.groups)
-        return MckpSolution(
-            allocations=instance.allocation_for(fallback),
-            choices=fallback,
-            tickets=instance.tickets_for(fallback),
-            feasible=False,
-        )
-    return MckpSolution(
-        allocations=instance.allocation_for(best_choices),
-        choices=best_choices,
-        tickets=best_key[0],
-        feasible=True,
-    )
+__all__ = ["solve_dp"]
 
 
 def solve_dp(instance: MckpInstance, grid_points: int = 2048) -> MckpSolution:

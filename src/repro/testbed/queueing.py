@@ -11,11 +11,9 @@ testbed's frontend behaves).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SATURATION_RHO", "ps_response_time", "served_rate", "TierSample"]
+__all__ = ["SATURATION_RHO", "ps_response_time"]
 
 #: Utilization beyond this counts as saturated.
 SATURATION_RHO = 0.95
@@ -33,64 +31,3 @@ def ps_response_time(service_time: float, rho: float, rho_cap: float = SATURATIO
         raise ValueError("rho_cap must be in (0, 1)")
     effective = float(np.clip(rho, 0.0, rho_cap))
     return service_time / (1.0 - effective)
-
-
-def served_rate(offered_rate: float, capacity_ghz: float, work_per_request: float,
-                rho_cap: float = SATURATION_RHO) -> float:
-    """Rate actually served by a station with a CPU capacity limit.
-
-    Parameters
-    ----------
-    offered_rate:
-        Arriving requests per second.
-    capacity_ghz:
-        Enforced CPU limit of the station (GHz).
-    work_per_request:
-        CPU work per request in GHz-seconds (cycles / 1e9).
-    """
-    if offered_rate < 0 or capacity_ghz < 0 or work_per_request <= 0:
-        raise ValueError("rates and capacities must be non-negative, work positive")
-    max_rate = rho_cap * capacity_ghz / work_per_request
-    return float(min(offered_rate, max_rate))
-
-
-@dataclass(frozen=True)
-class TierSample:
-    """One window's operating point of a tier station."""
-
-    offered_rate: float
-    served_rate: float
-    demand_ghz: float
-    rho: float
-    response_time: float
-
-    @property
-    def saturated(self) -> bool:
-        return self.served_rate < self.offered_rate - 1e-9
-
-
-def station_sample(
-    offered_rate: float,
-    capacity_ghz: float,
-    work_per_request: float,
-    base_service_time: float,
-    background_ghz: float = 0.0,
-) -> TierSample:
-    """Evaluate one PS station for one window.
-
-    ``background_ghz`` models OS/daemon overhead consuming capacity
-    independent of request rate.
-    """
-    served = served_rate(
-        offered_rate, max(capacity_ghz - background_ghz, 1e-9), work_per_request
-    )
-    demand = offered_rate * work_per_request + background_ghz
-    rho = demand / capacity_ghz if capacity_ghz > 0 else np.inf
-    rt = ps_response_time(base_service_time, rho)
-    return TierSample(
-        offered_rate=offered_rate,
-        served_rate=served,
-        demand_ghz=demand,
-        rho=float(rho),
-        response_time=rt,
-    )

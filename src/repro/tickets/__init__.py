@@ -32,8 +32,6 @@ from repro.tickets.characterization import (
 )
 from repro.tickets.monitor import (
     TicketRecord,
-    count_tickets,
-    count_tickets_for_demand,
     ticket_matrix,
     tickets_for_box,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "TicketPolicy",
     "TicketRecord",
     "correlation_cdfs",
-    "count_tickets",
-    "count_tickets_for_demand",
     "fleet_ticket_summary",
     "ticket_matrix",
     "tickets_for_box",

@@ -1,4 +1,4 @@
-"""Ticket extraction: turn usage/demand series into ticket events and counts.
+"""Ticket extraction: turn usage series into ticket events and counts.
 
 The monitor implements the semantics of the paper's indicator variable
 ``I_{i,t}`` (Eq. 6): VM ``i`` receives a ticket in window ``t`` when its
@@ -19,8 +19,6 @@ from repro.trace.model import BoxTrace, Resource
 __all__ = [
     "TicketRecord",
     "ticket_matrix",
-    "count_tickets",
-    "count_tickets_for_demand",
     "tickets_for_box",
     "per_vm_ticket_counts",
 ]
@@ -51,25 +49,6 @@ def ticket_matrix(
     if arr.ndim != 2:
         raise ValueError(f"usage must be 1-D or 2-D, got shape {arr.shape}")
     return arr > policy.threshold_pct
-
-
-def count_tickets(usage: np.ndarray, policy: TicketPolicy) -> int:
-    """Return the total number of tickets in a usage matrix."""
-    return int(ticket_matrix(usage, policy).sum())
-
-
-def count_tickets_for_demand(
-    demand: Sequence[float], capacity: float, policy: TicketPolicy
-) -> int:
-    """Count tickets of one demand series under an allocated capacity.
-
-    Implements ``sum_t [ D_t > alpha * C ]`` — the objective term of the
-    resizing problem R.
-    """
-    if capacity <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity}")
-    d = np.asarray(demand, dtype=float)
-    return int((d > policy.alpha * capacity).sum())
 
 
 def per_vm_ticket_counts(

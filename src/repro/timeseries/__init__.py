@@ -12,10 +12,10 @@ primitive the paper's prediction and characterization pipelines rely on:
   number of DTW clusters.
 * :mod:`repro.timeseries.regression` — ordinary least squares, variance
   inflation factors, and stepwise elimination (Section III, step 2).
-* :mod:`repro.timeseries.metrics` — APE/MAPE and related accuracy metrics.
+* :mod:`repro.timeseries.metrics` — APE/MAPE accuracy metrics.
 * :mod:`repro.timeseries.ecdf` — empirical CDFs and box-plot summaries used
   throughout the evaluation figures.
-* :mod:`repro.timeseries.smoothing` — moving-average and EWMA helpers.
+* :mod:`repro.timeseries.smoothing` — series differencing for ARIMA.
 """
 
 from repro.timeseries.correlation import (
@@ -24,13 +24,12 @@ from repro.timeseries.correlation import (
     pearson,
 )
 from repro.timeseries.clustering import HierarchicalClustering, Linkage
-from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix, dtw_path
+from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix
 from repro.timeseries.ecdf import BoxplotSummary, Ecdf
 from repro.timeseries.metrics import (
     absolute_percentage_errors,
     mean_absolute_percentage_error,
     peak_absolute_percentage_error,
-    root_mean_squared_error,
 )
 from repro.timeseries.regression import (
     OlsFit,
@@ -38,7 +37,7 @@ from repro.timeseries.regression import (
     stepwise_eliminate,
     variance_inflation_factors,
 )
-from repro.timeseries.silhouette import mean_silhouette, silhouette_values
+from repro.timeseries.silhouette import silhouette_values
 
 __all__ = [
     "BoxplotSummary",
@@ -50,14 +49,11 @@ __all__ = [
     "absolute_percentage_errors",
     "dtw_distance",
     "dtw_distance_matrix",
-    "dtw_path",
     "fit_ols",
     "mean_absolute_percentage_error",
-    "mean_silhouette",
     "pairwise_correlation_matrix",
     "peak_absolute_percentage_error",
     "pearson",
-    "root_mean_squared_error",
     "silhouette_values",
     "stepwise_eliminate",
     "variance_inflation_factors",

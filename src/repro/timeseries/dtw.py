@@ -23,11 +23,11 @@ consumes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["dtw_distance", "dtw_matrix", "dtw_path", "dtw_distance_matrix"]
+__all__ = ["dtw_distance", "dtw_matrix", "dtw_distance_matrix"]
 
 _INF = np.inf
 
@@ -136,36 +136,6 @@ def dtw_distance(
     return value
 
 
-def dtw_path(
-    p: Sequence[float],
-    q: Sequence[float],
-    window: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Return the optimal warping path as a list of ``(i, j)`` index pairs.
-
-    The path starts at ``(0, 0)``, ends at ``(n-1, m-1)`` and is monotone in
-    both coordinates (each step moves by ``(1, 1)``, ``(1, 0)`` or ``(0, 1)``).
-    """
-    cost = dtw_matrix(p, q, window=window)
-    i, j = cost.shape[0] - 1, cost.shape[1] - 1
-    path = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            candidates = (
-                (cost[i - 1, j - 1], i - 1, j - 1),
-                (cost[i - 1, j], i - 1, j),
-                (cost[i, j - 1], i, j - 1),
-            )
-            _, i, j = min(candidates, key=lambda c: c[0])
-        path.append((i, j))
-    path.reverse()
-    return path
-
-
 def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarray:
     """DTW distances for aligned batches of equal-length series.
 
@@ -177,8 +147,9 @@ def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarra
     The problem is transposed so the pair axis is innermost: every
     per-diagonal operand becomes a contiguous ``(width, n_pairs)`` block
     and every temporary a preallocated ``out=`` buffer.  The result is
-    bit-identical to :func:`_dtw_batch_reference` (fancy-indexed gathers,
-    fresh temporaries per diagonal), which the tests keep as the oracle.
+    bit-identical to the fancy-indexed reference wavefront (fresh
+    temporaries per diagonal) that ``tests/timeseries/spatial_oracle.py``
+    keeps as the oracle.
     """
     n_pairs, n = p.shape
     half = window if window is not None else n  # band half-width
@@ -217,40 +188,6 @@ def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarra
             cur[hi + 2] = _INF
         prev2, prev, cur = prev, cur, prev2
     return prev[n].copy()
-
-
-def _dtw_batch_reference(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarray:
-    """The reference wavefront: the oracle :func:`_dtw_batch` must match."""
-    n_pairs, n = p.shape
-    half = window if window is not None else n  # band half-width
-    # Padded wavefront buffers, indexed by row i + 1; column 0 is a sentinel.
-    prev = np.full((n_pairs, n + 2), _INF)
-    prev2 = np.full((n_pairs, n + 2), _INF)
-    cur = np.full((n_pairs, n + 2), _INF)
-    for k in range(2 * n - 1):
-        # Active rows on anti-diagonal k: inside the matrix and the band
-        # (|2i - k| <= half).
-        lo = max(0, k - n + 1, (k - half + 1) // 2)
-        hi = min(n - 1, k, (k + half) // 2)
-        if lo > hi:
-            break  # pragma: no cover - band always reaches the corner
-        rows = np.arange(lo, hi + 1)
-        d = (p[:, rows] - q[:, k - rows]) ** 2
-        sl = slice(lo + 1, hi + 2)
-        sl_prev = slice(lo, hi + 1)
-        if k == 0:
-            cur[:, 1] = d[:, 0]
-        else:
-            best = np.minimum(prev[:, sl], prev[:, sl_prev])
-            np.minimum(best, prev2[:, sl_prev], out=best)
-            cur[:, sl] = d + best
-        # Sentinels just outside the active slice keep stale buffer cells
-        # from leaking into later diagonals.
-        cur[:, lo] = _INF
-        if hi + 2 <= n + 1:
-            cur[:, hi + 2] = _INF
-        prev2, prev, cur = prev, cur, prev2
-    return prev[:, n].copy()
 
 
 def dtw_distance_matrix(

@@ -23,9 +23,6 @@ __all__ = [
     "finite_values",
     "mean_absolute_percentage_error",
     "peak_absolute_percentage_error",
-    "root_mean_squared_error",
-    "mean_absolute_error",
-    "symmetric_mape",
 ]
 
 _EPS = 1e-9
@@ -105,29 +102,3 @@ def peak_absolute_percentage_error(
     if not mask.any():
         return float("nan")
     return mean_absolute_percentage_error(a[mask], p[mask], as_percent=as_percent)
-
-
-def root_mean_squared_error(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Return the RMSE between two series."""
-    a, p = _pair(actual, predicted)
-    diff = a - p
-    return float(np.sqrt((diff * diff).mean()))
-
-
-def mean_absolute_error(actual: Sequence[float], predicted: Sequence[float]) -> float:
-    """Return the MAE between two series."""
-    a, p = _pair(actual, predicted)
-    return float(np.abs(a - p).mean())
-
-
-def symmetric_mape(
-    actual: Sequence[float], predicted: Sequence[float], as_percent: bool = True
-) -> float:
-    """Return the symmetric MAPE (robust companion metric, not in the paper)."""
-    a, p = _pair(actual, predicted)
-    denom = (np.abs(a) + np.abs(p)) / 2.0
-    mask = denom > _EPS
-    if not mask.any():
-        return float("nan")
-    value = float((np.abs(a[mask] - p[mask]) / denom[mask]).mean())
-    return value * 100.0 if as_percent else value

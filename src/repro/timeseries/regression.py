@@ -42,7 +42,6 @@ __all__ = [
     "OlsFit",
     "fit_ols",
     "fit_ols_multi",
-    "r_squared",
     "variance_inflation_factors",
     "stepwise_eliminate",
 ]
@@ -175,11 +174,6 @@ def fit_ols_multi(targets: np.ndarray, regressors: np.ndarray) -> List[OlsFit]:
         )
         for k in range(n_targets)
     ]
-
-
-def r_squared(target: Sequence[float], regressors: np.ndarray) -> float:
-    """Return the coefficient of determination of an OLS fit."""
-    return fit_ols(target, regressors).r2
 
 
 def _vif_reference(x: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ value is undefined; zero is neutral).
 
 Silhouettes are computed by forming a cluster indicator matrix and
 obtaining every item-to-cluster distance sum as one
-``distances @ indicator`` matmul; the definitional per-item loop
-(``_silhouette_values_reference``) is kept as the tests' oracle.  For the
+``distances @ indicator`` matmul; the definitional per-item loop is kept
+as the tests' oracle in ``tests/timeseries/spatial_oracle.py``.  For the
 silhouette sweep over all dendrogram cuts, :func:`mean_silhouettes_for_cuts`
 does the ``(n, n)`` matmul once against the finest cut and aggregates
 coarser cuts from it — one small matmul per cut instead of O(n^2) Python
@@ -30,10 +30,8 @@ import numpy as np
 
 __all__ = [
     "silhouette_values",
-    "mean_silhouette",
     "mean_silhouettes_for_cuts",
     "best_silhouette_cut",
-    "best_cluster_count",
 ]
 
 
@@ -45,28 +43,6 @@ def _validate(distances: np.ndarray, labels: Sequence[int]) -> Tuple[np.ndarray,
     if lab.shape != (d.shape[0],):
         raise ValueError("labels must have one entry per item")
     return d, lab
-
-
-def _silhouette_values_reference(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Per-item silhouettes via the definitional per-item loop."""
-    n = d.shape[0]
-    unique = np.unique(lab)
-    if unique.size < 2:
-        # A single cluster has no "nearest other cluster"; silhouettes are 0.
-        return np.zeros(n)
-
-    values = np.zeros(n)
-    members = {c: np.flatnonzero(lab == c) for c in unique}
-    for i in range(n):
-        own = members[lab[i]]
-        if own.size <= 1:
-            values[i] = 0.0
-            continue
-        a = d[i, own[own != i]].mean()
-        b = min(d[i, members[c]].mean() for c in unique if c != lab[i])
-        denom = max(a, b)
-        values[i] = 0.0 if denom <= 0 else (b - a) / denom
-    return values
 
 
 def _silhouette_from_sums(
@@ -127,11 +103,6 @@ def silhouette_values(distances: np.ndarray, labels: Sequence[int]) -> np.ndarra
     sums = d @ onehot
     sizes = onehot.sum(axis=0)
     return _silhouette_from_sums(sums, sizes, inverse, np.diagonal(d).copy())
-
-
-def mean_silhouette(distances: np.ndarray, labels: Sequence[int]) -> float:
-    """Return the average silhouette value over all items."""
-    return float(silhouette_values(distances, labels).mean())
 
 
 def _cut_sums(
@@ -216,25 +187,4 @@ def best_silhouette_cut(
         if best is None or scores[k] > best[0] + 1e-12:
             best = (scores[k], k, list(labelings[k]))
     assert best is not None
-    return best
-
-
-def best_cluster_count(
-    distances: np.ndarray,
-    labelings: Sequence[Sequence[int]],
-    counts: Sequence[int],
-) -> int:
-    """Return the cluster count whose labeling maximizes mean silhouette.
-
-    ``labelings[k]`` must be the flat labels obtained for ``counts[k]``
-    clusters.  Ties are resolved toward *fewer* clusters, matching the
-    paper's goal of a minimal signature set.
-    """
-    if len(labelings) != len(counts) or not counts:
-        raise ValueError("labelings and counts must be equal-length and non-empty")
-    scored = [
-        (mean_silhouette(distances, labels), -count, count)
-        for labels, count in zip(labelings, counts)
-    ]
-    _, __, best = max(scored)
     return best

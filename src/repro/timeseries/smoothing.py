@@ -1,8 +1,7 @@
-"""Smoothing helpers: moving averages and exponential smoothing.
+"""Series differencing, the transform behind ARIMA's ``d`` order.
 
-These back the simple temporal baselines and the workload generator's
-slow-varying components.  Everything operates on 1-D NumPy arrays and
-preserves series length.
+Operates on 1-D NumPy arrays; the output is ``lag`` samples shorter than
+the input.
 """
 
 from __future__ import annotations
@@ -11,45 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["moving_average", "ewma", "difference", "undifference"]
-
-
-def moving_average(series: Sequence[float], window: int) -> np.ndarray:
-    """Return the trailing moving average with a warm-up ramp.
-
-    The first ``window - 1`` samples average over the shorter available
-    prefix, so the output has the same length as the input and no NaNs.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"series must be 1-D, got shape {arr.shape}")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window == 1 or arr.size == 0:
-        return arr.copy()
-    cumsum = np.cumsum(arr)
-    out = np.empty_like(arr)
-    head = min(window, arr.size)
-    out[:head] = cumsum[:head] / np.arange(1, head + 1)
-    if arr.size > window:
-        out[window:] = (cumsum[window:] - cumsum[:-window]) / window
-    return out
-
-
-def ewma(series: Sequence[float], alpha: float) -> np.ndarray:
-    """Return the exponentially weighted moving average of a series."""
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"series must be 1-D, got shape {arr.shape}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    out = np.empty_like(arr)
-    if arr.size == 0:
-        return out
-    out[0] = arr[0]
-    for t in range(1, arr.size):
-        out[t] = alpha * arr[t] + (1.0 - alpha) * out[t - 1]
-    return out
+__all__ = ["difference"]
 
 
 def difference(series: Sequence[float], lag: int = 1) -> np.ndarray:
@@ -60,20 +21,3 @@ def difference(series: Sequence[float], lag: int = 1) -> np.ndarray:
     if arr.size <= lag:
         raise ValueError(f"series of length {arr.size} cannot be differenced at lag {lag}")
     return arr[lag:] - arr[:-lag]
-
-
-def undifference(
-    diffed: Sequence[float], seed: Sequence[float], lag: int = 1
-) -> np.ndarray:
-    """Invert :func:`difference` given the first ``lag`` original samples."""
-    d = np.asarray(diffed, dtype=float)
-    s = np.asarray(seed, dtype=float)
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if s.size != lag:
-        raise ValueError(f"seed must contain exactly lag={lag} samples, got {s.size}")
-    out = np.empty(d.size + lag)
-    out[:lag] = s
-    for t in range(d.size):
-        out[lag + t] = out[t] + d[t]
-    return out

@@ -13,8 +13,6 @@ All primitives are deterministic functions of the supplied
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
@@ -25,8 +23,6 @@ __all__ = [
     "ar1_rows",
     "bursts",
     "daily_spikes",
-    "random_walk",
-    "level_shifts",
     "alternating_load",
     "linear_ramp",
     "weekly",
@@ -199,38 +195,6 @@ def daily_spikes(
                 out[start : start + duration], height
             )
     return out
-
-
-def random_walk(
-    rng: np.random.Generator,
-    n_windows: int,
-    sigma: float = 0.5,
-    reflect_at: Optional[float] = None,
-) -> np.ndarray:
-    """Return a Gaussian random walk, optionally reflected into ``[-r, r]``."""
-    steps = rng.normal(0.0, sigma, size=n_windows)
-    walk = np.cumsum(steps)
-    if reflect_at is not None:
-        if reflect_at <= 0:
-            raise ValueError("reflect_at must be positive")
-        period = 4.0 * reflect_at
-        walk = np.mod(walk + reflect_at, period)
-        walk = np.where(walk > 2.0 * reflect_at, period - walk, walk) - reflect_at
-    return walk
-
-
-def level_shifts(
-    rng: np.random.Generator,
-    n_windows: int,
-    shift_probability: float = 0.002,
-    magnitude: float = 10.0,
-) -> np.ndarray:
-    """Return a piecewise-constant series of occasional persistent level shifts."""
-    shifts = np.zeros(n_windows)
-    points = np.flatnonzero(rng.random(n_windows) < shift_probability)
-    for point in points:
-        shifts[point:] += rng.normal(0.0, magnitude)
-    return shifts
 
 
 def linear_ramp(

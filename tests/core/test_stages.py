@@ -9,7 +9,7 @@ from repro import obs
 from repro.core import faults, stages
 from repro.core.config import AtmConfig
 from repro.core.pipeline import run_fleet_atm
-from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
+from repro.prediction.combined import SpatialTemporalConfig
 from repro.store import clear_memory_tiers, get_codec
 from repro.trace.generator import FleetConfig, generate_box
 
@@ -138,25 +138,3 @@ class TestWarmRuns:
         clear_memory_tiers()
         second = run_fleet_atm(pipeline_fleet_6d, cfg)
         assert _aggregates(first) == _aggregates(second)
-
-
-class TestWarmStartFit:
-    def test_fit_from_spatial_matches_full_fit(self, sample_box):
-        train = sample_box.demand_matrix()[:, :480]
-        cfg = SpatialTemporalConfig(temporal_model="seasonal_mean")
-        full = SpatialTemporalPredictor(cfg).fit(train)
-        warm = SpatialTemporalPredictor(cfg).fit_from_spatial(
-            full.spatial_model, train
-        )
-        a = full.predict(96).predictions
-        b = warm.predict(96).predictions
-        assert repr(a.tolist()) == repr(b.tolist())
-
-    def test_fit_from_spatial_validates_shape(self, sample_box):
-        train = sample_box.demand_matrix()[:, :480]
-        cfg = SpatialTemporalConfig(temporal_model="seasonal_mean")
-        full = SpatialTemporalPredictor(cfg).fit(train)
-        with pytest.raises(ValueError, match="series"):
-            SpatialTemporalPredictor(cfg).fit_from_spatial(
-                full.spatial_model, train[:-1]
-            )

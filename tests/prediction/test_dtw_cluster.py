@@ -88,13 +88,13 @@ class TestSilhouetteSweepRegression:
         # Reference: the pre-incremental algorithm — an independent cut per k.
         from repro.timeseries.clustering import HierarchicalClustering
         from repro.timeseries.dtw import dtw_distance_matrix
-        from repro.timeseries.silhouette import mean_silhouette
+        from repro.timeseries.silhouette import silhouette_values
 
         distances = dtw_distance_matrix(data, window=8, zscore=True)
         best = None
         for k in range(2, data.shape[0] // 2 + 1):
             labels = HierarchicalClustering(distances).cut(k)
-            score = mean_silhouette(distances, labels)
+            score = float(silhouette_values(distances, labels).mean())
             if best is None or score > best[0] + 1e-12:
                 best = (score, k, labels)
 

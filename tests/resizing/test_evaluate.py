@@ -17,6 +17,7 @@ from repro.resizing.evaluate import (
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import Resource
+from tests.tickets.ticket_oracle import count_tickets_for_demand
 
 
 class TestReductionPercent:
@@ -185,6 +186,77 @@ class TestSizeBoxResource:
                 sizing_demands=sizing,
                 lower_bounds=np.array([1.0, 1.0]),
             )
+
+
+class TestIndependentTicketRecount:
+    """Each reduction's ticket totals, recounted from the allocations it returns.
+
+    The recount uses the scalar oracle ``count_tickets_for_demand`` (paper
+    Eq. 6, one VM at a time), not ``tickets_for_allocation``, which is what
+    :func:`size_box_resource` itself counts with.
+    """
+
+    @staticmethod
+    def _recount(demands, allocation, policy):
+        return sum(
+            count_tickets_for_demand(series, capacity, policy)
+            for series, capacity in zip(demands, allocation)
+        )
+
+    def _check(self, sized, current, capacity, eval_demands, policy):
+        assert [r.algorithm for r, _ in sized] == list(ResizingAlgorithm)
+        before = self._recount(eval_demands, current, policy)
+        for reduction, allocation in sized:
+            assert allocation.sum() <= capacity + 1e-6
+            assert reduction.tickets_before == before
+            assert reduction.tickets_after == self._recount(
+                eval_demands, allocation, policy
+            )
+
+    @pytest.mark.parametrize("resource", list(Resource))
+    def test_sample_fleet_oracle_sizing(self, small_fleet, resource):
+        policy = TicketPolicy(60.0)
+        for box in small_fleet.boxes:
+            eval_demands = box.demand_matrix(resource)[:, :96]
+            current = box.allocations(resource)
+            capacity = box.capacity(resource)
+            sized = size_box_resource(
+                box.box_id, resource, current, capacity, policy,
+                tuple(ResizingAlgorithm), eval_demands=eval_demands,
+            )
+            self._check(sized, current, capacity, eval_demands, policy)
+
+    @pytest.mark.parametrize("resource", list(Resource))
+    def test_sample_box_sized_on_the_previous_day(self, sample_box, resource):
+        policy = TicketPolicy(70.0)
+        demands = sample_box.demand_matrix(resource)
+        current = sample_box.allocations(resource)
+        capacity = sample_box.capacity(resource)
+        eval_demands = demands[:, 5 * 96 : 6 * 96]
+        sized = size_box_resource(
+            sample_box.box_id, resource, current, capacity, policy,
+            tuple(ResizingAlgorithm), eval_demands=eval_demands,
+            sizing_demands=demands[:, 4 * 96 : 5 * 96],
+        )
+        self._check(sized, current, capacity, eval_demands, policy)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomized_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        n_vms = int(rng.integers(2, 9))
+        windows = int(rng.integers(4, 97))
+        capacity = float(rng.uniform(8.0, 64.0))
+        current = rng.dirichlet(np.ones(n_vms)) * capacity * rng.uniform(0.5, 1.0)
+        scale = current[:, None] * rng.uniform(0.2, 1.6, size=(n_vms, 1))
+        eval_demands = scale * rng.uniform(0.05, 1.0, size=(n_vms, windows))
+        sizing = eval_demands * rng.uniform(0.7, 1.3, size=eval_demands.shape)
+        policy = TicketPolicy(float(rng.choice([50.0, 60.0, 70.0, 80.0])))
+        sized = size_box_resource(
+            f"r{seed}", Resource.CPU, current, capacity, policy,
+            tuple(ResizingAlgorithm), eval_demands=eval_demands,
+            sizing_demands=sizing, epsilon_pct=float(rng.uniform(0.0, 10.0)),
+        )
+        self._check(sized, current, capacity, eval_demands, policy)
 
 
 class TestFleetEvaluation:

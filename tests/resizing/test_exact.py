@@ -1,11 +1,12 @@
-"""Tests for the exact solvers (repro.resizing.exact)."""
+"""Tests for the exact DP solver (repro.resizing.exact) and its brute-force oracle."""
 
 import numpy as np
 import pytest
 
-from repro.resizing.exact import solve_bruteforce, solve_dp
+from repro.resizing.exact import solve_dp
 from repro.resizing.mckp import build_mckp
 from repro.resizing.problem import ResizingProblem
+from tests.resizing.mckp_oracle import solve_bruteforce
 
 
 def small_problem(rng, m=3, t=5, scale=0.7):

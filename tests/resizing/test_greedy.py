@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resizing.exact import solve_bruteforce
 from repro.resizing.greedy import mtrv, solve_greedy
 from repro.resizing.mckp import build_mckp
 from repro.resizing.problem import ResizingProblem
+from tests.resizing.mckp_oracle import solve_bruteforce
 
 
 def random_problem(rng, m=3, t=8, capacity_scale=1.0):

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.testbed.queueing import (
-    SATURATION_RHO,
-    ps_response_time,
-    served_rate,
-    station_sample,
-)
+from repro.testbed.queueing import ps_response_time
 
 
 class TestPsResponseTime:
@@ -38,44 +33,3 @@ class TestPsResponseTime:
     @given(st.floats(0.0, 10.0), st.floats(-1.0, 5.0))
     def test_at_least_service_time(self, s, rho):
         assert ps_response_time(s, rho) >= s - 1e-12
-
-
-class TestServedRate:
-    def test_under_capacity_serves_all(self):
-        assert served_rate(10.0, 100.0, 1.0) == pytest.approx(10.0)
-
-    def test_saturated_clips(self):
-        # capacity 10 GHz, 1 GHz-s per request -> max 9.5 rps.
-        assert served_rate(50.0, 10.0, 1.0) == pytest.approx(SATURATION_RHO * 10.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            served_rate(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            served_rate(1.0, 1.0, 0.0)
-
-
-class TestStationSample:
-    def test_unsaturated_sample(self):
-        sample = station_sample(
-            offered_rate=10.0,
-            capacity_ghz=5.0,
-            work_per_request=0.1,
-            base_service_time=0.05,
-            background_ghz=0.5,
-        )
-        assert sample.served_rate == pytest.approx(10.0)
-        assert not sample.saturated
-        assert sample.demand_ghz == pytest.approx(1.5)
-        assert sample.rho == pytest.approx(0.3)
-        assert sample.response_time > 0.05
-
-    def test_saturated_sample(self):
-        sample = station_sample(
-            offered_rate=100.0,
-            capacity_ghz=2.0,
-            work_per_request=0.1,
-            base_service_time=0.05,
-        )
-        assert sample.saturated
-        assert sample.served_rate < 100.0

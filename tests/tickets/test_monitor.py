@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.tickets.monitor import (
-    count_tickets,
-    count_tickets_for_demand,
-    per_vm_ticket_counts,
-    ticket_matrix,
-    tickets_for_box,
-)
+from repro.tickets.monitor import per_vm_ticket_counts, ticket_matrix, tickets_for_box
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import BoxTrace, Resource, VMTrace
+from tests.tickets.ticket_oracle import count_tickets, count_tickets_for_demand
 
 
 @pytest.fixture()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix, dtw_matrix, dtw_path
+from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix, dtw_matrix
+from tests.timeseries.spatial_oracle import dtw_path
 
 
 def brute_force_dtw(p, q, window=None):

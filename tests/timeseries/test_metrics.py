@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from repro.timeseries.metrics import (
     absolute_percentage_errors,
-    mean_absolute_error,
     mean_absolute_percentage_error,
     peak_absolute_percentage_error,
-    root_mean_squared_error,
-    symmetric_mape,
 )
 
 
@@ -63,30 +60,6 @@ class TestPeakApe:
         assert np.isnan(
             peak_absolute_percentage_error([1.0, 2.0], [1.0, 2.0], peak_threshold=60.0)
         )
-
-
-class TestOtherMetrics:
-    def test_rmse_known(self):
-        assert root_mean_squared_error([0.0, 0.0], [3.0, 4.0]) == pytest.approx(
-            np.sqrt(12.5)
-        )
-
-    def test_mae_known(self):
-        assert mean_absolute_error([1.0, 2.0], [2.0, 0.0]) == pytest.approx(1.5)
-
-    def test_smape_symmetric(self, rng):
-        a = rng.uniform(1, 10, size=20)
-        b = rng.uniform(1, 10, size=20)
-        assert symmetric_mape(a, b) == pytest.approx(symmetric_mape(b, a))
-
-    def test_smape_bounded(self, rng):
-        a = rng.uniform(0.1, 10, size=50)
-        b = rng.uniform(0.1, 10, size=50)
-        assert 0.0 <= symmetric_mape(a, b) <= 200.0
-
-    def test_rmse_zero_for_exact(self, rng):
-        a = rng.normal(size=10)
-        assert root_mean_squared_error(a, a) == 0.0
 
 
 class TestFiniteAggregates:

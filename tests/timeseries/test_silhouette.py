@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.timeseries.silhouette import best_cluster_count, mean_silhouette, silhouette_values
+from repro.timeseries.silhouette import best_silhouette_cut, silhouette_values
 
 
 def two_blob_distances():
@@ -55,22 +55,24 @@ class TestSilhouetteValues:
 class TestMeanSilhouette:
     def test_prefers_correct_partition(self):
         d = two_blob_distances()
-        good = mean_silhouette(d, [0, 0, 1, 1])
-        bad = mean_silhouette(d, [0, 1, 0, 1])
+        good = silhouette_values(d, [0, 0, 1, 1]).mean()
+        bad = silhouette_values(d, [0, 1, 0, 1]).mean()
         assert good > bad
 
 
 class TestBestClusterCount:
     def test_picks_true_structure(self):
         d = two_blob_distances()
-        labelings = [[0, 0, 1, 1], [0, 1, 2, 2], [0, 1, 2, 3]]
-        assert best_cluster_count(d, labelings, [2, 3, 4]) == 2
+        labelings = {2: [0, 0, 1, 1], 3: [0, 1, 2, 2], 4: [0, 1, 2, 3]}
+        _, k, labels = best_silhouette_cut(d, labelings)
+        assert k == 2
+        assert labels == [0, 0, 1, 1]
 
     def test_tie_prefers_fewer_clusters(self):
         d = np.zeros((3, 3))
-        labelings = [[0, 0, 0], [0, 1, 2]]  # all-zero distances: scores tie at 0
-        assert best_cluster_count(d, labelings, [1, 3]) == 1
+        labelings = {3: [0, 1, 2], 1: [0, 0, 0]}  # all-zero distances: scores tie at 0
+        assert best_silhouette_cut(d, labelings)[1] == 1
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            best_cluster_count(np.zeros((2, 2)), [], [])
+            best_silhouette_cut(np.zeros((2, 2)), {})

@@ -1,60 +1,11 @@
-"""Tests for smoothing helpers (repro.timeseries.smoothing)."""
+"""Tests for series differencing (repro.timeseries.smoothing)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeseries.smoothing import difference, ewma, moving_average, undifference
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self, rng):
-        x = rng.normal(size=20)
-        assert moving_average(x, 1) == pytest.approx(x)
-
-    def test_constant_series_unchanged(self):
-        x = np.full(10, 3.0)
-        assert moving_average(x, 4) == pytest.approx(x)
-
-    def test_known_values(self):
-        out = moving_average([1.0, 2.0, 3.0, 4.0], 2)
-        assert out == pytest.approx([1.0, 1.5, 2.5, 3.5])
-
-    def test_warmup_ramp(self):
-        out = moving_average([2.0, 4.0, 6.0], 3)
-        assert out == pytest.approx([2.0, 3.0, 4.0])
-
-    def test_length_preserved(self, rng):
-        x = rng.normal(size=37)
-        assert moving_average(x, 8).shape == x.shape
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
-
-    def test_reduces_variance(self, rng):
-        x = rng.normal(size=500)
-        assert moving_average(x, 10)[20:].std() < x.std()
-
-
-class TestEwma:
-    def test_alpha_one_identity(self, rng):
-        x = rng.normal(size=15)
-        assert ewma(x, 1.0) == pytest.approx(x)
-
-    def test_first_value_kept(self):
-        assert ewma([5.0, 0.0], 0.5)[0] == 5.0
-
-    def test_recursion(self):
-        out = ewma([1.0, 3.0], 0.25)
-        assert out[1] == pytest.approx(0.25 * 3.0 + 0.75 * 1.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ewma([1.0], 0.0)
-        with pytest.raises(ValueError):
-            ewma([1.0], 1.5)
+from repro.timeseries.smoothing import difference
 
 
 class TestDifferencing:
@@ -79,9 +30,4 @@ class TestDifferencing:
             return
         x = np.asarray(values)
         d = difference(x, lag=lag)
-        restored = undifference(d, x[:lag], lag=lag)
-        assert restored == pytest.approx(x, abs=1e-8)
-
-    def test_undifference_seed_length_checked(self):
-        with pytest.raises(ValueError):
-            undifference([1.0], [1.0, 2.0], lag=1)
+        assert x[:-lag] + d == pytest.approx(x[lag:], abs=1e-8)

@@ -3,7 +3,8 @@
 Every vectorized kernel (Gram-based VIFs, downdated stepwise elimination,
 multi-RHS OLS, matmul silhouettes, the batched DTW wavefront) must make the
 *same decisions* as its definitional oracle — the ``_*_reference``
-implementations and per-column ``fit_ols`` — with identical kept/removed
+implementations (``tests/timeseries/spatial_oracle.py`` for DTW and
+silhouettes) and per-column ``fit_ols`` — with identical kept/removed
 columns, identical best cuts, bitwise-equal DTW distances, and numeric
 outputs agreeing to tight tolerances.  These tests drive both over
 randomized and adversarial inputs (constant series, rank-deficient
@@ -16,11 +17,10 @@ import numpy as np
 import pytest
 
 from repro.timeseries import regression as reg
-from repro.timeseries import silhouette as sil
 from repro.timeseries.clustering import HierarchicalClustering
 from repro.timeseries.correlation import pairwise_correlation_matrix
 from repro.timeseries import dtw
-from repro.timeseries.dtw import _dtw_batch, _dtw_batch_reference, dtw_distance_matrix
+from repro.timeseries.dtw import _dtw_batch, dtw_distance_matrix
 from repro.timeseries.regression import (
     fit_dependent_models,
     fit_ols,
@@ -29,11 +29,13 @@ from repro.timeseries.regression import (
     variance_inflation_factors,
 )
 from repro.timeseries.silhouette import (
-    best_cluster_count,
     best_silhouette_cut,
-    mean_silhouette,
     mean_silhouettes_for_cuts,
     silhouette_values,
+)
+from tests.timeseries.spatial_oracle import (
+    _dtw_batch_reference,
+    _silhouette_values_reference,
 )
 
 
@@ -212,7 +214,7 @@ class TestSilhouetteEquivalence:
         d = _random_distances(rng, n)
         k = int(rng.integers(2, n))
         labels = rng.integers(0, k, size=n)
-        ref = sil._silhouette_values_reference(d, labels)
+        ref = _silhouette_values_reference(d, labels)
         vec = silhouette_values(d, labels)
         assert np.allclose(ref, vec, rtol=1e-9, atol=1e-12)
 
@@ -221,7 +223,7 @@ class TestSilhouetteEquivalence:
         d = _random_distances(rng, 6)
         labels = np.array([0, 1, 2, 3, 4, 5])  # all singletons
         assert np.array_equal(silhouette_values(d, labels), np.zeros(6))
-        assert np.array_equal(sil._silhouette_values_reference(d, labels), np.zeros(6))
+        assert np.array_equal(_silhouette_values_reference(d, labels), np.zeros(6))
 
     def test_single_cluster_is_zero(self):
         rng = np.random.default_rng(0)
@@ -232,7 +234,7 @@ class TestSilhouetteEquivalence:
     def test_zero_distances(self):
         d = np.zeros((4, 4))
         labels = [0, 0, 1, 1]
-        ref = sil._silhouette_values_reference(d, np.asarray(labels))
+        ref = _silhouette_values_reference(d, np.asarray(labels))
         vec = silhouette_values(d, labels)
         assert np.array_equal(ref, vec)
 
@@ -240,7 +242,7 @@ class TestSilhouetteEquivalence:
         rng = np.random.default_rng(4)
         d = _random_distances(rng, 8)
         labels = np.array([10, 10, 3, 3, 7, 7, 3, 10])
-        ref = sil._silhouette_values_reference(d, labels)
+        ref = _silhouette_values_reference(d, labels)
         vec = silhouette_values(d, labels)
         assert np.allclose(ref, vec, rtol=1e-9, atol=1e-12)
 
@@ -253,7 +255,7 @@ class TestSilhouetteEquivalence:
         sweep = mean_silhouettes_for_cuts(d, cuts)
         for k, labels in cuts.items():
             expected = float(
-                sil._silhouette_values_reference(d, np.asarray(labels)).mean()
+                _silhouette_values_reference(d, np.asarray(labels)).mean()
             )
             assert sweep[k] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
@@ -269,7 +271,7 @@ class TestSilhouetteEquivalence:
         sweep = mean_silhouettes_for_cuts(d, labelings)
         for k, labels in labelings.items():
             expected = float(
-                sil._silhouette_values_reference(d, np.asarray(labels)).mean()
+                _silhouette_values_reference(d, np.asarray(labels)).mean()
             )
             assert sweep[k] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
@@ -287,12 +289,12 @@ class TestSilhouetteEquivalence:
         cuts = HierarchicalClustering(d).cuts([2, 3])
         score, k, labels = best_silhouette_cut(d, cuts)
         assert k == 2
-        assert score == pytest.approx(mean_silhouette(d, cuts[2]))
+        assert score == pytest.approx(silhouette_values(d, cuts[2]).mean())
 
     def test_best_cluster_count_tie(self):
         d = np.zeros((4, 4))  # every labeling scores 0.0 -> tie
-        labelings = [[0, 0, 1, 1], [0, 1, 2, 0], [0, 1, 2, 3]]
-        assert best_cluster_count(d, labelings, [2, 3, 4]) == 2
+        labelings = {4: [0, 1, 2, 3], 2: [0, 0, 1, 1], 3: [0, 1, 2, 0]}
+        assert best_silhouette_cut(d, labelings)[1] == 2
 
     def test_gate_off_matches_gate_on(self):
         """The best cut equals the one the per-item reference loop picks."""
@@ -301,7 +303,7 @@ class TestSilhouetteEquivalence:
         cuts = HierarchicalClustering(d).cuts(range(2, 7))
         score, k, labels = best_silhouette_cut(d, cuts)
         reference = {
-            c: float(sil._silhouette_values_reference(d, np.asarray(cuts[c])).mean())
+            c: float(_silhouette_values_reference(d, np.asarray(cuts[c])).mean())
             for c in cuts
         }
         best_k = min(cuts, key=lambda c: (-reference[c], c))

@@ -9,8 +9,6 @@ from repro.trace.workloads import (
     bursts,
     daily_spikes,
     diurnal,
-    level_shifts,
-    random_walk,
 )
 
 
@@ -110,22 +108,6 @@ class TestDailySpikes:
             daily_spikes(rng, 96, 96, spikes_per_day=-1)
         with pytest.raises(ValueError):
             daily_spikes(rng, 96, 96, max_duration=0)
-
-
-class TestRandomWalkAndShifts:
-    def test_reflection_bounds(self, rng):
-        walk = random_walk(rng, 5000, sigma=1.0, reflect_at=5.0)
-        assert walk.max() <= 5.0 + 1e-9
-        assert walk.min() >= -5.0 - 1e-9
-
-    def test_reflect_positive_required(self, rng):
-        with pytest.raises(ValueError):
-            random_walk(rng, 10, reflect_at=0.0)
-
-    def test_level_shifts_piecewise_constant(self, rng):
-        shifts = level_shifts(rng, 2000, shift_probability=0.01)
-        diffs = np.flatnonzero(np.diff(shifts))
-        assert diffs.size < 60  # only occasional change points
 
 
 class TestAlternatingLoad:
