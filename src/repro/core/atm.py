@@ -82,7 +82,6 @@ class AtmController:
         windows = min(windows, self.box.n_windows)
         demands = self.box.demand_matrix()[:, :windows]  # stacked CPU+RAM
         demands = faults.poison_training(self.box.box_id, demands)
-        faults.inject_slow(self.box.box_id)
         if self.rung == RUNG_PRIMARY:
             faults.inject_fault("fit_error", self.box.box_id)
         else:

@@ -96,9 +96,6 @@ class ErrorReport:
                 seen.append(event.box_id)
         return seen
 
-    def events_for(self, box_id: str) -> List[DegradationEvent]:
-        return [e for e in self.events if e.box_id == box_id]
-
     def to_dict(self) -> dict:
         return {
             "degraded_boxes": self.degraded_boxes,

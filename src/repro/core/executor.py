@@ -25,17 +25,12 @@ The number of workers is resolved as: explicit ``jobs`` argument →
 ``REPRO_JOBS`` environment variable → 1 (serial).  ``jobs <= 0`` means
 "all available cores".
 
-Robustness knobs (both default off, preserving the fail-fast contract):
-
-* ``retries`` — bounded, deterministic per-item retry: an item that
-  raises is re-invoked up to ``retries`` more times before the exception
-  propagates.  Attempt numbers are published to
-  :mod:`repro.core.faults`, so transient (``once``) injected faults
-  clear on the retry while sticky faults keep failing deterministically.
-* ``timeout`` — wall-clock bound (seconds) on a parallel ``map``/
-  ``imap``; on expiry, queued chunks are cancelled and a ``TimeoutError``
-  reports how many chunks completed.  The serial path ignores it
-  (nothing to cancel in-process).
+Failure contract: a per-item exception propagates to the caller, and
+chunks not yet started are cancelled (fail fast).  Nothing is retried
+and nothing is timed out.  Per-box failure isolation belongs to the
+drivers: the laddered ones (ATM, online, resizing) turn a failing box
+into a reported degradation event before it reaches the executor, and
+every injected fault is deterministic, so a retry would only fail again.
 
 Scale: dispatch is *windowed*.  :meth:`FleetExecutor.imap` submits at
 most a few chunks per worker at a time and yields results in input order
@@ -64,7 +59,6 @@ import functools
 import math
 import multiprocessing
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import (
     Any,
@@ -79,7 +73,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.core import faults, runtime
+from repro.core import runtime
 from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
 
 __all__ = [
@@ -125,56 +119,28 @@ def default_chunksize(n_items: int, jobs: int) -> int:
     return max(1, math.ceil(n_items / (max(1, jobs) * 4)))
 
 
-def _run_item(fn: Callable[..., R], item: Any, common: tuple, retries: int) -> R:
-    """Apply ``fn`` once, retrying up to ``retries`` times on exception."""
-    for attempt in range(retries + 1):
-        try:
-            with faults.attempt_context(attempt):
-                return fn(item, *common)
-        except Exception:
-            if attempt == retries:
-                raise
-            obs.inc("executor.retries")
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def _run_chunk_items(
-    chunk_fn: Callable[..., Sequence[R]],
-    items: Sequence[Any],
-    common: tuple,
-    retries: int,
+    chunk_fn: Callable[..., Sequence[R]], items: Sequence[Any], common: tuple
 ) -> List[R]:
-    """Apply a whole-chunk function once, retrying the chunk on exception.
+    """Apply a whole-chunk function, checking it returned one result per item.
 
     ``chunk_fn`` sees all items of the chunk together (the fused training
     plane gathers cross-box mega-batches this way) and must return one
-    result per item, in input order.  Retries are chunk-granular: a
-    raising chunk re-runs every item of the chunk under the next attempt
-    number, so transient (``once``) injected faults still clear.
+    result per item, in input order.
     """
-    for attempt in range(retries + 1):
-        try:
-            with faults.attempt_context(attempt):
-                results = list(chunk_fn(items, *common))
-        except Exception:
-            if attempt == retries:
-                raise
-            obs.inc("executor.retries")
-            continue
-        if len(results) != len(items):
-            raise RuntimeError(
-                f"chunk function returned {len(results)} results for "
-                f"{len(items)} items"
-            )
-        return results
-    raise AssertionError("unreachable")  # pragma: no cover
+    results = list(chunk_fn(items, *common))
+    if len(results) != len(items):
+        raise RuntimeError(
+            f"chunk function returned {len(results)} results for "
+            f"{len(items)} items"
+        )
+    return results
 
 
 def _run_chunk(
     fn: Callable[..., R],
     items: Sequence[Any],
     common: tuple,
-    retries: int,
     chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
 ) -> Tuple[List[R], dict]:
     """Worker entry point: one chunk, in order, plus the worker's metrics.
@@ -185,9 +151,9 @@ def _run_chunk(
     """
     obs.reset_metrics()
     if chunk_fn is not None:
-        results = _run_chunk_items(chunk_fn, items, common, retries)
+        results = _run_chunk_items(chunk_fn, items, common)
     else:
-        results = [_run_item(fn, item, common, retries) for item in items]
+        results = [fn(item, *common) for item in items]
     obs.record_peak_rss()
     return results, obs.metrics_snapshot()
 
@@ -202,38 +168,18 @@ class FleetExecutor:
         ``REPRO_JOBS``, defaulting to 1 = serial).
     chunksize:
         Items per scheduled task; defaults to :func:`default_chunksize`.
-    mp_context:
-        Multiprocessing start method.  Defaults to ``fork`` where available
-        (cheap, inherits loaded modules) and the platform default elsewhere.
-    retries:
-        Extra attempts per item after a first failing call (default 0 =
-        fail fast on the first exception, the pre-existing contract).
-    timeout:
-        Wall-clock bound in seconds for a parallel :meth:`map`; ``None``
-        (default) waits indefinitely.  Ignored on the serial path.
+
+    Workers start by ``fork`` where the platform offers it (cheap, and
+    they inherit the loaded modules), by the platform default elsewhere.
     """
 
     def __init__(
-        self,
-        jobs: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        retries: int = 0,
-        timeout: Optional[float] = None,
+        self, jobs: Optional[int] = None, chunksize: Optional[int] = None
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
-        if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-            mp_context = "fork"
-        self.mp_context = mp_context
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.retries = int(retries)
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.timeout = timeout
 
     def map(
         self,
@@ -282,34 +228,31 @@ class FleetExecutor:
         if self.jobs == 1 or len(work) <= 1:
             if chunk_fn is None:
                 for item in work:
-                    yield _run_item(fn, item, common, self.retries)
+                    yield fn(item, *common)
             else:
                 for part in chunks:
-                    yield from _run_chunk_items(chunk_fn, part, common, self.retries)
+                    yield from _run_chunk_items(chunk_fn, part, common)
             obs.record_peak_rss()
             return
 
         workers = min(self.jobs, len(chunks))
         obs.inc("executor.chunks", len(chunks))
         context = (
-            multiprocessing.get_context(self.mp_context) if self.mp_context else None
+            multiprocessing.get_context("fork")
+            if "fork" in multiprocessing.get_all_start_methods()
+            else None
         )
         window = workers * _INFLIGHT_CHUNKS_PER_WORKER
-        deadline = None if self.timeout is None else time.monotonic() + self.timeout
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         pending: dict = {}  # future -> chunk index
         buffered: dict = {}  # chunk index -> chunk results
         next_submit = 0
         next_yield = 0
-        completed = 0
-        wait_on_shutdown = True
         try:
             while next_yield < len(chunks):
                 while next_submit < len(chunks) and len(pending) < window:
                     part = chunks[next_submit]
-                    future = pool.submit(
-                        _run_chunk, fn, part, common, self.retries, chunk_fn
-                    )
+                    future = pool.submit(_run_chunk, fn, part, common, chunk_fn)
                     pending[future] = next_submit
                     next_submit += 1
                 while next_yield in buffered:
@@ -318,38 +261,15 @@ class FleetExecutor:
                     next_yield += 1
                 if next_yield >= len(chunks):
                     break
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                done = (
-                    wait(pending, timeout=remaining, return_when=FIRST_COMPLETED).done
-                    if remaining is None or remaining > 0
-                    else ()
-                )
-                if not done:
-                    for future in pending:
-                        future.cancel()
-                    # Don't wait for in-flight chunks: a timeout exists
-                    # precisely because a worker may be stuck.  Queued
-                    # chunks are cancelled; running ones finish in the
-                    # background.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    wait_on_shutdown = False
-                    obs.inc("executor.timeouts")
-                    raise TimeoutError(
-                        f"fleet map timed out after {self.timeout}s with "
-                        f"{completed}/{len(chunks)} chunks completed"
-                    ) from None
-                for future in done:
+                for future in wait(pending, return_when=FIRST_COMPLETED).done:
                     index = pending.pop(future)
                     part_results, worker_metrics = future.result()
                     buffered[index] = part_results
                     obs.merge_snapshot(worker_metrics)
-                    completed += 1
         except BaseException:
             for future in pending:
                 future.cancel()
-            pool.shutdown(wait=wait_on_shutdown, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
             raise
         pool.shutdown(wait=True)
         obs.record_peak_rss()
@@ -404,7 +324,7 @@ def run_fleet(
     unit: Callable[..., R], items: Sequence[Any], *common: Any,
     fold: Callable[[R], None], span: str, fleet: Any, min_windows: int = 0,
     report: Optional[ErrorReport] = None, jobs: Optional[int] = None,
-    chunksize: Optional[int] = None, retries: int = 0,
+    chunksize: Optional[int] = None,
     chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
 ) -> None:
     """Run ``unit(item, *common)`` on every item; ``fold`` each result in order.
@@ -415,10 +335,11 @@ def run_fleet(
     sees each box's result as its chunk lands, so at most O(workers)
     results are resident at once.
 
-    The empty-fleet rule: with no eligible item, a degrading driver passes
-    its aggregate's ``report`` and gets one ``stage="fleet"`` event, rung
-    ``failed`` (counted as ``<namespace>.fleets_empty``); with
-    ``report=None`` a :class:`ValueError` naming the fleet is raised.
+    The empty-fleet rule: with no eligible item, a laddered driver (ATM,
+    online, resizing) passes its aggregate's ``report`` and gets one
+    ``stage="fleet"`` event, rung ``failed`` (counted as
+    ``<namespace>.fleets_empty``); ``run_fleet_ops`` passes
+    ``report=None`` and gets a :class:`ValueError` naming the fleet.
     """
     if not items:
         reason = (
@@ -431,7 +352,7 @@ def run_fleet(
         obs.inc(f"{span.split('.')[0]}.fleets_empty")
         report.add(DegradationEvent(f"fleet:{fleet.name}", "fleet", RUNG_FAILED, reason))
         return
-    executor = FleetExecutor(jobs=jobs, chunksize=chunksize, retries=retries)
+    executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
     with obs.span(span):
         for result in executor.imap(unit, items, *common, chunk_fn=chunk_fn):
             fold(result)

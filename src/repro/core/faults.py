@@ -1,10 +1,11 @@
 """Seeded fault injection for the fleet pipeline (testing the ladder).
 
 Graceful degradation is only trustworthy if it is exercised: this harness
-injects the three production failure modes the online controller must
-survive — fit exceptions, NaN-poisoned training slices, and slow workers —
-deterministically, so CI can assert that a faulted fleet run completes
-with the degraded boxes reported and the healthy boxes untouched.
+injects the production failure modes the degradation ladders must
+survive — fit exceptions, NaN-poisoned training slices and per-box
+errors — deterministically, so CI can assert that a faulted fleet run
+completes with the degraded boxes reported and the healthy boxes
+untouched.
 
 Activation is env-gated (``REPRO_FAULTS`` holds the spec, off by default)
 or programmatic (:func:`fault_plan` for tests).  Every injection decision
@@ -18,7 +19,7 @@ is a pure hash of ``(seed, kind, key)`` — no shared RNG stream is consumed
 
 Spec format (``;``-separated rules, ``,``-separated options)::
 
-    REPRO_FAULTS="fit_error:p=1.0;slow:p=0.5,seconds=0.05;nan_train:p=0.3,fraction=0.2"
+    REPRO_FAULTS="fit_error:p=1.0;nan_train:p=0.3,fraction=0.2"
     REPRO_FAULTS_SEED=7
 
 Fault kinds and the pipeline hook that honours each:
@@ -31,20 +32,19 @@ Fault kinds and the pipeline hook that honours each:
 ``nan_train``
     Poison a deterministic fraction of the training slice with NaN
     (the primary fit rejects non-finite history; the fallback sanitizes).
-``slow``
-    Sleep inside the per-box unit of work (exercises executor timeouts).
 ``box_error``
     Raise from the per-box fleet loop itself, outside the fit/predict
     ladder (exercises the partial-results error report).
 
-The ``once`` option makes a rule transient: it fires on a box's first
-attempt only, so the executor's bounded retry can be shown to recover.
+Every rule is sticky: a box it fires for fails the same way on every
+call, which is why the fleet executor retries nothing.  A spec naming an
+unknown kind or option raises :class:`ValueError` rather than being
+ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
@@ -61,11 +61,8 @@ __all__ = [
     "FaultRule",
     "InjectedFault",
     "active_plan",
-    "attempt_context",
-    "current_attempt",
     "fault_plan",
     "inject_fault",
-    "inject_slow",
     "parse_fault_spec",
     "poison_training",
     "set_fault_plan",
@@ -74,7 +71,7 @@ __all__ = [
 FAULTS_ENV_VAR = runtime.FAULTS_ENV_VAR
 FAULTS_SEED_ENV_VAR = runtime.FAULTS_SEED_ENV_VAR
 
-FAULT_KINDS = ("fit_error", "fallback_error", "nan_train", "slow", "box_error")
+FAULT_KINDS = ("fit_error", "fallback_error", "nan_train", "box_error")
 
 
 class InjectedFault(RuntimeError):
@@ -87,8 +84,6 @@ class FaultRule:
 
     kind: str
     probability: float
-    once: bool = False      # fire on attempt 0 only (transient fault)
-    seconds: float = 0.05   # "slow" only: sleep duration
     fraction: float = 0.1   # "nan_train" only: fraction of samples poisoned
 
     def __post_init__(self) -> None:
@@ -98,8 +93,6 @@ class FaultRule:
             )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.seconds < 0:
-            raise ValueError("seconds must be non-negative")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
 
@@ -123,12 +116,10 @@ class FaultPlan:
                 return rule
         return None
 
-    def should_inject(self, kind: str, key: str, attempt: int = 0) -> bool:
+    def should_inject(self, kind: str, key: str) -> bool:
         """Pure decision: does fault ``kind`` fire for ``key``?"""
         rule = self.rule(kind)
         if rule is None or rule.probability <= 0.0:
-            return False
-        if rule.once and attempt > 0:
             return False
         return _hash_unit(self.seed, kind, key) < rule.probability
 
@@ -147,9 +138,6 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
             opt = opt.strip()
             if not opt:
                 continue
-            if opt == "once":
-                options["once"] = True
-                continue
             name, sep, value = opt.partition("=")
             if not sep:
                 raise ValueError(
@@ -158,7 +146,7 @@ def parse_fault_spec(spec: str, seed: int = 0) -> FaultPlan:
             name = name.strip()
             if name == "p":
                 options["probability"] = float(value)
-            elif name in ("seconds", "fraction"):
+            elif name == "fraction":
                 options[name] = float(value)
             else:
                 raise ValueError(f"unknown fault option {name!r} in {chunk!r}")
@@ -207,47 +195,14 @@ def active_plan() -> Optional[FaultPlan]:
     return plan
 
 
-# ----------------------------------------------------------- attempt context
-# The executor's retry loop publishes the current attempt number here so
-# that `once` rules can clear on a retry without threading an argument
-# through every per-item function signature.
-
-_ATTEMPT = 0
-
-
-def current_attempt() -> int:
-    return _ATTEMPT
-
-
-@contextmanager
-def attempt_context(attempt: int) -> Iterator[None]:
-    """Mark injection decisions inside the block as attempt ``attempt``."""
-    global _ATTEMPT
-    previous = _ATTEMPT
-    _ATTEMPT = attempt
-    try:
-        yield
-    finally:
-        _ATTEMPT = previous
-
-
 # ------------------------------------------------------------ injection API
 
 
 def inject_fault(kind: str, key: str) -> None:
     """Raise :class:`InjectedFault` when the active plan fires for ``key``."""
     plan = active_plan()
-    if plan is not None and plan.should_inject(kind, key, attempt=_ATTEMPT):
+    if plan is not None and plan.should_inject(kind, key):
         raise InjectedFault(f"injected {kind} for {key!r}")
-
-
-def inject_slow(key: str) -> None:
-    """Sleep when the active plan's ``slow`` rule fires for ``key``."""
-    plan = active_plan()
-    if plan is not None and plan.should_inject("slow", key, attempt=_ATTEMPT):
-        rule = plan.rule("slow")
-        assert rule is not None
-        time.sleep(rule.seconds)
 
 
 def poison_training(key: str, matrix: np.ndarray) -> np.ndarray:
@@ -260,7 +215,7 @@ def poison_training(key: str, matrix: np.ndarray) -> np.ndarray:
     corruption.
     """
     plan = active_plan()
-    if plan is None or not plan.should_inject("nan_train", key, attempt=_ATTEMPT):
+    if plan is None or not plan.should_inject("nan_train", key):
         return matrix
     rule = plan.rule("nan_train")
     assert rule is not None

@@ -25,7 +25,7 @@ even the fallback dies.  Each rung transition is recorded as a
 :class:`~repro.core.degrade.DegradationEvent` on the step and the run, so
 a degraded fleet is reported, never silently wrong.  The
 :mod:`repro.core.faults` harness injects fit errors, NaN-poisoned training
-slices and slow boxes to keep the ladder honest in CI.
+slices and per-box errors to keep the ladder honest in CI.
 
 Warm starts come for free from the artifact store: the controller's
 step-0 training slice is exactly the offline pipeline's training matrix,
@@ -238,11 +238,9 @@ class OnlineAtmController:
     def _training_slice(self, step: int) -> np.ndarray:
         start, _ = self._window_bounds(step)
         train = self.box.demand_matrix()[:, start - self.config.training_windows : start]
-        # Fault hooks: a poisoned slice / slow box, keyed by box id so
-        # healthy boxes are bit-identical to a no-faults run.
-        train = faults.poison_training(self.box.box_id, train)
-        faults.inject_slow(self.box.box_id)
-        return train
+        # Fault hook: a poisoned slice, keyed by box id so healthy boxes
+        # are bit-identical to a no-faults run.
+        return faults.poison_training(self.box.box_id, train)
 
     def _search_due(self, step: int, train: np.ndarray) -> bool:
         """Whether this step re-runs the signature search.
@@ -494,14 +492,12 @@ def _run_box_online(
     config: AtmConfig,
     refit_every_steps: int,
     drift_threshold: Optional[float],
-    degrade: bool,
 ) -> Tuple[Optional[OnlineRunResult], List[DegradationEvent]]:
     """Per-box unit of work; module-level so pool workers can unpickle it.
 
     ``box`` may be a shard descriptor, mapped here in the worker.
     Failures outside the controller's own ladder yield
-    ``(None, [failed event])`` under ``degrade`` instead of aborting the
-    fleet.
+    ``(None, [failed event])`` instead of aborting the fleet.
     """
     from repro.store.shards import resolve_box
 
@@ -516,8 +512,6 @@ def _run_box_online(
         )
         result = controller.run()
     except Exception as exc:
-        if not degrade:
-            raise
         obs.inc("online.boxes_failed")
         event = DegradationEvent(
             box_id=box.box_id, stage="run", rung=RUNG_FAILED, reason=repr(exc)
@@ -530,11 +524,9 @@ def run_online_fleet(
     fleet: Union[FleetTrace, "ShardedFleet"],
     config: Optional[AtmConfig] = None,
     refit_every_steps: int = 1,
-    degrade: bool = True,
     drift_threshold: Optional[float] = None,
     jobs: Optional[int] = None,
     chunksize: Optional[int] = None,
-    retries: int = 0,
 ) -> OnlineFleetResult:
     """Run the rolling controller on every box long enough to support it.
 
@@ -542,14 +534,12 @@ def run_online_fleet(
     fleet: the box is recorded in ``result.report`` (rung ``"failed"``)
     and the remaining boxes run to completion.  A fleet with *no* eligible
     box likewise degrades to an empty result with one fleet-level
-    ``"failed"`` event rather than raising.  Pass ``degrade=False`` to
-    restore fail-fast propagation (including the no-eligible-box
-    ``ValueError``).
+    ``"failed"`` event rather than raising.
 
     ``fleet`` may be in RAM or sharded; ``jobs`` (``None`` reads
-    ``REPRO_JOBS``; 1 = serial), ``chunksize`` and ``retries`` configure
-    the fan-out (:func:`repro.core.executor.run_fleet`), whose results
-    aggregate in fleet box order, identically for any worker count.
+    ``REPRO_JOBS``; 1 = serial) and ``chunksize`` configure the fan-out
+    (:func:`repro.core.executor.run_fleet`), whose results aggregate in
+    fleet box order, identically for any worker count.
     """
     _check_cadence(refit_every_steps, drift_threshold)
     cfg = config or AtmConfig()
@@ -565,9 +555,8 @@ def run_online_fleet(
 
     run_fleet(
         _run_box_online, fleet_items(fleet, needed),
-        cfg, refit_every_steps, drift_threshold, degrade,
+        cfg, refit_every_steps, drift_threshold,
         fold=fold, span="online.fleet", fleet=fleet, min_windows=needed,
-        report=report if degrade else None,
-        jobs=jobs, chunksize=chunksize, retries=retries,
+        report=report, jobs=jobs, chunksize=chunksize,
     )
     return OnlineFleetResult(results=results, report=report)

@@ -17,7 +17,9 @@ descriptors and memory-map their boxes locally.
 A failing box degrades instead of aborting the fleet: the per-box unit of
 work climbs the policy ladder (configured model → seasonal-mean fallback →
 reported failure) and :class:`FleetAtmResult.report` carries the structured
-degradation events; healthy boxes are unaffected, bit for bit.
+degradation events; healthy boxes are unaffected, bit for bit.  That
+is the only failure mode: there is no fail-fast switch and no retry, as
+the fault harness's faults are deterministic per box.
 """
 
 from __future__ import annotations
@@ -103,13 +105,13 @@ def _seasonal_fallback_config(config: AtmConfig) -> AtmConfig:
 BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
 
 
-def _run_box_atm(box, config: AtmConfig, degrade: bool, resume: bool = False) -> BoxOutcome:
+def _run_box_atm(box, config: AtmConfig, resume: bool = False) -> BoxOutcome:
     """Per-box unit of work; module-level so pool workers can unpickle it.
 
     Climbs the degradation ladder: the configured model first; on failure
     a seasonal-mean fallback run (with sanitized training data); on a
     second failure the box is reported as failed (``None`` result) rather
-    than aborting the fleet.  ``degrade=False`` restores fail-fast.
+    than aborting the fleet.
 
     ``box`` may be a shard descriptor, mapped here in the worker; the
     ``(result, events)`` pair is the box's resumable artifact
@@ -120,25 +122,23 @@ def _run_box_atm(box, config: AtmConfig, degrade: bool, resume: bool = False) ->
 
     box = resolve_box(box)
     cached, save = resume_probe(
-        "pipeline", lambda: stages.box_result_key(box, config, degrade), resume
+        "pipeline", lambda: stages.box_result_key(box, config), resume
     )
     if cached is not None:
         result, events = cached
         return result, list(events)
-    pair = _run_box_ladder(box, config, degrade)
+    pair = _run_box_ladder(box, config)
     save(pair)
     return pair
 
 
-def _run_box_ladder(box, config: AtmConfig, degrade: bool) -> BoxOutcome:
+def _run_box_ladder(box, config: AtmConfig) -> BoxOutcome:
     """The degradation ladder itself (no store interaction)."""
     events: List[DegradationEvent] = []
     try:
         with obs.span("pipeline.box_run"):
             return AtmController(box, config).run(), events
     except Exception as exc:
-        if not degrade:
-            raise
         obs.inc("pipeline.fallback.seasonal")
         events.append(
             DegradationEvent(
@@ -168,7 +168,7 @@ def _run_box_ladder(box, config: AtmConfig, degrade: bool) -> BoxOutcome:
 
 
 def _run_box_atm_fused_chunk(
-    items, config: AtmConfig, degrade: bool, resume: bool = False
+    items, config: AtmConfig, resume: bool = False
 ) -> List[BoxOutcome]:
     """Whole-chunk unit of work: fuse every box's temporal fits into one pass.
 
@@ -182,14 +182,11 @@ def _run_box_atm_fused_chunk(
     The fused kernel is bit-identical to the per-box batched fit, so the
     reordering is observable only as wall-clock.
 
-    Failure isolation stays per-box when ``degrade`` is on: a box that
-    raises anywhere in the gather or scatter phases — or whose histories
-    fail fused validation — is re-run down the ordinary
-    :func:`_run_box_atm` ladder (counted as ``fused.fallback_boxes``);
-    injected faults are deterministic per (box, attempt), so the replay
-    reproduces the per-box path's events exactly.  ``degrade=False``
-    keeps fail-fast semantics: the first exception propagates and fails
-    the chunk, as it would fail the fleet.
+    Failure isolation stays per-box: a box that raises anywhere in the
+    gather or scatter phases — or whose histories fail fused validation —
+    is re-run down the ordinary :func:`_run_box_atm` ladder (counted as
+    ``fused.fallback_boxes``); injected faults are deterministic per box,
+    so the replay reproduces the per-box path's events exactly.
     """
     from repro.core import stages
     from repro.prediction.combined import SpatialTemporalPredictor
@@ -200,7 +197,7 @@ def _run_box_atm_fused_chunk(
 
     def fallback(pos: int) -> None:
         obs.inc("fused.fallback_boxes")
-        out[pos] = _run_box_atm(items[pos], config, degrade, resume)
+        out[pos] = _run_box_atm(items[pos], config, resume)
 
     # Gather: resume probes, forecast probes, signature searches.  Boxes
     # with a stored forecast skip fitting entirely (``finish``); the rest
@@ -212,7 +209,7 @@ def _run_box_atm_fused_chunk(
         try:
             box = resolve_box(items[pos])
             cached, save = resume_probe(
-                "pipeline", lambda: stages.box_result_key(box, config, degrade), resume
+                "pipeline", lambda: stages.box_result_key(box, config), resume
             )
             if cached is not None:
                 result, events = cached
@@ -229,8 +226,6 @@ def _run_box_atm_fused_chunk(
             controller._predictor = predictor
             pending.append((pos, controller, save, forecast_key, histories))
         except Exception:
-            if not degrade:
-                raise
             fallback(pos)
 
     # Fuse: one cross-box mega-batched fit over every pending box's
@@ -247,8 +242,6 @@ def _run_box_atm_fused_chunk(
                     period=config.prediction.period,
                 )
         except Exception:
-            if not degrade:
-                raise
             groups = [None] * len(pending)
 
     # Scatter: complete each fused box's forecast, then run its sizing
@@ -265,8 +258,6 @@ def _run_box_atm_fused_chunk(
             stages.store_forecast(forecast_key, prediction)
             finish.append((pos, controller, save, prediction))
         except Exception:
-            if not degrade:
-                raise
             fallback(pos)
 
     # Evaluate: sizing + accuracy for every box that holds a forecast.
@@ -278,8 +269,6 @@ def _run_box_atm_fused_chunk(
             save(pair)
             out[pos] = pair
         except Exception:
-            if not degrade:
-                raise
             fallback(pos)
     return out  # type: ignore[return-value]
 
@@ -290,17 +279,16 @@ def run_fleet_atm(
     keep_box_results: bool = False,
     jobs: Optional[int] = None,
     chunksize: Optional[int] = None,
-    degrade: bool = True,
     resume: bool = False,
-    retries: int = 0,
 ) -> FleetAtmResult:
     """Run ATM end-to-end on every box of a fleet.
 
     Boxes too short for the configured training + horizon windows are
     skipped (the paper likewise restricts its ATM study to the subset of
-    gap-free boxes).  When no box is long enough, the result is empty and
-    ``result.report`` holds one fleet-level ``failed`` event — or, with
-    ``degrade=False``, a :class:`ValueError` names the fleet.
+    gap-free boxes).  A failing box climbs the policy ladder and is
+    reported in ``result.report``; it never aborts the fleet.  When no box
+    is long enough, the result is empty and ``result.report`` holds one
+    fleet-level ``failed`` event.
 
     ``fleet`` may be an in-RAM :class:`FleetTrace` or a
     :class:`repro.store.shards.ShardedFleet` (see
@@ -319,18 +307,11 @@ def run_fleet_atm(
     chunksize:
         Boxes per scheduled pool task (parallel path only); defaults to
         ~4 chunks per worker.
-    degrade:
-        Climb the per-box policy ladder on failure (default), collecting
-        partial results plus ``result.report``; ``False`` restores the
-        fail-fast behaviour where the first box exception propagates.
     resume:
         Serve boxes whose result artifact is already materialized in the
         persistent store (``REPRO_STORE`` / ``--store``) instead of
         recomputing them; aggregates are bit-identical to a fresh run.
         No-op without a persistent store.
-    retries:
-        Per-box retry budget forwarded to the executor (transient
-        ``once`` faults clear on the retry attempt).
     """
     cfg = config or AtmConfig()
     out = FleetAtmResult(config=cfg)
@@ -365,9 +346,8 @@ def run_fleet_atm(
 
     obs.inc("pipeline.boxes", len(items))
     run_fleet(
-        _run_box_atm, items, cfg, degrade, resume,
+        _run_box_atm, items, cfg, resume,
         fold=fold, span="pipeline.fleet", fleet=fleet, min_windows=needed,
-        report=out.report if degrade else None,
-        jobs=jobs, chunksize=chunksize, retries=retries, chunk_fn=chunk_fn,
+        report=out.report, jobs=jobs, chunksize=chunksize, chunk_fn=chunk_fn,
     )
     return out

@@ -189,11 +189,14 @@ def forecast_key(train_demands: np.ndarray, config: AtmConfig) -> ArtifactKey:
     )
 
 
-def box_result_key(box: BoxTrace, config: AtmConfig, degrade: bool = True) -> ArtifactKey:
+def box_result_key(box: BoxTrace, config: AtmConfig) -> ArtifactKey:
     """Key of one box's complete pipeline outcome.
 
     Folds the active fault plan in so artifacts computed under injected
-    faults can never serve a clean run (and vice versa).
+    faults can never serve a clean run (and vice versa).  The constant
+    ``"degrade": True`` entry records the one failure contract (every
+    fleet run degrades); it stays in the payload so stored keys keep
+    their bytes.
     """
     return ArtifactKey(
         stage=BOX_RESULT_STAGE,
@@ -201,7 +204,7 @@ def box_result_key(box: BoxTrace, config: AtmConfig, degrade: bool = True) -> Ar
         config_fp=config_fingerprint(
             {
                 "config": config,
-                "degrade": degrade,
+                "degrade": True,
                 "faults": faults.active_plan(),
             }
         ),
@@ -216,9 +219,12 @@ def resize_eval_key(
     algorithms: Sequence[ResizingAlgorithm],
     eval_windows: Optional[int],
     epsilon_pct: float,
-    degrade: bool = True,
 ) -> ArtifactKey:
-    """Key of one box's standalone resizing sweep (the Fig. 8 study)."""
+    """Key of one box's standalone resizing sweep (the Fig. 8 study).
+
+    Like :func:`box_result_key`, keeps the constant ``"degrade": True``
+    entry so stored keys keep their bytes.
+    """
     return ArtifactKey(
         stage=RESIZE_EVAL_STAGE,
         data_fp=config_fingerprint(
@@ -237,7 +243,7 @@ def resize_eval_key(
                 "algorithms": list(algorithms),
                 "eval_windows": eval_windows,
                 "epsilon_pct": epsilon_pct,
-                "degrade": degrade,
+                "degrade": True,
                 "faults": faults.active_plan(),
             }
         ),

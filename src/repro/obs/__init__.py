@@ -2,7 +2,7 @@
 
 Every fleet-scale entry point (the Fig. 9/10 pipeline, the online rolling
 controller, the resizing sweep, the parallel executor) records what it did
-here — stage wall-clock spans, cache hits, degradation fallbacks, retries,
+here — stage wall-clock spans, cache hits, degradation fallbacks,
 tickets avoided — so a run can explain where its time and its tickets went
 without a profiler.
 

@@ -61,11 +61,6 @@ class SimulatedCgroupsActuator:
                 raise ValueError(f"{resource} capacity must be positive")
         self._host_capacity = dict(host_capacity)
         self._limits: Dict[Tuple[str, Resource], float] = {}
-        self._log: List[LimitChange] = []
-
-    @property
-    def change_log(self) -> List[LimitChange]:
-        return list(self._log)
 
     def register_vm(self, vm_id: str, limits: Dict[Resource, float]) -> None:
         """Register a VM with its initial limits."""
@@ -112,7 +107,6 @@ class SimulatedCgroupsActuator:
                 new_limit=new_limit,
             )
             changes.append(change)
-            self._log.append(change)
         return changes
 
     def _check_host_budget(

@@ -340,14 +340,12 @@ def _evaluate_box_worker(
     algorithms: Sequence[ResizingAlgorithm],
     eval_windows: Optional[int],
     epsilon_pct: float,
-    degrade: bool,
     resume: bool = False,
 ) -> Tuple[List[BoxReduction], List[DegradationEvent]]:
     """Per-box unit of work for the fleet sweep (module-level: picklable).
 
     A failing box yields an empty result plus a ``failed`` degradation
-    event instead of aborting the sweep (``degrade=False`` restores the
-    fail-fast propagation).
+    event instead of aborting the sweep.
 
     The box half of ``item`` may be a shard descriptor, mapped here in
     the worker; the box's sweep is its resumable artifact
@@ -364,7 +362,7 @@ def _evaluate_box_worker(
         "resize",
         lambda: stages.resize_eval_key(
             box, sizing_by_resource, resources, policy, algorithms,
-            eval_windows, epsilon_pct, degrade,
+            eval_windows, epsilon_pct,
         ),
         resume,
     )
@@ -373,7 +371,6 @@ def _evaluate_box_worker(
         return list(results), list(events)
     out: List[BoxReduction] = []
     try:
-        faults.inject_slow(box.box_id)
         faults.inject_fault("box_error", box.box_id)
         with obs.span("resize.box"):
             for resource in resources:
@@ -392,8 +389,6 @@ def _evaluate_box_worker(
                 out.extend(reduction for reduction, _ in sized)
         pair: Tuple[List[BoxReduction], List[DegradationEvent]] = (out, [])
     except Exception as exc:
-        if not degrade:
-            raise
         obs.inc("resize.boxes_failed")
         event = DegradationEvent(
             box_id=box.box_id, stage="run", rung=RUNG_FAILED, reason=repr(exc)
@@ -412,13 +407,15 @@ def evaluate_fleet_resizing(
     epsilon_pct: float = 5.0,
     resources: Sequence[Resource] = (Resource.CPU, Resource.RAM),
     jobs: Optional[int] = None,
-    degrade: bool = True,
     resume: bool = False,
 ) -> FleetReduction:
     """Run the resizing comparison across a fleet (the Fig. 8 study).
 
     ``fleet`` may be in RAM or sharded (see
-    :func:`repro.core.executor.run_fleet`).
+    :func:`repro.core.executor.run_fleet`).  A failing box is reported in
+    ``result.report`` (rung ``"failed"``) and the sweep goes on; a fleet
+    without boxes yields an empty summary with one fleet-level
+    ``"failed"`` event.
 
     Parameters
     ----------
@@ -433,11 +430,6 @@ def evaluate_fleet_resizing(
         Worker processes for the per-box fan-out (``None`` reads
         ``REPRO_JOBS``, default 1 = serial); results are aggregated in
         fleet box order for any worker count.
-    degrade:
-        Collect partial results on per-box failures (default), reporting
-        them in ``result.report``; ``False`` restores fail-fast.  A fleet
-        without boxes yields an empty summary with one fleet-level
-        ``failed`` event, or a :class:`ValueError` when not degrading.
     resume:
         Serve boxes whose sweep artifact is already materialized in the
         persistent store (``REPRO_STORE`` / ``--store``); no-op without
@@ -462,8 +454,8 @@ def evaluate_fleet_resizing(
     obs.inc("resize.boxes", len(items))
     run_fleet(
         _evaluate_box_worker, items, tuple(resources), policy, tuple(algorithms),
-        eval_windows, epsilon_pct, degrade, resume,
+        eval_windows, epsilon_pct, resume,
         fold=fold, span="resize.fleet", fleet=fleet,
-        report=summary.report if degrade else None, jobs=jobs,
+        report=summary.report, jobs=jobs,
     )
     return summary

@@ -109,10 +109,6 @@ class MckpSolution:
     feasible: bool
     iterations: int = 0
 
-    @property
-    def total_capacity(self) -> float:
-        return float(self.allocations.sum())
-
 
 def _unique_descending(values: np.ndarray) -> np.ndarray:
     """The distinct values of ``values``, largest first.

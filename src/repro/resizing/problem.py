@@ -90,26 +90,10 @@ class ResizingProblem:
     def n_windows(self) -> int:
         return self.demands.shape[1]
 
-    @property
-    def bounds_feasible(self) -> bool:
-        """Can the lower bounds be satisfied within the budget at all?"""
-        return float(self.lower_bounds.sum()) <= self.capacity + TICKET_TOLERANCE
-
     def clamp(self, allocation: Sequence[float]) -> np.ndarray:
         """Project an allocation into the per-VM bound box (not the budget)."""
         alloc = np.asarray(allocation, dtype=float)
         return np.clip(alloc, self.lower_bounds, self.upper_bounds)
-
-    def is_feasible(self, allocation: Sequence[float], atol: float = 1e-6) -> bool:
-        """Check bounds and budget feasibility of an allocation."""
-        alloc = np.asarray(allocation, dtype=float)
-        if alloc.shape != (self.n_vms,):
-            return False
-        if np.any(alloc < self.lower_bounds - atol):
-            return False
-        if np.any(alloc > self.upper_bounds + atol):
-            return False
-        return float(alloc.sum()) <= self.capacity + atol
 
 
 def per_vm_tickets(

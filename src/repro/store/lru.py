@@ -30,10 +30,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
 
 class LruCache:
     """Thread-safe bounded LRU mapping hashable keys to values."""

@@ -545,44 +545,6 @@ class ShardedFleet:
         root = str(self.root)
         return [BoxShardRef(root=root, meta=meta) for meta in self.manifest.boxes]
 
-    def materialize(self) -> FleetTrace:
-        """Load every box into RAM as a plain :class:`FleetTrace`.
-
-        Guarded: with ``REPRO_FORBID_FLEET_GENERATION`` set this raises —
-        a process on the shard path (the flag any ``open_box`` sets) must
-        never hold the whole fleet.  Intended for small fleets in tests
-        and for verification against the in-RAM reference path.
-        """
-        mark_shard_tier_active()
-        boxes = []
-        for meta in self.manifest.boxes:
-            view = open_box(self.root, meta)
-            # Deep-copy out of the mapping: a materialized fleet must not
-            # keep file handles alive behind the caller's back.
-            boxes.append(
-                BoxTrace(
-                    box_id=view.box_id,
-                    cpu_capacity=view.cpu_capacity,
-                    ram_capacity=view.ram_capacity,
-                    vms=[
-                        VMTrace(
-                            vm_id=vm.vm_id,
-                            cpu_capacity=vm.cpu_capacity,
-                            ram_capacity=vm.ram_capacity,
-                            cpu_usage=np.array(vm.cpu_usage, dtype=float),
-                            ram_usage=np.array(vm.ram_usage, dtype=float),
-                        )
-                        for vm in view.vms
-                    ],
-                    interval_minutes=view.interval_minutes,
-                    scenario_fp=view.scenario_fp,
-                )
-            )
-        fleet_fp = None
-        if self.manifest.scenario is not None:
-            fleet_fp = self.manifest.scenario.get("fingerprint")
-        return FleetTrace(boxes=boxes, name=self.name, scenario_fp=fleet_fp)
-
 
 def load_fleet_shards(root: Union[str, Path]) -> ShardedFleet:
     """Open a shard store written by :func:`write_fleet_shards`."""

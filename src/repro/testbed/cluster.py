@@ -112,8 +112,3 @@ class TestbedCluster:
 
     def cpu_limits(self) -> Dict[str, float]:
         return {vm_id: vm.cpu_limit for vm_id, vm in self.vms.items()}
-
-    def node_headroom(self, node_name: str) -> float:
-        """Unallocated CPU on a node (GHz)."""
-        used = sum(vm.cpu_limit for vm in self.vms_on(node_name))
-        return self.nodes[node_name].cpu_capacity - used

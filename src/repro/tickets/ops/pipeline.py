@@ -449,11 +449,6 @@ class FleetOpsResult:
     def spatial_incident_share(self) -> Optional[float]:
         return self.spatial_incidents / self.incidents if self.incidents else None
 
-    def breach_rate(self) -> Optional[float]:
-        return (
-            self.breached_incidents / self.incidents if self.incidents else None
-        )
-
     # --------------------------------------------------------------- fold
     def fold(self, result: BoxOpsResult) -> None:
         """Fold one box's outcome in (fleet box order)."""

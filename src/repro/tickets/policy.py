@@ -46,26 +46,6 @@ class TicketPolicy:
         """The threshold as a fraction (the paper's alpha, e.g. 0.6)."""
         return self.threshold_pct / 100.0
 
-    def violates_usage(self, usage_pct: float) -> bool:
-        """Does a usage percentage trip the policy?"""
-        return usage_pct > self.threshold_pct
-
-    def violates_demand(self, demand: float, capacity: float) -> bool:
-        """Does an absolute demand against an allocated capacity trip the policy?
-
-        Mirrors the paper's constraint (6): a ticket fires when
-        ``demand > alpha * capacity``.
-        """
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        return demand > self.alpha * capacity
-
-    def with_threshold(self, threshold_pct: float) -> "TicketPolicy":
-        """Return a copy of the policy at a different threshold."""
-        return TicketPolicy(
-            threshold_pct=threshold_pct, window_minutes=self.window_minutes
-        )
-
 
 #: Evaluation default (Section V): tickets at 60% utilization, 15-min windows.
 DEFAULT_POLICY = TicketPolicy()

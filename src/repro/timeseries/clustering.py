@@ -203,10 +203,6 @@ class HierarchicalClustering:
                     record(remaining)
         return {k: list(self._cut_cache[k]) for k in wanted}
 
-    def merge_heights(self) -> List[float]:
-        """Return the sequence of merge heights (non-decreasing for average linkage)."""
-        return [m.height for m in self.merges]
-
 
 def clusters_as_lists(labels: List[int]) -> List[List[int]]:
     """Group item indices by cluster label, ordered by label."""

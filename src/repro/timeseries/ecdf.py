@@ -80,16 +80,6 @@ class BoxplotSummary:
             n=int(arr.size),
         )
 
-    def as_row(self) -> Tuple[float, float, float, float, float, float]:
-        return (
-            self.whisker_low,
-            self.q25,
-            self.median,
-            self.q75,
-            self.whisker_high,
-            self.mean,
-        )
-
 
 def histogram_shares(
     samples: Iterable[float], bin_edges: Sequence[float]

@@ -213,17 +213,11 @@ class BoxTrace:
     def capacity(self, resource: Resource) -> float:
         return self.cpu_capacity if resource is Resource.CPU else self.ram_capacity
 
-    def series_keys(self) -> List[SeriesKey]:
-        """All ``M x N`` series keys, CPU first then RAM, by VM index."""
-        keys = [SeriesKey(i, Resource.CPU) for i in range(self.n_vms)]
-        keys += [SeriesKey(i, Resource.RAM) for i in range(self.n_vms)]
-        return keys
-
     def usage_matrix(self, resource: Optional[Resource] = None) -> np.ndarray:
         """Return usage series stacked as rows.
 
         With ``resource`` given: an ``(M, T)`` matrix for that resource.
-        Without: the full ``(M*N, T)`` matrix in :meth:`series_keys` order.
+        Without: the full ``(M*N, T)`` matrix, CPU rows by VM index then RAM rows.
         """
         if resource is not None:
             return np.vstack([vm.usage(resource) for vm in self.vms])

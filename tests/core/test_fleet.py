@@ -5,19 +5,26 @@
 The differential matrix below pins that each driver gives one aggregate
 digest whatever the worker count, the fleet's backing (in RAM or a shard
 store) and, for the three resumable drivers, whether its boxes were
-computed or served from the store; and that all four follow one
-empty-fleet rule.  ATM runs twice: with its fused chunk function (a
-neural model) and per box (a model without a fleet fitter).  The engine pieces — :func:`fleet_items` and
+computed or served from the store.  One failure contract follows: with
+a ``REPRO_FAULTS`` plan that fails exactly one box, each laddered driver
+completes, reports only that box as failed and folds every other box as
+the fault-free run does; an empty fleet is reported by the laddered
+drivers and raised by ``run_fleet_ops``.  ATM runs twice: with its fused
+chunk function (a neural model) and per box (a model without a fleet
+fitter).  The engine pieces — :func:`fleet_items` and
 :func:`resume_probe` — are unit-tested at the end.
 """
 
+import ast
 import hashlib
-from typing import Callable, NamedTuple, Optional
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
 from repro import obs
 from repro.benchhelpers.scaling import fingerprint_result
+from repro.core import faults
 from repro.core.config import AtmConfig
 from repro.core.executor import fleet_items, resume_probe
 from repro.core.online import run_online_fleet
@@ -37,6 +44,7 @@ from repro.tickets.policy import TicketPolicy
 from repro.trace import model
 from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
+from tests.store.shard_oracle import materialize
 
 #: Neural, so ATM takes its fused chunk path; three days is exactly the
 #: training + horizon span, so every box is eligible for ATM and online.
@@ -89,14 +97,9 @@ def _chunksize(jobs):
     return 1 if jobs > 1 else None
 
 
-def _atm(fleet, jobs, resume=False, degrade=True, config=ATM):
+def _atm(fleet, jobs, resume=False, config=ATM):
     return run_fleet_atm(
-        fleet,
-        config,
-        jobs=jobs,
-        chunksize=_chunksize(jobs),
-        resume=resume,
-        degrade=degrade,
+        fleet, config, jobs=jobs, chunksize=_chunksize(jobs), resume=resume
     )
 
 
@@ -108,21 +111,31 @@ def _atm_digest(result):
     return _digest(fingerprint_result(result), result.report)
 
 
-def _online(fleet, jobs, resume=False, degrade=True):
-    return run_online_fleet(
-        fleet, ATM, jobs=jobs, chunksize=_chunksize(jobs), degrade=degrade
-    )
+def _atm_rows(result):
+    # repr keeps every float bit, NaN included.
+    return [(a.box_id, repr(a)) for a in result.accuracies] + [
+        (r.box_id, repr((r.resource, r.algorithm, r.tickets_before, r.tickets_after)))
+        for r in result.reduction.results
+    ]
+
+
+def _online(fleet, jobs, resume=False):
+    # No resume option: online has no per-box outcome artifact.
+    return run_online_fleet(fleet, ATM, jobs=jobs, chunksize=_chunksize(jobs))
+
+
+def _online_rows(result):
+    return [
+        (r.box_id, repr((r.total_tickets(static=True), r.total_tickets(), r.mean_ape())))
+        for r in result.values()
+    ]
 
 
 def _online_digest(result):
-    per_box = [
-        (r.box_id, r.total_tickets(static=True), r.total_tickets(), r.mean_ape())
-        for r in result.values()
-    ]
-    return _digest(per_box, result.report)
+    return _digest(_online_rows(result), result.report)
 
 
-def _resize(fleet, jobs, resume=False, degrade=True):
+def _resize(fleet, jobs, resume=False):
     # No chunksize option: the default already gives one box per chunk.
     return evaluate_fleet_resizing(
         fleet,
@@ -131,23 +144,24 @@ def _resize(fleet, jobs, resume=False, degrade=True):
         eval_windows=96,
         jobs=jobs,
         resume=resume,
-        degrade=degrade,
     )
 
 
-def _resize_digest(summary):
+def _resize_rows(summary):
     # ``feasible`` is a NumPy bool when computed and a bool when decoded
     # from the store: compare values, not reprs.
-    rows = [
-        (r.box_id, r.resource, r.algorithm, r.tickets_before, r.tickets_after,
-         bool(r.feasible))
+    return [
+        (r.box_id, (r.resource, r.algorithm, r.tickets_before, r.tickets_after,
+                    bool(r.feasible)))
         for r in summary.results
     ]
-    return _digest(rows, summary.report)
 
 
-def _ops(fleet, jobs, resume=False, degrade=True):
-    # No degradation ladder: ``degrade`` has no ops counterpart.
+def _resize_digest(summary):
+    return _digest(_resize_rows(summary), summary.report)
+
+
+def _ops(fleet, jobs, resume=False):
     return run_fleet_ops(
         fleet, OpsConfig(), jobs=jobs, chunksize=_chunksize(jobs), resume=resume
     )
@@ -170,32 +184,30 @@ class Driver(NamedTuple):
     digest: Callable[..., str]
     #: Counter namespace of its resume hits; ``None`` = not resumable.
     resume_ns: Optional[str]
-    #: Whether the driver has a degradation ladder (a ``degrade`` option).
-    has_ladder: bool
-    #: Ids of the boxes folded into an aggregate, in fold order (``None``:
-    #: the aggregate keeps no ids; see ``test_ops_folds_in_box_order``).
-    box_ids: Optional[Callable[..., list]]
+    #: Fault kinds that, all firing for one box, send it to rung
+    #: ``failed``.  ``None`` for ops: it has no degradation ladder and no
+    #: fault injection point, so it raises on an empty fleet and stays on
+    #: the faults-off side of the fault axis.
+    failure_kinds: Optional[Tuple[str, ...]]
+    #: ``(box_id, result)`` rows of the aggregate, in fold order (``None``:
+    #: the aggregate keeps no per-box rows; see ``test_ops_folds_in_box_order``).
+    rows: Optional[Callable[..., list]]
 
     def digest_of(self, fleet, jobs, **kwargs) -> str:
         return self.digest(self.run(fleet, jobs, **kwargs))
 
+    def box_ids(self, result) -> list:
+        return list(dict.fromkeys(box_id for box_id, _ in self.rows(result)))
 
-def _atm_ids(result):
-    return [accuracy.box_id for accuracy in result.accuracies]
 
+_ATM_FAILS = ("fit_error", "fallback_error")
 
 DRIVERS = {
-    "atm": Driver(_atm, _atm_digest, "pipeline", True, _atm_ids),
-    "atm_per_box": Driver(_atm_per_box, _atm_digest, "pipeline", True, _atm_ids),
-    "online": Driver(_online, _online_digest, None, True, list),
-    "resize": Driver(
-        _resize,
-        _resize_digest,
-        "resize",
-        True,
-        lambda summary: list(dict.fromkeys(r.box_id for r in summary.results)),
-    ),
-    "ops": Driver(_ops, _ops_digest, "ops", False, None),
+    "atm": Driver(_atm, _atm_digest, "pipeline", _ATM_FAILS, _atm_rows),
+    "atm_per_box": Driver(_atm_per_box, _atm_digest, "pipeline", _ATM_FAILS, _atm_rows),
+    "online": Driver(_online, _online_digest, None, ("box_error",), _online_rows),
+    "resize": Driver(_resize, _resize_digest, "resize", ("box_error",), _resize_rows),
+    "ops": Driver(_ops, _ops_digest, "ops", None, None),
 }
 
 MATRIX = [
@@ -206,13 +218,13 @@ MATRIX = [
     for mode in (("fresh", "resume") if driver.resume_ns else ("fresh",))
 ]
 
-#: Reference digest per driver: in RAM, serial, no store.
+#: Reference result per driver: in RAM, serial, no store, no faults.
 _REFERENCE = {}
 
 
 def _reference(name, in_ram):
     if name not in _REFERENCE:
-        _REFERENCE[name] = DRIVERS[name].digest_of(in_ram, 1)
+        _REFERENCE[name] = DRIVERS[name].run(in_ram, 1)
         obs.reset_metrics()
     return _REFERENCE[name]
 
@@ -222,7 +234,7 @@ def test_one_digest_per_driver(
     name, jobs, backing, mode, in_ram, sharded, tmp_path, monkeypatch
 ):
     driver = DRIVERS[name]
-    expected = _reference(name, in_ram)
+    expected = driver.digest(_reference(name, in_ram))
     fleet = in_ram if backing == "ram" else sharded
     if mode == "resume":
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
@@ -231,7 +243,7 @@ def test_one_digest_per_driver(
     obs.reset_metrics()
     result = driver.run(fleet, jobs, resume=mode == "resume")
     assert driver.digest(result) == expected
-    if driver.box_ids is not None:
+    if driver.rows is not None:
         assert driver.box_ids(result) == [box.box_id for box in in_ram.boxes]
     counters = obs.metrics_snapshot()["counters"]
     if jobs > 1:
@@ -240,23 +252,88 @@ def test_one_digest_per_driver(
         assert counters[f"{driver.resume_ns}.resume.hits"] == N_BOXES
 
 
-@pytest.mark.parametrize("degrade", [True, False], ids=["degrade", "fail-fast"])
+def _victim_spec(kinds, fleet, victim=1):
+    """A ``REPRO_FAULTS`` spec and seed firing every kind for one box only.
+
+    Scans seeds for one where box ``victim`` draws the lowest hash for
+    every kind in ``kinds``, then picks the probability between its draws
+    and everyone else's, so the whole rule set fires for that box alone.
+    """
+    ids = [box.box_id for box in fleet]
+    for seed in range(1000):
+        units = {kind: [faults._hash_unit(seed, kind, b) for b in ids] for kind in kinds}
+        hit = max(units[kind][victim] for kind in kinds)
+        miss = min(u for kind in kinds for i, u in enumerate(units[kind]) if i != victim)
+        if miss - hit > 1e-6:
+            p = (hit + miss) / 2.0
+            return ";".join(f"{kind}:p={p!r}" for kind in kinds), seed, ids[victim]
+    raise AssertionError("no seed isolates the victim box")
+
+
+FAULT_AXIS = [
+    pytest.param(name, jobs, state, id=f"{name}-jobs{jobs}-faults-{state}")
+    for name, driver in DRIVERS.items()
+    for jobs in (1, 2)
+    for state in (("off", "on") if driver.failure_kinds else ("off",))
+]
+
+
+@pytest.mark.parametrize("name,jobs,state", FAULT_AXIS)
+def test_one_failure_contract(name, jobs, state, in_ram, monkeypatch):
+    """Faults off: the reference digest.  On: one box fails, the rest fold as before."""
+    driver = DRIVERS[name]
+    reference = _reference(name, in_ram)
+    monkeypatch.delenv(faults.FAULTS_ENV_VAR, raising=False)
+    if state == "off":
+        result = driver.run(in_ram, jobs)
+        assert driver.digest(result) == driver.digest(reference)
+        if driver.failure_kinds:
+            assert result.report.ok
+        return
+    spec, seed, victim = _victim_spec(driver.failure_kinds, in_ram)
+    monkeypatch.setenv(faults.FAULTS_ENV_VAR, spec)
+    monkeypatch.setenv(faults.FAULTS_SEED_ENV_VAR, str(seed))
+    result = driver.run(in_ram, jobs)
+    assert result.report.failed_boxes == [victim]
+    assert result.report.degraded_boxes == [victim]
+    assert driver.rows(result) == [
+        row for row in driver.rows(reference) if row[0] != victim
+    ]
+
+
 @pytest.mark.parametrize("name", list(DRIVERS))
-def test_empty_fleet_rule(name, degrade, tmp_path):
+def test_empty_fleet_rule(name, tmp_path):
+    """Laddered drivers report an empty fleet; ``run_fleet_ops`` raises."""
     driver = DRIVERS[name]
     empty = ShardedFleet(tmp_path, manifest=ShardManifest(name="void", boxes=[]))
-    if not (degrade and driver.has_ladder):
+    if driver.failure_kinds is None:
         with pytest.raises(ValueError, match="'void'"):
-            driver.run(empty, 1, degrade=degrade)
+            driver.run(empty, 1)
         return
-    result = driver.run(empty, 1, degrade=degrade)
+    result = driver.run(empty, 1)
     (event,) = result.report.events
     assert (event.box_id, event.stage, event.rung) == ("fleet:void", "fleet", "failed")
     assert "'void'" in event.reason
-    assert driver.box_ids(result) == []
+    assert driver.rows(result) == []
     counters = obs.metrics_snapshot()["counters"]
     assert sum(v for k, v in counters.items() if k.endswith(".fleets_empty")) == 1
     assert counters.get("executor.items", 0) == 0
+
+
+def test_no_failure_knobs():
+    """The contract above is the only one: nothing in ``src/repro`` can
+    switch the ladder off, retry a box or time a pool out."""
+    package = Path(__file__).resolve().parents[2] / "src" / "repro"
+    knobs = {"degrade", "retries", "timeout", "mp_context"}
+    found = [
+        f"{path.relative_to(package)}:{node.lineno} {node.name}({arg.arg})"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg in knobs
+    ]
+    assert not found, found
 
 
 def test_ops_folds_in_box_order(in_ram):
@@ -283,7 +360,7 @@ class TestFleetItems:
         # clear, so materializing trips the guard only once it marks it.
         assert not model.shard_tier_active()
         with pytest.raises(RuntimeError, match="materialization is forbidden"):
-            sharded.materialize()
+            materialize(sharded)
 
 
 class _FakeStore:

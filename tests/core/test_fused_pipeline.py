@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
-from repro.core.faults import FaultPlan, FaultRule, InjectedFault, fault_plan
+from repro.core.faults import FaultPlan, FaultRule, fault_plan
 from repro.core.pipeline import (
     FUSED_CHUNK_BOXES,
     FleetAtmResult,
@@ -47,7 +47,7 @@ def _fold(pairs):
     return out
 
 
-def run(fleet, fused, degrade=True, resume=False):
+def run(fleet, fused, resume=False):
     """Every box through one chunk worker, counters isolated.
 
     ``fused=False`` is the oracle: ``_run_box_atm`` box by box.
@@ -55,9 +55,9 @@ def run(fleet, fused, degrade=True, resume=False):
     items = list(fleet)
     obs.reset_metrics()
     if fused:
-        pairs = _run_box_atm_fused_chunk(items, NEURAL, degrade, resume)
+        pairs = _run_box_atm_fused_chunk(items, NEURAL, resume)
     else:
-        pairs = [_run_box_atm(item, NEURAL, degrade, resume) for item in items]
+        pairs = [_run_box_atm(item, NEURAL, resume) for item in items]
     return _fold(pairs), obs.metrics_snapshot()["counters"]
 
 
@@ -114,9 +114,7 @@ class TestChunkPolicy:
 class TestFaultParity:
     def test_degradation_events_match_per_box_path(self, fleet):
         """Injected fit errors degrade identically down both paths."""
-        plan = FaultPlan(
-            rules=(FaultRule(kind="fit_error", probability=1.0, once=True),)
-        )
+        plan = FaultPlan(rules=(FaultRule(kind="fit_error", probability=1.0),))
         with fault_plan(plan):
             baseline, _ = run(fleet, fused=False)
         with fault_plan(plan):
@@ -132,18 +130,6 @@ class TestFaultParity:
             fleet_run, _ = run_fleet(fleet)
         assert fingerprint_result(fleet_run) == fingerprint_result(baseline)
         assert fleet_run.report == baseline.report
-
-    def test_fail_fast_parity(self, fleet):
-        plan = FaultPlan(
-            rules=(FaultRule(kind="fit_error", probability=1.0, once=True),)
-        )
-        for fused in (False, True):
-            with fault_plan(plan):
-                with pytest.raises(InjectedFault):
-                    run(fleet, fused=fused, degrade=False)
-        with fault_plan(plan):
-            with pytest.raises(InjectedFault):
-                run_fleet(fleet, degrade=False)
 
 
 class TestStoreStability:

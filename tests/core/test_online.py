@@ -187,8 +187,3 @@ class TestFleetRunner:
         assert event.box_id == f"fleet:{fleet.name}"
         assert "windows required" in event.reason
         assert np.isnan(result.reduction_percent())
-
-    def test_no_eligible_boxes_rejected_when_fail_fast(self, config):
-        fleet = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=3))
-        with pytest.raises(ValueError):
-            run_online_fleet(fleet, config, degrade=False)

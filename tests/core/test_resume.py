@@ -1,8 +1,9 @@
 """Resume-equivalence tests: interrupted fleet runs restart bit-identically.
 
 The scenario the artifact store exists for: a fleet run dies partway (here
-via an injected transient fit error with ``degrade=False``), leaving the
-completed boxes' result artifacts on disk.  A resumed run must serve those
+via a ``KeyboardInterrupt`` raised while one box computes, which the
+degradation ladder does not catch), leaving the completed boxes' result
+artifacts on disk.  A resumed run must serve those
 boxes from the store, compute only the remainder, and produce aggregates
 bit-identical to a run that was never interrupted.
 """
@@ -13,8 +14,9 @@ import pytest
 
 from repro import obs
 from repro.core import faults
+from repro.core.atm import AtmController
 from repro.core.config import AtmConfig
-from repro.core.faults import FaultPlan, FaultRule, InjectedFault, fault_plan
+from repro.core.faults import FaultPlan, FaultRule, fault_plan
 from repro.core.online import OnlineAtmController
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
@@ -54,8 +56,8 @@ def _counters():
     return obs.metrics_snapshot()["counters"]
 
 
-def _single_victim_plan(fleet, min_index=2):
-    """A transient fit-error plan that fires for exactly one box.
+def _single_victim_plan(fleet, min_index=1):
+    """A fit-error plan that fires for exactly one box.
 
     Scans seeds until the box with the smallest hash draw sits at
     ``min_index`` or later, then sets the probability between the smallest
@@ -68,41 +70,48 @@ def _single_victim_plan(fleet, min_index=2):
         victim, runner_up = order[0], order[1]
         if victim >= min_index and units[runner_up] - units[victim] > 1e-6:
             probability = (units[victim] + units[runner_up]) / 2.0
-            rule = FaultRule(kind="fit_error", probability=probability, once=True)
+            rule = FaultRule(kind="fit_error", probability=probability)
             return FaultPlan(rules=(rule,), seed=seed), victim
     raise AssertionError("no suitable fault seed found")
 
 
 class TestPipelineResume:
     def test_interrupted_run_resumes_bit_identically(
-        self, pipeline_fleet_6d, store_env
+        self, pipeline_fleet_6d, store_env, monkeypatch
     ):
         cfg = _config()
-        plan, victim = _single_victim_plan(pipeline_fleet_6d)
+        victim = 2
+        victim_id = pipeline_fleet_6d.boxes[victim].box_id
 
-        # The never-interrupted reference (no faults in force).
-        reference = run_fleet_atm(pipeline_fleet_6d, cfg, degrade=False)
-
-        # Interrupted run: the transient fault kills the victim box
-        # fail-fast, after the boxes before it materialized artifacts.
-        with fault_plan(plan):
-            with pytest.raises(InjectedFault):
-                run_fleet_atm(pipeline_fleet_6d, cfg, degrade=False)
-            written = list(store_env.glob("box_result/**/*.npz"))
-            # Clean-reference artifacts (different key: no fault plan) plus
-            # the interrupted prefix.
-            assert len(written) == pipeline_fleet_6d.n_boxes + victim
-
-            # Resume under the same plan: the prefix is served from the
-            # store; the retry budget clears the `once` fault on the victim.
+        # The never-interrupted reference, computed without a store.
+        with monkeypatch.context() as env:
+            env.delenv("REPRO_STORE")
             clear_memory_tiers()
-            obs.reset_metrics()
-            resumed = run_fleet_atm(
-                pipeline_fleet_6d, cfg, degrade=False, resume=True, retries=1
-            )
-        counters = _counters()
-        assert counters.get("pipeline.resume.hits") == victim
-        assert counters.get("executor.retries") == 1
+            reference = run_fleet_atm(pipeline_fleet_6d, cfg)
+        clear_memory_tiers()
+
+        # Interrupted run: Ctrl-C lands while the victim box computes.  A
+        # KeyboardInterrupt is no Exception, so the ladder lets it through
+        # and the serial run dies after the boxes before the victim
+        # materialized their artifacts.
+        run = AtmController.run
+
+        def interrupted(controller):
+            if controller.box.box_id == victim_id:
+                raise KeyboardInterrupt
+            return run(controller)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(AtmController, "run", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run_fleet_atm(pipeline_fleet_6d, cfg)
+        assert len(list(store_env.glob("box_result/**/*.npz"))) == victim
+
+        # Resume: the prefix is served from the store, the rest computed.
+        clear_memory_tiers()
+        obs.reset_metrics()
+        resumed = run_fleet_atm(pipeline_fleet_6d, cfg, resume=True)
+        assert _counters().get("pipeline.resume.hits") == victim
         assert _aggregates(resumed) == _aggregates(reference)
 
     def test_resume_without_prior_run_computes_everything(
@@ -135,9 +144,7 @@ class TestPipelineResume:
     ):
         """A fallback-rung box's events are part of its artifact."""
         cfg = _config()
-        plan, victim = _single_victim_plan(pipeline_fleet_6d, min_index=1)
-        rule = replace(plan.rules[0], once=False)  # persistent: ladder engages
-        plan = FaultPlan(rules=(rule,), seed=plan.seed)
+        plan, victim = _single_victim_plan(pipeline_fleet_6d)
         with fault_plan(plan):
             degraded = run_fleet_atm(pipeline_fleet_6d, cfg)  # degrade ladder
             assert not degraded.report.ok

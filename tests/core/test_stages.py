@@ -10,8 +10,11 @@ from repro.core import faults, stages
 from repro.core.config import AtmConfig
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
+from repro.resizing.evaluate import ResizingAlgorithm
 from repro.store import clear_memory_tiers, get_codec
+from repro.tickets.policy import TicketPolicy
 from repro.trace.generator import FleetConfig, generate_box
+from repro.trace.model import Resource
 
 
 def _config(**overrides):
@@ -87,12 +90,33 @@ class TestKeys:
 
     def test_box_result_key_folds_fault_plan(self, sample_box):
         clean = stages.box_result_key(sample_box, _config())
-        plan = faults.parse_fault_spec("slow:p=0.5", seed=3)
+        plan = faults.parse_fault_spec("box_error:p=0.5", seed=3)
         with faults.fault_plan(plan):
             faulted = stages.box_result_key(sample_box, _config())
         assert clean != faulted
         assert clean == stages.box_result_key(sample_box, _config())
-        assert clean != stages.box_result_key(sample_box, _config(), degrade=False)
+
+    # Clean-run store keys, pinned as literals: artifacts written by an
+    # earlier release must keep resolving.  The payloads still carry the
+    # constant ``"degrade": True`` entry for exactly this reason.
+    def test_box_result_key_pinned(self, sample_box):
+        key = stages.box_result_key(sample_box, _config())
+        assert key.digest() == "803ac8bdbdb5684940a16d2226ba8aa4a9f09383"
+        assert key.config_fp == "ac1f87f29391fca827172e6d150475a1919a19f7"
+
+    def test_resize_eval_key_pinned(self, sample_box):
+        resources = (Resource.CPU, Resource.RAM)
+        key = stages.resize_eval_key(
+            sample_box,
+            {resource: None for resource in resources},
+            resources,
+            TicketPolicy(),
+            tuple(ResizingAlgorithm),
+            96,
+            5.0,
+        )
+        assert key.digest() == "ee12680986fb52385a89453bd7960402a309ea87"
+        assert key.config_fp == "7cd7fbd040ec5c4b1b3cd27cfd8fe1fa012ccdc3"
 
 
 class TestWarmRuns:

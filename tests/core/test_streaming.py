@@ -25,6 +25,7 @@ from repro.store.shards import write_fleet_shards, load_fleet_shards
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
 from repro.trace.model import FORBID_GENERATION_ENV_VAR, Resource
+from tests.store.shard_oracle import materialize
 
 
 @pytest.fixture(autouse=True)
@@ -109,19 +110,17 @@ class TestShardedDispatch:
         result = run_fleet_atm(sharded, atm_config, jobs=2, chunksize=1)
         assert len(result.accuracies) == pipeline_fleet_6d.n_boxes
         # The *parent* never opened a shard (only workers did), so its own
-        # tier flag is still clear; materialize() marks it before loading
+        # tier flag is still clear; materialize marks it before loading
         # and therefore trips the guard.
         assert not model.shard_tier_active()
         with pytest.raises(RuntimeError, match="materialization is forbidden"):
-            sharded.materialize()
+            materialize(sharded)
 
     def test_eligibility_from_manifest(self, tmp_path, small_fleet, atm_config):
         # A one-day fleet is too short for the 6-day ATM setup; the sharded
         # path must reject it from the manifest alone, like the in-RAM path.
         write_fleet_shards(small_fleet, tmp_path)
         sharded = load_fleet_shards(tmp_path)
-        with pytest.raises(ValueError, match="windows required"):
-            run_fleet_atm(sharded, atm_config, degrade=False)
         result = run_fleet_atm(sharded, atm_config)
         assert result.accuracies == []
         (event,) = result.report.events

@@ -71,7 +71,8 @@ class TestLru:
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
-        assert len(cache) == 0 and cache.stats.lookups == 0
+        assert len(cache) == 0
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):

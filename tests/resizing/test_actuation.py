@@ -43,12 +43,11 @@ class TestApplyLimits:
         assert actuator.current_limit("vm-b", Resource.CPU) == 3.0
         assert len(changes) == 2
         assert all(isinstance(c, LimitChange) for c in changes)
-        assert actuator.change_log[-1].window == 3
+        assert [c.window for c in changes] == [3, 3]
 
     def test_no_op_changes_not_logged(self, actuator):
         changes = actuator.apply_limits(0, {("vm-a", Resource.CPU): 4.0})
         assert changes == []
-        assert actuator.change_log == []
 
     def test_batch_over_budget_rejected_atomically(self, actuator):
         with pytest.raises(ValueError, match="exceed host"):
@@ -79,7 +78,7 @@ class TestApplyLimits:
 
 
 class TestAllOrNothing:
-    """A rejected batch must leave limits and the audit log untouched —
+    """A rejected batch must leave every limit untouched —
     a half-applied resize would leave the box in a state ATM never chose."""
 
     def _snapshot(self, actuator):
@@ -96,7 +95,6 @@ class TestAllOrNothing:
                 2, {("vm-a", Resource.CPU): 6.0, ("vm-b", Resource.CPU): -1.0}
             )
         assert self._snapshot(actuator) == before
-        assert actuator.change_log == []
 
     def test_unknown_vm_rolls_back_whole_batch(self, actuator):
         before = self._snapshot(actuator)
@@ -105,7 +103,6 @@ class TestAllOrNothing:
                 2, {("vm-a", Resource.CPU): 6.0, ("ghost", Resource.CPU): 1.0}
             )
         assert self._snapshot(actuator) == before
-        assert actuator.change_log == []
 
     def test_over_budget_mixed_batch_rolls_back(self, actuator):
         before = self._snapshot(actuator)

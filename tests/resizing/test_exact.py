@@ -20,7 +20,7 @@ class TestBruteForce:
         instance = build_mckp(small_problem(rng))
         solution = solve_bruteforce(instance)
         assert solution.feasible
-        assert solution.total_capacity <= instance.capacity + 1e-9
+        assert solution.allocations.sum() <= instance.capacity + 1e-9
 
     def test_returns_global_minimum(self, rng):
         instance = build_mckp(small_problem(rng, m=2, t=4))
@@ -70,7 +70,7 @@ class TestDp:
     def test_budget_respected(self, rng):
         instance = build_mckp(small_problem(rng))
         solution = solve_dp(instance)
-        assert solution.total_capacity <= instance.capacity + 1e-9
+        assert solution.allocations.sum() <= instance.capacity + 1e-9
 
     def test_grid_validation(self, rng):
         instance = build_mckp(small_problem(rng))
@@ -81,7 +81,7 @@ class TestDp:
         instance = build_mckp(small_problem(rng))
         solution = solve_dp(instance, grid_points=16)
         if solution.feasible:
-            assert solution.total_capacity <= instance.capacity + 1e-9
+            assert solution.allocations.sum() <= instance.capacity + 1e-9
 
     def test_infeasible_instance(self):
         problem = ResizingProblem(

@@ -23,13 +23,13 @@ class TestGreedyBasics:
         solution = solve_greedy(build_mckp(problem))
         assert solution.feasible
         assert solution.tickets == 0
-        assert solution.total_capacity <= problem.capacity + 1e-9
+        assert solution.allocations.sum() <= problem.capacity + 1e-9
 
     def test_budget_respected_when_binding(self, rng):
         problem = random_problem(rng, capacity_scale=0.5)
         solution = solve_greedy(build_mckp(problem))
         assert solution.feasible
-        assert solution.total_capacity <= problem.capacity + 1e-9
+        assert solution.allocations.sum() <= problem.capacity + 1e-9
         assert solution.tickets >= 0
 
     def test_infeasible_bounds_flagged(self):

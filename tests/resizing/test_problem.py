@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.resizing.greedy import solve_greedy
+from repro.resizing.mckp import build_mckp
 from repro.resizing.problem import ResizingProblem, per_vm_tickets, tickets_for_allocation
 
 
@@ -70,10 +72,11 @@ class TestValidation:
             ResizingProblem(**kwargs)
 
     def test_bounds_feasibility(self):
+        # Lower bounds over the budget: the solver reports no feasible sizing.
         p = ResizingProblem(
             demands=np.ones((2, 2)), capacity=3.0, lower_bounds=np.array([2.0, 2.0])
         )
-        assert not p.bounds_feasible
+        assert not solve_greedy(build_mckp(p)).feasible
 
 
 class TestTickets:
@@ -109,9 +112,13 @@ class TestTickets:
 
 class TestFeasibility:
     def test_is_feasible(self, problem):
-        assert problem.is_feasible([10.0, 10.0])
-        assert not problem.is_feasible([15.0, 10.0])  # budget exceeded
-        assert not problem.is_feasible([10.0])  # wrong shape
+        # The solver's allocation lies in the bound box and within budget.
+        solution = solve_greedy(build_mckp(problem))
+        alloc = solution.allocations
+        assert solution.feasible and alloc.shape == (problem.n_vms,)
+        assert np.all(alloc >= problem.lower_bounds - 1e-6)
+        assert np.all(alloc <= problem.upper_bounds + 1e-6)
+        assert alloc.sum() <= problem.capacity + 1e-6
 
     def test_clamp(self):
         p = ResizingProblem(

@@ -1,0 +1,49 @@
+"""Whole-fleet load of a shard store: the in-RAM oracle of the shard tests.
+
+No production path holds a sharded fleet in RAM — workers map one box at
+a time — so this copy-out lives with the tests that compare the shard
+tier against the in-RAM reference path and pin the materialization guard.
+"""
+
+import numpy as np
+
+from repro.store.shards import ShardedFleet, open_box
+from repro.trace.model import BoxTrace, FleetTrace, VMTrace, mark_shard_tier_active
+
+
+def materialize(sharded: ShardedFleet) -> FleetTrace:
+    """Load every box of ``sharded`` into RAM as a plain :class:`FleetTrace`.
+
+    Guarded: with ``REPRO_FORBID_FLEET_GENERATION`` set this raises — a
+    process on the shard path (the flag any ``open_box`` sets) must never
+    hold the whole fleet.
+    """
+    mark_shard_tier_active()
+    boxes = []
+    for meta in sharded.manifest.boxes:
+        view = open_box(sharded.root, meta)
+        # Deep-copy out of the mapping: a materialized fleet must not keep
+        # file handles alive behind the caller's back.
+        boxes.append(
+            BoxTrace(
+                box_id=view.box_id,
+                cpu_capacity=view.cpu_capacity,
+                ram_capacity=view.ram_capacity,
+                vms=[
+                    VMTrace(
+                        vm_id=vm.vm_id,
+                        cpu_capacity=vm.cpu_capacity,
+                        ram_capacity=vm.ram_capacity,
+                        cpu_usage=np.array(vm.cpu_usage, dtype=float),
+                        ram_usage=np.array(vm.ram_usage, dtype=float),
+                    )
+                    for vm in view.vms
+                ],
+                interval_minutes=view.interval_minutes,
+                scenario_fp=view.scenario_fp,
+            )
+        )
+    fleet_fp = None
+    if sharded.manifest.scenario is not None:
+        fleet_fp = sharded.manifest.scenario.get("fingerprint")
+    return FleetTrace(boxes=boxes, name=sharded.name, scenario_fp=fleet_fp)

@@ -26,6 +26,7 @@ from repro.trace import (
     render_fleet,
 )
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
+from tests.store.shard_oracle import materialize
 
 SMALL = FleetConfig(n_boxes=3, days=2, seed=7)
 
@@ -85,7 +86,7 @@ class TestScenarioViews:
     def test_materialize_propagates_scenario_fp(self, tmp_path):
         spec = NAMED_SCENARIOS["spiky"]
         generate_fleet_shards(SMALL, tmp_path, name="s", scenario=spec)
-        fleet = load_fleet_shards(tmp_path).materialize()
+        fleet = materialize(load_fleet_shards(tmp_path))
         assert fleet.scenario_fp == spec.fingerprint()
         assert all(b.scenario_fp == spec.fingerprint() for b in fleet.boxes)
 

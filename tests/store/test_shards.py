@@ -22,6 +22,7 @@ from repro.store.shards import (
 from repro.trace import NAMED_SCENARIOS, model, render_fleet
 from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import FORBID_GENERATION_ENV_VAR, FleetTrace
+from tests.store.shard_oracle import materialize
 
 
 @pytest.fixture(autouse=True)
@@ -66,7 +67,7 @@ class TestRoundTrip:
 
     def test_materialize_equals_source(self, store, small_fleet):
         root, _ = store
-        materialized = load_fleet_shards(root).materialize()
+        materialized = materialize(load_fleet_shards(root))
         assert isinstance(materialized, FleetTrace)
         assert materialized.name == small_fleet.name
         for original, loaded in zip(small_fleet, materialized):
@@ -233,12 +234,12 @@ class TestMaterializationGuard:
         with pytest.raises(RuntimeError, match="materialization is forbidden"):
             FleetTrace(boxes=[small_fleet.boxes[0]], name="bad")
         with pytest.raises(RuntimeError, match="materialization is forbidden"):
-            load_fleet_shards(root).materialize()
+            materialize(load_fleet_shards(root))
 
     def test_guard_off_without_env(self, store, small_fleet, monkeypatch):
         root, _ = store
         monkeypatch.delenv(FORBID_GENERATION_ENV_VAR, raising=False)
-        fleet = load_fleet_shards(root).materialize()
+        fleet = materialize(load_fleet_shards(root))
         assert fleet.n_boxes == small_fleet.n_boxes
 
 

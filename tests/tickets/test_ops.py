@@ -356,7 +356,6 @@ class TestFleetOps:
         assert result.incidents == 0
         assert result.tickets_per_incident() is None
         assert result.spatial_incident_share() is None
-        assert result.breach_rate() is None
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError, match="no boxes"):

@@ -1,7 +1,10 @@
 """Tests for ticket policies (repro.tickets.policy)."""
 
+import numpy as np
 import pytest
 
+from repro.resizing.problem import ResizingProblem, per_vm_tickets
+from repro.tickets.monitor import ticket_matrix
 from repro.tickets.policy import DEFAULT_POLICY, DEFAULT_THRESHOLDS, TicketPolicy
 
 
@@ -15,24 +18,21 @@ class TestTicketPolicy:
         assert DEFAULT_THRESHOLDS == (60.0, 70.0, 80.0)
 
     def test_violates_usage_strict(self):
-        policy = TicketPolicy(60.0)
-        assert not policy.violates_usage(60.0)
-        assert policy.violates_usage(60.01)
+        # The monitor tickets usage strictly above the threshold.
+        flags = ticket_matrix(np.array([60.0, 60.01]), TicketPolicy(60.0))
+        assert flags.tolist() == [[False, True]]
 
     def test_violates_demand(self):
+        # Constraint (6): a demand tickets when it exceeds alpha * capacity.
         policy = TicketPolicy(60.0)
-        assert policy.violates_demand(demand=6.1, capacity=10.0)
-        assert not policy.violates_demand(demand=6.0, capacity=10.0)
+        problem = ResizingProblem(
+            demands=np.array([[6.1, 6.0]]), capacity=10.0, alpha=policy.alpha
+        )
+        assert per_vm_tickets(problem, [10.0]).tolist() == [1]
 
     def test_violates_demand_bad_capacity(self):
-        with pytest.raises(ValueError):
-            TicketPolicy(60.0).violates_demand(1.0, 0.0)
-
-    def test_with_threshold(self):
-        policy = TicketPolicy(60.0, window_minutes=30)
-        other = policy.with_threshold(80.0)
-        assert other.threshold_pct == 80.0
-        assert other.window_minutes == 30
+        with pytest.raises(ValueError, match="capacity"):
+            ResizingProblem(demands=np.array([[1.0]]), capacity=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, 100.0, -5.0, 150.0])
     def test_invalid_threshold(self, bad):

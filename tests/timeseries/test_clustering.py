@@ -96,7 +96,7 @@ class TestClustering:
     def test_average_linkage_heights_monotone(self, rng):
         d = random_distance_matrix(rng, 9)
         hc = HierarchicalClustering(d, linkage=Linkage.AVERAGE)
-        heights = hc.merge_heights()
+        heights = [merge.height for merge in hc.merges]
         assert all(a <= b + 1e-9 for a, b in zip(heights, heights[1:]))
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")

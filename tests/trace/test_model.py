@@ -53,16 +53,6 @@ class TestVMTrace:
 
 
 class TestBoxTrace:
-    def test_series_keys_order(self):
-        box = make_box(m=2)
-        keys = box.series_keys()
-        assert keys == [
-            SeriesKey(0, Resource.CPU),
-            SeriesKey(1, Resource.CPU),
-            SeriesKey(0, Resource.RAM),
-            SeriesKey(1, Resource.RAM),
-        ]
-
     def test_usage_matrix_shapes(self):
         box = make_box(m=3, n=8)
         assert box.usage_matrix(Resource.CPU).shape == (3, 8)
@@ -71,7 +61,9 @@ class TestBoxTrace:
     def test_demand_matrix_consistent_with_series(self):
         box = make_box(m=2)
         full = box.demand_matrix()
-        for idx, key in enumerate(box.series_keys()):
+        # Stacked rows: every VM's CPU series, then every VM's RAM series.
+        keys = [SeriesKey(i, res) for res in (Resource.CPU, Resource.RAM) for i in range(2)]
+        for idx, key in enumerate(keys):
             assert full[idx] == pytest.approx(box.series(key, demand=True))
 
     def test_allocations(self):
