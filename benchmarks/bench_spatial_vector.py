@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 from repro.benchhelpers import pipeline_fleet, print_table
-from repro.prediction.spatial.cache import SIGNATURE_CACHE
+from repro.store import memory_tier
 from repro.prediction.spatial.cbc import correlation_based_clusters
 from repro.prediction.spatial.dtw_cluster import dtw_clusters
 from repro.prediction.spatial.signatures import (
@@ -142,7 +142,7 @@ def _time_best(fn, repeats=REPEATS):
 
 def _search_pass(matrices, config):
     """One cold full-fleet search pass (the timed unit)."""
-    SIGNATURE_CACHE.clear()
+    memory_tier("spatial").clear()
     return [search_signature_set(m, config) for m in matrices]
 
 
@@ -179,7 +179,7 @@ def search_decisions(n_boxes=40):
             )
             rows.append([method.value, len(matrices), seconds, digest])
     finally:
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
     return rows
 
 
@@ -201,7 +201,7 @@ def _kernel_inputs(matrices):
             distances = dtw_distance_matrix(m, window=DTW_WINDOW, zscore=True)
             upper = int(np.clip(n // 2, 2, n))
             cuts = HierarchicalClustering(distances).cuts(range(2, upper + 1))
-            SIGNATURE_CACHE.clear()
+            memory_tier("spatial").clear()
             model = search_signature_set(m, SignatureSearchConfig())
             inputs.append(
                 {
@@ -215,7 +215,7 @@ def _kernel_inputs(matrices):
                 }
             )
     finally:
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
     return inputs
 
 
@@ -403,7 +403,7 @@ def fig_tables():
     timings = {}
     try:
         for fig, fn in compute.items():
-            SIGNATURE_CACHE.clear()
+            memory_tier("spatial").clear()
             start = time.perf_counter()
             values = fn(fleet)
             measured_ms = 1000.0 * (time.perf_counter() - start)
@@ -418,7 +418,7 @@ def fig_tables():
                 "tables_match_baseline": True,
             }
     finally:
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
     return timings
 
 

@@ -33,7 +33,7 @@ import pytest
 from repro.benchhelpers import pipeline_fleet, print_table
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core import AtmConfig, run_fleet_atm
-from repro.prediction.spatial.cache import SIGNATURE_CACHE
+from repro.store import memory_tier
 from repro.prediction.spatial.signatures import ClusteringMethod, search_signature_set
 from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.temporal.neural import MlpConfig
@@ -119,7 +119,7 @@ def fig_wallclock():
     fleet = pipeline_fleet(40)
     timings = {}
     for fig in ("fig09", "fig10"):
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
         start = time.perf_counter()
         results = {
             method: run_fleet_atm(fleet, AtmConfig.with_clustering(method), jobs=1)
@@ -135,7 +135,7 @@ def fig_wallclock():
                 repr(tuple(fingerprint_result(r) for r in results.values())).encode()
             ).hexdigest()[:16],
         }
-    SIGNATURE_CACHE.clear()
+    memory_tier("spatial").clear()
     return timings
 
 

@@ -14,7 +14,8 @@ every substrate its evaluation depends on:
   spatial signature-set methodology (Section III).
 * :mod:`repro.resizing` — the ticket-minimization problem, its MCKP
   transform, greedy/exact solvers and baseline allocators (Section IV).
-* :mod:`repro.core` — the ATM controller and fleet pipeline (Section V-A).
+* :mod:`repro.core` — the ATM fleet pipeline and online controller
+  (Section V-A).
 * :mod:`repro.testbed` — the simulated MediaWiki cluster (Section V-B).
 
 Quickstart::
@@ -27,7 +28,7 @@ Quickstart::
     print(result.mean_ape(), result.mean_signature_ratio())
 """
 
-from repro.core import AtmConfig, AtmController, FleetAtmResult, run_fleet_atm
+from repro.core import AtmConfig, FleetAtmResult, run_fleet_atm
 from repro.tickets import TicketPolicy
 from repro.trace import FleetConfig, FleetTrace, Resource, generate_fleet
 
@@ -35,7 +36,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AtmConfig",
-    "AtmController",
     "FleetAtmResult",
     "FleetConfig",
     "FleetTrace",

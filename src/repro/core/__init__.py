@@ -7,16 +7,16 @@ the co-located VMs with the greedy MCKP algorithm.
 
 * :mod:`repro.core.config` — configuration of the full system.
 * :mod:`repro.core.runtime` — consolidated environment-variable gates.
-* :mod:`repro.core.atm` — the per-box ATM controller.
-* :mod:`repro.core.stages` — the typed per-box stage graph + artifact keys.
+* :mod:`repro.core.stages` — per-box stage artifact keys, codecs and the
+  evaluate stage.
 * :mod:`repro.core.executor` — parallel fleet execution engine.
-* :mod:`repro.core.pipeline` — fleet-scale evaluation runs (Figs. 9, 10).
+* :mod:`repro.core.pipeline` — fleet-scale evaluation runs (Figs. 9, 10)
+  and the chunk orchestrator that runs each box.
 * :mod:`repro.core.results` — result containers and aggregation.
 * :mod:`repro.core.degrade` — graceful-degradation ladder reporting.
 * :mod:`repro.core.faults` — seeded fault injection for the pipeline.
 """
 
-from repro.core.atm import AtmController, BoxAtmResult
 from repro.core.config import AtmConfig
 from repro.core.degrade import DegradationEvent, ErrorReport
 from repro.core.executor import FleetExecutor, resolve_jobs
@@ -27,7 +27,7 @@ from repro.core.online import (
     run_online_fleet,
 )
 from repro.core.pipeline import FleetAtmResult, run_fleet_atm
-from repro.core.results import PredictionAccuracy
+from repro.core.results import BoxAtmResult, PredictionAccuracy
 
 # Imported for its side effect as well: registers the forecast/box-result/
 # resize-eval artifact codecs with repro.store.
@@ -35,7 +35,6 @@ from repro.core import stages as stages  # noqa: F401  (re-exported module)
 
 __all__ = [
     "AtmConfig",
-    "AtmController",
     "BoxAtmResult",
     "DegradationEvent",
     "ErrorReport",

@@ -321,7 +321,7 @@ def resume_probe(
 
 
 def run_fleet(
-    unit: Callable[..., R], items: Sequence[Any], *common: Any,
+    unit: Optional[Callable[..., R]], items: Sequence[Any], *common: Any,
     fold: Callable[[R], None], span: str, fleet: Any, min_windows: int = 0,
     report: Optional[ErrorReport] = None, jobs: Optional[int] = None,
     chunksize: Optional[int] = None,
@@ -333,7 +333,8 @@ def run_fleet(
     :func:`fleet_items` (filtered at ``min_windows``), the fan-out is
     :meth:`FleetExecutor.imap` under the driver's ``span``, and ``fold``
     sees each box's result as its chunk lands, so at most O(workers)
-    results are resident at once.
+    results are resident at once.  A driver whose unit of work is a whole
+    chunk (ATM) passes ``unit=None`` and its ``chunk_fn``.
 
     The empty-fleet rule: with no eligible item, a laddered driver (ATM,
     online, resizing) passes its aggregate's ``report`` and gets one

@@ -143,11 +143,6 @@ class OnlineRunResult:
     steps: List[OnlineStep] = field(default_factory=list)
     degradations: List[DegradationEvent] = field(default_factory=list)
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any step was served below the primary rung."""
-        return bool(self.degradations)
-
     def total_tickets(self, static: bool = False) -> int:
         return sum(s.tickets_static if static else s.tickets_atm for s in self.steps)
 
@@ -526,7 +521,6 @@ def run_online_fleet(
     refit_every_steps: int = 1,
     drift_threshold: Optional[float] = None,
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> OnlineFleetResult:
     """Run the rolling controller on every box long enough to support it.
 
@@ -537,9 +531,10 @@ def run_online_fleet(
     ``"failed"`` event rather than raising.
 
     ``fleet`` may be in RAM or sharded; ``jobs`` (``None`` reads
-    ``REPRO_JOBS``; 1 = serial) and ``chunksize`` configure the fan-out
-    (:func:`repro.core.executor.run_fleet`), whose results aggregate in
-    fleet box order, identically for any worker count.
+    ``REPRO_JOBS``; 1 = serial) configures the fan-out
+    (:func:`repro.core.executor.run_fleet`, ~4 chunks per worker), whose
+    results aggregate in fleet box order, identically for any worker
+    count.
     """
     _check_cadence(refit_every_steps, drift_threshold)
     cfg = config or AtmConfig()
@@ -557,6 +552,6 @@ def run_online_fleet(
         _run_box_online, fleet_items(fleet, needed),
         cfg, refit_every_steps, drift_threshold,
         fold=fold, span="online.fleet", fleet=fleet, min_windows=needed,
-        report=report, jobs=jobs, chunksize=chunksize,
+        report=report, jobs=jobs,
     )
     return OnlineFleetResult(results=results, report=report)

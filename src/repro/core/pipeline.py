@@ -1,22 +1,30 @@
 """Fleet-scale ATM evaluation (the Section V production-trace study).
 
-Runs the per-box ATM controller over every box of a fleet and aggregates:
+Runs ATM on every box of a fleet and aggregates:
 
 * the Fig. 9 prediction-accuracy CDFs (all windows and peak-only),
 * the Fig. 10 ticket-reduction comparison driven by *predicted* demands,
 * signature-set statistics (how much of the fleet needed temporal models).
 
 Per-box runs are independent (the paper deploys ATM per box), so the fleet
-loop is the shared engine :func:`repro.core.executor.run_fleet`: boxes fan
-out across processes when ``jobs > 1`` and their results are folded into
-the aggregates in box order as chunks land, so peak RSS stays flat as the
-fleet grows.  At paper scale the fleet can be a
+loop is the shared engine :func:`repro.core.executor.run_fleet`: chunks of
+boxes fan out across processes when ``jobs > 1`` and their results are
+folded into the aggregates in box order as chunks land, so peak RSS stays
+flat as the fleet grows.  At paper scale the fleet can be a
 :class:`repro.store.shards.ShardedFleet`, whose workers receive shard
 descriptors and memory-map their boxes locally.
 
-A failing box degrades instead of aborting the fleet: the per-box unit of
-work climbs the policy ladder (configured model → seasonal-mean fallback →
-reported failure) and :class:`FleetAtmResult.report` carries the structured
+A chunk is the unit of work (:func:`_run_box_atm_chunk`): its boxes'
+training slices and signature searches are gathered first, their
+signature series fit together in one call (one fused cross-box pass for
+a model with a multi-series kernel, such as the neural default), and
+each box is then forecast, sized and evaluated.  Because every fit is
+bit-identical to a one-box fit, the reordering is observable only as
+wall-clock.
+
+A failing box degrades instead of aborting the fleet: it climbs the
+policy ladder (configured model → seasonal-mean fallback → reported
+failure) and :class:`FleetAtmResult.report` carries the structured
 degradation events; healthy boxes are unaffected, bit for bit.  That
 is the only failure mode: there is no fail-fast switch and no retry, as
 the fault harness's faults are deterministic per box.
@@ -25,35 +33,44 @@ the fault harness's faults are deterministic per box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from repro import obs
-from repro.core.atm import AtmController, BoxAtmResult
+from repro.core import faults, stages
 from repro.core.config import AtmConfig
 from repro.core.degrade import (
     RUNG_FAILED,
+    RUNG_PRIMARY,
     RUNG_SEASONAL,
     DegradationEvent,
     ErrorReport,
+    sanitize_demands,
 )
 from repro.core.executor import (
     default_chunksize, fleet_items, resolve_jobs, resume_probe, run_fleet,
 )
-from repro.core.results import PredictionAccuracy, ape_cdf
-from repro.prediction.registry import has_fleet_fitter
+from repro.core.results import BoxAtmResult, PredictionAccuracy, ape_cdf
+from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.prediction.registry import fit_temporal_fleet_batch
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
+from repro.store import ArtifactKey, default_store
+from repro.store.shards import resolve_box
 from repro.timeseries.ecdf import Ecdf
 from repro.timeseries.metrics import finite_mean
-from repro.trace.model import FleetTrace, Resource
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.shards import ShardedFleet
 
 __all__ = ["FUSED_CHUNK_BOXES", "FleetAtmResult", "run_fleet_atm"]
 
-#: Upper bound on boxes gathered into one fused training chunk.  The
-#: fused plane holds every gathered box's training slice and controller
-#: live for the duration of the chunk, so the cap keeps the per-worker
+#: Upper bound on boxes gathered into one chunk.  The orchestrator holds
+#: every gathered box's training slice and predictor live for the
+#: duration of the chunk, so the cap keeps the per-worker
 #: gather footprint flat (tens of MB at paper-sized boxes) and preserves
 #: the sublinear peak-RSS scaling pinned by BENCH_scale.json — fusion
 #: batches per chunk, never per fleet.
@@ -105,171 +122,184 @@ def _seasonal_fallback_config(config: AtmConfig) -> AtmConfig:
 BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
 
 
-def _run_box_atm(box, config: AtmConfig, resume: bool = False) -> BoxOutcome:
-    """Per-box unit of work; module-level so pool workers can unpickle it.
+class _BoxRun:
+    """One box at one ladder rung, as the chunk orchestrator carries it.
 
-    Climbs the degradation ladder: the configured model first; on failure
-    a seasonal-mean fallback run (with sanitized training data); on a
-    second failure the box is reported as failed (``None`` result) rather
-    than aborting the fleet.
-
-    ``box`` may be a shard descriptor, mapped here in the worker; the
-    ``(result, events)`` pair is the box's resumable artifact
-    (:func:`~repro.core.executor.resume_probe`, namespace ``pipeline``).
+    The primary rung runs the configured model on the raw training slice
+    and answers to the ``fit_error`` fault kind; the seasonal rung
+    sanitizes non-finite training samples (surviving NaN-poisoned slices
+    the primary correctly rejects) and answers to ``fallback_error``.
     """
-    from repro.core import stages
-    from repro.store.shards import resolve_box
 
-    box = resolve_box(box)
-    cached, save = resume_probe(
-        "pipeline", lambda: stages.box_result_key(box, config), resume
-    )
-    if cached is not None:
-        result, events = cached
-        return result, list(events)
-    pair = _run_box_ladder(box, config)
-    save(pair)
-    return pair
+    def __init__(self, box: BoxTrace, config: AtmConfig, rung: str) -> None:
+        self.box = box
+        self.config = config
+        self.rung = rung
+        self.train: Optional[np.ndarray] = None
+        self.predictor: Optional[SpatialTemporalPredictor] = None
+        self.forecast_key: Optional[ArtifactKey] = None
 
+    def training_demands(self) -> np.ndarray:
+        """Materialize the training slice (fault hooks included).
 
-def _run_box_ladder(box, config: AtmConfig) -> BoxOutcome:
-    """The degradation ladder itself (no store interaction)."""
-    events: List[DegradationEvent] = []
-    try:
-        with obs.span("pipeline.box_run"):
-            return AtmController(box, config).run(), events
-    except Exception as exc:
-        obs.inc("pipeline.fallback.seasonal")
-        events.append(
-            DegradationEvent(
-                box_id=box.box_id,
-                stage="fit",
-                rung=RUNG_SEASONAL,
-                reason=repr(exc),
-            )
-        )
-    try:
-        with obs.span("pipeline.box_run_fallback"):
-            result = AtmController(
-                box, _seasonal_fallback_config(config), rung=RUNG_SEASONAL
-            ).run()
-        return result, events
-    except Exception as exc:
-        obs.inc("pipeline.boxes_failed")
-        events.append(
-            DegradationEvent(
-                box_id=box.box_id,
-                stage="fit",
-                rung=RUNG_FAILED,
-                reason=repr(exc),
-            )
-        )
-        return None, events
+        This is the run's input boundary: every fault that can corrupt or
+        abort training fires *here*, before any artifact-store lookup, so
+        poisoned slices change the forecast's data fingerprint (and fit
+        errors raise) rather than tainting stored results.
+        """
+        box = self.box
+        windows = min(self.config.training_windows, box.n_windows)
+        demands = box.demand_matrix()[:, :windows]  # stacked CPU+RAM
+        demands = faults.poison_training(box.box_id, demands)
+        if self.rung == RUNG_PRIMARY:
+            faults.inject_fault("fit_error", box.box_id)
+        else:
+            faults.inject_fault("fallback_error", box.box_id)
+            demands = sanitize_demands(demands)
+        self.train = demands
+        return demands
+
+    def lower_bounds(self, resource: Resource) -> np.ndarray:
+        """Peak demand of the last training day — "peak usage before resizing"."""
+        tail = self.split(self.train)[resource][:, -self.box.windows_per_day :]
+        return tail.max(axis=1)
+
+    def split(self, stacked: np.ndarray) -> Dict[Resource, np.ndarray]:
+        """Split a stacked (2M, T) CPU+RAM matrix into per-resource rows."""
+        m = self.box.n_vms
+        return {Resource.CPU: stacked[:m], Resource.RAM: stacked[m:]}
 
 
-def _run_box_atm_fused_chunk(
-    items, config: AtmConfig, resume: bool = False
-) -> List[BoxOutcome]:
-    """Whole-chunk unit of work: fuse every box's temporal fits into one pass.
+def _run_rung(
+    boxes: Sequence[BoxTrace], config: AtmConfig, rung: str
+) -> Iterator[Union[BoxAtmResult, Exception]]:
+    """Run a chunk's boxes at one ladder rung; yield each box's outcome in order.
 
-    Produces exactly ``_run_box_atm(item, ...)`` for each item — same
-    results, same events, same store artifacts under the same keys — but
-    reorders the work: first a *gather* phase runs each box's resume
-    probe, forecast probe and signature search, then all gathered boxes'
-    signature series train together in one cross-box mega-batched pass
-    (:func:`repro.prediction.registry.fit_temporal_fleet_batch`), and a
-    *scatter* phase completes each box's forecast, sizing and evaluation.
-    The fused kernel is bit-identical to the per-box batched fit, so the
-    reordering is observable only as wall-clock.
+    Four phases, each box isolated from the others' failures:
 
-    Failure isolation stays per-box: a box that raises anywhere in the
-    gather or scatter phases — or whose histories fail fused validation —
-    is re-run down the ordinary :func:`_run_box_atm` ladder (counted as
-    ``fused.fallback_boxes``); injected faults are deterministic per box,
-    so the replay reproduces the per-box path's events exactly.
+    * *gather* — each box's training slice (fault hooks included), its
+      forecast probe in the persistent store, and its signature search;
+    * *fit* — every gathered box's signature series in one
+      :func:`~repro.prediction.registry.fit_temporal_fleet_batch` call
+      (one cross-box pass for a kernel model, box by box otherwise);
+    * *scatter* — each box's forecast, persisted in the store;
+    * *evaluate* — each box's sizing and accuracy, as the boxes are
+      yielded, so a caller that saves each outcome as it arrives leaves
+      every finished box on disk if the run dies part-way.
+
+    A box whose rung raises anywhere yields that exception instead of a
+    result.
     """
-    from repro.core import stages
-    from repro.prediction.combined import SpatialTemporalPredictor
-    from repro.prediction.registry import fit_temporal_fleet_batch
-    from repro.store.shards import resolve_box
-
-    out: List[Optional[BoxOutcome]] = [None] * len(items)
-
-    def fallback(pos: int) -> None:
-        obs.inc("fused.fallback_boxes")
-        out[pos] = _run_box_atm(items[pos], config, resume)
-
-    # Gather: resume probes, forecast probes, signature searches.  Boxes
-    # with a stored forecast skip fitting entirely (``finish``); the rest
-    # contribute their signature histories to the fused pass (``pending``).
-    # ``save`` persists a box's finished (result, events) pair.
-    pending: List[Tuple[int, AtmController, Callable, object, List]] = []
-    finish: List[Tuple[int, AtmController, Callable, object]] = []
-    for pos in range(len(items)):
+    store = default_store()
+    runs = [_BoxRun(box, config, rung) for box in boxes]
+    outcomes: List[Union[BoxPrediction, Exception, None]] = [None] * len(runs)
+    pending: List[Tuple[int, List[np.ndarray]]] = []
+    for pos, run in enumerate(runs):
         try:
-            box = resolve_box(items[pos])
-            cached, save = resume_probe(
-                "pipeline", lambda: stages.box_result_key(box, config), resume
-            )
-            if cached is not None:
-                result, events = cached
-                out[pos] = (result, list(events))
-                continue
-            controller = AtmController(box, config)
-            demands, forecast_key, prediction = stages.probe_forecast(controller)
-            if prediction is not None:
-                finish.append((pos, controller, save, prediction))
-                continue
-            predictor = SpatialTemporalPredictor(config.prediction)
+            demands = run.training_demands()
+            if store.persistent:
+                run.forecast_key = stages.forecast_key(demands, config)
+                # Disk-only: the in-memory tier already caches the
+                # expensive half (the spatial model).
+                outcomes[pos] = store.get(run.forecast_key, memory=False)
+                if outcomes[pos] is not None:
+                    obs.inc("stages.forecast.hits")
+                    continue
+            run.predictor = SpatialTemporalPredictor(config.prediction)
             with obs.span("atm.fit"):
-                histories = predictor.begin_fit(demands)
-            controller._predictor = predictor
-            pending.append((pos, controller, save, forecast_key, histories))
-        except Exception:
-            fallback(pos)
+                pending.append((pos, run.predictor.begin_fit(demands)))
+        except Exception as exc:
+            outcomes[pos] = exc
 
-    # Fuse: one cross-box mega-batched fit over every pending box's
-    # signature series.  A None entry = that box's group failed validation
-    # (re-run it per box, where its degradation ladder applies); a raised
-    # exception fails every pending box back to the per-box path.
-    groups: List[Optional[List]] = []
     if pending:
         try:
             with obs.span("predict.temporal_fit"):
-                groups = fit_temporal_fleet_batch(
+                fitted = fit_temporal_fleet_batch(
                     config.prediction.temporal_model,
-                    [histories for (_, _, _, _, histories) in pending],
+                    [histories for _, histories in pending],
                     period=config.prediction.period,
                 )
-        except Exception:
-            groups = [None] * len(pending)
-
-    # Scatter: complete each fused box's forecast, then run its sizing
-    # and evaluation stages exactly as the per-box orchestrator would.
-    for (pos, controller, save, forecast_key, _), models in zip(
-        pending, groups
-    ):
-        try:
-            if models is None:
-                fallback(pos)
+        except Exception as exc:
+            fitted = [exc] * len(pending)
+        for (pos, _), models in zip(pending, fitted):
+            if isinstance(models, Exception):
+                outcomes[pos] = models
                 continue
-            controller._predictor.finish_fit(models)
-            prediction = controller.predict(config.horizon_windows)
-            stages.store_forecast(forecast_key, prediction)
-            finish.append((pos, controller, save, prediction))
-        except Exception:
-            fallback(pos)
+            run = runs[pos]
+            try:
+                run.predictor.finish_fit(models)
+                prediction = run.predictor.predict(config.horizon_windows)
+                if run.forecast_key is not None:
+                    store.put(run.forecast_key, prediction, memory=False)
+                outcomes[pos] = prediction
+            except Exception as exc:
+                outcomes[pos] = exc
 
-    # Evaluate: sizing + accuracy for every box that holds a forecast.
-    for pos, controller, save, prediction in finish:
-        try:
-            with obs.span("pipeline.box_run"):
-                result = stages.evaluate_forecast_stages(controller, prediction)
-            pair: BoxOutcome = (result, [])
-            save(pair)
-            out[pos] = pair
-        except Exception:
-            fallback(pos)
+    span = "pipeline.box_run" if rung == RUNG_PRIMARY else "pipeline.box_run_fallback"
+    for run, outcome in zip(runs, outcomes):
+        if not isinstance(outcome, Exception):
+            try:
+                with obs.span(span):
+                    outcome = stages.evaluate_forecast_stages(run, outcome)
+            except Exception as exc:
+                outcome = exc
+        yield outcome
+
+
+def _run_box_atm_chunk(
+    items, config: AtmConfig, resume: bool = False
+) -> List[BoxOutcome]:
+    """Whole-chunk unit of work: every box of a chunk down the degradation ladder.
+
+    Each box is mapped (``items`` may be shard descriptors) and probed for
+    its stored ``(result, events)`` pair (namespace ``pipeline``); errors
+    there propagate.  The rest run at the primary rung through
+    :func:`_run_rung`.  A box whose primary rung raises gets a
+    ``seasonal_mean`` event carrying ``repr`` of the exception, and all
+    such boxes of the chunk run again together at the seasonal rung (the
+    seasonal-mean model on the sanitized slice); a second failure reports
+    the box as ``failed`` with a ``None`` result.  Every pair, degraded or
+    not, is saved under the box's ``box_result`` key as soon as it is
+    final.
+    """
+    out: List[Optional[BoxOutcome]] = [None] * len(items)
+    todo: List[Tuple[int, BoxTrace, Callable[[BoxOutcome], None]]] = []
+    for pos, item in enumerate(items):
+        box = resolve_box(item)
+        cached, save = resume_probe(
+            "pipeline", lambda: stages.box_result_key(box, config), resume
+        )
+        if cached is None:
+            todo.append((pos, box, save))
+        else:
+            result, events = cached
+            out[pos] = (result, list(events))
+
+    def finish(pos: int, save, pair: BoxOutcome) -> None:
+        save(pair)
+        out[pos] = pair
+
+    retry = []
+    primary = _run_rung([box for _, box, _ in todo], config, RUNG_PRIMARY)
+    for (pos, box, save), outcome in zip(todo, primary):
+        if isinstance(outcome, Exception):
+            obs.inc("pipeline.fallback.seasonal")
+            obs.inc("fused.fallback_boxes")
+            event = DegradationEvent(box.box_id, "fit", RUNG_SEASONAL, repr(outcome))
+            retry.append((pos, box, save, event))
+        else:
+            finish(pos, save, (outcome, []))
+
+    fallback = _run_rung(
+        [box for _, box, _, _ in retry], _seasonal_fallback_config(config), RUNG_SEASONAL
+    )
+    for (pos, box, save, event), outcome in zip(retry, fallback):
+        if isinstance(outcome, Exception):
+            obs.inc("pipeline.boxes_failed")
+            failed = DegradationEvent(box.box_id, "fit", RUNG_FAILED, repr(outcome))
+            finish(pos, save, (None, [event, failed]))
+        else:
+            finish(pos, save, (outcome, [event]))
     return out  # type: ignore[return-value]
 
 
@@ -305,8 +335,8 @@ def run_fleet_atm(
         ``jobs <= 0`` uses all cores.  Results are aggregated in fleet box
         order, identically for any worker count.
     chunksize:
-        Boxes per scheduled pool task (parallel path only); defaults to
-        ~4 chunks per worker.
+        Boxes per chunk; defaults to ~4 chunks per worker, capped at
+        :data:`FUSED_CHUNK_BOXES` (the whole cap when serial).
     resume:
         Serve boxes whose result artifact is already materialized in the
         persistent store (``REPRO_STORE`` / ``--store``) instead of
@@ -317,21 +347,18 @@ def run_fleet_atm(
     out = FleetAtmResult(config=cfg)
     needed = cfg.training_windows + cfg.horizon_windows
     items = fleet_items(fleet, needed)
-    chunk_fn = None
-    if has_fleet_fitter(cfg.prediction.temporal_model):
-        chunk_fn = _run_box_atm_fused_chunk
-        if chunksize is None:
-            # Cap fused chunks: the gather phase holds a whole chunk's
-            # training slices at once, so the RSS bound must come from
-            # the chunk size, never the fleet size.  Serially there is no
-            # straggler risk to balance, so take the whole cap — bigger
-            # chunks mean fuller mega-batches.
-            workers = resolve_jobs(jobs)
-            chunksize = (
-                FUSED_CHUNK_BOXES
-                if workers == 1
-                else min(default_chunksize(len(items), workers), FUSED_CHUNK_BOXES)
-            )
+    if chunksize is None:
+        # Cap chunks: the gather phase holds a whole chunk's training
+        # slices at once, so the RSS bound must come from the chunk size,
+        # never the fleet size.  Serially there is no straggler risk to
+        # balance, so take the whole cap — bigger chunks mean fuller
+        # fused mega-batches.
+        workers = resolve_jobs(jobs)
+        chunksize = (
+            FUSED_CHUNK_BOXES
+            if workers == 1
+            else min(default_chunksize(len(items), workers), FUSED_CHUNK_BOXES)
+        )
 
     def fold(pair: BoxOutcome) -> None:
         result, events = pair
@@ -346,8 +373,9 @@ def run_fleet_atm(
 
     obs.inc("pipeline.boxes", len(items))
     run_fleet(
-        _run_box_atm, items, cfg, resume,
+        None, items, cfg, resume,
         fold=fold, span="pipeline.fleet", fleet=fleet, min_windows=needed,
-        report=out.report, jobs=jobs, chunksize=chunksize, chunk_fn=chunk_fn,
+        report=out.report, jobs=jobs, chunksize=chunksize,
+        chunk_fn=_run_box_atm_chunk,
     )
     return out

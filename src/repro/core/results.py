@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -15,7 +15,11 @@ from repro.timeseries.metrics import (
     peak_absolute_percentage_error,
 )
 
-__all__ = ["PredictionAccuracy", "accuracy_for_box"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resizing.evaluate import BoxReduction, ResizingAlgorithm
+    from repro.trace.model import Resource
+
+__all__ = ["BoxAtmResult", "PredictionAccuracy", "accuracy_for_box"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,17 @@ class PredictionAccuracy:
     ape: float
     peak_ape: float
     signature_ratio: float
+
+
+@dataclass
+class BoxAtmResult:
+    """Everything an end-to-end ATM run produces for one box."""
+
+    box_id: str
+    accuracy: PredictionAccuracy
+    reductions: Dict[Tuple[Resource, ResizingAlgorithm], BoxReduction]
+    predicted: Dict[Resource, np.ndarray]
+    allocations: Dict[Resource, np.ndarray]
 
 
 def accuracy_for_box(

@@ -10,8 +10,6 @@ Variable                    Default    Meaning
 ==========================  =========  =========================================
 ``REPRO_JOBS``              ``1``      Worker processes for fleet fan-out
                                        (``<= 0`` = all cores).
-``REPRO_SIGNATURE_CACHE``   on         In-process memory tier of the signature
-                                       search (``0`` disables memoization).
 ``REPRO_METRICS``           on         :mod:`repro.obs` counters/span timers
                                        (``0`` turns recording into no-ops).
 ``REPRO_FAULTS``            unset      Fault-injection spec
@@ -38,18 +36,15 @@ __all__ = [
     "FAULTS_SEED_ENV_VAR",
     "JOBS_ENV_VAR",
     "METRICS_ENV_VAR",
-    "SIGNATURE_CACHE_ENV_VAR",
     "STORE_ENV_VAR",
     "env_jobs",
     "faults_seed",
     "faults_spec",
     "metrics_enabled",
-    "signature_cache_enabled",
     "store_dir",
 ]
 
 JOBS_ENV_VAR = "REPRO_JOBS"
-SIGNATURE_CACHE_ENV_VAR = "REPRO_SIGNATURE_CACHE"
 METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
@@ -79,11 +74,6 @@ def env_jobs() -> Optional[int]:
     if not raw:
         return None
     return _int_or_error(JOBS_ENV_VAR, raw)
-
-
-def signature_cache_enabled() -> bool:
-    """Whether the signature search's memory tier is active (default on)."""
-    return _flag(SIGNATURE_CACHE_ENV_VAR)
 
 
 def metrics_enabled() -> bool:

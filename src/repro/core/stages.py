@@ -1,13 +1,16 @@
-"""The typed stage graph of a per-box ATM run.
+"""The per-box ATM stages: artifact keys, codecs and the evaluate stage.
 
-The monolithic ``AtmController.run()`` decomposes into five stages, each
-consuming and producing serializable artifacts:
+One box's offline run is five stages, each consuming and producing
+serializable artifacts:
 
     signature-search ──> temporal-fit ──> forecast ──> resize ──> evaluate
 
-Three of them materialize artifacts in :mod:`repro.store` (temporal fits
-are cheap relative to the search and travel inside the forecast artifact;
-the resize allocations travel inside the box result):
+The chunk orchestrator (:func:`repro.core.pipeline._run_box_atm_chunk`)
+runs them; this module owns their store keys, the codecs of the
+artifacts they materialize, and the resize → evaluate tail
+(:func:`evaluate_forecast_stages`).  The artifacts in :mod:`repro.store`
+(temporal fits are cheap relative to the search and travel inside the
+forecast artifact; the resize allocations travel inside the box result):
 
 ``spatial``
     The fitted :class:`~repro.prediction.spatial.signatures.SpatialModel`,
@@ -40,17 +43,15 @@ into a clean one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.core import faults
 from repro.core.config import AtmConfig
 from repro.core.degrade import DegradationEvent
-from repro.core.results import accuracy_for_box
-from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.core.results import BoxAtmResult, PredictionAccuracy, accuracy_for_box
+from repro.prediction.combined import BoxPrediction
 from repro.prediction.registry import temporal_model_version
 from repro.prediction.spatial.signatures import SPATIAL_STAGE
 from repro.resizing.evaluate import (
@@ -62,7 +63,6 @@ from repro.store import (
     ArtifactKey,
     config_fingerprint,
     data_fingerprint,
-    default_store,
     get_codec,
     register_codec,
 )
@@ -70,79 +70,24 @@ from repro.tickets.policy import TicketPolicy
 from repro.trace.model import BoxTrace, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.atm import AtmController, BoxAtmResult
+    from repro.core.pipeline import _BoxRun
 
 __all__ = [
     "BOX_RESULT_STAGE",
     "FORECAST_STAGE",
     "RESIZE_EVAL_STAGE",
     "SPATIAL_STAGE",
-    "STAGES",
-    "Stage",
-    "acquire_forecast",
     "box_fingerprint",
     "box_result_key",
     "evaluate_forecast_stages",
     "forecast_key",
-    "probe_forecast",
     "resize_eval_key",
-    "run_box_stages",
-    "store_forecast",
 ]
 
 #: Artifact-store stage names (``SPATIAL_STAGE`` re-exported for symmetry).
 FORECAST_STAGE = "forecast"
 BOX_RESULT_STAGE = "box_result"
 RESIZE_EVAL_STAGE = "resize_eval"
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One node of the per-box stage graph.
-
-    ``artifact`` names the store stage the node materializes (empty for
-    in-memory-only nodes); ``consumes`` lists upstream node names.
-    """
-
-    name: str
-    consumes: Tuple[str, ...]
-    artifact: str
-    description: str
-
-
-#: The per-box ATM stage graph, in topological order.
-STAGES: Tuple[Stage, ...] = (
-    Stage(
-        name="signature-search",
-        consumes=(),
-        artifact=SPATIAL_STAGE,
-        description="two-step signature search over the training matrix",
-    ),
-    Stage(
-        name="temporal-fit",
-        consumes=("signature-search",),
-        artifact="",
-        description="per-signature temporal models (travel inside the forecast)",
-    ),
-    Stage(
-        name="forecast",
-        consumes=("temporal-fit",),
-        artifact=FORECAST_STAGE,
-        description="full-box demand forecast for the resizing window",
-    ),
-    Stage(
-        name="resize",
-        consumes=("forecast",),
-        artifact=RESIZE_EVAL_STAGE,
-        description="MCKP sizing / policy comparison on the forecast",
-    ),
-    Stage(
-        name="evaluate",
-        consumes=("forecast", "resize"),
-        artifact=BOX_RESULT_STAGE,
-        description="accuracy + ticket-reduction evaluation of one box",
-    ),
-)
 
 
 # ------------------------------------------------------------------- keys
@@ -250,70 +195,18 @@ def resize_eval_key(
     )
 
 
-# ------------------------------------------------------------ orchestrator
-def probe_forecast(
-    controller: "AtmController",
-) -> Tuple[np.ndarray, Optional[ArtifactKey], Optional[BoxPrediction]]:
-    """Materialize the training slice and probe the forecast artifact.
+# ------------------------------------------------------- resize → evaluate
+def evaluate_forecast_stages(run: "_BoxRun", prediction: BoxPrediction) -> BoxAtmResult:
+    """The resize → evaluate stages downstream of one box's forecast.
 
-    The pre-fit half of the forecast stage, shared by the per-box and the
-    fleet-fused orchestrators: fault hooks fire inside
-    ``_training_demands`` (so poisoned slices change the key rather than
-    serve stale artifacts), then the store is consulted.  Returns
-    ``(demands, key, prediction)`` with ``key``/``prediction`` ``None``
-    when there is no persistent store / no stored forecast.
+    ``run`` is the orchestrator's record of the box at its ladder rung:
+    it supplies the box, the config, the CPU/RAM split of a stacked
+    matrix and the sizing floors taken from its training slice.
     """
-    demands = controller._training_demands()
-    store = default_store()
-    key = forecast_key(demands, controller.config) if store.persistent else None
-    # Disk-only: the in-memory tier already caches the expensive half
-    # (the spatial model) and forecasts are cheap to rebuild in-process.
-    prediction = store.get(key, memory=False) if key is not None else None
-    if prediction is not None:
-        obs.inc("stages.forecast.hits")
-    return demands, key, prediction
-
-
-def store_forecast(key: Optional[ArtifactKey], prediction: BoxPrediction) -> None:
-    """Persist a freshly computed forecast artifact (no-op without a key)."""
-    if key is not None:
-        default_store().put(key, prediction, memory=False)
-
-
-def acquire_forecast(controller: "AtmController") -> BoxPrediction:
-    """The forecast stage: serve the stored artifact or fit and predict.
-
-    With a persistent store a stored forecast short-circuits the signature
-    search and every temporal fit, and the run proceeds straight to
-    sizing.  Without a store the compute path below is the bit-identical
-    legacy pipeline.
-    """
-    cfg = controller.config
+    box = run.box
+    cfg = run.config
     horizon = cfg.horizon_windows
-    if controller.is_fitted:
-        # Legacy pre-fitted path: honour whatever the caller fitted.
-        return controller.predict(horizon)
-    demands, key, prediction = probe_forecast(controller)
-    if prediction is None:
-        with obs.span("atm.fit"):
-            controller._predictor = SpatialTemporalPredictor(
-                cfg.prediction
-            ).fit(demands)
-        prediction = controller.predict(horizon)
-        store_forecast(key, prediction)
-    return prediction
-
-
-def evaluate_forecast_stages(
-    controller: "AtmController", prediction: BoxPrediction
-) -> "BoxAtmResult":
-    """The resize → evaluate stages downstream of an acquired forecast."""
-    from repro.core.atm import BoxAtmResult
-
-    box = controller.box
-    cfg = controller.config
-    horizon = cfg.horizon_windows
-    per_resource = controller.split_prediction(prediction)
+    per_resource = run.split(prediction.predictions)
 
     lo = cfg.training_windows
     actual = box.demand_matrix()[:, lo : lo + horizon]
@@ -340,18 +233,17 @@ def evaluate_forecast_stages(
         algorithms += (ResizingAlgorithm.ATM,)
     reductions: Dict[Tuple[Resource, ResizingAlgorithm], BoxReduction] = {}
     allocations: Dict[Resource, np.ndarray] = {}
-    m = box.n_vms
+    actual_by_resource = run.split(actual)
     for resource in (Resource.CPU, Resource.RAM):
-        rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
         sized = evaluate_box_resizing(
             box,
             resource,
             cfg.policy,
             algorithms,
-            eval_demands=actual[rows],
+            eval_demands=actual_by_resource[resource],
             sizing_demands=per_resource[resource],
             epsilon_pct=cfg.epsilon_pct,
-            lower_bounds=controller._default_lower_bounds(resource),
+            lower_bounds=run.lower_bounds(resource),
         )
         for reduction, allocation in sized:
             if reduction.algorithm is ResizingAlgorithm.ATM:
@@ -366,18 +258,6 @@ def evaluate_forecast_stages(
         predicted=per_resource,
         allocations=allocations,
     )
-
-
-def run_box_stages(controller: "AtmController") -> "BoxAtmResult":
-    """Run the forecast → resize → evaluate stages for one controller.
-
-    This is the body of :meth:`AtmController.run`: identical arithmetic,
-    decomposed into :func:`acquire_forecast` (store-aware fit + predict)
-    and :func:`evaluate_forecast_stages` (sizing and evaluation) so the
-    fleet-fused orchestrator can interleave many boxes' fits between the
-    two halves without changing what any single box computes.
-    """
-    return evaluate_forecast_stages(controller, acquire_forecast(controller))
 
 
 # ----------------------------------------------------------------- codecs
@@ -471,9 +351,6 @@ def _encode_box_result(value):
 
 
 def _decode_box_result(arrays, meta):
-    from repro.core.atm import BoxAtmResult
-    from repro.core.results import PredictionAccuracy
-
     events = _decode_events(meta["events"])
     if meta["failed"]:
         return None, events

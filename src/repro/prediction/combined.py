@@ -74,10 +74,6 @@ class BoxPrediction:
         return self.predictions.shape[0]
 
     @property
-    def horizon(self) -> int:
-        return self.predictions.shape[1]
-
-    @property
     def signature_ratio(self) -> float:
         return self.spatial.signature_ratio
 

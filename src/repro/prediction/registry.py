@@ -10,14 +10,14 @@ multi-series training kernel.  :func:`fit_temporal_batch` (one box's
 signature series) and :func:`fit_temporal_batch_warm` (the same, chained
 fit to fit) hand a kernel model's series to one vectorized fit and fit
 every other model series by series, so callers never branch on which
-kind of model they hold.  :func:`fit_temporal_fleet_batch` fuses many
-boxes into one pass and exists only for kernel models
-(:func:`has_fleet_fitter`).
+kind of model they hold.  :func:`fit_temporal_fleet_batch` fits many
+boxes' series at once: a kernel model fuses them into one cross-box pass,
+any other model fits them box by box.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "fit_temporal_batch",
     "fit_temporal_batch_warm",
     "fit_temporal_fleet_batch",
-    "has_fleet_fitter",
     "make_temporal_model",
     "temporal_model_version",
 ]
@@ -73,13 +72,17 @@ def make_temporal_model(name: str, period: int = 96) -> TemporalPredictor:
     period:
         Seasonal period in windows, forwarded to seasonal models.
     """
+    return _factory(name)(period)
+
+
+def _factory(name: str) -> Callable[[int], TemporalPredictor]:
+    """The registry entry of ``name``; an unknown name raises."""
     try:
-        factory = _FACTORIES[name]
+        return _FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown temporal model {name!r}; available: {available_temporal_models()}"
         ) from None
-    return factory(period)
 
 
 # Implementation version per temporal model, folded into forecast artifact
@@ -91,10 +94,7 @@ _VERSIONS: Dict[str, int] = {}
 
 def temporal_model_version(name: str) -> int:
     """Artifact-key version of a temporal model's implementation (default 1)."""
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown temporal model {name!r}; available: {available_temporal_models()}"
-        )
+    _factory(name)
     return _VERSIONS.get(name, 1)
 
 
@@ -104,9 +104,9 @@ class _Kernel(NamedTuple):
 
     ``fleet(groups, period, fleet)`` trains *groups* of histories (one per
     box) in fused cross-box batches and returns one model list per group.
-    With ``fleet`` set, a group whose histories fail validation gets
-    ``None`` (the caller re-runs exactly that box down the per-box path);
-    with it cleared, the failure raises as a one-box fit's would.
+    With ``fleet`` set, a group whose histories fail validation gets its
+    exception in place of the list (the caller degrades exactly that
+    box); with it cleared, the failure raises as a one-box fit's would.
 
     ``warm(histories, period, state)`` fits one box's histories from an
     opaque fit-to-fit state (see :mod:`repro.prediction.temporal.warm`)
@@ -114,7 +114,8 @@ class _Kernel(NamedTuple):
     """
 
     fleet: Callable[
-        [List[List[np.ndarray]], int, bool], List[Optional[List[TemporalPredictor]]]
+        [List[List[np.ndarray]], int, bool],
+        List[Union[List[TemporalPredictor], Exception]],
     ]
     warm: Callable[
         [List[np.ndarray], int, Optional[object]],
@@ -132,11 +133,6 @@ _KERNELS: Dict[str, _Kernel] = {
         ),
     ),
 }
-
-
-def has_fleet_fitter(name: str) -> bool:
-    """Whether ``name`` has a multi-series kernel (fused fleet fits)."""
-    return name in _KERNELS
 
 
 def _fit_each(
@@ -186,18 +182,26 @@ def fit_temporal_fleet_batch(
     name: str,
     history_groups: Sequence[Sequence[np.ndarray]],
     period: int = 96,
-) -> List[Optional[List[TemporalPredictor]]]:
-    """Fit many boxes' signature histories in one fused cross-box pass.
+) -> List[Union[List[TemporalPredictor], Exception]]:
+    """Fit many boxes' signature histories, one group per box.
 
     ``history_groups`` holds one sequence of signature series per box;
     the result keeps that grouping, each entry fitted in input order and
     bit-identical to handing the same group to :func:`fit_temporal_batch`
-    on its own (pinned by the fused equivalence test suite).  A ``None``
-    entry marks one group that failed validation and must take the
-    per-box path (and its degradation ladder) instead.  Only models with
-    a kernel fuse (see :func:`has_fleet_fitter`); any other name raises.
+    on its own (pinned by the fused equivalence test suite).  A model
+    with a kernel fuses every group into one cross-box pass; any other
+    model fits group by group.  A group that fails gets the exception its
+    own fit raised in place of its model list, so one bad box never costs
+    the others their fits.
     """
     kernel = _KERNELS.get(name)
-    if kernel is None:
-        raise ValueError(f"temporal model {name!r} has no fleet fitter")
-    return kernel.fleet([list(group) for group in history_groups], period, True)
+    if kernel is not None:
+        return kernel.fleet([list(group) for group in history_groups], period, True)
+    _factory(name)
+    out: List[Union[List[TemporalPredictor], Exception]] = []
+    for group in history_groups:
+        try:
+            out.append(fit_temporal_batch(name, group, period=period))
+        except Exception as exc:
+            out.append(exc)
+    return out

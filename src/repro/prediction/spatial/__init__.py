@@ -9,7 +9,6 @@
   :class:`~repro.prediction.spatial.signatures.SpatialModel`.
 """
 
-from repro.prediction.spatial.cache import SIGNATURE_CACHE, SignatureSearchCache
 from repro.prediction.spatial.cbc import CbcResult, correlation_based_clusters
 from repro.prediction.spatial.dtw_cluster import DtwClusterResult, dtw_clusters
 from repro.prediction.spatial.features import FeatureClusterResult, feature_clusters
@@ -23,8 +22,6 @@ from repro.prediction.spatial.signatures import (
 __all__ = [
     "CbcResult",
     "ClusteringMethod",
-    "SIGNATURE_CACHE",
-    "SignatureSearchCache",
     "DtwClusterResult",
     "FeatureClusterResult",
     "feature_clusters",

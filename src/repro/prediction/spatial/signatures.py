@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.prediction.spatial.cache import cache_enabled, data_fingerprint
 from repro.prediction.spatial.cbc import DEFAULT_RHO_THRESHOLD, correlation_based_clusters
 from repro.prediction.spatial.dtw_cluster import dtw_clusters
 from repro.store import (
     ArtifactKey,
     config_fingerprint,
+    data_fingerprint,
     default_store,
     register_codec,
 )
@@ -216,21 +216,20 @@ def search_signature_set(
         raise ValueError("need at least one series")
 
     # The search depends only on (training matrix, config); re-runs of the
-    # same box under varying ε/horizon reuse the memoized model, and with
-    # a persistent store (REPRO_STORE) so do sibling pool workers and
-    # later runs.  Cached models are shared — treat them as read-only.
-    use_memory = cache_enabled()
+    # same box under varying ε/horizon reuse the model memoized in the
+    # store's "spatial" memory tier, and with a persistent store
+    # (REPRO_STORE) so do sibling pool workers and later runs.  The
+    # content fingerprint can never alias two boxes whose data differ.
+    # Cached models are shared — treat them as read-only.
     store = default_store()
-    cache_key = None
-    if use_memory or store.persistent:
-        cache_key = ArtifactKey(
-            stage=SPATIAL_STAGE,
-            data_fp=data_fingerprint(arr),
-            config_fp=config_fingerprint(cfg),
-        )
-        cached = store.get(cache_key, memory=use_memory)
-        if cached is not None:
-            return cached
+    cache_key = ArtifactKey(
+        stage=SPATIAL_STAGE,
+        data_fp=data_fingerprint(arr),
+        config_fp=config_fingerprint(cfg),
+    )
+    cached = store.get(cache_key)
+    if cached is not None:
+        return cached
 
     initial, labels, corr = _initial_signatures(arr, cfg)
     initial_sorted = sorted(initial)
@@ -257,8 +256,7 @@ def search_signature_set(
         cluster_labels=tuple(labels),
     )
     obs.inc("spatial.search.computed")
-    if cache_key is not None:
-        store.put(cache_key, model, memory=use_memory)
+    store.put(cache_key, model)
     return model
 
 

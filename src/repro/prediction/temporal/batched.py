@@ -52,7 +52,7 @@ within a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +93,7 @@ def fit_neural_fused(
     max_models: int = FUSED_SLAB_MODELS,
     *,
     fleet: bool = True,
-) -> List[Optional[List[NeuralNetPredictor]]]:
+) -> List[Union[List[NeuralNetPredictor], Exception]]:
     """Fit many groups' (boxes') signature models in cross-group mega-batches.
 
     All series of all groups that share a history length join one ragged
@@ -108,9 +108,9 @@ def fit_neural_fused(
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
-    ``None`` in the returned list instead of poisoning the shared batch —
-    the caller re-runs exactly those groups down its per-box path, where
-    the same error re-raises and climbs the ladder as it always did.
+    the validation exception in the returned list instead of poisoning
+    the shared batch — the caller degrades exactly those boxes, with the
+    same error a one-box fit would have raised.
 
     ``fleet=False`` is that per-box path: one box's fit through the same
     code, where a failing history raises its own exception and the
@@ -120,23 +120,24 @@ def fit_neural_fused(
     if max_models < 1:
         raise ValueError(f"max_models must be >= 1, got {max_models}")
     cfg = config or MlpConfig()
-    validated: List[Optional[List[np.ndarray]]] = []
+    validated: List[Union[List[np.ndarray], Exception]] = []
     for group in history_groups:
         try:
             validated.append(
                 [validate_history(h, minimum=cfg.period + 2) for h in group]
             )
-        except Exception:
+        except Exception as exc:
             if not fleet:
                 raise
-            validated.append(None)
-    out: List[Optional[List[NeuralNetPredictor]]] = [
-        None if group is None else [None] * len(group) for group in validated
+            validated.append(exc)
+    out: List[Union[List[NeuralNetPredictor], Exception]] = [
+        group if isinstance(group, Exception) else [None] * len(group)
+        for group in validated
     ]
     flat: List[Tuple[int, int, np.ndarray]] = [
         (gi, si, arr)
         for gi, group in enumerate(validated)
-        if group is not None
+        if not isinstance(group, Exception)
         for si, arr in enumerate(group)
     ]
     by_length: dict = {}

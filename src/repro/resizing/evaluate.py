@@ -5,9 +5,8 @@ demands — the oracle study isolating the algorithms) and, together with the
 core pipeline, Fig. 10 (resizing on *predicted* demands — the full ATM).
 
 :func:`size_box_resource` is ATM's one sizing step: every path that sizes
-a box resource — this evaluation, the offline stage graph, the
-:class:`~repro.core.atm.AtmController`, the online controller and the
-testbed — calls it.  For each box and resource:
+a box resource — this evaluation, the offline pipeline's resize stage,
+the online controller and the testbed — calls it.  For each box and resource:
 
 1. ``tickets_before``: tickets the evaluation-day demands generate under
    the box's *current* allocations.

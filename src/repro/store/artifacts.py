@@ -71,8 +71,8 @@ class ArtifactKey:
 
 # Shared per-stage memory tiers.  Module-level so every ArtifactStore built
 # for the same process (the default store is rebuilt when REPRO_STORE
-# changes) keeps hitting the same LRUs, and so the signature cache module
-# can expose its stage's tier as the historical SIGNATURE_CACHE singleton.
+# changes) keeps hitting the same LRUs, and so benches can clear one
+# stage's tier (``memory_tier("spatial").clear()``) without the others.
 _MEMORY_TIERS: Dict[str, LruCache] = {}
 
 

@@ -1,10 +1,8 @@
 """The in-process memory tier: a thread-safe bounded LRU with stats.
 
-This is the store's tier 1.  It predates the store (it shipped as
-``prediction.spatial.cache.SignatureSearchCache``) and keeps that exact
-contract — bounded, thread-safe, hit/miss/eviction counters readable by
-benches and tests — so the signature-cache module can re-export it
-unchanged.
+This is the store's tier 1: bounded, thread-safe, with hit/miss/eviction
+counters readable by benches and tests.  The ``"spatial"`` stage's tier
+memoizes the signature search.
 """
 
 from __future__ import annotations

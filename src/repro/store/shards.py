@@ -521,19 +521,6 @@ class ShardedFleet:
                 return open_box(self.root, meta)
         raise KeyError(f"no box {box_id!r} in sharded fleet {self.name!r}")
 
-    def summary(self) -> dict:
-        """Headline statistics from the manifest alone (no data touched)."""
-        vms_per_box = [meta.n_vms for meta in self.manifest.boxes]
-        return {
-            "boxes": float(self.n_boxes),
-            "vms": float(self.n_vms),
-            "series": float(self.n_series),
-            "mean_vms_per_box": float(np.mean(vms_per_box)),
-            "max_vms_per_box": float(np.max(vms_per_box)),
-            "windows": float(self.manifest.boxes[0].n_windows),
-            "mapped_bytes": float(self.manifest.total_bytes),
-        }
-
     # ----------------------------------------------------------- dispatch
     @property
     def scenario(self) -> Optional[dict]:

@@ -96,9 +96,6 @@ class TestbedCluster:
             key=lambda vm: vm.vm_id,
         )
 
-    def actuator(self, node_name: str) -> SimulatedCgroupsActuator:
-        return self._actuators[node_name]
-
     def apply_cpu_limits(self, window: int, limits: Dict[str, float]) -> None:
         """Apply a batch of CPU limits (vm_id -> GHz) through the actuators."""
         by_node: Dict[str, Dict] = {}

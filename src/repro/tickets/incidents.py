@@ -44,10 +44,6 @@ class Incident:
         return len({t.vm_id for t in self.tickets})
 
     @property
-    def resources(self) -> Tuple[Resource, ...]:
-        return tuple(sorted({t.resource for t in self.tickets}, key=lambda r: r.value))
-
-    @property
     def duration_windows(self) -> int:
         return self.end_window - self.start_window + 1
 

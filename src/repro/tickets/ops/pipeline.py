@@ -493,7 +493,6 @@ def run_fleet_ops(
     fleet: Union[FleetTrace, "ShardedFleet"],
     config: Optional[OpsConfig] = None,
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
     resume: bool = False,
 ) -> FleetOpsResult:
     """Run the monitor → incident → route → resolve loop over a fleet.
@@ -507,7 +506,7 @@ def run_fleet_ops(
     out = FleetOpsResult(config=cfg)
     run_fleet(
         run_box_ops, fleet_items(fleet), cfg, resume,
-        fold=out.fold, span="ops.fleet", fleet=fleet, jobs=jobs, chunksize=chunksize,
+        fold=out.fold, span="ops.fleet", fleet=fleet, jobs=jobs,
     )
     return out
 

@@ -24,7 +24,7 @@ from repro.timeseries.correlation import (
     pearson,
 )
 from repro.timeseries.clustering import HierarchicalClustering, Linkage
-from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix
+from repro.timeseries.dtw import dtw_distance_matrix
 from repro.timeseries.ecdf import BoxplotSummary, Ecdf
 from repro.timeseries.metrics import (
     absolute_percentage_errors,
@@ -47,7 +47,6 @@ __all__ = [
     "Linkage",
     "OlsFit",
     "absolute_percentage_errors",
-    "dtw_distance",
     "dtw_distance_matrix",
     "fit_ols",
     "mean_absolute_percentage_error",

@@ -61,8 +61,8 @@ class HierarchicalClustering:
     >>> import numpy as np
     >>> d = np.array([[0., 1., 9.], [1., 0., 9.], [9., 9., 0.]])
     >>> hc = HierarchicalClustering(d)
-    >>> hc.cut(2)
-    [0, 0, 1]
+    >>> hc.cuts([2])
+    {2: [0, 0, 1]}
     """
 
     distances: np.ndarray
@@ -144,20 +144,11 @@ class HierarchicalClustering:
             next_id += 1
         return merges
 
-    def cut(self, n_clusters: int) -> List[int]:
-        """Return flat cluster labels for a cut producing ``n_clusters`` groups.
-
-        Labels are renumbered ``0..n_clusters-1`` in order of first appearance.
-        Cuts are cached per instance; sweeping many cluster counts (the
-        silhouette search) should use :meth:`cuts`, which replays the merge
-        sequence once for all of them.
-        """
-        return self.cuts((n_clusters,))[n_clusters]
-
     def cuts(self, n_clusters_list: Iterable[int]) -> Dict[int, List[int]]:
         """Return ``{k: labels}`` for every requested cluster count ``k``.
 
-        All requested cuts are produced in a single incremental replay of the
+        Labels are renumbered ``0..k-1`` in order of first appearance, and
+        cuts are cached per instance.  All requested cuts are produced in a single incremental replay of the
         merge sequence (one union-find pass), instead of re-cutting the
         dendrogram from scratch per ``k`` — the silhouette sweep over
         ``k = 2..n/2`` drops from O(n^2 · merges) to O(n · merges).

@@ -18,7 +18,9 @@ pure Python.
 
 An optional Sakoe-Chiba band constraint bounds warping, and
 :func:`dtw_distance_matrix` computes the pairwise matrix the clustering step
-consumes.
+consumes, for all pairs of a box's equal-length series at once.  The
+two-series cost matrix and distance are kept as the batch's oracle in
+``tests/timeseries/spatial_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["dtw_distance", "dtw_matrix", "dtw_distance_matrix"]
+__all__ = ["dtw_distance_matrix"]
 
 _INF = np.inf
 
@@ -41,99 +43,6 @@ def _as_1d(series: Sequence[float], name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def dtw_matrix(
-    p: Sequence[float],
-    q: Sequence[float],
-    window: Optional[int] = None,
-) -> np.ndarray:
-    """Return the full cumulative-cost matrix ``lambda`` for two series.
-
-    Parameters
-    ----------
-    p, q:
-        The two input series.
-    window:
-        Optional Sakoe-Chiba band half-width. When given, cells with
-        ``|i - j| > window`` are excluded from the warping path (the band is
-        widened automatically so a path exists for unequal lengths).
-        ``None`` means unconstrained.
-
-    Returns
-    -------
-    numpy.ndarray
-        An ``(n, m)`` matrix whose ``[i, j]`` entry is the minimal cumulative
-        squared distance of aligning ``p[:i+1]`` with ``q[:j+1]``; cells
-        outside the band hold ``inf``.
-    """
-    pa = _as_1d(p, "p")
-    qa = _as_1d(q, "q")
-    n, m = pa.size, qa.size
-    if window is not None:
-        if window < 0:
-            raise ValueError("window must be non-negative")
-        window = max(window, abs(n - m))
-
-    local = (pa[:, None] - qa[None, :]) ** 2
-    if window is not None:
-        i_idx = np.arange(n)[:, None]
-        j_idx = np.arange(m)[None, :]
-        local = np.where(np.abs(i_idx - j_idx) <= window, local, _INF)
-
-    cost = np.full((n, m), _INF, dtype=float)
-    # prev / prev2 hold the two previous anti-diagonals, indexed by row i.
-    prev = np.full(n, _INF)
-    prev2 = np.full(n, _INF)
-    for k in range(n + m - 1):
-        lo = max(0, k - m + 1)
-        hi = min(n - 1, k)
-        rows = np.arange(lo, hi + 1)
-        cols = k - rows
-        d = local[rows, cols]
-        cur = np.full(n, _INF)
-        if k == 0:
-            cur[0] = d[0]
-        else:
-            # Predecessors: (i, j-1) -> prev[i]; (i-1, j) -> prev[i-1];
-            # (i-1, j-1) -> prev2[i-1].  Invalid neighbours are inf.
-            from_left = prev[rows]
-            from_up = np.where(rows >= 1, prev[rows - 1], _INF)
-            from_diag = np.where(rows >= 1, prev2[rows - 1], _INF)
-            best = np.minimum(np.minimum(from_left, from_up), from_diag)
-            # The (0, 0) origin has no predecessor; it was seeded at k == 0.
-            values = d + best
-            if lo == 0 and k == 0:  # pragma: no cover - handled above
-                values[0] = d[0]
-            cur[rows] = values
-        cost[rows, cols] = cur[rows]
-        prev2, prev = prev, cur
-    return cost
-
-
-def dtw_distance(
-    p: Sequence[float],
-    q: Sequence[float],
-    window: Optional[int] = None,
-    normalize: bool = False,
-) -> float:
-    """Return the DTW dissimilarity ``lambda(n, m)`` between two series.
-
-    Parameters
-    ----------
-    p, q:
-        Input series.
-    window:
-        Optional Sakoe-Chiba band half-width (see :func:`dtw_matrix`).
-    normalize:
-        When true, divide the cumulative cost by ``n + m`` so distances of
-        series with different lengths are comparable.
-    """
-    cost = dtw_matrix(p, q, window=window)
-    value = float(cost[-1, -1])
-    if normalize:
-        value /= cost.shape[0] + cost.shape[1]
-    return value
 
 
 def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarray:
@@ -193,30 +102,33 @@ def _dtw_batch(p: np.ndarray, q: np.ndarray, window: Optional[int]) -> np.ndarra
 def dtw_distance_matrix(
     series: Sequence[Sequence[float]],
     window: Optional[int] = None,
-    normalize: bool = False,
     zscore: bool = False,
 ) -> np.ndarray:
-    """Return the symmetric pairwise DTW distance matrix for many series.
+    """Return the symmetric pairwise DTW distance matrix of equal-length series.
 
-    Equal-length inputs (the usual case: all series of one box) go through a
-    batched anti-diagonal dynamic program that evaluates every pair
-    simultaneously; mixed lengths fall back to per-pair computation.
+    Every pair goes through one batched anti-diagonal dynamic program
+    (:func:`_dtw_batch`).  The series of one box always share a length, so
+    unequal lengths are rejected rather than computed pair by pair.
 
     Parameters
     ----------
     series:
-        A sequence of one-dimensional series (they may have unequal lengths).
+        A sequence of one-dimensional series of one common length.
     window:
-        Optional Sakoe-Chiba band half-width applied to every pair.
-    normalize:
-        Normalize each pairwise distance by the sum of series lengths.
+        Optional non-negative Sakoe-Chiba band half-width applied to every
+        pair.
     zscore:
         Standardize each series (zero mean, unit variance) before comparing.
         Constant series are mapped to all-zeros.  This makes the clustering
         scale-free, which matters because co-located VMs have heterogeneous
         capacities.
     """
+    if window is not None and window < 0:
+        raise ValueError(f"window must be non-negative, got {window}")
     arrays = [_as_1d(s, f"series[{k}]") for k, s in enumerate(series)]
+    lengths = sorted({arr.size for arr in arrays})
+    if len(lengths) > 1:
+        raise ValueError(f"series must share one length, got lengths {lengths}")
     if zscore:
         standardized = []
         for arr in arrays:
@@ -228,19 +140,10 @@ def dtw_distance_matrix(
         arrays = standardized
     n = len(arrays)
     dist = np.zeros((n, n), dtype=float)
-    lengths = {arr.size for arr in arrays}
-    if len(lengths) == 1 and n > 1:
+    if n > 1:
         stack = np.vstack(arrays)
         a_idx, b_idx = np.triu_indices(n, k=1)
         values = _dtw_batch(stack[a_idx], stack[b_idx], window)
-        if normalize:
-            values = values / (2 * stack.shape[1])
         dist[a_idx, b_idx] = values
         dist[b_idx, a_idx] = values
-        return dist
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = dtw_distance(arrays[a], arrays[b], window=window, normalize=normalize)
-            dist[a, b] = d
-            dist[b, a] = d
     return dist

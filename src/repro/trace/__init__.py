@@ -25,7 +25,6 @@ from repro.trace.model import (
     BoxTrace,
     FleetTrace,
     Resource,
-    SeriesKey,
     VMTrace,
 )
 from repro.trace.scenario import (
@@ -51,7 +50,6 @@ __all__ = [
     "RenderSpec",
     "Resource",
     "ScenarioSpec",
-    "SeriesKey",
     "VMTrace",
     "generate_box",
     "generate_fleet",

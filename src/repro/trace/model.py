@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "FORBID_GENERATION_ENV_VAR",
     "MAX_USAGE_PCT",
     "Resource",
-    "SeriesKey",
     "VMTrace",
     "BoxTrace",
     "FleetTrace",
@@ -80,21 +79,6 @@ class Resource(enum.Enum):
 
     CPU = "cpu"
     RAM = "ram"
-
-    @property
-    def unit(self) -> str:
-        return "GHz" if self is Resource.CPU else "GB"
-
-
-@dataclass(frozen=True, order=True)
-class SeriesKey:
-    """Identifies one usage/demand series on a box: (VM index, resource)."""
-
-    vm_index: int
-    resource: Resource = field(compare=True)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"vm{self.vm_index}:{self.resource.value}"
 
 
 def _validate_usage(usage: np.ndarray, name: str) -> np.ndarray:
@@ -234,11 +218,6 @@ class BoxTrace:
             + [vm.demand(Resource.RAM) for vm in self.vms]
         )
 
-    def series(self, key: SeriesKey, demand: bool = False) -> np.ndarray:
-        """Return a single usage (or demand) series by key."""
-        vm = self.vms[key.vm_index]
-        return vm.demand(key.resource) if demand else vm.usage(key.resource)
-
     def allocations(self, resource: Resource) -> np.ndarray:
         """Return the current per-VM allocated capacities for a resource."""
         return np.array([vm.capacity(resource) for vm in self.vms])
@@ -321,15 +300,3 @@ class FleetTrace:
             if box.box_id == box_id:
                 return box
         raise KeyError(f"no box {box_id!r} in fleet {self.name!r}")
-
-    def summary(self) -> Dict[str, float]:
-        """Return headline fleet statistics (sizes, consolidation level)."""
-        vms_per_box = [box.n_vms for box in self.boxes]
-        return {
-            "boxes": float(self.n_boxes),
-            "vms": float(self.n_vms),
-            "series": float(self.n_series),
-            "mean_vms_per_box": float(np.mean(vms_per_box)),
-            "max_vms_per_box": float(np.max(vms_per_box)),
-            "windows": float(self.boxes[0].n_windows),
-        }

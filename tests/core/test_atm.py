@@ -1,23 +1,30 @@
-"""Tests for the per-box ATM controller (repro.core.atm)."""
+"""Tests of one box's offline ATM run through the chunk orchestrator.
+
+:func:`repro.core.pipeline._run_box_atm_chunk` runs a chunk of boxes down
+the degradation ladder; a one-box chunk is one box's train → predict →
+resize → evaluate run.  The per-box reference controller lives in
+``tests/core/atm_oracle.py``.
+"""
 
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core.atm import AtmController
 from repro.core.config import AtmConfig
-from repro.core.pipeline import _run_box_atm_fused_chunk
+from repro.core.degrade import RUNG_PRIMARY
+from repro.core.pipeline import _BoxRun, _run_box_atm_chunk, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing import evaluate
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.trace.generator import FleetConfig, generate_box
-from repro.trace.model import Resource
+from repro.trace.model import FleetTrace, Resource
+from tests.core.atm_oracle import AtmController
 
 
 @pytest.fixture(scope="module")
 def fast_config():
-    """Cheap temporal model so controller tests stay quick."""
+    """Cheap temporal model so the runs stay quick."""
     return AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="seasonal_mean")
 
 
@@ -26,30 +33,28 @@ def box():
     return generate_box(1, FleetConfig(days=6, seed=21))
 
 
+def run_box(box, config):
+    """One box's ATM result; the run must not degrade."""
+    [(result, events)] = _run_box_atm_chunk([box], config)
+    assert events == []
+    return result
+
+
 class TestLifecycle:
     def test_fit_then_predict(self, box, fast_config):
-        controller = AtmController(box, fast_config).fit()
-        assert controller.is_fitted
-        prediction = controller.predict()
-        assert prediction.predictions.shape == (2 * box.n_vms, 96)
-
-    def test_predict_before_fit_raises(self, box, fast_config):
-        with pytest.raises(RuntimeError):
-            AtmController(box, fast_config).predict()
-
-    def test_signature_ratio_before_fit_raises(self, box, fast_config):
-        with pytest.raises(RuntimeError):
-            _ = AtmController(box, fast_config).signature_ratio
+        result = run_box(box, fast_config)
+        for resource in (Resource.CPU, Resource.RAM):
+            assert result.predicted[resource].shape == (box.n_vms, 96)
 
     def test_split_prediction(self, box, fast_config):
-        controller = AtmController(box, fast_config).fit()
-        split = controller.split_prediction(controller.predict())
-        assert split[Resource.CPU].shape == (box.n_vms, 96)
-        assert split[Resource.RAM].shape == (box.n_vms, 96)
+        run = _BoxRun(box, fast_config, RUNG_PRIMARY)
+        stacked = np.arange(2 * box.n_vms * 3, dtype=float).reshape(2 * box.n_vms, 3)
+        split = run.split(stacked)
+        assert split[Resource.CPU].tobytes() == stacked[: box.n_vms].tobytes()
+        assert split[Resource.RAM].tobytes() == stacked[box.n_vms :].tobytes()
 
     def test_resize_respects_budget(self, box, fast_config):
-        controller = AtmController(box, fast_config).fit()
-        allocations = controller.resize(controller.split_prediction(controller.predict()))
+        allocations = run_box(box, fast_config).allocations
         for resource in (Resource.CPU, Resource.RAM):
             alloc = allocations[resource]
             assert alloc.shape == (box.n_vms,)
@@ -59,7 +64,7 @@ class TestLifecycle:
 
 class TestRun:
     def test_run_produces_complete_result(self, box, fast_config):
-        result = AtmController(box, fast_config).run()
+        result = run_box(box, fast_config)
         assert result.box_id == box.box_id
         assert np.isfinite(result.accuracy.ape)
         assert 0.0 < result.accuracy.signature_ratio <= 1.0
@@ -69,10 +74,9 @@ class TestRun:
 
     def test_atm_not_worse_than_status_quo_often(self, fast_config):
         """Across several boxes, ATM's median per-box reduction is positive."""
+        boxes = [generate_box(b, FleetConfig(days=6, seed=31)) for b in range(6)]
         reductions = []
-        for b in range(6):
-            box = generate_box(b, FleetConfig(days=6, seed=31))
-            result = AtmController(box, fast_config).run()
+        for result, _ in _run_box_atm_chunk(boxes, fast_config):
             red = result.reductions[(Resource.CPU, ResizingAlgorithm.ATM)]
             if red.tickets_before > 0:
                 reductions.append(red.reduction)
@@ -80,13 +84,16 @@ class TestRun:
         assert np.median(reductions) > 0.0
 
     def test_too_short_box_rejected(self, fast_config):
-        box = generate_box(0, FleetConfig(days=1, seed=4))
-        with pytest.raises(ValueError, match="windows"):
-            AtmController(box, fast_config).run()
+        short = generate_box(0, FleetConfig(days=1, seed=4))
+        result = run_fleet_atm(FleetTrace(boxes=[short], name="short"), fast_config)
+        assert result.accuracies == []
+        [event] = result.report.events
+        assert event.rung == "failed" and "windows" in event.reason
 
     def test_default_lower_bounds_from_last_training_day(self, box, fast_config):
-        controller = AtmController(box, fast_config).fit()
-        lb = controller._default_lower_bounds(Resource.CPU)
+        run = _BoxRun(box, fast_config, RUNG_PRIMARY)
+        run.training_demands()
+        lb = run.lower_bounds(Resource.CPU)
         demands = box.demand_matrix(Resource.CPU)
         expected = demands[:, 480 - 96 : 480].max(axis=1)
         assert lb == pytest.approx(expected)
@@ -113,21 +120,22 @@ class TestSizingOnce:
     """Each box and resource is sized once per algorithm, ATM included."""
 
     def test_run_solves_each_algorithm_once(self, box, fast_config, sizing_calls):
-        AtmController(box, fast_config).run()
+        run_box(box, fast_config)
         assert len(sizing_calls) == 2 * len(fast_config.algorithms)
         assert sizing_calls.count(ResizingAlgorithm.ATM) == 2
 
     def test_fused_chunk_solves_each_algorithm_once_per_box(self, sizing_calls):
         config = AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="neural")
         boxes = [generate_box(b, FleetConfig(days=6, seed=21)) for b in range(2)]
-        pairs = _run_box_atm_fused_chunk(boxes, config, True)
+        pairs = _run_box_atm_chunk(boxes, config, True)
         assert all(result is not None and not events for result, events in pairs)
         assert len(sizing_calls) == len(boxes) * 2 * len(config.algorithms)
 
     def test_resize_matches_run_allocations(self, box, fast_config):
+        """The oracle controller's standalone resize sizes as the run does."""
         controller = AtmController(box, fast_config).fit()
         allocations = controller.resize(controller.split_prediction(controller.predict()))
-        result = AtmController(box, fast_config).run()
+        result = run_box(box, fast_config)
         assert list(allocations) == list(result.allocations)
         for resource, allocation in allocations.items():
             assert allocation.tobytes() == result.allocations[resource].tobytes()
@@ -138,12 +146,12 @@ class TestSizingOnce:
             temporal_model="seasonal_mean",
             algorithms=(ResizingAlgorithm.STINGY,),
         )
-        result = AtmController(box, config).run()
+        result = run_box(box, config)
         assert set(result.reductions) == {
             (Resource.CPU, ResizingAlgorithm.STINGY),
             (Resource.RAM, ResizingAlgorithm.STINGY),
         }
         assert sizing_calls.count(ResizingAlgorithm.ATM) == 2
-        reference = AtmController(box, fast_config).run()
+        reference = run_box(box, fast_config)
         for resource, allocation in reference.allocations.items():
             assert allocation.tobytes() == result.allocations[resource].tobytes()

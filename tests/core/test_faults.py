@@ -163,7 +163,7 @@ class TestOnlineLadder:
         assert len(result.steps) == 4
         assert all(s.rung == RUNG_SEASONAL for s in result.steps)
         assert all("fit_error" in (s.reason or "") for s in result.steps)
-        assert result.degraded
+        assert result.degradations
         assert {e.rung for e in result.degradations} == {RUNG_SEASONAL}
         assert np.isfinite(result.mean_ape())  # fallback still scores
 
@@ -190,7 +190,7 @@ class TestOnlineLadder:
     def test_no_faults_keeps_primary_rung(self, week_box, config):
         result = OnlineAtmController(week_box, config).run()
         assert all(s.rung == RUNG_PRIMARY for s in result.steps)
-        assert not result.degraded
+        assert not result.degradations
 
 
 class TestOnlineFleet:

@@ -46,7 +46,7 @@ from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import FORBID_GENERATION_ENV_VAR
 from tests.store.shard_oracle import materialize
 
-#: Neural, so ATM takes its fused chunk path; three days is exactly the
+#: Neural, so ATM's chunks fuse their fits; three days is exactly the
 #: training + horizon span, so every box is eligible for ATM and online.
 ATM = AtmConfig.with_clustering(
     ClusteringMethod.CBC,
@@ -54,7 +54,7 @@ ATM = AtmConfig.with_clustering(
     training_windows=192,
     horizon_windows=96,
 )
-#: A model without a fleet fitter: ATM runs ``_run_box_atm`` per item.
+#: A model without a multi-series kernel: ATM's chunks fit box by box.
 ATM_PER_BOX = AtmConfig.with_clustering(
     ClusteringMethod.CBC,
     temporal_model="seasonal_mean",
@@ -120,8 +120,9 @@ def _atm_rows(result):
 
 
 def _online(fleet, jobs, resume=False):
-    # No resume option: online has no per-box outcome artifact.
-    return run_online_fleet(fleet, ATM, jobs=jobs, chunksize=_chunksize(jobs))
+    # No resume option: online has no per-box outcome artifact.  No
+    # chunksize option: the default already gives one box per chunk.
+    return run_online_fleet(fleet, ATM, jobs=jobs)
 
 
 def _online_rows(result):
@@ -162,9 +163,8 @@ def _resize_digest(summary):
 
 
 def _ops(fleet, jobs, resume=False):
-    return run_fleet_ops(
-        fleet, OpsConfig(), jobs=jobs, chunksize=_chunksize(jobs), resume=resume
-    )
+    # No chunksize option: the default already gives one box per chunk.
+    return run_fleet_ops(fleet, OpsConfig(), jobs=jobs, resume=resume)
 
 
 def _ops_digest(result):

@@ -13,8 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.core import faults
-from repro.core.atm import AtmController
+from repro.core import faults, stages
 from repro.core.config import AtmConfig
 from repro.core.faults import FaultPlan, FaultRule, fault_plan
 from repro.core.online import OnlineAtmController
@@ -94,15 +93,15 @@ class TestPipelineResume:
         # KeyboardInterrupt is no Exception, so the ladder lets it through
         # and the serial run dies after the boxes before the victim
         # materialized their artifacts.
-        run = AtmController.run
+        evaluate = stages.evaluate_forecast_stages
 
-        def interrupted(controller):
-            if controller.box.box_id == victim_id:
+        def interrupted(run, prediction):
+            if run.box.box_id == victim_id:
                 raise KeyboardInterrupt
-            return run(controller)
+            return evaluate(run, prediction)
 
         with monkeypatch.context() as patched:
-            patched.setattr(AtmController, "run", interrupted)
+            patched.setattr(stages, "evaluate_forecast_stages", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 run_fleet_atm(pipeline_fleet_6d, cfg)
         assert len(list(store_env.glob("box_result/**/*.npz"))) == victim

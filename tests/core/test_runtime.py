@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import executor, faults, runtime
 from repro import obs
-from repro.prediction.spatial import cache
 from repro.store import STORE_ENV_VAR
 
 
@@ -12,7 +11,6 @@ from repro.store import STORE_ENV_VAR
 def _clean_env(monkeypatch):
     for name in (
         runtime.JOBS_ENV_VAR,
-        runtime.SIGNATURE_CACHE_ENV_VAR,
         runtime.METRICS_ENV_VAR,
         runtime.FAULTS_ENV_VAR,
         runtime.FAULTS_SEED_ENV_VAR,
@@ -24,23 +22,22 @@ def _clean_env(monkeypatch):
 class TestFlags:
     @pytest.mark.parametrize("raw", ["0", "false", "OFF", "No", " 0 "])
     def test_falsy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.SIGNATURE_CACHE_ENV_VAR, raw)
-        assert not runtime.signature_cache_enabled()
+        monkeypatch.setenv(runtime.METRICS_ENV_VAR, raw)
+        assert not runtime.metrics_enabled()
 
     @pytest.mark.parametrize("raw", ["1", "on", "yes", "anything-else"])
     def test_truthy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(runtime.SIGNATURE_CACHE_ENV_VAR, raw)
-        assert runtime.signature_cache_enabled()
+        monkeypatch.setenv(runtime.METRICS_ENV_VAR, raw)
+        assert runtime.metrics_enabled()
 
     def test_unset_means_default_on(self):
-        assert runtime.signature_cache_enabled()
         assert runtime.metrics_enabled()
 
     def test_gates_parse_independently(self, monkeypatch):
         # A broken jobs value must not take down unrelated gates.
         monkeypatch.setenv(runtime.JOBS_ENV_VAR, "not-a-number")
         assert runtime.metrics_enabled()
-        assert runtime.signature_cache_enabled()
+        assert runtime.store_dir() is None
         with pytest.raises(ValueError, match="REPRO_JOBS must be an integer"):
             runtime.env_jobs()
 
@@ -81,12 +78,11 @@ class TestLegacyConstantsAgree:
         assert executor.JOBS_ENV_VAR == runtime.JOBS_ENV_VAR == "REPRO_JOBS"
         assert faults.FAULTS_ENV_VAR == runtime.FAULTS_ENV_VAR == "REPRO_FAULTS"
         assert faults.FAULTS_SEED_ENV_VAR == runtime.FAULTS_SEED_ENV_VAR
-        assert cache.CACHE_ENV_VAR == runtime.SIGNATURE_CACHE_ENV_VAR
         assert obs.METRICS_ENV_VAR == runtime.METRICS_ENV_VAR == "REPRO_METRICS"
         assert STORE_ENV_VAR == runtime.STORE_ENV_VAR == "REPRO_STORE"
 
     def test_gate_functions_delegate(self, monkeypatch):
-        monkeypatch.setenv(runtime.SIGNATURE_CACHE_ENV_VAR, "0")
-        assert not cache.cache_enabled()
         monkeypatch.setenv(runtime.METRICS_ENV_VAR, "off")
         assert not obs.metrics_enabled()
+        monkeypatch.setenv(runtime.FAULTS_ENV_VAR, "fit_error:p=1")
+        assert faults.active_plan().rule("fit_error") is not None

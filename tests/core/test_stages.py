@@ -1,4 +1,4 @@
-"""Tests of the typed stage graph, its artifact keys, and warm-run reuse."""
+"""Tests of the per-box stages' artifact keys and codecs, and warm-run reuse."""
 
 from dataclasses import replace
 
@@ -49,17 +49,14 @@ def _counters():
 
 
 class TestGraph:
-    def test_topological_order(self):
-        seen = set()
-        for stage in stages.STAGES:
-            assert all(dep in seen for dep in stage.consumes), stage.name
-            seen.add(stage.name)
-        assert len(seen) == len(stages.STAGES) == 5
-
     def test_artifact_stages_have_codecs(self):
-        for stage in stages.STAGES:
-            if stage.artifact:
-                assert get_codec(stage.artifact) is not None, stage.artifact
+        for stage in (
+            stages.SPATIAL_STAGE,
+            stages.FORECAST_STAGE,
+            stages.BOX_RESULT_STAGE,
+            stages.RESIZE_EVAL_STAGE,
+        ):
+            assert get_codec(stage) is not None, stage
 
 
 class TestKeys:

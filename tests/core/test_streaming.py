@@ -13,7 +13,7 @@ import pytest
 
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core.config import AtmConfig
-from repro.core.pipeline import FleetAtmResult, _run_box_atm, run_fleet_atm
+from repro.core.pipeline import FleetAtmResult, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import (
     FleetReduction,
@@ -25,6 +25,7 @@ from repro.store.shards import write_fleet_shards, load_fleet_shards
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
 from repro.trace.model import FORBID_GENERATION_ENV_VAR, Resource
+from tests.core.atm_oracle import run_box_atm
 from tests.store.shard_oracle import materialize
 
 
@@ -54,7 +55,7 @@ class TestStreamingEquivalence:
         streamed = run_fleet_atm(pipeline_fleet_6d, atm_config, jobs=2, chunksize=1)
         listed = FleetAtmResult(config=atm_config)
         for box in pipeline_fleet_6d:
-            result, events = _run_box_atm(box, atm_config, True)
+            result, events = run_box_atm(box, atm_config, True)
             listed.report.extend(events)
             if result is not None:
                 listed.accuracies.append(result.accuracy)

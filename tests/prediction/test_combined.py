@@ -36,7 +36,6 @@ class TestFitPredict:
         data = periodic_matrix(rng)
         prediction = SpatialTemporalPredictor(config).fit_predict(data, 24)
         assert prediction.predictions.shape == (6, 24)
-        assert prediction.horizon == 24
         assert prediction.n_series == 6
 
     def test_accurate_on_periodic_data(self, rng, config):

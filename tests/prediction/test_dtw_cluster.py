@@ -93,7 +93,7 @@ class TestSilhouetteSweepRegression:
         distances = dtw_distance_matrix(data, window=8, zscore=True)
         best = None
         for k in range(2, data.shape[0] // 2 + 1):
-            labels = HierarchicalClustering(distances).cut(k)
+            labels = HierarchicalClustering(distances).cuts([k])[k]
             score = float(silhouette_values(distances, labels).mean())
             if best is None or score > best[0] + 1e-12:
                 best = (score, k, labels)

@@ -16,7 +16,6 @@ from repro import obs
 from repro.prediction.registry import (
     fit_temporal_batch,
     fit_temporal_fleet_batch,
-    has_fleet_fitter,
 )
 from repro.prediction.temporal.batched import (
     FUSED_SLAB_MODELS,
@@ -123,19 +122,22 @@ class TestFusedEquivalence:
 
 
 class TestFailureIsolation:
-    def test_bad_group_yields_none_others_fit(self):
-        """A group with an invalid history gets None; neighbors still fit."""
+    def test_bad_group_keeps_its_exception_others_fit(self):
+        """A group with an invalid history gets the exception a one-box fit
+        raises; neighbors still fit."""
         good = make_histories(2, 24 * 4, seed=40)
         bad = [np.full(24 * 4, np.nan)]  # non-finite -> validation failure
         short = [np.arange(5.0)]  # too short for period+2
         fused = fit_neural_fused([good, bad, short], FAST)
-        assert fused[1] is None
-        assert fused[2] is None
+        for group, got in ((bad, fused[1]), (short, fused[2])):
+            with pytest.raises(ValueError) as one_box:
+                fit_one_box(group)
+            assert repr(got) == repr(one_box.value)
         assert_group_equivalent(fit_one_box(good), fused[0])
 
     def test_all_groups_bad(self):
-        fused = fit_neural_fused([[np.full(10, np.nan)]], FAST)
-        assert fused == [None]
+        [fused] = fit_neural_fused([[np.full(10, np.nan)]], FAST)
+        assert isinstance(fused, ValueError)
 
     @pytest.mark.parametrize(
         "groups",
@@ -169,12 +171,29 @@ class TestFailureIsolation:
 
 class TestRegistry:
     def test_neural_has_fleet_fitter(self):
-        assert has_fleet_fitter("neural")
-        assert not has_fleet_fitter("seasonal_mean")
+        """The kernel model fuses across groups; others fit group by group."""
+        groups = [make_histories(2, 24 * 5, seed=52, period=24)]
+        for name, fuses in (("neural", True), ("seasonal_mean", False)):
+            obs.reset_metrics()
+            fit_temporal_fleet_batch(name, groups, period=24)
+            counters = obs.metrics_snapshot()["counters"]
+            assert ("fused.groups" in counters) == fuses, name
 
     def test_unsupported_model_raises(self):
-        with pytest.raises(ValueError, match="no fleet fitter"):
-            fit_temporal_fleet_batch("seasonal_mean", [[np.arange(48.0)]])
+        with pytest.raises(ValueError, match="unknown temporal model"):
+            fit_temporal_fleet_batch("no_such_model", [[np.arange(48.0)]])
+
+    def test_series_model_fleet_batch_keeps_group_errors(self):
+        """A model without a kernel: per-group fits, a bad group's own error."""
+        good = make_histories(2, 24 * 5, seed=53, period=24)
+        bad = [np.full(24 * 5, np.nan)]
+        fused = fit_temporal_fleet_batch("seasonal_mean", [good, bad], period=24)
+        per_box = fit_temporal_batch("seasonal_mean", good, period=24)
+        for s, f in zip(per_box, fused[0], strict=True):
+            assert s.predict(24).tobytes() == f.predict(24).tobytes()
+        with pytest.raises(Exception) as one_box:
+            fit_temporal_batch("seasonal_mean", bad, period=24)
+        assert repr(fused[1]) == repr(one_box.value)
 
     def test_fleet_batch_matches_per_group_batch(self):
         groups = [

@@ -8,7 +8,6 @@ from repro.prediction.registry import (
     available_temporal_models,
     fit_temporal_batch,
     fit_temporal_batch_warm,
-    has_fleet_fitter,
     make_temporal_model,
 )
 from repro.prediction.temporal.neural import MlpConfig
@@ -92,4 +91,5 @@ class TestFitContract:
             assert len(fitted) == len(histories)
             for model, forecast in zip(fitted, expected):
                 np.testing.assert_array_equal(model.predict(horizon), forecast)
-        assert (state is None) == (not has_fleet_fitter(name))
+        # Only the kernel model (neural) carries a fit-to-fit state.
+        assert (state is None) == (name != "neural")

@@ -1,27 +1,23 @@
-"""Tests for the signature-search cache (repro.prediction.spatial.cache)."""
+"""Tests for the signature-search memo: the store's ``"spatial"`` memory tier."""
 
 import numpy as np
 import pytest
 
-from repro.prediction.spatial.cache import (
-    CACHE_ENV_VAR,
-    SIGNATURE_CACHE,
-    SignatureSearchCache,
-    cache_enabled,
-    data_fingerprint,
-)
 from repro.prediction.spatial.signatures import (
     ClusteringMethod,
     SignatureSearchConfig,
     search_signature_set,
 )
+from repro.store import LruCache, data_fingerprint, memory_tier
+
+SPATIAL_TIER = memory_tier("spatial")
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    SIGNATURE_CACHE.clear()
+    SPATIAL_TIER.clear()
     yield
-    SIGNATURE_CACHE.clear()
+    SPATIAL_TIER.clear()
 
 
 def _matrix(seed=0, n=6, t=200):
@@ -50,14 +46,14 @@ class TestFingerprint:
 
 class TestLru:
     def test_put_get_and_stats(self):
-        cache = SignatureSearchCache(maxsize=2)
+        cache = LruCache(maxsize=2)
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_eviction_order(self):
-        cache = SignatureSearchCache(maxsize=2)
+        cache = LruCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh "a"
@@ -67,7 +63,7 @@ class TestLru:
         assert cache.stats.evictions == 1
 
     def test_clear_resets(self):
-        cache = SignatureSearchCache(maxsize=2)
+        cache = LruCache(maxsize=2)
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
@@ -76,7 +72,7 @@ class TestLru:
 
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
-            SignatureSearchCache(maxsize=0)
+            LruCache(maxsize=0)
 
 
 class TestSearchMemoization:
@@ -86,7 +82,7 @@ class TestSearchMemoization:
         first = search_signature_set(data, config)
         second = search_signature_set(data.copy(), config)
         assert second is first  # memoized model object
-        assert SIGNATURE_CACHE.stats.hits == 1
+        assert SPATIAL_TIER.stats.hits == 1
 
     def test_different_config_misses(self):
         data = _matrix()
@@ -95,7 +91,7 @@ class TestSearchMemoization:
             data, SignatureSearchConfig(method=ClusteringMethod.CBC, vif_threshold=10.0)
         )
         assert a is not b
-        assert SIGNATURE_CACHE.stats.hits == 0
+        assert SPATIAL_TIER.stats.hits == 0
 
     def test_different_data_misses(self):
         config = SignatureSearchConfig(method=ClusteringMethod.CBC)
@@ -103,22 +99,12 @@ class TestSearchMemoization:
         b = search_signature_set(_matrix(seed=2), config)
         assert a is not b
 
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, "0")
-        assert not cache_enabled()
-        data = _matrix()
-        config = SignatureSearchConfig(method=ClusteringMethod.CBC)
-        first = search_signature_set(data, config)
-        second = search_signature_set(data, config)
-        assert first is not second
-        assert len(SIGNATURE_CACHE) == 0
-
     def test_cached_model_equivalent(self):
         """A hit returns the same numbers a fresh search would compute."""
         data = _matrix()
         config = SignatureSearchConfig(method=ClusteringMethod.DTW, max_clusters=3)
         cached = search_signature_set(data, config)
-        SIGNATURE_CACHE.clear()
+        SPATIAL_TIER.clear()
         fresh = search_signature_set(data, config)
         assert fresh.signature_indices == cached.signature_indices
         assert fresh.dependent_indices == cached.dependent_indices

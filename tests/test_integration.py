@@ -21,9 +21,10 @@ class TestPublicApi:
         assert repro.__version__
 
     def test_top_level_exports(self):
-        for name in ("AtmConfig", "AtmController", "FleetConfig", "generate_fleet",
+        for name in ("AtmConfig", "FleetConfig", "generate_fleet",
                      "run_fleet_atm", "TicketPolicy", "Resource"):
             assert hasattr(repro, name)
+        assert not hasattr(repro, "AtmController")
 
 
 class TestEndToEnd:

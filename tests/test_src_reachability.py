@@ -1,12 +1,15 @@
 """Every def in ``src/repro`` is reached from a non-test path.
 
-A function, class or method that only the tests call is either dead or an
-oracle; oracles belong under ``tests/`` (see
+A function, class, method or constant that only the tests use is either
+dead or an oracle; oracles belong under ``tests/`` (see
 ``tests/prediction/mlp_oracle.py``).  This guard parses every
-``src/repro`` module and fails on any module-level ``def``/``class``, or
-public ``def`` in a class body, whose name is never *used* — loaded as a
-``Name`` or read as an ``Attribute`` — in ``src/``, ``benchmarks/``,
-``atmbench/`` or ``examples/``.  Imports (so ``__init__`` re-exports),
+``src/repro`` module and fails on any module-level ``def``/``class`` or
+public assignment, or public ``def`` in a class body, that is never
+*used* in ``src/``, ``benchmarks/``, ``atmbench/`` or ``examples/``.  A
+module-level name is used when it is loaded as a ``Name`` or read as an
+``Attribute``; a class member (method or property) only when it is read
+as an ``Attribute``, so a local variable that shares a method's name does
+not keep the method alive.  Imports (so ``__init__`` re-exports),
 ``__all__`` strings and uses inside the def's own body do not count.
 Names are matched by identifier, not by module or class, so the check is
 a floor: a dead def that shares its name with a live one slips through
@@ -33,7 +36,6 @@ ALLOWED_UNREACHED = {
     "Actuator": "the protocol the cgroups-style actuators implement",
     "get_registry": "state accessor of the observability registry",
     "registered_stages": "state accessor of the artifact codec registry",
-    "signature_cache_enabled": "state accessor of the signature-cache runtime switch",
     "shard_tier_active": "state accessor of the shard tier",
     "silhouette_values": "per-item form of the production silhouette kernel the tests pin",
     "current_limit": "read side of the Actuator protocol, which the simulated actuator implements",
@@ -52,19 +54,40 @@ def _class_members(cls: ast.ClassDef) -> Iterator[ast.AST]:
             yield from _class_members(node)
 
 
-def _module_defs() -> Dict[str, List[Tuple[str, int]]]:
-    """Map each scanned def name in ``src/repro`` to its locations."""
-    defs: Dict[str, List[Tuple[str, int]]] = {}
+#: Where a scanned def sits: at module level, or inside a class body.
+MODULE, MEMBER = "module", "member"
+
+
+def _assigned_names(node: ast.stmt) -> List[str]:
+    """Public names a module-level assignment binds (tuple targets skipped)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")
+    ]
+
+
+def _module_defs() -> Dict[str, List[Tuple[str, int, str]]]:
+    """Map each scanned def name in ``src/repro`` to its locations and kind."""
+    defs: Dict[str, List[Tuple[str, int, str]]] = {}
     for path in sorted(PACKAGE.rglob("*.py")):
+        where = str(path.relative_to(ROOT))
         for node in ast.parse(path.read_text()).body:
+            for name in _assigned_names(node):
+                defs.setdefault(name, []).append((where, node.lineno, MODULE))
             if not isinstance(node, _DEF_TYPES):
                 continue
-            scanned = [] if node.name.startswith("__") else [node]
+            if not node.name.startswith("__"):
+                defs.setdefault(node.name, []).append((where, node.lineno, MODULE))
             if isinstance(node, ast.ClassDef):
-                scanned += _class_members(node)
-            for def_ in scanned:
-                where = (str(path.relative_to(ROOT)), def_.lineno)
-                defs.setdefault(def_.name, []).append(where)
+                for member in _class_members(node):
+                    defs.setdefault(member.name, []).append(
+                        (where, member.lineno, MEMBER)
+                    )
     return defs
 
 
@@ -78,23 +101,30 @@ def _owners(body: List[ast.stmt], owner: Dict[int, Set[str]]) -> None:
                 _owners(node.body, owner)
 
 
-def _used_names() -> Set[str]:
-    """Every identifier used as a ``Name`` or ``Attribute`` outside its own def."""
-    used: Set[str] = set()
+def _used_names() -> Dict[str, Set[str]]:
+    """Identifiers used outside their own def, by kind of use.
+
+    ``MODULE`` holds every identifier loaded as a ``Name`` or read as an
+    ``Attribute``; ``MEMBER`` only the ``Attribute`` reads.
+    """
+    used: Dict[str, Set[str]] = {MODULE: set(), MEMBER: set()}
     for top in USE_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             owner: Dict[int, Set[str]] = {}
             _owners(tree.body, owner)
             for node in ast.walk(tree):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue  # binding a name is no use of it
                 if isinstance(node, ast.Name):
-                    name = node.id
+                    name, kinds = node.id, (MODULE,)
                 elif isinstance(node, ast.Attribute):
-                    name = node.attr
+                    name, kinds = node.attr, (MODULE, MEMBER)
                 else:
                     continue
                 if name not in owner.get(id(node), ()):
-                    used.add(name)
+                    for kind in kinds:
+                        used[kind].add(name)
     return used
 
 
@@ -108,8 +138,9 @@ def test_every_src_def_is_reached(scan):
     unreached = [
         f"{path}:{line} {name}"
         for name, places in sorted(defs.items())
-        if name not in used and name not in ALLOWED_UNREACHED
-        for path, line in places
+        if name not in ALLOWED_UNREACHED
+        for path, line, kind in places
+        if name not in used[kind]
     ]
     assert not unreached, (
         "defs no src/benchmarks/atmbench/examples path uses "
@@ -119,5 +150,9 @@ def test_every_src_def_is_reached(scan):
 
 def test_allowlist_is_current(scan):
     defs, used = scan
-    stale = sorted(name for name in ALLOWED_UNREACHED if name not in defs or name in used)
+    stale = sorted(
+        name
+        for name in ALLOWED_UNREACHED
+        if name not in defs or all(name in used[kind] for _, _, kind in defs[name])
+    )
     assert not stale, f"allowlist entries that are gone or now reached: {stale}"

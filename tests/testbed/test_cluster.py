@@ -64,7 +64,7 @@ class TestLimitManagement:
         cluster = tiny_cluster()
         cluster.apply_cpu_limits(1, {"a": 4.0})
         # The node's actuator records the applied limit.
-        assert cluster.actuator("n1").current_limit("a", Resource.CPU) == 4.0
+        assert cluster._actuators["n1"].current_limit("a", Resource.CPU) == 4.0
 
     def test_budget_enforced_per_node(self):
         cluster = tiny_cluster()

@@ -49,7 +49,7 @@ class TestGroupIncidents:
         incidents = group_incidents(
             [record(1, resource=Resource.CPU), record(1, resource=Resource.RAM)]
         )
-        assert incidents[0].resources == (Resource.CPU, Resource.RAM)
+        assert {t.resource for t in incidents[0].tickets} == {Resource.CPU, Resource.RAM}
 
     def test_multiple_boxes_rejected(self):
         with pytest.raises(ValueError, match="multiple boxes"):
@@ -94,7 +94,7 @@ class TestGroupIncidents:
         ]
         incidents = group_incidents(records)
         assert len(incidents) == 2
-        assert incidents[1].resources == (Resource.CPU, Resource.RAM)
+        assert {t.resource for t in incidents[1].tickets} == {Resource.CPU, Resource.RAM}
 
     def test_zero_gap_strict_adjacency(self):
         # max_gap_windows=0 merges only same-window records; every window

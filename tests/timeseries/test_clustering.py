@@ -42,7 +42,7 @@ class TestValidation:
 
     def test_single_item(self):
         hc = HierarchicalClustering(np.zeros((1, 1)))
-        assert hc.cut(1) == [0]
+        assert hc.cuts([1])[1] == [0]
         assert hc.merges == []
 
 
@@ -56,7 +56,7 @@ class TestClustering:
                 [9.0, 9.0, 1.0, 0.0],
             ]
         )
-        labels = HierarchicalClustering(d).cut(2)
+        labels = HierarchicalClustering(d).cuts([2])[2]
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
@@ -64,30 +64,30 @@ class TestClustering:
     def test_cut_extremes(self, rng):
         d = random_distance_matrix(rng, 6)
         hc = HierarchicalClustering(d)
-        assert hc.cut(1) == [0] * 6
-        assert sorted(hc.cut(6)) == list(range(6))
+        assert hc.cuts([1])[1] == [0] * 6
+        assert sorted(hc.cuts([6])[6]) == list(range(6))
 
     def test_cut_label_count(self, rng):
         d = random_distance_matrix(rng, 8)
         hc = HierarchicalClustering(d)
         for k in range(1, 9):
-            labels = hc.cut(k)
+            labels = hc.cuts([k])[k]
             assert len(set(labels)) == k
             assert max(labels) == k - 1
 
     def test_cut_out_of_range(self, rng):
         hc = HierarchicalClustering(random_distance_matrix(rng, 4))
         with pytest.raises(ValueError):
-            hc.cut(0)
+            hc.cuts([0])
         with pytest.raises(ValueError):
-            hc.cut(5)
+            hc.cuts([5])
 
     def test_cuts_are_nested(self, rng):
         """A k-cut refines the (k-1)-cut: merging is hierarchical."""
         d = random_distance_matrix(rng, 10)
         hc = HierarchicalClustering(d)
-        coarse = hc.cut(3)
-        fine = hc.cut(5)
+        coarse = hc.cuts([3])[3]
+        fine = hc.cuts([5])[5]
         # Every fine cluster must live inside exactly one coarse cluster.
         for fine_label in set(fine):
             members = [i for i, l in enumerate(fine) if l == fine_label]
@@ -110,7 +110,7 @@ class TestClustering:
             hc = HierarchicalClustering(d, linkage=ours)
             z = scipy_linkage(squareform(d, checks=False), method=theirs)
             for k in (2, 3, 4):
-                mine = hc.cut(k)
+                mine = hc.cuts([k])[k]
                 scipys = fcluster(z, t=k, criterion="maxclust")
                 # Compare partitions up to relabeling.
                 mapping = {}
@@ -168,9 +168,9 @@ class TestIncrementalCuts:
     def test_cut_uses_cache(self, rng):
         d = random_distance_matrix(rng, 8)
         hc = HierarchicalClustering(d)
-        first = hc.cut(3)
+        first = hc.cuts([3])[3]
         assert 3 in hc._cut_cache
-        second = hc.cut(3)
+        second = hc.cuts([3])[3]
         assert second == first
         assert second is not first  # callers get a private copy
 
@@ -191,4 +191,4 @@ class TestIncrementalCuts:
 
     def test_singleton_cut(self):
         hc = HierarchicalClustering(np.zeros((1, 1)))
-        assert hc.cut(1) == [0]
+        assert hc.cuts([1])[1] == [0]

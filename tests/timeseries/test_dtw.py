@@ -1,12 +1,22 @@
-"""Tests for dynamic time warping (repro.timeseries.dtw)."""
+"""Tests for dynamic time warping (repro.timeseries.dtw and its oracle).
+
+The two-series kernels (``dtw_matrix``, ``dtw_distance``) are the
+definition the batched :func:`repro.timeseries.dtw.dtw_distance_matrix`
+is checked against; they live in ``tests/timeseries/spatial_oracle.py``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.timeseries.dtw import dtw_distance, dtw_distance_matrix, dtw_matrix
-from tests.timeseries.spatial_oracle import dtw_path
+from repro.timeseries.dtw import dtw_distance_matrix
+from tests.timeseries.spatial_oracle import (
+    dtw_distance,
+    dtw_distance_matrix_pairwise,
+    dtw_matrix,
+    dtw_path,
+)
 
 
 def brute_force_dtw(p, q, window=None):
@@ -152,12 +162,14 @@ class TestDistanceMatrix:
                 expected = 0.0 if a == b else dtw_distance(series[a], series[b], window=5)
                 assert fast[a, b] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
-    def test_unequal_lengths_fall_back(self, rng):
+    def test_unequal_lengths_rejected(self, rng):
         series = [rng.normal(size=10), rng.normal(size=13), rng.normal(size=10)]
-        dist = dtw_distance_matrix(series)
-        assert dist.shape == (3, 3)
-        assert np.allclose(dist, dist.T)
-        assert np.all(np.diag(dist) == 0)
+        with pytest.raises(ValueError, match="share one length"):
+            dtw_distance_matrix(series)
+
+    def test_negative_window_rejected(self, rng):
+        with pytest.raises(ValueError, match="non-negative"):
+            dtw_distance_matrix(rng.normal(size=(3, 10)), window=-1)
 
     def test_zscore_makes_scaling_irrelevant(self, rng):
         base = rng.normal(size=(1, 40))[0]
@@ -171,7 +183,8 @@ class TestDistanceMatrix:
         assert np.isfinite(dist).all()
 
     def test_normalized_batch(self, rng):
+        """The batch over 2n matches the per-pair loop's normalized distances."""
         series = rng.normal(size=(4, 20))
         raw = dtw_distance_matrix(series)
-        norm = dtw_distance_matrix(series, normalize=True)
+        norm = dtw_distance_matrix_pairwise(series, normalize=True)
         assert np.allclose(norm, raw / 40.0)

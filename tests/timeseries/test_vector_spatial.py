@@ -361,7 +361,7 @@ class TestSearchGateEquivalence:
 
     @pytest.mark.parametrize("method_name", ["cbc", "dtw"])
     def test_full_search_identical_decisions(self, method_name):
-        from repro.prediction.spatial.cache import SIGNATURE_CACHE
+        from repro.store import memory_tier
         from repro.prediction.spatial.signatures import (
             ClusteringMethod,
             SignatureSearchConfig,
@@ -370,9 +370,9 @@ class TestSearchGateEquivalence:
 
         data = self._search_data()
         cfg = SignatureSearchConfig(method=ClusteringMethod(method_name))
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
         model = search_signature_set(data, cfg)
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
         assert (
             model.signature_indices,
             model.dependent_indices,
@@ -391,15 +391,15 @@ class TestSearchGateEquivalence:
 
     def test_reconstruct_gate_equivalence(self):
         """reconstruct's single matmul == OlsFit.predict per dependent."""
-        from repro.prediction.spatial.cache import SIGNATURE_CACHE
+        from repro.store import memory_tier
         from repro.prediction.spatial.signatures import search_signature_set
 
         rng = np.random.default_rng(13)
         base = rng.normal(size=(2, 80))
         data = rng.normal(size=(6, 2)) @ base + 0.1 * rng.normal(size=(6, 80))
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
         model = search_signature_set(data)
-        SIGNATURE_CACHE.clear()
+        memory_tier("spatial").clear()
         sig = data[list(model.signature_indices)]
         out = model.reconstruct(sig)
         assert model.dependent_indices  # the matmul path really ran

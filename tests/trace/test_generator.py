@@ -65,7 +65,7 @@ class TestStructure:
 
     def test_consolidation_level(self):
         fleet = generate_fleet(FleetConfig(n_boxes=60, days=1, seed=4))
-        assert 7.0 < fleet.summary()["mean_vms_per_box"] < 13.0
+        assert 7.0 < np.mean([box.n_vms for box in fleet]) < 13.0
 
     def test_usage_within_validation_bounds(self):
         fleet = generate_fleet(FleetConfig(n_boxes=10, days=1, seed=5))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.trace.model import MAX_USAGE_PCT, BoxTrace, FleetTrace, Resource, SeriesKey, VMTrace
+from repro.trace.model import MAX_USAGE_PCT, BoxTrace, FleetTrace, Resource, VMTrace
 
 
 def make_vm(vm_id="vm0", n=8, cpu_cap=4.0, ram_cap=8.0, level=50.0):
@@ -62,9 +62,9 @@ class TestBoxTrace:
         box = make_box(m=2)
         full = box.demand_matrix()
         # Stacked rows: every VM's CPU series, then every VM's RAM series.
-        keys = [SeriesKey(i, res) for res in (Resource.CPU, Resource.RAM) for i in range(2)]
-        for idx, key in enumerate(keys):
-            assert full[idx] == pytest.approx(box.series(key, demand=True))
+        rows = [vm.demand(res) for res in (Resource.CPU, Resource.RAM) for vm in box.vms]
+        for idx, row in enumerate(rows):
+            assert full[idx] == pytest.approx(row)
 
     def test_allocations(self):
         box = make_box(m=3)
@@ -106,11 +106,9 @@ class TestBoxTrace:
 class TestFleetTrace:
     def test_summary(self):
         fleet = FleetTrace([make_box("a", m=2), make_box("b", m=4)])
-        summary = fleet.summary()
-        assert summary["boxes"] == 2
-        assert summary["vms"] == 6
-        assert summary["series"] == 12
-        assert summary["mean_vms_per_box"] == 3.0
+        assert fleet.n_boxes == 2
+        assert fleet.n_vms == 6
+        assert fleet.n_series == 12
 
     def test_box_by_id(self):
         fleet = FleetTrace([make_box("a"), make_box("b")])
