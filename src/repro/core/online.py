@@ -208,6 +208,9 @@ class OnlineAtmController:
     ) -> None:
         _check_cadence(refit_every_steps, drift_threshold)
         self.box = box
+        # Read-only so the per-step training slices cannot write into it.
+        self._demands = box.demand_matrix()
+        self._demands.flags.writeable = False
         self.config = config or AtmConfig()
         self.refit_every_steps = refit_every_steps
         self.drift_threshold = (
@@ -232,7 +235,7 @@ class OnlineAtmController:
 
     def _training_slice(self, step: int) -> np.ndarray:
         start, _ = self._window_bounds(step)
-        train = self.box.demand_matrix()[:, start - self.config.training_windows : start]
+        train = self._demands[:, start - self.config.training_windows : start]
         # Fault hook: a poisoned slice, keyed by box id so healthy boxes
         # are bit-identical to a no-faults run.
         return faults.poison_training(self.box.box_id, train)
@@ -363,16 +366,15 @@ class OnlineAtmController:
         result = OnlineRunResult(box_id=self.box.box_id)
         self._degradations = result.degradations
         m = self.box.n_vms
-        demands_all = self.box.demand_matrix()
 
         for step in range(self.n_steps):
             obs.inc("online.steps")
             predicted_full, rung, reason = self._predict_step(step)
             start, stop = self._window_bounds(step)
-            actual = demands_all[:, start:stop]
+            actual = self._demands[:, start:stop]
 
             for resource in (Resource.CPU, Resource.RAM):
-                rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
+                rows = self.box.rows(resource)
                 current = self.box.allocations(resource)
                 capacity = self.box.capacity(resource)
 
@@ -402,7 +404,7 @@ class OnlineAtmController:
                 # to the tail of the array and fabricate lower bounds
                 # from future demands.
                 lookback_lo = max(0, start - self.box.windows_per_day)
-                lookback = demands_all[rows, lookback_lo:start]
+                lookback = self._demands[rows, lookback_lo:start]
                 with obs.span("online.resize"):
                     [(sized, allocation)] = size_box_resource(
                         self.box.box_id,

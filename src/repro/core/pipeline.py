@@ -166,8 +166,7 @@ class _BoxRun:
 
     def split(self, stacked: np.ndarray) -> Dict[Resource, np.ndarray]:
         """Split a stacked (2M, T) CPU+RAM matrix into per-resource rows."""
-        m = self.box.n_vms
-        return {Resource.CPU: stacked[:m], Resource.RAM: stacked[m:]}
+        return {r: stacked[self.box.rows(r)] for r in (Resource.CPU, Resource.RAM)}
 
 
 def _run_rung(

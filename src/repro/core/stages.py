@@ -106,9 +106,8 @@ def box_fingerprint(box: BoxTrace) -> str:
         "allocations": {r.value: box.allocations(r) for r in Resource},
         "demands": box.demand_matrix(),
     }
-    scenario_fp = getattr(box, "scenario_fp", None)
-    if scenario_fp:
-        payload["scenario"] = scenario_fp
+    if box.scenario_fp:
+        payload["scenario"] = box.scenario_fp
     return config_fingerprint(payload)
 
 
@@ -211,12 +210,9 @@ def evaluate_forecast_stages(run: "_BoxRun", prediction: BoxPrediction) -> BoxAt
     lo = cfg.training_windows
     actual = box.demand_matrix()[:, lo : lo + horizon]
     # Peak windows: actual usage above the ticket threshold.
-    peak_thresholds = np.concatenate(
-        [
-            cfg.policy.alpha * box.allocations(Resource.CPU),
-            cfg.policy.alpha * box.allocations(Resource.RAM),
-        ]
-    )
+    peak_thresholds = np.empty(2 * box.n_vms)
+    for resource in (Resource.CPU, Resource.RAM):
+        peak_thresholds[box.rows(resource)] = cfg.policy.alpha * box.allocations(resource)
     accuracy = accuracy_for_box(
         box.box_id,
         actual,

@@ -7,7 +7,7 @@ dozen boxes.  This module extends the store's npz codec idea down to the
 trace tier:
 
 * **One shard per box.**  A box's full usage matrix (``(2M, T)`` float64,
-  CPU rows then RAM rows, exactly :meth:`BoxTrace.usage_matrix` order) is
+  CPU rows then RAM rows, exactly :attr:`BoxTrace.usage`) is
   written as a plain ``.npy`` file, content-addressed by the same BLAKE2b
   ``data_fingerprint`` the artifact store uses::
 
@@ -21,10 +21,9 @@ trace tier:
   summaries, and work scheduling never touch the mapped data at all.
 
 * **Zero-copy box views.**  :func:`open_box` maps a shard with
-  ``np.load(..., mmap_mode="r")`` and rebuilds a :class:`BoxTrace` whose
-  VM series are *slices of the mapping*: no usage sample is copied or
-  validated again (shards are written from already-validated traces), no
-  page is resident until touched, and dropping the view unmaps it.  A
+  ``np.load(..., mmap_mode="r")`` and builds a :class:`BoxTrace` whose
+  usage matrix *is the mapping*: the constructor's range check reads the
+  mapped pages but copies no sample, and dropping the view unmaps it.  A
   worker processing one box therefore holds one box's pages, not the
   fleet's.
 
@@ -52,12 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.store.fingerprint import data_fingerprint
-from repro.trace.model import (
-    BoxTrace,
-    FleetTrace,
-    VMTrace,
-    mark_shard_tier_active,
-)
+from repro.trace.model import BoxTrace, FleetTrace, mark_shard_tier_active
 
 __all__ = [
     "MANIFEST_NAME",
@@ -249,7 +243,7 @@ def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
     construction).  Returns the manifest entry describing the box.
     """
     root = Path(root)
-    matrix = np.ascontiguousarray(box.usage_matrix(), dtype=np.float64)
+    matrix = np.ascontiguousarray(box.usage, dtype=np.float64)
     fingerprint = data_fingerprint(matrix)
     rel = _shard_relpath(fingerprint)
     target = root / rel
@@ -276,12 +270,12 @@ def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
         path=rel,
         cpu_capacity=float(box.cpu_capacity),
         ram_capacity=float(box.ram_capacity),
-        vm_ids=tuple(vm.vm_id for vm in box.vms),
-        vm_cpu_capacities=tuple(float(vm.cpu_capacity) for vm in box.vms),
-        vm_ram_capacities=tuple(float(vm.ram_capacity) for vm in box.vms),
+        vm_ids=box.vm_ids,
+        vm_cpu_capacities=tuple(float(c) for c in box.vm_cpu_capacities),
+        vm_ram_capacities=tuple(float(c) for c in box.vm_ram_capacities),
         n_windows=box.n_windows,
         interval_minutes=box.interval_minutes,
-        scenario_fp=getattr(box, "scenario_fp", None),
+        scenario_fp=box.scenario_fp,
     )
 
 
@@ -385,61 +379,10 @@ def generate_fleet_shards(
 
 
 # ------------------------------------------------------------------ reading
-def _view_vm(
-    vm_id: str,
-    cpu_capacity: float,
-    ram_capacity: float,
-    cpu_usage: np.ndarray,
-    ram_usage: np.ndarray,
-) -> VMTrace:
-    """Build a VMTrace over mapped slices without copying or revalidating.
-
-    ``__post_init__`` validation clips into fresh arrays; shard contents
-    were validated when the source trace was built, so the view keeps the
-    mapped (read-only) slices as-is.
-    """
-    vm = object.__new__(VMTrace)
-    vm.vm_id = vm_id
-    vm.cpu_capacity = cpu_capacity
-    vm.ram_capacity = ram_capacity
-    vm.cpu_usage = cpu_usage
-    vm.ram_usage = ram_usage
-    return vm
-
-
-def _view_box(meta: BoxShardMeta, matrix: np.ndarray) -> BoxTrace:
-    m = meta.n_vms
-    vms = [
-        _view_vm(
-            meta.vm_ids[i],
-            meta.vm_cpu_capacities[i],
-            meta.vm_ram_capacities[i],
-            matrix[i],
-            matrix[m + i],
-        )
-        for i in range(m)
-    ]
-    box = object.__new__(BoxTrace)
-    box.box_id = meta.box_id
-    box.cpu_capacity = meta.cpu_capacity
-    box.ram_capacity = meta.ram_capacity
-    box.vms = vms
-    box.interval_minutes = meta.interval_minutes
-    # object.__new__ bypasses dataclass defaults, so the scenario key must
-    # be set explicitly or views of scenario stores would alias identity
-    # artifacts in the store.
-    box.scenario_fp = meta.scenario_fp
-    return box
-
-
-def open_box(
-    root: Union[str, Path], meta: BoxShardMeta, verify: bool = False
-) -> BoxTrace:
+def open_box(root: Union[str, Path], meta: BoxShardMeta) -> BoxTrace:
     """Map one shard and return the :class:`BoxTrace` view over it.
 
-    ``verify=True`` re-hashes the mapped matrix against the manifest
-    fingerprint (reads every page once — a paranoia mode for foreign
-    stores, off on the hot path).  Shape or fingerprint mismatches raise
+    A shape or dtype mismatch with the manifest entry raises
     ``ValueError``: a shard store is authored by this module, so damage
     is a real error, not a cache miss.
     """
@@ -452,16 +395,21 @@ def open_box(
             f"{meta.box_id!r}: shape {matrix.shape}/{matrix.dtype}, "
             f"expected {expected}/float64"
         )
-    if verify and data_fingerprint(np.asarray(matrix)) != meta.fingerprint:
-        raise ValueError(
-            f"shard {path} content does not match manifest fingerprint "
-            f"{meta.fingerprint} for box {meta.box_id!r}"
-        )
     mark_shard_tier_active()
     obs.inc("shards.boxes_opened")
     obs.inc("shards.bytes_mapped", float(matrix.nbytes))
     obs.gauge_max("shards.max_box_bytes", float(matrix.nbytes))
-    return _view_box(meta, matrix)
+    return BoxTrace(
+        box_id=meta.box_id,
+        cpu_capacity=meta.cpu_capacity,
+        ram_capacity=meta.ram_capacity,
+        vm_ids=meta.vm_ids,
+        vm_cpu_capacities=meta.vm_cpu_capacities,
+        vm_ram_capacities=meta.vm_ram_capacities,
+        usage=matrix,
+        interval_minutes=meta.interval_minutes,
+        scenario_fp=meta.scenario_fp,
+    )
 
 
 def resolve_box(item: Union[BoxTrace, BoxShardRef]) -> BoxTrace:

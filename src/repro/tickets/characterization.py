@@ -204,9 +204,11 @@ def correlation_cdfs(
     }
     for box in fleet:
         scoped = _scope(box, first_windows)
-        cpu = [vm.cpu_usage for vm in scoped.vms]
-        ram = [vm.ram_usage for vm in scoped.vms]
-        decomposition = decompose_box_correlations(cpu, ram, absolute=absolute)
+        decomposition = decompose_box_correlations(
+            scoped.usage_matrix(Resource.CPU),
+            scoped.usage_matrix(Resource.RAM),
+            absolute=absolute,
+        )
         for key, value in decomposition.as_dict().items():
             if np.isfinite(value):
                 collected[key].append(value)

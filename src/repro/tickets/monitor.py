@@ -79,7 +79,7 @@ def tickets_for_box(
             records.append(
                 TicketRecord(
                     box_id=box.box_id,
-                    vm_id=box.vms[vm_idx].vm_id,
+                    vm_id=box.vm_ids[vm_idx],
                     resource=resource,
                     window=int(window),
                     usage_pct=float(usage[vm_idx, window]),

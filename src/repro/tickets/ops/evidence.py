@@ -150,18 +150,11 @@ def build_evidence(
     context_windows: int,
     predicted: Optional[np.ndarray] = None,
     allocations: Optional[np.ndarray] = None,
-    usage: Optional[np.ndarray] = None,
 ) -> EvidenceBundle:
-    """Assemble the evidence bundle for one routed incident on ``box``.
-
-    ``usage`` is ``box.usage_matrix()`` when the caller already holds it
-    (one stack per box, not one per incident).
-    """
+    """Assemble the evidence bundle for one routed incident on ``box``."""
     incident = routed.incident
     lo = max(0, incident.start_window - context_windows)
     hi = min(box.n_windows, incident.end_window + context_windows + 1)
-    if usage is None:
-        usage = box.usage_matrix()
     return EvidenceBundle(
         box_id=box.box_id,
         start_window=incident.start_window,
@@ -174,7 +167,7 @@ def build_evidence(
         records=incident.tickets,
         context_lo=lo,
         context_hi=hi,
-        usage_context=np.ascontiguousarray(usage[:, lo:hi], dtype=float),
+        usage_context=np.ascontiguousarray(box.usage[:, lo:hi], dtype=float),
         predicted=None if predicted is None else np.asarray(predicted, dtype=float),
         allocations=(
             None if allocations is None else np.asarray(allocations, dtype=float)

@@ -319,9 +319,8 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
         rows: List[IncidentRow] = []
         bundles = []
         evidence_refs: List[Tuple[str, str]] = []
-        usage = evidence_config = None
-        if routed:  # one usage stack and one config canonicalization per box
-            usage, evidence_config = box.usage_matrix(), canonical(config)
+        # One config canonicalization per box, not one per incident.
+        evidence_config = canonical(config) if routed else None
         # Chronological index per routed incident: evidence keys must not
         # collide for distinct incidents sharing a span.
         chrono_index = {id(incident): i for i, incident in enumerate(incidents)}
@@ -359,7 +358,6 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
                 config.context_windows,
                 predicted=predicted if in_horizon else None,
                 allocations=allocations if in_horizon else None,
-                usage=usage,
             )
             ev_key = evidence_key(
                 bundle.usage_context,

@@ -25,7 +25,6 @@ from repro.trace.model import (
     BoxTrace,
     FleetTrace,
     Resource,
-    VMTrace,
 )
 from repro.trace.scenario import (
     ARCHETYPES,
@@ -50,7 +49,6 @@ __all__ = [
     "RenderSpec",
     "Resource",
     "ScenarioSpec",
-    "VMTrace",
     "generate_box",
     "generate_fleet",
     "load_cluster_csv",

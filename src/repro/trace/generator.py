@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.trace.model import FORBID_GENERATION_ENV_VAR, BoxTrace, FleetTrace, VMTrace
+from repro.trace.model import FORBID_GENERATION_ENV_VAR, BoxTrace, FleetTrace
 from repro.trace.workloads import ar1_draws, ar1_rows, bursts, diurnal_rows
 
 __all__ = [
@@ -403,21 +403,16 @@ class _BoxDraw:
         ram = np.clip(ram, 0.0, cfg.ram_usage_cap)
 
         box_id = f"box{self.box_index:05d}"
-        vms = [
-            VMTrace(
-                vm_id=f"{box_id}-vm{i:03d}",
-                cpu_capacity=float(self.cpu_capacities[i]),
-                ram_capacity=float(self.ram_capacities[i]),
-                cpu_usage=cpu[i],
-                ram_usage=ram[i],
-            )
-            for i in range(self.m)
-        ]
+        cpu_caps = tuple(float(c) for c in self.cpu_capacities)
+        ram_caps = tuple(float(c) for c in self.ram_capacities)
         return BoxTrace(
             box_id=box_id,
-            cpu_capacity=sum(vm.cpu_capacity for vm in vms) * self.headroom_cpu,
-            ram_capacity=sum(vm.ram_capacity for vm in vms) * self.headroom_ram,
-            vms=vms,
+            cpu_capacity=sum(cpu_caps) * self.headroom_cpu,
+            ram_capacity=sum(ram_caps) * self.headroom_ram,
+            vm_ids=tuple(f"{box_id}-vm{i:03d}" for i in range(self.m)),
+            vm_cpu_capacities=cpu_caps,
+            vm_ram_capacities=ram_caps,
+            usage=np.concatenate([cpu, ram]),
             interval_minutes=cfg.interval_minutes,
         )
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 import numpy as np
 
-from repro.trace.model import BoxTrace, FleetTrace, VMTrace
+from repro.trace.model import BoxTrace, FleetTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.shards import ShardedFleet, ShardManifest
@@ -63,19 +63,21 @@ def save_fleet_csv(fleet: FleetTrace, path: Union[str, Path]) -> None:
         writer = csv.writer(handle)
         writer.writerow(_HEADER)
         for box in fleet:
-            for vm in box.vms:
-                for t in range(vm.n_windows):
+            m = box.n_vms
+            for i, vm_id in enumerate(box.vm_ids):
+                cpu, ram = box.usage[i], box.usage[m + i]
+                for t in range(box.n_windows):
                     writer.writerow(
                         [
                             box.box_id,
                             f"{box.cpu_capacity:.6f}",
                             f"{box.ram_capacity:.6f}",
-                            vm.vm_id,
-                            f"{vm.cpu_capacity:.6f}",
-                            f"{vm.ram_capacity:.6f}",
+                            vm_id,
+                            f"{box.vm_cpu_capacities[i]:.6f}",
+                            f"{box.vm_ram_capacities[i]:.6f}",
                             t,
-                            f"{vm.cpu_usage[t]:.4f}",
-                            f"{vm.ram_usage[t]:.4f}",
+                            f"{cpu[t]:.4f}",
+                            f"{ram[t]:.4f}",
                         ]
                     )
 
@@ -134,7 +136,7 @@ def load_fleet_csv(
 
     built: List[BoxTrace] = []
     for box_id, box in boxes.items():
-        vms: List[VMTrace] = []
+        cpu_rows, ram_rows = [], []
         for vm_id, vm in box["vms"].items():
             samples = sorted(vm["samples"])
             windows = [w for w, _, _ in samples]
@@ -142,21 +144,24 @@ def load_fleet_csv(
                 raise ValueError(
                     f"VM {vm_id} in {path} has gaps or duplicate windows"
                 )
-            vms.append(
-                VMTrace(
-                    vm_id=vm_id,
-                    cpu_capacity=vm["cpu_capacity"],
-                    ram_capacity=vm["ram_capacity"],
-                    cpu_usage=np.array([c for _, c, _ in samples]),
-                    ram_usage=np.array([r for _, _, r in samples]),
-                )
+            cpu_rows.append([c for _, c, _ in samples])
+            ram_rows.append([r for _, _, r in samples])
+        lengths = sorted({len(row) for row in cpu_rows})
+        if len(lengths) != 1:
+            raise ValueError(
+                f"box {box_id} in {path}: VMs have inconsistent series "
+                f"lengths {lengths}"
             )
+        vms = box["vms"]
         built.append(
             BoxTrace(
                 box_id=box_id,
                 cpu_capacity=box["cpu_capacity"],
                 ram_capacity=box["ram_capacity"],
-                vms=vms,
+                vm_ids=tuple(vms),
+                vm_cpu_capacities=tuple(vm["cpu_capacity"] for vm in vms.values()),
+                vm_ram_capacities=tuple(vm["ram_capacity"] for vm in vms.values()),
+                usage=np.array(cpu_rows + ram_rows),
                 interval_minutes=interval_minutes,
             )
         )
@@ -258,7 +263,6 @@ def load_cluster_csv(
     built: List[BoxTrace] = []
     for machine_id, vms in machines.items():
         timestamps = sorted({t for vm in vms.values() for t in vm["samples"]})
-        traces: List[VMTrace] = []
         for vm_id, vm in vms.items():
             missing = [t for t in timestamps if t not in vm["samples"]]
             if missing:
@@ -267,21 +271,22 @@ def load_cluster_csv(
                     f"machine {machine_id}'s {len(timestamps)} sample times "
                     f"(gap-free VMs required)"
                 )
-            traces.append(
-                VMTrace(
-                    vm_id=vm_id,
-                    cpu_capacity=vm["cpu_capacity"],
-                    ram_capacity=vm["ram_capacity"],
-                    cpu_usage=np.array([vm["samples"][t][0] for t in timestamps]),
-                    ram_usage=np.array([vm["samples"][t][1] for t in timestamps]),
-                )
-            )
+        cpu_caps = tuple(vm["cpu_capacity"] for vm in vms.values())
+        ram_caps = tuple(vm["ram_capacity"] for vm in vms.values())
+        usage = [
+            [vm["samples"][t][k] for t in timestamps]
+            for k in (0, 1)
+            for vm in vms.values()
+        ]
         built.append(
             BoxTrace(
                 box_id=machine_id,
-                cpu_capacity=sum(vm.cpu_capacity for vm in traces) * headroom,
-                ram_capacity=sum(vm.ram_capacity for vm in traces) * headroom,
-                vms=traces,
+                cpu_capacity=sum(cpu_caps) * headroom,
+                ram_capacity=sum(ram_caps) * headroom,
+                vm_ids=tuple(vms),
+                vm_cpu_capacities=cpu_caps,
+                vm_ram_capacities=ram_caps,
+                usage=np.array(usage),
                 interval_minutes=interval_minutes,
                 scenario_fp=fingerprint,
             )

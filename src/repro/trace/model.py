@@ -1,4 +1,4 @@
-"""Trace data model: VMs, boxes, fleets, and their usage/demand series.
+"""Trace data model: boxes, fleets, and their usage/demand matrices.
 
 Conventions (matching the paper's monitoring data):
 
@@ -13,14 +13,15 @@ Conventions (matching the paper's monitoring data):
   for CPU, GB for RAM (paper Section III, footnote 2).  Demand is what the
   prediction models forecast and what the resizing algorithm consumes.
 * A *box* hosts ``M`` co-located VMs and owns ``M x N`` series, where ``N``
-  is the number of resources (CPU and RAM here).
+  is the number of resources (CPU and RAM here).  :class:`BoxTrace` holds
+  them as one ``(2M, T)`` matrix, CPU rows then RAM rows.
 """
 
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "FORBID_GENERATION_ENV_VAR",
     "MAX_USAGE_PCT",
     "Resource",
-    "VMTrace",
     "BoxTrace",
     "FleetTrace",
     "mark_shard_tier_active",
@@ -81,86 +81,45 @@ class Resource(enum.Enum):
     RAM = "ram"
 
 
-def _validate_usage(usage: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(usage, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite samples")
-    if arr.min() < -1e-9 or arr.max() > MAX_USAGE_PCT + 1e-9:
-        raise ValueError(
-            f"{name} must be a percentage series in [0, {MAX_USAGE_PCT:.0f}], "
-            f"got range [{arr.min():.3f}, {arr.max():.3f}]"
-        )
-    return np.clip(arr, 0.0, MAX_USAGE_PCT)
-
-
-@dataclass
-class VMTrace:
-    """One virtual machine: allocated capacities and usage series.
-
-    Parameters
-    ----------
-    vm_id:
-        Stable identifier (unique within the fleet).
-    cpu_capacity:
-        Allocated virtual CPU capacity in GHz.
-    ram_capacity:
-        Allocated virtual RAM capacity in GB.
-    cpu_usage, ram_usage:
-        Percent-of-allocation series, one sample per ticketing window.
-    """
-
-    vm_id: str
-    cpu_capacity: float
-    ram_capacity: float
-    cpu_usage: np.ndarray
-    ram_usage: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.cpu_capacity <= 0 or self.ram_capacity <= 0:
-            raise ValueError(
-                f"VM {self.vm_id}: capacities must be positive, got "
-                f"cpu={self.cpu_capacity}, ram={self.ram_capacity}"
-            )
-        self.cpu_usage = _validate_usage(self.cpu_usage, f"VM {self.vm_id} cpu_usage")
-        self.ram_usage = _validate_usage(self.ram_usage, f"VM {self.vm_id} ram_usage")
-        if self.cpu_usage.size != self.ram_usage.size:
-            raise ValueError(
-                f"VM {self.vm_id}: cpu and ram series lengths differ "
-                f"({self.cpu_usage.size} vs {self.ram_usage.size})"
-            )
-
-    @property
-    def n_windows(self) -> int:
-        return self.cpu_usage.size
-
-    def capacity(self, resource: Resource) -> float:
-        return self.cpu_capacity if resource is Resource.CPU else self.ram_capacity
-
-    def usage(self, resource: Resource) -> np.ndarray:
-        return self.cpu_usage if resource is Resource.CPU else self.ram_usage
-
-    def demand(self, resource: Resource) -> np.ndarray:
-        """Return the absolute demand series (usage x allocated capacity)."""
-        return self.usage(resource) / 100.0 * self.capacity(resource)
+#: Slack on the usage bounds: samples this close outside ``[0, MAX_USAGE_PCT]``
+#: are float round-off and are clipped onto the bound instead of rejected.
+_USAGE_TOLERANCE = 1e-9
 
 
 @dataclass
 class BoxTrace:
-    """One physical box hosting co-located VMs.
+    """One physical box hosting ``M`` co-located VMs, as one usage matrix.
 
-    ``cpu_capacity``/``ram_capacity`` are the total virtual capacities
-    available for allocation on the box (the knapsack budget ``C`` of the
-    resizing problem).
+    Parameters
+    ----------
+    box_id:
+        Stable identifier (unique within the fleet).
+    cpu_capacity, ram_capacity:
+        Total virtual capacities available for allocation on the box (the
+        knapsack budget ``C`` of the resizing problem), in GHz and GB.
+    vm_ids:
+        The ``M`` VM identifiers, in row order.
+    vm_cpu_capacities, vm_ram_capacities:
+        Each VM's allocated CPU (GHz) and RAM (GB) capacity, in row order.
+    usage:
+        The ``(2M, T)`` percent-of-allocation matrix, one column per
+        ticketing window: every VM's CPU series (rows ``0..M-1``), then
+        every VM's RAM series (rows ``M..2M-1``) -- see :meth:`rows`.
+
+    The field names match :class:`repro.store.shards.BoxShardMeta`, so a
+    manifest entry maps onto a box field by field.  Construction validates
+    the matrix once and keeps it as a read-only view: an in-range matrix
+    (a memory-mapped shard included) is never copied, and only samples
+    within round-off of a bound are clipped onto it.
     """
 
     box_id: str
     cpu_capacity: float
     ram_capacity: float
-    vms: List[VMTrace]
+    vm_ids: Tuple[str, ...]
+    vm_cpu_capacities: Tuple[float, ...]
+    vm_ram_capacities: Tuple[float, ...]
+    usage: np.ndarray
     interval_minutes: int = 15
     #: Fingerprint of the :class:`repro.trace.scenario.ScenarioSpec` that
     #: rendered this box (``None`` for the calibrated legacy profile and
@@ -170,91 +129,105 @@ class BoxTrace:
     scenario_fp: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.vms:
+        m = len(self.vm_ids)
+        if m == 0:
             raise ValueError(f"box {self.box_id} hosts no VMs")
         if self.cpu_capacity <= 0 or self.ram_capacity <= 0:
             raise ValueError(f"box {self.box_id}: capacities must be positive")
-        lengths = {vm.n_windows for vm in self.vms}
-        if len(lengths) != 1:
+        self.vm_ids = tuple(self.vm_ids)
+        cpu_caps = self.vm_cpu_capacities = tuple(self.vm_cpu_capacities)
+        ram_caps = self.vm_ram_capacities = tuple(self.vm_ram_capacities)
+        if len(cpu_caps) != m or len(ram_caps) != m or min(cpu_caps + ram_caps) <= 0:
             raise ValueError(
-                f"box {self.box_id}: VMs have inconsistent series lengths {sorted(lengths)}"
+                f"box {self.box_id}: need one positive CPU and RAM capacity "
+                f"per VM for {m} VMs, got cpu={cpu_caps}, ram={ram_caps}"
             )
         if self.interval_minutes <= 0:
             raise ValueError("interval_minutes must be positive")
+        usage = np.asarray(self.usage, dtype=float)
+        if usage.ndim != 2 or usage.shape[0] != 2 * m or usage.shape[1] == 0:
+            raise ValueError(
+                f"box {self.box_id}: usage must be a (2M, T>0) = ({2 * m}, T) "
+                f"matrix, got shape {usage.shape}"
+            )
+        # min/max propagate NaN and surface an infinity, so two passes
+        # check finiteness and range together.
+        lo, hi = usage.min(), usage.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"box {self.box_id}: usage contains non-finite samples")
+        if lo < -_USAGE_TOLERANCE or hi > MAX_USAGE_PCT + _USAGE_TOLERANCE:
+            raise ValueError(
+                f"box {self.box_id}: usage must be percentages in "
+                f"[0, {MAX_USAGE_PCT:.0f}], got range [{lo:.3f}, {hi:.3f}]"
+            )
+        if lo < 0.0 or hi > MAX_USAGE_PCT:
+            usage = np.clip(usage, 0.0, MAX_USAGE_PCT)
+        view = usage.view()
+        view.flags.writeable = False
+        self.usage = view
+
+    def __reduce__(self):
+        # Unpickle through the constructor too, so a pool worker's copy of
+        # the box is validated and read-only like the original.
+        return (BoxTrace, tuple(getattr(self, f.name) for f in fields(self)))
 
     @property
     def n_vms(self) -> int:
-        return len(self.vms)
+        return len(self.vm_ids)
 
     @property
     def n_windows(self) -> int:
-        return self.vms[0].n_windows
+        return self.usage.shape[1]
 
     @property
     def windows_per_day(self) -> int:
         return (24 * 60) // self.interval_minutes
 
+    def rows(self, resource: Resource) -> slice:
+        """The rows of ``resource`` in the stacked ``(2M, T)`` layout."""
+        m = self.n_vms
+        return slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
+
     def capacity(self, resource: Resource) -> float:
         return self.cpu_capacity if resource is Resource.CPU else self.ram_capacity
 
     def usage_matrix(self, resource: Optional[Resource] = None) -> np.ndarray:
-        """Return usage series stacked as rows.
+        """Return the (read-only) usage rows.
 
-        With ``resource`` given: an ``(M, T)`` matrix for that resource.
-        Without: the full ``(M*N, T)`` matrix, CPU rows by VM index then RAM rows.
+        With ``resource`` given: the ``(M, T)`` rows of that resource.
+        Without: the full ``(2M, T)`` matrix, CPU rows then RAM rows.
         """
-        if resource is not None:
-            return np.vstack([vm.usage(resource) for vm in self.vms])
-        return np.vstack(
-            [vm.cpu_usage for vm in self.vms] + [vm.ram_usage for vm in self.vms]
-        )
+        if resource is None:
+            return self.usage
+        return self.usage[self.rows(resource)]
 
     def demand_matrix(self, resource: Optional[Resource] = None) -> np.ndarray:
         """Like :meth:`usage_matrix` but in absolute demand units."""
-        if resource is not None:
-            return np.vstack([vm.demand(resource) for vm in self.vms])
-        return np.vstack(
-            [vm.demand(Resource.CPU) for vm in self.vms]
-            + [vm.demand(Resource.RAM) for vm in self.vms]
-        )
+        if resource is None:
+            caps = np.array(self.vm_cpu_capacities + self.vm_ram_capacities)
+        else:
+            caps = self.allocations(resource)
+        return self.usage_matrix(resource) / 100.0 * caps[:, None]
 
     def allocations(self, resource: Resource) -> np.ndarray:
         """Return the current per-VM allocated capacities for a resource."""
-        return np.array([vm.capacity(resource) for vm in self.vms])
+        if resource is Resource.CPU:
+            return np.array(self.vm_cpu_capacities)
+        return np.array(self.vm_ram_capacities)
 
     def split_windows(self, train_windows: int) -> Tuple["BoxTrace", "BoxTrace"]:
-        """Split the box trace into (training, evaluation) window ranges."""
+        """Split the box trace into (training, evaluation) window ranges.
+
+        Both halves are read-only views of this box's matrix.
+        """
         if not 0 < train_windows < self.n_windows:
             raise ValueError(
                 f"train_windows must be in (0, {self.n_windows}), got {train_windows}"
             )
-
-        def slice_vm(vm: VMTrace, lo: int, hi: int) -> VMTrace:
-            return VMTrace(
-                vm_id=vm.vm_id,
-                cpu_capacity=vm.cpu_capacity,
-                ram_capacity=vm.ram_capacity,
-                cpu_usage=vm.cpu_usage[lo:hi].copy(),
-                ram_usage=vm.ram_usage[lo:hi].copy(),
-            )
-
-        head = BoxTrace(
-            box_id=self.box_id,
-            cpu_capacity=self.cpu_capacity,
-            ram_capacity=self.ram_capacity,
-            vms=[slice_vm(vm, 0, train_windows) for vm in self.vms],
-            interval_minutes=self.interval_minutes,
-            scenario_fp=self.scenario_fp,
+        return (
+            replace(self, usage=self.usage[:, :train_windows]),
+            replace(self, usage=self.usage[:, train_windows:]),
         )
-        tail = BoxTrace(
-            box_id=self.box_id,
-            cpu_capacity=self.cpu_capacity,
-            ram_capacity=self.ram_capacity,
-            vms=[slice_vm(vm, train_windows, self.n_windows) for vm in self.vms],
-            interval_minutes=self.interval_minutes,
-            scenario_fp=self.scenario_fp,
-        )
-        return head, tail
 
 
 @dataclass

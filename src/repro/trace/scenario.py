@@ -60,7 +60,7 @@ from repro.trace.generator import (
     check_generation_allowed,
     generate_box_groups,
 )
-from repro.trace.model import BoxTrace, FleetTrace
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 from repro.trace.workloads import bursts, daily_spikes, diurnal, linear_ramp, weekly
 
 __all__ = [
@@ -567,13 +567,12 @@ def _envelope(
 _RAM_ENVELOPE_WEIGHT = 0.35
 
 
-def _apply_envelope(box: BoxTrace, env: np.ndarray, cfg: FleetConfig) -> None:
-    """Multiply the envelope into a freshly generated box, in place."""
-    for i, vm in enumerate(box.vms):
-        factor = env[i]
-        vm.cpu_usage = np.clip(vm.cpu_usage * factor, 0.0, cfg.cpu_usage_cap)
-        ram_factor = 1.0 + _RAM_ENVELOPE_WEIGHT * (factor - 1.0)
-        vm.ram_usage = np.clip(vm.ram_usage * ram_factor, 0.0, cfg.ram_usage_cap)
+def _apply_envelope(box: BoxTrace, env: np.ndarray, cfg: FleetConfig) -> np.ndarray:
+    """The box's usage matrix with the envelope multiplied in."""
+    cpu = np.clip(box.usage_matrix(Resource.CPU) * env, 0.0, cfg.cpu_usage_cap)
+    ram_factor = 1.0 + _RAM_ENVELOPE_WEIGHT * (env - 1.0)
+    ram = np.clip(box.usage_matrix(Resource.RAM) * ram_factor, 0.0, cfg.ram_usage_cap)
+    return np.concatenate([cpu, ram])
 
 
 def _switch_window(cfg: FleetConfig, shift: RegimeShift, cohort_index: int) -> int:
@@ -602,9 +601,10 @@ class _BoxPlan:
     def finish(self, boxes: List[BoxTrace], spec: ScenarioSpec, cfg: FleetConfig) -> BoxTrace:
         """Apply the envelope(s) to the rendered box(es) and splice a shift."""
         box = boxes[0]
+        usage = box.usage
         env = _envelope(self.cohort.archetype, cfg, self.box_index, 0, box.n_vms)
         if env is not None:
-            _apply_envelope(box, env, self.configs[0])
+            usage = _apply_envelope(box, env, self.configs[0])
 
         if self.cohort.shift is not None:
             post = boxes[1]
@@ -614,22 +614,18 @@ class _BoxPlan:
                     f"({box.n_vms} -> {post.n_vms}); archetype overrides must "
                     f"not perturb the pre-capacity RNG stream"
                 )
+            post_usage = post.usage
             post_env = _envelope(
                 self.cohort.shift.archetype, cfg, self.box_index, 1, post.n_vms
             )
             if post_env is not None:
-                _apply_envelope(post, post_env, self.configs[1])
+                post_usage = _apply_envelope(post, post_env, self.configs[1])
             switch = _switch_window(cfg, self.cohort.shift, self.cohort_index)
-            for vm, post_vm in zip(box.vms, post.vms):
-                vm.cpu_usage = np.concatenate(
-                    [vm.cpu_usage[:switch], post_vm.cpu_usage[switch:]]
-                )
-                vm.ram_usage = np.concatenate(
-                    [vm.ram_usage[:switch], post_vm.ram_usage[switch:]]
-                )
+            usage = np.concatenate(
+                [usage[:, :switch], post_usage[:, switch:]], axis=1
+            )
 
-        box.scenario_fp = spec.fingerprint()
-        return box
+        return replace(box, usage=usage, scenario_fp=spec.fingerprint())
 
 
 def render_boxes(

@@ -124,7 +124,7 @@ class TestNeuralNetPredictor:
 
     def test_beats_last_value_on_diurnal(self, sample_box):
         """On a realistic diurnal series, the MLP must beat the naive floor."""
-        series = sample_box.vms[0].cpu_usage
+        series = sample_box.usage[0]  # VM 0's CPU row
         train, actual = series[:480], series[480:576]
         config = MlpConfig(period=96, seed=1)
         mlp = NeuralNetPredictor(config).fit(train).predict(96)

@@ -5,10 +5,12 @@ a time — so this copy-out lives with the tests that compare the shard
 tier against the in-RAM reference path and pin the materialization guard.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.store.shards import ShardedFleet, open_box
-from repro.trace.model import BoxTrace, FleetTrace, VMTrace, mark_shard_tier_active
+from repro.trace.model import FleetTrace, mark_shard_tier_active
 
 
 def materialize(sharded: ShardedFleet) -> FleetTrace:
@@ -24,25 +26,7 @@ def materialize(sharded: ShardedFleet) -> FleetTrace:
         view = open_box(sharded.root, meta)
         # Deep-copy out of the mapping: a materialized fleet must not keep
         # file handles alive behind the caller's back.
-        boxes.append(
-            BoxTrace(
-                box_id=view.box_id,
-                cpu_capacity=view.cpu_capacity,
-                ram_capacity=view.ram_capacity,
-                vms=[
-                    VMTrace(
-                        vm_id=vm.vm_id,
-                        cpu_capacity=vm.cpu_capacity,
-                        ram_capacity=vm.ram_capacity,
-                        cpu_usage=np.array(vm.cpu_usage, dtype=float),
-                        ram_usage=np.array(vm.ram_usage, dtype=float),
-                    )
-                    for vm in view.vms
-                ],
-                interval_minutes=view.interval_minutes,
-                scenario_fp=view.scenario_fp,
-            )
-        )
+        boxes.append(replace(view, usage=np.array(view.usage, dtype=float)))
     fleet_fp = None
     if sharded.manifest.scenario is not None:
         fleet_fp = sharded.manifest.scenario.get("fingerprint")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.store.fingerprint import data_fingerprint
 from repro.store.shards import (
     SHARDS_SCHEMA,
     BoxShardRef,
@@ -50,20 +51,16 @@ class TestRoundTrip:
             assert view.cpu_capacity == original.cpu_capacity
             assert view.ram_capacity == original.ram_capacity
             assert view.interval_minutes == original.interval_minutes
-            np.testing.assert_array_equal(
-                view.usage_matrix(), original.usage_matrix()
-            )
-            for vm_orig, vm_view in zip(original.vms, view.vms):
-                assert vm_view.vm_id == vm_orig.vm_id
-                assert vm_view.cpu_capacity == vm_orig.cpu_capacity
-                np.testing.assert_array_equal(vm_view.cpu_usage, vm_orig.cpu_usage)
-                np.testing.assert_array_equal(vm_view.ram_usage, vm_orig.ram_usage)
+            assert view.usage.tobytes() == original.usage.tobytes()
+            assert view.vm_ids == original.vm_ids
+            assert view.vm_cpu_capacities == original.vm_cpu_capacities
+            assert view.vm_ram_capacities == original.vm_ram_capacities
 
     def test_views_are_readonly_mappings(self, store):
         root, manifest = store
         view = open_box(root, manifest.boxes[0])
         with pytest.raises((ValueError, RuntimeError)):
-            view.vms[0].cpu_usage[0] = 1.0
+            view.usage[0, 0] = 1.0
 
     def test_materialize_equals_source(self, store, small_fleet):
         root, _ = store
@@ -125,12 +122,11 @@ class TestManifest:
     def test_verify_catches_tampering(self, store):
         root, manifest = store
         meta = manifest.boxes[0]
-        assert open_box(root, meta, verify=True) is not None
+        assert data_fingerprint(open_box(root, meta).usage) == meta.fingerprint
         matrix = np.load(root / meta.path)
         matrix[0, 0] += 1.0
         np.save(root / meta.path, matrix)
-        with pytest.raises(ValueError, match="fingerprint"):
-            open_box(root, meta, verify=True)
+        assert data_fingerprint(open_box(root, meta).usage) != meta.fingerprint
 
 
 class TestContentAddressing:

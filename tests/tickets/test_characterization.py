@@ -12,7 +12,7 @@ from repro.tickets.characterization import (
     fleet_ticket_summary,
 )
 from repro.tickets.policy import TicketPolicy
-from repro.trace.model import BoxTrace, FleetTrace, Resource, VMTrace
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 
 class TestCulpritCount:
@@ -52,15 +52,12 @@ class TestCulpritCount:
 
 
 def _constant_box(box_id, cpu_levels, n=8):
-    vms = [
-        VMTrace(
-            f"{box_id}-vm{i}", 2.0, 4.0,
-            cpu_usage=np.full(n, level),
-            ram_usage=np.full(n, 20.0),
-        )
-        for i, level in enumerate(cpu_levels)
-    ]
-    return BoxTrace(box_id, 10.0, 20.0, vms)
+    m = len(cpu_levels)
+    usage = [np.full(n, level) for level in cpu_levels] + [np.full(n, 20.0)] * m
+    return BoxTrace(
+        box_id, 10.0, 20.0, tuple(f"{box_id}-vm{i}" for i in range(m)),
+        (2.0,) * m, (4.0,) * m, usage,
+    )
 
 
 class TestBoxStats:

@@ -44,7 +44,7 @@ from repro.tickets.ops import (
 )
 from repro.tickets.ops.pipeline import _probe_forecast_evidence
 from repro.trace.generator import FleetConfig, generate_fleet
-from repro.trace.model import BoxTrace, FleetTrace, VMTrace
+from repro.trace.model import BoxTrace, FleetTrace
 
 CFG = FleetConfig(n_boxes=4, days=2, seed=13)
 
@@ -75,7 +75,7 @@ def _atm_config():
 
 def _calm_box(n_windows=192):
     usage = np.full(n_windows, 10.0)
-    return BoxTrace("calm", 10.0, 20.0, [VMTrace("v", 2.0, 4.0, usage, usage)])
+    return BoxTrace("calm", 10.0, 20.0, ("v",), (2.0,), (4.0,), [usage, usage])
 
 
 def _edge_box():
@@ -83,7 +83,7 @@ def _edge_box():
     cpu = np.full(24, 20.0)
     cpu[[0, 1, 9, 12, 22, 23]] = 90.0
     return BoxTrace(
-        "edges", 10.0, 20.0, [VMTrace("v1", 2.0, 4.0, cpu, np.full(24, 10.0))]
+        "edges", 10.0, 20.0, ("v1",), (2.0,), (4.0,), [cpu, np.full(24, 10.0)]
     )
 
 

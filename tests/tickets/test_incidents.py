@@ -10,7 +10,7 @@ from repro.tickets.incidents import (
 )
 from repro.tickets.monitor import TicketRecord
 from repro.tickets.policy import TicketPolicy
-from repro.trace.model import BoxTrace, FleetTrace, Resource, VMTrace
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 
 def record(window, vm="vm0", box="b0", resource=Resource.CPU):
@@ -136,11 +136,11 @@ class TestBoxAndFleet:
         """Two VMs that cross the threshold in the same windows (Fig. 1)."""
         hot = np.full(12, 20.0)
         hot[4:7] = 80.0
-        vms = [
-            VMTrace("v1", 2.0, 4.0, hot.copy(), np.full(12, 10.0)),
-            VMTrace("v2", 2.0, 4.0, hot.copy(), np.full(12, 10.0)),
-        ]
-        return BoxTrace("storm", 10.0, 20.0, vms)
+        calm = np.full(12, 10.0)
+        return BoxTrace(
+            "storm", 10.0, 20.0, ("v1", "v2"), (2.0, 2.0), (4.0, 4.0),
+            [hot, hot, calm, calm],
+        )
 
     def test_storm_is_one_spatial_incident(self, storm_box):
         incidents = incidents_for_box(storm_box, TicketPolicy(60.0))
@@ -164,10 +164,7 @@ class TestBoxAndFleet:
         assert stats["tickets_per_incident"] > 1.0
 
     def test_no_tickets_fleet(self):
-        calm = BoxTrace(
-            "calm", 10.0, 20.0,
-            [VMTrace("v", 2.0, 4.0, np.full(8, 10.0), np.full(8, 10.0))],
-        )
+        calm = BoxTrace("calm", 10.0, 20.0, ("v",), (2.0,), (4.0,), np.full((2, 8), 10.0))
         stats = fleet_incident_stats(FleetTrace([calm]), TicketPolicy(60.0))
         assert stats["incidents"] == 0
         # Undefined ratios are None (JSON null), not NaN — ``json.dumps``

@@ -5,23 +5,19 @@ import pytest
 
 from repro.tickets.monitor import per_vm_ticket_counts, ticket_matrix, tickets_for_box
 from repro.tickets.policy import TicketPolicy
-from repro.trace.model import BoxTrace, Resource, VMTrace
+from repro.trace.model import BoxTrace, Resource
 from tests.tickets.ticket_oracle import count_tickets, count_tickets_for_demand
 
 
 @pytest.fixture()
 def box():
-    hot = VMTrace(
-        "hot", 4.0, 8.0,
-        cpu_usage=np.array([70.0, 50.0, 90.0, 65.0]),
-        ram_usage=np.array([30.0, 30.0, 30.0, 30.0]),
-    )
-    cool = VMTrace(
-        "cool", 4.0, 8.0,
-        cpu_usage=np.array([10.0, 20.0, 30.0, 40.0]),
-        ram_usage=np.array([61.0, 10.0, 10.0, 10.0]),
-    )
-    return BoxTrace("b0", 10.0, 20.0, [hot, cool])
+    usage = [
+        [70.0, 50.0, 90.0, 65.0],  # hot CPU
+        [10.0, 20.0, 30.0, 40.0],  # cool CPU
+        [30.0, 30.0, 30.0, 30.0],  # hot RAM
+        [61.0, 10.0, 10.0, 10.0],  # cool RAM
+    ]
+    return BoxTrace("b0", 10.0, 20.0, ("hot", "cool"), (4.0, 4.0), (8.0, 8.0), usage)
 
 
 class TestTicketMatrix:
@@ -54,11 +50,10 @@ class TestDemandTickets:
 
     def test_consistent_with_usage_counting(self, box):
         policy = TicketPolicy(60.0)
-        for vm in box.vms:
-            via_usage = int((vm.cpu_usage > 60.0).sum())
-            via_demand = count_tickets_for_demand(
-                vm.demand(Resource.CPU), vm.cpu_capacity, policy
-            )
+        usage, demand = box.usage_matrix(Resource.CPU), box.demand_matrix(Resource.CPU)
+        for i, capacity in enumerate(box.vm_cpu_capacities):
+            via_usage = int((usage[i] > 60.0).sum())
+            via_demand = count_tickets_for_demand(demand[i], capacity, policy)
             assert via_usage == via_demand
 
 
@@ -95,7 +90,7 @@ class TestBoxHelpers:
         for resource in (Resource.CPU, Resource.RAM):
             usage = box.usage_matrix(resource)
             expected = {
-                (box.vms[i].vm_id, int(t))
+                (box.vm_ids[i], int(t))
                 for i, t in np.argwhere(ticket_matrix(usage, policy))
             }
             got = {
@@ -107,11 +102,8 @@ class TestBoxHelpers:
     def test_threshold_boundary_not_ticketed(self):
         # Exact-threshold usage is NOT a ticket (strict >, Eq. 6); the
         # record path must agree with the matrix path on the boundary.
-        vm = VMTrace(
-            "edge", 4.0, 8.0,
-            cpu_usage=np.array([60.0, 60.0001]),
-            ram_usage=np.array([0.0, 0.0]),
+        boundary_box = BoxTrace(
+            "b1", 10.0, 20.0, ("edge",), (4.0,), (8.0,), [[60.0, 60.0001], [0.0, 0.0]]
         )
-        boundary_box = BoxTrace("b1", 10.0, 20.0, [vm])
         records = tickets_for_box(boundary_box, TicketPolicy(60.0))
         assert [(r.window, r.usage_pct) for r in records] == [(1, 60.0001)]

@@ -28,7 +28,7 @@ from repro.tickets.ops import (
     run_fleet_ops,
 )
 from repro.tickets.policy import TicketPolicy
-from repro.trace.model import BoxTrace, FleetTrace, Resource, VMTrace
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 
 def record(window, vm="vm0", box="b0", usage=80.0, resource=Resource.CPU):
@@ -215,8 +215,7 @@ class TestEvidence:
         usage = np.full(24, 20.0)
         usage[10:13] = 90.0
         return BoxTrace(
-            "spiky", 10.0, 20.0,
-            [VMTrace("v1", 2.0, 4.0, usage, np.full(24, 10.0))],
+            "spiky", 10.0, 20.0, ("v1",), (2.0,), (4.0,), [usage, np.full(24, 10.0)]
         )
 
     def _routed(self, box):
@@ -348,10 +347,7 @@ class TestFleetOps:
         assert scores == sorted(scores, reverse=True)
 
     def test_ratios_none_on_calm_fleet(self):
-        calm = BoxTrace(
-            "calm", 10.0, 20.0,
-            [VMTrace("v", 2.0, 4.0, np.full(8, 10.0), np.full(8, 10.0))],
-        )
+        calm = BoxTrace("calm", 10.0, 20.0, ("v",), (2.0,), (4.0,), np.full((2, 8), 10.0))
         result = run_fleet_ops(FleetTrace([calm]))
         assert result.incidents == 0
         assert result.tickets_per_incident() is None

@@ -6,20 +6,22 @@ boxes as 2-D arrays.  This module is the one-box-at-a-time generator that
 design replaced, copied verbatim (its AR(1) recurrence and diurnal shape
 included), so tests can prove the block renderer produces the same bytes
 and leaves the caller's RNG in the same state.  ``render_box`` replays the
-scenario engine's envelope and regime-shift splice on top of it.
+scenario engine's envelope and regime-shift splice on top of it, one VM's
+series at a time.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.trace.generator import _GHZ_PER_CORE, _RAM_MENU, _VCPU_MENU, FleetConfig
-from repro.trace.model import BoxTrace, VMTrace
+from repro.trace.model import BoxTrace
 from repro.trace.scenario import (
+    _RAM_ENVELOPE_WEIGHT,
     ScenarioSpec,
-    _apply_envelope,
     _cohort_of,
     _derive_config,
     _envelope,
@@ -235,7 +237,8 @@ def generate_box(
                     )
         return cpu_spikes, ram_spikes
 
-    vms: List[VMTrace] = []
+    cpu_rows: List[np.ndarray] = []
+    ram_rows: List[np.ndarray] = []
     for i in range(m):
         # --- factor loadings -------------------------------------------------
         is_replica = i in replica_set
@@ -317,23 +320,21 @@ def generate_box(
             if i not in ram_hot_vms:
                 ram_usage = ram_usage + ram_spikes
 
-        vms.append(
-            VMTrace(
-                vm_id=f"box{box_index:05d}-vm{i:03d}",
-                cpu_capacity=float(cpu_capacities[i]),
-                ram_capacity=float(ram_capacities[i]),
-                cpu_usage=np.clip(cpu_usage, 0.0, cfg.cpu_usage_cap),
-                ram_usage=np.clip(ram_usage, 0.0, cfg.ram_usage_cap),
-            )
-        )
+        cpu_rows.append(np.clip(cpu_usage, 0.0, cfg.cpu_usage_cap))
+        ram_rows.append(np.clip(ram_usage, 0.0, cfg.ram_usage_cap))
 
     headroom_cpu = rng.uniform(*cfg.headroom_range)
     headroom_ram = rng.uniform(*cfg.headroom_range)
+    cpu_caps = [float(cpu_capacities[i]) for i in range(m)]
+    ram_caps = [float(ram_capacities[i]) for i in range(m)]
     box = BoxTrace(
         box_id=f"box{box_index:05d}",
-        cpu_capacity=sum(vm.cpu_capacity for vm in vms) * headroom_cpu,
-        ram_capacity=sum(vm.ram_capacity for vm in vms) * headroom_ram,
-        vms=vms,
+        cpu_capacity=sum(cpu_caps) * headroom_cpu,
+        ram_capacity=sum(ram_caps) * headroom_ram,
+        vm_ids=[f"box{box_index:05d}-vm{i:03d}" for i in range(m)],
+        vm_cpu_capacities=cpu_caps,
+        vm_ram_capacities=ram_caps,
+        usage=np.vstack(cpu_rows + ram_rows),
         interval_minutes=cfg.interval_minutes,
     )
     return box
@@ -342,6 +343,18 @@ def generate_box(
 def generate_fleet_boxes(cfg: FleetConfig) -> List[BoxTrace]:
     """Every box of ``cfg``'s fleet, one box at a time."""
     return [generate_box(b, cfg) for b in range(cfg.n_boxes)]
+
+
+def apply_envelope(box: BoxTrace, env: np.ndarray, cfg: FleetConfig) -> BoxTrace:
+    """Multiply a usage envelope into the box, one VM's series at a time."""
+    m = box.n_vms
+    cpu_rows, ram_rows = [], []
+    for i in range(m):
+        factor = env[i]
+        cpu_rows.append(np.clip(box.usage[i] * factor, 0.0, cfg.cpu_usage_cap))
+        ram_factor = 1.0 + _RAM_ENVELOPE_WEIGHT * (factor - 1.0)
+        ram_rows.append(np.clip(box.usage[m + i] * ram_factor, 0.0, cfg.ram_usage_cap))
+    return replace(box, usage=np.vstack(cpu_rows + ram_rows))
 
 
 def render_box(
@@ -357,7 +370,7 @@ def render_box(
     box = generate_box(box_index, pre_cfg)
     env = _envelope(cohort.archetype, cfg, box_index, 0, box.n_vms)
     if env is not None:
-        _apply_envelope(box, env, pre_cfg)
+        box = apply_envelope(box, env, pre_cfg)
 
     if cohort.shift is not None:
         post_cfg = _derive_config(cfg, cohort.shift.archetype, spec.render)
@@ -366,15 +379,13 @@ def render_box(
             cohort.shift.archetype, cfg, box_index, 1, post.n_vms
         )
         if post_env is not None:
-            _apply_envelope(post, post_env, post_cfg)
+            post = apply_envelope(post, post_env, post_cfg)
         switch = _switch_window(cfg, cohort.shift, cohort_index)
-        for vm, post_vm in zip(box.vms, post.vms):
-            vm.cpu_usage = np.concatenate(
-                [vm.cpu_usage[:switch], post_vm.cpu_usage[switch:]]
-            )
-            vm.ram_usage = np.concatenate(
-                [vm.ram_usage[:switch], post_vm.ram_usage[switch:]]
-            )
+        # Splice series by series: each VM's CPU row, then each RAM row.
+        rows = [
+            np.concatenate([pre_row[:switch], post_row[switch:]])
+            for pre_row, post_row in zip(box.usage, post.usage)
+        ]
+        box = replace(box, usage=np.vstack(rows))
 
-    box.scenario_fp = spec.fingerprint()
-    return box
+    return replace(box, scenario_fp=spec.fingerprint())

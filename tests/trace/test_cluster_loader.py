@@ -73,7 +73,7 @@ class TestLoadClusterCsv:
         )
         fleet = load_cluster_csv(path, headroom=1.5)
         box = fleet.boxes[0]
-        assert [vm.cpu_capacity for vm in box.vms] == [2.0, 3.0]
+        assert box.vm_cpu_capacities == (2.0, 3.0)
         assert box.cpu_capacity == pytest.approx((2.0 + 3.0) * 1.5)
 
     def test_external_fingerprint_rides_every_level(self, tmp_path):

@@ -35,21 +35,20 @@ class TestDeterminism:
         b = generate_fleet(cfg)
         for box_a, box_b in zip(a, b):
             assert box_a.box_id == box_b.box_id
-            for vm_a, vm_b in zip(box_a.vms, box_b.vms):
-                assert vm_a.cpu_usage == pytest.approx(vm_b.cpu_usage)
-                assert vm_a.ram_usage == pytest.approx(vm_b.ram_usage)
+            assert box_a.vm_ids == box_b.vm_ids
+            np.testing.assert_array_equal(box_a.usage, box_b.usage)
 
     def test_different_seed_different_fleet(self):
         a = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=1))
         b = generate_fleet(FleetConfig(n_boxes=2, days=1, seed=2))
-        assert not np.allclose(a.boxes[0].vms[0].cpu_usage, b.boxes[0].vms[0].cpu_usage)
+        assert not np.allclose(a.boxes[0].usage[0], b.boxes[0].usage[0])
 
     def test_boxes_independent_of_fleet(self):
         """A box can be regenerated alone, bit-identical to its fleet copy."""
         cfg = FleetConfig(n_boxes=4, days=1, seed=9)
         fleet = generate_fleet(cfg)
         box2 = generate_box(2, cfg)
-        assert box2.vms[0].cpu_usage == pytest.approx(fleet.boxes[2].vms[0].cpu_usage)
+        assert box2.usage.tobytes() == fleet.boxes[2].usage.tobytes()
 
 
 class TestStructure:
@@ -61,7 +60,7 @@ class TestStructure:
             assert cfg.min_vms_per_box <= box.n_vms <= cfg.max_vms_per_box
             assert box.cpu_capacity > 0
             # headroom >= 1: the current allocations are always feasible.
-            assert sum(vm.cpu_capacity for vm in box.vms) <= box.cpu_capacity + 1e-9
+            assert sum(box.vm_cpu_capacities) <= box.cpu_capacity + 1e-9
 
     def test_consolidation_level(self):
         fleet = generate_fleet(FleetConfig(n_boxes=60, days=1, seed=4))
@@ -70,9 +69,7 @@ class TestStructure:
     def test_usage_within_validation_bounds(self):
         fleet = generate_fleet(FleetConfig(n_boxes=10, days=1, seed=5))
         for box in fleet:
-            for vm in box.vms:
-                assert vm.cpu_usage.min() >= 0.0
-                assert vm.ram_usage.min() >= 0.0
+            assert box.usage.min() >= 0.0
 
 
 class TestCalibration:

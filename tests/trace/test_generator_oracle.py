@@ -38,13 +38,13 @@ def assert_same_box(actual, expected):
     assert actual.scenario_fp == expected.scenario_fp
     assert np.float64(actual.cpu_capacity).tobytes() == np.float64(expected.cpu_capacity).tobytes()
     assert np.float64(actual.ram_capacity).tobytes() == np.float64(expected.ram_capacity).tobytes()
-    assert [vm.vm_id for vm in actual.vms] == [vm.vm_id for vm in expected.vms]
-    for got, want in zip(actual.vms, expected.vms):
-        assert got.cpu_capacity == want.cpu_capacity
-        assert got.ram_capacity == want.ram_capacity
-        assert got.cpu_usage.dtype == want.cpu_usage.dtype == np.float64
-        assert got.cpu_usage.tobytes() == want.cpu_usage.tobytes(), got.vm_id
-        assert got.ram_usage.tobytes() == want.ram_usage.tobytes(), got.vm_id
+    assert actual.vm_ids == expected.vm_ids
+    assert actual.vm_cpu_capacities == expected.vm_cpu_capacities
+    assert actual.vm_ram_capacities == expected.vm_ram_capacities
+    assert actual.usage.dtype == expected.usage.dtype == np.float64
+    assert actual.usage.shape == expected.usage.shape
+    for row, (got, want) in enumerate(zip(actual.usage, expected.usage)):
+        assert got.tobytes() == want.tobytes(), (actual.box_id, row)
 
 
 def assert_same_boxes(actual, expected):

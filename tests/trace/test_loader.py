@@ -26,10 +26,10 @@ class TestRoundTrip:
         loaded = load_fleet_csv(path)
         for box_orig, box_new in zip(tiny_fleet, loaded):
             assert box_new.cpu_capacity == pytest.approx(box_orig.cpu_capacity)
-            for vm_orig, vm_new in zip(box_orig.vms, box_new.vms):
-                assert vm_new.vm_id == vm_orig.vm_id
-                assert vm_new.cpu_usage == pytest.approx(vm_orig.cpu_usage, abs=1e-3)
-                assert vm_new.ram_usage == pytest.approx(vm_orig.ram_usage, abs=1e-3)
+            assert box_new.vm_ids == box_orig.vm_ids
+            assert box_new.vm_cpu_capacities == pytest.approx(box_orig.vm_cpu_capacities)
+            assert box_new.vm_ram_capacities == pytest.approx(box_orig.vm_ram_capacities)
+            np.testing.assert_allclose(box_new.usage, box_orig.usage, atol=1e-3)
 
     def test_loaded_fleet_name(self, tiny_fleet, tmp_path):
         path = tmp_path / "fleet.csv"
@@ -70,7 +70,22 @@ class TestErrors:
         rows.reverse()
         path.write_text("\n".join([header] + rows) + "\n")
         loaded = load_fleet_csv(path)
-        original_vm = tiny_fleet.boxes[0].vms[0]
-        loaded_box = loaded.box_by_id(tiny_fleet.boxes[0].box_id)
-        loaded_vm = next(vm for vm in loaded_box.vms if vm.vm_id == original_vm.vm_id)
-        assert loaded_vm.cpu_usage == pytest.approx(original_vm.cpu_usage, abs=1e-3)
+        original = tiny_fleet.boxes[0]
+        loaded_box = loaded.box_by_id(original.box_id)
+        row = loaded_box.vm_ids.index(original.vm_ids[0])
+        assert loaded_box.usage[row] == pytest.approx(original.usage[0], abs=1e-3)
+
+    def test_inconsistent_window_counts_name_the_box(self, tiny_fleet, tmp_path):
+        path = tmp_path / "fleet.csv"
+        save_fleet_csv(tiny_fleet, path)
+        box = tiny_fleet.boxes[1]
+        last_vm, last_window = box.vm_ids[-1], box.n_windows - 1
+        # Drop the last window of one VM: gap-free on its own, but shorter
+        # than the box's other VMs.  Columns 3 and 6 are vm_id and window.
+        lines = [
+            line for line in path.read_text().splitlines()
+            if (line.split(",")[3], line.split(",")[6]) != (last_vm, str(last_window))
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"box {box.box_id}.*inconsistent"):
+            load_fleet_csv(path)

@@ -21,7 +21,7 @@ from repro.trace import (
     render_fleet,
     resolve_scenario,
 )
-from repro.trace.model import FORBID_GENERATION_ENV_VAR
+from repro.trace.model import FORBID_GENERATION_ENV_VAR, Resource
 from repro.trace.scenario import (
     PAPER_ARCHETYPE,
     _cohort_of,
@@ -189,13 +189,9 @@ class TestArchetypes:
         for name in ARCHETYPES:
             spec = ScenarioSpec(name, (CohortSpec(name),))
             box = render_box(1, spec, SMALL)
-            assert [vm.vm_id for vm in box.vms] == [vm.vm_id for vm in legacy.vms]
-            assert [vm.cpu_capacity for vm in box.vms] == [
-                vm.cpu_capacity for vm in legacy.vms
-            ]
-            assert [vm.ram_capacity for vm in box.vms] == [
-                vm.ram_capacity for vm in legacy.vms
-            ]
+            assert box.vm_ids == legacy.vm_ids
+            assert box.vm_cpu_capacities == legacy.vm_cpu_capacities
+            assert box.vm_ram_capacities == legacy.vm_ram_capacities
 
 
 class TestRegimeShift:
@@ -208,18 +204,14 @@ class TestRegimeShift:
         shifted = render_box(0, spec, SMALL)
         switch = _switch_window(SMALL, spec.cohorts[0].shift, 0)
         assert switch == SMALL.n_windows // 2
-        assert [vm.vm_id for vm in shifted.vms] == [vm.vm_id for vm in pure_pre.vms]
-        for vm_pre, vm_shift in zip(pure_pre.vms, shifted.vms):
-            # Before the switch the shifted box IS the pre-archetype box.
-            assert np.array_equal(
-                vm_pre.cpu_usage[:switch], vm_shift.cpu_usage[:switch]
-            )
-            # After it, the workload changed.
-        post_equal = all(
-            np.array_equal(a.cpu_usage[switch:], b.cpu_usage[switch:])
-            for a, b in zip(pure_pre.vms, shifted.vms)
+        assert shifted.vm_ids == pure_pre.vm_ids
+        # Before the switch the shifted box IS the pre-archetype box.
+        assert np.array_equal(pure_pre.usage[:, :switch], shifted.usage[:, :switch])
+        # After it, the workload changed.
+        cpu = shifted.rows(Resource.CPU)
+        assert not np.array_equal(
+            pure_pre.usage[cpu, switch:], shifted.usage[cpu, switch:]
         )
-        assert not post_equal
 
     def test_seeded_switch_window_in_band_and_reproducible(self):
         shift = RegimeShift("spiky")
@@ -312,7 +304,7 @@ class TestRenderSpec:
         # Spread 0 collapses headroom_range to its midpoint (1.15 for the
         # calibrated (1.00, 1.30)): every box sized at exactly that ratio.
         for box in fleet.boxes:
-            ratio = box.cpu_capacity / sum(vm.cpu_capacity for vm in box.vms)
+            ratio = box.cpu_capacity / sum(box.vm_cpu_capacities)
             assert ratio == pytest.approx(1.15)
 
     def test_out_of_band_knob_rejected(self):
