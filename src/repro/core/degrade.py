@@ -1,21 +1,27 @@
-"""Structured degradation reporting for the fleet pipeline.
+"""Structured degradation reporting for the fleet drivers.
 
-The graceful-degradation ladder (neural temporal → seasonal-mean fallback
-→ hold current allocation) never silently swallows a failure: every rung
-transition is recorded as a :class:`DegradationEvent` and surfaced through
-the entry point's :class:`ErrorReport`, so a partially degraded fleet run
-is distinguishable from a clean one at a glance — and debuggable from the
-stored reasons.
+The graceful-degradation ladder never silently swallows a failure: every
+rung transition is recorded as a :class:`DegradationEvent` and surfaced
+through the entry point's :class:`ErrorReport`, so a partially degraded
+fleet run is distinguishable from a clean one at a glance — and
+debuggable from the stored reasons.
 
-Rung names, in ladder order:
+The offline pipeline and the online controller climb one ladder up to
+its last rung (:class:`repro.core.stages._BoxRun` carries both).  Rung
+names, in ladder order:
 
 * ``"primary"`` — the configured model ran (no event recorded);
-* ``"seasonal_mean"`` — the primary fit/predict failed, the per-series
-  seasonal-mean fallback served the step;
-* ``"hold"`` — the fallback failed too; the current allocation was held
-  (no resize, no prediction score);
-* ``"failed"`` — the per-box unit of work itself died outside the ladder;
-  the box is excluded from the partial results.
+* ``"seasonal_mean"`` — the primary rung failed; per-series slot means
+  of the sanitized training slice served the run.  It runs no signature
+  search, because the search may be the failing component;
+* ``"hold"`` — the online controller's terminal rung: the seasonal rung
+  failed too, and the current allocation was held (no resize, no
+  prediction score), because a controller must set an allocation every
+  step;
+* ``"failed"`` — the offline pipeline's terminal rung (an evaluation
+  leaves out a box it has no forecast for), and the rung of any per-box
+  unit of work that died outside the ladder; the box is excluded from
+  the partial results.
 """
 
 from __future__ import annotations
@@ -107,7 +113,7 @@ class ErrorReport:
 def sanitize_demands(matrix: np.ndarray) -> np.ndarray:
     """Replace non-finite training samples with the row's finite mean.
 
-    The fallback rung must survive NaN-poisoned training slices that the
+    The seasonal rung must survive NaN-poisoned training slices that the
     primary fit correctly rejects; substituting each series' finite mean
     (0 when a series has none) keeps the slice's scale while discarding
     the corruption.  Always returns a copy; finite input comes back equal.

@@ -7,10 +7,15 @@ module implements that extension: a rolling controller that, day after day,
 1. re-fits the spatial-temporal predictor on a sliding training window,
 2. predicts the next resizing window,
 3. actuates new capacity limits (with the ε safety margin and slack
-   redistribution) through the shared sizing step,
-   :func:`repro.resizing.evaluate.size_box_resource`, and
+   redistribution), and
 4. observes the day's *actual* demands, scoring both prediction accuracy
    and realized tickets against the static status quo.
+
+A step is the offline pipeline's box run at a later window: step ``k``
+is a :class:`repro.core.stages._BoxRun` starting ``k`` horizons after the
+training slice, so training slice, evaluation slice and sizing floors
+are defined once for both drivers, and steps 2–4 are the offline tail,
+:func:`repro.core.stages.evaluate_forecast_stages`, solving ATM only.
 
 Because allocations change daily while demands do not depend on them (the
 post-hoc trace assumption the paper itself makes), the rolling run yields a
@@ -19,9 +24,13 @@ trace — including its behavior under workload drift.
 
 A production controller must keep running when a model does not: every
 step climbs a graceful-degradation ladder — the configured (neural)
-spatial-temporal predictor first, a per-series seasonal-mean fallback when
-that fit or forecast fails, and finally *hold the current allocation* when
-even the fallback dies.  Each rung transition is recorded as a
+spatial-temporal predictor first, then the search-free seasonal rung the
+offline pipeline also falls back to
+(:meth:`~repro.core.stages._BoxRun.seasonal_forecast`), and finally
+*hold the current allocation* when even that dies.  The terminal rung is
+the controller's own: an offline evaluation can exclude a box it has no
+forecast for, but a controller must set an allocation every step.  Each
+rung transition is recorded as a
 :class:`~repro.core.degrade.DegradationEvent` on the step and the run, so
 a degraded fleet is reported, never silently wrong.  The
 :mod:`repro.core.faults` harness injects fit errors, NaN-poisoned training
@@ -59,7 +68,7 @@ sharded, with one in-order fold for every worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -74,14 +83,14 @@ from repro.core.degrade import (
     RUNG_SEASONAL,
     DegradationEvent,
     ErrorReport,
-    sanitize_demands,
 )
 from repro.core.executor import fleet_items, run_fleet
-from repro.prediction.combined import SpatialTemporalPredictor
-from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
-from repro.resizing.evaluate import ResizingAlgorithm, size_box_resource
+from repro.core.results import BoxAtmResult
+from repro.core.stages import _BoxRun, evaluate_forecast_stages
+from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.resizing.evaluate import ResizingAlgorithm
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
-from repro.timeseries.metrics import mean_absolute_percentage_error
+from repro.timeseries.metrics import finite_mean, mean_absolute_percentage_error
 from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -212,6 +221,8 @@ class OnlineAtmController:
         self._demands = box.demand_matrix()
         self._demands.flags.writeable = False
         self.config = config or AtmConfig()
+        # A controller acts on the ATM allocation alone: size nothing else.
+        self._step_config = replace(self.config, algorithms=(ResizingAlgorithm.ATM,))
         self.refit_every_steps = refit_every_steps
         self.drift_threshold = (
             DRIFT_THRESHOLD_DEFAULT if drift_threshold is None else float(drift_threshold)
@@ -227,18 +238,6 @@ class OnlineAtmController:
         cfg = self.config
         spare = self.box.n_windows - cfg.training_windows
         return max(0, spare // cfg.horizon_windows)
-
-    def _window_bounds(self, step: int) -> "tuple[int, int]":
-        cfg = self.config
-        start = cfg.training_windows + step * cfg.horizon_windows
-        return start, start + cfg.horizon_windows
-
-    def _training_slice(self, step: int) -> np.ndarray:
-        start, _ = self._window_bounds(step)
-        train = self._demands[:, start - self.config.training_windows : start]
-        # Fault hook: a poisoned slice, keyed by box id so healthy boxes
-        # are bit-identical to a no-faults run.
-        return faults.poison_training(self.box.box_id, train)
 
     def _search_due(self, step: int, train: np.ndarray) -> bool:
         """Whether this step re-runs the signature search.
@@ -270,11 +269,10 @@ class OnlineAtmController:
         return False
 
     # ------------------------------------------------------- ladder rung 1
-    def _primary_prediction(self, step: int) -> np.ndarray:
+    def _primary_prediction(self, run: _BoxRun, step: int) -> BoxPrediction:
         """Fit/advance the configured predictor and forecast the step."""
         cfg = self.config
-        train = self._training_slice(step)
-        faults.inject_fault("fit_error", self.box.box_id)
+        train = run.training_demands()
         if self._search_due(step, train):
             with obs.span("online.fit"):
                 # warm_refits: subsequent refit_temporal calls on this
@@ -297,62 +295,40 @@ class OnlineAtmController:
             self._anchored_at_step = step
             obs.inc("online.refit_temporal")
         with obs.span("online.predict"):
-            prediction = self._predictor.predict(cfg.horizon_windows)
-        return prediction.predictions
+            return self._predictor.predict(cfg.horizon_windows)
 
-    # ------------------------------------------------------- ladder rung 2
-    def _fallback_prediction(self, step: int) -> np.ndarray:
-        """Per-series seasonal-mean forecast; robust to poisoned slices.
+    def _degrade(self, step: int, rung: str, exc: Exception) -> str:
+        """Record a rung transition of ``step``; returns the reason."""
+        reason = repr(exc)
+        self._degradations.append(
+            DegradationEvent(
+                box_id=self.box.box_id, stage="fit", rung=rung, reason=reason, step=step
+            )
+        )
+        return reason
 
-        Deliberately avoids the signature search (it may be the failing
-        component) and sanitizes non-finite training samples.
-        """
-        faults.inject_fault("fallback_error", self.box.box_id)
-        cfg = self.config
-        period = cfg.prediction.period
-        train = sanitize_demands(self._training_slice(step))
-        with obs.span("online.fallback_fit"):
-            slot_means = phase_aligned_slot_means_batch(train, period)
-            slots = np.arange(cfg.horizon_windows) % period
-            return np.maximum(slot_means[:, slots], 0.0)
-
-    def _predict_step(self, step: int) -> "tuple[Optional[np.ndarray], str, Optional[str]]":
+    def _step(
+        self, run: _BoxRun, step: int
+    ) -> Tuple[Optional[BoxAtmResult], str, Optional[str]]:
         """Climb the degradation ladder for one step.
 
-        Returns ``(prediction matrix | None, rung, reason)``; a ``None``
-        matrix means the hold rung — keep the current allocation.
+        Returns ``(result | None, rung, reason)``; a ``None`` result means
+        the hold rung — keep the current allocation.
         """
         try:
-            return self._primary_prediction(step), RUNG_PRIMARY, None
+            prediction = self._primary_prediction(run, step)
+            return evaluate_forecast_stages(run, prediction), RUNG_PRIMARY, None
         except Exception as exc:
             # A half-fitted predictor must not serve later steps.
             self._predictor = None
-            reason = repr(exc)
             obs.inc("online.fallback.seasonal")
-            self._degradations.append(
-                DegradationEvent(
-                    box_id=self.box.box_id,
-                    stage="fit",
-                    rung=RUNG_SEASONAL,
-                    reason=reason,
-                    step=step,
-                )
-            )
+            reason = self._degrade(step, RUNG_SEASONAL, exc)
         try:
-            return self._fallback_prediction(step), RUNG_SEASONAL, reason
+            prediction = run.seasonal_forecast()
+            return evaluate_forecast_stages(run, prediction), RUNG_SEASONAL, reason
         except Exception as exc:
-            reason = repr(exc)
             obs.inc("online.fallback.hold")
-            self._degradations.append(
-                DegradationEvent(
-                    box_id=self.box.box_id,
-                    stage="fit",
-                    rung=RUNG_HOLD,
-                    reason=reason,
-                    step=step,
-                )
-            )
-            return None, RUNG_HOLD, reason
+            return None, RUNG_HOLD, self._degrade(step, RUNG_HOLD, exc)
 
     def run(self) -> OnlineRunResult:
         """Roll over every available resizing window."""
@@ -365,79 +341,47 @@ class OnlineAtmController:
         cfg = self.config
         result = OnlineRunResult(box_id=self.box.box_id)
         self._degradations = result.degradations
-        m = self.box.n_vms
 
         for step in range(self.n_steps):
             obs.inc("online.steps")
-            predicted_full, rung, reason = self._predict_step(step)
-            start, stop = self._window_bounds(step)
-            actual = self._demands[:, start:stop]
-
+            # The offline box run, ``step`` horizons later.
+            start = cfg.training_windows + step * cfg.horizon_windows
+            run = _BoxRun(self.box, self._step_config, start, self._demands)
+            sized, rung, reason = self._step(run, step)
+            actual = run.split(run.actual)
             for resource in (Resource.CPU, Resource.RAM):
-                rows = self.box.rows(resource)
-                current = self.box.allocations(resource)
-                capacity = self.box.capacity(resource)
-
-                if predicted_full is None:
+                if sized is None:
                     # Hold rung: no usable prediction — keep the current
                     # allocation, score no APE, and report the reason.
-                    truth = ResizingProblem(actual[rows], capacity, cfg.policy.alpha)
-                    tickets_static = tickets_for_allocation(truth, current)
-                    result.steps.append(
-                        OnlineStep(
-                            day_index=step,
-                            resource=resource,
-                            ape=float("nan"),
-                            tickets_static=tickets_static,
-                            tickets_atm=tickets_static,
-                            allocation=current,
-                            rung=rung,
-                            reason=reason,
-                        )
+                    current = self.box.allocations(resource)
+                    truth = ResizingProblem(
+                        actual[resource], self.box.capacity(resource), cfg.policy.alpha
                     )
-                    continue
-
-                predicted = np.maximum(predicted_full[rows], 0.0)
-                # Lower bound: yesterday's observed peak.  Clamp the
-                # lookback at the start of the trace — with a training
-                # window shorter than a day a negative start would wrap
-                # to the tail of the array and fabricate lower bounds
-                # from future demands.
-                lookback_lo = max(0, start - self.box.windows_per_day)
-                lookback = self._demands[rows, lookback_lo:start]
-                with obs.span("online.resize"):
-                    [(sized, allocation)] = size_box_resource(
-                        self.box.box_id,
+                    tickets = tickets_for_allocation(truth, current)
+                    record = OnlineStep(
+                        step, resource, float("nan"), tickets, tickets, current,
+                        rung=rung, reason=reason,
+                    )
+                else:
+                    predicted = sized.predicted[resource]
+                    reduction = sized.reductions[(resource, ResizingAlgorithm.ATM)]
+                    apes = [
+                        mean_absolute_percentage_error(observed, forecast)
+                        for observed, forecast in zip(actual[resource], predicted)
+                    ]
+                    record = OnlineStep(
+                        step,
                         resource,
-                        current,
-                        capacity,
-                        cfg.policy,
-                        (ResizingAlgorithm.ATM,),
-                        eval_demands=actual[rows],
-                        sizing_demands=predicted,
-                        epsilon_pct=cfg.epsilon_pct,
-                        lower_bounds=lookback.max(axis=1),
+                        finite_mean(apes),
+                        reduction.tickets_before,
+                        reduction.tickets_after,
+                        sized.allocations[resource],
+                        predicted_mean=float(predicted.mean()),
+                        rung=rung,
+                        reason=reason,
                     )
-                if not sized.feasible:
-                    obs.inc("online.infeasible")
-                apes = [
-                    mean_absolute_percentage_error(actual[rows][i], predicted[i])
-                    for i in range(m)
-                ]
-                apes = [a for a in apes if np.isfinite(a)]
-                step_record = OnlineStep(
-                    day_index=step,
-                    resource=resource,
-                    ape=float(np.mean(apes)) if apes else float("nan"),
-                    tickets_static=sized.tickets_before,
-                    tickets_atm=sized.tickets_after,
-                    allocation=allocation,
-                    predicted_mean=float(predicted.mean()),
-                    rung=rung,
-                    reason=reason,
-                )
-                obs.inc("online.tickets_avoided", step_record.tickets_avoided)
-                result.steps.append(step_record)
+                    obs.inc("online.tickets_avoided", record.tickets_avoided)
+                result.steps.append(record)
         return result
 
 

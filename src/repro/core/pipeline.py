@@ -20,40 +20,36 @@ signature series fit together in one call (one fused cross-box pass for
 a model with a multi-series kernel, such as the neural default), and
 each box is then forecast, sized and evaluated.  Because every fit is
 bit-identical to a one-box fit, the reordering is observable only as
-wall-clock.
+wall-clock.  Each box is a :class:`repro.core.stages._BoxRun` at the
+window after its training slice: the online controller runs the same
+record at later windows, through the same seasonal rung and tail.
 
 A failing box degrades instead of aborting the fleet: it climbs the
-policy ladder (configured model → seasonal-mean fallback → reported
-failure) and :class:`FleetAtmResult.report` carries the structured
-degradation events; healthy boxes are unaffected, bit for bit.  That
-is the only failure mode: there is no fail-fast switch and no retry, as
-the fault harness's faults are deterministic per box.
+policy ladder (configured model → the search-free seasonal rung →
+reported failure) and :class:`FleetAtmResult.report` carries the
+structured degradation events; healthy boxes are unaffected, bit for
+bit.  The terminal rung is ``failed``: an evaluation excludes a box it
+has no forecast for.  That is the only failure mode: there is no
+fail-fast switch and no retry, as the fault harness's faults are
+deterministic per box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core import faults, stages
+from repro.core import stages
 from repro.core.config import AtmConfig
-from repro.core.degrade import (
-    RUNG_FAILED,
-    RUNG_PRIMARY,
-    RUNG_SEASONAL,
-    DegradationEvent,
-    ErrorReport,
-    sanitize_demands,
-)
+from repro.core.degrade import RUNG_FAILED, RUNG_SEASONAL, DegradationEvent, ErrorReport
 from repro.core.executor import (
     default_chunksize, fleet_items, resolve_jobs, resume_probe, run_fleet,
 )
 from repro.core.results import BoxAtmResult, PredictionAccuracy, ape_cdf
+from repro.core.stages import _BoxRun
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_fleet_batch
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
@@ -61,7 +57,7 @@ from repro.store import ArtifactKey, default_store
 from repro.store.shards import resolve_box
 from repro.timeseries.ecdf import Ecdf
 from repro.timeseries.metrics import finite_mean
-from repro.trace.model import BoxTrace, FleetTrace, Resource
+from repro.trace.model import FleetTrace, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.shards import ShardedFleet
@@ -110,69 +106,14 @@ class FleetAtmResult:
         return finite_mean([a.signature_ratio for a in self.accuracies])
 
 
-def _seasonal_fallback_config(config: AtmConfig) -> AtmConfig:
-    """The same ATM setup with the temporal model downgraded to seasonal-mean."""
-    return replace(
-        config,
-        prediction=replace(config.prediction, temporal_model="seasonal_mean"),
-    )
-
-
 #: One box's outcome: its result (``None`` = failed) and degradation events.
 BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
 
 
-class _BoxRun:
-    """One box at one ladder rung, as the chunk orchestrator carries it.
-
-    The primary rung runs the configured model on the raw training slice
-    and answers to the ``fit_error`` fault kind; the seasonal rung
-    sanitizes non-finite training samples (surviving NaN-poisoned slices
-    the primary correctly rejects) and answers to ``fallback_error``.
-    """
-
-    def __init__(self, box: BoxTrace, config: AtmConfig, rung: str) -> None:
-        self.box = box
-        self.config = config
-        self.rung = rung
-        self.train: Optional[np.ndarray] = None
-        self.predictor: Optional[SpatialTemporalPredictor] = None
-        self.forecast_key: Optional[ArtifactKey] = None
-
-    def training_demands(self) -> np.ndarray:
-        """Materialize the training slice (fault hooks included).
-
-        This is the run's input boundary: every fault that can corrupt or
-        abort training fires *here*, before any artifact-store lookup, so
-        poisoned slices change the forecast's data fingerprint (and fit
-        errors raise) rather than tainting stored results.
-        """
-        box = self.box
-        windows = min(self.config.training_windows, box.n_windows)
-        demands = box.demand_matrix()[:, :windows]  # stacked CPU+RAM
-        demands = faults.poison_training(box.box_id, demands)
-        if self.rung == RUNG_PRIMARY:
-            faults.inject_fault("fit_error", box.box_id)
-        else:
-            faults.inject_fault("fallback_error", box.box_id)
-            demands = sanitize_demands(demands)
-        self.train = demands
-        return demands
-
-    def lower_bounds(self, resource: Resource) -> np.ndarray:
-        """Peak demand of the last training day — "peak usage before resizing"."""
-        tail = self.split(self.train)[resource][:, -self.box.windows_per_day :]
-        return tail.max(axis=1)
-
-    def split(self, stacked: np.ndarray) -> Dict[Resource, np.ndarray]:
-        """Split a stacked (2M, T) CPU+RAM matrix into per-resource rows."""
-        return {r: stacked[self.box.rows(r)] for r in (Resource.CPU, Resource.RAM)}
-
-
-def _run_rung(
-    boxes: Sequence[BoxTrace], config: AtmConfig, rung: str
+def _run_primary(
+    runs: Sequence[_BoxRun], config: AtmConfig
 ) -> Iterator[Union[BoxAtmResult, Exception]]:
-    """Run a chunk's boxes at one ladder rung; yield each box's outcome in order.
+    """Run a chunk's boxes at the primary rung; yield each box's outcome in order.
 
     Four phases, each box isolated from the others' failures:
 
@@ -190,23 +131,25 @@ def _run_rung(
     result.
     """
     store = default_store()
-    runs = [_BoxRun(box, config, rung) for box in boxes]
     outcomes: List[Union[BoxPrediction, Exception, None]] = [None] * len(runs)
-    pending: List[Tuple[int, List[np.ndarray]]] = []
+    pending: List[
+        Tuple[int, SpatialTemporalPredictor, Optional[ArtifactKey], List[np.ndarray]]
+    ] = []
     for pos, run in enumerate(runs):
         try:
             demands = run.training_demands()
+            key = None
             if store.persistent:
-                run.forecast_key = stages.forecast_key(demands, config)
+                key = stages.forecast_key(demands, config)
                 # Disk-only: the in-memory tier already caches the
                 # expensive half (the spatial model).
-                outcomes[pos] = store.get(run.forecast_key, memory=False)
+                outcomes[pos] = store.get(key, memory=False)
                 if outcomes[pos] is not None:
                     obs.inc("stages.forecast.hits")
                     continue
-            run.predictor = SpatialTemporalPredictor(config.prediction)
+            predictor = SpatialTemporalPredictor(config.prediction)
             with obs.span("atm.fit"):
-                pending.append((pos, run.predictor.begin_fit(demands)))
+                pending.append((pos, predictor, key, predictor.begin_fit(demands)))
         except Exception as exc:
             outcomes[pos] = exc
 
@@ -215,30 +158,28 @@ def _run_rung(
             with obs.span("predict.temporal_fit"):
                 fitted = fit_temporal_fleet_batch(
                     config.prediction.temporal_model,
-                    [histories for _, histories in pending],
+                    [histories for *_, histories in pending],
                     period=config.prediction.period,
                 )
         except Exception as exc:
             fitted = [exc] * len(pending)
-        for (pos, _), models in zip(pending, fitted):
+        for (pos, predictor, key, _), models in zip(pending, fitted):
             if isinstance(models, Exception):
                 outcomes[pos] = models
                 continue
-            run = runs[pos]
             try:
-                run.predictor.finish_fit(models)
-                prediction = run.predictor.predict(config.horizon_windows)
-                if run.forecast_key is not None:
-                    store.put(run.forecast_key, prediction, memory=False)
+                predictor.finish_fit(models)
+                prediction = predictor.predict(config.horizon_windows)
+                if key is not None:
+                    store.put(key, prediction, memory=False)
                 outcomes[pos] = prediction
             except Exception as exc:
                 outcomes[pos] = exc
 
-    span = "pipeline.box_run" if rung == RUNG_PRIMARY else "pipeline.box_run_fallback"
     for run, outcome in zip(runs, outcomes):
         if not isinstance(outcome, Exception):
             try:
-                with obs.span(span):
+                with obs.span("pipeline.box_run"):
                     outcome = stages.evaluate_forecast_stages(run, outcome)
             except Exception as exc:
                 outcome = exc
@@ -253,52 +194,44 @@ def _run_box_atm_chunk(
     Each box is mapped (``items`` may be shard descriptors) and probed for
     its stored ``(result, events)`` pair (namespace ``pipeline``); errors
     there propagate.  The rest run at the primary rung through
-    :func:`_run_rung`.  A box whose primary rung raises gets a
-    ``seasonal_mean`` event carrying ``repr`` of the exception, and all
-    such boxes of the chunk run again together at the seasonal rung (the
-    seasonal-mean model on the sanitized slice); a second failure reports
-    the box as ``failed`` with a ``None`` result.  Every pair, degraded or
-    not, is saved under the box's ``box_result`` key as soon as it is
-    final.
+    :func:`_run_primary`.  A box whose primary rung raises gets a
+    ``seasonal_mean`` event carrying ``repr`` of the exception and runs
+    the search-free seasonal rung
+    (:meth:`~repro.core.stages._BoxRun.seasonal_forecast`) through the
+    same tail; a second failure reports the box as ``failed`` with a
+    ``None`` result.  Every pair, degraded or not, is saved under the
+    box's ``box_result`` key as soon as it is final.
     """
     out: List[Optional[BoxOutcome]] = [None] * len(items)
-    todo: List[Tuple[int, BoxTrace, Callable[[BoxOutcome], None]]] = []
+    todo: List[Tuple[int, _BoxRun, Callable[[BoxOutcome], None]]] = []
     for pos, item in enumerate(items):
         box = resolve_box(item)
         cached, save = resume_probe(
             "pipeline", lambda: stages.box_result_key(box, config), resume
         )
         if cached is None:
-            todo.append((pos, box, save))
+            todo.append((pos, _BoxRun(box, config, config.training_windows), save))
         else:
             result, events = cached
             out[pos] = (result, list(events))
 
-    def finish(pos: int, save, pair: BoxOutcome) -> None:
-        save(pair)
-        out[pos] = pair
-
-    retry = []
-    primary = _run_rung([box for _, box, _ in todo], config, RUNG_PRIMARY)
-    for (pos, box, save), outcome in zip(todo, primary):
-        if isinstance(outcome, Exception):
+    primary = _run_primary([run for _, run, _ in todo], config)
+    for (pos, run, save), outcome in zip(todo, primary):
+        if not isinstance(outcome, Exception):
+            pair: BoxOutcome = (outcome, [])
+        else:
             obs.inc("pipeline.fallback.seasonal")
             obs.inc("fused.fallback_boxes")
-            event = DegradationEvent(box.box_id, "fit", RUNG_SEASONAL, repr(outcome))
-            retry.append((pos, box, save, event))
-        else:
-            finish(pos, save, (outcome, []))
-
-    fallback = _run_rung(
-        [box for _, box, _, _ in retry], _seasonal_fallback_config(config), RUNG_SEASONAL
-    )
-    for (pos, box, save, event), outcome in zip(retry, fallback):
-        if isinstance(outcome, Exception):
-            obs.inc("pipeline.boxes_failed")
-            failed = DegradationEvent(box.box_id, "fit", RUNG_FAILED, repr(outcome))
-            finish(pos, save, (None, [event, failed]))
-        else:
-            finish(pos, save, (outcome, [event]))
+            box_id = run.box.box_id
+            event = DegradationEvent(box_id, "fit", RUNG_SEASONAL, repr(outcome))
+            try:
+                pair = (stages.evaluate_forecast_stages(run, run.seasonal_forecast()), [event])
+            except Exception as exc:
+                obs.inc("pipeline.boxes_failed")
+                failed = DegradationEvent(box_id, "fit", RUNG_FAILED, repr(exc))
+                pair = (None, [event, failed])
+        save(pair)
+        out[pos] = pair
     return out  # type: ignore[return-value]
 
 

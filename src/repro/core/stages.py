@@ -1,14 +1,19 @@
-"""The per-box ATM stages: artifact keys, codecs and the evaluate stage.
+"""The per-box ATM stages: the box run, artifact keys, codecs and the tail.
 
-One box's offline run is five stages, each consuming and producing
-serializable artifacts:
+One box's run is five stages, each consuming and producing serializable
+artifacts:
 
     signature-search ──> temporal-fit ──> forecast ──> resize ──> evaluate
 
-The chunk orchestrator (:func:`repro.core.pipeline._run_box_atm_chunk`)
-runs them; this module owns their store keys, the codecs of the
-artifacts they materialize, and the resize → evaluate tail
-(:func:`evaluate_forecast_stages`).  The artifacts in :mod:`repro.store`
+Both fleet drivers carry a box as a :class:`_BoxRun`: the box at one
+evaluation window.  The offline chunk orchestrator
+(:func:`repro.core.pipeline._run_box_atm_chunk`) runs it at the window
+after the training slice; the online controller
+(:class:`repro.core.online.OnlineAtmController`) runs step ``k`` at ``k``
+horizons later.  This module owns that run, its search-free seasonal
+rung (:meth:`_BoxRun.seasonal_forecast`), the resize → evaluate tail
+(:func:`evaluate_forecast_stages`), the stages' store keys and the codecs
+of the artifacts they materialize.  The artifacts in :mod:`repro.store`
 (temporal fits are cheap relative to the search and travel inside the
 forecast artifact; the resize allocations travel inside the box result):
 
@@ -43,17 +48,19 @@ into a clean one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core import faults
 from repro.core.config import AtmConfig
-from repro.core.degrade import DegradationEvent
+from repro.core.degrade import DegradationEvent, sanitize_demands
 from repro.core.results import BoxAtmResult, PredictionAccuracy, accuracy_for_box
 from repro.prediction.combined import BoxPrediction
 from repro.prediction.registry import temporal_model_version
-from repro.prediction.spatial.signatures import SPATIAL_STAGE
+from repro.prediction.spatial.signatures import SPATIAL_STAGE, SpatialModel
+from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
 from repro.resizing.evaluate import (
     BoxReduction,
     ResizingAlgorithm,
@@ -68,9 +75,6 @@ from repro.store import (
 )
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import BoxTrace, Resource
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import _BoxRun
 
 __all__ = [
     "BOX_RESULT_STAGE",
@@ -194,28 +198,101 @@ def resize_eval_key(
     )
 
 
+# ---------------------------------------------------------------- box run
+class _BoxRun:
+    """One box at one evaluation window, as both fleet drivers carry it.
+
+    ``start`` is the first window the run evaluates (offline:
+    ``config.training_windows``).  Out of one demand matrix (``demands``,
+    read from the box when not given) the run takes:
+
+    * the training slice ``[start - training_windows, start)``, NaN-poisoned
+      by the ``nan_train`` fault hook, so a poisoned slice changes the
+      forecast's data fingerprint instead of tainting stored results;
+    * the evaluation slice ``[start, start + horizon)``;
+    * the sizing floors: each series' peak over the day before ``start``
+      ("peak usage before resizing"), the lookback clamped at the start
+      of the trace.
+
+    Each rung's other fault hook fires as the rung takes the slice:
+    ``fit_error`` in :meth:`training_demands`, ``fallback_error`` in
+    :meth:`seasonal_forecast`.
+    """
+
+    def __init__(
+        self,
+        box: BoxTrace,
+        config: AtmConfig,
+        start: int,
+        demands: Optional[np.ndarray] = None,
+    ) -> None:
+        self.box = box
+        self.config = config
+        if demands is None:
+            demands = box.demand_matrix()  # stacked CPU+RAM
+        self.train = faults.poison_training(
+            box.box_id, demands[:, start - config.training_windows : start]
+        )
+        self.actual = demands[:, start : start + config.horizon_windows]
+        lookback = demands[:, max(0, start - box.windows_per_day) : start]
+        self.floors = lookback.max(axis=1)
+
+    def training_demands(self) -> np.ndarray:
+        """The primary rung's training slice; the ``fit_error`` hook fires here."""
+        faults.inject_fault("fit_error", self.box.box_id)
+        return self.train
+
+    def seasonal_forecast(self) -> BoxPrediction:
+        """The seasonal rung: per-series slot means of the sanitized slice.
+
+        It runs no signature search, which may be the failing component,
+        so every series is forecast on its own (signature ratio 1.0).
+        Non-finite training samples are sanitized, so it survives the
+        NaN-poisoned slices the primary rejects.
+        """
+        faults.inject_fault("fallback_error", self.box.box_id)
+        period = self.config.prediction.period
+        with obs.span("stages.seasonal_forecast"):
+            slot_means = phase_aligned_slot_means_batch(
+                sanitize_demands(self.train), period
+            )
+        slots = np.arange(self.config.horizon_windows) % period
+        n_series = slot_means.shape[0]
+        every_series = SpatialModel(
+            n_series=n_series,
+            signature_indices=tuple(range(n_series)),
+            dependent_indices=(),
+            models={},
+        )
+        return BoxPrediction(
+            predictions=np.maximum(slot_means[:, slots], 0.0),
+            spatial=every_series,
+            temporal_model="seasonal_mean",
+        )
+
+    def split(self, stacked: np.ndarray) -> Dict[Resource, np.ndarray]:
+        """Split a stacked CPU+RAM array (first axis 2M) into per-resource rows."""
+        return {r: stacked[self.box.rows(r)] for r in (Resource.CPU, Resource.RAM)}
+
+
 # ------------------------------------------------------- resize → evaluate
-def evaluate_forecast_stages(run: "_BoxRun", prediction: BoxPrediction) -> BoxAtmResult:
+def evaluate_forecast_stages(run: _BoxRun, prediction: BoxPrediction) -> BoxAtmResult:
     """The resize → evaluate stages downstream of one box's forecast.
 
-    ``run`` is the orchestrator's record of the box at its ladder rung:
-    it supplies the box, the config, the CPU/RAM split of a stacked
-    matrix and the sizing floors taken from its training slice.
+    ``run`` supplies the box, the config (whose ``algorithms`` are sized,
+    ATM always among them), the evaluation slice and the sizing floors.
     """
     box = run.box
     cfg = run.config
-    horizon = cfg.horizon_windows
     per_resource = run.split(prediction.predictions)
 
-    lo = cfg.training_windows
-    actual = box.demand_matrix()[:, lo : lo + horizon]
     # Peak windows: actual usage above the ticket threshold.
     peak_thresholds = np.empty(2 * box.n_vms)
     for resource in (Resource.CPU, Resource.RAM):
         peak_thresholds[box.rows(resource)] = cfg.policy.alpha * box.allocations(resource)
     accuracy = accuracy_for_box(
         box.box_id,
-        actual,
+        run.actual,
         prediction.predictions,
         peak_thresholds,
         prediction.signature_ratio,
@@ -229,7 +306,8 @@ def evaluate_forecast_stages(run: "_BoxRun", prediction: BoxPrediction) -> BoxAt
         algorithms += (ResizingAlgorithm.ATM,)
     reductions: Dict[Tuple[Resource, ResizingAlgorithm], BoxReduction] = {}
     allocations: Dict[Resource, np.ndarray] = {}
-    actual_by_resource = run.split(actual)
+    actual_by_resource = run.split(run.actual)
+    floors = run.split(run.floors)
     for resource in (Resource.CPU, Resource.RAM):
         sized = evaluate_box_resizing(
             box,
@@ -239,7 +317,7 @@ def evaluate_forecast_stages(run: "_BoxRun", prediction: BoxPrediction) -> BoxAt
             eval_demands=actual_by_resource[resource],
             sizing_demands=per_resource[resource],
             epsilon_pct=cfg.epsilon_pct,
-            lower_bounds=run.lower_bounds(resource),
+            lower_bounds=floors[resource],
         )
         for reduction, allocation in sized:
             if reduction.algorithm is ResizingAlgorithm.ATM:

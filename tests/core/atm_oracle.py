@@ -4,8 +4,11 @@ The definitional path of one box through the offline pipeline, one box
 at a time: :class:`AtmController` fits the spatial-temporal predictor on
 the box's training slice, forecasts the horizon and sizes the box, and
 :func:`run_box_atm` climbs the degradation ladder around it (configured
-model → seasonal-mean fallback → reported failure) and persists the
-``(result, events)`` pair under the box's ``box_result`` key.
+model → seasonal rung → reported failure) and persists the
+``(result, events)`` pair under the box's ``box_result`` key.  The
+seasonal rung fits one :class:`SeasonalMeanPredictor` per series of the
+sanitized training slice, a different code path from the production
+rung's one batched slot-mean pass.
 
 Production runs every box through the chunk orchestrator
 (:func:`repro.core.pipeline._run_box_atm_chunk`), which gathers a chunk's
@@ -21,7 +24,6 @@ the repository root as ``tests.core.atm_oracle``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +41,7 @@ from repro.core.degrade import (
 from repro.core.executor import resume_probe
 from repro.core.results import BoxAtmResult, accuracy_for_box
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.prediction.temporal.naive import SeasonalMeanPredictor
 from repro.resizing.evaluate import (
     BoxReduction,
     ResizingAlgorithm,
@@ -61,10 +64,10 @@ class AtmController:
     ``rung`` names the degradation-ladder rung this controller serves
     (see :mod:`repro.core.degrade`): the default ``"primary"`` runs the
     configured model on the raw training slice; ``"seasonal_mean"`` is
-    the fallback instantiation the ladder builds after a primary
-    failure — it sanitizes non-finite training samples (surviving
-    NaN-poisoned slices the primary correctly rejects) and answers to the
-    ``fallback_error`` fault kind instead of ``fit_error``.
+    the rung the ladder falls back to after a primary failure — it
+    sanitizes non-finite training samples (surviving NaN-poisoned slices
+    the primary correctly rejects), runs no signature search and answers
+    to the ``fallback_error`` fault kind instead of ``fit_error``.
     """
 
     def __init__(
@@ -77,7 +80,6 @@ class AtmController:
         self.config = config or AtmConfig()
         self.rung = rung
         self._predictor: Optional[SpatialTemporalPredictor] = None
-        self._train_demands: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ train
     def _training_demands(self, train_windows: Optional[int] = None) -> np.ndarray:
@@ -97,7 +99,6 @@ class AtmController:
         else:
             faults.inject_fault("fallback_error", self.box.box_id)
             demands = sanitize_demands(demands)
-        self._train_demands = demands
         return demands
 
     def fit(self, train_windows: Optional[int] = None) -> "AtmController":
@@ -164,14 +165,31 @@ class AtmController:
         return allocations
 
     def _default_lower_bounds(self, resource: Resource) -> np.ndarray:
-        """Peak demand of the last training day — "peak usage before resizing"."""
-        if self._train_demands is None:
-            raise RuntimeError("controller has not been fitted")
-        m = self.box.n_vms
-        rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
-        period = self.box.windows_per_day
-        tail = self._train_demands[rows, -period:]
-        return tail.max(axis=1)
+        """Peak demand of the day before the evaluation window.
+
+        The paper's "peak usage before resizing", read from the box's
+        trace (never from a poisoned training slice) and clamped at the
+        start of the trace.
+        """
+        start = self.config.training_windows
+        lo = max(0, start - self.box.windows_per_day)
+        return self.box.demand_matrix(resource)[:, lo:start].max(axis=1)
+
+    def seasonal_forecast(self) -> np.ndarray:
+        """The seasonal rung's ``(2M, H)`` forecast.
+
+        One seasonal-mean predictor per series of the sanitized training
+        slice, floored at 0; no signature search.
+        """
+        demands = self._training_demands()
+        period = self.config.prediction.period
+        horizon = self.config.horizon_windows
+        return np.vstack(
+            [
+                np.maximum(SeasonalMeanPredictor(period).fit(row).predict(horizon), 0.0)
+                for row in demands
+            ]
+        )
 
     # ------------------------------------------------------------ end to end
     def run(self) -> BoxAtmResult:
@@ -189,7 +207,13 @@ class AtmController:
                 f"need {cfg.training_windows + cfg.horizon_windows} for "
                 f"train + horizon"
             )
-        return run_box_stages(self)
+        if self.rung == RUNG_SEASONAL:
+            # Every series is forecast on its own: signature ratio 1.0.
+            return evaluate_forecast_stages(self, self.seasonal_forecast(), 1.0)
+        prediction = acquire_forecast(self)
+        return evaluate_forecast_stages(
+            self, prediction.predictions, prediction.signature_ratio
+        )
 
 
 # ------------------------------------------------------------------ stages
@@ -245,13 +269,14 @@ def acquire_forecast(controller: AtmController) -> BoxPrediction:
 
 
 def evaluate_forecast_stages(
-    controller: AtmController, prediction: BoxPrediction
+    controller: AtmController, predictions: np.ndarray, signature_ratio: float
 ) -> BoxAtmResult:
-    """The resize → evaluate stages downstream of an acquired forecast."""
+    """The resize → evaluate stages downstream of a ``(2M, H)`` forecast."""
     box = controller.box
     cfg = controller.config
     horizon = cfg.horizon_windows
-    per_resource = controller.split_prediction(prediction)
+    m = box.n_vms
+    per_resource = {Resource.CPU: predictions[:m], Resource.RAM: predictions[m:]}
 
     lo = cfg.training_windows
     actual = box.demand_matrix()[:, lo : lo + horizon]
@@ -263,11 +288,7 @@ def evaluate_forecast_stages(
         ]
     )
     accuracy = accuracy_for_box(
-        box.box_id,
-        actual,
-        prediction.predictions,
-        peak_thresholds,
-        prediction.signature_ratio,
+        box.box_id, actual, predictions, peak_thresholds, signature_ratio
     )
 
     # One sizing per box and resource: the ATM entry's allocation is the
@@ -278,7 +299,6 @@ def evaluate_forecast_stages(
         algorithms += (ResizingAlgorithm.ATM,)
     reductions: Dict[Tuple[Resource, ResizingAlgorithm], BoxReduction] = {}
     allocations: Dict[Resource, np.ndarray] = {}
-    m = box.n_vms
     for resource in (Resource.CPU, Resource.RAM):
         rows = slice(0, m) if resource is Resource.CPU else slice(m, 2 * m)
         sized = evaluate_box_resizing(
@@ -306,20 +326,7 @@ def evaluate_forecast_stages(
     )
 
 
-def run_box_stages(controller: AtmController) -> BoxAtmResult:
-    """Run the forecast → resize → evaluate stages for one controller."""
-    return evaluate_forecast_stages(controller, acquire_forecast(controller))
-
-
 # ------------------------------------------------------------------ ladder
-def _seasonal_fallback_config(config: AtmConfig) -> AtmConfig:
-    """The same ATM setup with the temporal model downgraded to seasonal-mean."""
-    return replace(
-        config,
-        prediction=replace(config.prediction, temporal_model="seasonal_mean"),
-    )
-
-
 def run_box_atm(box, config: AtmConfig, resume: bool = False) -> BoxOutcome:
     """Per-box unit of work: store probe, then the degradation ladder.
 
@@ -356,11 +363,7 @@ def run_box_ladder(box, config: AtmConfig) -> BoxOutcome:
             )
         )
     try:
-        with obs.span("pipeline.box_run_fallback"):
-            result = AtmController(
-                box, _seasonal_fallback_config(config), rung=RUNG_SEASONAL
-            ).run()
-        return result, events
+        return AtmController(box, config, rung=RUNG_SEASONAL).run(), events
     except Exception as exc:
         obs.inc("pipeline.boxes_failed")
         events.append(

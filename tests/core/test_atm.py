@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.config import AtmConfig
-from repro.core.degrade import RUNG_PRIMARY
-from repro.core.pipeline import _BoxRun, _run_box_atm_chunk, run_fleet_atm
+from repro.core.pipeline import _run_box_atm_chunk, run_fleet_atm
+from repro.core.stages import _BoxRun
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing import evaluate
 from repro.resizing.evaluate import ResizingAlgorithm
@@ -47,7 +47,7 @@ class TestLifecycle:
             assert result.predicted[resource].shape == (box.n_vms, 96)
 
     def test_split_prediction(self, box, fast_config):
-        run = _BoxRun(box, fast_config, RUNG_PRIMARY)
+        run = _BoxRun(box, fast_config, fast_config.training_windows)
         stacked = np.arange(2 * box.n_vms * 3, dtype=float).reshape(2 * box.n_vms, 3)
         split = run.split(stacked)
         assert split[Resource.CPU].tobytes() == stacked[: box.n_vms].tobytes()
@@ -91,9 +91,8 @@ class TestRun:
         assert event.rung == "failed" and "windows" in event.reason
 
     def test_default_lower_bounds_from_last_training_day(self, box, fast_config):
-        run = _BoxRun(box, fast_config, RUNG_PRIMARY)
-        run.training_demands()
-        lb = run.lower_bounds(Resource.CPU)
+        run = _BoxRun(box, fast_config, fast_config.training_windows)
+        lb = run.split(run.floors)[Resource.CPU]
         demands = box.demand_matrix(Resource.CPU)
         expected = demands[:, 480 - 96 : 480].max(axis=1)
         assert lb == pytest.approx(expected)

@@ -2,7 +2,7 @@
 
 ``run_fleet_atm`` runs every box through the chunk orchestrator
 (:func:`repro.core.pipeline._run_box_atm_chunk`): gather, one fit call
-per ladder rung, scatter, evaluate.  It claims to be observable only as
+for the primary rung, scatter, evaluate.  It claims to be observable only as
 wall-clock: same per-box results, same degradation events, same ladder
 counters and the same store artifacts under the same keys as the
 strictly per-box path of ``tests/core/atm_oracle.py``.  These tests pin

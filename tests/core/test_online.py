@@ -1,11 +1,16 @@
 """Tests for the online rolling controller (repro.core.online)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core.config import AtmConfig
+from repro.core.faults import fault_plan, parse_fault_spec
 from repro.core.online import OnlineAtmController, run_online_fleet
+from repro.core.pipeline import run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
+from repro.resizing.evaluate import ResizingAlgorithm
 from repro.trace.generator import FleetConfig, generate_box, generate_fleet
 from repro.trace.model import Resource
 
@@ -187,3 +192,46 @@ class TestFleetRunner:
         assert event.box_id == f"fleet:{fleet.name}"
         assert "windows required" in event.reason
         assert np.isnan(result.reduction_percent())
+
+
+#: Fault specs of the cross-driver parity grid (``None`` = clean).  Both
+#: faulted plans send every box to the seasonal rung: ``fit_error`` fails
+#: the primary fit, ``nan_train`` poisons the slice the primary rejects.
+PARITY_PLANS = {"clean": None, "fit_error": "fit_error:p=1.0", "nan_train": "nan_train"}
+
+
+class TestCrossDriverParity:
+    """Online step 0 is the offline box run: one training slice, one
+    seasonal rung, one set of sizing floors and one resize → evaluate tail,
+    so both drivers set the same allocation from the same forecast."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        # Six days: five to train, one online step.
+        return generate_fleet(FleetConfig(n_boxes=4, days=6, seed=62))
+
+    @pytest.mark.parametrize("plan", sorted(PARITY_PLANS))
+    @pytest.mark.parametrize("model", ["neural", "seasonal_mean"])
+    def test_step_zero_matches_offline_box(self, fleet, model, plan):
+        config = AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model=model)
+        spec = PARITY_PLANS[plan]
+        installed = (
+            contextlib.nullcontext() if spec is None else fault_plan(parse_fault_spec(spec))
+        )
+        with installed:
+            offline = run_fleet_atm(fleet, config, keep_box_results=True)
+            online = run_online_fleet(fleet, config)
+        boxes = {result.box_id: result for result in offline.box_results}
+        assert set(boxes) == set(online) == {box.box_id for box in fleet}
+        expected_rung = "primary" if spec is None else "seasonal_mean"
+        for box_id, run in online.items():
+            box = boxes[box_id]
+            assert len(run.steps) == 2
+            for step in run.steps:
+                cell = (box_id, step.resource.value)
+                reduction = box.reductions[(step.resource, ResizingAlgorithm.ATM)]
+                assert step.rung == expected_rung, cell
+                assert step.allocation.tobytes() == box.allocations[step.resource].tobytes(), cell
+                assert step.tickets_static == reduction.tickets_before, cell
+                assert step.tickets_atm == reduction.tickets_after, cell
+                assert step.predicted_mean == float(box.predicted[step.resource].mean()), cell

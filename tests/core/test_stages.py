@@ -8,13 +8,14 @@ import pytest
 from repro import obs
 from repro.core import faults, stages
 from repro.core.config import AtmConfig
+from repro.core.online import OnlineAtmController
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.store import clear_memory_tiers, get_codec
 from repro.tickets.policy import TicketPolicy
 from repro.trace.generator import FleetConfig, generate_box
-from repro.trace.model import Resource
+from repro.trace.model import BoxTrace, Resource
 
 
 def _config(**overrides):
@@ -159,3 +160,40 @@ class TestWarmRuns:
         clear_memory_tiers()
         second = run_fleet_atm(pipeline_fleet_6d, cfg)
         assert _aggregates(first) == _aggregates(second)
+
+
+class TestDemandMatrixOnce:
+    """A box run reads its training slice, evaluation slice and sizing
+    floors out of one ``BoxTrace.demand_matrix`` call, at every rung."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        clear_memory_tiers()
+        seen = []
+        real = BoxTrace.demand_matrix
+
+        def counted(box, resource=None):
+            seen.append(box.box_id)
+            return real(box, resource)
+
+        monkeypatch.setattr(BoxTrace, "demand_matrix", counted)
+        return seen
+
+    def test_offline_run_reads_each_box_once(self, pipeline_fleet_6d, calls):
+        result = run_fleet_atm(pipeline_fleet_6d, _config())
+        assert result.report.ok
+        assert sorted(calls) == sorted(box.box_id for box in pipeline_fleet_6d)
+
+    def test_seasonal_rung_reuses_the_box_run(self, pipeline_fleet_6d, calls):
+        plan = faults.FaultPlan(rules=(faults.FaultRule("fit_error", 1.0),))
+        with faults.fault_plan(plan):
+            result = run_fleet_atm(pipeline_fleet_6d, _config())
+        assert len(result.report.events) == pipeline_fleet_6d.n_boxes
+        assert sorted(calls) == sorted(box.box_id for box in pipeline_fleet_6d)
+
+    def test_online_run_reads_the_box_once(self, calls):
+        box = generate_box(2, FleetConfig(days=7, seed=41))
+        result = OnlineAtmController(box, _config()).run()
+        assert {step.day_index for step in result.steps} == {0, 1}
+        assert calls == [box.box_id]
