@@ -285,6 +285,7 @@ def _cmd_tickets(args: argparse.Namespace) -> int:
                 for row in result.top_incidents
             ],
         )
+    _print_degradations(result.report)
     print(f"assignment digest {result.assignment_digest}")
     print(f"evidence digest   {result.evidence_digest}")
     return 0

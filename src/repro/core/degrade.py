@@ -66,6 +66,16 @@ class DegradationEvent:
             "step": self.step,
         }
 
+    @staticmethod
+    def from_dict(raw: dict) -> "DegradationEvent":
+        return DegradationEvent(
+            box_id=str(raw["box_id"]),
+            stage=str(raw["stage"]),
+            rung=str(raw["rung"]),
+            reason=str(raw["reason"]),
+            step=None if raw.get("step") is None else int(raw["step"]),
+        )
+
 
 @dataclass
 class ErrorReport:

@@ -9,7 +9,7 @@ with chunked scheduling, while keeping three guarantees:
 1. **Deterministic aggregation.**  Results are always returned in the
    input (box) order, no matter which worker finished first.
 2. **One result at every worker count.**  ``jobs=1`` (the default, also
-   selectable via ``REPRO_JOBS=1``) runs the exact same per-item function
+   selectable via ``REPRO_JOBS=1``) runs the exact same chunk function
    in-process, in order, over the same chunks a pool would receive.  The
    per-box computations themselves are deterministic (every random draw
    is seeded per fit), so ``jobs=N`` produces numerically identical
@@ -25,25 +25,24 @@ The number of workers is resolved as: explicit ``jobs`` argument →
 ``REPRO_JOBS`` environment variable → 1 (serial).  ``jobs <= 0`` means
 "all available cores".
 
-Failure contract: a per-item exception propagates to the caller, and
-chunks not yet started are cancelled (fail fast).  Nothing is retried
-and nothing is timed out.  Per-box failure isolation belongs to the
-drivers: the laddered ones (ATM, online, resizing) turn a failing box
-into a reported degradation event before it reaches the executor, and
-every injected fault is deterministic, so a retry would only fail again.
+Failure contract: :meth:`FleetExecutor.imap` propagates an exception
+and cancels the chunks not yet started (fail fast).  Nothing is retried
+and nothing is timed out: every injected fault is deterministic, so a
+retry would only fail again.  Per-box isolation is :func:`run_fleet`'s,
+the one body of the four fleet drivers (``run_fleet_atm``,
+``run_online_fleet``, ``evaluate_fleet_resizing``, ``run_fleet_ops``):
+inside each chunk it maps every box (``resolve_box``), probes and saves
+its artifact (:func:`resume_probe`), fires the ``box_error`` fault hook
+and turns any exception raised for the box into a reported ``failed``
+event, so a failing box costs only itself.
 
 Scale: dispatch is *windowed*.  :meth:`FleetExecutor.imap` submits at
 most a few chunks per worker at a time and yields results in input order
 as their chunks land, so a 6,000-box fleet never has 6,000 task payloads
 queued in the IPC pipe nor 6,000 results parked in the parent —
 in-flight descriptors and the out-of-order buffer stay proportional to
-the worker count, not the fleet.  :meth:`FleetExecutor.map` is
-``list(imap(...))``: one dispatch path, two consumption styles.
-
-Fleet drivers (``run_fleet_atm``, ``run_online_fleet``,
-``evaluate_fleet_resizing``, ``run_fleet_ops``) all run through
-:func:`run_fleet`, take their items from :func:`fleet_items` and, when
-resumable, touch the store only via :func:`resume_probe`.
+the worker count, not the fleet.  :meth:`FleetExecutor.map` is ``imap``
+applying a function item by item: one dispatch path.
 
 Worker observability: each chunk ships its worker-process metrics
 snapshot back with its results, and the parent merges them into the
@@ -73,12 +72,12 @@ from typing import (
 )
 
 from repro import obs
-from repro.core import runtime
+from repro.core import faults, runtime
 from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
 
 __all__ = [
     "JOBS_ENV_VAR", "FleetExecutor", "resolve_jobs", "default_chunksize",
-    "fleet_items", "resume_probe", "run_fleet",
+    "fleet_items", "per_box", "resume_probe", "run_fleet",
 ]
 
 #: In-flight chunks per worker for windowed dispatch: deep enough that no
@@ -119,29 +118,29 @@ def default_chunksize(n_items: int, jobs: int) -> int:
     return max(1, math.ceil(n_items / (max(1, jobs) * 4)))
 
 
-def _run_chunk_items(
-    chunk_fn: Callable[..., Sequence[R]], items: Sequence[Any], common: tuple
-) -> List[R]:
-    """Apply a whole-chunk function, checking it returned one result per item.
+def _apply(fn: Callable[..., R], items: Sequence[Any], *common: Any) -> List[R]:
+    """The chunk function of :meth:`FleetExecutor.map`: ``fn`` item by item."""
+    return [fn(item, *common) for item in items]
 
-    ``chunk_fn`` sees all items of the chunk together (the fused training
-    plane gathers cross-box mega-batches this way) and must return one
-    result per item, in input order.
-    """
-    results = list(chunk_fn(items, *common))
-    if len(results) != len(items):
+
+def _chunk_results(
+    chunk_fn: Callable[..., Iterable[R]], items: Sequence[Any], common: tuple
+) -> Iterator[R]:
+    """Yield ``chunk_fn(items, *common)``'s results, checking there is one per item."""
+    count = 0
+    for result in chunk_fn(items, *common):
+        count += 1
+        if count > len(items):
+            break
+        yield result
+    if count != len(items):
         raise RuntimeError(
-            f"chunk function returned {len(results)} results for "
-            f"{len(items)} items"
+            f"chunk function returned {count} results for {len(items)} items"
         )
-    return results
 
 
 def _run_chunk(
-    fn: Callable[..., R],
-    items: Sequence[Any],
-    common: tuple,
-    chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
+    chunk_fn: Callable[..., Iterable[R]], items: Sequence[Any], common: tuple
 ) -> Tuple[List[R], dict]:
     """Worker entry point: one chunk, in order, plus the worker's metrics.
 
@@ -150,16 +149,13 @@ def _run_chunk(
     so the returned snapshot covers exactly this chunk's work.
     """
     obs.reset_metrics()
-    if chunk_fn is not None:
-        results = _run_chunk_items(chunk_fn, items, common)
-    else:
-        results = [fn(item, *common) for item in items]
+    results = list(_chunk_results(chunk_fn, items, common))
     obs.record_peak_rss()
     return results, obs.metrics_snapshot()
 
 
 class FleetExecutor:
-    """Maps a per-item function over a fleet's boxes, serially or in parallel.
+    """Runs a chunk function over a fleet's items, serially or in parallel.
 
     Parameters
     ----------
@@ -181,29 +177,27 @@ class FleetExecutor:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
 
-    def map(
-        self,
-        fn: Callable[..., R],
-        items: Iterable[T],
-        *common: Any,
-        chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
-    ) -> List[R]:
+    def map(self, fn: Callable[..., R], items: Iterable[T], *common: Any) -> List[R]:
         """Return ``[fn(item, *common) for item in items]``, possibly in parallel.
 
-        The list form of :meth:`imap`, which documents the semantics.
+        :meth:`imap` with a chunk function applying ``fn`` item by item,
+        so it inherits its order and fail-fast semantics.
         """
-        return list(self.imap(fn, items, *common, chunk_fn=chunk_fn))
+        return list(self.imap(functools.partial(_apply, fn), items, *common))
 
     def imap(
-        self,
-        fn: Callable[..., R],
-        items: Iterable[T],
-        *common: Any,
-        chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
+        self, chunk_fn: Callable[..., Iterable[R]], items: Iterable[T], *common: Any
     ) -> Iterator[R]:
-        """Yield ``fn(item, *common)`` for each item, in input order.
+        """Yield the results of ``chunk_fn(chunk, *common)`` over every chunk, in input order.
 
-        ``fn`` must be a module-level (picklable) callable when ``jobs > 1``.
+        ``items`` are cut into ``chunksize`` slices; ``chunk_fn`` sees one
+        slice at a time and must return one result per item, in order (the
+        fused training plane batches a chunk's boxes into cross-box
+        mega-fits this way).  The serial path applies it in-process over
+        the same slices a parallel run would ship, so chunk boundaries
+        match at every ``jobs``.  ``chunk_fn`` must be a module-level
+        (picklable) callable when ``jobs > 1``.
+
         Results are yielded as their chunks complete, with at most
         ``workers * 4`` chunks in flight, so a caller that folds them
         incrementally (:func:`run_fleet`) holds O(workers) chunk results,
@@ -212,26 +206,14 @@ class FleetExecutor:
         worker exception propagates to the caller, and chunks not yet
         started are cancelled rather than run to completion (fail fast —
         a poisoned box should not cost the wall-clock of the whole fleet).
-
-        ``chunk_fn``, when given, replaces the per-item loop *inside each
-        chunk*: it is called as ``chunk_fn(chunk_items, *common)`` and
-        must return one result per item, in order (the fused training
-        plane batches a chunk's boxes into cross-box mega-fits this way).
-        The serial path applies it over the same ``chunksize`` slices a
-        parallel run would ship, so chunk boundaries match at every
-        ``jobs``.
         """
         work = list(items)
         obs.inc("executor.items", len(work))
         chunk = self.chunksize or default_chunksize(len(work), self.jobs)
         chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
         if self.jobs == 1 or len(work) <= 1:
-            if chunk_fn is None:
-                for item in work:
-                    yield fn(item, *common)
-            else:
-                for part in chunks:
-                    yield from _run_chunk_items(chunk_fn, part, common)
+            for part in chunks:
+                yield from _chunk_results(chunk_fn, part, common)
             obs.record_peak_rss()
             return
 
@@ -252,7 +234,7 @@ class FleetExecutor:
             while next_yield < len(chunks):
                 while next_submit < len(chunks) and len(pending) < window:
                     part = chunks[next_submit]
-                    future = pool.submit(_run_chunk, fn, part, common, chunk_fn)
+                    future = pool.submit(_run_chunk, chunk_fn, part, common)
                     pending[future] = next_submit
                     next_submit += 1
                 while next_yield in buffered:
@@ -320,40 +302,118 @@ def resume_probe(
     return None, functools.partial(store.put, artifact, memory=False)
 
 
-def run_fleet(
-    unit: Optional[Callable[..., R]], items: Sequence[Any], *common: Any,
-    fold: Callable[[R], None], span: str, fleet: Any, min_windows: int = 0,
-    report: Optional[ErrorReport] = None, jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    chunk_fn: Optional[Callable[..., Sequence[R]]] = None,
-) -> None:
-    """Run ``unit(item, *common)`` on every item; ``fold`` each result in order.
+def per_box(fn: Callable[..., R]) -> Callable[..., Iterator[Any]]:
+    """The chunk function running ``fn(box, *common)`` box by box, a raise as the box's outcome."""
+    return functools.partial(_each_box, fn)
 
-    The shared body of the fleet drivers: ``items`` come from
-    :func:`fleet_items` (filtered at ``min_windows``), the fan-out is
-    :meth:`FleetExecutor.imap` under the driver's ``span``, and ``fold``
-    sees each box's result as its chunk lands, so at most O(workers)
-    results are resident at once.  A driver whose unit of work is a whole
-    chunk (ATM) passes ``unit=None`` and its ``chunk_fn``.
 
-    The empty-fleet rule: with no eligible item, a laddered driver (ATM,
-    online, resizing) passes its aggregate's ``report`` and gets one
-    ``stage="fleet"`` event, rung ``failed`` (counted as
-    ``<namespace>.fleets_empty``); ``run_fleet_ops`` passes
-    ``report=None`` and gets a :class:`ValueError` naming the fleet.
+def _each_box(fn: Callable[..., R], boxes: Iterable[Any], *common: Any) -> Iterator[Any]:
+    for box in boxes:
+        try:
+            yield fn(box, *common)
+        except Exception as exc:
+            yield exc
+
+
+#: One box's final outcome: its result (``None`` = failed) and events.
+BoxPair = Tuple[Any, List[DegradationEvent]]
+
+
+def _run_boxes(
+    items: Sequence[Any], namespace: str, chunk: Callable[..., Iterable[Any]],
+    key: Optional[Callable[..., Any]], resume: bool, *common: Any,
+) -> Iterator[BoxPair]:
+    """The per-box contract over one chunk: one ``(result, events)`` pair per item, in order.
+
+    ``chunk`` pulls the boxes lazily, so each box is mapped, probed and
+    fault-hooked right before the chunk runs it; stored pairs never reach
+    it.  Computed pairs are saved as they land.  A box that raises
+    anywhere (or whose outcome is an exception) gets a ``failed`` pair,
+    which is not saved: a resumed run tries the box again.
     """
+    from repro.store.shards import resolve_box  # lazy: shards imports us
+
+    done: dict = {}  # item position -> final pair
+    handed: List[Tuple[int, str, Callable[[Any], None]]] = []
+
+    def fail(pos: int, box_id: str, exc: Exception) -> None:
+        obs.inc(f"{namespace}.boxes_failed")
+        done[pos] = (None, [DegradationEvent(box_id, "run", RUNG_FAILED, repr(exc))])
+
+    def boxes() -> Iterator[Any]:
+        for pos, item in enumerate(items):
+            try:
+                box = resolve_box(item)
+                cached, save = (
+                    (None, _discard)
+                    if key is None
+                    else resume_probe(namespace, lambda: key(box, *common), resume)
+                )
+                if cached is None:
+                    faults.inject_fault("box_error", item.box_id)
+            except Exception as exc:
+                fail(pos, item.box_id, exc)
+                continue
+            if cached is not None:
+                done[pos] = cached
+                continue
+            handed.append((pos, item.box_id, save))
+            yield box
+
+    ready = 0
+    for n, outcome in enumerate(chunk(boxes(), *common)):
+        pos, box_id, save = handed[n]
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            save(outcome)
+            done[pos] = outcome
+        except Exception as exc:
+            fail(pos, box_id, exc)
+        while ready in done:
+            yield done.pop(ready)
+            ready += 1
+    while ready in done:
+        yield done.pop(ready)
+        ready += 1
+
+
+def run_fleet(
+    namespace: str, chunk: Callable[..., Iterable[Any]], items: Sequence[Any],
+    *common: Any, key: Optional[Callable[..., Any]], fold: Callable[[BoxPair], None],
+    report: ErrorReport, fleet: Any, min_windows: int = 0, resume: bool = False,
+    jobs: Optional[int] = None, chunksize: Optional[int] = None,
+) -> None:
+    """Run every box of a fleet under the one per-box contract; ``fold`` each pair in order.
+
+    A driver hands over its ``namespace`` (the ``<namespace>.fleet`` span,
+    the ``.boxes``, ``.boxes_failed``, ``.resume.hits`` and
+    ``.fleets_empty`` counters), its artifact ``key(box, *common)`` (``None``: not
+    resumable), its ``fold`` and its ``chunk(boxes, *common)``, which
+    yields one pair or one exception per box.  ``items`` come from
+    :func:`fleet_items` (filtered at ``min_windows``) and fan out through
+    :meth:`FleetExecutor.imap`; :func:`_run_boxes` runs inside each chunk,
+    in the worker when ``jobs > 1``.  ``fold`` sees each pair as its
+    chunk lands, so at most O(workers) pairs are resident at once.  A
+    box that fails outside its driver's ladder folds as ``(None,
+    [event])``, the event at stage ``"run"``, rung ``failed``.
+
+    With no eligible item, ``report`` gets one ``stage="fleet"`` event,
+    rung ``failed``, and nothing runs.
+    """
+    obs.inc(f"{namespace}.boxes", len(items))
     if not items:
         reason = (
             f"no box in fleet {fleet.name!r} has the {min_windows} windows required"
             if min_windows
             else f"fleet {fleet.name!r} contains no boxes"
         )
-        if report is None:
-            raise ValueError(reason)
-        obs.inc(f"{span.split('.')[0]}.fleets_empty")
+        obs.inc(f"{namespace}.fleets_empty")
         report.add(DegradationEvent(f"fleet:{fleet.name}", "fleet", RUNG_FAILED, reason))
         return
     executor = FleetExecutor(jobs=jobs, chunksize=chunksize)
-    with obs.span(span):
-        for result in executor.imap(unit, items, *common, chunk_fn=chunk_fn):
-            fold(result)
+    with obs.span(f"{namespace}.fleet"):
+        for pair in executor.imap(
+            _run_boxes, items, namespace, chunk, key, resume, *common
+        ):
+            fold(pair)

@@ -33,8 +33,9 @@ Fault kinds and the pipeline hook that honours each:
     Poison a deterministic fraction of the training slice with NaN
     (the primary fit rejects non-finite history; the fallback sanitizes).
 ``box_error``
-    Raise from the per-box fleet loop itself, outside the fit/predict
-    ladder (exercises the partial-results error report).
+    Raise from the fleet engine's per-box contract
+    (:func:`repro.core.executor.run_fleet`), outside any ladder, in all
+    four fleet drivers (exercises the partial-results error report).
 
 Every rule is sticky: a box it fires for fails the same way on every
 call, which is why the fleet executor retries nothing.  A spec naming an

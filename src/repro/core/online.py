@@ -74,17 +74,15 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core import faults
 from repro.core.config import AtmConfig
 from repro.core.degrade import (
-    RUNG_FAILED,
     RUNG_HOLD,
     RUNG_PRIMARY,
     RUNG_SEASONAL,
     DegradationEvent,
     ErrorReport,
 )
-from repro.core.executor import fleet_items, run_fleet
+from repro.core.executor import fleet_items, per_box, run_fleet
 from repro.core.results import BoxAtmResult
 from repro.core.stages import _BoxRun, evaluate_forecast_stages
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
@@ -429,35 +427,15 @@ class OnlineFleetResult(Mapping[str, OnlineRunResult]):
 
 
 def _run_box_online(
-    box,
+    box: BoxTrace,
     config: AtmConfig,
     refit_every_steps: int,
     drift_threshold: Optional[float],
-) -> Tuple[Optional[OnlineRunResult], List[DegradationEvent]]:
-    """Per-box unit of work; module-level so pool workers can unpickle it.
-
-    ``box`` may be a shard descriptor, mapped here in the worker.
-    Failures outside the controller's own ladder yield
-    ``(None, [failed event])`` instead of aborting the fleet.
-    """
-    from repro.store.shards import resolve_box
-
-    obs.inc("online.boxes")
-    try:
-        faults.inject_fault("box_error", box.box_id)
-        controller = OnlineAtmController(
-            resolve_box(box),
-            config,
-            refit_every_steps=refit_every_steps,
-            drift_threshold=drift_threshold,
-        )
-        result = controller.run()
-    except Exception as exc:
-        obs.inc("online.boxes_failed")
-        event = DegradationEvent(
-            box_id=box.box_id, stage="run", rung=RUNG_FAILED, reason=repr(exc)
-        )
-        return None, [event]
+) -> Tuple[OnlineRunResult, List[DegradationEvent]]:
+    """One box's rolling run (module-level so pool workers can unpickle it)."""
+    result = OnlineAtmController(
+        box, config, refit_every_steps=refit_every_steps, drift_threshold=drift_threshold
+    ).run()
     return result, list(result.degradations)
 
 
@@ -495,9 +473,8 @@ def run_online_fleet(
             results[result.box_id] = result
 
     run_fleet(
-        _run_box_online, fleet_items(fleet, needed),
-        cfg, refit_every_steps, drift_threshold,
-        fold=fold, span="online.fleet", fleet=fleet, min_windows=needed,
-        report=report, jobs=jobs,
+        "online", per_box(_run_box_online), fleet_items(fleet, needed), cfg,
+        refit_every_steps, drift_threshold, key=None, fold=fold, report=report,
+        fleet=fleet, min_windows=needed, jobs=jobs,
     )
     return OnlineFleetResult(results=results, report=report)

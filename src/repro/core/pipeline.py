@@ -29,15 +29,16 @@ policy ladder (configured model → the search-free seasonal rung →
 reported failure) and :class:`FleetAtmResult.report` carries the
 structured degradation events; healthy boxes are unaffected, bit for
 bit.  The terminal rung is ``failed``: an evaluation excludes a box it
-has no forecast for.  That is the only failure mode: there is no
-fail-fast switch and no retry, as the fault harness's faults are
-deterministic per box.
+has no forecast for.  A box that fails outside the ladder (a shard that
+cannot be mapped, an injected ``box_error``) is reported ``failed`` by
+the engine's per-box contract.  There is no fail-fast switch and no
+retry, as the fault harness's faults are deterministic per box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,19 +46,16 @@ from repro import obs
 from repro.core import stages
 from repro.core.config import AtmConfig
 from repro.core.degrade import RUNG_FAILED, RUNG_SEASONAL, DegradationEvent, ErrorReport
-from repro.core.executor import (
-    default_chunksize, fleet_items, resolve_jobs, resume_probe, run_fleet,
-)
+from repro.core.executor import default_chunksize, fleet_items, resolve_jobs, run_fleet
 from repro.core.results import BoxAtmResult, PredictionAccuracy, ape_cdf
 from repro.core.stages import _BoxRun
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_fleet_batch
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
 from repro.store import ArtifactKey, default_store
-from repro.store.shards import resolve_box
 from repro.timeseries.ecdf import Ecdf
 from repro.timeseries.metrics import finite_mean
-from repro.trace.model import FleetTrace, Resource
+from repro.trace.model import BoxTrace, FleetTrace, Resource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.shards import ShardedFleet
@@ -186,53 +184,34 @@ def _run_primary(
         yield outcome
 
 
-def _run_box_atm_chunk(
-    items, config: AtmConfig, resume: bool = False
-) -> List[BoxOutcome]:
-    """Whole-chunk unit of work: every box of a chunk down the degradation ladder.
+def _run_box_atm_chunk(boxes: Iterable[BoxTrace], config: AtmConfig) -> Iterator[BoxOutcome]:
+    """ATM's chunk function: every box of a chunk down the degradation ladder.
 
-    Each box is mapped (``items`` may be shard descriptors) and probed for
-    its stored ``(result, events)`` pair (namespace ``pipeline``); errors
-    there propagate.  The rest run at the primary rung through
-    :func:`_run_primary`.  A box whose primary rung raises gets a
-    ``seasonal_mean`` event carrying ``repr`` of the exception and runs
-    the search-free seasonal rung
+    The boxes run at the primary rung through :func:`_run_primary`.  A box
+    whose primary rung raises gets a ``seasonal_mean`` event carrying
+    ``repr`` of the exception and runs the search-free seasonal rung
     (:meth:`~repro.core.stages._BoxRun.seasonal_forecast`) through the
     same tail; a second failure reports the box as ``failed`` with a
-    ``None`` result.  Every pair, degraded or not, is saved under the
-    box's ``box_result`` key as soon as it is final.
+    ``None`` result.  Mapping, resume and saving each pair belong to
+    :func:`~repro.core.executor.run_fleet`.
     """
-    out: List[Optional[BoxOutcome]] = [None] * len(items)
-    todo: List[Tuple[int, _BoxRun, Callable[[BoxOutcome], None]]] = []
-    for pos, item in enumerate(items):
-        box = resolve_box(item)
-        cached, save = resume_probe(
-            "pipeline", lambda: stages.box_result_key(box, config), resume
-        )
-        if cached is None:
-            todo.append((pos, _BoxRun(box, config, config.training_windows), save))
-        else:
-            result, events = cached
-            out[pos] = (result, list(events))
-
-    primary = _run_primary([run for _, run, _ in todo], config)
-    for (pos, run, save), outcome in zip(todo, primary):
+    runs = [_BoxRun(box, config, config.training_windows) for box in boxes]
+    for run, outcome in zip(runs, _run_primary(runs, config)):
         if not isinstance(outcome, Exception):
-            pair: BoxOutcome = (outcome, [])
-        else:
-            obs.inc("pipeline.fallback.seasonal")
-            obs.inc("fused.fallback_boxes")
-            box_id = run.box.box_id
-            event = DegradationEvent(box_id, "fit", RUNG_SEASONAL, repr(outcome))
-            try:
-                pair = (stages.evaluate_forecast_stages(run, run.seasonal_forecast()), [event])
-            except Exception as exc:
-                obs.inc("pipeline.boxes_failed")
-                failed = DegradationEvent(box_id, "fit", RUNG_FAILED, repr(exc))
-                pair = (None, [event, failed])
-        save(pair)
-        out[pos] = pair
-    return out  # type: ignore[return-value]
+            yield outcome, []
+            continue
+        obs.inc("pipeline.fallback.seasonal")
+        obs.inc("fused.fallback_boxes")
+        box_id = run.box.box_id
+        event = DegradationEvent(box_id, "fit", RUNG_SEASONAL, repr(outcome))
+        try:
+            pair: BoxOutcome = (
+                stages.evaluate_forecast_stages(run, run.seasonal_forecast()), [event]
+            )
+        except Exception as exc:
+            obs.inc("pipeline.boxes_failed")
+            pair = (None, [event, DegradationEvent(box_id, "fit", RUNG_FAILED, repr(exc))])
+        yield pair
 
 
 def run_fleet_atm(
@@ -303,11 +282,9 @@ def run_fleet_atm(
         if keep_box_results:
             out.box_results.append(result)
 
-    obs.inc("pipeline.boxes", len(items))
     run_fleet(
-        None, items, cfg, resume,
-        fold=fold, span="pipeline.fleet", fleet=fleet, min_windows=needed,
-        report=out.report, jobs=jobs, chunksize=chunksize,
-        chunk_fn=_run_box_atm_chunk,
+        "pipeline", _run_box_atm_chunk, items, cfg,
+        key=stages.box_result_key, fold=fold, report=out.report, fleet=fleet,
+        min_windows=needed, resume=resume, jobs=jobs, chunksize=chunksize,
     )
     return out

@@ -48,7 +48,7 @@ into a clean one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +95,21 @@ RESIZE_EVAL_STAGE = "resize_eval"
 
 
 # ------------------------------------------------------------------- keys
+#: The box read last, its stacked demand matrix and (once computed) its
+#: fingerprint.  The fleet engine keys each box right before its chunk
+#: runs it, so one slot lets the key and the run share one read.
+_last_read: list = [None, None, None]
+
+
+def _box_demands(box: BoxTrace) -> np.ndarray:
+    """``box.demand_matrix()`` (stacked CPU+RAM, read-only), read once per box in a row."""
+    if _last_read[0] is not box:
+        demands = box.demand_matrix()
+        demands.flags.writeable = False
+        _last_read[:] = [box, demands, None]
+    return _last_read[1]
+
+
 def box_fingerprint(box: BoxTrace) -> str:
     """Content fingerprint of everything a run reads from one box.
 
@@ -103,16 +118,19 @@ def box_fingerprint(box: BoxTrace) -> str:
     boxes (``scenario_fp`` unset/None) hash exactly as before, keeping
     pre-scenario artifacts addressable.
     """
-    payload = {
-        "box_id": box.box_id,
-        "interval_minutes": box.interval_minutes,
-        "capacity": {r.value: box.capacity(r) for r in Resource},
-        "allocations": {r.value: box.allocations(r) for r in Resource},
-        "demands": box.demand_matrix(),
-    }
-    if box.scenario_fp:
-        payload["scenario"] = box.scenario_fp
-    return config_fingerprint(payload)
+    demands = _box_demands(box)
+    if _last_read[2] is None:
+        payload = {
+            "box_id": box.box_id,
+            "interval_minutes": box.interval_minutes,
+            "capacity": {r.value: box.capacity(r) for r in Resource},
+            "allocations": {r.value: box.allocations(r) for r in Resource},
+            "demands": demands,
+        }
+        if box.scenario_fp:
+            payload["scenario"] = box.scenario_fp
+        _last_read[2] = config_fingerprint(payload)
+    return _last_read[2]
 
 
 def forecast_key(train_demands: np.ndarray, config: AtmConfig) -> ArtifactKey:
@@ -161,8 +179,6 @@ def box_result_key(box: BoxTrace, config: AtmConfig) -> ArtifactKey:
 
 def resize_eval_key(
     box: BoxTrace,
-    sizing_by_resource: Dict[Resource, Optional[np.ndarray]],
-    resources: Sequence[Resource],
     policy: TicketPolicy,
     algorithms: Sequence[ResizingAlgorithm],
     eval_windows: Optional[int],
@@ -170,18 +186,17 @@ def resize_eval_key(
 ) -> ArtifactKey:
     """Key of one box's standalone resizing sweep (the Fig. 8 study).
 
-    Like :func:`box_result_key`, keeps the constant ``"degrade": True``
-    entry so stored keys keep their bytes.
+    Like :func:`box_result_key`, it keeps the constant entries of options
+    that are gone (sizing demands, resources, ``"degrade"``) so stored
+    keys keep their bytes.
     """
+    resources = (Resource.CPU, Resource.RAM)
     return ArtifactKey(
         stage=RESIZE_EVAL_STAGE,
         data_fp=config_fingerprint(
             {
                 "box": box_fingerprint(box),
-                "sizing": {
-                    resource.value: sizing_by_resource.get(resource)
-                    for resource in resources
-                },
+                "sizing": {resource.value: None for resource in resources},
             }
         ),
         config_fp=config_fingerprint(
@@ -229,7 +244,7 @@ class _BoxRun:
         self.box = box
         self.config = config
         if demands is None:
-            demands = box.demand_matrix()  # stacked CPU+RAM
+            demands = _box_demands(box)
         self.train = faults.poison_training(
             box.box_id, demands[:, start - config.training_windows : start]
         )
@@ -361,23 +376,6 @@ def _decode_forecast(arrays, meta) -> BoxPrediction:
     )
 
 
-def _encode_events(events: Sequence[DegradationEvent]) -> List[dict]:
-    return [event.to_dict() for event in events]
-
-
-def _decode_events(items: Sequence[dict]) -> List[DegradationEvent]:
-    return [
-        DegradationEvent(
-            box_id=str(item["box_id"]),
-            stage=str(item["stage"]),
-            rung=str(item["rung"]),
-            reason=str(item["reason"]),
-            step=None if item.get("step") is None else int(item["step"]),
-        )
-        for item in items
-    ]
-
-
 def _encode_reduction(reduction: BoxReduction) -> dict:
     # int()/bool(): ticket counts and feasibility may arrive as numpy
     # scalars, which the JSON header writer rejects.
@@ -406,7 +404,7 @@ def _encode_box_result(value):
     """Encode the pipeline's per-box ``(result | None, events)`` pair."""
     result, events = value
     arrays = {}
-    meta = {"events": _encode_events(events), "failed": result is None}
+    meta = {"events": [event.to_dict() for event in events], "failed": result is None}
     if result is not None:
         meta["box_id"] = result.box_id
         meta["accuracy"] = {
@@ -425,7 +423,7 @@ def _encode_box_result(value):
 
 
 def _decode_box_result(arrays, meta):
-    events = _decode_events(meta["events"])
+    events = [DegradationEvent.from_dict(raw) for raw in meta["events"]]
     if meta["failed"]:
         return None, events
     box_id = str(meta["box_id"])
@@ -461,7 +459,7 @@ def _encode_resize_eval(value):
     reductions, events = value
     meta = {
         "reductions": [_encode_reduction(r) for r in reductions],
-        "events": _encode_events(events),
+        "events": [event.to_dict() for event in events],
     }
     return {}, meta
 
@@ -469,7 +467,7 @@ def _encode_resize_eval(value):
 def _decode_resize_eval(arrays, meta):
     return (
         [_decode_reduction(item) for item in meta["reductions"]],
-        _decode_events(meta["events"]),
+        [DegradationEvent.from_dict(raw) for raw in meta["events"]],
     )
 
 

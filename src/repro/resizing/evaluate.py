@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core import faults
-from repro.core.degrade import RUNG_FAILED, DegradationEvent, ErrorReport
+from repro.core.degrade import DegradationEvent, ErrorReport
 from repro.resizing.baselines import max_min_fairness_allocation, stingy_allocation
 from repro.resizing.greedy import solve_greedy
 from repro.resizing.mckp import build_mckp
@@ -332,69 +331,29 @@ def evaluate_box_resizing(
     )
 
 
-def _evaluate_box_worker(
-    item: Tuple[BoxTrace, Dict[Resource, Optional[np.ndarray]]],
-    resources: Sequence[Resource],
+def _evaluate_box(
+    box: BoxTrace,
     policy: TicketPolicy,
     algorithms: Sequence[ResizingAlgorithm],
     eval_windows: Optional[int],
     epsilon_pct: float,
-    resume: bool = False,
 ) -> Tuple[List[BoxReduction], List[DegradationEvent]]:
-    """Per-box unit of work for the fleet sweep (module-level: picklable).
+    """One box's sweep of the fleet study (module-level: picklable).
 
-    A failing box yields an empty result plus a ``failed`` degradation
-    event instead of aborting the sweep.
-
-    The box half of ``item`` may be a shard descriptor, mapped here in
-    the worker; the box's sweep is its resumable artifact
-    (:func:`~repro.core.executor.resume_probe`, namespace ``resize``).
+    Sizes each resource on its actual evaluation demands (the Fig. 8
+    oracle) with every algorithm; returns the reductions and no events.
     """
-    # Local imports: repro.core.stages itself imports this module.
-    from repro.core import stages
-    from repro.core.executor import resume_probe
-    from repro.store.shards import resolve_box
-
-    box, sizing_by_resource = item
-    box = resolve_box(box)
-    cached, save = resume_probe(
-        "resize",
-        lambda: stages.resize_eval_key(
-            box, sizing_by_resource, resources, policy, algorithms,
-            eval_windows, epsilon_pct,
-        ),
-        resume,
-    )
-    if cached is not None:
-        results, events = cached
-        return list(results), list(events)
     out: List[BoxReduction] = []
-    try:
-        faults.inject_fault("box_error", box.box_id)
-        with obs.span("resize.box"):
-            for resource in resources:
-                demands = box.demand_matrix(resource)
-                if eval_windows is not None:
-                    demands = demands[:, : min(eval_windows, demands.shape[1])]
-                sized = evaluate_box_resizing(
-                    box,
-                    resource,
-                    policy,
-                    algorithms,
-                    eval_demands=demands,
-                    sizing_demands=sizing_by_resource.get(resource),
-                    epsilon_pct=epsilon_pct,
-                )
-                out.extend(reduction for reduction, _ in sized)
-        pair: Tuple[List[BoxReduction], List[DegradationEvent]] = (out, [])
-    except Exception as exc:
-        obs.inc("resize.boxes_failed")
-        event = DegradationEvent(
-            box_id=box.box_id, stage="run", rung=RUNG_FAILED, reason=repr(exc)
-        )
-        pair = ([], [event])
-    save(pair)
-    return pair
+    with obs.span("resize.box"):
+        for resource in (Resource.CPU, Resource.RAM):
+            demands = box.demand_matrix(resource)
+            if eval_windows is not None:
+                demands = demands[:, : min(eval_windows, demands.shape[1])]
+            sized = evaluate_box_resizing(
+                box, resource, policy, algorithms, demands, epsilon_pct=epsilon_pct
+            )
+            out.extend(reduction for reduction, _ in sized)
+    return out, []
 
 
 def evaluate_fleet_resizing(
@@ -402,14 +361,13 @@ def evaluate_fleet_resizing(
     policy: TicketPolicy,
     algorithms: Sequence[ResizingAlgorithm] = tuple(ResizingAlgorithm),
     eval_windows: Optional[int] = None,
-    sizing_demands: Optional[Dict[Tuple[str, Resource], np.ndarray]] = None,
     epsilon_pct: float = 5.0,
-    resources: Sequence[Resource] = (Resource.CPU, Resource.RAM),
     jobs: Optional[int] = None,
     resume: bool = False,
 ) -> FleetReduction:
     """Run the resizing comparison across a fleet (the Fig. 8 study).
 
+    Each box's CPU and RAM are sized on their actual evaluation demands.
     ``fleet`` may be in RAM or sharded (see
     :func:`repro.core.executor.run_fleet`).  A failing box is reported in
     ``result.report`` (rung ``"failed"``) and the sweep goes on; a fleet
@@ -421,10 +379,6 @@ def evaluate_fleet_resizing(
     eval_windows:
         Restrict to the first ``k`` windows (e.g. one day = 96); ``None``
         evaluates the whole trace.
-    sizing_demands:
-        Optional per ``(box_id, resource)`` demand matrices to size against
-        (the prediction-driven Fig. 10 path); by default sizing sees the
-        actual evaluation demands.
     jobs:
         Worker processes for the per-box fan-out (``None`` reads
         ``REPRO_JOBS``, default 1 = serial); results are aggregated in
@@ -434,27 +388,21 @@ def evaluate_fleet_resizing(
         persistent store (``REPRO_STORE`` / ``--store``); no-op without
         one.
     """
-    from repro.core.executor import fleet_items, run_fleet
-
-    sizing = sizing_demands or {}
-    items = [
-        (box, {resource: sizing.get((box.box_id, resource)) for resource in resources})
-        for box in fleet_items(fleet)
-    ]
+    # Local imports: repro.core.stages itself imports this module.
+    from repro.core.executor import fleet_items, per_box, run_fleet
+    from repro.core.stages import resize_eval_key
 
     summary = FleetReduction()
 
-    def fold(pair: Tuple[List[BoxReduction], List[DegradationEvent]]) -> None:
+    def fold(pair: Tuple[Optional[List[BoxReduction]], List[DegradationEvent]]) -> None:
         results, events = pair
         summary.report.extend(events)
-        for result in results:
+        for result in results or ():
             summary.add(result)
 
-    obs.inc("resize.boxes", len(items))
     run_fleet(
-        _evaluate_box_worker, items, tuple(resources), policy, tuple(algorithms),
-        eval_windows, epsilon_pct, resume,
-        fold=fold, span="resize.fleet", fleet=fleet,
-        report=summary.report, jobs=jobs,
+        "resize", per_box(_evaluate_box), fleet_items(fleet), policy, tuple(algorithms),
+        eval_windows, epsilon_pct, key=resize_eval_key, fold=fold,
+        report=summary.report, fleet=fleet, resume=resume, jobs=jobs,
     )
     return summary

@@ -12,20 +12,22 @@ The fleet loop reuses the whole scaling substrate:
 
 * per-box work fans out through :func:`repro.core.executor.run_fleet`
   (``jobs``), accepting :class:`~repro.store.shards.ShardedFleet` refs so
-  workers memory-map their boxes;
+  workers memory-map their boxes, and a box that fails is reported in
+  :attr:`FleetOpsResult.report` and costs only itself;
 * results stream through :meth:`~repro.core.executor.FleetExecutor.imap`
   and fold into fixed-size reducers — per-box payloads (ticket records,
   usage slices) never accumulate in the parent, so the loop is
   constant-memory at 6k boxes;
-* each box's outcome is a ``ticket_ops`` artifact in :mod:`repro.store`
-  (``--resume`` serves finished boxes), and the evidence bundles of a
+* each box's ``(result, events)`` outcome is a ``ticket_ops`` artifact
+  in :mod:`repro.store`, keyed with the active fault plan (``--resume``
+  serves finished boxes), and the evidence bundles of a
   box's incidents persist as one evidence pack under the same key, each
   bundle resolvable from its own fingerprints
   (:func:`~repro.tickets.ops.evidence.resolve_evidence`);
 * breach/assignment telemetry lands in :mod:`repro.obs`
   (``sla.breaches``, ``sla.ack_breaches``, ``sla.resolve_breaches``,
-  ``route.assignments``, ``sla.open_incidents``) inside the workers, and
-  the executor merges worker snapshots — ``jobs=N`` reports the same
+  ``route.assignments``, ``sla.open_incidents``) as each box folds, for
+  computed and resumed boxes alike — ``jobs=N`` reports the same
   counters as serial.
 
 Determinism: scoring, assignment and the SLA schedule are pure functions
@@ -36,6 +38,7 @@ digests are bit-identical at any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -44,7 +47,9 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.executor import fleet_items, resume_probe, run_fleet
+from repro.core import faults
+from repro.core.degrade import DegradationEvent, ErrorReport
+from repro.core.executor import fleet_items, per_box, run_fleet
 from repro.store import (
     ArtifactKey,
     canonical,
@@ -65,7 +70,7 @@ from repro.tickets.ops.evidence import (
 from repro.tickets.ops.route import SlaPolicy, route_incidents
 from repro.tickets.ops.scoring import ScoringPolicy
 from repro.tickets.policy import DEFAULT_POLICY, TicketPolicy
-from repro.trace.model import FleetTrace
+from repro.trace.model import BoxTrace, FleetTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import AtmConfig
@@ -84,6 +89,11 @@ __all__ = [
 
 #: Artifact-store stage of one box's complete ops outcome.
 TICKET_OPS_STAGE = "ticket_ops"
+
+#: Layout of a stored ``ticket_ops`` value, folded into its key: the
+#: ``(result, events)`` pair every fleet driver stores.  Outcomes stored
+#: in another layout (a bare result) miss and are recomputed, never misread.
+_OUTCOME_LAYOUT = "pair/v1"
 
 #: Fleet-level "worst incidents" leaderboard size (a bounded reducer: the
 #: fleet fold keeps the top N rows, never a per-incident list).
@@ -215,22 +225,41 @@ def _max_open_incidents(routed) -> int:
     return peak
 
 
-def _box_ops_key(box, config: OpsConfig, atm_key: Optional[ArtifactKey]) -> ArtifactKey:
-    """The box's ``ticket_ops`` key; its evidence pack shares the fingerprints."""
-    from repro.core.stages import box_fingerprint
+def _ops_keys(
+    box: BoxTrace, config: OpsConfig
+) -> Tuple[ArtifactKey, Optional[ArtifactKey]]:
+    """The box's ``ticket_ops`` key, and the key of the stored ATM outcome
+    its evidence explains (``None`` unless ``config.atm`` is materialized).
+    """
+    from repro.core.stages import box_fingerprint, box_result_key
 
-    payload = {"ops": config_fingerprint(config), "evidence": EVIDENCE_LAYOUT}
+    payload = {
+        "ops": config_fingerprint(config),
+        "evidence": EVIDENCE_LAYOUT,
+        "outcome": _OUTCOME_LAYOUT,
+        "faults": faults.active_plan(),
+    }
+    atm_key = None
     if config.atm is not None:
+        atm_key = box_result_key(box, config.atm)
+        if not default_store().path_for(atm_key).exists():
+            atm_key = None
         # Which stored ATM outcome the evidence attaches (``atm_key``, or
         # none) changes the bundles, so it is part of the key.
         payload["forecast"] = (
             None if atm_key is None else f"{atm_key.data_fp}:{atm_key.config_fp}"
         )
-    return ArtifactKey(
+    ops_key = ArtifactKey(
         stage=TICKET_OPS_STAGE,
         data_fp=box_fingerprint(box),
         config_fp=config_fingerprint(payload),
     )
+    return ops_key, atm_key
+
+
+def _box_ops_key(box: BoxTrace, config: OpsConfig) -> ArtifactKey:
+    """The box's resumable ``ticket_ops`` artifact key (the fleet engine's probe)."""
+    return _ops_keys(box, config)[0]
 
 
 def _probe_forecast_evidence(key: ArtifactKey, store):
@@ -264,33 +293,19 @@ def _probe_forecast_evidence(key: ArtifactKey, store):
     return predicted, allocations, f"{key.data_fp}:{key.config_fp}"
 
 
-def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
-    """The per-box unit of work; module-level so pool workers can pickle it.
+def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
+    """One box's monitor → incident → route → resolve pass.
 
-    ``box`` may be a :class:`repro.store.shards.BoxShardRef` — the shard
-    is memory-mapped here in the worker.  With a persistent store the
-    complete outcome is materialized as a ``ticket_ops`` artifact and the
-    box's incidents' evidence bundles as one
-    :class:`~repro.tickets.ops.evidence.EvidencePack` under the same
-    fingerprints; ``resume=True`` serves finished boxes from the store
-    (counted as ``ops.resume.hits``) with identical digests and evidence
-    keys.
+    With a persistent store the evidence bundles of the box's incidents
+    are materialized as one
+    :class:`~repro.tickets.ops.evidence.EvidencePack` under the box's
+    ``ticket_ops`` fingerprints; the outcome itself is the fleet engine's
+    to save and serve (:func:`run_fleet_ops`).
     """
-    from repro.core.stages import box_result_key
-    from repro.store.shards import resolve_box
-
-    box = resolve_box(box)
     store = default_store()
-    atm_key = None  # the stored ATM outcome to explain incidents with
-    if config.atm is not None and store.persistent:
-        atm_key = box_result_key(box, config.atm)
-        if not store.path_for(atm_key).exists():
-            atm_key = None
-    ops_key = _box_ops_key(box, config, atm_key) if store.persistent else None
-    cached, save = resume_probe("ops", lambda: ops_key, resume)
-    if cached is not None:
-        _record_box_metrics(cached)
-        return cached
+    ops_key = atm_key = None
+    if store.persistent:
+        ops_key, atm_key = _ops_keys(box, config)
 
     predicted = allocations = forecast_fp = None
     if atm_key is not None:
@@ -392,14 +407,18 @@ def run_box_ops(box, config: OpsConfig, resume: bool = False) -> BoxOpsResult:
             evidence_refs=tuple(evidence_refs),
             rows=result_rows,
         )
-    save(result)
-    _record_box_metrics(result)
     return result
 
 
+def _box_ops_pair(
+    box: BoxTrace, config: OpsConfig
+) -> Tuple[BoxOpsResult, List[DegradationEvent]]:
+    """The per-box unit of :func:`run_fleet_ops` (module-level: picklable)."""
+    return run_box_ops(box, config), []
+
+
 def _record_box_metrics(result: BoxOpsResult) -> None:
-    """Publish one box's ops telemetry (in the worker; merged by the executor)."""
-    obs.inc("ops.boxes")
+    """Publish one box's ops telemetry as it folds (computed or resumed)."""
     obs.inc("ops.tickets", result.n_tickets)
     obs.inc("ops.incidents", result.n_incidents)
     obs.inc("route.assignments", result.n_incidents)
@@ -431,6 +450,8 @@ class FleetOpsResult:
     evidence_digest: str = ""
     #: The fleet's worst incidents by score (bounded leaderboard).
     top_incidents: List[IncidentRow] = field(default_factory=list)
+    #: Boxes that failed (rung ``failed``), or the empty-fleet event.
+    report: ErrorReport = field(default_factory=ErrorReport)
 
     def __post_init__(self) -> None:
         n = self.config.assign.n_queues
@@ -495,56 +516,55 @@ def run_fleet_ops(
 ) -> FleetOpsResult:
     """Run the monitor → incident → route → resolve loop over a fleet.
 
-    Every box is eligible (the loop needs no training windows); a fleet
-    without boxes raises :class:`ValueError`.  Results are folded in fleet
+    Every box is eligible (the loop needs no training windows).  A box
+    that fails is reported in ``result.report`` (rung ``"failed"``) and
+    the others fold on; a fleet without boxes yields an empty result with
+    one fleet-level ``"failed"`` event.  Results are folded in fleet
     order as chunks land, so serial, parallel and sharded runs produce
-    identical aggregates and digests.
+    identical aggregates and digests.  ``resume`` serves boxes whose
+    ``ticket_ops`` outcome is already in the persistent store (counted as
+    ``ops.resume.hits``), with identical digests and telemetry.
     """
     cfg = config or OpsConfig()
     out = FleetOpsResult(config=cfg)
+
+    def fold(pair: Tuple[Optional[BoxOpsResult], List[DegradationEvent]]) -> None:
+        result, events = pair
+        out.report.extend(events)
+        if result is not None:
+            _record_box_metrics(result)
+            out.fold(result)
+
     run_fleet(
-        run_box_ops, fleet_items(fleet), cfg, resume,
-        fold=out.fold, span="ops.fleet", fleet=fleet, jobs=jobs,
+        "ops", per_box(_box_ops_pair), fleet_items(fleet), cfg,
+        key=_box_ops_key, fold=fold, report=out.report, fleet=fleet,
+        resume=resume, jobs=jobs,
     )
     return out
 
 
 # ----------------------------------------------------------------- codec
-def _encode_box_ops(result: BoxOpsResult):
-    meta = {
-        "box_id": result.box_id,
-        "n_tickets": result.n_tickets,
-        "n_incidents": result.n_incidents,
-        "n_spatial": result.n_spatial,
-        "queue_counts": list(result.queue_counts),
-        "ack_breaches": result.ack_breaches,
-        "resolve_breaches": result.resolve_breaches,
-        "breached_incidents": result.breached_incidents,
-        "max_open": result.max_open,
-        "assignment_digest": result.assignment_digest,
-        "evidence_refs": [list(pair) for pair in result.evidence_refs],
-        "rows": [row.to_dict() for row in result.rows],
+def _encode_box_ops(value):
+    """Encode a box's ``(result | None, events)`` pair (JSON header only)."""
+    result, events = value
+    return {}, {
+        "events": [event.to_dict() for event in events],
+        "result": None if result is None else dataclasses.asdict(result),
     }
-    return {}, meta
 
 
-def _decode_box_ops(arrays, meta) -> BoxOpsResult:
-    return BoxOpsResult(
-        box_id=str(meta["box_id"]),
-        n_tickets=int(meta["n_tickets"]),
-        n_incidents=int(meta["n_incidents"]),
-        n_spatial=int(meta["n_spatial"]),
-        queue_counts=tuple(int(c) for c in meta["queue_counts"]),
-        ack_breaches=int(meta["ack_breaches"]),
-        resolve_breaches=int(meta["resolve_breaches"]),
-        breached_incidents=int(meta["breached_incidents"]),
-        max_open=int(meta["max_open"]),
-        assignment_digest=str(meta["assignment_digest"]),
-        evidence_refs=tuple(
-            (str(pair[0]), str(pair[1])) for pair in meta["evidence_refs"]
-        ),
-        rows=tuple(IncidentRow.from_dict(raw) for raw in meta["rows"]),
-    )
+def _decode_box_ops(arrays, meta):
+    events = [DegradationEvent.from_dict(raw) for raw in meta["events"]]
+    raw = meta["result"]
+    if raw is None:
+        return None, events
+    result = BoxOpsResult(**{
+        **raw,
+        "queue_counts": tuple(raw["queue_counts"]),
+        "evidence_refs": tuple(tuple(pair) for pair in raw["evidence_refs"]),
+        "rows": tuple(IncidentRow.from_dict(row) for row in raw["rows"]),
+    })
+    return result, events
 
 
 register_codec(TICKET_OPS_STAGE, _encode_box_ops, _decode_box_ops)

@@ -126,7 +126,7 @@ class TestSizingOnce:
     def test_fused_chunk_solves_each_algorithm_once_per_box(self, sizing_calls):
         config = AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="neural")
         boxes = [generate_box(b, FleetConfig(days=6, seed=21)) for b in range(2)]
-        pairs = _run_box_atm_chunk(boxes, config, True)
+        pairs = list(_run_box_atm_chunk(boxes, config))
         assert all(result is not None and not events for result, events in pairs)
         assert len(sizing_calls) == len(boxes) * 2 * len(config.algorithms)
 

@@ -150,35 +150,35 @@ class TestFleetExecutorMap:
 
 
 class TestFleetExecutorImap:
-    """The streaming dispatch `map` is built on: ordered, windowed, lazy."""
+    """The one chunk dispatch `map` is built on: ordered, windowed, lazy."""
 
     def test_parallel_order_preserved(self):
         items = list(range(23))
-        streamed = list(FleetExecutor(jobs=3, chunksize=2).imap(_square, items))
+        streamed = list(FleetExecutor(jobs=3, chunksize=2).imap(_square_chunk, items))
         assert streamed == [x * x for x in items]
 
     def test_matches_map(self):
         items = list(range(17))
         executor = FleetExecutor(jobs=2, chunksize=4)
-        assert list(executor.imap(_square, items)) == executor.map(_square, items)
+        assert list(executor.imap(_square_chunk, items)) == executor.map(_square, items)
 
     def test_serial_consumption_is_lazy(self):
         # jobs=1 runs in-process (no pickling), so a closure can observe
-        # that items are computed one `next()` at a time, not up front.
+        # that chunks are computed one `next()` at a time, not up front.
         calls = []
 
-        def record(x):
-            calls.append(x)
-            return x
+        def record(chunk):
+            calls.extend(chunk)
+            return chunk
 
-        iterator = FleetExecutor(jobs=1).imap(record, range(5))
+        iterator = FleetExecutor(jobs=1, chunksize=1).imap(record, range(5))
         assert next(iterator) == 0
         assert calls == [0]
         assert list(iterator) == [1, 2, 3, 4]
 
     def test_exception_fails_fast(self, tmp_path):
         iterator = FleetExecutor(jobs=2, chunksize=1).imap(
-            _poison_or_sleep, list(range(10)), str(tmp_path)
+            _poison_or_sleep_chunk, list(range(10)), str(tmp_path)
         )
         with pytest.raises(RuntimeError, match="poisoned box"):
             list(iterator)
@@ -187,7 +187,9 @@ class TestFleetExecutorImap:
     def test_abandoned_iterator_releases_pool(self):
         # Closing mid-stream must cancel queued chunks and shut the pool
         # down (promptly — queued work is dropped, not drained).
-        iterator = FleetExecutor(jobs=2, chunksize=1).imap(_square, list(range(12)))
+        iterator = FleetExecutor(jobs=2, chunksize=1).imap(
+            _square_chunk, list(range(12))
+        )
         assert next(iterator) == 0
         iterator.close()
 
@@ -282,47 +284,44 @@ def _scale_chunk(items, factor):
     return [x * factor for x in items]
 
 
+def _poison_or_sleep_chunk(items, out_dir):
+    return [_poison_or_sleep(item, out_dir) for item in items]
+
+
 def _drop_last_chunk(items):
     return [x * x for x in items][:-1]  # one result short: a contract bug
 
 
+def _one_extra_chunk(items):
+    return [x * x for x in items] + [0]  # one result too many
+
+
 class TestChunkFn:
-    """Chunk-granular execution: ``chunk_fn`` replaces the per-item loop."""
+    """Chunk-granular execution: ``imap``'s function sees a whole chunk."""
 
     def test_serial_map_matches_item_path(self):
         items = list(range(11))
-        chunked = FleetExecutor(jobs=1, chunksize=3).map(
-            _square, items, chunk_fn=_square_chunk
-        )
+        chunked = list(FleetExecutor(jobs=1, chunksize=3).imap(_square_chunk, items))
         assert chunked == FleetExecutor(jobs=1).map(_square, items)
 
     def test_serial_imap_streams_in_order(self):
         items = list(range(10))
-        streamed = list(
-            FleetExecutor(jobs=1, chunksize=4).imap(
-                _square, items, chunk_fn=_square_chunk
-            )
-        )
+        streamed = list(FleetExecutor(jobs=1, chunksize=4).imap(_square_chunk, items))
         assert streamed == [x * x for x in items]
 
     def test_parallel_matches_serial(self):
         items = list(range(17))
-        serial = FleetExecutor(jobs=1, chunksize=4).map(
-            _square, items, chunk_fn=_square_chunk
-        )
-        parallel = FleetExecutor(jobs=2, chunksize=4).map(
-            _square, items, chunk_fn=_square_chunk
-        )
+        serial = list(FleetExecutor(jobs=1, chunksize=4).imap(_square_chunk, items))
+        parallel = list(FleetExecutor(jobs=2, chunksize=4).imap(_square_chunk, items))
         assert parallel == serial == [x * x for x in items]
 
     def test_common_args_forwarded(self):
-        result = FleetExecutor(jobs=1, chunksize=2).map(
-            _scale, [1, 2, 3], 10, chunk_fn=_scale_chunk
-        )
+        result = list(FleetExecutor(jobs=1, chunksize=2).imap(_scale_chunk, [1, 2, 3], 10))
         assert result == [10, 20, 30]
 
     def test_result_count_contract_enforced(self):
-        with pytest.raises(RuntimeError, match="chunk function returned"):
-            FleetExecutor(jobs=1, chunksize=4).map(
-                _square, list(range(8)), chunk_fn=_drop_last_chunk
-            )
+        for jobs in (1, 2):
+            for chunk_fn in (_drop_last_chunk, _one_extra_chunk):
+                executor = FleetExecutor(jobs=jobs, chunksize=4)
+                with pytest.raises(RuntimeError, match="chunk function returned"):
+                    list(executor.imap(chunk_fn, list(range(8))))

@@ -6,10 +6,10 @@ The differential matrix below pins that each driver gives one aggregate
 digest whatever the worker count, the fleet's backing (in RAM or a shard
 store) and, for the three resumable drivers, whether its boxes were
 computed or served from the store.  One failure contract follows: with
-a ``REPRO_FAULTS`` plan that fails exactly one box, each laddered driver
-completes, reports only that box as failed and folds every other box as
-the fault-free run does; an empty fleet is reported by the laddered
-drivers and raised by ``run_fleet_ops``.  ATM runs twice: with its fused
+a ``REPRO_FAULTS`` plan that fails exactly one box, or with one box's
+shard file gone, each driver completes, reports only that box as failed
+and folds every other box as the fault-free run does; an empty fleet is
+reported by every driver.  ATM runs twice: with its fused
 chunk function (a neural model) and per box (a model without a fleet
 fitter).  The engine pieces — :func:`fleet_items` and
 :func:`resume_probe` — are unit-tested at the end.
@@ -40,6 +40,7 @@ from repro.store.shards import (
     write_fleet_shards,
 )
 from repro.tickets.ops import FleetOpsResult, OpsConfig, run_box_ops, run_fleet_ops
+from repro.tickets.ops import pipeline as ops_pipeline
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
 from repro.trace.generator import FleetConfig, generate_fleet
@@ -162,9 +163,33 @@ def _resize_digest(summary):
     return _digest(_resize_rows(summary), summary.report)
 
 
+class _RecordedOps(FleetOpsResult):
+    """The ops aggregate, also keeping each folded box's row, in fold order.
+
+    The fold runs in the parent at every worker count, so this sees
+    exactly what ``run_fleet_ops`` folds.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.rows = []
+
+    def fold(self, result):
+        super().fold(result)
+        self.rows.append(
+            (result.box_id, (result.n_tickets, result.assignment_digest, result.evidence_refs))
+        )
+
+
 def _ops(fleet, jobs, resume=False):
     # No chunksize option: the default already gives one box per chunk.
-    return run_fleet_ops(fleet, OpsConfig(), jobs=jobs, resume=resume)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops_pipeline, "FleetOpsResult", _RecordedOps)
+        return run_fleet_ops(fleet, OpsConfig(), jobs=jobs, resume=resume)
+
+
+def _ops_rows(result):
+    return result.rows
 
 
 def _ops_digest(result):
@@ -176,6 +201,7 @@ def _ops_digest(result):
         result.evidence_digest,
         result.queue_counts,
         result.top_incidents,
+        result.report,
     )
 
 
@@ -184,14 +210,10 @@ class Driver(NamedTuple):
     digest: Callable[..., str]
     #: Counter namespace of its resume hits; ``None`` = not resumable.
     resume_ns: Optional[str]
-    #: Fault kinds that, all firing for one box, send it to rung
-    #: ``failed``.  ``None`` for ops: it has no degradation ladder and no
-    #: fault injection point, so it raises on an empty fleet and stays on
-    #: the faults-off side of the fault axis.
-    failure_kinds: Optional[Tuple[str, ...]]
-    #: ``(box_id, result)`` rows of the aggregate, in fold order (``None``:
-    #: the aggregate keeps no per-box rows; see ``test_ops_folds_in_box_order``).
-    rows: Optional[Callable[..., list]]
+    #: Fault kinds that, all firing for one box, send it to rung ``failed``.
+    failure_kinds: Tuple[str, ...]
+    #: ``(box_id, result)`` rows of the aggregate, in fold order.
+    rows: Callable[..., list]
 
     def digest_of(self, fleet, jobs, **kwargs) -> str:
         return self.digest(self.run(fleet, jobs, **kwargs))
@@ -207,7 +229,7 @@ DRIVERS = {
     "atm_per_box": Driver(_atm_per_box, _atm_digest, "pipeline", _ATM_FAILS, _atm_rows),
     "online": Driver(_online, _online_digest, None, ("box_error",), _online_rows),
     "resize": Driver(_resize, _resize_digest, "resize", ("box_error",), _resize_rows),
-    "ops": Driver(_ops, _ops_digest, "ops", None, None),
+    "ops": Driver(_ops, _ops_digest, "ops", ("box_error",), _ops_rows),
 }
 
 MATRIX = [
@@ -243,8 +265,7 @@ def test_one_digest_per_driver(
     obs.reset_metrics()
     result = driver.run(fleet, jobs, resume=mode == "resume")
     assert driver.digest(result) == expected
-    if driver.rows is not None:
-        assert driver.box_ids(result) == [box.box_id for box in in_ram.boxes]
+    assert driver.box_ids(result) == [box.box_id for box in in_ram.boxes]
     counters = obs.metrics_snapshot()["counters"]
     if jobs > 1:
         assert counters["executor.chunks"] >= 2
@@ -270,12 +291,22 @@ def _victim_spec(kinds, fleet, victim=1):
     raise AssertionError("no seed isolates the victim box")
 
 
+#: Fault states per driver: ``off``, ``on`` (its ``failure_kinds``), and
+#: for ATM also ``box_error``, the engine's hook outside its ladder.
 FAULT_AXIS = [
     pytest.param(name, jobs, state, id=f"{name}-jobs{jobs}-faults-{state}")
-    for name, driver in DRIVERS.items()
+    for name in DRIVERS
     for jobs in (1, 2)
-    for state in (("off", "on") if driver.failure_kinds else ("off",))
+    for state in ("off", "on") + (("box_error",) if name == "atm" else ())
 ]
+
+
+def _assert_only_victim_failed(driver, result, reference, victim):
+    assert result.report.failed_boxes == [victim]
+    assert result.report.degraded_boxes == [victim]
+    assert driver.rows(result) == [
+        row for row in driver.rows(reference) if row[0] != victim
+    ]
 
 
 @pytest.mark.parametrize("name,jobs,state", FAULT_AXIS)
@@ -287,29 +318,37 @@ def test_one_failure_contract(name, jobs, state, in_ram, monkeypatch):
     if state == "off":
         result = driver.run(in_ram, jobs)
         assert driver.digest(result) == driver.digest(reference)
-        if driver.failure_kinds:
-            assert result.report.ok
+        assert result.report.ok
         return
-    spec, seed, victim = _victim_spec(driver.failure_kinds, in_ram)
+    kinds = driver.failure_kinds if state == "on" else (state,)
+    spec, seed, victim = _victim_spec(kinds, in_ram)
     monkeypatch.setenv(faults.FAULTS_ENV_VAR, spec)
     monkeypatch.setenv(faults.FAULTS_SEED_ENV_VAR, str(seed))
-    result = driver.run(in_ram, jobs)
-    assert result.report.failed_boxes == [victim]
-    assert result.report.degraded_boxes == [victim]
-    assert driver.rows(result) == [
-        row for row in driver.rows(reference) if row[0] != victim
-    ]
+    _assert_only_victim_failed(driver, driver.run(in_ram, jobs), reference, victim)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("name", list(DRIVERS))
+def test_missing_shard_fails_only_its_box(name, jobs, in_ram, tmp_path):
+    """A box whose shard file is gone is reported ``failed``; the rest fold as before."""
+    driver = DRIVERS[name]
+    reference = _reference(name, in_ram)
+    write_fleet_shards(in_ram, tmp_path)
+    fleet = load_fleet_shards(tmp_path)
+    victim = fleet.manifest.boxes[1]
+    (tmp_path / victim.path).unlink()
+    result = driver.run(fleet, jobs)
+    _assert_only_victim_failed(driver, result, reference, victim.box_id)
+    (event,) = result.report.events
+    assert (event.stage, event.rung) == ("run", "failed")
+    assert "FileNotFoundError" in event.reason
 
 
 @pytest.mark.parametrize("name", list(DRIVERS))
 def test_empty_fleet_rule(name, tmp_path):
-    """Laddered drivers report an empty fleet; ``run_fleet_ops`` raises."""
+    """Every driver reports an empty fleet as one fleet-level event."""
     driver = DRIVERS[name]
     empty = ShardedFleet(tmp_path, manifest=ShardManifest(name="void", boxes=[]))
-    if driver.failure_kinds is None:
-        with pytest.raises(ValueError, match="'void'"):
-            driver.run(empty, 1)
-        return
     result = driver.run(empty, 1)
     (event,) = result.report.events
     assert (event.box_id, event.stage, event.rung) == ("fleet:void", "fleet", "failed")
@@ -334,6 +373,24 @@ def test_no_failure_knobs():
         if arg.arg in knobs
     ]
     assert not found, found
+
+
+def test_one_demand_read_per_box_with_a_store(in_ram, tmp_path, monkeypatch):
+    """The engine keys each box right before its chunk runs it: one matrix read each."""
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+    reads = []
+    original = model.BoxTrace.demand_matrix
+
+    def counted(box, resource=None):
+        reads.append((box.box_id, resource))
+        return original(box, resource)
+
+    monkeypatch.setattr(model.BoxTrace, "demand_matrix", counted)
+    run_fleet_atm(in_ram, ATM_PER_BOX, jobs=1)
+    assert sorted(reads) == sorted((box.box_id, None) for box in in_ram)
+    reads.clear()
+    run_fleet_ops(in_ram, OpsConfig(atm=ATM_PER_BOX), jobs=1)
+    assert sorted(reads) == sorted((box.box_id, None) for box in in_ram)
 
 
 def test_ops_folds_in_box_order(in_ram):

@@ -153,9 +153,10 @@ class TestChunkPolicy:
         seen = {}
         original = pipeline._run_box_atm_chunk
 
-        def spy(items, *common):
-            seen["chunk"] = max(seen.get("chunk", 0), len(items))
-            return original(items, *common)
+        def spy(boxes, *common):
+            boxes = list(boxes)
+            seen["chunk"] = max(seen.get("chunk", 0), len(boxes))
+            return original(boxes, *common)
 
         monkeypatch.setattr(pipeline, "_run_box_atm_chunk", spy)
         for model in MODELS:

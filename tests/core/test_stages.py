@@ -15,7 +15,7 @@ from repro.resizing.evaluate import ResizingAlgorithm
 from repro.store import clear_memory_tiers, get_codec
 from repro.tickets.policy import TicketPolicy
 from repro.trace.generator import FleetConfig, generate_box
-from repro.trace.model import BoxTrace, Resource
+from repro.trace.model import BoxTrace
 
 
 def _config(**overrides):
@@ -103,15 +103,8 @@ class TestKeys:
         assert key.config_fp == "ac1f87f29391fca827172e6d150475a1919a19f7"
 
     def test_resize_eval_key_pinned(self, sample_box):
-        resources = (Resource.CPU, Resource.RAM)
         key = stages.resize_eval_key(
-            sample_box,
-            {resource: None for resource in resources},
-            resources,
-            TicketPolicy(),
-            tuple(ResizingAlgorithm),
-            96,
-            5.0,
+            sample_box, TicketPolicy(), tuple(ResizingAlgorithm), 96, 5.0
         )
         assert key.digest() == "ee12680986fb52385a89453bd7960402a309ea87"
         assert key.config_fp == "7cd7fbd040ec5c4b1b3cd27cfd8fe1fa012ccdc3"

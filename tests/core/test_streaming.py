@@ -12,19 +12,21 @@ receive only descriptors and the parent never opens a shard.
 import pytest
 
 from repro.benchhelpers.scaling import fingerprint_result
+from repro.core import faults
 from repro.core.config import AtmConfig
+from repro.core.degrade import RUNG_FAILED, DegradationEvent
 from repro.core.pipeline import FleetAtmResult, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import (
     FleetReduction,
     ResizingAlgorithm,
-    _evaluate_box_worker,
+    _evaluate_box,
     evaluate_fleet_resizing,
 )
 from repro.store.shards import write_fleet_shards, load_fleet_shards
 from repro.tickets.policy import TicketPolicy
 from repro.trace import model
-from repro.trace.model import FORBID_GENERATION_ENV_VAR, Resource
+from repro.trace.model import FORBID_GENERATION_ENV_VAR
 from tests.core.atm_oracle import run_box_atm
 from tests.store.shard_oracle import materialize
 
@@ -72,17 +74,16 @@ class TestStreamingEquivalence:
             small_fleet, policy, eval_windows=96, jobs=2
         )
         listed = FleetReduction()
-        resources = (Resource.CPU, Resource.RAM)
         for box in small_fleet:
-            results, events = _evaluate_box_worker(
-                (box, {resource: None for resource in resources}),
-                resources,
-                policy,
-                tuple(ResizingAlgorithm),
-                96,
-                5.0,
-                True,
-            )
+            # The per-box contract by hand: the hook fires, else the sweep runs.
+            try:
+                faults.inject_fault("box_error", box.box_id)
+                results, events = _evaluate_box(
+                    box, policy, tuple(ResizingAlgorithm), 96, 5.0
+                )
+            except faults.InjectedFault as exc:
+                results = []
+                events = [DegradationEvent(box.box_id, "run", RUNG_FAILED, repr(exc))]
             listed.report.extend(events)
             for result in results:
                 listed.add(result)

@@ -42,7 +42,12 @@ from repro.tickets.ops import (
     run_box_ops,
     run_fleet_ops,
 )
-from repro.tickets.ops.pipeline import _probe_forecast_evidence
+from repro.tickets.ops.evidence import EVIDENCE_LAYOUT
+from repro.tickets.ops.pipeline import (
+    _box_ops_key,
+    _encode_box_ops,
+    _probe_forecast_evidence,
+)
 from repro.trace.generator import FleetConfig, generate_fleet
 from repro.trace.model import BoxTrace, FleetTrace
 
@@ -131,11 +136,18 @@ def _assert_bundle_equal(got, want):
             assert a == b, field.name
 
 
+def _stored(box, config):
+    """The box's ``ticket_ops`` outcome as the fleet run stored it."""
+    result, events = default_store().get(_box_ops_key(box, config), memory=False)
+    assert events == []
+    return result
+
+
 def _assert_refs_resolve(fleet, config):
-    """Every ref of every box resolves to its reference bundle; returns them."""
+    """Every stored ref of every box resolves to its reference bundle; returns them."""
     resolved = []
     for box in fleet.boxes:
-        result = run_box_ops(box, config, resume=True)
+        result = _stored(box, config)
         expected = _expected_bundles(box, config)
         assert len(result.evidence_refs) == len(expected)
         for (data_fp, config_fp), want in zip(result.evidence_refs, expected):
@@ -159,7 +171,7 @@ class TestRoundTrip:
         result = run_fleet_ops(fleet, config)
         counters = obs.metrics_snapshot()["counters"]
         with_incidents = [
-            box for box in fleet.boxes if run_box_ops(box, config, resume=True).n_incidents
+            box for box in fleet.boxes if _stored(box, config).n_incidents
         ]
         assert 0 < len(with_incidents) < fleet.n_boxes  # the calm box has none
         # One pack per box with incidents, none for incident-free boxes.
@@ -224,6 +236,22 @@ class TestEvidenceKey:
         assert key.config_fp == "8b6b1224f99e99069d93016496b8438dc62bb557"
 
 
+def _plant(store, key, arrays, meta):
+    """Write an artifact file under ``key`` as an earlier layout left it."""
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {
+        "schema": STORE_SCHEMA,
+        "stage": key.stage,
+        "data_fp": key.data_fp,
+        "config_fp": key.config_fp,
+        "meta": meta,
+    }
+    np.savez(
+        path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
+    )
+
+
 class TestLayoutBump:
     def test_old_layout_outcomes_are_recomputed(self, store_env, monkeypatch):
         fleet = generate_fleet(CFG)
@@ -234,28 +262,23 @@ class TestLayoutBump:
         monkeypatch.setenv("REPRO_STORE", str(store_env))
         store = default_store()
 
-        # What the per-incident layout left behind: outcomes keyed without
-        # a layout version, and one evidence file per incident.
+        # What earlier layouts left behind: bare outcomes (not pairs) keyed
+        # without a layout version (per-incident evidence) or with the pack
+        # layout only, and one evidence file per incident.
         for box, result in zip(fleet.boxes, old_results):
-            old_key = ArtifactKey(
-                TICKET_OPS_STAGE, box_fingerprint(box), config_fingerprint(config)
-            )
-            store.put(old_key, result, memory=False)
-            assert store.get(old_key, memory=False) == result
+            for old_payload in (config, {
+                "ops": config_fingerprint(config), "evidence": EVIDENCE_LAYOUT,
+            }):
+                old_key = ArtifactKey(
+                    TICKET_OPS_STAGE, box_fingerprint(box), config_fingerprint(old_payload)
+                )
+                _plant(store, old_key, {}, _encode_box_ops((result, []))[1]["result"])
+                assert store.path_for(old_key).exists()
+                assert store.get(old_key, memory=False) is None  # never misread
             for data_fp, config_fp in result.evidence_refs:
-                path = store.path_for(ArtifactKey(EVIDENCE_STAGE, data_fp, config_fp))
-                path.parent.mkdir(parents=True, exist_ok=True)
-                header = {
-                    "schema": STORE_SCHEMA,
-                    "stage": EVIDENCE_STAGE,
-                    "data_fp": data_fp,
-                    "config_fp": config_fp,
-                    "meta": {"box_id": box.box_id},
-                }
-                np.savez(
-                    path,
-                    __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-                    usage_context=np.zeros((2, 3)),
+                _plant(
+                    store, ArtifactKey(EVIDENCE_STAGE, data_fp, config_fp),
+                    {"usage_context": np.zeros((2, 3))}, {"box_id": box.box_id},
                 )
         assert resolve_evidence(*old_results[0].evidence_refs[0]) is None
 

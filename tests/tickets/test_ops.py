@@ -27,6 +27,7 @@ from repro.tickets.ops import (
     run_box_ops,
     run_fleet_ops,
 )
+from repro.tickets.ops.pipeline import _box_ops_key
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import BoxTrace, FleetTrace, Resource
 
@@ -323,8 +324,11 @@ class TestBoxOps:
         assert first.evidence_refs == second.evidence_refs
 
     def test_metrics_recorded(self, small_fleet):
+        # Telemetry is published as a box folds into the fleet aggregate.
+        box = small_fleet.boxes[0]
+        result = run_box_ops(box, OpsConfig())
         obs.reset_metrics()
-        result = run_box_ops(small_fleet.boxes[0], OpsConfig())
+        run_fleet_ops(FleetTrace([box]))
         counters = obs.metrics_snapshot()["counters"]
         assert counters["ops.boxes"] == 1
         assert counters["ops.incidents"] == result.n_incidents
@@ -407,7 +411,7 @@ class TestResume:
         clear_memory_tiers()
         resolved = 0
         for box in small_fleet:
-            result = run_box_ops(box, OpsConfig(), resume=True)
+            result, _ = default_store().get(_box_ops_key(box, OpsConfig()), memory=False)
             for data_fp, config_fp in result.evidence_refs:
                 bundle = resolve_evidence(data_fp, config_fp)
                 assert isinstance(bundle, EvidenceBundle)
