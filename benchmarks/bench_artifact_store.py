@@ -5,9 +5,8 @@ results in the content-addressed store (``REPRO_STORE``).  This bench
 measures what that buys the workflows the store was built for:
 
 * an ε/horizon ablation sweep over one fleet, run cold (empty store)
-  and warm (second invocation against the populated store, in-process
-  memory tiers cleared so only the disk tier serves); the warm sweep
-  must be ≥ 2x faster;
+  and warm (second invocation against the populated store, which the
+  disk tier alone serves); the warm sweep must be ≥ 2x faster;
 * a parallel (jobs=N) fleet run repeated against the same store: the
   second run must perform **zero** signature searches — pool workers
   persist their results instead of losing them with the pool.
@@ -39,7 +38,7 @@ from repro.benchhelpers import print_table
 from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
 from repro.prediction.spatial.signatures import SignatureSearchConfig
-from repro.store import STORE_ENV_VAR, clear_memory_tiers
+from repro.store import STORE_ENV_VAR
 from repro.trace.generator import FleetConfig, generate_fleet
 
 pytestmark = pytest.mark.slow
@@ -94,7 +93,6 @@ def _run_sweep(fleet, config: AtmConfig):
 
 
 def _timed_sweep(fleet, config):
-    clear_memory_tiers()
     obs.reset_metrics()
     start = time.perf_counter()
     results = _run_sweep(fleet, config)
@@ -110,13 +108,11 @@ def _timed_sweep(fleet, config):
 
 
 def _parallel_zero_search_check(fleet, config, jobs: int = 2):
-    clear_memory_tiers()
     obs.reset_metrics()
     first = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
     first_searches = int(
         obs.metrics_snapshot()["counters"].get("spatial.search.computed", 0)
     )
-    clear_memory_tiers()
     obs.reset_metrics()
     second = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
     second_searches = int(
@@ -150,7 +146,6 @@ def run_bench(n_boxes: int, temporal_model: str, enforce: bool) -> dict:
                 os.environ.pop(STORE_ENV_VAR, None)
             else:
                 os.environ[STORE_ENV_VAR] = previous
-            clear_memory_tiers()
 
     speedup = cold["seconds"] / warm["seconds"] if warm["seconds"] > 0 else float("inf")
     report = {

@@ -110,7 +110,10 @@ def measure_metrics_overhead(n_boxes: int = 8, repeats: int = 3):
         run_fleet_atm(fleet, config, jobs=1)
         return time.perf_counter() - start
 
-    run_fleet_atm(fleet, config, jobs=1)  # warm the signature cache
+    # Warm-up: first-call imports and allocations stay out of both timed
+    # legs.  Nothing is cached in-process, so each timed run repeats the
+    # full signature search.
+    run_fleet_atm(fleet, config, jobs=1)
     previous = os.environ.get(obs.METRICS_ENV_VAR)
     try:
         os.environ[obs.METRICS_ENV_VAR] = "0"

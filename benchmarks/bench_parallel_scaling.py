@@ -5,8 +5,9 @@ fleet at several worker counts and reports seconds and speedup relative
 to the serial baseline, verifying along the way that every worker count
 produces numerically identical aggregates (the engine's contract).
 
-The signature cache is cleared before each timed run, so the speedup
-column isolates the process fan-out from the memoization layer.
+Nothing is cached in-process between timed runs (without
+``REPRO_STORE``), so every worker count pays the full signature search
+and the speedup column isolates the process fan-out.
 
 Speedup obviously requires cores: the ≥3x-at-4-workers target applies to
 a ≥4-core machine.  On fewer cores the bench still validates equivalence

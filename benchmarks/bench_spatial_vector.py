@@ -40,7 +40,6 @@ import numpy as np
 import pytest
 
 from repro.benchhelpers import pipeline_fleet, print_table
-from repro.store import memory_tier
 from repro.prediction.spatial.cbc import correlation_based_clusters
 from repro.prediction.spatial.dtw_cluster import dtw_clusters
 from repro.prediction.spatial.signatures import (
@@ -142,7 +141,6 @@ def _time_best(fn, repeats=REPEATS):
 
 def _search_pass(matrices, config):
     """One cold full-fleet search pass (the timed unit)."""
-    memory_tier("spatial").clear()
     return [search_signature_set(m, config) for m in matrices]
 
 
@@ -167,19 +165,16 @@ def search_decisions(n_boxes=40):
     """
     matrices = _training_matrices(n_boxes)
     rows = []
-    try:
-        for method in (ClusteringMethod.DTW, ClusteringMethod.CBC):
-            config = SignatureSearchConfig(method=method, dtw_window=DTW_WINDOW)
-            seconds, models = _time_best(lambda: _search_pass(matrices, config))
-            digest = _decisions_digest(models)
-            pinned = PINNED_DIGESTS.get((method.value, len(matrices)))
-            assert pinned is None or digest == pinned, (
-                f"{method.value} search decisions diverge from the reference "
-                f"search at {len(matrices)} boxes: {digest} != {pinned}"
-            )
-            rows.append([method.value, len(matrices), seconds, digest])
-    finally:
-        memory_tier("spatial").clear()
+    for method in (ClusteringMethod.DTW, ClusteringMethod.CBC):
+        config = SignatureSearchConfig(method=method, dtw_window=DTW_WINDOW)
+        seconds, models = _time_best(lambda: _search_pass(matrices, config))
+        digest = _decisions_digest(models)
+        pinned = PINNED_DIGESTS.get((method.value, len(matrices)))
+        assert pinned is None or digest == pinned, (
+            f"{method.value} search decisions diverge from the reference "
+            f"search at {len(matrices)} boxes: {digest} != {pinned}"
+        )
+        rows.append([method.value, len(matrices), seconds, digest])
     return rows
 
 
@@ -193,29 +188,25 @@ def _zscore_rows(m):
 def _kernel_inputs(matrices):
     """Per-box inputs of every spatial kernel, as the search would feed them."""
     inputs = []
-    try:
-        for m in matrices:
-            n = m.shape[0]
-            a_idx, b_idx = np.triu_indices(n, k=1)
-            z = _zscore_rows(m)
-            distances = dtw_distance_matrix(m, window=DTW_WINDOW, zscore=True)
-            upper = int(np.clip(n // 2, 2, n))
-            cuts = HierarchicalClustering(distances).cuts(range(2, upper + 1))
-            memory_tier("spatial").clear()
-            model = search_signature_set(m, SignatureSearchConfig())
-            inputs.append(
-                {
-                    "dtw": (z[a_idx], z[b_idx]),
-                    "silhouette": (distances, cuts),
-                    "candidates": m[list(model.initial_signature_indices)].T,
-                    "ols": (
-                        m[list(model.dependent_indices)].T,
-                        m[list(model.signature_indices)].T,
-                    ),
-                }
-            )
-    finally:
-        memory_tier("spatial").clear()
+    for m in matrices:
+        n = m.shape[0]
+        a_idx, b_idx = np.triu_indices(n, k=1)
+        z = _zscore_rows(m)
+        distances = dtw_distance_matrix(m, window=DTW_WINDOW, zscore=True)
+        upper = int(np.clip(n // 2, 2, n))
+        cuts = HierarchicalClustering(distances).cuts(range(2, upper + 1))
+        model = search_signature_set(m, SignatureSearchConfig())
+        inputs.append(
+            {
+                "dtw": (z[a_idx], z[b_idx]),
+                "silhouette": (distances, cuts),
+                "candidates": m[list(model.initial_signature_indices)].T,
+                "ols": (
+                    m[list(model.dependent_indices)].T,
+                    m[list(model.signature_indices)].T,
+                ),
+            }
+        )
     return inputs
 
 
@@ -401,24 +392,20 @@ def fig_tables():
         "clustering_ablation": _ablation_values,
     }
     timings = {}
-    try:
-        for fig, fn in compute.items():
-            memory_tier("spatial").clear()
-            start = time.perf_counter()
-            values = fn(fleet)
-            measured_ms = 1000.0 * (time.perf_counter() - start)
-            assert values == EXPECTED_TABLES[fig], (
-                f"{fig}: table diverges from bench_output_verbose.txt: "
-                f"{values} != {EXPECTED_TABLES[fig]}"
-            )
-            timings[fig] = {
-                "baseline_ms": BASELINE_MS[fig],
-                "measured_ms": measured_ms,
-                "reduction_pct": 100.0 * (1.0 - measured_ms / BASELINE_MS[fig]),
-                "tables_match_baseline": True,
-            }
-    finally:
-        memory_tier("spatial").clear()
+    for fig, fn in compute.items():
+        start = time.perf_counter()
+        values = fn(fleet)
+        measured_ms = 1000.0 * (time.perf_counter() - start)
+        assert values == EXPECTED_TABLES[fig], (
+            f"{fig}: table diverges from bench_output_verbose.txt: "
+            f"{values} != {EXPECTED_TABLES[fig]}"
+        )
+        timings[fig] = {
+            "baseline_ms": BASELINE_MS[fig],
+            "measured_ms": measured_ms,
+            "reduction_pct": 100.0 * (1.0 - measured_ms / BASELINE_MS[fig]),
+            "tables_match_baseline": True,
+        }
     return timings
 
 

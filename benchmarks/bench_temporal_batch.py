@@ -33,7 +33,6 @@ import pytest
 from repro.benchhelpers import pipeline_fleet, print_table
 from repro.benchhelpers.scaling import fingerprint_result
 from repro.core import AtmConfig, run_fleet_atm
-from repro.store import memory_tier
 from repro.prediction.spatial.signatures import ClusteringMethod, search_signature_set
 from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.temporal.neural import MlpConfig
@@ -113,13 +112,12 @@ def fig_wallclock():
     """Re-time the fig09/fig10 pipeline compute (jobs=1, batched kernel).
 
     Both figures run the same two ``run_fleet_atm`` sweeps (DTW + CBC) and
-    report different aggregates, so each gets its own timed sweep with a
-    cold signature cache, mirroring a fresh bench process.
+    report different aggregates, so each gets its own timed sweep; nothing
+    is cached in-process, so each sweep pays its signature searches.
     """
     fleet = pipeline_fleet(40)
     timings = {}
     for fig in ("fig09", "fig10"):
-        memory_tier("spatial").clear()
         start = time.perf_counter()
         results = {
             method: run_fleet_atm(fleet, AtmConfig.with_clustering(method), jobs=1)
@@ -135,7 +133,6 @@ def fig_wallclock():
                 repr(tuple(fingerprint_result(r) for r in results.values())).encode()
             ).hexdigest()[:16],
         }
-    memory_tier("spatial").clear()
     return timings
 
 

@@ -3,11 +3,8 @@
 :func:`scaling_report` times ``run_fleet_atm`` on one fleet at several
 worker counts, verifies every run produces *numerically identical*
 aggregates (the engine's core guarantee), and returns printable rows.
-The store's "spatial" memory tier (the signature-search memo) is cleared
-before each timed run so later runs
-cannot freeload on clusterings computed by earlier ones — each worker
-count pays the full cost and the speedup column measures the engine,
-not the cache.
+Without ``REPRO_STORE`` nothing is cached between runs, so each worker
+count pays the full cost and the speedup column measures the engine.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import AtmConfig
 from repro.core.executor import resolve_jobs
 from repro.core.pipeline import FleetAtmResult, run_fleet_atm
-from repro.store import memory_tier
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.trace.generator import FleetConfig, generate_fleet
@@ -86,7 +82,6 @@ def scaling_report(
     baseline_seconds: Optional[float] = None
     baseline_fingerprint: Optional[Tuple] = None
     for jobs in jobs_list:
-        memory_tier("spatial").clear()
         start = time.perf_counter()
         result = run_fleet_atm(fleet, cfg, jobs=jobs)
         elapsed = time.perf_counter() - start
@@ -100,7 +95,6 @@ def scaling_report(
             )
         rows.append([jobs, elapsed, baseline_seconds / elapsed])
         results[jobs] = result
-    memory_tier("spatial").clear()
     return rows, results
 
 

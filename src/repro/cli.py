@@ -56,13 +56,17 @@ def _scenario_from_args(args: argparse.Namespace):
     return resolve_scenario(getattr(args, "scenario", None))
 
 
+def _fleet_config(args: argparse.Namespace) -> FleetConfig:
+    """The synthetic fleet selected by ``--boxes``/``--days``/``--seed``."""
+    return FleetConfig(n_boxes=args.boxes, days=args.days, seed=args.seed)
+
+
 def _fleet_from_args(args: argparse.Namespace):
     if getattr(args, "shards", None):
         return load_fleet_shards(args.shards)
     if getattr(args, "input", None):
         return load_fleet_csv(args.input)
-    config = FleetConfig(n_boxes=args.boxes, days=args.days, seed=args.seed)
-    return generate_fleet(config, scenario=_scenario_from_args(args))
+    return generate_fleet(_fleet_config(args), scenario=_scenario_from_args(args))
 
 
 def _atm_config(args: argparse.Namespace) -> AtmConfig:
@@ -117,8 +121,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
     config = _atm_config(args)
-    resume = _apply_store_args(args)
-    result = run_fleet_atm(fleet, config, jobs=args.jobs, resume=resume)
+    result = run_fleet_atm(fleet, config, jobs=args.jobs, resume=args.resume)
     print_table(
         f"ATM prediction — {args.method} clustering, {args.temporal} temporal model",
         ["metric", "value"],
@@ -150,10 +153,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_resize(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
     policy = TicketPolicy(threshold_pct=args.threshold)
-    resume = _apply_store_args(args)
     reduction = evaluate_fleet_resizing(
         fleet, policy, tuple(ResizingAlgorithm), eval_windows=96,
-        epsilon_pct=args.epsilon, jobs=args.jobs, resume=resume,
+        epsilon_pct=args.epsilon, jobs=args.jobs, resume=args.resume,
     )
     rows = []
     for algorithm in ResizingAlgorithm:
@@ -178,7 +180,6 @@ def _cmd_resize(args: argparse.Namespace) -> int:
 def _cmd_online(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
     config = _atm_config(args)
-    _apply_store_args(args)
     result = run_online_fleet(
         fleet,
         config,
@@ -222,12 +223,6 @@ def _cmd_tickets(args: argparse.Namespace) -> int:
     from repro.tickets.ops import OpsConfig, ScoringPolicy, run_fleet_ops
 
     fleet = _fleet_from_args(args)
-    resume = _apply_store_args(args)
-    atm = None
-    if args.atm_evidence:
-        if not runtime.store_dir():
-            raise SystemExit("--atm-evidence requires --store or $REPRO_STORE")
-        atm = _atm_config(args)
     config = OpsConfig(
         policy=TicketPolicy(threshold_pct=args.threshold),
         max_gap_windows=args.max_gap,
@@ -236,9 +231,9 @@ def _cmd_tickets(args: argparse.Namespace) -> int:
         sla=SlaPolicy(
             ack_windows=args.ack_windows, resolve_windows=args.resolve_windows
         ),
-        atm=atm,
+        atm=_atm_config(args) if args.atm_evidence else None,
     )
-    result = run_fleet_ops(fleet, config, jobs=args.jobs, resume=resume)
+    result = run_fleet_ops(fleet, config, jobs=args.jobs, resume=args.resume)
     ack_min, resolve_min = config.sla.deadlines_minutes(config.policy)
     ratio = result.tickets_per_incident()
     spatial = result.spatial_incident_share()
@@ -322,8 +317,7 @@ def _cmd_testbed(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = FleetConfig(n_boxes=args.boxes, days=args.days, seed=args.seed)
-    fleet = generate_fleet(config, scenario=_scenario_from_args(args))
+    fleet = _fleet_from_args(args)
     save_fleet_csv(fleet, args.output)
     print(
         f"wrote {args.output}: {fleet.n_boxes} boxes, {fleet.n_vms} VMs, "
@@ -341,9 +335,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         # Streaming: boxes are generated and written one at a time, so the
         # store can exceed RAM even at build time.  --jobs fans generation
         # across processes; the resulting store is byte-identical.
-        config = FleetConfig(n_boxes=args.boxes, days=args.days, seed=args.seed)
         manifest = generate_fleet_shards(
-            config, args.output, jobs=args.jobs,
+            _fleet_config(args), args.output, jobs=args.jobs,
             scenario=_scenario_from_args(args),
         )
     scenario_note = ""
@@ -357,13 +350,26 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_fleet_arguments(parser: argparse.ArgumentParser, days: int) -> None:
-    parser.add_argument("--boxes", type=int, default=40, help="synthetic fleet size")
+def _add_generator_arguments(
+    parser: argparse.ArgumentParser,
+    boxes: int,
+    days: int,
+    input_help: Optional[str] = None,
+) -> None:
+    """``--boxes``/``--days``/``--seed`` of the synthetic fleet, plus
+    ``--input`` (a fleet CSV instead) when ``input_help`` is set."""
+    parser.add_argument("--boxes", type=int, default=boxes, help="synthetic fleet size")
     parser.add_argument("--days", type=int, default=days, help="trace length in days")
     parser.add_argument("--seed", type=int, default=20160628, help="generator seed")
-    parser.add_argument(
-        "--input", type=str, default=None,
-        help="load a fleet CSV instead of generating one",
+    if input_help:
+        parser.add_argument("--input", type=str, default=None, help=input_help)
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser, days: int) -> None:
+    """Where a fleet command's fleet comes from: generated, CSV or shards."""
+    _add_generator_arguments(
+        parser, boxes=40, days=days,
+        input_help="load a fleet CSV instead of generating one",
     )
     parser.add_argument(
         "--shards", type=str, default=None, metavar="DIR",
@@ -405,12 +411,17 @@ def _add_model_arguments(
     )
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser, resume: bool = True) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the per-box fan-out "
-        "(default: $REPRO_JOBS or 1 = serial; 0 = all cores)",
-    )
+def _add_jobs_argument(
+    parser: argparse.ArgumentParser,
+    help_text: str = "worker processes for the per-box fan-out "
+    "(default: $REPRO_JOBS or 1 = serial; 0 = all cores)",
+) -> None:
+    parser.add_argument("--jobs", type=int, default=None, metavar="N", help=help_text)
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser, resume: bool = True) -> None:
+    """A fleet run's ``--jobs``/``--metrics-json``/``--store`` (and ``--resume``)."""
+    _add_jobs_argument(parser)
     parser.add_argument(
         "--metrics-json", type=str, default=None, metavar="PATH",
         help="write the run's pipeline metrics (repro.metrics/v1 schema: "
@@ -420,7 +431,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser, resume: bool = True) -> 
     parser.add_argument(
         "--store", type=str, default=None, metavar="DIR",
         help="persistent artifact store directory (default: $REPRO_STORE; "
-        "unset = in-memory caching only)",
+        "unset = no caching)",
     )
     if resume:
         parser.add_argument(
@@ -431,8 +442,8 @@ def _add_jobs_argument(parser: argparse.ArgumentParser, resume: bool = True) -> 
         )
 
 
-def _apply_store_args(args: argparse.Namespace) -> bool:
-    """Install ``--store`` into the environment; return the resume flag.
+def _apply_store_args(args: argparse.Namespace) -> None:
+    """Install ``--store`` into the environment; check the flags needing one.
 
     The store root travels via ``REPRO_STORE`` rather than a parameter so
     forked pool workers inherit it with no extra plumbing.
@@ -440,10 +451,10 @@ def _apply_store_args(args: argparse.Namespace) -> bool:
     store = getattr(args, "store", None)
     if store:
         os.environ[STORE_ENV_VAR] = store
-    resume = bool(getattr(args, "resume", False))
-    if resume and not runtime.store_dir():
-        raise SystemExit("--resume requires --store or $REPRO_STORE")
-    return resume
+    for flag in ("resume", "atm_evidence"):
+        if getattr(args, flag, False) and not runtime.store_dir():
+            name = "--" + flag.replace("_", "-")
+            raise SystemExit(f"{name} requires --store or $REPRO_STORE")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,13 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser("predict", help="full-ATM prediction + reduction")
     _add_fleet_arguments(predict, days=6)
-    _add_jobs_argument(predict)
+    _add_run_arguments(predict)
     _add_model_arguments(predict)
     predict.set_defaults(func=_cmd_predict)
 
     resize = sub.add_parser("resize", help="oracle resizing comparison")
     _add_fleet_arguments(resize, days=1)
-    _add_jobs_argument(resize)
+    _add_run_arguments(resize)
     resize.add_argument("--threshold", type=float, default=60.0)
     resize.add_argument("--epsilon", type=float, default=5.0)
     resize.set_defaults(func=_cmd_resize)
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_arguments(online, days=7)
     # Online runs warm-resume implicitly through --store (every refit's
     # parameter state is content-addressed), so no explicit --resume flag.
-    _add_jobs_argument(online, resume=False)
+    _add_run_arguments(online, resume=False)
     online.add_argument(
         "--refit-every", type=int, default=1, dest="refit_every", metavar="K",
         help="cadence cap on the signature re-search: re-run at least "
@@ -501,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="incident operations: monitor → incidents → route → resolve",
     )
     _add_fleet_arguments(tickets, days=1)
-    _add_jobs_argument(tickets)
+    _add_run_arguments(tickets)
     tickets.add_argument(
         "--threshold", type=float, default=60.0,
         help="ticket threshold in percent of allocation (Eq. 6 alpha)",
@@ -545,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     generate = sub.add_parser("generate", help="write a synthetic fleet CSV")
     generate.add_argument("output", type=str, help="output CSV path")
-    generate.add_argument("--boxes", type=int, default=20)
-    generate.add_argument("--days", type=int, default=7)
-    generate.add_argument("--seed", type=int, default=20160628)
+    _add_generator_arguments(generate, boxes=20, days=7)
     _add_scenario_argument(generate)
     generate.set_defaults(func=_cmd_generate)
 
@@ -555,16 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
         "shard", help="build a memory-mapped shard store (synthetic or from CSV)"
     )
     shard.add_argument("output", type=str, help="shard store directory")
-    shard.add_argument("--boxes", type=int, default=20)
-    shard.add_argument("--days", type=int, default=7)
-    shard.add_argument("--seed", type=int, default=20160628)
-    shard.add_argument(
-        "--input", type=str, default=None,
-        help="convert this fleet CSV instead of generating synthetically",
+    _add_generator_arguments(
+        shard, boxes=20, days=7,
+        input_help="convert this fleet CSV instead of generating synthetically",
     )
-    shard.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for synthetic generation (default: $REPRO_JOBS "
+    _add_jobs_argument(
+        shard,
+        help_text="worker processes for synthetic generation (default: $REPRO_JOBS "
         "or 1 = serial; 0 = all cores); the store is byte-identical at any "
         "worker count",
     )
@@ -582,6 +588,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if metrics_path:
         obs.reset_metrics()  # scope the snapshot to this command
     try:
+        _apply_store_args(args)
         code = args.func(args)
     finally:
         # Write the snapshot even when the command raises: a degraded or

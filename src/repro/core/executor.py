@@ -295,11 +295,11 @@ def resume_probe(
         return None, _discard
     artifact = key()
     if resume:
-        cached = store.get(artifact, memory=False)
+        cached = store.get(artifact)
         if cached is not None:
             obs.inc(f"{namespace}.resume.hits")
             return cached, _discard
-    return None, functools.partial(store.put, artifact, memory=False)
+    return None, functools.partial(store.put, artifact)
 
 
 def per_box(fn: Callable[..., R]) -> Callable[..., Iterator[Any]]:

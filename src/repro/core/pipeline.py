@@ -139,9 +139,7 @@ def _run_primary(
             key = None
             if store.persistent:
                 key = stages.forecast_key(demands, config)
-                # Disk-only: the in-memory tier already caches the
-                # expensive half (the spatial model).
-                outcomes[pos] = store.get(key, memory=False)
+                outcomes[pos] = store.get(key)
                 if outcomes[pos] is not None:
                     obs.inc("stages.forecast.hits")
                     continue
@@ -169,7 +167,7 @@ def _run_primary(
                 predictor.finish_fit(models)
                 prediction = predictor.predict(config.horizon_windows)
                 if key is not None:
-                    store.put(key, prediction, memory=False)
+                    store.put(key, prediction)
                 outcomes[pos] = prediction
             except Exception as exc:
                 outcomes[pos] = exc

@@ -18,6 +18,10 @@ Variable                    Default    Meaning
 ``REPRO_STORE``             unset      Directory of the persistent artifact
                                        store's disk tier
                                        (see :mod:`repro.store`).
+``REPRO_FORBID_FLEET_``     off        Worker guard: fleet generation and,
+``GENERATION``                         once shards are open, fleet
+                                       materialization raise
+                                       (see :mod:`repro.trace.model`).
 ==========================  =========  =========================================
 
 Boolean gates share one falsy set: ``0``, ``false``, ``off``, ``no``
@@ -34,12 +38,14 @@ from typing import Optional
 __all__ = [
     "FAULTS_ENV_VAR",
     "FAULTS_SEED_ENV_VAR",
+    "FORBID_GENERATION_ENV_VAR",
     "JOBS_ENV_VAR",
     "METRICS_ENV_VAR",
     "STORE_ENV_VAR",
     "env_jobs",
     "faults_seed",
     "faults_spec",
+    "fleet_generation_forbidden",
     "metrics_enabled",
     "store_dir",
 ]
@@ -49,6 +55,7 @@ METRICS_ENV_VAR = "REPRO_METRICS"
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 STORE_ENV_VAR = "REPRO_STORE"
+FORBID_GENERATION_ENV_VAR = "REPRO_FORBID_FLEET_GENERATION"
 
 #: The one spelling of "disabled" every boolean gate accepts.
 _FALSY = frozenset({"0", "false", "off", "no"})
@@ -96,3 +103,8 @@ def store_dir() -> Optional[str]:
     """Directory of the artifact store's disk tier; ``None`` when unset."""
     raw = os.environ.get(STORE_ENV_VAR, "").strip()
     return raw or None
+
+
+def fleet_generation_forbidden() -> bool:
+    """Whether the worker guard ``REPRO_FORBID_FLEET_GENERATION`` is on (default off)."""
+    return _flag(FORBID_GENERATION_ENV_VAR, default=False)

@@ -215,12 +215,10 @@ def search_signature_set(
     if n_series == 0:
         raise ValueError("need at least one series")
 
-    # The search depends only on (training matrix, config); re-runs of the
-    # same box under varying ε/horizon reuse the model memoized in the
-    # store's "spatial" memory tier, and with a persistent store
-    # (REPRO_STORE) so do sibling pool workers and later runs.  The
-    # content fingerprint can never alias two boxes whose data differ.
-    # Cached models are shared — treat them as read-only.
+    # The search depends only on (training matrix, config); with a
+    # persistent store (REPRO_STORE), re-runs of the same box under varying
+    # ε/horizon, sibling pool workers and later runs read the stored model.
+    # The content fingerprint can never alias two boxes whose data differ.
     store = default_store()
     cache_key = ArtifactKey(
         stage=SPATIAL_STAGE,

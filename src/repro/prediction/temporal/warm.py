@@ -149,7 +149,7 @@ def _serve_cached(
     stack: np.ndarray, cfg: MlpConfig, key: ArtifactKey
 ) -> Optional[Tuple[List[NeuralNetPredictor], BatchFitState]]:
     """Serve a persisted refit with zero training, if the store has it."""
-    cached = default_store().get(key, memory=False)
+    cached = default_store().get(key)
     if not isinstance(cached, BatchFitState):
         return None
     if cached.params.ndim != 2 or cached.params.shape[0] != stack.shape[0]:
@@ -189,7 +189,7 @@ def _fit_with_init(
             state.best_val[guard] = cold_state.best_val
             state.epochs[guard] += cold_state.epochs
         obs.inc("warm.models_warm", float(np.count_nonzero(~guard)))
-    default_store().put(key, state, memory=False)
+    default_store().put(key, state)
     return models, state
 
 
@@ -203,7 +203,7 @@ def _fit_cold(
     with obs.span("warm.fit"):
         obs.inc("warm.cold_batches")
         models, state = fit_equal_length_state(stack, cfg)
-    default_store().put(key, state, memory=False)
+    default_store().put(key, state)
     return models, state
 
 

@@ -1,11 +1,11 @@
-"""The two-tier content-addressed artifact store.
+"""The content-addressed artifact store: one persistent disk tier.
 
-Tier 1 is an in-process LRU per stage (:class:`repro.store.lru.LruCache`
-instances shared process-wide, so the signature cache keeps its historical
-identity semantics).  Tier 2 is an optional on-disk tier: one ``.npz``
-file per artifact under a root directory selected by ``REPRO_STORE`` (or
-the CLI's ``--store``).  Without a root the store degrades to the memory
-tier alone — the pre-store behaviour, bit for bit.
+Artifacts live on disk, one ``.npz`` file per artifact under a root
+directory selected by ``REPRO_STORE`` (or the CLI's ``--store``).
+Without a root the store is disabled: every get misses and every put is
+dropped, so each stage computes its value.  There is no in-process memo:
+a value is reused across runs, pool workers and repeated calls in one
+process only through the disk tier.
 
 Keys are :class:`ArtifactKey` values — ``(stage, data fingerprint, config
 fingerprint, schema version)``.  The disk layout shards by digest::
@@ -32,25 +32,22 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Container, Dict, Iterator, Optional, Tuple
+from typing import Any, Container, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.store.codecs import get_codec
 from repro.store.fingerprint import STORE_SCHEMA
-from repro.store.lru import DEFAULT_MAXSIZE, LruCache
 
 __all__ = [
     "STORE_ENV_VAR",
     "ArtifactKey",
     "ArtifactStore",
-    "clear_memory_tiers",
     "default_store",
-    "memory_tier",
 ]
 
-#: Directory of the persistent disk tier; unset/empty = memory tier only.
+#: Directory of the persistent disk tier; unset/empty = store disabled.
 STORE_ENV_VAR = "REPRO_STORE"
 
 
@@ -69,34 +66,13 @@ class ArtifactKey:
         return hashlib.blake2b(payload.encode(), digest_size=20).hexdigest()
 
 
-# Shared per-stage memory tiers.  Module-level so every ArtifactStore built
-# for the same process (the default store is rebuilt when REPRO_STORE
-# changes) keeps hitting the same LRUs, and so benches can clear one
-# stage's tier (``memory_tier("spatial").clear()``) without the others.
-_MEMORY_TIERS: Dict[str, LruCache] = {}
-
-
-def memory_tier(stage: str, maxsize: int = DEFAULT_MAXSIZE) -> LruCache:
-    """The process-wide memory tier for ``stage`` (created on first use)."""
-    tier = _MEMORY_TIERS.get(stage)
-    if tier is None:
-        tier = _MEMORY_TIERS.setdefault(stage, LruCache(maxsize=maxsize))
-    return tier
-
-
-def clear_memory_tiers() -> None:
-    """Empty every stage's memory tier (benches/tests isolating the disk tier)."""
-    for tier in _MEMORY_TIERS.values():
-        tier.clear()
-
-
 class ArtifactStore:
-    """Two-tier get/put keyed by :class:`ArtifactKey`.
+    """Disk-backed get/put keyed by :class:`ArtifactKey`.
 
     Parameters
     ----------
     root:
-        Disk-tier directory; ``None`` disables persistence (memory only).
+        Disk-tier directory; ``None`` disables the store.
     """
 
     def __init__(self, root: "Optional[str | os.PathLike]" = None) -> None:
@@ -107,9 +83,6 @@ class ArtifactStore:
         """Whether a disk tier is configured."""
         return self.root is not None
 
-    def memory_tier(self, stage: str) -> LruCache:
-        return memory_tier(stage)
-
     # ----------------------------------------------------------------- paths
     def path_for(self, key: ArtifactKey) -> Optional[Path]:
         """Disk location of ``key``'s artifact (``None`` without a root)."""
@@ -119,31 +92,12 @@ class ArtifactStore:
         return self.root / key.stage / digest[:2] / f"{digest}.npz"
 
     # ------------------------------------------------------------------- get
-    def get(self, key: ArtifactKey, memory: bool = True) -> Optional[Any]:
-        """Look ``key`` up: memory tier first (unless disabled), then disk.
+    def get(self, key: ArtifactKey) -> Optional[Any]:
+        """Read ``key``'s artifact from disk; ``None`` on a miss.
 
-        A disk hit is promoted into the memory tier when ``memory`` is on.
-        Returns ``None`` on a miss — including stale-schema and corrupt
-        files, which are counted but never raised.
+        Misses include a disabled store, stale-schema and corrupt files,
+        which are counted but never raised.
         """
-        if memory:
-            hit = self.memory_tier(key.stage).get(key)
-            if hit is not None:
-                return hit
-        value = self._read_disk(key)
-        if value is not None and memory:
-            self.memory_tier(key.stage).put(key, value)
-        return value
-
-    # ------------------------------------------------------------------- put
-    def put(self, key: ArtifactKey, value: Any, memory: bool = True) -> None:
-        """Install ``value`` under ``key`` in the enabled tiers."""
-        if memory:
-            self.memory_tier(key.stage).put(key, value)
-        self._write_disk(key, value)
-
-    # ------------------------------------------------------------------ disk
-    def _read_disk(self, key: ArtifactKey) -> Optional[Any]:
         path = self.path_for(key)
         codec = get_codec(key.stage)
         if path is None or codec is None or not path.exists():
@@ -170,6 +124,7 @@ class ArtifactStore:
         obs.inc(f"store.{key.stage}.hit_disk")
         return value
 
+    # ------------------------------------------------------------------ scan
     def headers(
         self, stage: str, skip: Container[Path] = ()
     ) -> Iterator[Tuple[Path, ArtifactKey, Any]]:
@@ -199,7 +154,9 @@ class ArtifactStore:
             if key.stage == stage and key.schema == STORE_SCHEMA:
                 yield path, key, header.get("meta")
 
-    def _write_disk(self, key: ArtifactKey, value: Any) -> None:
+    # ------------------------------------------------------------------- put
+    def put(self, key: ArtifactKey, value: Any) -> None:
+        """Write ``value`` under ``key`` on disk; a no-op without a root."""
         path = self.path_for(key)
         codec = get_codec(key.stage)
         if path is None or codec is None:
@@ -248,13 +205,12 @@ def _mkstemp_beside(path: Path):
 
 
 # The process default, rebuilt whenever the configured root changes (tests
-# monkeypatch REPRO_STORE).  Memory tiers are module-global, so a rebuild
-# never drops tier-1 entries.
+# monkeypatch REPRO_STORE).
 _DEFAULT: Optional[ArtifactStore] = None
 
 
 def default_store() -> ArtifactStore:
-    """The store configured by ``REPRO_STORE`` (memory-only when unset)."""
+    """The store configured by ``REPRO_STORE`` (disabled when unset)."""
     from repro.core.runtime import store_dir  # lazy: avoids a core import cycle
 
     root = store_dir()

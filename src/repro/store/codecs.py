@@ -12,8 +12,8 @@ maps a stage's in-memory value to that representation and back:
 
 Codecs are registered by the module that owns the stage's value type
 (e.g. the spatial codec lives next to :class:`SpatialModel`), which keeps
-the store free of upward imports.  A stage without a codec is memory-only:
-the disk tier silently skips it.
+the store free of upward imports.  A stage without a codec is never
+stored: the disk tier silently skips it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def register_codec(stage: str, encode: EncodeFn, decode: DecodeFn) -> Codec:
 
 
 def get_codec(stage: str) -> Optional[Codec]:
-    """The codec for ``stage``, or ``None`` when the stage is memory-only."""
+    """The codec for ``stage``, or ``None`` when the stage is never stored."""
     return _CODECS.get(stage)
 
 

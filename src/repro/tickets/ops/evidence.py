@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
@@ -285,7 +285,7 @@ def _encode_pack(pack: EvidencePack):
             "rank": int(bundle.rank),
             "score": float(bundle.score),
             "queue": int(bundle.queue),
-            "clock": bundle.clock.to_dict(),
+            "clock": asdict(bundle.clock),
             "threshold_pct": float(bundle.threshold_pct),
             "n_records": len(bundle.records),
             "context_lo": int(bundle.context_lo),
@@ -313,7 +313,7 @@ def _decode_bundle(arrays, row: dict, records) -> EvidenceBundle:
         rank=int(row["rank"]),
         score=float(row["score"]),
         queue=int(row["queue"]),
-        clock=SlaClock.from_dict(row["clock"]),
+        clock=SlaClock(**row["clock"]),
         threshold_pct=float(row["threshold_pct"]),
         records=tuple(
             TicketRecord(box_id, vm_id, resource, window, usage_pct)

@@ -148,37 +148,6 @@ class IncidentRow:
     ack_breached: bool
     resolve_breached: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "box_id": self.box_id,
-            "start_window": self.start_window,
-            "end_window": self.end_window,
-            "n_tickets": self.n_tickets,
-            "n_vms": self.n_vms,
-            "score": self.score,
-            "queue": self.queue,
-            "ack_window": self.ack_window,
-            "resolve_window": self.resolve_window,
-            "ack_breached": self.ack_breached,
-            "resolve_breached": self.resolve_breached,
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "IncidentRow":
-        return IncidentRow(
-            box_id=str(raw["box_id"]),
-            start_window=int(raw["start_window"]),
-            end_window=int(raw["end_window"]),
-            n_tickets=int(raw["n_tickets"]),
-            n_vms=int(raw["n_vms"]),
-            score=float(raw["score"]),
-            queue=int(raw["queue"]),
-            ack_window=int(raw["ack_window"]),
-            resolve_window=int(raw["resolve_window"]),
-            ack_breached=bool(raw["ack_breached"]),
-            resolve_breached=bool(raw["resolve_breached"]),
-        )
-
 
 @dataclass(frozen=True)
 class BoxOpsResult:
@@ -206,7 +175,7 @@ class BoxOpsResult:
 
 
 def _assignment_digest(rows: Tuple[IncidentRow, ...]) -> str:
-    payload = json.dumps([row.to_dict() for row in rows], sort_keys=True)
+    payload = json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True)
     return hashlib.blake2b(payload.encode(), digest_size=20).hexdigest()
 
 
@@ -274,7 +243,7 @@ def _probe_forecast_evidence(key: ArtifactKey, store):
     """
     from repro.trace.model import Resource
 
-    cached = store.get(key, memory=False)
+    cached = store.get(key)
     if cached is None:
         return None, None, None
     result, _events = cached
@@ -387,10 +356,7 @@ def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
             evidence_refs.append((ev_key.data_fp, ev_key.config_fp))
         if bundles and ops_key is not None:
             pack_key = ArtifactKey(EVIDENCE_STAGE, ops_key.data_fp, ops_key.config_fp)
-            store.put(
-                pack_key, EvidencePack(tuple(evidence_refs), tuple(bundles)),
-                memory=False,
-            )
+            store.put(pack_key, EvidencePack(tuple(evidence_refs), tuple(bundles)))
 
         result_rows = tuple(rows)
         result = BoxOpsResult(
@@ -562,7 +528,7 @@ def _decode_box_ops(arrays, meta):
         **raw,
         "queue_counts": tuple(raw["queue_counts"]),
         "evidence_refs": tuple(tuple(pair) for pair in raw["evidence_refs"]),
-        "rows": tuple(IncidentRow.from_dict(row) for row in raw["rows"]),
+        "rows": tuple(IncidentRow(**row) for row in raw["rows"]),
     })
     return result, events
 

@@ -93,25 +93,6 @@ class SlaClock:
     def breached(self) -> bool:
         return self.ack_breached or self.resolve_breached
 
-    def to_dict(self) -> dict:
-        return {
-            "start_window": self.start_window,
-            "ack_window": self.ack_window,
-            "resolve_window": self.resolve_window,
-            "ack_deadline": self.ack_deadline,
-            "resolve_deadline": self.resolve_deadline,
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "SlaClock":
-        return SlaClock(
-            start_window=int(raw["start_window"]),
-            ack_window=int(raw["ack_window"]),
-            resolve_window=int(raw["resolve_window"]),
-            ack_deadline=int(raw["ack_deadline"]),
-            resolve_deadline=int(raw["resolve_deadline"]),
-        )
-
 
 @dataclass(frozen=True)
 class RoutedIncident:

@@ -27,13 +27,17 @@ reproducible from ``FleetConfig.seed``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.trace.model import FORBID_GENERATION_ENV_VAR, BoxTrace, FleetTrace
+from repro.trace.model import (
+    FORBID_GENERATION_ENV_VAR,
+    BoxTrace,
+    FleetTrace,
+    generation_forbidden,
+)
 from repro.trace.workloads import ar1_draws, ar1_rows, bursts, diurnal_rows
 
 __all__ = [
@@ -48,16 +52,17 @@ __all__ = [
 
 # FORBID_GENERATION_ENV_VAR (canonically defined in repro.trace.model, which
 # also enforces the materialization half of the guard): when set to anything
-# but ""/"0", :func:`generate_fleet` raises.  The parallel execution engine
-# ships shard descriptors or pickled ``BoxTrace`` objects to its pool
-# workers; a worker that falls back to regenerating a fleet would silently
-# multiply the dominant data-synthesis cost by the worker count.  Tests set
-# this variable around parallel runs to prove workers never do.
+# but a falsy spelling (0/false/off/no), :func:`generate_fleet` raises.  The
+# parallel execution engine ships shard descriptors or pickled ``BoxTrace``
+# objects to its pool workers; a worker that falls back to regenerating a
+# fleet would silently multiply the dominant data-synthesis cost by the
+# worker count.  Tests set this variable around parallel runs to prove
+# workers never do.
 
 
 def check_generation_allowed() -> None:
     """Raise when the worker guard forbids fleet-scale data synthesis."""
-    if os.environ.get(FORBID_GENERATION_ENV_VAR, "").strip() not in ("", "0"):
+    if generation_forbidden():
         raise RuntimeError(
             f"fleet generation is forbidden ({FORBID_GENERATION_ENV_VAR} is set): "
             "pool workers must operate on shard descriptors or pickled BoxTrace "

@@ -20,7 +20,6 @@ Conventions (matching the paper's monitoring data):
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, List, Optional, Tuple
 
@@ -32,11 +31,13 @@ __all__ = [
     "Resource",
     "BoxTrace",
     "FleetTrace",
+    "generation_forbidden",
     "mark_shard_tier_active",
     "shard_tier_active",
 ]
 
-#: When set (to anything but ``""``/``0``) this guard forbids work that
+#: When set (to anything but ``0``/``false``/``off``/``no``, the falsy
+#: spellings every ``REPRO_*`` gate shares) this guard forbids work that
 #: multiplies fleet-scale memory or compute inside pool workers: fleet
 #: *generation* (enforced by :func:`repro.trace.generator.generate_fleet`,
 #: which re-exports this name) and — once the memory-mapped shard tier is
@@ -63,10 +64,16 @@ def shard_tier_active() -> bool:
     return _SHARD_TIER_ACTIVE
 
 
+def generation_forbidden() -> bool:
+    """Whether the worker guard is on: the one parse both checks share."""
+    # Lazy: repro.core imports repro.trace.
+    from repro.core.runtime import fleet_generation_forbidden
+
+    return fleet_generation_forbidden()
+
+
 def _materialization_forbidden() -> bool:
-    if not _SHARD_TIER_ACTIVE:
-        return False
-    return os.environ.get(FORBID_GENERATION_ENV_VAR, "").strip() not in ("", "0")
+    return _SHARD_TIER_ACTIVE and generation_forbidden()
 
 #: Upper validation bound for usage percentages.  Values above 100 model
 #: uncapped VMs consuming past their entitlement (common on AIX shared

@@ -231,9 +231,7 @@ def probe_forecast(
     demands = controller._training_demands()
     store = default_store()
     key = stages.forecast_key(demands, controller.config) if store.persistent else None
-    # Disk-only: the in-memory tier already caches the expensive half
-    # (the spatial model) and forecasts are cheap to rebuild in-process.
-    prediction = store.get(key, memory=False) if key is not None else None
+    prediction = store.get(key) if key is not None else None
     if prediction is not None:
         obs.inc("stages.forecast.hits")
     return demands, key, prediction
@@ -242,7 +240,7 @@ def probe_forecast(
 def store_forecast(key: Optional[ArtifactKey], prediction: BoxPrediction) -> None:
     """Persist a freshly computed forecast artifact (no-op without a key)."""
     if key is not None:
-        default_store().put(key, prediction, memory=False)
+        default_store().put(key, prediction)
 
 
 def acquire_forecast(controller: AtmController) -> BoxPrediction:

@@ -266,6 +266,12 @@ class TestWorkersNeverGenerateFleets:
         fleet = generate_fleet(FleetConfig(n_boxes=1, days=1, seed=1))
         assert fleet.n_boxes == 1
 
+    @pytest.mark.parametrize("raw", ["false", "OFF", "no", " 0 "])
+    def test_guard_off_for_every_falsy_spelling(self, monkeypatch, raw):
+        monkeypatch.setenv(FORBID_GENERATION_ENV_VAR, raw)
+        fleet = generate_fleet(FleetConfig(n_boxes=1, days=1, seed=1))
+        assert fleet.n_boxes == 1
+
     def test_parallel_run_with_generation_forbidden(self, fleet, atm_config, monkeypatch):
         # Workers inherit the environment (fork); if any of them tried to
         # regenerate a fleet, the guard would raise inside the pool and the

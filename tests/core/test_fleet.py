@@ -31,7 +31,6 @@ from repro.core.online import run_online_fleet
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
-from repro.store import clear_memory_tiers
 from repro.store.shards import (
     BoxShardRef,
     ShardedFleet,
@@ -70,11 +69,9 @@ N_BOXES = 3
 def _isolated(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     model._SHARD_TIER_ACTIVE = False
-    clear_memory_tiers()
     obs.reset_metrics()
     yield
     model._SHARD_TIER_ACTIVE = False
-    clear_memory_tiers()
     obs.reset_metrics()
 
 
@@ -261,7 +258,6 @@ def test_one_digest_per_driver(
     if mode == "resume":
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
         assert driver.digest_of(fleet, 1) == expected  # populates the store
-        clear_memory_tiers()
     obs.reset_metrics()
     result = driver.run(fleet, jobs, resume=mode == "resume")
     assert driver.digest(result) == expected
@@ -426,12 +422,12 @@ class _FakeStore:
         self.stored = dict(stored or {})
         self.calls = []
 
-    def get(self, key, memory=True):
-        self.calls.append(("get", key, memory))
+    def get(self, key):
+        self.calls.append(("get", key))
         return self.stored.get(key)
 
-    def put(self, key, value, memory=True):
-        self.calls.append(("put", key, memory))
+    def put(self, key, value):
+        self.calls.append(("put", key))
         self.stored[key] = value
 
 
@@ -458,22 +454,23 @@ class TestResumeProbe:
         store = _FakeStore(persistent=True)
         assert self._unit(store, monkeypatch) == "fresh"
         assert self.computed == 1
-        assert store.calls == [("get", "k", False), ("put", "k", False)]
+        assert store.calls == [("get", "k"), ("put", "k")]
         assert "unit.resume.hits" not in obs.metrics_snapshot()["counters"]
 
     def test_hit_counts_and_skips_compute(self, monkeypatch):
         store = _FakeStore(persistent=True, stored={"k": "stored"})
         assert self._unit(store, monkeypatch) == "stored"
         assert self.computed == 0
-        assert store.calls == [("get", "k", False)]
+        assert store.calls == [("get", "k")]
         assert obs.metrics_snapshot()["counters"]["unit.resume.hits"] == 1
 
     def test_without_resume_recomputes_and_puts(self, monkeypatch):
         store = _FakeStore(persistent=True, stored={"k": "stored"})
         assert self._unit(store, monkeypatch, resume=False) == "fresh"
-        assert store.calls == [("put", "k", False)]
+        assert store.calls == [("put", "k")]
 
     def test_memory_only_store_is_never_touched(self, monkeypatch):
+        """A store without a disk tier is neither keyed, read nor written."""
         store = _FakeStore(persistent=False, stored={"k": "stored"})
         monkeypatch.setattr("repro.store.default_store", lambda: store)
         cached, save = resume_probe("unit", lambda: pytest.fail("keyed"), True)

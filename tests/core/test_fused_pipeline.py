@@ -26,7 +26,6 @@ from repro.core.config import AtmConfig
 from repro.core.faults import FaultPlan, FaultRule, fault_plan
 from repro.core.pipeline import FUSED_CHUNK_BOXES, FleetAtmResult, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
-from repro.store import clear_memory_tiers
 from repro.trace.generator import FleetConfig, generate_fleet
 from tests.core.atm_oracle import run_box_atm
 
@@ -97,7 +96,6 @@ def orchestrated(fleet, model, plan, jobs=1, resume=False):
 @pytest.fixture(scope="module")
 def oracle_runs(fleet):
     """The oracle's fold and counters for every grid cell, computed once."""
-    clear_memory_tiers()
     return {cell: oracle(fleet, *cell) for cell in GRID}
 
 
@@ -194,12 +192,10 @@ class TestStoreStability:
             root = tmp_path / f"store{len(made)}"
             root.mkdir()
             monkeypatch.setenv("REPRO_STORE", str(root))
-            clear_memory_tiers()
             made.append(root)
             return root
 
         yield fresh
-        clear_memory_tiers()
 
     @staticmethod
     def _files(root):
@@ -215,7 +211,6 @@ class TestStoreStability:
             cell = (model, plan, jobs)
             stores()
             written, _ = orchestrated(fleet, model, plan, jobs=jobs)
-            clear_memory_tiers()
             resumed, counters = oracle(fleet, model, plan, resume=True)
             assert counters["pipeline.resume.hits"] == fleet.n_boxes, cell
             assert fingerprint_result(resumed) == fingerprint_result(written), cell
@@ -227,7 +222,6 @@ class TestStoreStability:
             cell = (model, plan, jobs)
             stores()
             written, _ = oracle(fleet, model, plan)
-            clear_memory_tiers()
             resumed, counters = orchestrated(fleet, model, plan, jobs=jobs, resume=True)
             assert counters["pipeline.resume.hits"] == fleet.n_boxes, cell
             # Everything served from the store: nothing was fitted.

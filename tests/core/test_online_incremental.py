@@ -27,7 +27,6 @@ from repro.core import online
 from repro.core.online import OnlineAtmController, run_online_fleet
 from repro.prediction.combined import SpatialTemporalPredictor
 from repro.prediction.spatial.signatures import ClusteringMethod
-from repro.store import clear_memory_tiers
 from repro.store.shards import load_fleet_shards, write_fleet_shards
 from repro.trace.generator import FleetConfig, generate_box, generate_fleet
 
@@ -41,10 +40,8 @@ def _clean_env(monkeypatch):
         faults.FAULTS_SEED_ENV_VAR,
     ):
         monkeypatch.delenv(name, raising=False)
-    clear_memory_tiers()
     obs.reset_metrics()
     yield
-    clear_memory_tiers()
     obs.reset_metrics()
 
 
@@ -253,7 +250,6 @@ class TestInterruptedResume:
         """An interrupted online run resumes bit-identically: the replay
         hits every persisted warm state and trains nothing."""
         monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        clear_memory_tiers()
         box = generate_box(2, FleetConfig(days=8, seed=41))
         config = _neural_config()
         first = OnlineAtmController(box, config, refit_every_steps=100).run()

@@ -13,7 +13,6 @@ from repro import obs
 from repro.core.config import AtmConfig
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.core.online import OnlineAtmController
-from repro.store import clear_memory_tiers
 from repro.trace import (
     CohortSpec,
     FleetConfig,
@@ -39,10 +38,8 @@ SHIFT_SPEC = ScenarioSpec(
 def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    clear_memory_tiers()
     obs.reset_metrics()
     yield
-    clear_memory_tiers()
     obs.reset_metrics()
 
 

@@ -20,7 +20,6 @@ from repro.core.online import OnlineAtmController
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
 from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
-from repro.store import clear_memory_tiers
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import FleetTrace
 
@@ -33,9 +32,7 @@ def _config(**overrides):
 @pytest.fixture
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 def _aggregates(result):
@@ -85,9 +82,7 @@ class TestPipelineResume:
         # The never-interrupted reference, computed without a store.
         with monkeypatch.context() as env:
             env.delenv("REPRO_STORE")
-            clear_memory_tiers()
             reference = run_fleet_atm(pipeline_fleet_6d, cfg)
-        clear_memory_tiers()
 
         # Interrupted run: Ctrl-C lands while the victim box computes.  A
         # KeyboardInterrupt is no Exception, so the ladder lets it through
@@ -107,7 +102,6 @@ class TestPipelineResume:
         assert len(list(store_env.glob("box_result/**/*.npz"))) == victim
 
         # Resume: the prefix is served from the store, the rest computed.
-        clear_memory_tiers()
         obs.reset_metrics()
         resumed = run_fleet_atm(pipeline_fleet_6d, cfg, resume=True)
         assert _counters().get("pipeline.resume.hits") == victim
@@ -130,7 +124,6 @@ class TestPipelineResume:
         cold = run_fleet_atm(pipeline_fleet_6d, cfg)
         artifact = sorted(store_env.glob("box_result/**/*.npz"))[0]
         artifact.write_bytes(b"truncated garbage")
-        clear_memory_tiers()
         obs.reset_metrics()
         resumed = run_fleet_atm(pipeline_fleet_6d, cfg, resume=True)
         counters = _counters()
@@ -147,7 +140,6 @@ class TestPipelineResume:
         with fault_plan(plan):
             degraded = run_fleet_atm(pipeline_fleet_6d, cfg)  # degrade ladder
             assert not degraded.report.ok
-            clear_memory_tiers()
             obs.reset_metrics()
             resumed = run_fleet_atm(pipeline_fleet_6d, cfg, resume=True)
         assert _counters().get("pipeline.resume.hits") == pipeline_fleet_6d.n_boxes
@@ -170,7 +162,6 @@ class TestParallelStoreSharing:
         counters = _counters()
         assert counters.get("spatial.search.computed") == pipeline_fleet_6d.n_boxes
 
-        clear_memory_tiers()
         obs.reset_metrics()
         second = run_fleet_atm(pipeline_fleet_6d, cfg, jobs=2, chunksize=1)
         counters = _counters()
@@ -187,7 +178,6 @@ class TestOnlineWarmStart:
         an offline run's spatial artifact is served from disk."""
         cfg = _config()
         run_fleet_atm(FleetTrace(name="one-box", boxes=[sample_box]), cfg)
-        clear_memory_tiers()
         obs.reset_metrics()
         controller = OnlineAtmController(sample_box, cfg)
         controller.run()
@@ -207,7 +197,6 @@ class TestResizeResume:
         first = evaluate_fleet_resizing(
             small_fleet, policy, algorithms, eval_windows=96
         )
-        clear_memory_tiers()
         obs.reset_metrics()
         second = evaluate_fleet_resizing(
             small_fleet, policy, algorithms, eval_windows=96, resume=True
@@ -227,7 +216,6 @@ class TestResizeResume:
         evaluate_fleet_resizing(
             small_fleet, policy, (ResizingAlgorithm.ATM,), eval_windows=96
         )
-        clear_memory_tiers()
         obs.reset_metrics()
         evaluate_fleet_resizing(
             small_fleet,

@@ -5,6 +5,7 @@ import pytest
 from repro.core import executor, faults, runtime
 from repro import obs
 from repro.store import STORE_ENV_VAR
+from repro.trace import model
 
 
 @pytest.fixture(autouse=True)
@@ -15,6 +16,7 @@ def _clean_env(monkeypatch):
         runtime.FAULTS_ENV_VAR,
         runtime.FAULTS_SEED_ENV_VAR,
         runtime.STORE_ENV_VAR,
+        runtime.FORBID_GENERATION_ENV_VAR,
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -80,6 +82,7 @@ class TestLegacyConstantsAgree:
         assert faults.FAULTS_SEED_ENV_VAR == runtime.FAULTS_SEED_ENV_VAR
         assert obs.METRICS_ENV_VAR == runtime.METRICS_ENV_VAR == "REPRO_METRICS"
         assert STORE_ENV_VAR == runtime.STORE_ENV_VAR == "REPRO_STORE"
+        assert model.FORBID_GENERATION_ENV_VAR == runtime.FORBID_GENERATION_ENV_VAR
 
     def test_gate_functions_delegate(self, monkeypatch):
         monkeypatch.setenv(runtime.METRICS_ENV_VAR, "off")

@@ -12,7 +12,7 @@ from repro.core.online import OnlineAtmController
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
 from repro.resizing.evaluate import ResizingAlgorithm
-from repro.store import clear_memory_tiers, get_codec
+from repro.store import get_codec
 from repro.tickets.policy import TicketPolicy
 from repro.trace.generator import FleetConfig, generate_box
 from repro.trace.model import BoxTrace
@@ -26,9 +26,7 @@ def _config(**overrides):
 @pytest.fixture
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 def _aggregates(result):
@@ -116,7 +114,6 @@ class TestWarmRuns:
     ):
         cfg = _config()
         cold = run_fleet_atm(pipeline_fleet_6d, cfg)
-        clear_memory_tiers()
         obs.reset_metrics()
         warm = run_fleet_atm(pipeline_fleet_6d, cfg)
         counters = _counters()
@@ -127,7 +124,6 @@ class TestWarmRuns:
 
     def test_epsilon_sweep_reuses_forecasts(self, pipeline_fleet_6d, store_env):
         run_fleet_atm(pipeline_fleet_6d, _config())
-        clear_memory_tiers()
         obs.reset_metrics()
         run_fleet_atm(pipeline_fleet_6d, _config(epsilon_pct=10.0))
         counters = _counters()
@@ -136,7 +132,6 @@ class TestWarmRuns:
 
     def test_horizon_sweep_reuses_spatial_only(self, pipeline_fleet_6d, store_env):
         run_fleet_atm(pipeline_fleet_6d, _config())
-        clear_memory_tiers()
         obs.reset_metrics()
         run_fleet_atm(pipeline_fleet_6d, _config(horizon_windows=48))
         counters = _counters()
@@ -148,9 +143,7 @@ class TestWarmRuns:
     def test_no_store_runs_stay_identical(self, pipeline_fleet_6d, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         cfg = _config()
-        clear_memory_tiers()
         first = run_fleet_atm(pipeline_fleet_6d, cfg)
-        clear_memory_tiers()
         second = run_fleet_atm(pipeline_fleet_6d, cfg)
         assert _aggregates(first) == _aggregates(second)
 
@@ -162,7 +155,6 @@ class TestDemandMatrixOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        clear_memory_tiers()
         seen = []
         real = BoxTrace.demand_matrix
 

@@ -1,23 +1,33 @@
-"""Tests for the signature-search memo: the store's ``"spatial"`` memory tier."""
+"""Tests for the signature-search cache: the store's ``"spatial"`` stage.
+
+The disk tier (``REPRO_STORE``) is the only cache; without it every
+search is computed.
+"""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.prediction.spatial.signatures import (
     ClusteringMethod,
     SignatureSearchConfig,
     search_signature_set,
 )
-from repro.store import LruCache, data_fingerprint, memory_tier
-
-SPATIAL_TIER = memory_tier("spatial")
+from repro.store import data_fingerprint
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    SPATIAL_TIER.clear()
-    yield
-    SPATIAL_TIER.clear()
+def counters(monkeypatch):
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    obs.reset_metrics()
+    yield lambda: obs.metrics_snapshot()["counters"]
+    obs.reset_metrics()
+
+
+@pytest.fixture
+def store_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+    return tmp_path
 
 
 def _matrix(seed=0, n=6, t=200):
@@ -44,67 +54,46 @@ class TestFingerprint:
         )
 
 
-class TestLru:
-    def test_put_get_and_stats(self):
-        cache = LruCache(maxsize=2)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_eviction_order(self):
-        cache = LruCache(maxsize=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh "a"
-        cache.put("c", 3)  # evicts "b"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.stats.evictions == 1
-
-    def test_clear_resets(self):
-        cache = LruCache(maxsize=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            LruCache(maxsize=0)
-
-
 class TestSearchMemoization:
-    def test_second_search_hits(self):
+    def test_no_in_process_cache(self, counters):
+        """Without a store, an identical second search is computed again."""
         data = _matrix()
         config = SignatureSearchConfig(method=ClusteringMethod.DTW, max_clusters=3)
-        first = search_signature_set(data, config)
-        second = search_signature_set(data.copy(), config)
-        assert second is first  # memoized model object
-        assert SPATIAL_TIER.stats.hits == 1
+        search_signature_set(data, config)
+        search_signature_set(data.copy(), config)
+        assert counters().get("spatial.search.computed") == 2
 
-    def test_different_config_misses(self):
+    def test_second_search_hits(self, store_env, counters):
+        """With a store, the second search is served from disk."""
         data = _matrix()
-        a = search_signature_set(data, SignatureSearchConfig(method=ClusteringMethod.CBC))
-        b = search_signature_set(
+        config = SignatureSearchConfig(method=ClusteringMethod.DTW, max_clusters=3)
+        search_signature_set(data, config)
+        search_signature_set(data.copy(), config)
+        assert counters().get("spatial.search.computed") == 1
+        assert counters().get("store.spatial.hit_disk") == 1
+
+    def test_different_config_misses(self, store_env, counters):
+        data = _matrix()
+        search_signature_set(data, SignatureSearchConfig(method=ClusteringMethod.CBC))
+        search_signature_set(
             data, SignatureSearchConfig(method=ClusteringMethod.CBC, vif_threshold=10.0)
         )
-        assert a is not b
-        assert SPATIAL_TIER.stats.hits == 0
+        assert counters().get("spatial.search.computed") == 2
+        assert counters().get("store.spatial.hit_disk", 0) == 0
 
-    def test_different_data_misses(self):
+    def test_different_data_misses(self, store_env, counters):
         config = SignatureSearchConfig(method=ClusteringMethod.CBC)
-        a = search_signature_set(_matrix(seed=1), config)
-        b = search_signature_set(_matrix(seed=2), config)
-        assert a is not b
+        search_signature_set(_matrix(seed=1), config)
+        search_signature_set(_matrix(seed=2), config)
+        assert counters().get("spatial.search.computed") == 2
 
-    def test_cached_model_equivalent(self):
+    def test_cached_model_equivalent(self, store_env, monkeypatch):
         """A hit returns the same numbers a fresh search would compute."""
         data = _matrix()
         config = SignatureSearchConfig(method=ClusteringMethod.DTW, max_clusters=3)
+        search_signature_set(data, config)
         cached = search_signature_set(data, config)
-        SPATIAL_TIER.clear()
+        monkeypatch.delenv("REPRO_STORE")
         fresh = search_signature_set(data, config)
         assert fresh.signature_indices == cached.signature_indices
         assert fresh.dependent_indices == cached.dependent_indices

@@ -29,7 +29,7 @@ from repro.prediction.temporal.warm import (
     fit_neural_batch_warm,
     warm_state_key,
 )
-from repro.store import ArtifactKey, clear_memory_tiers
+from repro.store import ArtifactKey
 from tests.prediction.mlp_oracle import serial_fits
 
 CFG = MlpConfig(period=24, max_epochs=60, seed=7)
@@ -68,9 +68,7 @@ def counters():
 @pytest.fixture
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 class TestColdEquivalence:

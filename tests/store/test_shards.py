@@ -230,6 +230,19 @@ class TestMaterializationGuard:
         with pytest.raises(RuntimeError, match="materialization is forbidden"):
             materialize(load_fleet_shards(root))
 
+    def test_falsy_spelling_allows_materialization(
+        self, store, small_fleet, monkeypatch
+    ):
+        """``false`` turns the guard off, as for every ``REPRO_*`` gate."""
+        root, manifest = store
+        open_box(root, manifest.boxes[0])  # activates the shard tier
+        monkeypatch.setenv(FORBID_GENERATION_ENV_VAR, "false")
+        fleet = materialize(load_fleet_shards(root))
+        assert fleet.n_boxes == small_fleet.n_boxes
+        monkeypatch.setenv(FORBID_GENERATION_ENV_VAR, "1")
+        with pytest.raises(RuntimeError, match="materialization is forbidden"):
+            materialize(load_fleet_shards(root))
+
     def test_guard_off_without_env(self, store, small_fleet, monkeypatch):
         root, _ = store
         monkeypatch.delenv(FORBID_GENERATION_ENV_VAR, raising=False)

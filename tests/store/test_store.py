@@ -11,12 +11,10 @@ from repro.store import (
     STORE_SCHEMA,
     ArtifactKey,
     ArtifactStore,
-    clear_memory_tiers,
     config_fingerprint,
     data_fingerprint,
     default_store,
     get_codec,
-    memory_tier,
     register_codec,
     registered_stages,
 )
@@ -33,13 +31,6 @@ def _decode(arrays, meta):
 
 
 register_codec(STAGE, _encode, _decode)
-
-
-@pytest.fixture(autouse=True)
-def _clean_tiers():
-    clear_memory_tiers()
-    yield
-    clear_memory_tiers()
 
 
 def _key(config_fp="cfg", data=None):
@@ -130,29 +121,21 @@ class TestArtifactKey:
 
 
 # -------------------------------------------------------------------- store
-class TestMemoryTier:
-    def test_memory_only_round_trip(self):
+class TestDisabledStore:
+    def test_get_misses_and_put_is_dropped(self):
+        """Without a root nothing is cached, not even in-process."""
         store = ArtifactStore(root=None)
         assert not store.persistent
         key = _key()
         assert store.get(key) is None
-        value = _value()
-        store.put(key, value)
-        assert store.get(key) is value  # identity: no serialization involved
+        store.put(key, _value())
+        assert store.get(key) is None
 
-    def test_memory_false_bypasses_tier(self, tmp_path):
-        store = ArtifactStore(root=tmp_path)
-        key = _key()
-        store.put(key, _value(), memory=False)
-        assert memory_tier(STAGE).get(key) is None
-        hit = store.get(key, memory=False)
-        assert hit is not None
-        assert memory_tier(STAGE).get(key) is None
-
-    def test_tiers_shared_across_instances(self):
+    def test_nothing_shared_across_instances(self):
+        """A put on one root-less store is not seen by another."""
         key = _key()
         ArtifactStore(root=None).put(key, _value())
-        assert ArtifactStore(root=None).get(key) is not None
+        assert ArtifactStore(root=None).get(key) is None
 
 
 class TestDiskTier:
@@ -163,7 +146,6 @@ class TestDiskTier:
         store.put(key, value)
         path = store.path_for(key)
         assert path is not None and path.exists()
-        clear_memory_tiers()
         obs.reset_metrics()
         out = store.get(key)
         assert out is not None
@@ -171,9 +153,20 @@ class TestDiskTier:
         assert out["meta"] == value["meta"]
         counters = obs.metrics_snapshot()["counters"]
         assert counters.get(f"store.{STAGE}.hit_disk") == 1
-        # The disk hit was promoted into the memory tier.
-        assert store.get(key) is out or store.get(key) is not None
-        assert memory_tier(STAGE).get(key) is not None
+
+    def test_every_get_reads_the_disk(self, tmp_path):
+        """No hit is promoted into process memory: each get decodes a copy,
+        and a second store on the same root sees the same artifacts."""
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        store.put(key, _value())
+        obs.reset_metrics()
+        first = store.get(key)
+        second = ArtifactStore(root=tmp_path).get(key)
+        assert first is not second
+        np.testing.assert_array_equal(first["payload"], second["payload"])
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get(f"store.{STAGE}.hit_disk") == 2
 
     def test_float_payload_bit_identical(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
@@ -181,7 +174,6 @@ class TestDiskTier:
         payload[0, 0] = np.nan
         key = _key()
         store.put(key, {"payload": payload, "meta": {"x": float("nan")}})
-        clear_memory_tiers()
         out = store.get(key)
         assert repr(out["payload"].tolist()) == repr(payload.tolist())
 
@@ -191,7 +183,6 @@ class TestDiskTier:
         store.put(key, _value())
         path = store.path_for(key)
         path.write_bytes(b"this is not an npz file")
-        clear_memory_tiers()
         obs.reset_metrics()
         assert store.get(key) is None
         assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.corrupt") == 1
@@ -202,7 +193,6 @@ class TestDiskTier:
         store.put(key, _value())
         path = store.path_for(key)
         path.write_bytes(path.read_bytes()[: 20])
-        clear_memory_tiers()
         assert store.get(key) is None
 
     def test_header_mismatch_is_stale(self, tmp_path):
@@ -215,7 +205,6 @@ class TestDiskTier:
         other_path = store.path_for(other)
         other_path.parent.mkdir(parents=True, exist_ok=True)
         store.path_for(key).rename(other_path)
-        clear_memory_tiers()
         obs.reset_metrics()
         assert store.get(other) is None
         assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.stale") == 1
@@ -223,16 +212,16 @@ class TestDiskTier:
     def test_unregistered_stage_skips_disk(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         key = ArtifactKey(stage="no_such_codec", data_fp="d", config_fp="c")
-        store.put(key, {"anything": 1}, memory=False)
+        store.put(key, {"anything": 1})
         assert store.path_for(key) is not None
         assert not store.path_for(key).exists()
-        assert store.get(key, memory=False) is None
+        assert store.get(key) is None
 
     def test_write_failure_degrades_to_no_op(self, tmp_path):
         store = ArtifactStore(root=tmp_path / "file-not-dir")
         (tmp_path / "file-not-dir").write_text("occupied")
         obs.reset_metrics()
-        store.put(_key(), _value(), memory=False)  # must not raise
+        store.put(_key(), _value())  # must not raise
         counters = obs.metrics_snapshot()["counters"]
         assert counters.get(f"store.{STAGE}.write_errors") == 1
 
@@ -240,9 +229,9 @@ class TestDiskTier:
     def test_put_into_fresh_root_round_trips(self, tmp_path):
         store = ArtifactStore(root=tmp_path / "not" / "yet" / "made")
         key = _key()
-        store.put(key, _value(scale=2.0), memory=False)
+        store.put(key, _value(scale=2.0))
         np.testing.assert_array_equal(
-            store.get(key, memory=False)["payload"], _value(scale=2.0)["payload"]
+            store.get(key)["payload"], _value(scale=2.0)["payload"]
         )
 
     def test_put_after_directory_removed_round_trips(self, tmp_path):
@@ -250,20 +239,20 @@ class TestDiskTier:
 
         store = ArtifactStore(root=tmp_path)
         first, second = _key(config_fp="one"), _key(config_fp="two")
-        store.put(first, _value(), memory=False)
+        store.put(first, _value())
         shutil.rmtree(tmp_path / STAGE)
         obs.reset_metrics()
-        store.put(second, _value(scale=3.0), memory=False)
+        store.put(second, _value(scale=3.0))
         assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.writes") == 1
         np.testing.assert_array_equal(
-            store.get(second, memory=False)["payload"], _value(scale=3.0)["payload"]
+            store.get(second)["payload"], _value(scale=3.0)["payload"]
         )
-        assert store.get(first, memory=False) is None
+        assert store.get(first) is None
 
     def test_existing_directory_is_not_created_again(self, tmp_path, monkeypatch):
         store = ArtifactStore(root=tmp_path)
         key = _key()
-        store.put(key, _value(), memory=False)
+        store.put(key, _value())
         calls = []
         real_mkdir = type(tmp_path).mkdir
 
@@ -272,17 +261,17 @@ class TestDiskTier:
             return real_mkdir(path, *args, **kwargs)
 
         monkeypatch.setattr(type(tmp_path), "mkdir", counting_mkdir)
-        store.put(key, _value(scale=5.0), memory=False)
+        store.put(key, _value(scale=5.0))
         assert calls == []
         np.testing.assert_array_equal(
-            store.get(key, memory=False)["payload"], _value(scale=5.0)["payload"]
+            store.get(key)["payload"], _value(scale=5.0)["payload"]
         )
 
     def test_headers_read_keys_and_meta_of_readable_files(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         good, torn = _key(config_fp="good"), _key(config_fp="torn")
-        store.put(good, _value(), memory=False)
-        store.put(torn, _value(), memory=False)
+        store.put(good, _value())
+        store.put(torn, _value())
         store.path_for(torn).write_bytes(b"not an npz file")
         found = list(store.headers(STAGE))
         assert [(path, key, meta) for path, key, meta in found] == [

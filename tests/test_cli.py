@@ -112,11 +112,10 @@ class TestCommands:
             main(["tickets", "--boxes", "4", "--seed", "3", "--atm-evidence"])
 
     def test_tickets_atm_evidence(self, tmp_path, capsys, monkeypatch):
-        from repro.store import STORE_ENV_VAR, clear_memory_tiers
+        from repro.store import STORE_ENV_VAR
 
         store = tmp_path / "store"
         monkeypatch.setenv(STORE_ENV_VAR, str(store))
-        clear_memory_tiers()
         assert main(
             [
                 "tickets", "--boxes", "4", "--seed", "3", "--days", "6",
@@ -125,16 +124,14 @@ class TestCommands:
             ]
         ) == 0
         assert "Ticket operations" in capsys.readouterr().out
-        clear_memory_tiers()
 
     def test_tickets_resume_round_trip(self, tmp_path, capsys, monkeypatch):
-        from repro.store import STORE_ENV_VAR, clear_memory_tiers
+        from repro.store import STORE_ENV_VAR
 
         store = tmp_path / "store"
         # --store installs REPRO_STORE process-wide (workers inherit it);
         # scope it to this test so later tests run store-free.
         monkeypatch.setenv(STORE_ENV_VAR, str(store))
-        clear_memory_tiers()
         argv = [
             "tickets", "--boxes", "5", "--seed", "3", "--store", str(store)
         ]
@@ -144,7 +141,6 @@ class TestCommands:
         resumed = capsys.readouterr().out
         digest_lines = [l for l in first.splitlines() if "digest" in l]
         assert digest_lines == [l for l in resumed.splitlines() if "digest" in l]
-        clear_memory_tiers()
 
 
 class TestJobsFlag:

@@ -23,7 +23,6 @@ from repro.store import (
     STORE_SCHEMA,
     ArtifactKey,
     canonical,
-    clear_memory_tiers,
     config_fingerprint,
     data_fingerprint,
     default_store,
@@ -64,9 +63,7 @@ def clean_metrics():
 @pytest.fixture
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 def _atm_config():
@@ -138,7 +135,7 @@ def _assert_bundle_equal(got, want):
 
 def _stored(box, config):
     """The box's ``ticket_ops`` outcome as the fleet run stored it."""
-    result, events = default_store().get(_box_ops_key(box, config), memory=False)
+    result, events = default_store().get(_box_ops_key(box, config))
     assert events == []
     return result
 
@@ -178,7 +175,6 @@ class TestRoundTrip:
         assert len(_evidence_files(store_env)) == len(with_incidents)
         assert counters["store.evidence.writes"] == len(with_incidents)
 
-        clear_memory_tiers()
         resolved = _assert_refs_resolve(fleet, config)
         assert len(resolved) == result.evidence_bundles == result.incidents
         forecasts = sum(bundle.predicted is not None for bundle in resolved)
@@ -189,7 +185,6 @@ class TestRoundTrip:
         config = OpsConfig(context_windows=4)
         run_fleet_ops(fleet, config)
         assert len(_evidence_files(store_env)) == 1
-        clear_memory_tiers()
         bundles = sorted(_assert_refs_resolve(fleet, config), key=lambda b: b.context_lo)
         spans = [(b.context_lo, b.context_hi) for b in bundles]
         assert spans == [(0, 6), (5, 14), (8, 17), (18, 24)]
@@ -202,8 +197,7 @@ class TestRoundTrip:
         )
         refs = (("data-a", "config-a"), ("data-b", "config-b"))
         pack_key = ArtifactKey(EVIDENCE_STAGE, "box-fp", "ops-fp")
-        default_store().put(pack_key, EvidencePack(refs, (first, second)), memory=False)
-        clear_memory_tiers()
+        default_store().put(pack_key, EvidencePack(refs, (first, second)))
         _assert_bundle_equal(resolve_evidence(*refs[0]), first)
         _assert_bundle_equal(resolve_evidence(*refs[1]), second)
 
@@ -274,7 +268,7 @@ class TestLayoutBump:
                 )
                 _plant(store, old_key, {}, _encode_box_ops((result, []))[1]["result"])
                 assert store.path_for(old_key).exists()
-                assert store.get(old_key, memory=False) is None  # never misread
+                assert store.get(old_key) is None  # never misread
             for data_fp, config_fp in result.evidence_refs:
                 _plant(
                     store, ArtifactKey(EVIDENCE_STAGE, data_fp, config_fp),
@@ -282,7 +276,6 @@ class TestLayoutBump:
                 )
         assert resolve_evidence(*old_results[0].evidence_refs[0]) is None
 
-        clear_memory_tiers()
         obs.reset_metrics()
         resumed = run_fleet_ops(fleet, config, resume=True)
         assert obs.metrics_snapshot()["counters"].get("ops.resume.hits", 0) == 0

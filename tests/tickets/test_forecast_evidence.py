@@ -15,7 +15,6 @@ import pytest
 from repro import obs
 from repro.core import AtmConfig, run_fleet_atm
 from repro.prediction.spatial.signatures import ClusteringMethod
-from repro.store import clear_memory_tiers
 from repro.tickets.ops import OpsConfig, resolve_evidence, run_box_ops, run_fleet_ops
 from repro.trace.generator import FleetConfig, generate_fleet
 
@@ -32,9 +31,7 @@ def clean_metrics():
 @pytest.fixture
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 def _atm_config():

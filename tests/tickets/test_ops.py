@@ -1,12 +1,13 @@
 """Tests for the incident-operations loop (repro.tickets.ops)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.store import ArtifactKey, clear_memory_tiers, default_store
+from repro.store import ArtifactKey, default_store
 from repro.store.shards import ShardedFleet, write_fleet_shards
 from repro.tickets.incidents import group_incidents, incidents_for_box
 from repro.tickets.monitor import TicketRecord, tickets_for_box
@@ -51,9 +52,7 @@ POLICY = TicketPolicy(60.0)
 @pytest.fixture()
 def store_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-    clear_memory_tiers()
-    yield tmp_path
-    clear_memory_tiers()
+    return tmp_path
 
 
 @pytest.fixture(autouse=True)
@@ -158,7 +157,7 @@ class TestSlaPolicy:
 
     def test_clock_dict_round_trip(self):
         clock = SlaClock(2, 3, 4, 3, 6)
-        assert SlaClock.from_dict(clock.to_dict()) == clock
+        assert SlaClock(**json.loads(json.dumps(dataclasses.asdict(clock)))) == clock
 
 
 class TestRouting:
@@ -245,8 +244,7 @@ class TestEvidence:
         """Store ``bundle`` alone in an evidence pack, as the ops loop would."""
         pack_key = ArtifactKey(EVIDENCE_STAGE, "box-fp", "ops-fp")
         pack = EvidencePack(((key.data_fp, key.config_fp),), (bundle,))
-        default_store().put(pack_key, pack, memory=False)
-        clear_memory_tiers()
+        default_store().put(pack_key, pack)
 
     def test_store_round_trip(self, spiky_box, store_env):
         (routed,) = self._routed(spiky_box)
@@ -395,7 +393,6 @@ class TestResume:
     def test_resume_serves_cached_boxes(self, small_fleet, store_env):
         first = run_fleet_ops(small_fleet, resume=False)
         obs.reset_metrics()
-        clear_memory_tiers()
         second = run_fleet_ops(small_fleet, resume=True)
         counters = obs.metrics_snapshot()["counters"]
         assert counters["ops.resume.hits"] == small_fleet.n_boxes
@@ -408,10 +405,9 @@ class TestResume:
 
     def test_evidence_resolvable_by_fingerprint(self, small_fleet, store_env):
         run_fleet_ops(small_fleet)
-        clear_memory_tiers()
         resolved = 0
         for box in small_fleet:
-            result, _ = default_store().get(_box_ops_key(box, OpsConfig()), memory=False)
+            result, _ = default_store().get(_box_ops_key(box, OpsConfig()))
             for data_fp, config_fp in result.evidence_refs:
                 bundle = resolve_evidence(data_fp, config_fp)
                 assert isinstance(bundle, EvidenceBundle)
@@ -435,5 +431,5 @@ class TestRowSerialization:
     def test_incident_row_round_trip(self, small_fleet):
         result = run_box_ops(small_fleet.boxes[0], OpsConfig())
         for row in result.rows:
-            clone = type(row).from_dict(json.loads(json.dumps(row.to_dict())))
+            clone = type(row)(**json.loads(json.dumps(dataclasses.asdict(row))))
             assert clone == row

@@ -361,7 +361,6 @@ class TestSearchGateEquivalence:
 
     @pytest.mark.parametrize("method_name", ["cbc", "dtw"])
     def test_full_search_identical_decisions(self, method_name):
-        from repro.store import memory_tier
         from repro.prediction.spatial.signatures import (
             ClusteringMethod,
             SignatureSearchConfig,
@@ -370,9 +369,7 @@ class TestSearchGateEquivalence:
 
         data = self._search_data()
         cfg = SignatureSearchConfig(method=ClusteringMethod(method_name))
-        memory_tier("spatial").clear()
         model = search_signature_set(data, cfg)
-        memory_tier("spatial").clear()
         assert (
             model.signature_indices,
             model.dependent_indices,
@@ -391,15 +388,12 @@ class TestSearchGateEquivalence:
 
     def test_reconstruct_gate_equivalence(self):
         """reconstruct's single matmul == OlsFit.predict per dependent."""
-        from repro.store import memory_tier
         from repro.prediction.spatial.signatures import search_signature_set
 
         rng = np.random.default_rng(13)
         base = rng.normal(size=(2, 80))
         data = rng.normal(size=(6, 2)) @ base + 0.1 * rng.normal(size=(6, 80))
-        memory_tier("spatial").clear()
         model = search_signature_set(data)
-        memory_tier("spatial").clear()
         sig = data[list(model.signature_indices)]
         out = model.reconstruct(sig)
         assert model.dependent_indices  # the matmul path really ran
