@@ -7,9 +7,10 @@ measures what that buys the workflows the store was built for:
 * an ε/horizon ablation sweep over one fleet, run cold (empty store)
   and warm (second invocation against the populated store, which the
   disk tier alone serves); the warm sweep must be ≥ 2x faster;
-* a parallel (jobs=N) fleet run repeated against the same store: the
-  second run must perform **zero** signature searches — pool workers
-  persist their results instead of losing them with the pool.
+* a parallel (jobs=N) fleet run repeated against a fresh store of its
+  own: the first run must search every box and the second must perform
+  **zero** signature searches — pool workers persist their results
+  instead of losing them with the pool.
 
 Aggregates of every warm run are digest-checked against the cold run:
 the store may only change wall clock, never results.
@@ -23,6 +24,7 @@ Also runnable as a script::
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -108,16 +110,22 @@ def _timed_sweep(fleet, config):
 
 
 def _parallel_zero_search_check(fleet, config, jobs: int = 2):
-    obs.reset_metrics()
-    first = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
-    first_searches = int(
-        obs.metrics_snapshot()["counters"].get("spatial.search.computed", 0)
-    )
-    obs.reset_metrics()
-    second = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
-    second_searches = int(
-        obs.metrics_snapshot()["counters"].get("spatial.search.computed", 0)
-    )
+    """Two jobs=N runs against a fresh store of their own.
+
+    The first computes every box's search in pool workers; the second
+    computes none, which holds only if the workers' puts landed on disk.
+    """
+    with _fresh_store("repro-store-parallel-"):
+        obs.reset_metrics()
+        first = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
+        first_searches = int(
+            obs.metrics_snapshot()["counters"].get("spatial.search.computed", 0)
+        )
+        obs.reset_metrics()
+        second = run_fleet_atm(fleet, config, jobs=jobs, chunksize=1)
+        second_searches = int(
+            obs.metrics_snapshot()["counters"].get("spatial.search.computed", 0)
+        )
     assert _digest([first]) == _digest([second]), "parallel store run changed results"
     return {"jobs": jobs, "first_run": first_searches, "second_run": second_searches}
 
@@ -130,22 +138,29 @@ def _store_stats(root: Path):
     }
 
 
-def run_bench(n_boxes: int, temporal_model: str, enforce: bool) -> dict:
-    fleet = _fleet(n_boxes)
-    config = _config(temporal_model)
+@contextlib.contextmanager
+def _fresh_store(prefix: str):
+    """``REPRO_STORE`` at a new temporary directory for the block; yields it."""
     previous = os.environ.get(STORE_ENV_VAR)
-    with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as root:
+    with tempfile.TemporaryDirectory(prefix=prefix) as root:
         os.environ[STORE_ENV_VAR] = root
         try:
-            cold = _timed_sweep(fleet, config)
-            warm = _timed_sweep(fleet, config)
-            parallel = _parallel_zero_search_check(fleet, config)
-            stats = _store_stats(Path(root))
+            yield Path(root)
         finally:
             if previous is None:
                 os.environ.pop(STORE_ENV_VAR, None)
             else:
                 os.environ[STORE_ENV_VAR] = previous
+
+
+def run_bench(n_boxes: int, temporal_model: str, enforce: bool) -> dict:
+    fleet = _fleet(n_boxes)
+    config = _config(temporal_model)
+    with _fresh_store("repro-store-bench-") as root:
+        cold = _timed_sweep(fleet, config)
+        warm = _timed_sweep(fleet, config)
+        stats = _store_stats(root)
+    parallel = _parallel_zero_search_check(fleet, config)
 
     speedup = cold["seconds"] / warm["seconds"] if warm["seconds"] > 0 else float("inf")
     report = {
@@ -169,6 +184,7 @@ def run_bench(n_boxes: int, temporal_model: str, enforce: bool) -> dict:
     # Every (ε, horizon) combination was materialized by the cold sweep, so
     # the warm sweep serves all forecasts from disk and refits nothing.
     assert warm["fits"] == 0, "warm sweep recomputed temporal fits"
+    assert parallel["first_run"] == n_boxes, "first jobs=N run did not search every box"
     assert parallel["second_run"] == 0, "second jobs=N run recomputed searches"
     if enforce:
         assert speedup >= TARGET_SPEEDUP, (

@@ -48,7 +48,7 @@ from repro.core.config import AtmConfig
 from repro.core.degrade import RUNG_FAILED, RUNG_SEASONAL, DegradationEvent, ErrorReport
 from repro.core.executor import default_chunksize, fleet_items, resolve_jobs, run_fleet
 from repro.core.results import BoxAtmResult, PredictionAccuracy, ape_cdf
-from repro.core.stages import _BoxRun
+from repro.core.stages import RunKeys, _BoxRun
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_fleet_batch
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
@@ -109,7 +109,7 @@ BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
 
 
 def _run_primary(
-    runs: Sequence[_BoxRun], config: AtmConfig
+    runs: Sequence[_BoxRun], config: AtmConfig, keys: Optional[RunKeys]
 ) -> Iterator[Union[BoxAtmResult, Exception]]:
     """Run a chunk's boxes at the primary rung; yield each box's outcome in order.
 
@@ -126,9 +126,12 @@ def _run_primary(
       every finished box on disk if the run dies part-way.
 
     A box whose rung raises anywhere yields that exception instead of a
-    result.
+    result.  ``keys`` are the run's key halves (built here when ``None``
+    and the store is persistent).
     """
     store = default_store()
+    if keys is None and store.persistent:
+        keys = RunKeys.of(config)
     outcomes: List[Union[BoxPrediction, Exception, None]] = [None] * len(runs)
     pending: List[
         Tuple[int, SpatialTemporalPredictor, Optional[ArtifactKey], List[np.ndarray]]
@@ -136,16 +139,18 @@ def _run_primary(
     for pos, run in enumerate(runs):
         try:
             demands = run.training_demands()
-            key = None
+            key = spatial_key = None
             if store.persistent:
-                key = stages.forecast_key(demands, config)
+                key, spatial_key = keys.training_keys(demands)
                 outcomes[pos] = store.get(key)
                 if outcomes[pos] is not None:
                     obs.inc("stages.forecast.hits")
                     continue
             predictor = SpatialTemporalPredictor(config.prediction)
             with obs.span("atm.fit"):
-                pending.append((pos, predictor, key, predictor.begin_fit(demands)))
+                pending.append(
+                    (pos, predictor, key, predictor.begin_fit(demands, spatial_key))
+                )
         except Exception as exc:
             outcomes[pos] = exc
 
@@ -182,7 +187,9 @@ def _run_primary(
         yield outcome
 
 
-def _run_box_atm_chunk(boxes: Iterable[BoxTrace], config: AtmConfig) -> Iterator[BoxOutcome]:
+def _run_box_atm_chunk(
+    boxes: Iterable[BoxTrace], config: AtmConfig, keys: Optional[RunKeys] = None
+) -> Iterator[BoxOutcome]:
     """ATM's chunk function: every box of a chunk down the degradation ladder.
 
     The boxes run at the primary rung through :func:`_run_primary`.  A box
@@ -191,10 +198,11 @@ def _run_box_atm_chunk(boxes: Iterable[BoxTrace], config: AtmConfig) -> Iterator
     (:meth:`~repro.core.stages._BoxRun.seasonal_forecast`) through the
     same tail; a second failure reports the box as ``failed`` with a
     ``None`` result.  Mapping, resume and saving each pair belong to
-    :func:`~repro.core.executor.run_fleet`.
+    :func:`~repro.core.executor.run_fleet`.  ``keys`` are the run's key
+    halves (:class:`~repro.core.stages.RunKeys`).
     """
     runs = [_BoxRun(box, config, config.training_windows) for box in boxes]
-    for run, outcome in zip(runs, _run_primary(runs, config)):
+    for run, outcome in zip(runs, _run_primary(runs, config, keys)):
         if not isinstance(outcome, Exception):
             yield outcome, []
             continue
@@ -210,6 +218,11 @@ def _run_box_atm_chunk(boxes: Iterable[BoxTrace], config: AtmConfig) -> Iterator
             obs.inc("pipeline.boxes_failed")
             pair = (None, [event, DegradationEvent(box_id, "fit", RUNG_FAILED, repr(exc))])
         yield pair
+
+
+def _box_result_key(box: BoxTrace, config: AtmConfig, keys: RunKeys) -> ArtifactKey:
+    """The fleet engine's resume probe: ``box``'s ``box_result`` key."""
+    return keys.box_result_key(box)
 
 
 def run_fleet_atm(
@@ -280,9 +293,12 @@ def run_fleet_atm(
         if keep_box_results:
             out.box_results.append(result)
 
+    # The run's key halves, fingerprinted once here; only a persistent
+    # store reads keys at all.
+    keys = RunKeys.of(cfg) if default_store().persistent else None
     run_fleet(
-        "pipeline", _run_box_atm_chunk, items, cfg,
-        key=stages.box_result_key, fold=fold, report=out.report, fleet=fleet,
+        "pipeline", _run_box_atm_chunk, items, cfg, keys,
+        key=_box_result_key, fold=fold, report=out.report, fleet=fleet,
         min_windows=needed, resume=resume, jobs=jobs, chunksize=chunksize,
     )
     return out

@@ -43,11 +43,14 @@ dataclasses (stable across field order), and the schema version
 (``repro.store/v1``) rejects artifacts written by an incompatible layout.
 The active fault plan is folded into the run-level keys for the same
 reason as the data fingerprint: a degraded run's artifacts must not leak
-into a clean one.
+into a clean one.  A fleet driver fingerprints the config halves once per
+run (:class:`RunKeys`), so per box only data is hashed, and the forecast
+and search keys share one hash of the training slice.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,10 +84,10 @@ __all__ = [
     "FORECAST_STAGE",
     "RESIZE_EVAL_STAGE",
     "SPATIAL_STAGE",
+    "RunKeys",
     "box_fingerprint",
     "box_result_key",
     "evaluate_forecast_stages",
-    "forecast_key",
     "resize_eval_key",
 ]
 
@@ -133,25 +136,13 @@ def box_fingerprint(box: BoxTrace) -> str:
     return _last_read[2]
 
 
-def forecast_key(train_demands: np.ndarray, config: AtmConfig) -> ArtifactKey:
-    """Key of the forecast produced from ``train_demands`` under ``config``.
-
-    Depends only on the training matrix, the prediction config and the
-    horizon — *not* on ε or the sizing policies — so sizing-side sweeps
-    share one stored forecast per box.
-    """
-    return ArtifactKey(
-        stage=FORECAST_STAGE,
-        data_fp=data_fingerprint(train_demands),
-        config_fp=config_fingerprint(
-            {
-                "prediction": config.prediction,
-                "horizon": config.horizon_windows,
-                "temporal_model_version": temporal_model_version(
-                    config.prediction.temporal_model
-                ),
-            }
-        ),
+def _box_result_config_fp(config: AtmConfig) -> str:
+    return config_fingerprint(
+        {
+            "config": config,
+            "degrade": True,
+            "faults": faults.active_plan(),
+        }
     )
 
 
@@ -167,14 +158,59 @@ def box_result_key(box: BoxTrace, config: AtmConfig) -> ArtifactKey:
     return ArtifactKey(
         stage=BOX_RESULT_STAGE,
         data_fp=box_fingerprint(box),
-        config_fp=config_fingerprint(
-            {
-                "config": config,
-                "degrade": True,
-                "faults": faults.active_plan(),
-            }
-        ),
+        config_fp=_box_result_config_fp(config),
     )
+
+
+@dataclass(frozen=True)
+class RunKeys:
+    """The config halves of one fleet run's box keys, fingerprinted once.
+
+    Every box of a run shares its config, temporal model version and
+    active fault plan, so a fleet driver fingerprints them once before it
+    fans out and ships this record with its chunks' common args; per box
+    only the data halves are hashed.  Each field equals the ``config_fp``
+    the matching key function computes for the config.
+    """
+
+    forecast: str
+    spatial: str
+    box_result: str
+
+    @classmethod
+    def of(cls, config: AtmConfig) -> "RunKeys":
+        # A forecast depends only on the prediction config and the horizon
+        # — *not* on ε or the sizing policies — so sizing-side sweeps
+        # share one stored forecast per box.
+        forecast = {
+            "prediction": config.prediction,
+            "horizon": config.horizon_windows,
+            "temporal_model_version": temporal_model_version(
+                config.prediction.temporal_model
+            ),
+        }
+        return cls(
+            forecast=config_fingerprint(forecast),
+            spatial=config_fingerprint(config.prediction.search),
+            box_result=_box_result_config_fp(config),
+        )
+
+    def box_result_key(self, box: BoxTrace) -> ArtifactKey:
+        """:func:`box_result_key` of ``box`` under this run's config."""
+        return ArtifactKey(BOX_RESULT_STAGE, box_fingerprint(box), self.box_result)
+
+    def training_keys(self, train_demands: np.ndarray) -> Tuple[ArtifactKey, ArtifactKey]:
+        """The forecast and signature-search keys of one training slice.
+
+        Both stages consume the same slice, so it is hashed once: a
+        forecast is keyed by the training matrix, the prediction config
+        and the horizon, a search by the matrix and the search config.
+        """
+        data_fp = data_fingerprint(train_demands)
+        return (
+            ArtifactKey(FORECAST_STAGE, data_fp, self.forecast),
+            ArtifactKey(SPATIAL_STAGE, data_fp, self.spatial),
+        )
 
 
 def resize_eval_key(

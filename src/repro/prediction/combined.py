@@ -19,7 +19,7 @@ and a single-matmul reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.prediction.spatial.signatures import (
     SpatialModel,
     search_signature_set,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.store import ArtifactKey
 
 __all__ = ["SpatialTemporalConfig", "BoxPrediction", "SpatialTemporalPredictor"]
 
@@ -114,7 +117,11 @@ class SpatialTemporalPredictor:
         """Fit signature search, spatial models and per-signature temporal models."""
         return self.finish_fit(self._fit_temporal(self.begin_fit(train_matrix)))
 
-    def begin_fit(self, train_matrix: Sequence[Sequence[float]]) -> "list[np.ndarray]":
+    def begin_fit(
+        self,
+        train_matrix: Sequence[Sequence[float]],
+        spatial_key: Optional[ArtifactKey] = None,
+    ) -> "list[np.ndarray]":
         """First half of :meth:`fit`: signature search, temporal fits deferred.
 
         Runs the spatial stage exactly as :meth:`fit` would and returns
@@ -124,11 +131,13 @@ class SpatialTemporalPredictor:
         batches all boxes of a chunk into one pass — and completes the
         predictor with :meth:`finish_fit`.  A ``begin_fit`` must be paired
         with a ``finish_fit`` before :meth:`predict` is usable.
+        ``spatial_key`` is the search's store key when the caller already
+        holds it (see :func:`search_signature_set`).
         """
         arr = self._validate_train(train_matrix)
         obs.inc("predict.fits")
         with obs.span("predict.signature_search"):
-            spatial = search_signature_set(arr, self.config.search)
+            spatial = search_signature_set(arr, self.config.search, key=spatial_key)
         self._spatial = spatial
         self._warm_state = None  # a new spatial model resets the refit chain
         self._temporal = {}

@@ -195,6 +195,7 @@ def _initial_signatures(
 def search_signature_set(
     data: Sequence[Sequence[float]],
     config: Optional[SignatureSearchConfig] = None,
+    key: Optional[ArtifactKey] = None,
 ) -> SpatialModel:
     """Run the full two-step signature search and fit the spatial model.
 
@@ -206,6 +207,10 @@ def search_signature_set(
         only for the intra variants of Fig. 7).
     config:
         Search configuration; defaults to CBC + stepwise.
+    key:
+        The search's store key, when the caller has already computed it
+        for ``(data, config)`` (a fleet chunk hashes each training slice
+        once for its forecast and search keys); computed here otherwise.
     """
     cfg = config or SignatureSearchConfig()
     arr = np.asarray(data, dtype=float)
@@ -219,15 +224,19 @@ def search_signature_set(
     # persistent store (REPRO_STORE), re-runs of the same box under varying
     # ε/horizon, sibling pool workers and later runs read the stored model.
     # The content fingerprint can never alias two boxes whose data differ.
+    # Without a store every get misses and every put is dropped, so the
+    # key is not built at all.
     store = default_store()
-    cache_key = ArtifactKey(
-        stage=SPATIAL_STAGE,
-        data_fp=data_fingerprint(arr),
-        config_fp=config_fingerprint(cfg),
-    )
-    cached = store.get(cache_key)
-    if cached is not None:
-        return cached
+    if store.persistent:
+        if key is None:
+            key = ArtifactKey(
+                stage=SPATIAL_STAGE,
+                data_fp=data_fingerprint(arr),
+                config_fp=config_fingerprint(cfg),
+            )
+        cached = store.get(key)
+        if cached is not None:
+            return cached
 
     initial, labels, corr = _initial_signatures(arr, cfg)
     initial_sorted = sorted(initial)
@@ -254,7 +263,8 @@ def search_signature_set(
         cluster_labels=tuple(labels),
     )
     obs.inc("spatial.search.computed")
-    store.put(cache_key, model)
+    if store.persistent:
+        store.put(key, model)
     return model
 
 

@@ -38,22 +38,13 @@ class MckpGroup:
     """Candidate capacities of one VM, sorted by decreasing capacity.
 
     ``tickets[v]`` is the ticket count if ``capacities[v]`` is allocated;
-    by construction it is non-decreasing along the array.
+    by construction it is non-decreasing along the array.  The
+    :class:`MckpInstance` holding the group checks both orders.
     """
 
     vm_index: int
     capacities: np.ndarray
     tickets: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.capacities.ndim != 1 or self.capacities.shape != self.tickets.shape:
-            raise ValueError("capacities and tickets must be 1-D and aligned")
-        if self.capacities.size == 0:
-            raise ValueError(f"group {self.vm_index} has no candidates")
-        if np.any(np.diff(self.capacities) >= 0):
-            raise ValueError("capacities must be strictly decreasing")
-        if np.any(np.diff(self.tickets) < 0):
-            raise ValueError("tickets must be non-decreasing as capacity shrinks")
 
     @property
     def n_choices(self) -> int:
@@ -66,6 +57,26 @@ class MckpInstance:
 
     groups: List[MckpGroup]
     capacity: float
+
+    def __post_init__(self) -> None:
+        """Check every group's invariants at once, over the concatenated groups."""
+        for group in self.groups:
+            caps, tickets = group.capacities, group.tickets
+            if caps.ndim != 1 or caps.shape != tickets.shape:
+                raise ValueError("capacities and tickets must be 1-D and aligned")
+            if caps.size == 0:
+                raise ValueError(f"group {group.vm_index} has no candidates")
+        if not self.groups:
+            return
+        caps = np.concatenate([g.capacities for g in self.groups])
+        tickets = np.concatenate([g.tickets for g in self.groups])
+        # Differences inside a group: drop the one across each boundary.
+        inner = np.ones(caps.size - 1, dtype=bool)
+        inner[np.cumsum([g.capacities.size for g in self.groups])[:-1] - 1] = False
+        if np.any(np.diff(caps)[inner] >= 0):
+            raise ValueError("capacities must be strictly decreasing")
+        if np.any(np.diff(tickets)[inner] < 0):
+            raise ValueError("tickets must be non-decreasing as capacity shrinks")
 
     @property
     def n_vms(self) -> int:
@@ -110,27 +121,6 @@ class MckpSolution:
     iterations: int = 0
 
 
-def _unique_descending(values: np.ndarray) -> np.ndarray:
-    """The distinct values of ``values``, largest first.
-
-    Equal to ``np.unique(values)[::-1]`` for NaN-free input, down to which
-    of ``-0.0``/``0.0`` survives: it is the same sort followed by the same
-    drop-adjacent-duplicates mask.  ``np.unique`` itself probes
-    ``np.ma.is_masked`` and so imports ``numpy.ma`` (~16 ms) on first use.
-    """
-    ordered = np.sort(values, axis=None)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep][::-1]
-
-
-def _round_up(values: np.ndarray, epsilon: float) -> np.ndarray:
-    if epsilon <= 0:
-        return values
-    return np.ceil(values / epsilon - 1e-12) * epsilon
-
-
 def build_mckp(
     problem: ResizingProblem,
     epsilon: Union[float, Sequence[float]] = 0.0,
@@ -150,8 +140,13 @@ def build_mckp(
     literal_formulation:
         Use the paper's literal R' (allocated capacity = demand value)
         instead of the self-consistent effective-capacity reading.
+
+    Every VM's group is built at once, as one row of an ``(M, T + 1)``
+    candidate matrix: the VM's demand values above the tolerance, rounded
+    up to its ε, then one 0 column; clipped to the VM's bounds; sorted;
+    adjacent duplicates dropped.
     """
-    m = problem.n_vms
+    m, t = problem.demands.shape
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim == 0:
         eps = np.full(m, float(eps))
@@ -160,38 +155,63 @@ def build_mckp(
     if np.any(eps < 0):
         raise ValueError("epsilon must be non-negative")
 
-    groups: List[MckpGroup] = []
-    for i in range(m):
-        demands = problem.demands[i]
-        rounded = _round_up(demands[demands > TICKET_TOLERANCE], eps[i])
-        # Candidate effective capacities: unique demand values plus 0.
-        effective = _unique_descending(rounded)
-        if literal_formulation:
-            caps = effective.copy()
-        else:
-            caps = effective / problem.alpha
-        # Apply bounds, keep 0 as the "give it nothing" candidate (clamped to
-        # the lower bound, which is the real floor).
-        caps = np.append(caps, 0.0)
-        caps = np.clip(caps, problem.lower_bounds[i], problem.upper_bounds[i])
-        caps = _unique_descending(caps)
-        # Ticket threshold per candidate: in the literal paper formulation
-        # the chosen demand value acts as the effective capacity itself (the
-        # running example counts D > D'_v), while the self-consistent
-        # reading allocates candidate/alpha so alpha * capacity applies.
-        threshold_factor = 1.0 if literal_formulation else problem.alpha
-        # count(demands > t) == n - searchsorted(sorted, t, 'right'): one
-        # O(W log W) sort per VM instead of an O(candidates x W) scan.
-        thresholds = np.where(
-            caps > 0, threshold_factor * caps + TICKET_TOLERANCE, TICKET_TOLERANCE
-        )
-        sorted_demands = np.sort(demands)
-        tickets = (
-            demands.size - np.searchsorted(sorted_demands, thresholds, side="right")
-        ).astype(int)
-        # Candidates with equal ticket counts are kept: stepping between them
-        # is a zero-MTRV move the greedy takes first when the budget binds,
-        # and retaining the larger capacities preserves the safety margin
-        # when it does not.
-        groups.append(MckpGroup(vm_index=i, capacities=caps, tickets=tickets))
+    demands = problem.demands
+    # Candidate effective capacities: the demand values, rounded up to
+    # multiples of ε where ε > 0.  A value at or below the tolerance is
+    # not a candidate; it becomes 0, which the appended "give it nothing"
+    # candidate duplicates anyway (and which clipping lifts to the lower
+    # bound, the real floor).
+    rounded = demands.copy()
+    scaled = eps > 0
+    if scaled.any():
+        step = eps[scaled, None]
+        rounded[scaled] = np.ceil(demands[scaled] / step - 1e-12) * step
+    candidates = np.zeros((m, t + 1))
+    np.copyto(candidates[:, :t], rounded, where=demands > TICKET_TOLERANCE)
+    if not literal_formulation:
+        candidates /= problem.alpha
+    # Clip to the VM's bounds, as min(max(c, lower), upper).  A candidate
+    # equal to a bound keeps its own value, down to the sign of a zero
+    # (``np.clip``'s choice there varies with its code path).
+    lower = problem.lower_bounds[:, None]
+    upper = problem.upper_bounds[:, None]
+    candidates = np.where(candidates < lower, lower, candidates)
+    candidates = np.where(candidates > upper, upper, candidates)
+    candidates.sort(axis=1)
+    keep = np.empty(candidates.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(candidates[:, 1:], candidates[:, :-1], out=keep[:, 1:])
+    # Row by row, largest first: each VM's distinct candidates, in order.
+    caps = candidates[:, ::-1][keep[:, ::-1]]
+    rows = np.repeat(np.arange(m), keep.sum(axis=1))
+
+    # Ticket threshold per candidate: in the literal paper formulation
+    # the chosen demand value acts as the effective capacity itself (the
+    # running example counts D > D'_v), while the self-consistent
+    # reading allocates candidate/alpha so alpha * capacity applies.
+    threshold_factor = 1.0 if literal_formulation else problem.alpha
+    thresholds = np.where(
+        caps > 0, threshold_factor * caps + TICKET_TOLERANCE, TICKET_TOLERANCE
+    )
+    # count(demands > t) == T - (demands <= t), counted by one searchsorted
+    # for every row: (row, value) pairs as complex numbers sort row first,
+    # then by value, so each row's sorted demands are one block of a
+    # single sorted key array.
+    keys = np.empty((m, t), dtype=complex)
+    keys.real = np.arange(m)[:, None]
+    keys.imag = np.sort(demands, axis=1)
+    queries = np.empty(caps.size, dtype=complex)
+    queries.real = rows
+    queries.imag = thresholds
+    tickets = (rows + 1) * t - np.searchsorted(keys.ravel(), queries, side="right")
+
+    # Candidates with equal ticket counts are kept: stepping between them
+    # is a zero-MTRV move the greedy takes first when the budget binds,
+    # and retaining the larger capacities preserves the safety margin
+    # when it does not.
+    bounds = np.cumsum(keep.sum(axis=1))[:-1]
+    groups = [
+        MckpGroup(vm_index=i, capacities=c, tickets=k)
+        for i, (c, k) in enumerate(zip(np.split(caps, bounds), np.split(tickets, bounds)))
+    ]
     return MckpInstance(groups=groups, capacity=problem.capacity)

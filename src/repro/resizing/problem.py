@@ -109,16 +109,10 @@ def per_vm_tickets(
         raise ValueError(
             f"allocation must have shape ({problem.n_vms},), got {alloc.shape}"
         )
-    thresholds = problem.alpha * alloc
-    counts = np.empty(problem.n_vms, dtype=int)
-    for i in range(problem.n_vms):
-        if alloc[i] <= 0:
-            counts[i] = int((problem.demands[i] > TICKET_TOLERANCE).sum())
-        else:
-            counts[i] = int(
-                (problem.demands[i] > thresholds[i] + TICKET_TOLERANCE).sum()
-            )
-    return counts
+    thresholds = np.where(
+        alloc <= 0, TICKET_TOLERANCE, problem.alpha * alloc + TICKET_TOLERANCE
+    )
+    return (problem.demands > thresholds[:, None]).sum(axis=1)
 
 
 def tickets_for_allocation(

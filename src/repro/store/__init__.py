@@ -9,7 +9,9 @@ config fingerprint, schema version)``.  This package provides:
 * :mod:`repro.store.codecs` — per-stage ``npz + JSON`` serializers.
 * :mod:`repro.store.artifacts` — :class:`ArtifactStore`, get/put on the
   persistent disk tier (``REPRO_STORE`` / ``--store``; disabled when
-  unset), atomic writes, and stale/corrupt rejection.
+  unset), atomic writes (the npz container built in memory, written once
+  to a ``.tmp-*.npz`` sibling, then ``os.replace``), and stale/corrupt
+  rejection.
 * :mod:`repro.store.shards` — memory-mapped per-box trace shards with a
   JSON manifest: the fleet-scale trace tier pool workers open
   ``np.memmap`` slices of instead of receiving pickled traces.

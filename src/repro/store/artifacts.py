@@ -15,10 +15,12 @@ fingerprint, schema version)``.  The disk layout shards by digest::
 Each file holds the codec's payload arrays plus a ``__meta__`` JSON header
 recording the full key; a header that does not match the requesting key
 (schema bump, hash collision across layouts) is rejected as *stale* and
-the value recomputed.  Disk writes are atomic (temp file + ``os.replace``)
-so parallel pool workers can write the same artifact concurrently; reads
-never see a torn file, and any unreadable/corrupt file is treated as a
-miss, counted under ``store.<stage>.corrupt``.
+the value recomputed.  Disk writes are atomic so parallel pool workers
+can write the same artifact concurrently: a put builds the whole npz
+container in memory, writes it in one go to a fresh ``.tmp-*.npz``
+sibling and ``os.replace``-s that onto the artifact's path.  Reads never
+see a torn file, and any unreadable/corrupt file is treated as a miss,
+counted under ``store.<stage>.corrupt``.
 
 Store failures never fail a run: the disk tier is an accelerator, and
 every exception on its path degrades to "compute it again".
@@ -27,9 +29,9 @@ every exception on its path degrades to "compute it again".
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Container, Iterator, Optional, Tuple
@@ -89,7 +91,7 @@ class ArtifactStore:
         if self.root is None:
             return None
         digest = key.digest()
-        return self.root / key.stage / digest[:2] / f"{digest}.npz"
+        return self.root.joinpath(key.stage, digest[:2], f"{digest}.npz")
 
     # ------------------------------------------------------------------- get
     def get(self, key: ArtifactKey) -> Optional[Any]:
@@ -173,23 +175,11 @@ class ArtifactStore:
             meta_array = np.frombuffer(
                 json.dumps(header, allow_nan=True).encode(), dtype=np.uint8
             )
-            try:
-                fd, tmp_name = _mkstemp_beside(path)
-            except FileNotFoundError:
-                # First artifact in this shard directory (or the directory
-                # was removed since): create it once, not on every put.
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp_name = _mkstemp_beside(path)
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, __meta__=meta_array, **arrays)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            # The whole container is built in memory, so the file itself
+            # takes one write: no header seeks on the real file.
+            buffer = io.BytesIO()
+            np.savez(buffer, __meta__=meta_array, **arrays)
+            _write_atomic(path, buffer.getbuffer())
         except Exception:
             obs.inc(f"store.{key.stage}.write_errors")
             return
@@ -200,8 +190,61 @@ def _read_header(npz) -> dict:
     return json.loads(bytes(npz["__meta__"].tobytes()).decode())
 
 
-def _mkstemp_beside(path: Path):
-    return tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
+#: Flags of a new temp file: created here, never opened if it exists.
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+
+#: Names tried before a put gives up on finding a free temp file name.
+_TEMP_ATTEMPTS = 100
+
+
+def _temp_name() -> str:
+    return f".tmp-{os.urandom(8).hex()}.npz"
+
+
+def _create_temp(directory: Path) -> Tuple[int, str]:
+    """Create a new, empty ``.tmp-*.npz`` file in ``directory``: ``(fd, path)``.
+
+    A name already taken (say, a temp file a killed writer left behind)
+    is passed over for a fresh one, as ``tempfile.mkstemp`` does; this
+    skips ``mkstemp``'s argument handling, which costs more than the
+    ``open`` itself.
+    """
+    for _ in range(_TEMP_ATTEMPTS):
+        name = os.path.join(directory, _temp_name())
+        try:
+            return os.open(name, _TEMP_FLAGS, 0o600), name
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no free temp file name in {directory}")
+
+
+def _write_atomic(path: Path, data) -> None:
+    """Write the bytes ``data`` to ``path`` through a temp sibling and ``os.replace``.
+
+    Readers see the old file or the whole new one, never a torn one; on
+    any failure the temp file is removed.
+    """
+    try:
+        fd, tmp_name = _create_temp(path.parent)
+    except FileNotFoundError:
+        # First artifact in this shard directory (or the directory was
+        # removed since): create it once, not on every put.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = _create_temp(path.parent)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 # The process default, rebuilt whenever the configured root changes (tests

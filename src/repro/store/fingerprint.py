@@ -55,18 +55,22 @@ def data_fingerprint(data: np.ndarray) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class Canonical:
-    """A config value already reduced to its canonical form.
+    """A config value already reduced to its canonical form and its JSON text.
 
     Fingerprints exactly like the value it was made from; build it once
-    with :func:`canonical` when one config is folded into many keys.
+    with :func:`canonical` when one config is folded into many keys.  As
+    the whole payload, or as a value of a payload dict, it contributes its
+    stored ``text`` instead of being serialized again.
     """
 
     form: Any
+    text: str
 
 
 def canonical(config: Any) -> Canonical:
-    """``config`` canonicalized once, for reuse inside many fingerprints."""
-    return Canonical(_canonical(config))
+    """``config`` canonicalized and serialized once, for reuse inside many fingerprints."""
+    form = _canonical(config)
+    return Canonical(form, _dumps(form))
 
 
 def _canonical(obj: Any) -> Any:
@@ -98,6 +102,29 @@ def _canonical(obj: Any) -> Any:
     )
 
 
+#: ``json.dumps(form, sort_keys=True, allow_nan=True)``, without building
+#: an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, allow_nan=True).encode
+
+
+def _serialize(config: Any) -> str:
+    """``_dumps(_canonical(config))``, splicing in the text of :class:`Canonical` parts.
+
+    Only the top level and the values of a top-level dict are spliced:
+    that is where a key payload folds a config shared by many keys.  The
+    dict branch writes what :func:`json.dumps` writes for ``_canonical``'s
+    ``{"__dict__": {...}}`` form under ``sort_keys`` and the default
+    separators.
+    """
+    if isinstance(config, Canonical):
+        return config.text
+    if isinstance(config, dict) and any(isinstance(v, Canonical) for v in config.values()):
+        items = {str(k): v for k, v in config.items()}
+        body = ", ".join(f"{_dumps(k)}: {_serialize(items[k])}" for k in sorted(items))
+        return '{"__dict__": {' + body + "}}"
+    return _dumps(_canonical(config))
+
+
 def config_fingerprint(config: Any) -> str:
     """Canonical hash of a configuration object.
 
@@ -106,6 +133,5 @@ def config_fingerprint(config: Any) -> str:
     enum members and array contents.  Raises :class:`TypeError` for types
     without a canonical form rather than hashing something unstable.
     """
-    payload = json.dumps(_canonical(config), sort_keys=True, allow_nan=True)
-    digest = hashlib.blake2b(payload.encode(), digest_size=_DIGEST_SIZE)
+    digest = hashlib.blake2b(_serialize(config).encode(), digest_size=_DIGEST_SIZE)
     return digest.hexdigest()

@@ -58,6 +58,12 @@ def per_vm_ticket_counts(
     return ticket_matrix(box.usage_matrix(resource), policy).sum(axis=1)
 
 
+def _ranks(strings: Sequence[str]) -> np.ndarray:
+    """Each string's rank among the distinct sorted ``strings``."""
+    rank = {value: i for i, value in enumerate(sorted(set(strings)))}
+    return np.array([rank[value] for value in strings], dtype=np.int64)
+
+
 def tickets_for_box(
     box: BoxTrace,
     policy: TicketPolicy,
@@ -65,25 +71,32 @@ def tickets_for_box(
 ) -> List[TicketRecord]:
     """Materialize every ticket issued on a box as :class:`TicketRecord`.
 
-    Useful for event-level inspection and for the examples; aggregate
-    analyses should prefer the count helpers, which avoid building objects.
+    Records come sorted by ``(window, vm_id, resource value)``; ties keep
+    the order of ``resources`` and then of the VMs.  Useful for
+    event-level inspection and for the examples; aggregate analyses
+    should prefer the count helpers, which avoid building objects.
     """
-    records: List[TicketRecord] = []
-    for resource in resources or (Resource.CPU, Resource.RAM):
-        usage = box.usage_matrix(resource)
-        # Derive hits from the one indicator implementation (Eq. 6) rather
-        # than re-stating the comparison inline, so threshold semantics
-        # live in a single place.
-        hits = np.argwhere(ticket_matrix(usage, policy))
-        for vm_idx, window in hits:
-            records.append(
-                TicketRecord(
-                    box_id=box.box_id,
-                    vm_id=box.vm_ids[vm_idx],
-                    resource=resource,
-                    window=int(window),
-                    usage_pct=float(usage[vm_idx, window]),
-                )
-            )
-    records.sort(key=lambda r: (r.window, r.vm_id, r.resource.value))
-    return records
+    resources = tuple(resources or (Resource.CPU, Resource.RAM))
+    usage = np.concatenate([box.usage_matrix(resource) for resource in resources])
+    # Derive hits from the one indicator implementation (Eq. 6) rather
+    # than re-stating the comparison inline, so threshold semantics live
+    # in a single place.  Row r of ``usage`` is VM r % M of resource r // M.
+    rows, windows = np.nonzero(ticket_matrix(usage, policy))
+    m = box.n_vms
+    # Sort keys as ranks: a VM's rank among the box's sorted ids and a
+    # resource's rank among the sorted values (equal strings share one).
+    # lexsort is stable, so ties keep the row-major order of the hits.
+    vm_rank = _ranks(box.vm_ids)
+    kind_rank = _ranks([resource.value for resource in resources])
+    order = np.lexsort((kind_rank[rows // m], vm_rank[rows % m], windows))
+    rows, windows = rows[order], windows[order]
+    box_id, vm_ids = box.box_id, box.vm_ids
+    return [
+        TicketRecord(box_id, vm_ids[vm], resources[kind], window, pct)
+        for vm, kind, window, pct in zip(
+            (rows % m).tolist(),
+            (rows // m).tolist(),
+            windows.tolist(),
+            usage[rows, windows].tolist(),
+        )
+    ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
@@ -122,7 +122,7 @@ def evidence_key(usage_context: np.ndarray, config, box_id: str,
 
     ``config`` is the governing :class:`~repro.tickets.ops.pipeline.OpsConfig`,
     or its :func:`repro.store.canonical` form when one config keys many
-    bundles; ``index`` the incident's chronological index on its box
+    bundles (its JSON text is then spliced in, not serialized again); ``index`` the incident's chronological index on its box
     (distinct incidents with identical spans — different resources, say —
     must not collide).  ``forecast_fp`` identifies the ATM box-result
     artifact whose forecast/allocations ride in the bundle; folded in only
@@ -232,6 +232,11 @@ _RESOURCES = tuple(Resource)
 _RESOURCE_CODES = {resource: code for code, resource in enumerate(_RESOURCES)}
 
 
+#: ``SlaClock`` field names, in declaration order: a clock's fields are
+#: ints, so reading them equals ``dataclasses.asdict``'s deep copy.
+_CLOCK_FIELDS = tuple(f.name for f in fields(SlaClock))
+
+
 def _encode_records(bundles, arrays: dict) -> list:
     """Every bundle's ticket records as columns in ``arrays``; returns the vm ids.
 
@@ -285,7 +290,7 @@ def _encode_pack(pack: EvidencePack):
             "rank": int(bundle.rank),
             "score": float(bundle.score),
             "queue": int(bundle.queue),
-            "clock": asdict(bundle.clock),
+            "clock": {name: getattr(bundle.clock, name) for name in _CLOCK_FIELDS},
             "threshold_pct": float(bundle.threshold_pct),
             "n_records": len(bundle.records),
             "context_lo": int(bundle.context_lo),

@@ -174,8 +174,30 @@ class BoxOpsResult:
     rows: Tuple[IncidentRow, ...]
 
 
+#: ``IncidentRow`` field names, in declaration order.
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(IncidentRow))
+
+#: The rows whose dicts were built last, and those dicts: a box's rows are
+#: digested as it finishes and encoded right after, as the engine saves
+#: its outcome, so one build serves both.
+_last_rows: list = [None, None]
+
+
+def _row_dicts(rows: Tuple[IncidentRow, ...]) -> List[dict]:
+    """``[dataclasses.asdict(row) for row in rows]``, built once per box.
+
+    The fields are scalars, so a plain field read equals ``asdict``'s
+    deep copy.
+    """
+    if _last_rows[0] is not rows:
+        _last_rows[:] = [
+            rows, [{name: getattr(row, name) for name in _ROW_FIELDS} for row in rows]
+        ]
+    return _last_rows[1]
+
+
 def _assignment_digest(rows: Tuple[IncidentRow, ...]) -> str:
-    payload = json.dumps([dataclasses.asdict(row) for row in rows], sort_keys=True)
+    payload = json.dumps(_row_dicts(rows), sort_keys=True)
     return hashlib.blake2b(payload.encode(), digest_size=20).hexdigest()
 
 
@@ -194,41 +216,63 @@ def _max_open_incidents(routed) -> int:
     return peak
 
 
-def _ops_keys(
-    box: BoxTrace, config: OpsConfig
-) -> Tuple[ArtifactKey, Optional[ArtifactKey]]:
-    """The box's ``ticket_ops`` key, and the key of the stored ATM outcome
-    its evidence explains (``None`` unless ``config.atm`` is materialized).
+class _OpsKeys:
+    """One ops fleet run's keys: the run-constant halves once, then per box.
+
+    :func:`run_fleet_ops` builds it before fanning out and ships it with
+    the chunks' common args.  The config is canonicalized and serialized once (the
+    evidence keys of every incident fold it in), and so is the constant
+    part of the ``ticket_ops`` payload.  Per box, :meth:`for_box` hashes
+    the box once and remembers the last box it keyed, so the engine's
+    resume probe and the box's run share one computation (and one
+    ``path.exists()`` of the stored ATM outcome).
     """
-    from repro.core.stages import box_fingerprint, box_result_key
 
-    payload = {
-        "ops": config_fingerprint(config),
-        "evidence": EVIDENCE_LAYOUT,
-        "outcome": _OUTCOME_LAYOUT,
-        "faults": faults.active_plan(),
-    }
-    atm_key = None
-    if config.atm is not None:
-        atm_key = box_result_key(box, config.atm)
-        if not default_store().path_for(atm_key).exists():
-            atm_key = None
-        # Which stored ATM outcome the evidence attaches (``atm_key``, or
+    def __init__(self, config: OpsConfig) -> None:
+        from repro.core.stages import RunKeys
+
+        self.evidence_config = canonical(config)
+        self._payload = {
+            "ops": config_fingerprint(self.evidence_config),
+            "evidence": EVIDENCE_LAYOUT,
+            "outcome": _OUTCOME_LAYOUT,
+            "faults": canonical(faults.active_plan()),
+        }
+        self._atm = None if config.atm is None else RunKeys.of(config.atm)
+        # Which stored ATM outcome the evidence attaches (a box's, or
         # none) changes the bundles, so it is part of the key.
-        payload["forecast"] = (
-            None if atm_key is None else f"{atm_key.data_fp}:{atm_key.config_fp}"
+        self._unattached = config_fingerprint(
+            self._payload if self._atm is None else {**self._payload, "forecast": None}
         )
-    ops_key = ArtifactKey(
-        stage=TICKET_OPS_STAGE,
-        data_fp=box_fingerprint(box),
-        config_fp=config_fingerprint(payload),
-    )
-    return ops_key, atm_key
+        self._last: tuple = (None, None)
+
+    def for_box(self, box: BoxTrace) -> Tuple[ArtifactKey, Optional[ArtifactKey]]:
+        """The box's ``ticket_ops`` key, and the key of the stored ATM outcome
+        its evidence explains (``None`` unless ``config.atm`` is materialized).
+        """
+        if self._last[0] is not box:
+            self._last = (box, self._key(box))
+        return self._last[1]
+
+    def _key(self, box: BoxTrace) -> Tuple[ArtifactKey, Optional[ArtifactKey]]:
+        from repro.core.stages import box_fingerprint
+
+        atm_key = None if self._atm is None else self._atm.box_result_key(box)
+        if atm_key is not None and not default_store().path_for(atm_key).exists():
+            atm_key = None
+        config_fp = self._unattached
+        if atm_key is not None:
+            config_fp = config_fingerprint(
+                {**self._payload, "forecast": f"{atm_key.data_fp}:{atm_key.config_fp}"}
+            )
+        return ArtifactKey(TICKET_OPS_STAGE, box_fingerprint(box), config_fp), atm_key
 
 
-def _box_ops_key(box: BoxTrace, config: OpsConfig) -> ArtifactKey:
+def _box_ops_key(
+    box: BoxTrace, config: OpsConfig, keys: Optional[_OpsKeys] = None
+) -> ArtifactKey:
     """The box's resumable ``ticket_ops`` artifact key (the fleet engine's probe)."""
-    return _ops_keys(box, config)[0]
+    return (keys or _OpsKeys(config)).for_box(box)[0]
 
 
 def _probe_forecast_evidence(key: ArtifactKey, store):
@@ -262,19 +306,23 @@ def _probe_forecast_evidence(key: ArtifactKey, store):
     return predicted, allocations, f"{key.data_fp}:{key.config_fp}"
 
 
-def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
+def run_box_ops(
+    box: BoxTrace, config: OpsConfig, keys: Optional[_OpsKeys] = None
+) -> BoxOpsResult:
     """One box's monitor → incident → route → resolve pass.
 
     With a persistent store the evidence bundles of the box's incidents
     are materialized as one
     :class:`~repro.tickets.ops.evidence.EvidencePack` under the box's
     ``ticket_ops`` fingerprints; the outcome itself is the fleet engine's
-    to save and serve (:func:`run_fleet_ops`).
+    to save and serve (:func:`run_fleet_ops`).  ``keys`` is the fleet
+    run's key record; a call on its own builds one.
     """
+    keys = keys or _OpsKeys(config)
     store = default_store()
     ops_key = atm_key = None
     if store.persistent:
-        ops_key, atm_key = _ops_keys(box, config)
+        ops_key, atm_key = keys.for_box(box)
 
     predicted = allocations = forecast_fp = None
     if atm_key is not None:
@@ -303,8 +351,6 @@ def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
         rows: List[IncidentRow] = []
         bundles = []
         evidence_refs: List[Tuple[str, str]] = []
-        # One config canonicalization per box, not one per incident.
-        evidence_config = canonical(config) if routed else None
         # Chronological index per routed incident: evidence keys must not
         # collide for distinct incidents sharing a span.
         chrono_index = {id(incident): i for i, incident in enumerate(incidents)}
@@ -345,7 +391,7 @@ def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
             )
             ev_key = evidence_key(
                 bundle.usage_context,
-                evidence_config,
+                keys.evidence_config,
                 box.box_id,
                 item.incident.start_window,
                 item.incident.end_window,
@@ -377,10 +423,10 @@ def run_box_ops(box: BoxTrace, config: OpsConfig) -> BoxOpsResult:
 
 
 def _box_ops_pair(
-    box: BoxTrace, config: OpsConfig
+    box: BoxTrace, config: OpsConfig, keys: _OpsKeys
 ) -> Tuple[BoxOpsResult, List[DegradationEvent]]:
     """The per-box unit of :func:`run_fleet_ops` (module-level: picklable)."""
-    return run_box_ops(box, config), []
+    return run_box_ops(box, config, keys), []
 
 
 def _record_box_metrics(result: BoxOpsResult) -> None:
@@ -502,7 +548,7 @@ def run_fleet_ops(
             out.fold(result)
 
     run_fleet(
-        "ops", per_box(_box_ops_pair), fleet_items(fleet), cfg,
+        "ops", per_box(_box_ops_pair), fleet_items(fleet), cfg, _OpsKeys(cfg),
         key=_box_ops_key, fold=fold, report=out.report, fleet=fleet,
         resume=resume, jobs=jobs,
     )
@@ -510,12 +556,27 @@ def run_fleet_ops(
 
 
 # ----------------------------------------------------------------- codec
+#: ``BoxOpsResult`` field names, in declaration order.
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(BoxOpsResult))
+
+
+def _result_dict(result: BoxOpsResult) -> dict:
+    """``dataclasses.asdict(result)`` as JSON writes it, rows from :func:`_row_dicts`.
+
+    Every other field is a scalar or a tuple of strings and ints, which
+    ``asdict`` would only copy.
+    """
+    out = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    out["rows"] = _row_dicts(result.rows)
+    return out
+
+
 def _encode_box_ops(value):
     """Encode a box's ``(result | None, events)`` pair (JSON header only)."""
     result, events = value
     return {}, {
         "events": [event.to_dict() for event in events],
-        "result": None if result is None else dataclasses.asdict(result),
+        "result": None if result is None else _result_dict(result),
     }
 
 

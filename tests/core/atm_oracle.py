@@ -48,11 +48,12 @@ from repro.resizing.evaluate import (
     evaluate_box_resizing,
     size_box_resource,
 )
-from repro.store import ArtifactKey, default_store
+from repro.prediction.registry import temporal_model_version
+from repro.store import ArtifactKey, config_fingerprint, data_fingerprint, default_store
 from repro.store.shards import resolve_box
 from repro.trace.model import BoxTrace, Resource
 
-__all__ = ["AtmController", "BoxOutcome", "run_box_atm", "run_box_ladder"]
+__all__ = ["AtmController", "BoxOutcome", "forecast_key", "run_box_atm", "run_box_ladder"]
 
 #: One box's outcome: its result (``None`` = failed) and degradation events.
 BoxOutcome = Tuple[Optional[BoxAtmResult], List[DegradationEvent]]
@@ -217,6 +218,28 @@ class AtmController:
 
 
 # ------------------------------------------------------------------ stages
+def forecast_key(train_demands: np.ndarray, config: AtmConfig) -> ArtifactKey:
+    """Key of the forecast produced from ``train_demands`` under ``config``.
+
+    The one-off form production keyed forecasts with before fleet runs
+    fingerprinted their config halves once
+    (:meth:`repro.core.stages.RunKeys.training_keys`).
+    """
+    return ArtifactKey(
+        stage=stages.FORECAST_STAGE,
+        data_fp=data_fingerprint(train_demands),
+        config_fp=config_fingerprint(
+            {
+                "prediction": config.prediction,
+                "horizon": config.horizon_windows,
+                "temporal_model_version": temporal_model_version(
+                    config.prediction.temporal_model
+                ),
+            }
+        ),
+    )
+
+
 def probe_forecast(
     controller: AtmController,
 ) -> Tuple[np.ndarray, Optional[ArtifactKey], Optional[BoxPrediction]]:
@@ -230,7 +253,7 @@ def probe_forecast(
     """
     demands = controller._training_demands()
     store = default_store()
-    key = stages.forecast_key(demands, controller.config) if store.persistent else None
+    key = forecast_key(demands, controller.config) if store.persistent else None
     prediction = store.get(key) if key is not None else None
     if prediction is not None:
         obs.inc("stages.forecast.hits")

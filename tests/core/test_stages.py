@@ -11,11 +11,13 @@ from repro.core.config import AtmConfig
 from repro.core.online import OnlineAtmController
 from repro.core.pipeline import run_fleet_atm
 from repro.prediction.combined import SpatialTemporalConfig
+from repro.prediction.spatial.signatures import SignatureSearchConfig, search_signature_set
 from repro.resizing.evaluate import ResizingAlgorithm
-from repro.store import get_codec
+from repro.store import ArtifactKey, config_fingerprint, data_fingerprint, get_codec
 from repro.tickets.policy import TicketPolicy
 from repro.trace.generator import FleetConfig, generate_box
 from repro.trace.model import BoxTrace
+from tests.core import atm_oracle
 
 
 def _config(**overrides):
@@ -47,6 +49,10 @@ def _counters():
     return obs.metrics_snapshot()["counters"]
 
 
+def _forecast_key(demands, config):
+    return stages.RunKeys.of(config).training_keys(demands)[0]
+
+
 class TestGraph:
     def test_artifact_stages_have_codecs(self):
         for stage in (
@@ -68,21 +74,45 @@ class TestKeys:
 
     def test_forecast_key_ignores_sizing_side_config(self):
         demands = np.random.default_rng(0).random((6, 480))
-        base = stages.forecast_key(demands, _config())
-        assert base == stages.forecast_key(demands, _config(epsilon_pct=10.0))
-        assert base == stages.forecast_key(
+        base = _forecast_key(demands, _config())
+        assert base == _forecast_key(demands, _config(epsilon_pct=10.0))
+        assert base == _forecast_key(
             demands, _config(algorithms=_config().algorithms[:1])
         )
 
     def test_forecast_key_sensitive_to_prediction_side(self):
         demands = np.random.default_rng(0).random((6, 480))
-        base = stages.forecast_key(demands, _config())
-        assert base != stages.forecast_key(demands, _config(horizon_windows=48))
+        base = _forecast_key(demands, _config())
+        assert base != _forecast_key(demands, _config(horizon_windows=48))
         other_model = _config(
             prediction=SpatialTemporalConfig(temporal_model="seasonal_naive")
         )
-        assert base != stages.forecast_key(demands, other_model)
-        assert base != stages.forecast_key(demands + 1e-9, _config())
+        assert base != _forecast_key(demands, other_model)
+        assert base != _forecast_key(demands + 1e-9, _config())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"epsilon_pct": 0.0}, {"epsilon_pct": -0.0}, {"horizon_windows": 48}],
+    )
+    def test_run_keys_equal_the_one_off_keys(self, sample_box, overrides):
+        config = _config(**overrides)
+        keys = stages.RunKeys.of(config)
+        train = sample_box.demand_matrix()[:, : config.training_windows]
+        forecast, spatial = keys.training_keys(train)
+        assert forecast == atm_oracle.forecast_key(train, config)
+        assert spatial == ArtifactKey(
+            stages.SPATIAL_STAGE,
+            data_fingerprint(train),
+            config_fingerprint(config.prediction.search),
+        )
+        assert keys.box_result_key(sample_box) == stages.box_result_key(sample_box, config)
+
+    def test_run_keys_tell_signed_zeros_apart(self):
+        # -0.0 == 0.0, yet the two configs are keyed apart, as one-off
+        # keys would key them.
+        plus, minus = (stages.RunKeys.of(_config(epsilon_pct=e)) for e in (0.0, -0.0))
+        assert plus.box_result != minus.box_result
+        assert plus.forecast == minus.forecast  # ε is sizing-side
 
     def test_box_result_key_folds_fault_plan(self, sample_box):
         clean = stages.box_result_key(sample_box, _config())
@@ -106,6 +136,38 @@ class TestKeys:
         )
         assert key.digest() == "ee12680986fb52385a89453bd7960402a309ea87"
         assert key.config_fp == "7cd7fbd040ec5c4b1b3cd27cfd8fe1fa012ccdc3"
+
+    def test_forecast_key_pinned(self, sample_box):
+        config = _config()
+        train = sample_box.demand_matrix()[:, : config.training_windows]
+        key = _forecast_key(train, config)
+        assert key.digest() == "da22756405622f9e40d8e21dd20a517d6cac0a34"
+        assert key.data_fp == "caba04aeafa5783619ad8ccc23dc4999b046f6fc"
+        assert key.config_fp == "cb13c70e5e1b1197671f91d05e978ac3efbb3710"
+
+    def test_spatial_search_key_pinned(self, sample_box, store_env):
+        # The search keys itself inside search_signature_set, so the pin
+        # is the file it writes: the same slice the pipeline searches.
+        train = sample_box.demand_matrix()[:, : _config().training_windows]
+        search_signature_set(train, SignatureSearchConfig())
+        written = sorted(p.name for p in (store_env / stages.SPATIAL_STAGE).glob("*/*.npz"))
+        assert written == ["87332a436e22a558078aae80fc19ef8f6b5e6ef0.npz"]
+
+
+class TestRunKeys:
+    def test_config_halves_fingerprinted_once_per_run(
+        self, pipeline_fleet_6d, store_env, monkeypatch
+    ):
+        built = []
+        real = stages.RunKeys.of.__func__
+        monkeypatch.setattr(
+            stages.RunKeys, "of", classmethod(lambda cls, c: built.append(c) or real(cls, c))
+        )
+        cold = run_fleet_atm(pipeline_fleet_6d, _config())
+        assert len(built) == 1
+        monkeypatch.setenv("REPRO_STORE", "")
+        assert _aggregates(run_fleet_atm(pipeline_fleet_6d, _config())) == _aggregates(cold)
+        assert len(built) == 1  # no store, no keys
 
 
 class TestWarmRuns:

@@ -13,7 +13,8 @@ from repro.prediction.spatial.signatures import (
     SignatureSearchConfig,
     search_signature_set,
 )
-from repro.store import data_fingerprint
+from repro.prediction.spatial import signatures
+from repro.store import ArtifactKey, config_fingerprint, data_fingerprint, get_codec
 
 
 @pytest.fixture(autouse=True)
@@ -98,3 +99,39 @@ class TestSearchMemoization:
         assert fresh.signature_indices == cached.signature_indices
         assert fresh.dependent_indices == cached.dependent_indices
         np.testing.assert_array_equal(fresh.fitted(data), cached.fitted(data))
+
+    def test_no_store_builds_no_key(self, tmp_path, monkeypatch):
+        """Without a store the search hashes nothing, and fits the same model."""
+        data = _matrix()
+        config = SignatureSearchConfig(method=ClusteringMethod.CBC)
+        hashed = []
+
+        def counting(arr):
+            hashed.append(arr.shape)
+            return data_fingerprint(arr)
+
+        monkeypatch.setattr(signatures, "data_fingerprint", counting)
+        fresh = search_signature_set(data, config)
+        assert hashed == []
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        stored = search_signature_set(data, config)
+        assert hashed == [data.shape]
+        encode = get_codec(signatures.SPATIAL_STAGE).encode
+        (fresh_arrays, fresh_meta), (stored_arrays, stored_meta) = encode(fresh), encode(stored)
+        assert fresh_meta == stored_meta
+        assert sorted(fresh_arrays) == sorted(stored_arrays)
+        for name, arr in fresh_arrays.items():
+            assert arr.tobytes() == stored_arrays[name].tobytes(), name
+
+    def test_given_key_is_the_one_stored(self, store_env, counters, monkeypatch):
+        """A caller's key (a fleet chunk's) is used as given, not rebuilt."""
+        data = _matrix()
+        config = SignatureSearchConfig(method=ClusteringMethod.CBC)
+        key = ArtifactKey(
+            signatures.SPATIAL_STAGE, data_fingerprint(data), config_fingerprint(config)
+        )
+        monkeypatch.setattr(signatures, "data_fingerprint", None)  # must not be called
+        search_signature_set(data, config, key=key)
+        search_signature_set(data, config, key=key)
+        assert counters().get("spatial.search.computed") == 1
+        assert [p.stem for p in (store_env / "spatial").glob("*/*.npz")] == [key.digest()]

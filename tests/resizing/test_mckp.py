@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.resizing.mckp import _unique_descending, build_mckp
-from repro.resizing.problem import ResizingProblem, tickets_for_allocation
+from repro.resizing.mckp import MckpGroup, MckpInstance, build_mckp
+from repro.resizing.problem import ResizingProblem, per_vm_tickets, tickets_for_allocation
+from tests.resizing import mckp_oracle
+from tests.resizing.mckp_oracle import _unique_descending
 
 PAPER_EXAMPLE = [30.0, 30.0, 40.0, 40.0, 23.0, 25.0, 60.0, 60.0, 60.0, 60.0]
 
@@ -225,3 +227,122 @@ class TestVectorizedTickets:
         group = build_mckp(problem, literal_formulation=True).groups[0]
         expected = self._reference_tickets(demands[0], group.capacities, 1.0)
         np.testing.assert_array_equal(group.tickets, expected)
+
+
+# ------------------------------------------------- array build vs. oracle
+#: Demand values on the tolerance's edges, signed zeros and plain values.
+_DEMAND = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-10, 1e-9, 2e-9, 1.0, 2.5, 7.0]),
+    st.floats(0.0, 50.0),
+)
+_BOUND = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(0.0, 30.0))
+
+
+@st.composite
+def _problems(draw):
+    m = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 12))
+    demands = np.array(draw(st.lists(_DEMAND, min_size=m * t, max_size=m * t))).reshape(m, t)
+    lower = np.array(draw(st.lists(_BOUND, min_size=m, max_size=m)))
+    # Upper bounds: the default (capacity), or at / above the lower bound,
+    # so candidates clip at both ends (upper == lower pins a single one).
+    upper = None
+    if draw(st.booleans()):
+        slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]), min_size=m, max_size=m)))
+        upper = lower + slack
+    capacity = float(lower.max()) + draw(st.floats(0.5, 100.0))
+    alpha = draw(st.floats(0.05, 0.95))
+    problem = ResizingProblem(
+        demands=demands, capacity=capacity, alpha=alpha,
+        lower_bounds=lower, upper_bounds=upper,
+    )
+    epsilon = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 3.0]),
+            st.lists(st.sampled_from([0.0, 0.25, 2.0, 1e12]), min_size=m, max_size=m).map(np.array),
+        )
+    )
+    return problem, epsilon, draw(st.booleans())
+
+
+class TestArrayBuildMatchesOracle:
+    """``build_mckp`` and ``per_vm_tickets`` equal their VM-by-VM forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_problems())
+    def test_groups_equal_the_oracle(self, case):
+        problem, epsilon, literal = case
+        got = build_mckp(problem, epsilon=epsilon, literal_formulation=literal)
+        want = mckp_oracle.build_mckp(problem, epsilon=epsilon, literal_formulation=literal)
+        assert got.capacity == want.capacity
+        assert len(got.groups) == len(want.groups)
+        for ours, theirs in zip(got.groups, want.groups):
+            assert ours.vm_index == theirs.vm_index
+            # array_equal: -0.0 == 0.0.  The two differ in a zero's sign
+            # only when a positive demand rounds up to -0.0 (ε > 1e12 x
+            # demand), where the oracle's survivor depends on its sort.
+            assert np.array_equal(ours.capacities, theirs.capacities)
+            assert ours.capacities.dtype == theirs.capacities.dtype
+            assert np.array_equal(ours.tickets, theirs.tickets)
+            assert ours.tickets.dtype == theirs.tickets.dtype
+
+    def test_all_zero_rows_and_signed_zero_bounds(self):
+        demands = np.array([[0.0, -0.0, 0.0], [0.0, 0.0, 0.0], [1e-9, 3.0, 0.0]])
+        problem = ResizingProblem(
+            demands=demands, capacity=20.0, alpha=0.6,
+            lower_bounds=np.array([-0.0, 2.0, 0.0]),
+            upper_bounds=np.array([5.0, 2.0, 4.0]),
+        )
+        for literal in (False, True):
+            got = build_mckp(problem, epsilon=1.0, literal_formulation=literal)
+            want = mckp_oracle.build_mckp(problem, epsilon=1.0, literal_formulation=literal)
+            for ours, theirs in zip(got.groups, want.groups):
+                assert np.array_equal(ours.capacities, theirs.capacities)
+                assert np.array_equal(ours.tickets, theirs.tickets)
+            # The idle VM's one candidate is the appended +0.0: a candidate
+            # equal to its -0.0 lower bound keeps its own sign.
+            assert got.groups[0].capacities.tobytes() == np.array([0.0]).tobytes()
+            assert got.groups[1].capacities.tolist() == [2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _problems(),
+        st.lists(st.sampled_from([0.0, -0.0, -1.0, 1e-12, 0.5, 4.0, 60.0]), min_size=5, max_size=5),
+    )
+    def test_per_vm_tickets_equal_the_oracle(self, case, allocation):
+        problem = case[0]
+        alloc = np.array(allocation[: problem.n_vms])
+        got = per_vm_tickets(problem, alloc)
+        want = mckp_oracle.per_vm_tickets(problem, alloc)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+class TestInstanceInvariants:
+    """The instance checks every group's orders at once."""
+
+    @staticmethod
+    def _group(index, caps, tickets):
+        return MckpGroup(vm_index=index, capacities=np.array(caps, float), tickets=np.array(tickets))
+
+    def test_group_boundaries_are_not_compared(self):
+        # Group 0 ends below group 1's first candidate: fine across groups.
+        instance = MckpInstance(
+            [self._group(0, [2.0, 1.0], [0, 3]), self._group(1, [9.0, 0.0], [0, 1])], 10.0
+        )
+        assert instance.n_variables == 4
+
+    @pytest.mark.parametrize(
+        "caps, tickets, match",
+        [
+            ([1.0, 1.0], [0, 1], "strictly decreasing"),
+            ([1.0, 2.0], [0, 1], "strictly decreasing"),
+            ([2.0, 1.0], [1, 0], "non-decreasing"),
+            ([], [], "no candidates"),
+            ([2.0, 1.0], [0], "aligned"),
+        ],
+    )
+    def test_bad_group_rejected(self, caps, tickets, match):
+        good = self._group(0, [3.0, 0.0], [0, 2])
+        with pytest.raises(ValueError, match=match):
+            MckpInstance([good, self._group(1, caps, tickets)], 10.0)

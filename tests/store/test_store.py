@@ -281,6 +281,103 @@ class TestDiskTier:
         assert list(store.headers("no_such_stage")) == []
 
 
+def _put_many(root, scale, n):
+    """Pool target: ``n`` puts of one key (module-level: picklable)."""
+    store = ArtifactStore(root=root)
+    for _ in range(n):
+        store.put(_key(), _value(scale=scale))
+
+
+class TestWritePath:
+    """One in-memory container, one write to a ``.tmp-`` sibling, ``os.replace``."""
+
+    @staticmethod
+    def _temps(root):
+        return sorted(root.rglob(".tmp-*"))
+
+    def test_no_temp_file_left_after_a_put(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        store.put(_key(), _value())
+        store.put(_key(), _value(scale=2.0))  # replaces the first file
+        assert self._temps(tmp_path) == []
+        assert sorted(tmp_path.rglob("*.npz")) == [store.path_for(_key())]
+
+    @pytest.mark.parametrize("failing", ["replace", "write", "encode"])
+    def test_no_temp_file_left_after_a_failed_put(self, tmp_path, monkeypatch, failing):
+        from repro.store import artifacts
+
+        def boom(*args, **kwargs):
+            raise OSError("injected")
+
+        if failing == "replace":
+            monkeypatch.setattr(artifacts.os, "replace", boom)
+        elif failing == "write":
+            monkeypatch.setattr(artifacts.os, "write", boom)
+        else:
+            monkeypatch.setattr(np, "savez", boom)
+        store = ArtifactStore(root=tmp_path)
+        obs.reset_metrics()
+        store.put(_key(), _value())  # must not raise
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get(f"store.{STAGE}.write_errors") == 1
+        assert f"store.{STAGE}.writes" not in counters
+        assert self._temps(tmp_path) == []
+        assert not store.path_for(_key()).exists()
+
+    def test_new_file_round_trips_through_get_and_headers(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        value = _value(scale=np.e)
+        store.put(key, value)
+        out = store.get(key)
+        assert out["payload"].tobytes() == value["payload"].tobytes()
+        assert out["meta"] == value["meta"]
+        assert list(store.headers(STAGE)) == [(store.path_for(key), key, {"k": 1})]
+        # A plain npz container: what np.load reads, as it read the files
+        # written straight to disk.
+        with np.load(store.path_for(key), allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["__meta__", "payload"]
+
+    def test_two_processes_putting_one_key_leave_one_readable_file(self, tmp_path):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_put_many, args=(str(tmp_path), scale, 40))
+            for scale in (1.0, 1.0)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        store = ArtifactStore(root=tmp_path)
+        assert sorted(tmp_path.rglob("*.npz")) == [store.path_for(_key())]
+        assert self._temps(tmp_path) == []
+        np.testing.assert_array_equal(store.get(_key())["payload"], _value()["payload"])
+
+    def test_leftover_temp_file_with_a_colliding_name_cannot_fail_a_put(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import artifacts
+
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        leftover = path.parent / ".tmp-leftover.npz"
+        leftover.write_bytes(b"a killed writer's partial file")
+        names = iter([leftover.name, leftover.name])
+        real = artifacts._temp_name
+        monkeypatch.setattr(artifacts, "_temp_name", lambda: next(names, None) or real())
+        obs.reset_metrics()
+        store.put(key, _value(scale=4.0))
+        assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.writes") == 1
+        np.testing.assert_array_equal(store.get(key)["payload"], _value(scale=4.0)["payload"])
+        assert leftover.read_bytes() == b"a killed writer's partial file"
+        assert [found for found, _, _ in store.headers(STAGE)] == [path]
+
+
 class TestDefaultStore:
     def test_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)

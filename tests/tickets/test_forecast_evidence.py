@@ -125,3 +125,28 @@ class TestForecastEvidence:
         again = run_fleet_ops(fleet, config, resume=True)
         assert obs.metrics_snapshot()["counters"]["ops.resume.hits"] == len(fleet.boxes)
         assert again.evidence_digest == fresh.evidence_digest
+
+    def test_probe_and_run_key_each_box_once(self, store_env, monkeypatch):
+        """The engine's resume probe and the box's run share one keying:
+        one ``ticket_ops`` key and one stat of the stored ATM outcome."""
+        from pathlib import Path
+
+        from repro.tickets.ops import pipeline
+
+        fleet = generate_fleet(CFG)
+        config = OpsConfig(atm=_atm_config())
+        run_fleet_atm(fleet, config.atm)
+        keyed, stats = [], []
+        key, exists = pipeline._OpsKeys._key, Path.exists
+        monkeypatch.setattr(
+            pipeline._OpsKeys, "_key", lambda self, box: keyed.append(box.box_id) or key(self, box)
+        )
+        monkeypatch.setattr(
+            Path, "exists",
+            lambda path: (stats.append(path) if "box_result" in path.parts else None)
+            or exists(path),
+        )
+        run_fleet_ops(fleet, config)
+        assert keyed == [box.box_id for box in fleet.boxes]
+        # Per box: the key's stat, then the stored outcome's read.
+        assert len(stats) == 2 * fleet.n_boxes

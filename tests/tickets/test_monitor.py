@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tickets.monitor import per_vm_ticket_counts, ticket_matrix, tickets_for_box
 from repro.tickets.policy import TicketPolicy
 from repro.trace.model import BoxTrace, Resource
+from tests.tickets import ticket_oracle
 from tests.tickets.ticket_oracle import count_tickets, count_tickets_for_demand
 
 
@@ -107,3 +110,44 @@ class TestBoxHelpers:
         )
         records = tickets_for_box(boundary_box, TicketPolicy(60.0))
         assert [(r.window, r.usage_pct) for r in records] == [(1, 60.0001)]
+
+
+# ------------------------------------------------ sorted columns vs. oracle
+_USAGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 59.999, 60.0, 60.0001, 75.0, 100.0]), st.floats(0.0, 100.0)
+)
+
+
+@st.composite
+def _boxes(draw):
+    m = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 10))
+    # Ids that sort differently from their row order, duplicates included.
+    vm_ids = draw(st.lists(st.sampled_from(["vm2", "vm10", "a", "B", "b"]), min_size=m, max_size=m))
+    usage = np.array(draw(st.lists(_USAGE, min_size=2 * m * t, max_size=2 * m * t)))
+    return BoxTrace("box", 10.0, 20.0, tuple(vm_ids), (4.0,) * m, (8.0,) * m, usage.reshape(2 * m, t))
+
+
+class TestRecordsMatchOracle:
+    """Records built from sorted columns equal the record-by-record oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _boxes(),
+        st.sampled_from([30.0, 60.0, 99.0]),
+        st.sampled_from(
+            [None, [Resource.RAM], [Resource.RAM, Resource.CPU], [Resource.CPU, Resource.CPU]]
+        ),
+    )
+    def test_same_records_in_the_same_order(self, box, threshold, resources):
+        policy = TicketPolicy(threshold)
+        got = tickets_for_box(box, policy, resources)
+        want = ticket_oracle.tickets_for_box(box, policy, resources)
+        assert got == want
+        # Field for field, down to types and the sign of a zero.
+        as_tuples = [
+            (r.box_id, r.vm_id, r.resource, repr(r.window), repr(r.usage_pct)) for r in got
+        ]
+        assert as_tuples == [
+            (r.box_id, r.vm_id, r.resource, repr(r.window), repr(r.usage_pct)) for r in want
+        ]

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.config import AtmConfig
+from repro.core.pipeline import run_fleet_atm
+from repro.prediction.combined import SpatialTemporalConfig
 from repro.store import ArtifactKey, default_store
 from repro.store.shards import ShardedFleet, write_fleet_shards
 from repro.tickets.incidents import group_incidents, incidents_for_box
@@ -425,6 +428,38 @@ class TestResume:
         )
         counters = obs.metrics_snapshot()["counters"]
         assert counters.get("ops.resume.hits", 0) == 0
+
+
+def _written(root, stage):
+    return sorted(p.stem for p in (root / stage).glob("*/*.npz"))
+
+
+class TestKeysPinned:
+    """Clean-run ``ticket_ops`` keys (and the evidence packs under them), as literals."""
+
+    def test_ticket_ops_key_pinned(self, sample_box, store_env):
+        fleet = FleetTrace([sample_box], name="pin")
+        run_fleet_ops(fleet, OpsConfig())
+        plain = "4efe2405f2f3cc8c59c7f7dc696262986817a27b"
+        assert _written(store_env, "ticket_ops") == [plain]
+        assert _written(store_env, EVIDENCE_STAGE) == [
+            "b0d36eae6a0ce41c11a42131939b0dea0de8d499"
+        ]
+
+        # With a materialized box_result the key folds that artifact in.
+        atm = AtmConfig(prediction=SpatialTemporalConfig(temporal_model="seasonal_mean"))
+        run_fleet_atm(fleet, atm)
+        assert _written(store_env, "box_result") == [
+            "803ac8bdbdb5684940a16d2226ba8aa4a9f09383"
+        ]
+        run_fleet_ops(fleet, OpsConfig(atm=atm))
+        assert _written(store_env, "ticket_ops") == [
+            plain, "5b21029877ee942933993db482fee3e5741b1262"
+        ]
+        assert _written(store_env, EVIDENCE_STAGE) == [
+            "b0d36eae6a0ce41c11a42131939b0dea0de8d499",
+            "f2acd1af43cb1ef3c6e21c1ee2630dee806f34f8",
+        ]
 
 
 class TestRowSerialization:

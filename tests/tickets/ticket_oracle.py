@@ -1,4 +1,4 @@
-"""Scalar ticket counts, kept as the independent recount of ticket totals.
+"""Ticket oracles: scalar recounts and the record-by-record extraction.
 
 Production counts tickets in bulk: :func:`repro.tickets.monitor.ticket_matrix`
 for usage, and :func:`repro.resizing.problem.tickets_for_allocation` (or the
@@ -7,20 +7,26 @@ helpers restate the paper's indicator ``sum_t [ D_t > alpha * C ]`` (Eq. 6)
 one series at a time, so tests can recount a result from its usage or from
 its returned allocation without going through the code that produced it.
 
+:func:`tickets_for_box` is the record-by-record form of
+:func:`repro.tickets.monitor.tickets_for_box`, as production ran it
+before the records were built from sorted columns: one record per hit,
+then a Python sort on ``(window, vm_id, resource value)``.
+
 Not collected as a test module (no ``test_`` prefix).  Importable from the
 repository root as ``tests.tickets.ticket_oracle``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.tickets.monitor import ticket_matrix
+from repro.tickets.monitor import TicketRecord, ticket_matrix
 from repro.tickets.policy import TicketPolicy
+from repro.trace.model import BoxTrace, Resource
 
-__all__ = ["count_tickets", "count_tickets_for_demand"]
+__all__ = ["count_tickets", "count_tickets_for_demand", "tickets_for_box"]
 
 
 def count_tickets(usage: np.ndarray, policy: TicketPolicy) -> int:
@@ -40,3 +46,34 @@ def count_tickets_for_demand(
         raise ValueError(f"capacity must be positive, got {capacity}")
     d = np.asarray(demand, dtype=float)
     return int((d > policy.alpha * capacity).sum())
+
+
+def tickets_for_box(
+    box: BoxTrace,
+    policy: TicketPolicy,
+    resources: Optional[Sequence[Resource]] = None,
+) -> List[TicketRecord]:
+    """Materialize every ticket issued on a box as :class:`TicketRecord`.
+
+    Useful for event-level inspection and for the examples; aggregate
+    analyses should prefer the count helpers, which avoid building objects.
+    """
+    records: List[TicketRecord] = []
+    for resource in resources or (Resource.CPU, Resource.RAM):
+        usage = box.usage_matrix(resource)
+        # Derive hits from the one indicator implementation (Eq. 6) rather
+        # than re-stating the comparison inline, so threshold semantics
+        # live in a single place.
+        hits = np.argwhere(ticket_matrix(usage, policy))
+        for vm_idx, window in hits:
+            records.append(
+                TicketRecord(
+                    box_id=box.box_id,
+                    vm_id=box.vm_ids[vm_idx],
+                    resource=resource,
+                    window=int(window),
+                    usage_pct=float(usage[vm_idx, window]),
+                )
+            )
+    records.sort(key=lambda r: (r.window, r.vm_id, r.resource.value))
+    return records
