@@ -10,7 +10,6 @@ trade-off a deployment must choose on.
 import time
 
 import numpy as np
-import pytest
 
 from repro.benchhelpers import bench_jobs, pipeline_fleet, print_table
 from repro.core.executor import FleetExecutor
@@ -20,8 +19,6 @@ from repro.prediction.spatial.signatures import (
     search_signature_set,
 )
 from repro.timeseries.metrics import mean_absolute_percentage_error
-
-pytestmark = pytest.mark.slow
 
 TRAIN_WINDOWS = 5 * 96
 

@@ -8,15 +8,12 @@ and a full day, each evaluated on the window immediately after training.
 """
 
 import numpy as np
-import pytest
 
 from repro.benchhelpers import bench_jobs, pipeline_fleet, print_table
 from repro.core.executor import FleetExecutor
 from repro.prediction import SpatialTemporalConfig, SpatialTemporalPredictor
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
 from repro.timeseries.metrics import mean_absolute_percentage_error
-
-pytestmark = pytest.mark.slow
 
 TRAIN_WINDOWS = 5 * 96
 HORIZONS = (8, 24, 48, 96)  # 2h, 6h, 12h, 24h

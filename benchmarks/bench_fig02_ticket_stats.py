@@ -24,7 +24,7 @@ PAPER = {
 
 def _compute():
     fleet = characterization_fleet()
-    return fleet_ticket_summary(fleet, DEFAULT_THRESHOLDS, first_windows=96)
+    return fleet_ticket_summary(fleet, first_windows=96)
 
 
 def test_fig02_ticket_characterization(benchmark):

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     jobs_list = tuple(int(j) for j in args.jobs.split(","))
     if args.quick:
-        rows, _ = quick_scaling_report(n_boxes=6, jobs_list=jobs_list)
+        rows, _ = quick_scaling_report(jobs_list=jobs_list)
         _print_rows(rows, "Parallel scaling — quick smoke (6 boxes, seasonal_mean)")
     else:
         rows, _ = _compute(n_boxes=args.boxes, jobs_list=jobs_list)

@@ -26,7 +26,7 @@ def main() -> None:
     print(f"fleet: {fleet.n_boxes} boxes / {fleet.n_vms} VMs, one day of "
           f"15-minute windows\n")
 
-    summary = fleet_ticket_summary(fleet, DEFAULT_THRESHOLDS, first_windows=96)
+    summary = fleet_ticket_summary(fleet, first_windows=96)
     print("ticket characterization (cf. paper Fig. 2):")
     print(f"{'res':>5} {'thr%':>5} {'%boxes':>8} {'tickets/box':>12} {'culprits':>9}")
     for resource in (Resource.CPU, Resource.RAM):

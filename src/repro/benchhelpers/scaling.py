@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.benchhelpers.fleetcache import BENCH_SEED
 from repro.core.config import AtmConfig
 from repro.core.executor import resolve_jobs
 from repro.core.pipeline import FleetAtmResult, run_fleet_atm
@@ -99,18 +100,14 @@ def scaling_report(
 
 
 def quick_scaling_report(
-    n_boxes: int = 6,
     jobs_list: Sequence[int] = (1, 2),
-    seed: int = 20160628,
 ) -> Tuple[List[List[float]], Dict[int, FleetAtmResult]]:
-    """Small-fleet smoke run: cheap temporal model, seconds not minutes.
+    """Small-fleet smoke run: 6 boxes, cheap temporal model, seconds not minutes.
 
     Used by ``bench_parallel_scaling.py --quick`` and the tier-1 test that
     keeps the harness from rotting.
     """
-    fleet = generate_fleet(
-        FleetConfig(n_boxes=n_boxes, days=6, seed=seed), name=f"scaling-{n_boxes}"
-    )
+    fleet = generate_fleet(FleetConfig(n_boxes=6, days=6, seed=BENCH_SEED), name="scaling-6")
     config = AtmConfig.with_clustering(
         ClusteringMethod.CBC, temporal_model="seasonal_mean"
     )

@@ -23,11 +23,10 @@ def print_table(
     title: str,
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
-    min_width: int = 8,
 ) -> None:
-    """Print a titled fixed-width table."""
+    """Print a titled fixed-width table, every column at least 8 wide."""
     rows = [list(r) for r in rows]
-    widths = [max(min_width, len(h)) for h in headers]
+    widths = [max(8, len(h)) for h in headers]
     print()
     print(f"== {title}")
     print(format_row(headers, widths))

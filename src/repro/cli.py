@@ -89,7 +89,7 @@ def _print_degradations(report) -> None:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     fleet = _fleet_from_args(args)
-    summary = fleet_ticket_summary(fleet, DEFAULT_THRESHOLDS, first_windows=96)
+    summary = fleet_ticket_summary(fleet, first_windows=96)
     rows = []
     for resource in (Resource.CPU, Resource.RAM):
         for threshold in DEFAULT_THRESHOLDS:

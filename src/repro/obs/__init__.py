@@ -210,10 +210,10 @@ def peak_rss_bytes() -> int:
     return int(peak)
 
 
-def record_peak_rss(name: str = "proc.peak_rss_bytes") -> int:
-    """Record the current peak RSS under gauge ``name``; returns the bytes."""
+def record_peak_rss() -> int:
+    """Record the current peak RSS under gauge ``proc.peak_rss_bytes``; returns the bytes."""
     peak = peak_rss_bytes()
-    gauge_max(name, float(peak))
+    gauge_max("proc.peak_rss_bytes", float(peak))
     return peak
 
 

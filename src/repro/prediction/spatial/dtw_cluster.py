@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.timeseries.clustering import HierarchicalClustering, Linkage, clusters_as_lists
+from repro.timeseries.clustering import HierarchicalClustering, clusters_as_lists
 from repro.timeseries.dtw import dtw_distance_matrix
 from repro.timeseries.silhouette import best_silhouette_cut
 
@@ -51,7 +51,6 @@ def dtw_clusters(
     window: Optional[int] = None,
     zscore: bool = True,
     max_clusters: Optional[int] = None,
-    linkage: Linkage = Linkage.AVERAGE,
 ) -> DtwClusterResult:
     """Cluster series with DTW + hierarchical clustering + silhouette search.
 
@@ -80,7 +79,7 @@ def dtw_clusters(
         return DtwClusterResult(labels=(0,), signatures=(0,), n_clusters=1, silhouette=0.0)
 
     distances = dtw_distance_matrix(data, window=window, zscore=zscore)
-    clustering = HierarchicalClustering(distances, linkage=linkage)
+    clustering = HierarchicalClustering(distances)
 
     upper = max_clusters if max_clusters is not None else n // 2
     upper = int(np.clip(upper, 2, n))

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.timeseries.acf import feature_vector
-from repro.timeseries.clustering import HierarchicalClustering, Linkage, clusters_as_lists
+from repro.timeseries.clustering import HierarchicalClustering, clusters_as_lists
 from repro.timeseries.silhouette import best_silhouette_cut
 
 __all__ = ["FeatureClusterResult", "feature_clusters"]
@@ -47,7 +47,6 @@ def feature_clusters(
     series: Sequence[Sequence[float]],
     period: int = 96,
     max_clusters: Optional[int] = None,
-    linkage: Linkage = Linkage.AVERAGE,
 ) -> FeatureClusterResult:
     """Cluster series by their feature embeddings.
 
@@ -70,7 +69,7 @@ def feature_clusters(
 
     diff = features[:, None, :] - features[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=2))
-    clustering = HierarchicalClustering(distances, linkage=linkage)
+    clustering = HierarchicalClustering(distances)
 
     upper = max_clusters if max_clusters is not None else n // 2
     upper = int(np.clip(upper, 2, n))

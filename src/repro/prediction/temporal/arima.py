@@ -52,7 +52,7 @@ class ArimaPredictor(TemporalPredictor):
         arr = validate_history(history, minimum=self.d + self.p + self.q + 4)
         work = arr.copy()
         for _ in range(self.d):
-            work = difference(work, 1)
+            work = difference(work)
 
         # Stage 1: long AR for innovation estimates.
         k = min(self.long_ar_order, max(1, work.size // 3))
@@ -118,6 +118,6 @@ class ArimaPredictor(TemporalPredictor):
             # The last value of the (level-1)-times differenced history.
             base = self._history.copy()
             for _ in range(level - 1):
-                base = difference(base, 1)
+                base = difference(base)
             forecast = base[-1] + np.cumsum(forecast)
         return forecast

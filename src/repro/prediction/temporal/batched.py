@@ -90,21 +90,20 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 def fit_neural_fused(
     history_groups: Sequence[Sequence[Sequence[float]]],
     config: Optional[MlpConfig] = None,
-    max_models: int = FUSED_SLAB_MODELS,
     *,
     fleet: bool = True,
 ) -> List[Union[List[NeuralNetPredictor], Exception]]:
     """Fit many groups' (boxes') signature models in cross-group mega-batches.
 
     All series of all groups that share a history length join one ragged
-    mega-batch, trained as ``(K, P)`` slabs of at most ``max_models``
-    models, and the fitted predictors are scattered back into per-group
-    lists in input order.  Every model is bit-identical to its per-series
-    ``NeuralNetPredictor(config).fit``, because all series share
-    ``config.seed`` (identical RNG streams) and every tensor op in the
-    kernel is row-local with per-row flat reductions (see the y_mean note
-    in :func:`_prepare_batch`); which batch a model happens to ride in
-    cannot change its floats.
+    mega-batch, trained as ``(K, P)`` slabs of at most
+    :data:`FUSED_SLAB_MODELS` models, and the fitted predictors are
+    scattered back into per-group lists in input order.  Every model is
+    bit-identical to its per-series ``NeuralNetPredictor(config).fit``,
+    because all series share ``config.seed`` (identical RNG streams) and
+    every tensor op in the kernel is row-local with per-row flat
+    reductions (see the y_mean note in :func:`_prepare_batch`); which batch
+    a model happens to ride in cannot change its floats.
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
@@ -117,8 +116,6 @@ def fit_neural_fused(
     ``fused.*`` instruments stay untouched, since nothing fuses across
     boxes.
     """
-    if max_models < 1:
-        raise ValueError(f"max_models must be >= 1, got {max_models}")
     cfg = config or MlpConfig()
     validated: List[Union[List[np.ndarray], Exception]] = []
     for group in history_groups:
@@ -147,10 +144,10 @@ def fit_neural_fused(
         if fleet:
             obs.inc("fused.groups")
             obs.gauge_max(
-                "fused.models_per_pass", float(min(len(positions), max_models))
+                "fused.models_per_pass", float(min(len(positions), FUSED_SLAB_MODELS))
             )
         stack = np.stack([flat[pos][2] for pos in positions])
-        models, _ = fit_equal_length_state(stack, cfg, max_models=max_models)
+        models, _ = fit_equal_length_state(stack, cfg, max_models=FUSED_SLAB_MODELS)
         for pos, model in zip(positions, models):
             gi, si, _ = flat[pos]
             out[gi][si] = model  # type: ignore[index]

@@ -14,11 +14,12 @@ aggressive in allocating resources").
 
 Paper ambiguity note (see DESIGN.md): the paper's running example treats the
 chosen demand value as the effective capacity (tickets fire when demand
-exceeds the value itself), while constraint (9) budgets the raw values.  The
-default here is the self-consistent reading — candidates are effective
-capacities and the *allocated* capacity is ``candidate / alpha``.  Passing
-``literal_formulation=True`` reproduces the paper's literal R' instead
-(allocated capacity equals the demand value).
+exceeds the value itself), while constraint (9) budgets the raw values.  This
+module builds the self-consistent reading only — candidates are effective
+capacities and the *allocated* capacity is ``candidate / alpha``.  The
+paper's literal R' (allocated capacity equals the demand value) lives in the
+test oracle ``tests/resizing/mckp_oracle.py`` as its ``literal_formulation``
+switch.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ class MckpSolution:
 def build_mckp(
     problem: ResizingProblem,
     epsilon: Union[float, Sequence[float]] = 0.0,
-    literal_formulation: bool = False,
 ) -> MckpInstance:
     """Build the MCKP instance from a resizing problem.
 
@@ -137,9 +137,6 @@ def build_mckp(
         (the fleet evaluator passes per-VM values equal to ε% of current
         capacity so the granularity matches each VM's scale).  Zero disables
         discretization ("ATM w/o discretizing" in Fig. 8).
-    literal_formulation:
-        Use the paper's literal R' (allocated capacity = demand value)
-        instead of the self-consistent effective-capacity reading.
 
     Every VM's group is built at once, as one row of an ``(M, T + 1)``
     candidate matrix: the VM's demand values above the tolerance, rounded
@@ -168,8 +165,7 @@ def build_mckp(
         rounded[scaled] = np.ceil(demands[scaled] / step - 1e-12) * step
     candidates = np.zeros((m, t + 1))
     np.copyto(candidates[:, :t], rounded, where=demands > TICKET_TOLERANCE)
-    if not literal_formulation:
-        candidates /= problem.alpha
+    candidates /= problem.alpha
     # Clip to the VM's bounds, as min(max(c, lower), upper).  A candidate
     # equal to a bound keeps its own value, down to the sign of a zero
     # (``np.clip``'s choice there varies with its code path).
@@ -185,13 +181,10 @@ def build_mckp(
     caps = candidates[:, ::-1][keep[:, ::-1]]
     rows = np.repeat(np.arange(m), keep.sum(axis=1))
 
-    # Ticket threshold per candidate: in the literal paper formulation
-    # the chosen demand value acts as the effective capacity itself (the
-    # running example counts D > D'_v), while the self-consistent
-    # reading allocates candidate/alpha so alpha * capacity applies.
-    threshold_factor = 1.0 if literal_formulation else problem.alpha
+    # Ticket threshold per candidate: the allocated capacity is
+    # candidate/alpha, so a ticket fires above alpha * capacity.
     thresholds = np.where(
-        caps > 0, threshold_factor * caps + TICKET_TOLERANCE, TICKET_TOLERANCE
+        caps > 0, problem.alpha * caps + TICKET_TOLERANCE, TICKET_TOLERANCE
     )
     # count(demands > t) == T - (demands <= t), counted by one searchsorted
     # for every row: (row, value) pairs as complex numbers sort row first,

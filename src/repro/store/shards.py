@@ -322,7 +322,6 @@ def generate_fleet_shards(
     root: Union[str, Path],
     name: str = "synthetic",
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
     scenario=None,
 ) -> ShardManifest:
     """Generate a synthetic fleet straight into a shard store.
@@ -338,8 +337,8 @@ def generate_fleet_shards(
 
     ``jobs`` fans generation across processes through
     :class:`repro.core.executor.FleetExecutor` (``None`` reads
-    ``REPRO_JOBS``; default serial), one contiguous block of ``chunksize``
-    box indices per task (default :func:`default_chunksize`).  Results
+    ``REPRO_JOBS``; default serial), one contiguous block of
+    :func:`default_chunksize` box indices per task.  Results
     are collected in box-index order and every shard is content-addressed,
     so the manifest -- and every byte of the store -- is identical at any
     worker count.  Either path runs under one ``shards.generate`` span.
@@ -367,7 +366,7 @@ def generate_fleet_shards(
         if workers <= 1:
             metas = _render_shard_block(range(n_boxes), cfg, scenario, str(root))
         else:
-            step = chunksize or default_chunksize(n_boxes, workers)
+            step = default_chunksize(n_boxes, workers)
             blocks = [range(i, min(i + step, n_boxes)) for i in range(0, n_boxes, step)]
             parts = FleetExecutor(jobs=workers, chunksize=1).map(
                 _render_shard_block, blocks, cfg, scenario, str(root)

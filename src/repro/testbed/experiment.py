@@ -20,7 +20,6 @@ from repro.resizing.evaluate import ResizingAlgorithm, size_box_resource
 from repro.testbed.cluster import NodeSpec, TestbedCluster, VMInstance
 from repro.testbed.mediawiki import (
     WikiDeployment,
-    WikiSpec,
     wiki_one_spec,
     wiki_two_spec,
 )
@@ -57,8 +56,6 @@ class TestbedConfig:
 
 
 def build_cluster(
-    wiki_one: Optional[WikiSpec] = None,
-    wiki_two: Optional[WikiSpec] = None,
     initial_limit_ghz: float = 3.0,
 ) -> Tuple[TestbedCluster, WikiDeployment, WikiDeployment]:
     """Build the Fig. 11 topology: 3 hosting nodes, 11 tier VMs.
@@ -67,8 +64,8 @@ def build_cluster(
     (``initial_limit_ghz`` per VM) — each VM nominally has 2 vCPUs, but the
     enforced cgroups share is what the monitoring reports usage against.
     """
-    spec_one = wiki_one or wiki_one_spec()
-    spec_two = wiki_two or wiki_two_spec()
+    spec_one = wiki_one_spec()
+    spec_two = wiki_two_spec()
     nodes = [NodeSpec("node2"), NodeSpec("node3"), NodeSpec("node4")]
     placement = {
         "node2": [
@@ -165,16 +162,11 @@ def _seasonal_prediction(
 
 
 def run_testbed_experiment(
-    resizing: bool,
-    config: Optional[TestbedConfig] = None,
-    wiki_one: Optional[WikiSpec] = None,
-    wiki_two: Optional[WikiSpec] = None,
+    resizing: bool, config: Optional[TestbedConfig] = None
 ) -> ExperimentResult:
     """Run one testbed experiment (original or ATM-resized)."""
     cfg = config or TestbedConfig()
-    cluster, dep_one, dep_two = build_cluster(
-        wiki_one, wiki_two, initial_limit_ghz=cfg.initial_limit_ghz
-    )
+    cluster, dep_one, dep_two = build_cluster(initial_limit_ghz=cfg.initial_limit_ghz)
     deployments = (dep_one, dep_two)
     policy = TicketPolicy(threshold_pct=cfg.threshold_pct)
 

@@ -46,8 +46,8 @@ def _scope(box: BoxTrace, first_windows: Optional[int]) -> BoxTrace:
     return box.split_windows(first_windows)[0]
 
 
-def culprit_vm_count(per_vm_counts: Sequence[int], share: float = MAJORITY_SHARE) -> int:
-    """Return the minimum number of VMs covering ``share`` of a box's tickets.
+def culprit_vm_count(per_vm_counts: Sequence[int]) -> int:
+    """Return the minimum number of VMs covering :data:`MAJORITY_SHARE` of a box's tickets.
 
     Zero when the box has no tickets.  VMs are taken greedily from the most
     ticketed down, which is optimal for this coverage question.
@@ -56,7 +56,7 @@ def culprit_vm_count(per_vm_counts: Sequence[int], share: float = MAJORITY_SHARE
     total = counts.sum()
     if total <= 0:
         return 0
-    needed = share * total
+    needed = MAJORITY_SHARE * total
     covered = np.cumsum(counts)
     return int(np.searchsorted(covered, needed - 1e-9) + 1)
 
@@ -140,16 +140,13 @@ class FleetTicketSummary:
 
 
 def fleet_ticket_summary(
-    fleet: FleetTrace,
-    thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
-    first_windows: Optional[int] = None,
-    window_minutes: int = 15,
+    fleet: FleetTrace, first_windows: Optional[int] = None
 ) -> FleetTicketSummary:
-    """Compute the Fig. 2 summary across a fleet."""
-    summary = FleetTicketSummary(thresholds=tuple(thresholds))
+    """Compute the Fig. 2 summary across a fleet, at :data:`DEFAULT_THRESHOLDS`."""
+    summary = FleetTicketSummary(thresholds=tuple(DEFAULT_THRESHOLDS))
     for resource in (Resource.CPU, Resource.RAM):
-        for threshold in thresholds:
-            policy = TicketPolicy(threshold_pct=threshold, window_minutes=window_minutes)
+        for threshold in DEFAULT_THRESHOLDS:
+            policy = TicketPolicy(threshold_pct=threshold)
             stats = [
                 box_ticket_stats(box, resource, policy, first_windows=first_windows)
                 for box in fleet
@@ -187,9 +184,7 @@ class CorrelationCdfs:
 
 
 def correlation_cdfs(
-    fleet: FleetTrace,
-    first_windows: Optional[int] = None,
-    absolute: bool = False,
+    fleet: FleetTrace, first_windows: Optional[int] = None
 ) -> CorrelationCdfs:
     """Compute the Fig. 3 correlation CDFs across all boxes of a fleet.
 
@@ -207,7 +202,6 @@ def correlation_cdfs(
         decomposition = decompose_box_correlations(
             scoped.usage_matrix(Resource.CPU),
             scoped.usage_matrix(Resource.RAM),
-            absolute=absolute,
         )
         for key, value in decomposition.as_dict().items():
             if np.isfinite(value):

@@ -58,13 +58,11 @@ class TicketCostModel:
         self,
         tickets_before: int,
         tickets_after: int,
-        ticketed_days_before: int = 0,
-        ticketed_days_after: int = 0,
         resize_actions: int = 0,
     ) -> "CostBreakdown":
         """Net savings of running ATM versus the status quo."""
-        before = self.cost(tickets_before, ticketed_days_before)
-        after = self.cost(tickets_after, ticketed_days_after, resize_actions)
+        before = self.cost(tickets_before)
+        after = self.cost(tickets_after, resize_actions=resize_actions)
         return CostBreakdown(
             cost_before=before,
             cost_after=after,

@@ -17,11 +17,11 @@ count drives per-ticket resolution cost; both feed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.tickets.monitor import TicketRecord, tickets_for_box
 from repro.tickets.policy import TicketPolicy
-from repro.trace.model import BoxTrace, FleetTrace, Resource
+from repro.trace.model import BoxTrace, FleetTrace
 
 __all__ = ["Incident", "group_incidents", "incidents_for_box", "fleet_incident_stats"]
 
@@ -99,22 +99,12 @@ def _finish(bucket: List[TicketRecord]) -> Incident:
     )
 
 
-def incidents_for_box(
-    box: BoxTrace,
-    policy: TicketPolicy,
-    max_gap_windows: int = 1,
-    resources: Optional[Sequence[Resource]] = None,
-) -> List[Incident]:
+def incidents_for_box(box: BoxTrace, policy: TicketPolicy) -> List[Incident]:
     """Extract and group a box's tickets in one call."""
-    records = tickets_for_box(box, policy, resources=resources)
-    return group_incidents(records, max_gap_windows=max_gap_windows)
+    return group_incidents(tickets_for_box(box, policy))
 
 
-def fleet_incident_stats(
-    fleet: FleetTrace,
-    policy: TicketPolicy,
-    max_gap_windows: int = 1,
-) -> dict:
+def fleet_incident_stats(fleet: FleetTrace, policy: TicketPolicy) -> dict:
     """Fleet-level triage picture: tickets vs incidents vs spatial spillover.
 
     Returns a dict with total tickets, total incidents, the deduplication
@@ -128,7 +118,7 @@ def fleet_incident_stats(
     total_incidents = 0
     spatial_incidents = 0
     for box in fleet:
-        incidents = incidents_for_box(box, policy, max_gap_windows=max_gap_windows)
+        incidents = incidents_for_box(box, policy)
         total_incidents += len(incidents)
         total_tickets += sum(i.n_tickets for i in incidents)
         spatial_incidents += sum(1 for i in incidents if i.is_spatial)

@@ -9,7 +9,7 @@ the threshold percentage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -64,31 +64,27 @@ def _ranks(strings: Sequence[str]) -> np.ndarray:
     return np.array([rank[value] for value in strings], dtype=np.int64)
 
 
-def tickets_for_box(
-    box: BoxTrace,
-    policy: TicketPolicy,
-    resources: Optional[Sequence[Resource]] = None,
-) -> List[TicketRecord]:
+def tickets_for_box(box: BoxTrace, policy: TicketPolicy) -> List[TicketRecord]:
     """Materialize every ticket issued on a box as :class:`TicketRecord`.
 
     Records come sorted by ``(window, vm_id, resource value)``; ties keep
-    the order of ``resources`` and then of the VMs.  Useful for
+    CPU before RAM and then the order of the VMs.  Useful for
     event-level inspection and for the examples; aggregate analyses
     should prefer the count helpers, which avoid building objects.
     """
-    resources = tuple(resources or (Resource.CPU, Resource.RAM))
-    usage = np.concatenate([box.usage_matrix(resource) for resource in resources])
+    resources = (Resource.CPU, Resource.RAM)
+    usage = box.usage_matrix()
     # Derive hits from the one indicator implementation (Eq. 6) rather
     # than re-stating the comparison inline, so threshold semantics live
     # in a single place.  Row r of ``usage`` is VM r % M of resource r // M.
     rows, windows = np.nonzero(ticket_matrix(usage, policy))
     m = box.n_vms
-    # Sort keys as ranks: a VM's rank among the box's sorted ids and a
-    # resource's rank among the sorted values (equal strings share one).
-    # lexsort is stable, so ties keep the row-major order of the hits.
+    # Sort keys: a VM's rank among the box's sorted ids (equal ids share
+    # one), and the resource index, which is already the rank of its value
+    # ("cpu" < "ram").  lexsort is stable, so ties keep the row-major order
+    # of the hits.
     vm_rank = _ranks(box.vm_ids)
-    kind_rank = _ranks([resource.value for resource in resources])
-    order = np.lexsort((kind_rank[rows // m], vm_rank[rows % m], windows))
+    order = np.lexsort((rows // m, vm_rank[rows % m], windows))
     rows, windows = rows[order], windows[order]
     box_id, vm_ids = box.box_id, box.vm_ids
     return [

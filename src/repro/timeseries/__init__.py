@@ -23,7 +23,7 @@ from repro.timeseries.correlation import (
     pairwise_correlation_matrix,
     pearson,
 )
-from repro.timeseries.clustering import HierarchicalClustering, Linkage
+from repro.timeseries.clustering import HierarchicalClustering
 from repro.timeseries.dtw import dtw_distance_matrix
 from repro.timeseries.ecdf import BoxplotSummary, Ecdf
 from repro.timeseries.metrics import (
@@ -44,7 +44,6 @@ __all__ = [
     "CorrelationDecomposition",
     "Ecdf",
     "HierarchicalClustering",
-    "Linkage",
     "OlsFit",
     "absolute_percentage_errors",
     "dtw_distance_matrix",

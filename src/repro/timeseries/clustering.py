@@ -3,9 +3,9 @@
 Section III-A applies hierarchical clustering to the pairwise DTW distance
 matrix, sweeping the number of clusters from 2 to ``(M*N)/2`` and selecting
 the cut with the best mean silhouette.  This module provides the clustering
-half: a from-scratch agglomerative algorithm with single, complete and
-average (UPGMA) linkage that operates on any precomputed symmetric distance
-matrix, and a dendrogram cut for an arbitrary number of clusters.
+half: a from-scratch agglomerative algorithm with average (UPGMA) linkage,
+the paper's, that operates on any precomputed symmetric distance matrix, and
+a dendrogram cut for an arbitrary number of clusters.
 
 The implementation follows the classical Lance-Williams style update on the
 full distance matrix, which is O(n^3) in the worst case — more than fast
@@ -14,21 +14,12 @@ enough for the per-box problem sizes here (a few dozen series per box).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
 import numpy as np
 
-__all__ = ["Linkage", "Merge", "HierarchicalClustering"]
-
-
-class Linkage(enum.Enum):
-    """Supported linkage criteria for agglomerative clustering."""
-
-    SINGLE = "single"
-    COMPLETE = "complete"
-    AVERAGE = "average"
+__all__ = ["Merge", "HierarchicalClustering"]
 
 
 @dataclass(frozen=True)
@@ -47,14 +38,12 @@ class Merge:
 
 @dataclass
 class HierarchicalClustering:
-    """Agglomerative clustering of ``n`` items from a distance matrix.
+    """Average-linkage agglomerative clustering of ``n`` items.
 
     Parameters
     ----------
     distances:
         Symmetric ``(n, n)`` dissimilarity matrix with a zero diagonal.
-    linkage:
-        Linkage criterion; the paper's DTW clustering uses average linkage.
 
     Examples
     --------
@@ -66,7 +55,6 @@ class HierarchicalClustering:
     """
 
     distances: np.ndarray
-    linkage: Linkage = Linkage.AVERAGE
     merges: List[Merge] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,19 +109,12 @@ class HierarchicalClustering:
                     size=sizes[i] + sizes[j],
                 )
             )
-            # Merge j into i using the Lance-Williams update.
+            # Merge j into i using the Lance-Williams (UPGMA) update.
             others = np.flatnonzero(alive)
             others = others[(others != i) & (others != j)]
             if others.size:
-                di = dist[i, others]
-                dj = dist[j, others]
-                if self.linkage is Linkage.SINGLE:
-                    new = np.minimum(di, dj)
-                elif self.linkage is Linkage.COMPLETE:
-                    new = np.maximum(di, dj)
-                else:  # AVERAGE (UPGMA)
-                    wi, wj = sizes[i], sizes[j]
-                    new = (wi * di + wj * dj) / (wi + wj)
+                wi, wj = sizes[i], sizes[j]
+                new = (wi * dist[i, others] + wj * dist[j, others]) / (wi + wj)
                 dist[i, others] = new
                 dist[others, i] = new
             dist[j, :] = np.inf

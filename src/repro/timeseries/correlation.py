@@ -105,7 +105,6 @@ class CorrelationDecomposition:
 def decompose_box_correlations(
     cpu_series: Sequence[Sequence[float]],
     ram_series: Sequence[Sequence[float]],
-    absolute: bool = False,
 ) -> CorrelationDecomposition:
     """Compute the Section II-B correlation decomposition for one box.
 
@@ -114,10 +113,10 @@ def decompose_box_correlations(
     cpu_series, ram_series:
         Usage series of the box's co-located VMs; ``cpu_series[i]`` and
         ``ram_series[i]`` must belong to the same VM ``i``.
-    absolute:
-        When true, use ``|rho|`` instead of signed coefficients.  The paper
-        plots CDFs over ``[0, 1]`` which is consistent with either choice for
-        its (mostly positively correlated) data; signed is the default.
+
+    Coefficients are signed.  The paper plots CDFs over ``[0, 1]``, which is
+    consistent with signed or ``|rho|`` values for its (mostly positively
+    correlated) data.
     """
     if len(cpu_series) != len(ram_series):
         raise ValueError(
@@ -128,27 +127,16 @@ def decompose_box_correlations(
     if m == 0:
         raise ValueError("box has no VMs")
 
-    def maybe_abs(value: float) -> float:
-        return abs(value) if absolute else value
-
     intra_cpu = [
-        maybe_abs(pearson(cpu_series[i], cpu_series[j]))
-        for i in range(m)
-        for j in range(i + 1, m)
+        pearson(cpu_series[i], cpu_series[j]) for i in range(m) for j in range(i + 1, m)
     ]
     intra_ram = [
-        maybe_abs(pearson(ram_series[i], ram_series[j]))
-        for i in range(m)
-        for j in range(i + 1, m)
+        pearson(ram_series[i], ram_series[j]) for i in range(m) for j in range(i + 1, m)
     ]
     # "inter-all": any CPU series against any RAM series, including the pair
     # belonging to the same VM (the paper's "from any pair").
-    inter_all = [
-        maybe_abs(pearson(cpu_series[i], ram_series[j]))
-        for i in range(m)
-        for j in range(m)
-    ]
-    inter_pair = [maybe_abs(pearson(cpu_series[i], ram_series[i])) for i in range(m)]
+    inter_all = [pearson(cpu_series[i], ram_series[j]) for i in range(m) for j in range(m)]
+    inter_pair = [pearson(cpu_series[i], ram_series[i]) for i in range(m)]
 
     return CorrelationDecomposition(
         intra_cpu=_median_or_nan(intra_cpu),

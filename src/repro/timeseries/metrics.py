@@ -75,21 +75,19 @@ def absolute_percentage_errors(
 
 
 def mean_absolute_percentage_error(
-    actual: Sequence[float], predicted: Sequence[float], as_percent: bool = True
+    actual: Sequence[float], predicted: Sequence[float]
 ) -> float:
-    """Return mean APE; ``nan`` when every actual sample is ~zero."""
+    """Return mean APE in percent; ``nan`` when every actual sample is ~zero."""
     errors = absolute_percentage_errors(actual, predicted)
     if errors.size == 0:
         return float("nan")
-    value = float(errors.mean())
-    return value * 100.0 if as_percent else value
+    return float(errors.mean()) * 100.0
 
 
 def peak_absolute_percentage_error(
     actual: Sequence[float],
     predicted: Sequence[float],
     peak_threshold: float,
-    as_percent: bool = True,
 ) -> float:
     """Return mean APE restricted to windows where ``actual > peak_threshold``.
 
@@ -101,4 +99,4 @@ def peak_absolute_percentage_error(
     mask = a > peak_threshold
     if not mask.any():
         return float("nan")
-    return mean_absolute_percentage_error(a[mask], p[mask], as_percent=as_percent)
+    return mean_absolute_percentage_error(a[mask], p[mask])

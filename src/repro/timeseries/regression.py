@@ -187,7 +187,7 @@ def _vif_reference(x: np.ndarray) -> np.ndarray:
     return vifs
 
 
-def _vif_gram(x: np.ndarray, corr: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+def _vif_gram(x: np.ndarray) -> Optional[np.ndarray]:
     """All VIFs at once from the inverse correlation matrix, or ``None``.
 
     ``VIF_k = diag(inv(R))_k`` for the correlation matrix ``R`` of the
@@ -209,12 +209,8 @@ def _vif_gram(x: np.ndarray, corr: Optional[np.ndarray] = None) -> Optional[np.n
         # A lone non-constant column regressed on constants fits nothing.
         vifs[active] = 1.0
         return vifs
-    if corr is not None:
-        r = np.asarray(corr, dtype=float)[np.ix_(active, active)]
-    else:
-        normed = centered[:, active] / np.sqrt(ss[active])
-        r = normed.T @ normed
-    inv = _trusted_inverse(r)
+    normed = centered[:, active] / np.sqrt(ss[active])
+    inv = _trusted_inverse(normed.T @ normed)
     if inv is None:
         return None
     vifs[active] = np.maximum(np.diagonal(inv), 1.0)
@@ -235,28 +231,18 @@ def _trusted_inverse(r: np.ndarray) -> Optional[np.ndarray]:
     return inv
 
 
-def variance_inflation_factors(
-    series_matrix: np.ndarray, corr: Optional[np.ndarray] = None
-) -> np.ndarray:
+def variance_inflation_factors(series_matrix: np.ndarray) -> np.ndarray:
     """Return the VIF of every column of a ``(n_samples, n_series)`` matrix.
 
     ``VIF_k = 1 / (1 - R_k^2)`` where ``R_k^2`` comes from regressing column
     ``k`` on all the other columns.  A column perfectly explained by the
     others gets ``numpy.inf``; with fewer than two columns every VIF is 1.
-
-    Parameters
-    ----------
-    series_matrix:
-        ``(n_samples, n_series)`` candidate matrix.
-    corr:
-        Optional precomputed ``(n_series, n_series)`` Pearson correlation
-        matrix of the columns (e.g. the one CBC clustering already built),
-        consumed by the vectorized Gram path instead of recomputing it.
+    ``series_matrix`` is the ``(n_samples, n_series)`` candidate matrix.
     """
     x = _design(series_matrix)
     if x.shape[1] < 2:
         return np.ones(x.shape[1])
-    vifs = _vif_gram(x, corr)
+    vifs = _vif_gram(x)
     if vifs is not None:
         return vifs
     return _vif_reference(x)

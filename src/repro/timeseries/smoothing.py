@@ -1,7 +1,7 @@
 """Series differencing, the transform behind ARIMA's ``d`` order.
 
-Operates on 1-D NumPy arrays; the output is ``lag`` samples shorter than
-the input.
+Operates on 1-D NumPy arrays; the output is one sample shorter than the
+input.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import numpy as np
 __all__ = ["difference"]
 
 
-def difference(series: Sequence[float], lag: int = 1) -> np.ndarray:
-    """Return the lag-``lag`` differenced series (length shrinks by ``lag``)."""
+def difference(series: Sequence[float]) -> np.ndarray:
+    """Return the lag-1 differenced series (length shrinks by one)."""
     arr = np.asarray(series, dtype=float)
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    if arr.size <= lag:
-        raise ValueError(f"series of length {arr.size} cannot be differenced at lag {lag}")
-    return arr[lag:] - arr[:-lag]
+    if arr.size <= 1:
+        raise ValueError(f"series of length {arr.size} cannot be differenced at lag 1")
+    return arr[1:] - arr[:-1]

@@ -697,18 +697,14 @@ def generate_box_groups(
         yield from _render_block(drawn, rows)
 
 
-def generate_box(
-    box_index: int,
-    cfg: FleetConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> BoxTrace:
+def generate_box(box_index: int, cfg: FleetConfig) -> BoxTrace:
     """Generate one box trace: a one-box call of :func:`generate_box_groups`.
 
-    ``rng`` defaults to a generator derived from ``cfg.seed`` and
+    The box draws from a generator derived from ``cfg.seed`` and
     ``box_index``, so individual boxes can be regenerated independently of
     the rest of the fleet.
     """
-    (box,) = next(generate_box_groups([[(box_index, cfg, rng)]]))
+    (box,) = next(generate_box_groups([[(box_index, cfg, None)]]))
     return box
 
 

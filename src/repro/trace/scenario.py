@@ -183,9 +183,7 @@ def _env_web_diurnal(
     for i in range(m):
         amp = rng.uniform(0.45, 0.75)
         phase = box_phase + rng.uniform(-0.06, 0.06)
-        shape = diurnal(
-            n, wpd, amplitude=1.0, phase=phase, sharpness=rng.uniform(2.0, 3.0)
-        )
+        shape = diurnal(n, wpd, phase=phase, sharpness=rng.uniform(2.0, 3.0))
         bump = np.clip(shape, 0.0, None)
         env[i] = 1.0 + amp * (bump - bump.mean())
     return np.clip(env, 0.05, None)
@@ -232,7 +230,7 @@ def _env_ramp(rng: np.random.Generator, n: int, wpd: int, m: int) -> np.ndarray:
 
 def _env_weekend(rng: np.random.Generator, n: int, wpd: int, m: int) -> np.ndarray:
     """Weekend-heavy load: a weekly mask boosts Saturday/Sunday."""
-    mask = weekly(n, wpd, weekend_days=(5, 6), start_day=0)
+    mask = weekly(n, wpd)
     env = np.empty((m, n))
     for i in range(m):
         boost = rng.uniform(0.5, 0.9)

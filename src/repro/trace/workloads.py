@@ -32,16 +32,15 @@ __all__ = [
 def diurnal(
     n_windows: int,
     windows_per_day: int,
-    amplitude: float = 1.0,
     phase: float = 0.0,
     sharpness: float = 1.0,
 ) -> np.ndarray:
-    """Return a daily periodic signal in ``[-amplitude, amplitude]``.
+    """Return a daily periodic signal in ``[-1, 1]``.
 
     ``sharpness > 1`` squeezes the peak (business-hour spikes); ``phase`` is
     in fractions of a day.  A one-row call of :func:`diurnal_rows`.
     """
-    return amplitude * diurnal_rows(n_windows, windows_per_day, [phase], [sharpness])[0]
+    return diurnal_rows(n_windows, windows_per_day, [phase], [sharpness])[0]
 
 
 def diurnal_rows(
@@ -215,25 +214,18 @@ def linear_ramp(
     return np.linspace(float(start), float(stop), n_windows)
 
 
-def weekly(
-    n_windows: int,
-    windows_per_day: int,
-    weekend_days: "tuple[int, ...]" = (5, 6),
-    start_day: int = 0,
-) -> np.ndarray:
+def weekly(n_windows: int, windows_per_day: int) -> np.ndarray:
     """Return a 0/1 mask that is 1 on weekend days and 0 on weekdays.
 
-    ``start_day`` is the day-of-week index (0 = Monday) of the trace's
-    first day; days in ``weekend_days`` (default Saturday/Sunday) are
-    flagged.  The mask is what lets a weekend-heavy archetype modulate
-    its load on a weekly period the purely daily primitives cannot express.
+    The trace starts on a Monday (day-of-week 0), and Saturday/Sunday
+    (days 5 and 6) are flagged.  The mask is what lets a weekend-heavy
+    archetype modulate its load on a weekly period the purely daily
+    primitives cannot express.
     """
     if n_windows <= 0 or windows_per_day <= 0:
         raise ValueError("n_windows and windows_per_day must be positive")
-    if not all(0 <= d < 7 for d in weekend_days):
-        raise ValueError(f"weekend_days must be in [0, 7), got {weekend_days!r}")
-    day_of_week = (np.arange(n_windows) // windows_per_day + start_day) % 7
-    return np.isin(day_of_week, np.asarray(weekend_days)).astype(float)
+    day_of_week = (np.arange(n_windows) // windows_per_day) % 7
+    return np.isin(day_of_week, np.asarray((5, 6))).astype(float)
 
 
 def alternating_load(

@@ -4,9 +4,9 @@ The fleet fitter (:func:`repro.prediction.temporal.batched.fit_neural_fused`)
 claims each group's models are *bit-identical* to fitting that group on its
 own (the one-box ``fleet=False`` form) — regardless of which other boxes
 ride in the same mega-batch, how ragged the group sizes are, or where the
-slab boundaries fall.  These tests pin that claim, the ``max_models`` slab
-splitting, per-group failure isolation, and the fused observability
-counters.
+slab boundaries fall.  These tests pin that claim, the slab splitting (at
+``FUSED_SLAB_MODELS``, monkeypatched here; ``max_models`` in the kernel),
+per-group failure isolation, and the fused observability counters.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.prediction.registry import (
     fit_temporal_batch,
     fit_temporal_fleet_batch,
 )
+from repro.prediction.temporal import batched
 from repro.prediction.temporal.batched import (
     FUSED_SLAB_MODELS,
     fit_equal_length_state,
@@ -70,10 +71,10 @@ class TestFusedEquivalence:
             per_box = fit_one_box(group)
             assert_group_equivalent(per_box, fused_models)
 
-    def test_slab_boundary_straddle(self):
+    def test_slab_boundary_straddle(self, monkeypatch):
         """A mega-batch split into tiny slabs equals the unbounded stack.
 
-        With max_models=3 and 8 total series, slab boundaries fall inside
+        With slabs of 3 and 8 total series, slab boundaries fall inside
         groups — the split must not perturb any model's float stream.
         """
         groups = [
@@ -81,8 +82,10 @@ class TestFusedEquivalence:
             make_histories(4, 24 * 4, seed=11),
             make_histories(2, 24 * 4, seed=12),
         ]
-        unbounded = fit_neural_fused(groups, FAST, max_models=1_000_000)
-        slabbed = fit_neural_fused(groups, FAST, max_models=3)
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 1_000_000)
+        unbounded = fit_neural_fused(groups, FAST)
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 3)
+        slabbed = fit_neural_fused(groups, FAST)
         for wide, narrow in zip(unbounded, slabbed):
             assert_group_equivalent(wide, narrow)
 
@@ -138,22 +141,6 @@ class TestFailureIsolation:
     def test_all_groups_bad(self):
         [fused] = fit_neural_fused([[np.full(10, np.nan)]], FAST)
         assert isinstance(fused, ValueError)
-
-    @pytest.mark.parametrize(
-        "groups",
-        [
-            [make_histories(2, 24 * 4, seed=42)],
-            [],
-            [[np.full(24 * 4, np.nan)]],
-        ],
-        ids=["valid", "empty", "all-invalid"],
-    )
-    def test_zero_slab_width_raises_before_counting(self, groups):
-        obs.reset_metrics()
-        before = obs.metrics_snapshot()
-        with pytest.raises(ValueError, match="max_models must be >= 1"):
-            fit_neural_fused(groups, FAST, max_models=0)
-        assert obs.metrics_snapshot() == before
 
     def test_one_box_form_raises_and_counts_nothing(self):
         """fleet=False: the per-box path's own error, no fused instruments."""
@@ -220,9 +207,10 @@ class TestObservability:
         assert snap["counters"]["fused.groups"] == 2  # one per length bucket
         assert snap["gauges"]["fused.models_per_pass"] == 5.0
 
-    def test_models_per_pass_capped_by_slab(self):
+    def test_models_per_pass_capped_by_slab(self, monkeypatch):
         obs.reset_metrics()
-        fit_neural_fused([make_histories(5, 24 * 4, seed=63)], FAST, max_models=2)
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 2)
+        fit_neural_fused([make_histories(5, 24 * 4, seed=63)], FAST)
         snap = obs.metrics_snapshot()
         assert snap["gauges"]["fused.models_per_pass"] == 2.0
 

@@ -17,10 +17,13 @@ class TestPaperExample:
     """The running example of Section IV-A.1."""
 
     def _instance(self, literal=True, epsilon=0.0):
+        # The literal R' of the running example is the oracle's switch.
         problem = ResizingProblem(
             demands=np.array([PAPER_EXAMPLE]), capacity=1000.0, alpha=0.6
         )
-        return build_mckp(problem, epsilon=epsilon, literal_formulation=literal)
+        if literal:
+            return mckp_oracle.build_mckp(problem, epsilon=epsilon, literal_formulation=True)
+        return build_mckp(problem, epsilon=epsilon)
 
     def test_reduced_demand_set(self):
         group = self._instance().groups[0]
@@ -201,7 +204,8 @@ class TestVectorizedTickets:
     @pytest.mark.parametrize("epsilon", [0.0, 1.5])
     def test_random_fleet_pin(self, literal, epsilon, small_fleet):
         # Demand matrices from a generated fleet (duplicates, idle VMs and
-        # bursty rows included) — the ticket arrays must be identical.
+        # bursty rows included) — the ticket arrays must be identical.  The
+        # literal R' is the oracle's switch, so it checks the oracle's counts.
         factor = 1.0 if literal else 0.6
         from repro.trace.model import Resource
 
@@ -210,9 +214,12 @@ class TestVectorizedTickets:
             problem = ResizingProblem(
                 demands=demands, capacity=float(box.cpu_capacity), alpha=0.6
             )
-            instance = build_mckp(
-                problem, epsilon=epsilon, literal_formulation=literal
-            )
+            if literal:
+                instance = mckp_oracle.build_mckp(
+                    problem, epsilon=epsilon, literal_formulation=True
+                )
+            else:
+                instance = build_mckp(problem, epsilon=epsilon)
             for group in instance.groups:
                 expected = self._reference_tickets(
                     problem.demands[group.vm_index], group.capacities, factor
@@ -223,9 +230,10 @@ class TestVectorizedTickets:
         # Exact ties between a candidate threshold and a demand value are
         # where a searchsorted side-mismatch would bite.
         demands = np.array([[1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 0.0]])
+        # alpha = 0.5 makes every threshold alpha * (d / alpha) == d exactly.
         problem = ResizingProblem(demands=demands, capacity=100.0, alpha=0.5)
-        group = build_mckp(problem, literal_formulation=True).groups[0]
-        expected = self._reference_tickets(demands[0], group.capacities, 1.0)
+        group = build_mckp(problem).groups[0]
+        expected = self._reference_tickets(demands[0], group.capacities, 0.5)
         np.testing.assert_array_equal(group.tickets, expected)
 
 
@@ -262,7 +270,7 @@ def _problems(draw):
             st.lists(st.sampled_from([0.0, 0.25, 2.0, 1e12]), min_size=m, max_size=m).map(np.array),
         )
     )
-    return problem, epsilon, draw(st.booleans())
+    return problem, epsilon
 
 
 class TestArrayBuildMatchesOracle:
@@ -271,9 +279,9 @@ class TestArrayBuildMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(_problems())
     def test_groups_equal_the_oracle(self, case):
-        problem, epsilon, literal = case
-        got = build_mckp(problem, epsilon=epsilon, literal_formulation=literal)
-        want = mckp_oracle.build_mckp(problem, epsilon=epsilon, literal_formulation=literal)
+        problem, epsilon = case
+        got = build_mckp(problem, epsilon=epsilon)
+        want = mckp_oracle.build_mckp(problem, epsilon=epsilon)
         assert got.capacity == want.capacity
         assert len(got.groups) == len(want.groups)
         for ours, theirs in zip(got.groups, want.groups):
@@ -293,16 +301,15 @@ class TestArrayBuildMatchesOracle:
             lower_bounds=np.array([-0.0, 2.0, 0.0]),
             upper_bounds=np.array([5.0, 2.0, 4.0]),
         )
-        for literal in (False, True):
-            got = build_mckp(problem, epsilon=1.0, literal_formulation=literal)
-            want = mckp_oracle.build_mckp(problem, epsilon=1.0, literal_formulation=literal)
-            for ours, theirs in zip(got.groups, want.groups):
-                assert np.array_equal(ours.capacities, theirs.capacities)
-                assert np.array_equal(ours.tickets, theirs.tickets)
-            # The idle VM's one candidate is the appended +0.0: a candidate
-            # equal to its -0.0 lower bound keeps its own sign.
-            assert got.groups[0].capacities.tobytes() == np.array([0.0]).tobytes()
-            assert got.groups[1].capacities.tolist() == [2.0]
+        got = build_mckp(problem, epsilon=1.0)
+        want = mckp_oracle.build_mckp(problem, epsilon=1.0)
+        for ours, theirs in zip(got.groups, want.groups):
+            assert np.array_equal(ours.capacities, theirs.capacities)
+            assert np.array_equal(ours.tickets, theirs.tickets)
+        # The idle VM's one candidate is the appended +0.0: a candidate
+        # equal to its -0.0 lower bound keeps its own sign.
+        assert got.groups[0].capacities.tobytes() == np.array([0.0]).tobytes()
+        assert got.groups[1].capacities.tolist() == [2.0]
 
     @settings(max_examples=200, deadline=None)
     @given(

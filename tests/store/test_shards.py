@@ -194,7 +194,7 @@ class TestObservability:
         obs.reset_metrics()
         try:
             generate_fleet_shards(
-                FleetConfig(n_boxes=6, days=1, seed=3), tmp_path, jobs=jobs, chunksize=2
+                FleetConfig(n_boxes=6, days=1, seed=3), tmp_path, jobs=jobs
             )
             spans = obs.metrics_snapshot()["spans"]
         finally:

@@ -56,7 +56,7 @@ class TestScalingHelpers:
         # end (timing, speedup math, and the equivalence assertion).
         from repro.benchhelpers import quick_scaling_report
 
-        rows, results = quick_scaling_report(n_boxes=4, jobs_list=(1, 2))
+        rows, results = quick_scaling_report(jobs_list=(1, 2))
         assert [int(row[0]) for row in rows] == [1, 2]
         assert all(row[1] > 0 for row in rows)
         assert rows[0][2] == 1.0  # baseline speedup is exactly 1x

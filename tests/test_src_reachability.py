@@ -14,11 +14,20 @@ not keep the method alive.  Imports (so ``__init__`` re-exports),
 Names are matched by identifier, not by module or class, so the check is
 a floor: a dead def that shares its name with a live one slips through
 (a method named ``run`` is reached by any ``.run`` anywhere).
+
+The same holds for parameters: a parameter with a default, of a
+module-level function or a method in ``src/repro``, fails the guard when
+no call in those directories passes it (by keyword or by position), or
+when every such call passes an AST-equal copy of the default.  A call
+``Cls(...)`` counts for ``Cls.__init__``; dataclass fields are out of
+scope.  A def whose name is loaded as a value anywhere (``key=f``, a
+kernel table) or is called with ``*args``/``**kwargs`` has unknown
+arguments and is skipped, so such defs are checked by hand.
 """
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
@@ -40,6 +49,41 @@ ALLOWED_UNREACHED = {
     "silhouette_values": "per-item form of the production silhouette kernel the tests pin",
     "current_limit": "read side of the Actuator protocol, which the simulated actuator implements",
     "to_json": "writes the scenario file that --scenario loads; documented in the README",
+}
+
+#: Defaulted parameters kept although no production call sets them, or
+#: every production call passes the default; keyed ``def(param)``, with
+#: ``Cls(param)`` for ``Cls.__init__``.
+ALLOWED_PARAMETERS = {
+    **{
+        f"shard_cluster_csv({name})": "real-trace loader option; kept by decision"
+        for name in (
+            "interval_minutes",
+            "name",
+            "default_vm_cpu_capacity",
+            "default_vm_ram_capacity",
+            "headroom",
+        )
+    },
+    "save_fleet_shards(name)": "real-trace loader option; kept by decision",
+    "shard_fleet_csv(interval_minutes)": "real-trace loader option; kept by decision",
+    "shard_fleet_csv(name)": "real-trace loader option; kept by decision",
+    "ar1_noise(phi)": "the generator identity tests pin its bytes through explicit arguments",
+    "ar1_noise(sigma)": "the generator identity tests pin its bytes through explicit arguments",
+    "render_box(cfg)": "the scenario identity tests pin its bytes through explicit arguments",
+    "resolve_evidence(store)": "the CI ticket-ops smoke passes it in inline Python",
+    "TicketCostModel.cost(ticketed_days)": "bills the cost model's "
+    "triage_cost_per_ticketed_day field, which stays (no dataclass field is removed)",
+    **{
+        f"{model}({name})": "registry model hyperparameter; the forecaster-frontier "
+        "roadmap item decides whether the model stays"
+        for model, names in (
+            ("AutoRegressivePredictor", ("order", "seasonal_lags")),
+            ("ArimaPredictor", ("p", "d", "q", "long_ar_order")),
+            ("HoltWintersPredictor", ("alpha", "beta", "gamma", "damp_trend")),
+        )
+        for name in names
+    },
 }
 
 _DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -148,7 +192,7 @@ def test_every_src_def_is_reached(scan):
     )
 
 
-def test_allowlist_is_current(scan):
+def test_allowlist_is_current(scan, parameter_scan):
     defs, used = scan
     stale = sorted(
         name
@@ -156,3 +200,216 @@ def test_allowlist_is_current(scan):
         if name not in defs or all(name in used[kind] for _, _, kind in defs[name])
     )
     assert not stale, f"allowlist entries that are gone or now reached: {stale}"
+    _, flagged = parameter_scan
+    stale = sorted(key for key in ALLOWED_PARAMETERS if key not in flagged)
+    assert not stale, f"parameter allowlist entries that are gone or now set: {stale}"
+    assert all(reason.strip() for reason in ALLOWED_PARAMETERS.values())
+
+
+#: A defaulted parameter: its name, its position among the arguments a
+#: call passes (``None`` for keyword-only), and its default.
+_Param = Tuple[str, Optional[int], ast.expr]
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> List[_Param]:
+    """The parameters of ``fn`` that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    params: List[_Param] = [
+        (arg.arg, first + i - bound, default)
+        for i, (arg, default) in enumerate(zip(positional[first:], args.defaults))
+    ]
+    params += [
+        (arg.arg, None, default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return params
+
+
+def _callees(
+    body: List[ast.stmt], prefix: str = ""
+) -> Iterator[Tuple[str, str, int, List[_Param]]]:
+    """``(called name, key prefix, line, defaulted params)`` per def.
+
+    A method is called by its own name, ``__init__`` by its class's name;
+    other dunders are called implicitly and are skipped.
+    """
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _callees(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not prefix:
+                yield node.name, node.name, node.lineno, _defaulted(node, False)
+            elif node.name == "__init__":
+                cls = prefix[:-1]
+                yield cls.rsplit(".", 1)[-1], cls, node.lineno, _defaulted(node, True)
+            elif not node.name.startswith("__"):
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                yield node.name, prefix + node.name, node.lineno, _defaulted(node, not static)
+
+
+#: The arguments of one call: positional expressions and keyword map.
+_Call = Tuple[List[ast.expr], Dict[str, ast.expr]]
+
+
+def _not_values(tree: ast.AST) -> Set[int]:
+    """Ids of loads that pass no def as a value.
+
+    Called functions, the object of an attribute read (``Cls.attr``),
+    annotations and ``isinstance``/``issubclass`` class arguments.
+    """
+    ids: Set[int] = set()
+
+    def skip(sub: Optional[ast.AST]) -> None:
+        if sub is not None:
+            ids.update(id(n) for n in ast.walk(sub))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            ids.add(id(node.func))
+            if isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass"):
+                for arg in node.args[1:]:
+                    skip(arg)
+        elif isinstance(node, ast.Attribute):
+            ids.add(id(node.value))
+        elif isinstance(node, ast.arg):
+            skip(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            skip(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            skip(node.annotation)
+    return ids
+
+
+def _calls(trees: Iterable[ast.AST]) -> Tuple[Dict[str, List[_Call]], Set[str]]:
+    """Calls by called name, and the names whose arguments are unknown."""
+    calls: Dict[str, List[_Call]] = {}
+    unknown: Set[str] = set()
+    for tree in trees:
+        not_values = _not_values(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    name = func.id
+                elif isinstance(func, ast.Attribute):
+                    name = func.attr
+                else:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                if starred or any(k.arg is None for k in node.keywords):
+                    unknown.add(name)
+                else:
+                    kwargs = {k.arg: k.value for k in node.keywords}
+                    calls.setdefault(name, []).append((node.args, kwargs))
+            elif (
+                isinstance(getattr(node, "ctx", None), ast.Load)
+                and id(node) not in not_values
+            ):
+                if isinstance(node, ast.Name):
+                    unknown.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    unknown.add(node.attr)
+    return calls, unknown
+
+
+def _unset_parameters(
+    callees: Dict[str, ast.Module], callers: Iterable[ast.AST]
+) -> Tuple[Set[str], Dict[str, str]]:
+    """Every defaulted parameter's key, and the flagged ones with why.
+
+    ``callees`` maps a path to a parsed module whose defs are checked;
+    ``callers`` are the parsed modules whose calls count.
+    """
+    calls, unknown = _calls(callers)
+    keys: Set[str] = set()
+    flagged: Dict[str, str] = {}
+    for where, tree in callees.items():
+        for name, prefix, line, params in _callees(tree.body):
+            for param, position, default in params:
+                key = f"{prefix}({param})"
+                keys.add(key)
+                if name in unknown:
+                    continue
+                passed = [
+                    kwargs[param] if param in kwargs else args[position]
+                    for args, kwargs in calls.get(name, ())
+                    if param in kwargs or (position is not None and position < len(args))
+                ]
+                if not passed:
+                    flagged[key] = f"{where}:{line} {key}: no call sets it"
+                elif all(ast.dump(arg) == ast.dump(default) for arg in passed):
+                    flagged[key] = (
+                        f"{where}:{line} {key}: every call passes the default "
+                        f"{ast.unparse(default)}"
+                    )
+    return keys, flagged
+
+
+@pytest.fixture(scope="module")
+def parameter_scan():
+    callees = {
+        str(path.relative_to(ROOT)): ast.parse(path.read_text())
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    callers = [
+        ast.parse(path.read_text())
+        for top in USE_DIRS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    return _unset_parameters(callees, callers)
+
+
+def test_every_defaulted_parameter_is_set(parameter_scan):
+    _, flagged = parameter_scan
+    unset = [why for key, why in sorted(flagged.items()) if key not in ALLOWED_PARAMETERS]
+    assert not unset, (
+        "defaulted parameters no src/benchmarks/atmbench/examples call sets to "
+        "another value (delete them, or make them constants):\n" + "\n".join(unset)
+    )
+
+
+_SYNTHETIC_CALLEE = """
+def never(a, b=1): ...
+def always(a, b=2): ...
+def by_position(a, b=1): ...
+def by_keyword(a, *, b=1): ...
+def by_reference(a, b=1): ...
+def starred(a, b=1): ...
+def double_starred(a, b=1): ...
+class Box:
+    def __init__(self, a, b=1): ...
+    def method(self, a, b=1): ...
+    @staticmethod
+    def static(a, b=1): ...
+"""
+
+_SYNTHETIC_CALLER = """
+never(0)
+always(0, 2)
+always(0, b=2)
+by_position(0, 5)
+by_keyword(0, b=5)
+hook = by_reference
+starred(*args)
+double_starred(0, **kwargs)
+box = Box(0, 3)
+box.method(0)
+Box.static(0, 4)
+def typed(x: never) -> always: ...
+"""
+
+
+def test_parameter_scan_on_synthetic_source():
+    keys, flagged = _unset_parameters(
+        {"callee.py": ast.parse(_SYNTHETIC_CALLEE)}, [ast.parse(_SYNTHETIC_CALLER)]
+    )
+    assert "Box(b)" in keys and "Box.static(b)" in keys
+    assert set(flagged) == {"never(b)", "always(b)", "Box.method(b)"}
+    assert "no call sets it" in flagged["never(b)"]
+    assert "every call passes the default 2" in flagged["always(b)"]

@@ -88,7 +88,7 @@ class TestFleetSummary:
                 _constant_box("b", [10.0, 10.0]),
             ]
         )
-        summary = fleet_ticket_summary(fleet, thresholds=(60.0,))
+        summary = fleet_ticket_summary(fleet)
         row = summary.row(Resource.CPU, 60.0)
         assert row["pct_boxes"] == 50.0
         assert row["mean_tickets"] == 4.0  # (8 + 0) / 2

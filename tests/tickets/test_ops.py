@@ -309,8 +309,8 @@ class TestBoxOps:
         cfg = OpsConfig()
         result = run_box_ops(box, cfg)
         assert result.n_tickets == len(tickets_for_box(box, cfg.policy))
-        incidents = incidents_for_box(
-            box, cfg.policy, max_gap_windows=cfg.max_gap_windows
+        incidents = group_incidents(
+            tickets_for_box(box, cfg.policy), max_gap_windows=cfg.max_gap_windows
         )
         assert result.n_incidents == len(incidents)
         assert len(result.rows) == len(incidents)

@@ -18,7 +18,7 @@ repository root as ``tests.tickets.ticket_oracle``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -48,18 +48,14 @@ def count_tickets_for_demand(
     return int((d > policy.alpha * capacity).sum())
 
 
-def tickets_for_box(
-    box: BoxTrace,
-    policy: TicketPolicy,
-    resources: Optional[Sequence[Resource]] = None,
-) -> List[TicketRecord]:
+def tickets_for_box(box: BoxTrace, policy: TicketPolicy) -> List[TicketRecord]:
     """Materialize every ticket issued on a box as :class:`TicketRecord`.
 
     Useful for event-level inspection and for the examples; aggregate
     analyses should prefer the count helpers, which avoid building objects.
     """
     records: List[TicketRecord] = []
-    for resource in resources or (Resource.CPU, Resource.RAM):
+    for resource in (Resource.CPU, Resource.RAM):
         usage = box.usage_matrix(resource)
         # Derive hits from the one indicator implementation (Eq. 6) rather
         # than re-stating the comparison inline, so threshold semantics

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.timeseries.clustering import HierarchicalClustering, Linkage, clusters_as_lists
+from repro.timeseries.clustering import HierarchicalClustering, clusters_as_lists
 
 try:
     from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
@@ -95,20 +95,16 @@ class TestClustering:
 
     def test_average_linkage_heights_monotone(self, rng):
         d = random_distance_matrix(rng, 9)
-        hc = HierarchicalClustering(d, linkage=Linkage.AVERAGE)
+        hc = HierarchicalClustering(d)
         heights = [merge.height for merge in hc.merges]
         assert all(a <= b + 1e-9 for a, b in zip(heights, heights[1:]))
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy unavailable")
-    @pytest.mark.parametrize(
-        "ours,theirs",
-        [(Linkage.SINGLE, "single"), (Linkage.COMPLETE, "complete"), (Linkage.AVERAGE, "average")],
-    )
-    def test_matches_scipy(self, rng, ours, theirs):
+    def test_matches_scipy(self, rng):
         for _ in range(5):
             d = random_distance_matrix(rng, 8)
-            hc = HierarchicalClustering(d, linkage=ours)
-            z = scipy_linkage(squareform(d, checks=False), method=theirs)
+            hc = HierarchicalClustering(d)
+            z = scipy_linkage(squareform(d, checks=False), method="average")
             for k in (2, 3, 4):
                 mine = hc.cuts([k])[k]
                 scipys = fcluster(z, t=k, criterion="maxclust")
@@ -157,10 +153,9 @@ class TestIncrementalCuts:
             labels.append(relabel[root])
         return labels
 
-    @pytest.mark.parametrize("linkage", list(Linkage))
-    def test_cuts_match_reference_for_every_k(self, rng, linkage):
+    def test_cuts_match_reference_for_every_k(self, rng):
         d = random_distance_matrix(rng, 12)
-        hc = HierarchicalClustering(d, linkage=linkage)
+        hc = HierarchicalClustering(d)
         sweep = hc.cuts(range(1, 13))
         for k in range(1, 13):
             assert sweep[k] == self._reference_cut(hc, k), f"k={k}"

@@ -103,14 +103,12 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decompose_box_correlations([], [])
 
-    def test_absolute_flag(self, rng):
+    def test_coefficients_are_signed(self, rng):
         t = 60
         cpu = [rng.normal(size=t)]
         ram = [-cpu[0]]
         signed = decompose_box_correlations(cpu, ram)
-        absolute = decompose_box_correlations(cpu, ram, absolute=True)
         assert signed.inter_pair == pytest.approx(-1.0)
-        assert absolute.inter_pair == pytest.approx(1.0)
 
     def test_as_dict_keys(self, rng):
         cpu, ram = self._box(rng)

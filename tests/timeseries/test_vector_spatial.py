@@ -90,14 +90,6 @@ class TestVifEquivalence:
         assert np.array_equal(big, vec > 1e6)
         assert np.allclose(ref[~big], vec[~big], rtol=1e-4, atol=1e-6)
 
-    def test_precomputed_corr_matches(self):
-        rng = np.random.default_rng(11)
-        x = _random_design(rng, 60, 6)
-        corr = pairwise_correlation_matrix(x.T)
-        direct = variance_inflation_factors(x)
-        shared = variance_inflation_factors(x, corr=corr)
-        assert np.allclose(direct, shared, rtol=1e-8, atol=1e-10)
-
     def test_fewer_than_two_columns(self):
         assert np.array_equal(variance_inflation_factors(np.ones((10, 1))), [1.0])
 

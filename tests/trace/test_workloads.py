@@ -14,10 +14,10 @@ from repro.trace.workloads import (
 
 class TestDiurnal:
     def test_period_and_bounds(self):
-        signal = diurnal(192, 96, amplitude=2.0)
+        signal = diurnal(192, 96)
         assert signal.shape == (192,)
-        assert signal.max() <= 2.0 + 1e-9
-        assert signal.min() >= -2.0 - 1e-9
+        assert signal.max() <= 1.0 + 1e-9
+        assert signal.min() >= -1.0 - 1e-9
         assert signal[:96] == pytest.approx(signal[96:])
 
     def test_phase_shift(self):
