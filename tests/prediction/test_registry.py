@@ -1,5 +1,7 @@
 """Tests for the temporal-model registry (repro.prediction.registry)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.prediction.registry import (
     make_temporal_model,
 )
 from repro.prediction.temporal.neural import MlpConfig
+from repro.trace.generator import FleetConfig, generate_box
 from tests.prediction.mlp_oracle import SerialNeuralNetPredictor
 
 
@@ -93,3 +96,28 @@ class TestFitContract:
                 np.testing.assert_array_equal(model.predict(horizon), forecast)
         # Only the kernel model (neural) carries a fit-to-fit state.
         assert (state is None) == (name != "neural")
+
+
+#: blake2b-16 of each registry model's 96-window forecast (registry
+#: defaults, period 96) of one fixed generated series.
+FORECAST_DIGESTS = {
+    "last_value": "794f1d631983b7595be83ce4f0e81721",
+    "moving_average": "cc4d63ff8a3231a6834a843893162b32",
+    "seasonal_naive": "99324e6ab185ca1b4a1d018dad9c6c73",
+    "seasonal_mean": "e4b062ecde094a7524ccdf0eeed14c8f",
+    "ar": "cab2b0f5297b69416ca2b57583c8313f",
+    "arima": "903327722439ad5006089c8265eb3f51",
+    "holt_winters": "06273f63f2a393f794a203101d432483",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_history():
+    return generate_box(0, FleetConfig(days=6, seed=5)).demand_matrix()[0]
+
+
+@pytest.mark.parametrize("name", sorted(FORECAST_DIGESTS))
+def test_registry_forecast_pinned(name, pinned_history):
+    forecast = make_temporal_model(name).fit(pinned_history).predict(96)
+    digest = hashlib.blake2b(forecast.tobytes(), digest_size=16).hexdigest()
+    assert digest == FORECAST_DIGESTS[name]
