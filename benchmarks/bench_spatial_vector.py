@@ -268,7 +268,7 @@ KERNELS = {
     "stepwise": (
         "candidates",
         stepwise_eliminate,
-        lambda x: _stepwise_reference(x, 4.0, 1),
+        lambda x: _stepwise_reference(x, 4.0),
         lambda v, r: v == r,
     ),
     "dependent_ols": ("ols", _ols_vector, _ols_oracle, _same_ols),

@@ -32,7 +32,7 @@ from repro.core import runtime
 from repro.prediction.registry import available_temporal_models
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
-from repro.store import STORE_ENV_VAR
+from repro.store import STORE_ENV_VAR, load_fleet_shards
 from repro.tickets import DEFAULT_THRESHOLDS, correlation_cdfs, fleet_ticket_summary
 from repro.tickets.ops.assign import ASSIGN_STRATEGIES, AssignPolicy
 from repro.tickets.ops.route import SlaPolicy
@@ -41,7 +41,6 @@ from repro.trace import (
     FleetConfig,
     generate_fleet,
     load_fleet_csv,
-    load_fleet_shards,
     resolve_scenario,
     save_fleet_csv,
     shard_fleet_csv,

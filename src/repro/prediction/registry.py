@@ -50,8 +50,8 @@ _FACTORIES: Dict[str, Callable[[int], TemporalPredictor]] = {
     "moving_average": lambda period: MovingAveragePredictor(window=max(2, period // 12)),
     "seasonal_naive": lambda period: SeasonalNaivePredictor(period=period),
     "seasonal_mean": lambda period: SeasonalMeanPredictor(period=period),
-    "ar": lambda period: AutoRegressivePredictor(order=4, seasonal_lags=(1,), period=period),
-    "arima": lambda period: ArimaPredictor(p=2, d=1, q=1),
+    "ar": lambda period: AutoRegressivePredictor(period=period),
+    "arima": lambda period: ArimaPredictor(),
     "holt_winters": lambda period: HoltWintersPredictor(period=period),
     "neural": lambda period: NeuralNetPredictor(MlpConfig(period=period)),
 }

@@ -246,7 +246,7 @@ def search_signature_set(
         matrix = arr[final].T  # (T, n_initial_signatures)
         sub_corr = corr[np.ix_(final, final)] if corr is not None else None
         kept_cols, _removed = stepwise_eliminate(
-            matrix, vif_threshold=cfg.vif_threshold, min_keep=1, corr=sub_corr
+            matrix, vif_threshold=cfg.vif_threshold, corr=sub_corr
         )
         final = sorted(final[col] for col in kept_cols)
 

@@ -2,17 +2,17 @@
 
 ``AutoRegressivePredictor`` fits
 
-    y_t = c + sum_k phi_k y_{t-k} + sum_j psi_j y_{t - j*period}
+    y_t = c + sum_{k=1..4} phi_k y_{t-k} + psi y_{t - period}
 
 by ordinary least squares over the training history and forecasts
-iteratively.  Seasonal lags (multiples of the daily period) give the model a
+iteratively.  The seasonal lag (one daily period back) gives the model a
 handle on diurnal structure that plain short lags miss over a one-day
 horizon.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -20,59 +20,35 @@ from repro.prediction.base import TemporalPredictor, validate_history, validate_
 
 __all__ = ["AutoRegressivePredictor"]
 
+#: The consecutive short lags ``y_{t-1} .. y_{t-4}``.
+_SHORT_LAGS = (1, 2, 3, 4)
+
 
 class AutoRegressivePredictor(TemporalPredictor):
-    """AR model with optional seasonal lags, fitted by least squares.
+    """AR(4) with one seasonal lag, fitted by least squares.
+
+    The lags are ``y_{t-1} .. y_{t-4}`` plus ``y_{t-period}`` (the same
+    slot one period back), each kept only when the history is longer.
 
     Parameters
     ----------
-    order:
-        Number of consecutive short lags ``y_{t-1} .. y_{t-order}``.
-    seasonal_lags:
-        Which multiples of ``period`` to include as additional lags (e.g.
-        ``(1, 2)`` adds ``y_{t-96}`` and ``y_{t-192}`` for 15-min data).
     period:
-        The seasonal period in windows; ignored when ``seasonal_lags`` is
-        empty.
+        The seasonal period in windows (96 for daily seasonality at 15
+        minutes).
     """
 
-    def __init__(
-        self,
-        order: int = 4,
-        seasonal_lags: Tuple[int, ...] = (1,),
-        period: int = 96,
-    ) -> None:
-        if order < 0:
-            raise ValueError("order must be >= 0")
+    def __init__(self, period: int = 96) -> None:
         if period < 1:
             raise ValueError("period must be >= 1")
-        if any(s < 1 for s in seasonal_lags):
-            raise ValueError("seasonal lags must be positive")
-        if order == 0 and not seasonal_lags:
-            raise ValueError("model needs at least one lag")
-        self.order = order
-        self.seasonal_lags = tuple(seasonal_lags)
         self.period = period
         self._history = None
         self._coef: np.ndarray = np.array([])
         self._intercept: float = 0.0
 
-    @property
-    def _lags(self) -> Tuple[int, ...]:
-        lags = list(range(1, self.order + 1))
-        lags += [s * self.period for s in self.seasonal_lags]
-        return tuple(sorted(set(lags)))
-
     def fit(self, history: Sequence[float]) -> "AutoRegressivePredictor":
         arr = validate_history(history, minimum=2)
-        lags = [lag for lag in self._lags if lag < arr.size]
-        if not lags:
-            # History shorter than every lag: degrade to a mean model.
-            self._history = arr
-            self._coef = np.array([])
-            self._fit_lags: Tuple[int, ...] = ()
-            self._intercept = float(arr.mean())
-            return self
+        # Lag 1 always fits: a valid history has at least two samples.
+        lags = [lag for lag in sorted({*_SHORT_LAGS, self.period}) if lag < arr.size]
         max_lag = max(lags)
         n_rows = arr.size - max_lag
         design = np.column_stack(
@@ -89,8 +65,6 @@ class AutoRegressivePredictor(TemporalPredictor):
     def predict(self, horizon: int) -> np.ndarray:
         self._require_fitted()
         horizon = validate_horizon(horizon)
-        if not self._fit_lags:
-            return np.full(horizon, self._intercept)
         max_lag = max(self._fit_lags)
         buffer = np.concatenate([self._history[-max_lag:], np.empty(horizon)])
         for step in range(horizon):

@@ -1,20 +1,25 @@
 """Additive Holt-Winters (triple exponential smoothing) predictor.
 
 A classical seasonal model: level, trend and a seasonal index per
-time-of-day slot, each updated exponentially.  Smoothing parameters can be
-fixed or grid-searched on a held-out tail of the training history.
+time-of-day slot, each updated exponentially.  The smoothing parameters
+are grid-searched on the in-sample one-step error of the training history.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.prediction.base import TemporalPredictor, validate_history, validate_horizon
 
 __all__ = ["HoltWintersPredictor"]
+
+#: Candidate values of each smoothing parameter.
+_GRID = (0.05, 0.2, 0.5, 0.8)
+#: Per-step multiplier on the forecast trend.
+_DAMP_TREND = 0.9
 
 
 def _smooth(
@@ -48,52 +53,29 @@ def _smooth(
 
 
 class HoltWintersPredictor(TemporalPredictor):
-    """Additive Holt-Winters with optional smoothing-parameter search.
+    """Additive Holt-Winters with grid-searched smoothing and a damped trend.
+
+    ``alpha``, ``beta`` and ``gamma`` are each searched over ``_GRID``,
+    minimizing one-step in-sample squared error.  The trend is damped by
+    ``_DAMP_TREND`` per forecast step, which keeps long-horizon forecasts
+    from running away (data-center usage has no sustained linear trends).
 
     Parameters
     ----------
     period:
         Seasonal period in windows (96 for daily seasonality at 15 minutes).
-    alpha, beta, gamma:
-        Fixed smoothing parameters.  Any of them set to ``None`` triggers a
-        small grid search minimizing one-step in-sample squared error.
-    damp_trend:
-        Multiplier applied to the trend per forecast step; values below 1
-        keep long-horizon forecasts from running away (data-center usage
-        has no sustained linear trends).
     """
 
-    def __init__(
-        self,
-        period: int = 96,
-        alpha: Optional[float] = None,
-        beta: Optional[float] = None,
-        gamma: Optional[float] = None,
-        damp_trend: float = 0.9,
-    ) -> None:
+    def __init__(self, period: int = 96) -> None:
         if period < 2:
             raise ValueError("period must be >= 2")
-        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 <= damp_trend <= 1.0:
-            raise ValueError("damp_trend must be in [0, 1]")
         self.period = period
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self.damp_trend = damp_trend
         self._history = None
-
-    def _grid(self, fixed: Optional[float]) -> Sequence[float]:
-        return (fixed,) if fixed is not None else (0.05, 0.2, 0.5, 0.8)
 
     def fit(self, history: Sequence[float]) -> "HoltWintersPredictor":
         arr = validate_history(history, minimum=self.period + 1)
         best = None
-        for a, b, g in itertools.product(
-            self._grid(self.alpha), self._grid(self.beta), self._grid(self.gamma)
-        ):
+        for a, b, g in itertools.product(_GRID, _GRID, _GRID):
             level, trend, seasonal, fitted = _smooth(arr, self.period, a, b, g)
             sse = float(((arr - fitted) ** 2).sum())
             if best is None or sse < best[0]:
@@ -115,7 +97,7 @@ class HoltWintersPredictor(TemporalPredictor):
         cumulative_trend = 0.0
         for h in range(horizon):
             cumulative_trend += trend
-            trend *= self.damp_trend
+            trend *= _DAMP_TREND
             s_idx = (self._phase + h) % self.period
             out[h] = self._level + cumulative_trend + self._seasonal[s_idx]
         return out

@@ -280,23 +280,19 @@ def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
 
 
 def write_fleet_shards(
-    boxes: Union[FleetTrace, Iterable[BoxTrace]],
-    root: Union[str, Path],
-    name: Optional[str] = None,
-    scenario: Optional[dict] = None,
+    boxes: Union[FleetTrace, Iterable[BoxTrace]], root: Union[str, Path]
 ) -> ShardManifest:
     """Shard a fleet (or any box iterable) under ``root`` and write the manifest.
 
     Accepts a *generator* of boxes, which is the fleet-scale entry point:
     each box is written and dropped before the next is produced, so a
-    6,000-box store is built with one box of peak memory.  ``scenario``
-    records rendering provenance in the manifest (omitted for legacy /
-    identity stores so their bytes do not change).
+    6,000-box store is built with one box of peak memory.  The manifest
+    takes the fleet's name (``"sharded"`` for a bare iterable) and records
+    no scenario; each box's ``scenario_fp`` still lands in its own entry.
     """
-    if name is None:
-        name = boxes.name if isinstance(boxes, FleetTrace) else "sharded"
+    name = boxes.name if isinstance(boxes, FleetTrace) else "sharded"
     metas = [write_box_shard(box, root) for box in boxes]
-    manifest = ShardManifest(name=name, boxes=metas, scenario=scenario)
+    manifest = ShardManifest(name=name, boxes=metas)
     manifest.save(root)
     return manifest
 

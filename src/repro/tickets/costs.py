@@ -4,8 +4,8 @@ The paper motivates ATM with the expense of ticket handling ("a significant
 amount of manual labor is required for root-cause analysis"; refs [1], [2]).
 This module provides the small cost model an adopter needs to turn the
 reproduction's ticket-reduction percentages into money: per-ticket
-resolution labor, a triage floor per ticketed box-day, and the (much
-smaller) cost of the resizing actuations themselves.
+resolution labor and the (much smaller) cost of the resizing actuations
+themselves.
 
 Default constants follow the incident-labor literature the paper cites
 (Giurgiu et al., CCGrid'14): a median of roughly an engineer-hour per
@@ -27,32 +27,23 @@ class TicketCostModel:
     ----------
     cost_per_ticket:
         Marginal labor cost of inspecting/resolving one usage ticket.
-    triage_cost_per_ticketed_day:
-        Fixed queue/triage overhead for each box-day with at least one
-        ticket (dispatching, dedup, correlation).
     cost_per_resize_action:
         Cost of one actuated limit change (automation runtime, audit).
     """
 
     cost_per_ticket: float = 75.0
-    triage_cost_per_ticketed_day: float = 40.0
     cost_per_resize_action: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("cost_per_ticket", "triage_cost_per_ticketed_day",
-                     "cost_per_resize_action"):
+        for name in ("cost_per_ticket", "cost_per_resize_action"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def cost(self, tickets: int, ticketed_days: int = 0, resize_actions: int = 0) -> float:
+    def cost(self, tickets: int, resize_actions: int = 0) -> float:
         """Total operational cost of a period."""
-        if min(tickets, ticketed_days, resize_actions) < 0:
+        if min(tickets, resize_actions) < 0:
             raise ValueError("counts must be non-negative")
-        return (
-            tickets * self.cost_per_ticket
-            + ticketed_days * self.triage_cost_per_ticketed_day
-            + resize_actions * self.cost_per_resize_action
-        )
+        return tickets * self.cost_per_ticket + resize_actions * self.cost_per_resize_action
 
     def savings(
         self,

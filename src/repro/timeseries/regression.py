@@ -249,12 +249,12 @@ def variance_inflation_factors(series_matrix: np.ndarray) -> np.ndarray:
 
 
 def _stepwise_reference(
-    x: np.ndarray, vif_threshold: float, min_keep: int
+    x: np.ndarray, vif_threshold: float
 ) -> Tuple[List[int], List[int]]:
     """The definitional eliminate loop: refit all VIFs every round."""
     kept = list(range(x.shape[1]))
     removed: List[int] = []
-    while len(kept) > max(min_keep, 1):
+    while len(kept) > 1:
         sub = x[:, kept]
         vifs = _vif_reference(sub) if sub.shape[1] >= 2 else np.ones(sub.shape[1])
         worst_pos = int(np.argmax(vifs))
@@ -286,10 +286,7 @@ def _certified_argmax(vifs: np.ndarray, vif_threshold: float) -> Optional[int]:
 
 
 def _stepwise_gram(
-    x: np.ndarray,
-    vif_threshold: float,
-    min_keep: int,
-    corr: Optional[np.ndarray],
+    x: np.ndarray, vif_threshold: float, corr: Optional[np.ndarray]
 ) -> Optional[Tuple[List[int], List[int]]]:
     """Stepwise elimination on the inverse correlation matrix, or ``None``.
 
@@ -301,7 +298,6 @@ def _stepwise_gram(
     :func:`_certified_argmax` and :func:`_trusted_inverse` — aborts to the
     reference implementation, which redoes the elimination from scratch.
     """
-    floor = max(min_keep, 1)
     kept = list(range(x.shape[1]))
     removed: List[int] = []
     centered = x - x.mean(axis=0)
@@ -326,7 +322,7 @@ def _stepwise_gram(
     # A trusted inverse bounds every non-constant VIF below the Gram guard,
     # far under the reference's inf cutoff — so the infs are exactly the
     # constant columns, and the reference removes them front-to-back.
-    while len(kept) > floor:
+    while len(kept) > 1:
         constant_pos = next(
             (p for p, c in enumerate(kept) if ss[c] <= _CONSTANT_SS), None
         )
@@ -334,10 +330,10 @@ def _stepwise_gram(
             break
         removed.append(kept.pop(constant_pos))
 
-    if len(kept) <= floor or len(kept) < 2 or inv is None:
+    if len(kept) < 2 or inv is None:
         return kept, removed
 
-    while len(kept) > floor:
+    while len(kept) > 1:
         vifs = np.maximum(np.diagonal(inv), 1.0)
         worst_pos = _certified_argmax(vifs, vif_threshold)
         if worst_pos is None:
@@ -364,7 +360,6 @@ def _stepwise_gram(
 def stepwise_eliminate(
     series_matrix: np.ndarray,
     vif_threshold: float = 4.0,
-    min_keep: int = 1,
     corr: Optional[np.ndarray] = None,
 ) -> Tuple[List[int], List[int]]:
     """Iteratively drop the most collinear column until all VIFs pass.
@@ -379,8 +374,6 @@ def stepwise_eliminate(
         ``(n_samples, n_series)`` matrix of candidate signature series.
     vif_threshold:
         Keep removing while some column's VIF exceeds this (paper uses 4).
-    min_keep:
-        Never shrink the kept set below this size.
     corr:
         Optional precomputed Pearson correlation matrix of the columns for
         the vectorized path (see :func:`variance_inflation_factors`).
@@ -395,10 +388,10 @@ def stepwise_eliminate(
     x = _design(series_matrix)
     if vif_threshold <= 1.0:
         raise ValueError("vif_threshold must exceed 1.0")
-    result = _stepwise_gram(x, vif_threshold, min_keep, corr)
+    result = _stepwise_gram(x, vif_threshold, corr)
     if result is not None:
         return result
-    return _stepwise_reference(x, vif_threshold, min_keep)
+    return _stepwise_reference(x, vif_threshold)
 
 
 def fit_dependent_models(

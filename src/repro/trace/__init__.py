@@ -6,21 +6,13 @@ days).  This subpackage provides the stand-in: a trace *data model*
 (:mod:`repro.trace.model`), a calibrated synthetic *generator*
 (:mod:`repro.trace.generator`) whose targets are the paper's published
 aggregate statistics, reusable workload *signal primitives*
-(:mod:`repro.trace.workloads`), and CSV persistence
-(:mod:`repro.trace.loader`) so externally collected traces in the same shape
+(:mod:`repro.trace.workloads`), and the long fleet CSV
+(:mod:`repro.trace.loader`) so externally collected traces in that shape
 can be analyzed with the identical pipeline.
 """
 
 from repro.trace.generator import FleetConfig, generate_box, generate_fleet
-from repro.trace.loader import (
-    load_cluster_csv,
-    load_fleet_csv,
-    load_fleet_shards,
-    save_fleet_csv,
-    save_fleet_shards,
-    shard_cluster_csv,
-    shard_fleet_csv,
-)
+from repro.trace.loader import load_fleet_csv, save_fleet_csv, shard_fleet_csv
 from repro.trace.model import (
     BoxTrace,
     FleetTrace,
@@ -51,14 +43,10 @@ __all__ = [
     "ScenarioSpec",
     "generate_box",
     "generate_fleet",
-    "load_cluster_csv",
     "load_fleet_csv",
-    "load_fleet_shards",
     "render_box",
     "render_fleet",
     "resolve_scenario",
     "save_fleet_csv",
-    "save_fleet_shards",
-    "shard_cluster_csv",
     "shard_fleet_csv",
 ]

@@ -14,7 +14,7 @@ class TestFit:
         eps = rng.normal(0, 0.5, size=3000)
         for t in range(1, 3000):
             x[t] = phi * x[t - 1] + eps[t]
-        model = AutoRegressivePredictor(order=1, seasonal_lags=(), period=10)
+        model = AutoRegressivePredictor(period=10)
         model.fit(x)
         assert model._coef[0] == pytest.approx(phi, abs=0.05)
 
@@ -23,7 +23,7 @@ class TestFit:
         x = [10.0]
         for _ in range(60):
             x.append(0.5 * x[-1] + 1.0)
-        model = AutoRegressivePredictor(order=1, seasonal_lags=(), period=10).fit(x)
+        model = AutoRegressivePredictor(period=10).fit(x)
         forecast = model.predict(3)
         expected = [0.5 * x[-1] + 1.0]
         expected.append(0.5 * expected[-1] + 1.0)
@@ -33,12 +33,12 @@ class TestFit:
     def test_seasonal_lag_captures_periodicity(self):
         pattern = np.array([1.0, 5.0, 2.0, 8.0])
         history = np.tile(pattern, 8)
-        model = AutoRegressivePredictor(order=0, seasonal_lags=(1,), period=4).fit(history)
+        model = AutoRegressivePredictor(period=4).fit(history)
         forecast = model.predict(4)
         assert forecast == pytest.approx(pattern, abs=1e-6)
 
     def test_short_history_degrades_to_mean(self):
-        model = AutoRegressivePredictor(order=2, seasonal_lags=(1,), period=96)
+        model = AutoRegressivePredictor(period=96)
         model.fit([3.0, 5.0])
         # History shorter than order+1 rows still yields a usable forecast.
         forecast = model.predict(2)
@@ -46,11 +46,7 @@ class TestFit:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AutoRegressivePredictor(order=-1)
-        with pytest.raises(ValueError):
-            AutoRegressivePredictor(order=0, seasonal_lags=())
-        with pytest.raises(ValueError):
-            AutoRegressivePredictor(seasonal_lags=(0,))
+            AutoRegressivePredictor(period=0)
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
@@ -59,7 +55,7 @@ class TestFit:
 
 class TestForecastShape:
     def test_horizon_length(self, rng):
-        model = AutoRegressivePredictor(order=3, seasonal_lags=(), period=10)
+        model = AutoRegressivePredictor(period=10)
         forecast = model.fit(rng.normal(size=100)).predict(17)
         assert forecast.shape == (17,)
 

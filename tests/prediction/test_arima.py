@@ -8,12 +8,12 @@ from repro.prediction.temporal.arima import ArimaPredictor
 
 class TestArima:
     def test_constant_series(self):
-        forecast = ArimaPredictor(p=1, d=0, q=0).fit(np.full(50, 7.0)).predict(5)
+        forecast = ArimaPredictor().fit(np.full(50, 7.0)).predict(5)
         assert forecast == pytest.approx(np.full(5, 7.0), abs=0.5)
 
     def test_linear_trend_with_differencing(self):
         history = np.arange(100.0)
-        forecast = ArimaPredictor(p=1, d=1, q=0).fit(history).predict(5)
+        forecast = ArimaPredictor().fit(history).predict(5)
         assert forecast == pytest.approx([100, 101, 102, 103, 104], abs=1.0)
 
     def test_ar1_process(self, rng):
@@ -22,13 +22,13 @@ class TestArima:
         eps = rng.normal(0, 1, size=2000)
         for t in range(1, 2000):
             x[t] = phi * x[t - 1] + eps[t]
-        model = ArimaPredictor(p=1, d=0, q=0).fit(x)
+        model = ArimaPredictor().fit(x)
         one_step = model.predict(1)[0]
         assert one_step == pytest.approx(phi * x[-1], abs=1.0)
 
     def test_forecast_decays_to_mean(self, rng):
         x = 10.0 + np.random.default_rng(0).normal(0, 1, size=500)
-        forecast = ArimaPredictor(p=2, d=0, q=1).fit(x).predict(50)
+        forecast = ArimaPredictor().fit(x).predict(50)
         assert forecast[-1] == pytest.approx(10.0, abs=1.5)
 
     def test_horizon_shape(self, rng):
@@ -36,29 +36,10 @@ class TestArima:
         assert forecast.shape == (96,)
         assert np.isfinite(forecast).all()
 
-    def test_short_history_mean_fallback(self):
-        model = ArimaPredictor(p=2, d=0, q=2, long_ar_order=4)
-        model.fit(np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]))
-        assert np.isfinite(model.predict(3)).all()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArimaPredictor(p=0, d=0, q=0)
-        with pytest.raises(ValueError):
-            ArimaPredictor(p=-1)
-
     def test_too_short_history_rejected(self):
         with pytest.raises(ValueError):
-            ArimaPredictor(p=2, d=1, q=1).fit([1.0, 2.0])
+            ArimaPredictor().fit([1.0, 2.0])
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             ArimaPredictor().predict(1)
-
-    def test_d2_integration(self):
-        # Quadratic series: second difference is constant.
-        t = np.arange(60.0)
-        history = 0.5 * t * t
-        forecast = ArimaPredictor(p=1, d=2, q=0).fit(history).predict(3)
-        expected = 0.5 * np.array([60.0, 61.0, 62.0]) ** 2
-        assert forecast == pytest.approx(expected, rel=0.05)

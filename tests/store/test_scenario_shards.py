@@ -102,11 +102,7 @@ class TestScenarioViews:
     def test_write_fleet_shards_records_box_scenario_fp(self, tmp_path):
         spec = NAMED_SCENARIOS["ramp"]
         fleet = render_fleet(spec, SMALL)
-        manifest = write_fleet_shards(
-            fleet,
-            tmp_path,
-            scenario={"name": spec.name, "fingerprint": spec.fingerprint()},
-        )
+        manifest = write_fleet_shards(fleet, tmp_path)
         assert all(
             meta.scenario_fp == spec.fingerprint() for meta in manifest.boxes
         )

@@ -72,15 +72,6 @@ class TestRoundTrip:
                 loaded.usage_matrix(), original.usage_matrix()
             )
 
-    def test_loader_front_door(self, tmp_path, small_fleet):
-        from repro.trace import load_fleet_shards as trace_load
-        from repro.trace import save_fleet_shards
-
-        root = tmp_path / "via-loader"
-        manifest = save_fleet_shards(small_fleet, root)
-        assert manifest.n_boxes == small_fleet.n_boxes
-        assert trace_load(root).n_vms == small_fleet.n_vms
-
     def test_shard_fleet_csv(self, tmp_path, small_fleet):
         from repro.trace import save_fleet_csv, shard_fleet_csv
 

@@ -102,26 +102,16 @@ class TestStepwiseEquivalence:
         # Mix base columns so several VIFs land above the threshold.
         mix = rng.normal(size=(3, 7))
         x = base @ mix + 0.05 * rng.normal(size=(80, 7))
-        ref = reg._stepwise_reference(x, vif_threshold=4.0, min_keep=1)
-        vec = stepwise_eliminate(x, vif_threshold=4.0, min_keep=1)
-        assert vec == ref
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("min_keep", [1, 3, 5])
-    def test_min_keep_floors(self, seed, min_keep):
-        rng = np.random.default_rng(100 + seed)
-        base = rng.normal(size=(60, 2))
-        x = base @ rng.normal(size=(2, 5)) + 0.01 * rng.normal(size=(60, 5))
-        ref = reg._stepwise_reference(x, vif_threshold=4.0, min_keep=min_keep)
-        vec = stepwise_eliminate(x, vif_threshold=4.0, min_keep=min_keep)
+        ref = reg._stepwise_reference(x, vif_threshold=4.0)
+        vec = stepwise_eliminate(x, vif_threshold=4.0)
         assert vec == ref
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constant_and_rank_deficient_columns(self, seed):
         rng = np.random.default_rng(200 + seed)
         x = _random_design(rng, 50, 6, constant_cols=(1,), duplicate_of=(0, 4))
-        ref = reg._stepwise_reference(x, vif_threshold=4.0, min_keep=1)
-        vec = stepwise_eliminate(x, vif_threshold=4.0, min_keep=1)
+        ref = reg._stepwise_reference(x, vif_threshold=4.0)
+        vec = stepwise_eliminate(x, vif_threshold=4.0)
         assert vec == ref
 
     def test_shared_corr_matches_unshared(self):

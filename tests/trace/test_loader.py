@@ -34,7 +34,7 @@ class TestRoundTrip:
     def test_loaded_fleet_name(self, tiny_fleet, tmp_path):
         path = tmp_path / "fleet.csv"
         save_fleet_csv(tiny_fleet, path)
-        assert load_fleet_csv(path, name="renamed").name == "renamed"
+        assert load_fleet_csv(path).name == "loaded"
 
 
 class TestErrors:
