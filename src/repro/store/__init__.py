@@ -6,15 +6,18 @@ config fingerprint, schema version)``.  This package provides:
 
 * :mod:`repro.store.fingerprint` — BLAKE2b content/config fingerprints and
   the ``repro.store/v1`` schema tag.
-* :mod:`repro.store.codecs` — per-stage ``npz + JSON`` serializers.
+* :mod:`repro.store.codecs` — per-stage serializers to named arrays plus
+  JSON meta.
 * :mod:`repro.store.artifacts` — :class:`ArtifactStore`, get/put on the
   persistent disk tier (``REPRO_STORE`` / ``--store``; disabled when
-  unset), atomic writes (the npz container built in memory, written once
-  to a ``.tmp-*.npz`` sibling, then ``os.replace``), and stale/corrupt
-  rejection.
-* :mod:`repro.store.shards` — memory-mapped per-box trace shards with a
-  JSON manifest: the fleet-scale trace tier pool workers open
-  ``np.memmap`` slices of instead of receiving pickled traces.
+  unset) in the store's own flat container (magic, JSON header, 64-byte
+  aligned raw arrays, read back as ``np.frombuffer`` views), atomic writes
+  (the container built in memory, written once to a ``.tmp-*`` sibling,
+  then ``os.replace``), and stale/corrupt rejection.
+* :mod:`repro.store.shards` — memory-mapped per-box trace shards
+  (``.npy`` files, header-checked and mapped once) with a JSON manifest:
+  the fleet-scale trace tier whose mappings pool workers open instead of
+  receiving pickled traces.
 
 The disk tier is the only cache, and it survives process boundaries:
 pool workers write artifacts their siblings and *later runs* can hit,
@@ -24,6 +27,7 @@ stage computes its value.
 """
 
 from repro.store.artifacts import (
+    CONTAINER_MAGIC,
     STORE_ENV_VAR,
     ArtifactKey,
     ArtifactStore,
@@ -49,6 +53,7 @@ from repro.store.shards import (
 )
 
 __all__ = [
+    "CONTAINER_MAGIC",
     "SHARDS_SCHEMA",
     "STORE_ENV_VAR",
     "STORE_SCHEMA",

@@ -1,26 +1,44 @@
 """The content-addressed artifact store: one persistent disk tier.
 
-Artifacts live on disk, one ``.npz`` file per artifact under a root
-directory selected by ``REPRO_STORE`` (or the CLI's ``--store``).
-Without a root the store is disabled: every get misses and every put is
-dropped, so each stage computes its value.  There is no in-process memo:
-a value is reused across runs, pool workers and repeated calls in one
-process only through the disk tier.
+Artifacts live on disk, one file per artifact under a root directory
+selected by ``REPRO_STORE`` (or the CLI's ``--store``).  Without a root
+the store is disabled: every get misses and every put is dropped, so
+each stage computes its value.  There is no in-process memo: a value is
+reused across runs, pool workers and repeated calls in one process only
+through the disk tier.
 
 Keys are :class:`ArtifactKey` values — ``(stage, data fingerprint, config
 fingerprint, schema version)``.  The disk layout shards by digest::
 
     <root>/<stage>/<digest[:2]>/<digest>.npz
 
-Each file holds the codec's payload arrays plus a ``__meta__`` JSON header
-recording the full key; a header that does not match the requesting key
-(schema bump, hash collision across layouts) is rejected as *stale* and
-the value recomputed.  Disk writes are atomic so parallel pool workers
-can write the same artifact concurrently: a put builds the whole npz
-container in memory, writes it in one go to a fresh ``.tmp-*.npz``
-sibling and ``os.replace``-s that onto the artifact's path.  Reads never
-see a torn file, and any unreadable/corrupt file is treated as a miss,
-counted under ``store.<stage>.corrupt``.
+The ``.npz`` suffix is a historical name: the file is the store's own
+flat container, not a zip archive.  Its layout:
+
+* an 8-byte magic, :data:`CONTAINER_MAGIC`, whose last two bytes are the
+  format version (major, minor);
+* the JSON header's length in bytes, a little-endian uint64;
+* the JSON header: the full key (``schema``, ``stage``, ``data_fp``,
+  ``config_fp``), the codec's ``meta``, and ``arrays``, one
+  ``[name, dtype, shape, offset, nbytes]`` entry per payload array;
+* the raw C-order bytes of each array, each starting on a 64-byte
+  boundary; ``offset`` counts from the first boundary after the header.
+
+:meth:`ArtifactStore.get` reads a file once and decodes its arrays as
+read-only ``np.frombuffer`` views of those bytes; :meth:`headers` reads
+the magic and the header only.  A header that does not match the
+requesting key (schema bump, hash collision across layouts) is rejected
+as *stale* and the value recomputed.  A file that is not this container
+— a bad magic (e.g. an npz file an earlier layout wrote), a header or an
+array extent past the end of the file, an unreadable header — is a
+*corrupt* miss, counted under ``store.<stage>.corrupt``, recomputed and
+overwritten, never misread.
+
+Disk writes are atomic so parallel pool workers can write the same
+artifact concurrently: a put builds the whole container in memory,
+writes it in one go to a fresh ``.tmp-*`` sibling and ``os.replace``-s
+that onto the artifact's path, so readers never see a torn file.
+Object and structured dtypes are refused at put (no pickles on disk).
 
 Store failures never fail a run: the disk tier is an accelerator, and
 every exception on its path degrades to "compute it again".
@@ -29,12 +47,12 @@ every exception on its path degrades to "compute it again".
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Container, Iterator, Optional, Tuple
+from typing import Any, Container, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +61,7 @@ from repro.store.codecs import get_codec
 from repro.store.fingerprint import STORE_SCHEMA
 
 __all__ = [
+    "CONTAINER_MAGIC",
     "STORE_ENV_VAR",
     "ArtifactKey",
     "ArtifactStore",
@@ -51,6 +70,19 @@ __all__ = [
 
 #: Directory of the persistent disk tier; unset/empty = store disabled.
 STORE_ENV_VAR = "REPRO_STORE"
+
+#: First bytes of every artifact file: ``\x93REPRO`` then the container
+#: format version 1.0.
+CONTAINER_MAGIC = b"\x93REPRO\x01\x00"
+
+#: Magic plus the header-length field.
+_PREFIX = len(CONTAINER_MAGIC) + 8
+
+#: Byte alignment of the array section and of each array in it.
+_ALIGN = 64
+
+#: Dtype kinds never written: objects (pickles) and structured records.
+_REFUSED_KINDS = "OV"
 
 
 @dataclass(frozen=True)
@@ -105,19 +137,15 @@ class ArtifactStore:
         if path is None or codec is None or not path.exists():
             return None
         try:
-            with np.load(path, allow_pickle=False) as npz:
-                header = _read_header(npz)
-                if (
-                    header.get("schema") != key.schema
-                    or header.get("stage") != key.stage
-                    or header.get("data_fp") != key.data_fp
-                    or header.get("config_fp") != key.config_fp
-                ):
-                    obs.inc(f"store.{key.stage}.stale")
-                    return None
-                arrays = {
-                    name: npz[name] for name in npz.files if name != "__meta__"
-                }
+            header, arrays = _unpack(path.read_bytes())
+            if (
+                header.get("schema") != key.schema
+                or header.get("stage") != key.stage
+                or header.get("data_fp") != key.data_fp
+                or header.get("config_fp") != key.config_fp
+            ):
+                obs.inc(f"store.{key.stage}.stale")
+                return None
             value = codec.decode(arrays, header.get("meta"))
         except Exception:
             # Torn/truncated/foreign file: recompute rather than fail.
@@ -143,8 +171,7 @@ class ArtifactStore:
             if path.name.startswith(".tmp-") or path in skip:
                 continue
             try:
-                with np.load(path, allow_pickle=False) as npz:
-                    header = _read_header(npz)
+                header = _read_header(path)
                 key = ArtifactKey(
                     stage=header["stage"],
                     data_fp=header["data_fp"],
@@ -172,22 +199,83 @@ class ArtifactStore:
                 "config_fp": key.config_fp,
                 "meta": meta,
             }
-            meta_array = np.frombuffer(
-                json.dumps(header, allow_nan=True).encode(), dtype=np.uint8
-            )
-            # The whole container is built in memory, so the file itself
-            # takes one write: no header seeks on the real file.
-            buffer = io.BytesIO()
-            np.savez(buffer, __meta__=meta_array, **arrays)
-            _write_atomic(path, buffer.getbuffer())
+            _write_atomic(path, _pack(header, arrays))
         except Exception:
             obs.inc(f"store.{key.stage}.write_errors")
             return
         obs.inc(f"store.{key.stage}.writes")
 
 
-def _read_header(npz) -> dict:
-    return json.loads(bytes(npz["__meta__"].tobytes()).decode())
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+def _pack(header: dict, arrays: Dict[str, Any]) -> bytearray:
+    """The container bytes of ``header`` and ``arrays``.
+
+    Each array's ``[name, dtype, shape, offset, nbytes]`` entry is added to
+    ``header`` as ``header["arrays"]``.
+    """
+    entries, blobs, end = [], [], 0
+    for name, value in arrays.items():
+        array = np.asarray(value)
+        if array.dtype.kind in _REFUSED_KINDS:
+            raise TypeError(f"array {name!r} has dtype {array.dtype}, which is not stored")
+        flat = np.ascontiguousarray(array).reshape(-1)
+        offset = _aligned(end)
+        entries.append([name, array.dtype.str, list(array.shape), offset, flat.nbytes])
+        blobs.append((offset, flat))
+        end = offset + flat.nbytes
+    header["arrays"] = entries
+    text = json.dumps(header, allow_nan=True).encode()
+    start = _aligned(_PREFIX + len(text))
+    buffer = bytearray(start + end)
+    buffer[:_PREFIX] = CONTAINER_MAGIC + len(text).to_bytes(8, "little")
+    buffer[_PREFIX:_PREFIX + len(text)] = text
+    body = np.frombuffer(buffer, np.uint8, end, start)
+    for offset, flat in blobs:
+        body[offset:offset + flat.nbytes] = flat.view(np.uint8)
+    return buffer
+
+
+def _header_length(prefix: bytes) -> int:
+    """The header length a container's first ``_PREFIX`` bytes declare."""
+    if prefix[:len(CONTAINER_MAGIC)] != CONTAINER_MAGIC or len(prefix) != _PREFIX:
+        raise ValueError("not an artifact container (bad magic)")
+    return int.from_bytes(prefix[len(CONTAINER_MAGIC):], "little")
+
+
+def _unpack(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(header, arrays)`` of one container; arrays are views of ``data``."""
+    header_end = _PREFIX + _header_length(data[:_PREFIX])
+    if header_end > len(data):
+        raise ValueError("header runs past the end of the file")
+    header = json.loads(data[_PREFIX:header_end])
+    start = _aligned(header_end)
+    arrays = {}
+    for name, dtype, shape, offset, nbytes in header["arrays"]:
+        dtype = np.dtype(dtype)
+        count = math.prod(shape)
+        if (
+            dtype.kind in _REFUSED_KINDS
+            or min(shape, default=0) < 0
+            or nbytes != count * dtype.itemsize
+            or offset < 0
+            or start + offset + nbytes > len(data)
+        ):
+            raise ValueError(f"array {name!r} has a bad dtype or extent")
+        arrays[name] = np.frombuffer(data, dtype, count, start + offset).reshape(shape)
+    return header, arrays
+
+
+def _read_header(path: Path) -> dict:
+    """The JSON header of the container at ``path``; its arrays are not read."""
+    with open(path, "rb") as handle:
+        length = _header_length(handle.read(_PREFIX))
+        text = handle.read(length)
+    if len(text) != length:
+        raise ValueError("header runs past the end of the file")
+    return json.loads(text)
 
 
 #: Flags of a new temp file: created here, never opened if it exists.
@@ -198,11 +286,11 @@ _TEMP_ATTEMPTS = 100
 
 
 def _temp_name() -> str:
-    return f".tmp-{os.urandom(8).hex()}.npz"
+    return f".tmp-{os.urandom(8).hex()}"
 
 
 def _create_temp(directory: Path) -> Tuple[int, str]:
-    """Create a new, empty ``.tmp-*.npz`` file in ``directory``: ``(fd, path)``.
+    """Create a new, empty ``.tmp-*`` file in ``directory``: ``(fd, path)``.
 
     A name already taken (say, a temp file a killed writer left behind)
     is passed over for a fresh one, as ``tempfile.mkstemp`` does; this
@@ -218,11 +306,13 @@ def _create_temp(directory: Path) -> Tuple[int, str]:
     raise FileExistsError(f"no free temp file name in {directory}")
 
 
-def _write_atomic(path: Path, data) -> None:
-    """Write the bytes ``data`` to ``path`` through a temp sibling and ``os.replace``.
+def _write_atomic(path: Path, *parts) -> None:
+    """Write the byte buffers ``parts``, in order, to ``path`` through a
+    temp sibling and ``os.replace``.
 
     Readers see the old file or the whole new one, never a torn one; on
-    any failure the temp file is removed.
+    any failure the temp file is removed.  The one writer of the store's
+    files: artifacts and shards alike.
     """
     try:
         fd, tmp_name = _create_temp(path.parent)
@@ -233,9 +323,10 @@ def _write_atomic(path: Path, data) -> None:
         fd, tmp_name = _create_temp(path.parent)
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for part in parts:
+                view = memoryview(part).cast("B")
+                while view:
+                    view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         os.replace(tmp_name, path)

@@ -1,14 +1,17 @@
 """Stage codecs: how each artifact kind serializes to arrays + JSON meta.
 
-The disk tier stores one ``.npz`` file per artifact: named float/int
-arrays plus a ``__meta__`` byte array holding a JSON header.  A *codec*
-maps a stage's in-memory value to that representation and back:
+The disk tier stores one file per artifact in the store's flat container
+(see :mod:`repro.store.artifacts`): named arrays plus a JSON header.  A
+*codec* maps a stage's in-memory value to that representation and back:
 
 * ``encode(value) -> (arrays, meta)`` — ``arrays`` is a dict of
-  :class:`numpy.ndarray` payloads, ``meta`` any JSON-able object.
+  :class:`numpy.ndarray` payloads (numeric, bool or string dtypes; object
+  and structured dtypes are refused at put), ``meta`` any JSON-able object.
 * ``decode(arrays, meta) -> value`` — the inverse; must reconstruct a
-  value bit-identical to the encoded one (float64 arrays round-trip
-  exactly through npz, floats exactly through JSON's repr-based dumping).
+  value bit-identical to the encoded one (arrays round-trip as their raw
+  bytes, floats exactly through JSON's repr-based dumping).  Decoded
+  arrays are read-only views of the file's bytes, so a decoder copies
+  what its value may mutate.
 
 Codecs are registered by the module that owns the stage's value type
 (e.g. the spatial codec lives next to :class:`SpatialModel`), which keeps

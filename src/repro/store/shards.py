@@ -3,29 +3,31 @@
 The paper's evaluation runs on 6,000 boxes / 80,000 VMs.  Holding that
 fleet as in-RAM ``BoxTrace`` objects — and round-tripping every box
 through pickle to pool workers — is what capped the benchmarks at a few
-dozen boxes.  This module extends the store's npz codec idea down to the
-trace tier:
+dozen boxes.  This module is the store's trace tier:
 
 * **One shard per box.**  A box's full usage matrix (``(2M, T)`` float64,
   CPU rows then RAM rows, exactly :attr:`BoxTrace.usage`) is
-  written as a plain ``.npy`` file, content-addressed by the same BLAKE2b
+  written as a plain ``.npy`` file — the v1.0 header ``np.save`` writes,
+  then the raw C-order matrix — content-addressed by the same BLAKE2b
   ``data_fingerprint`` the artifact store uses::
 
       <root>/shards/<fp[:2]>/<fp>.npy
 
-  Writes are atomic (temp file + ``os.replace``) and idempotent — a shard
-  that already exists under its fingerprint is never rewritten.
+  Writes go through the artifact store's atomic writer (temp file +
+  ``os.replace``) and are idempotent — a shard that already exists
+  under its fingerprint is never rewritten.
 
 * **A JSON manifest** (``<root>/manifest.json``) holding everything else
   a box needs — ids, capacities, interval — so eligibility checks, fleet
   summaries, and work scheduling never touch the mapped data at all.
 
-* **Zero-copy box views.**  :func:`open_box` maps a shard with
-  ``np.load(..., mmap_mode="r")`` and builds a :class:`BoxTrace` whose
-  usage matrix *is the mapping*: the constructor's range check reads the
-  mapped pages but copies no sample, and dropping the view unmaps it.  A
-  worker processing one box therefore holds one box's pages, not the
-  fleet's.
+* **Zero-copy box views.**  :func:`open_box` maps a shard once, checks
+  its first bytes against the header the manifest's shape implies and
+  its length against the matrix size, and builds a :class:`BoxTrace`
+  whose usage matrix *is the mapping*: the constructor's range check
+  reads the mapped pages but copies no sample, and dropping the view
+  unmaps it.  A worker processing one box therefore holds one box's
+  pages, not the fleet's.
 
 * **Descriptor dispatch.**  :class:`BoxShardRef` is the tiny picklable
   handle the executor ships to workers instead of trace data; the worker
@@ -41,15 +43,18 @@ never regenerate fleets now also proves they never materialize one.
 from __future__ import annotations
 
 import json
+import mmap
 import os
-import tempfile
+import struct
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
+from repro.store.artifacts import _write_atomic
 from repro.store.fingerprint import data_fingerprint
 from repro.trace.model import BoxTrace, FleetTrace, mark_shard_tier_active
 
@@ -197,18 +202,8 @@ class ShardManifest:
         if self.scenario is not None:
             payload["scenario"] = self.scenario
         target = root / MANIFEST_NAME
-        fd, tmp_name = tempfile.mkstemp(dir=root, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        _write_atomic(target, text.encode("utf-8"))
         return target
 
     @staticmethod
@@ -235,6 +230,27 @@ def _shard_relpath(fingerprint: str) -> str:
     return f"shards/{fingerprint[:2]}/{fingerprint}.npy"
 
 
+@lru_cache(maxsize=64)
+def _npy_header(rows: int, cols: int) -> bytes:
+    """The v1.0 ``.npy`` header ``np.save`` writes for a ``(rows, cols)``
+    C-order little-endian float64 matrix.
+
+    Its dict text, the spare spaces numpy leaves after it for growing the
+    first axis (up to 21 digits), and the space padding plus newline that
+    end the header on a 64-byte boundary (1 to 64 bytes, as numpy pads).
+    """
+    text = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {(rows, cols)!r}, }}"
+    text += " " * (21 - len(repr(rows)))
+    pad = 64 - (10 + len(text) + 1) % 64
+    return (
+        b"\x93NUMPY\x01\x00"
+        + struct.pack("<H", len(text) + pad + 1)
+        + text.encode("latin1")
+        + b" " * pad
+        + b"\n"
+    )
+
+
 def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
     """Write one box's usage matrix as a content-addressed ``.npy`` shard.
 
@@ -243,25 +259,12 @@ def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
     construction).  Returns the manifest entry describing the box.
     """
     root = Path(root)
-    matrix = np.ascontiguousarray(box.usage, dtype=np.float64)
+    matrix = np.ascontiguousarray(box.usage, dtype="<f8")
     fingerprint = data_fingerprint(matrix)
     rel = _shard_relpath(fingerprint)
     target = root / rel
     if not target.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=".tmp-", suffix=".npy"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, matrix)
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _write_atomic(target, _npy_header(*matrix.shape), matrix)
         obs.inc("shards.writes")
         obs.inc("shards.bytes_written", float(matrix.nbytes))
     return BoxShardMeta(
@@ -279,20 +282,15 @@ def write_box_shard(box: BoxTrace, root: Union[str, Path]) -> BoxShardMeta:
     )
 
 
-def write_fleet_shards(
-    boxes: Union[FleetTrace, Iterable[BoxTrace]], root: Union[str, Path]
-) -> ShardManifest:
-    """Shard a fleet (or any box iterable) under ``root`` and write the manifest.
+def write_fleet_shards(fleet: FleetTrace, root: Union[str, Path]) -> ShardManifest:
+    """Shard an in-RAM fleet under ``root`` and write the manifest.
 
-    Accepts a *generator* of boxes, which is the fleet-scale entry point:
-    each box is written and dropped before the next is produced, so a
-    6,000-box store is built with one box of peak memory.  The manifest
-    takes the fleet's name (``"sharded"`` for a bare iterable) and records
-    no scenario; each box's ``scenario_fp`` still lands in its own entry.
+    The manifest takes the fleet's name and records no scenario; each
+    box's ``scenario_fp`` still lands in its own entry.  Fleet-scale
+    stores are rendered straight to shards by :func:`generate_fleet_shards`.
     """
-    name = boxes.name if isinstance(boxes, FleetTrace) else "sharded"
-    metas = [write_box_shard(box, root) for box in boxes]
-    manifest = ShardManifest(name=name, boxes=metas)
+    metas = [write_box_shard(box, root) for box in fleet]
+    manifest = ShardManifest(name=fleet.name, boxes=metas)
     manifest.save(root)
     return manifest
 
@@ -377,19 +375,38 @@ def generate_fleet_shards(
 def open_box(root: Union[str, Path], meta: BoxShardMeta) -> BoxTrace:
     """Map one shard and return the :class:`BoxTrace` view over it.
 
-    A shape or dtype mismatch with the manifest entry raises
-    ``ValueError``: a shard store is authored by this module, so damage
-    is a real error, not a cache miss.
+    A file whose header or length differs from what the manifest entry's
+    ``(2M, T)`` float64 shape implies raises ``ValueError``: a shard
+    store is authored by this module, so damage is a real error, not a
+    cache miss.  The view is read-only and backed by the mapping.
     """
     path = Path(root) / meta.path
-    matrix = np.load(path, mmap_mode="r", allow_pickle=False)
-    expected = (2 * meta.n_vms, meta.n_windows)
-    if matrix.ndim != 2 or matrix.shape != expected or matrix.dtype != np.float64:
+    shape = (2 * meta.n_vms, meta.n_windows)
+    header = _npy_header(*shape)
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_CLOEXEC", 0))
+    try:
+        mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    except ValueError:  # an empty file cannot be mapped
+        mapping = None
+    finally:
+        os.close(fd)
+    if (
+        mapping is None
+        or len(mapping) != len(header) + meta.nbytes
+        or mapping[:len(header)] != header
+    ):
+        size = 0
+        if mapping is not None:
+            size = len(mapping)
+            mapping.close()
         raise ValueError(
             f"shard {path} does not match its manifest entry for box "
-            f"{meta.box_id!r}: shape {matrix.shape}/{matrix.dtype}, "
-            f"expected {expected}/float64"
+            f"{meta.box_id!r}: expected a {shape} float64 .npy file of "
+            f"{len(header) + meta.nbytes} bytes, found {size} bytes with "
+            "another header or length"
         )
+    count = shape[0] * shape[1]
+    matrix = np.frombuffer(mapping, "<f8", count, len(header)).reshape(shape)
     mark_shard_tier_active()
     obs.inc("shards.boxes_opened")
     obs.inc("shards.bytes_mapped", float(matrix.nbytes))

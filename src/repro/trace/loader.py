@@ -12,8 +12,8 @@ Format (header included):
 
 For fleets too large to hold in RAM, the *shard store*
 (:mod:`repro.store.shards`) is the paper-scale format: one content-addressed
-``.npy`` usage matrix per box plus a JSON manifest, opened as ``np.memmap``
-views.  :func:`shard_fleet_csv` converts a fleet CSV into a shard store.
+``.npy`` usage matrix per box plus a JSON manifest, opened as read-only
+views of a file mapping.  :func:`shard_fleet_csv` converts a fleet CSV into a shard store.
 """
 
 from __future__ import annotations

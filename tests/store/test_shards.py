@@ -1,5 +1,6 @@
 """Memory-mapped shard store: round-trip, manifest, refs, and the guard."""
 
+import io
 import pickle
 import tracemalloc
 
@@ -22,7 +23,7 @@ from repro.store.shards import (
 )
 from repro.trace import NAMED_SCENARIOS, model, render_fleet
 from repro.trace.generator import FleetConfig, generate_fleet
-from repro.trace.model import FORBID_GENERATION_ENV_VAR, FleetTrace
+from repro.trace.model import FORBID_GENERATION_ENV_VAR, BoxTrace, FleetTrace
 from tests.store.shard_oracle import materialize
 
 
@@ -137,6 +138,54 @@ class TestContentAddressing:
         b = write_box_shard(box, tmp_path)
         assert a.fingerprint == b.fingerprint
         assert a.path == b.path
+
+
+def _random_box(m: int, n: int) -> BoxTrace:
+    usage = np.random.default_rng(m * 1000 + n).uniform(0.0, 100.0, size=(2 * m, n))
+    vm_ids = tuple(f"vm{i}" for i in range(m))
+    return BoxTrace(f"box-{m}x{n}", 10.0, 10.0, vm_ids, (1.0,) * m, (1.0,) * m, usage)
+
+
+class TestNpyLayout:
+    """A shard is exactly the file ``np.save`` writes for the box's matrix."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 5), (3, 96), (5, 672), (60, 7), (600, 2)])
+    def test_shard_bytes_are_what_np_save_writes(self, tmp_path, m, n):
+        box = _random_box(m, n)
+        meta = write_box_shard(box, tmp_path)
+        oracle = io.BytesIO()
+        np.save(oracle, np.ascontiguousarray(box.usage, dtype=np.float64))
+        assert (tmp_path / meta.path).read_bytes() == oracle.getvalue()
+        assert meta.fingerprint == data_fingerprint(box.usage)
+        assert open_box(tmp_path, meta).usage.tobytes() == box.usage.tobytes()
+
+    def test_header_is_what_np_save_writes_for_every_width(self):
+        from repro.store.shards import _npy_header
+
+        for rows in (2, 10, 1998, 10**6):
+            for digits in range(1, 20):
+                cols = 10 ** (digits - 1) + 7
+                oracle = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    oracle, {"descr": "<f8", "fortran_order": False, "shape": (rows, cols)}
+                )
+                assert _npy_header(rows, cols) == oracle.getvalue(), (rows, cols)
+
+    @pytest.mark.parametrize("damage", ["float32", "fortran order", "truncated", "empty"])
+    def test_shard_that_is_not_the_manifest_matrix_raises(self, tmp_path, damage):
+        box = _random_box(2, 6)
+        meta = write_box_shard(box, tmp_path)
+        path = tmp_path / meta.path
+        if damage == "float32":
+            np.save(path, box.usage.astype(np.float32))
+        elif damage == "fortran order":
+            np.save(path, np.asfortranarray(box.usage))
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            path.write_bytes(b"")
+        with pytest.raises(ValueError, match="does not match"):
+            open_box(tmp_path, meta)
 
 
 class TestRefs:

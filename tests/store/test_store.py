@@ -2,12 +2,16 @@
 
 import dataclasses
 import enum
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.store import (
+    CONTAINER_MAGIC,
     STORE_SCHEMA,
     ArtifactKey,
     ArtifactStore,
@@ -304,7 +308,7 @@ class TestWritePath:
 
     @pytest.mark.parametrize("failing", ["replace", "write", "encode"])
     def test_no_temp_file_left_after_a_failed_put(self, tmp_path, monkeypatch, failing):
-        from repro.store import artifacts
+        from repro.store import artifacts, codecs
 
         def boom(*args, **kwargs):
             raise OSError("injected")
@@ -314,7 +318,7 @@ class TestWritePath:
         elif failing == "write":
             monkeypatch.setattr(artifacts.os, "write", boom)
         else:
-            monkeypatch.setattr(np, "savez", boom)
+            monkeypatch.setitem(codecs._CODECS, STAGE, codecs.Codec(STAGE, boom, _decode))
         store = ArtifactStore(root=tmp_path)
         obs.reset_metrics()
         store.put(_key(), _value())  # must not raise
@@ -333,10 +337,11 @@ class TestWritePath:
         assert out["payload"].tobytes() == value["payload"].tobytes()
         assert out["meta"] == value["meta"]
         assert list(store.headers(STAGE)) == [(store.path_for(key), key, {"k": 1})]
-        # A plain npz container: what np.load reads, as it read the files
-        # written straight to disk.
-        with np.load(store.path_for(key), allow_pickle=False) as npz:
-            assert sorted(npz.files) == ["__meta__", "payload"]
+        # The store's own container, not a zip archive: the magic first,
+        # the payload's raw bytes on a 64-byte boundary.
+        data = store.path_for(key).read_bytes()
+        assert data.startswith(CONTAINER_MAGIC)
+        assert data.index(value["payload"].tobytes()) % 64 == 0
 
     def test_two_processes_putting_one_key_leave_one_readable_file(self, tmp_path):
         import multiprocessing
@@ -376,6 +381,184 @@ class TestWritePath:
         np.testing.assert_array_equal(store.get(key)["payload"], _value(scale=4.0)["payload"])
         assert leftover.read_bytes() == b"a killed writer's partial file"
         assert [found for found, _, _ in store.headers(STAGE)] == [path]
+
+
+CONTAINER_STAGE = "store_container_test"
+
+# Arrays in, arrays out: the container alone decides what comes back.
+register_codec(CONTAINER_STAGE, lambda arrays: (arrays, None), lambda arrays, meta: arrays)
+
+
+def _plant_npz(store, key, arrays, meta):
+    """Write ``key``'s file as the npz layout of earlier versions did."""
+    path = store.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {
+        "schema": key.schema, "stage": key.stage,
+        "data_fp": key.data_fp, "config_fp": key.config_fp, "meta": meta,
+    }
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            **arrays,
+        )
+    return path
+
+
+def _damage(data: bytes, how: str) -> bytes:
+    if how == "bad magic":
+        return b"\x00" + data[1:]
+    if how == "header length past end of file":
+        return data[:8] + (len(data)).to_bytes(8, "little") + data[16:]
+    assert how == "array extent past end of file"
+    return data[:-1]
+
+
+class TestContainer:
+    """What the store reads back from its own files, and what it refuses."""
+
+    def test_old_npz_file_is_a_corrupt_miss_that_the_next_put_replaces(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        path = _plant_npz(store, key, {"payload": _value()["payload"]}, {"k": 1})
+        obs.reset_metrics()
+        assert store.get(key) is None
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get(f"store.{STAGE}.corrupt") == 1
+        assert f"store.{STAGE}.stale" not in counters
+        assert list(store.headers(STAGE)) == []
+        store.put(key, _value(scale=2.0))
+        assert path.read_bytes().startswith(CONTAINER_MAGIC)
+        np.testing.assert_array_equal(store.get(key)["payload"], _value(scale=2.0)["payload"])
+        assert [found for found, _, _ in store.headers(STAGE)] == [path]
+
+    @pytest.mark.parametrize(
+        "how",
+        ["bad magic", "header length past end of file", "array extent past end of file"],
+    )
+    def test_damaged_file_is_a_corrupt_miss(self, tmp_path, how):
+        store = ArtifactStore(root=tmp_path)
+        key = _key()
+        store.put(key, _value())
+        path = store.path_for(key)
+        path.write_bytes(_damage(path.read_bytes(), how))
+        obs.reset_metrics()
+        assert store.get(key) is None  # must not raise
+        assert obs.metrics_snapshot()["counters"].get(f"store.{STAGE}.corrupt") == 1
+        readable = [found for found, _, _ in store.headers(STAGE)]
+        # The header of a file whose last array is cut short is whole.
+        assert readable == ([path] if how == "array extent past end of file" else [])
+
+    def test_object_dtype_is_refused_at_put(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        key = ArtifactKey(stage=CONTAINER_STAGE, data_fp="d", config_fp="c")
+        obs.reset_metrics()
+        store.put(key, {"objects": np.array([{"a": 1}, None], dtype=object)})
+        counters = obs.metrics_snapshot()["counters"]
+        assert counters.get(f"store.{CONTAINER_STAGE}.write_errors") == 1
+        assert not store.path_for(key).exists()
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_decoded_arrays_are_read_only(self, tmp_path):
+        store = ArtifactStore(root=tmp_path)
+        key = ArtifactKey(stage=CONTAINER_STAGE, data_fp="d", config_fp="c")
+        store.put(key, {"a": np.arange(4.0), "b": np.zeros((2, 2), dtype=np.int64)})
+        out = store.get(key)
+        assert sorted(out) == ["a", "b"]
+        for array in out.values():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arrays_round_trip_bit_for_bit(self, tmp_path_factory, data):
+        from hypothesis.extra import numpy as hnp
+
+        specials = st.sampled_from([np.nan, -0.0, 0.0, np.inf, -np.inf])
+        elements = {
+            "bool": st.booleans(),
+            "int64": st.integers(-(2**63), 2**63 - 1),
+            "float64": st.floats(allow_nan=True, allow_infinity=True) | specials,
+        }
+        arrays = {}
+        for i in range(data.draw(st.integers(0, 4), label="n_arrays")):
+            dtype = data.draw(st.sampled_from(sorted(elements)), label="dtype")
+            array = data.draw(
+                hnp.arrays(
+                    dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                    elements=elements[dtype],
+                ),
+                label="array",
+            )
+            view = data.draw(st.sampled_from(["as is", "transposed", "strided"]), label="view")
+            if view == "transposed":
+                array = array.T
+            elif view == "strided" and array.ndim:
+                array = array[..., ::2]
+            arrays[f"a{i}"] = array
+        store = ArtifactStore(root=tmp_path_factory.mktemp("container"))
+        key = ArtifactKey(stage=CONTAINER_STAGE, data_fp="d", config_fp="c")
+        store.put(key, arrays)
+        out = store.get(key)
+        assert sorted(out) == sorted(arrays)
+        for name, array in arrays.items():
+            assert out[name].dtype == array.dtype
+            assert out[name].shape == array.shape
+            assert out[name].tobytes() == array.tobytes()
+
+
+def test_every_registered_stage_round_trips_equal(tmp_path, monkeypatch):
+    """Each production stage's stored artifacts decode to a value whose
+    re-encoding equals what the file holds."""
+    from repro.core import AtmConfig, run_fleet_atm
+    from repro.core.stages import BOX_RESULT_STAGE, FORECAST_STAGE, RESIZE_EVAL_STAGE
+    from repro.prediction.spatial.signatures import SPATIAL_STAGE, ClusteringMethod
+    from repro.prediction.temporal.neural import MlpConfig
+    from repro.prediction.temporal.warm import WARM_STAGE, fit_neural_batch_warm
+    from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
+    from repro.store.artifacts import _unpack
+    from repro.tickets.ops import OpsConfig, run_fleet_ops
+    from repro.tickets.ops.evidence import EVIDENCE_STAGE
+    from repro.tickets.ops.pipeline import TICKET_OPS_STAGE
+    from repro.tickets.policy import TicketPolicy
+    from repro.trace.generator import FleetConfig, generate_fleet
+
+    production = {
+        SPATIAL_STAGE, FORECAST_STAGE, BOX_RESULT_STAGE, RESIZE_EVAL_STAGE,
+        TICKET_OPS_STAGE, EVIDENCE_STAGE, WARM_STAGE,
+    }
+    assert set(registered_stages()) - {STAGE, CONTAINER_STAGE} == production
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+    fleet = generate_fleet(FleetConfig(n_boxes=2, days=2, seed=13))
+    atm = AtmConfig.with_clustering(
+        ClusteringMethod.CBC, temporal_model="seasonal_mean",
+        training_windows=96, horizon_windows=96,
+    )
+    run_fleet_atm(fleet, atm)
+    run_fleet_ops(fleet, OpsConfig(atm=atm))
+    evaluate_fleet_resizing(fleet, TicketPolicy(60.0), (ResizingAlgorithm.ATM,), eval_windows=96)
+    history = 50.0 + 10.0 * np.sin(np.arange(60) / 3.0)
+    fit_neural_batch_warm(
+        [history, history[::-1]], MlpConfig(hidden_layers=(4,), period=8, max_epochs=3)
+    )
+
+    store = default_store()
+    for stage in sorted(production):
+        found = list(store.headers(stage))
+        assert found, f"no {stage} artifact was stored"
+        for path, key, meta in found:
+            header, arrays = _unpack(path.read_bytes())
+            again, again_meta = get_codec(stage).encode(store.get(key))
+            # Through JSON: tuples come back as lists, and NaN == NaN.
+            assert json.dumps(again_meta, sort_keys=True) == json.dumps(meta, sort_keys=True), stage
+            assert sorted(again) == sorted(arrays), stage
+            for name, array in again.items():
+                array = np.asarray(array)
+                assert array.dtype == arrays[name].dtype, (stage, name)
+                assert array.shape == arrays[name].shape, (stage, name)
+                assert array.tobytes() == arrays[name].tobytes(), (stage, name)
 
 
 class TestDefaultStore:

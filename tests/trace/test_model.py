@@ -1,5 +1,6 @@
 """Tests for the trace data model (repro.trace.model)."""
 
+import mmap
 import pickle
 
 import numpy as np
@@ -165,12 +166,13 @@ class TestUsageMatrix:
     def test_shard_view_shares_the_mapping(self, tmp_path):
         box = make_box(m=2, n=5)
         view = open_box(tmp_path, write_box_shard(box, tmp_path))
-        mapping = view.usage.base
-        while not isinstance(mapping, np.memmap):
-            assert mapping is not None, "the view is not backed by a np.memmap"
-            mapping = mapping.base
-        assert np.shares_memory(view.usage, mapping)
+        mapping = view.usage
+        while not isinstance(mapping, mmap.mmap):
+            assert mapping is not None, "the view is not backed by a file mapping"
+            mapping = mapping.obj if isinstance(mapping, memoryview) else mapping.base
+        assert not view.usage.flags.owndata
         assert not view.usage.flags.writeable
+        assert np.shares_memory(view.usage, np.frombuffer(mapping, np.uint8))
         np.testing.assert_array_equal(view.usage, box.usage)
 
 
