@@ -14,6 +14,11 @@ temporal refit, so this bench measures exactly that substitution:
   read from the ``online.refit_temporal`` + ``online.drift_check``
   spans.
 
+Both spans count once per box-step.  A chunk's boxes share each step's
+fused fit, and each box-step's span holds an equal share of it.  Each
+run also reports the kernel's work: ``mlp.steps`` (tensor steps) and
+``mlp.step_models`` (models summed over those steps).
+
 The incremental step must be ≥ 5x cheaper (≥ 2x in ``--quick``), the
 ticket-reduction percentage must stay within tolerance of the cold
 run's, no step may degrade below the primary rung, and a ``jobs=2``
@@ -118,6 +123,9 @@ def _timed_run(fleet, config, refit_every: int) -> dict:
         "cap_refits": int(counters.get("online.refit.cap", 0)),
         "warm_models": int(counters.get("warm.models_warm", 0)),
         "guard_cold_refits": int(counters.get("warm.guard_cold_refits", 0)),
+        # Kernel work: tensor steps, and models summed over those steps.
+        "mlp_steps": int(counters.get("mlp.steps", 0)),
+        "mlp_step_models": int(counters.get("mlp.step_models", 0)),
     }
 
 

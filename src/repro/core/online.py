@@ -45,11 +45,10 @@ step is served from disk instead of recomputed.
 
 Steps are *incremental* by default, restarting nothing they can reuse:
 
-* **Warm-started refits** — the controller's predictor opts into the
-  warm-refit chain (:mod:`repro.prediction.temporal.warm`): each
-  temporal refit resumes from the previous step's ``(K, P)`` parameter
-  state instead of re-training from scratch, with a validation-loss
-  guard and per-step persistence for interrupted-run resume.  With
+* **Warm-started refits** — the controller chains each box's temporal
+  fits (:mod:`repro.prediction.temporal.warm`): each refit resumes from
+  the previous step's ``(K, P)`` parameter state instead of re-training
+  from scratch, with a validation-loss guard and per-step persistence for interrupted-run resume.  With
   ``refit_every_steps=1`` every step re-searches, so every fit is cold.
 * **Drift-gated re-search** — between cadence refits the controller
   scores workload drift as the rise of the spatial model's relative
@@ -63,13 +62,37 @@ Steps are *incremental* by default, restarting nothing they can reuse:
 
 :func:`run_online_fleet` fans boxes out through the same engine as the
 offline pipeline (:func:`~repro.core.executor.run_fleet`), in-RAM or
-sharded, with one in-order fold for every worker count.
+sharded, with one in-order fold for every worker count.  Inside a chunk
+the boxes run in *lock-step*: every controller takes step ``k`` before
+any takes step ``k + 1``, and each step gathers the boxes' searches or
+drift-checked re-anchors, fits all their temporal models in one fused
+call, then scatters the fits back for each box's forecast, sizing and
+ladder — the gather → fit → scatter shape of the offline chunk
+(:func:`repro.core.pipeline._run_primary`).  Early stopping leaves an
+online refit only ~5 live models wide, so a fused kernel step spreads
+its fixed cost over a chunk's boxes instead of one box's.  Every fit is
+bit-identical to the box's own, so the reordering shows only in
+wall-clock: :meth:`OnlineAtmController.run` is the one-box case of the
+same loop, and a chunk's runs equal their one-box runs bit for bit.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -82,10 +105,11 @@ from repro.core.degrade import (
     DegradationEvent,
     ErrorReport,
 )
-from repro.core.executor import fleet_items, per_box, run_fleet
+from repro.core.executor import default_chunksize, fleet_items, resolve_jobs, run_fleet
 from repro.core.results import BoxAtmResult
 from repro.core.stages import _BoxRun, evaluate_forecast_stages
-from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.prediction.combined import SpatialTemporalPredictor
+from repro.prediction.registry import fit_temporal_fleet_batch_warm
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 from repro.timeseries.metrics import finite_mean, mean_absolute_percentage_error
@@ -110,6 +134,16 @@ __all__ = [
 #: did when chosen" — far outside the step-to-step jitter of a stable
 #: workload (see ``tests/core/test_online_incremental.py``).
 DRIFT_THRESHOLD_DEFAULT = 0.15
+
+#: Upper bound on boxes per online chunk.  Lock-step keeps every box of a
+#: chunk live for the whole run (its demand matrix, predictor and warm
+#: state, and a shard store's mapped rows), about 1.1 MB per box at 26
+#: series × 960 windows, so peak RSS grows with the chunk's width while the fused fit's
+#: saving levels off after a few boxes.  On a 64-box sharded
+#: regime-shift fleet (jobs=1, 2-core x86 host) widths 1, 2, 4, 8 and 16
+#: measured 8.9, 8.15, 8.05, 7.85 and 7.8 CPU-s against +0, +1.9, +4.1,
+#: +8.6 and +17.4 MB of peak RSS over width 1; see EXPERIMENTS.md.
+ONLINE_CHUNK_BOXES = 4
 
 
 @dataclass(frozen=True)
@@ -215,9 +249,6 @@ class OnlineAtmController:
     ) -> None:
         _check_cadence(refit_every_steps, drift_threshold)
         self.box = box
-        # Read-only so the per-step training slices cannot write into it.
-        self._demands = box.demand_matrix()
-        self._demands.flags.writeable = False
         self.config = config or AtmConfig()
         # A controller acts on the ATM allocation alone: size nothing else.
         self._step_config = replace(self.config, algorithms=(ResizingAlgorithm.ATM,))
@@ -225,9 +256,9 @@ class OnlineAtmController:
         self.drift_threshold = (
             DRIFT_THRESHOLD_DEFAULT if drift_threshold is None else float(drift_threshold)
         )
+        self._demands: Optional[np.ndarray] = None
         self._predictor: Optional[SpatialTemporalPredictor] = None
         self._fitted_at_step = -10**9
-        self._anchored_at_step = -10**9
         self._degradations: List[DegradationEvent] = []
 
     @property
@@ -236,6 +267,38 @@ class OnlineAtmController:
         cfg = self.config
         spare = self.box.n_windows - cfg.training_windows
         return max(0, spare // cfg.horizon_windows)
+
+    def run(self) -> OnlineRunResult:
+        """Roll over every available resizing window.
+
+        The one-box case of the lock-step loop that
+        :func:`run_online_fleet` runs over a chunk of boxes.
+        """
+        (outcome,) = _run_lockstep([self])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _start(self) -> OnlineRunResult:
+        """Open the rolling run: read the box once and return its empty result."""
+        if self.n_steps == 0:
+            raise ValueError(
+                f"box {self.box.box_id} too short for one online step "
+                f"({self.box.n_windows} windows, need "
+                f"{self.config.training_windows + self.config.horizon_windows})"
+            )
+        # Read-only so the per-step training slices cannot write into it.
+        self._demands = self.box.demand_matrix()
+        self._demands.flags.writeable = False
+        result = OnlineRunResult(box_id=self.box.box_id)
+        self._degradations = result.degradations
+        return result
+
+    def _run_at(self, step: int) -> _BoxRun:
+        """The offline box run, ``step`` horizons later."""
+        cfg = self.config
+        start = cfg.training_windows + step * cfg.horizon_windows
+        return _BoxRun(self.box, self._step_config, start, self._demands)
 
     def _search_due(self, step: int, train: np.ndarray) -> bool:
         """Whether this step re-runs the signature search.
@@ -267,33 +330,55 @@ class OnlineAtmController:
         return False
 
     # ------------------------------------------------------- ladder rung 1
-    def _primary_prediction(self, run: _BoxRun, step: int) -> BoxPrediction:
-        """Fit/advance the configured predictor and forecast the step."""
-        cfg = self.config
+    def _begin_primary(self, run: _BoxRun, step: int) -> "_PendingFit":
+        """Gather half of the primary rung: search or re-anchor, fit deferred.
+
+        A due search starts a fresh predictor (its warm chain empty, so
+        its fit is cold); otherwise the temporal models re-anchor on the
+        advanced window, warm-started from the last fit, while the
+        signature search is reused — else every intermediate step would
+        replay the prediction of the last refit verbatim.
+        """
         train = run.training_demands()
         if self._search_due(step, train):
-            with obs.span("online.fit"):
-                # warm_refits: subsequent refit_temporal calls on this
-                # predictor chain through the warm-started kernel (the
-                # initial fit below is cold — fresh signature set).
-                predictor = SpatialTemporalPredictor(
-                    cfg.prediction, warm_refits=True
-                ).fit(train)
+            begun = time.perf_counter()
+            predictor = SpatialTemporalPredictor(self.config.prediction)
+            histories = predictor.begin_fit(train)
+            return _PendingFit(predictor, False, histories, time.perf_counter() - begun)
+        begun = time.perf_counter()
+        histories = self._predictor.begin_refit_temporal(train)
+        return _PendingFit(self._predictor, True, histories, time.perf_counter() - begun)
+
+    def _finish_primary(
+        self,
+        run: _BoxRun,
+        step: int,
+        pending: "_PendingFit",
+        fitted: Tuple[list, Optional[object]],
+        fit_share_s: float,
+    ) -> BoxAtmResult:
+        """Scatter half of the primary rung: adopt the fit, forecast, size.
+
+        The step's ``online.fit`` or ``online.refit_temporal`` span is its
+        own begin and finish time plus ``fit_share_s``, its share of the
+        chunk's fused fit.
+        """
+        begun = time.perf_counter()
+        predictor = pending.predictor
+        models, warm_state = fitted
+        if pending.refit:
+            predictor.finish_refit_temporal(models, warm_state)
+            span, counter = "online.refit_temporal", "online.refit_temporal"
+        else:
+            predictor.finish_fit(models, warm_state)
             self._predictor = predictor
             self._fitted_at_step = step
-            self._anchored_at_step = step
-            obs.inc("online.refit")
-        elif step != self._anchored_at_step:
-            # Non-refit step: the signature search is reused, but the
-            # temporal models are re-anchored on the advanced window —
-            # otherwise every intermediate step would replay the
-            # prediction of the last refit verbatim.
-            with obs.span("online.refit_temporal"):
-                self._predictor.refit_temporal(train)
-            self._anchored_at_step = step
-            obs.inc("online.refit_temporal")
+            span, counter = "online.fit", "online.refit"
+        obs.add_span(span, pending.seconds + fit_share_s + time.perf_counter() - begun)
+        obs.inc(counter)
         with obs.span("online.predict"):
-            return self._predictor.predict(cfg.horizon_windows)
+            prediction = predictor.predict(self.config.horizon_windows)
+        return evaluate_forecast_stages(run, prediction)
 
     def _degrade(self, step: int, rung: str, exc: Exception) -> str:
         """Record a rung transition of ``step``; returns the reason."""
@@ -305,22 +390,18 @@ class OnlineAtmController:
         )
         return reason
 
-    def _step(
-        self, run: _BoxRun, step: int
+    def _fall_back(
+        self, run: _BoxRun, step: int, exc: Exception
     ) -> Tuple[Optional[BoxAtmResult], str, Optional[str]]:
-        """Climb the degradation ladder for one step.
+        """The ladder below the primary rung, which raised ``exc``.
 
         Returns ``(result | None, rung, reason)``; a ``None`` result means
         the hold rung — keep the current allocation.
         """
-        try:
-            prediction = self._primary_prediction(run, step)
-            return evaluate_forecast_stages(run, prediction), RUNG_PRIMARY, None
-        except Exception as exc:
-            # A half-fitted predictor must not serve later steps.
-            self._predictor = None
-            obs.inc("online.fallback.seasonal")
-            reason = self._degrade(step, RUNG_SEASONAL, exc)
+        # A half-fitted predictor must not serve later steps.
+        self._predictor = None
+        obs.inc("online.fallback.seasonal")
+        reason = self._degrade(step, RUNG_SEASONAL, exc)
         try:
             prediction = run.seasonal_forecast()
             return evaluate_forecast_stages(run, prediction), RUNG_SEASONAL, reason
@@ -328,59 +409,155 @@ class OnlineAtmController:
             obs.inc("online.fallback.hold")
             return None, RUNG_HOLD, self._degrade(step, RUNG_HOLD, exc)
 
-    def run(self) -> OnlineRunResult:
-        """Roll over every available resizing window."""
-        if self.n_steps == 0:
-            raise ValueError(
-                f"box {self.box.box_id} too short for one online step "
-                f"({self.box.n_windows} windows, need "
-                f"{self.config.training_windows + self.config.horizon_windows})"
-            )
+    def _record(
+        self,
+        result: OnlineRunResult,
+        run: _BoxRun,
+        step: int,
+        sized: Optional[BoxAtmResult],
+        rung: str,
+        reason: Optional[str],
+    ) -> None:
+        """Append the step's per-resource records to ``result``."""
         cfg = self.config
-        result = OnlineRunResult(box_id=self.box.box_id)
-        self._degradations = result.degradations
+        actual = run.split(run.actual)
+        for resource in (Resource.CPU, Resource.RAM):
+            if sized is None:
+                # Hold rung: no usable prediction — keep the current
+                # allocation, score no APE, and report the reason.
+                current = self.box.allocations(resource)
+                truth = ResizingProblem(
+                    actual[resource], self.box.capacity(resource), cfg.policy.alpha
+                )
+                tickets = tickets_for_allocation(truth, current)
+                record = OnlineStep(
+                    step, resource, float("nan"), tickets, tickets, current,
+                    rung=rung, reason=reason,
+                )
+            else:
+                predicted = sized.predicted[resource]
+                reduction = sized.reductions[(resource, ResizingAlgorithm.ATM)]
+                apes = [
+                    mean_absolute_percentage_error(observed, forecast)
+                    for observed, forecast in zip(actual[resource], predicted)
+                ]
+                record = OnlineStep(
+                    step,
+                    resource,
+                    finite_mean(apes),
+                    reduction.tickets_before,
+                    reduction.tickets_after,
+                    sized.allocations[resource],
+                    predicted_mean=float(predicted.mean()),
+                    rung=rung,
+                    reason=reason,
+                )
+                obs.inc("online.tickets_avoided", record.tickets_avoided)
+            result.steps.append(record)
 
-        for step in range(self.n_steps):
+
+class _PendingFit(NamedTuple):
+    """One box's primary rung between its gather and scatter halves."""
+
+    predictor: SpatialTemporalPredictor
+    #: A warm re-anchor of the temporal models (else a fresh search's cold fit).
+    refit: bool
+    histories: List[np.ndarray]
+    #: Time spent in the gather half's begin call.
+    seconds: float
+
+
+def _run_lockstep(
+    controllers: Sequence[OnlineAtmController],
+) -> List[Union[OnlineRunResult, Exception]]:
+    """Advance every controller one step at a time; one outcome per controller.
+
+    The controllers share one config.  Each step is three phases, in the
+    shape of the offline :func:`repro.core.pipeline._run_primary`:
+
+    * *gather* — each box's run at the step, its fault hooks, and either
+      the drift check or the cadence decision: a search with its cold fit
+      deferred (:meth:`~SpatialTemporalPredictor.begin_fit`) or a warm
+      re-anchor (:meth:`~SpatialTemporalPredictor.begin_refit_temporal`);
+    * *fit* — every gathered box's fit in one
+      :func:`~repro.prediction.registry.fit_temporal_fleet_batch_warm`
+      call (fused cross-box passes for a kernel model);
+    * *scatter* — each box's fit adopted, its forecast, the
+      :func:`~repro.core.stages.evaluate_forecast_stages` tail and, for a
+      box whose primary rung raised anywhere, the seasonal then hold
+      rungs.
+
+    Every fit is bit-identical to the box's own, so each box's steps and
+    events equal a one-box run's.  A box drops out after its last step.
+    A box that raises outside the ladder gets that exception as its
+    outcome and drops out; the others carry on.
+    """
+    if not controllers:
+        return []
+    outcomes: List[Union[OnlineRunResult, Exception]] = []
+    for controller in controllers:
+        try:
+            outcomes.append(controller._start())
+        except Exception as exc:
+            outcomes.append(exc)
+    prediction_cfg = controllers[0].config.prediction
+    step = 0
+    while True:
+        live = [
+            pos
+            for pos, controller in enumerate(controllers)
+            if not isinstance(outcomes[pos], Exception) and step < controller.n_steps
+        ]
+        if not live:
+            return outcomes
+        runs: Dict[int, _BoxRun] = {}
+        pending: Dict[int, _PendingFit] = {}
+        failed: Dict[int, Exception] = {}
+        for pos in live:
             obs.inc("online.steps")
-            # The offline box run, ``step`` horizons later.
-            start = cfg.training_windows + step * cfg.horizon_windows
-            run = _BoxRun(self.box, self._step_config, start, self._demands)
-            sized, rung, reason = self._step(run, step)
-            actual = run.split(run.actual)
-            for resource in (Resource.CPU, Resource.RAM):
-                if sized is None:
-                    # Hold rung: no usable prediction — keep the current
-                    # allocation, score no APE, and report the reason.
-                    current = self.box.allocations(resource)
-                    truth = ResizingProblem(
-                        actual[resource], self.box.capacity(resource), cfg.policy.alpha
+            try:
+                runs[pos] = controllers[pos]._run_at(step)
+            except Exception as exc:
+                outcomes[pos] = exc
+                continue
+            try:
+                pending[pos] = controllers[pos]._begin_primary(runs[pos], step)
+            except Exception as exc:
+                failed[pos] = exc
+
+        fitted: Dict[int, object] = {}
+        share = 0.0
+        if pending:
+            begun = time.perf_counter()
+            try:
+                with obs.span("predict.temporal_fit"):
+                    outs = fit_temporal_fleet_batch_warm(
+                        prediction_cfg.temporal_model,
+                        [(p.histories, p.predictor.warm_state) for p in pending.values()],
+                        period=prediction_cfg.period,
                     )
-                    tickets = tickets_for_allocation(truth, current)
-                    record = OnlineStep(
-                        step, resource, float("nan"), tickets, tickets, current,
-                        rung=rung, reason=reason,
+            except Exception as exc:
+                outs = [exc] * len(pending)
+            share = (time.perf_counter() - begun) / len(pending)
+            fitted = dict(zip(pending, outs))
+
+        for pos in runs:
+            controller, run = controllers[pos], runs[pos]
+            try:
+                try:
+                    outcome = failed.get(pos, fitted.get(pos))
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    sized = controller._finish_primary(
+                        run, step, pending[pos], outcome, share
                     )
-                else:
-                    predicted = sized.predicted[resource]
-                    reduction = sized.reductions[(resource, ResizingAlgorithm.ATM)]
-                    apes = [
-                        mean_absolute_percentage_error(observed, forecast)
-                        for observed, forecast in zip(actual[resource], predicted)
-                    ]
-                    record = OnlineStep(
-                        step,
-                        resource,
-                        finite_mean(apes),
-                        reduction.tickets_before,
-                        reduction.tickets_after,
-                        sized.allocations[resource],
-                        predicted_mean=float(predicted.mean()),
-                        rung=rung,
-                        reason=reason,
-                    )
-                    obs.inc("online.tickets_avoided", record.tickets_avoided)
-                result.steps.append(record)
-        return result
+                    rung, reason = RUNG_PRIMARY, None
+                except Exception as exc:
+                    sized, rung, reason = controller._fall_back(run, step, exc)
+                controller._record(outcomes[pos], run, step, sized, rung, reason)
+            except Exception as exc:
+                outcomes[pos] = exc
+        step += 1
 
 
 class OnlineFleetResult(Mapping[str, OnlineRunResult]):
@@ -426,17 +603,28 @@ class OnlineFleetResult(Mapping[str, OnlineRunResult]):
         return 100.0 * (before - self.total_tickets()) / before
 
 
-def _run_box_online(
-    box: BoxTrace,
+def _run_online_chunk(
+    boxes: Iterable[BoxTrace],
     config: AtmConfig,
     refit_every_steps: int,
     drift_threshold: Optional[float],
-) -> Tuple[OnlineRunResult, List[DegradationEvent]]:
-    """One box's rolling run (module-level so pool workers can unpickle it)."""
-    result = OnlineAtmController(
-        box, config, refit_every_steps=refit_every_steps, drift_threshold=drift_threshold
-    ).run()
-    return result, list(result.degradations)
+) -> Iterator[Union[Tuple[OnlineRunResult, List[DegradationEvent]], Exception]]:
+    """Online's chunk function: the chunk's boxes stepped in lock-step.
+
+    Yields each box's ``(result, events)`` pair, or the exception that
+    failed it, in box order (module-level so pool workers can unpickle it).
+    """
+    controllers = [
+        OnlineAtmController(
+            box, config, refit_every_steps=refit_every_steps, drift_threshold=drift_threshold
+        )
+        for box in boxes
+    ]
+    for outcome in _run_lockstep(controllers):
+        if isinstance(outcome, Exception):
+            yield outcome
+        else:
+            yield outcome, list(outcome.degradations)
 
 
 def run_online_fleet(
@@ -456,7 +644,9 @@ def run_online_fleet(
 
     ``fleet`` may be in RAM or sharded; ``jobs`` (``None`` reads
     ``REPRO_JOBS``; 1 = serial) configures the fan-out
-    (:func:`repro.core.executor.run_fleet`, ~4 chunks per worker), whose
+    (:func:`repro.core.executor.run_fleet`, ~4 chunks per worker, at
+    most :data:`ONLINE_CHUNK_BOXES` boxes each, which bounds the live
+    controllers of a chunk at any fleet size), whose
     results aggregate in fleet box order, identically for any worker
     count.
     """
@@ -465,6 +655,8 @@ def run_online_fleet(
     needed = cfg.training_windows + cfg.horizon_windows
     results: Dict[str, OnlineRunResult] = {}
     report = ErrorReport()
+    items = fleet_items(fleet, needed)
+    chunksize = min(default_chunksize(len(items), resolve_jobs(jobs)), ONLINE_CHUNK_BOXES)
 
     def fold(pair: Tuple[Optional[OnlineRunResult], List[DegradationEvent]]) -> None:
         result, events = pair
@@ -473,8 +665,8 @@ def run_online_fleet(
             results[result.box_id] = result
 
     run_fleet(
-        "online", per_box(_run_box_online), fleet_items(fleet, needed), cfg,
-        refit_every_steps, drift_threshold, key=None, fold=fold, report=report,
-        fleet=fleet, min_windows=needed, jobs=jobs,
+        "online", _run_online_chunk, items, cfg, refit_every_steps, drift_threshold,
+        key=None, fold=fold, report=report, fleet=fleet, min_windows=needed,
+        jobs=jobs, chunksize=chunksize,
     )
     return OnlineFleetResult(results=results, report=report)

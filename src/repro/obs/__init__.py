@@ -52,6 +52,7 @@ __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "SpanStat",
+    "add_span",
     "gauge_max",
     "get_registry",
     "inc",
@@ -132,10 +133,22 @@ class MetricsRegistry:
         try:
             yield
         finally:
-            stat = self.spans.get(name)
-            if stat is None:
-                stat = self.spans[name] = SpanStat()
-            stat.add(time.perf_counter() - start)
+            self._add_span(name, time.perf_counter() - start)
+
+    def add_span(self, name: str, seconds: float) -> None:
+        """Record one occurrence of span ``name`` that the caller timed.
+
+        For work done in pieces, e.g. one box's share of a fit that many
+        boxes ran together (no-op when metrics are off).
+        """
+        if metrics_enabled():
+            self._add_span(name, seconds)
+
+    def _add_span(self, name: str, seconds: float) -> None:
+        stat = self.spans.get(name)
+        if stat is None:
+            stat = self.spans[name] = SpanStat()
+        stat.add(seconds)
 
     def snapshot(self) -> dict:
         """JSON-able state under the ``repro.metrics/v1`` schema."""
@@ -220,6 +233,11 @@ def record_peak_rss() -> int:
 def span(name: str):
     """Context manager timing a block on the default registry."""
     return _REGISTRY.span(name)
+
+
+def add_span(name: str, seconds: float) -> None:
+    """Record a caller-timed span occurrence on the default registry."""
+    _REGISTRY.add_span(name, seconds)
 
 
 def metrics_snapshot() -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import obs
 from repro.prediction.base import TemporalPredictor
-from repro.prediction.registry import fit_temporal_batch, fit_temporal_batch_warm
+from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.spatial.signatures import (
     SignatureSearchConfig,
     SpatialModel,
@@ -84,18 +84,8 @@ class BoxPrediction:
 class SpatialTemporalPredictor:
     """ATM prediction for one box's ``(n_series, T)`` demand matrix."""
 
-    def __init__(
-        self,
-        config: Optional[SpatialTemporalConfig] = None,
-        warm_refits: bool = False,
-    ) -> None:
-        """``warm_refits=True`` opts refits into the warm-started chain.
-
-        Off by default, so one-shot (offline) fits stay cold; the online
-        controller opts in (see :mod:`repro.prediction.temporal.warm`).
-        """
+    def __init__(self, config: Optional[SpatialTemporalConfig] = None) -> None:
         self.config = config or SpatialTemporalConfig()
-        self.warm_refits = bool(warm_refits)
         self._spatial: Optional[SpatialModel] = None
         self._temporal: Dict[int, TemporalPredictor] = {}
         self._train: Optional[np.ndarray] = None
@@ -113,9 +103,26 @@ class SpatialTemporalPredictor:
             raise RuntimeError("predictor has not been fitted")
         return self._spatial
 
+    @property
+    def warm_state(self) -> Optional[object]:
+        """The warm-refit chain's state after the last temporal fit.
+
+        The state the last :meth:`finish_fit` or
+        :meth:`finish_refit_temporal` was handed; ``None`` before any fit,
+        after a new signature search and after :meth:`fit`, whose
+        one-shot fit is cold, so the next refit fits cold.  An external
+        fitter passes it as the box's initializer (see
+        :func:`~repro.prediction.registry.fit_temporal_fleet_batch_warm`).
+        """
+        return self._warm_state
+
     def fit(self, train_matrix: Sequence[Sequence[float]]) -> "SpatialTemporalPredictor":
         """Fit signature search, spatial models and per-signature temporal models."""
-        return self.finish_fit(self._fit_temporal(self.begin_fit(train_matrix)))
+        histories = self.begin_fit(train_matrix)
+        name, period = self.config.temporal_model, self.config.period
+        with obs.span("predict.temporal_fit"):
+            fitted = fit_temporal_batch(name, histories, period=period)
+        return self.finish_fit(fitted)
 
     def begin_fit(
         self,
@@ -145,18 +152,31 @@ class SpatialTemporalPredictor:
         return [arr[idx] for idx in spatial.signature_indices]
 
     def finish_fit(
-        self, fitted: Sequence[TemporalPredictor]
+        self, fitted: Sequence[TemporalPredictor], warm_state: Optional[object] = None
     ) -> "SpatialTemporalPredictor":
         """Second half of :meth:`fit`: adopt externally fitted temporal models.
 
         ``fitted`` must hold one model per signature history returned by
-        :meth:`begin_fit`, in the same order.  The resulting predictor
-        state is exactly what :meth:`fit` would have produced had it
-        fitted the same models inline (the fused kernel guarantees the
+        :meth:`begin_fit`, in the same order, and ``warm_state`` is the
+        state a warm-chained fitter returned with them.  The resulting
+        predictor state is exactly what :meth:`fit` would have produced had
+        it fitted the same models inline (the fused kernel guarantees the
         models themselves are bit-identical, so the whole predictor is).
         """
+        arr = self._adopt_temporal("finish_fit", "begin_fit", fitted, warm_state)
+        self._baseline_recon_error = self.reconstruction_error(arr)
+        return self
+
+    def _adopt_temporal(
+        self,
+        finish: str,
+        begin: str,
+        fitted: Sequence[TemporalPredictor],
+        warm_state: Optional[object],
+    ) -> np.ndarray:
+        """Install the pending window's fitted models; returns that window."""
         if self._spatial is None or self._pending_train is None:
-            raise RuntimeError("finish_fit requires a preceding begin_fit")
+            raise RuntimeError(f"{finish} requires a preceding {begin}")
         arr = self._pending_train
         self._pending_train = None
         indices = list(self._spatial.signature_indices)
@@ -167,8 +187,8 @@ class SpatialTemporalPredictor:
             )
         self._temporal = dict(zip(indices, fitted))
         self._train = arr
-        self._baseline_recon_error = self.reconstruction_error(arr)
-        return self
+        self._warm_state = warm_state
+        return arr
 
     @staticmethod
     def _validate_train(train_matrix: Sequence[Sequence[float]]) -> np.ndarray:
@@ -201,47 +221,44 @@ class SpatialTemporalPredictor:
             raise RuntimeError("predictor has not been fitted")
         return self._baseline_recon_error
 
-    def _fit_temporal(self, histories: "list[np.ndarray]") -> "list[TemporalPredictor]":
-        """Fit one temporal model per signature history, in order."""
-        name, period = self.config.temporal_model, self.config.period
-        with obs.span("predict.temporal_fit"):
-            if self.warm_refits:
-                # Warm-started chain: resume from the previous refit's
-                # parameter state and keep the new one for the next.
-                fitted, self._warm_state = fit_temporal_batch_warm(
-                    name, histories, period=period, warm=self._warm_state
-                )
-                return fitted
-            return fit_temporal_batch(name, histories, period=period)
-
-    def refit_temporal(
+    def begin_refit_temporal(
         self, train_matrix: Sequence[Sequence[float]]
-    ) -> "SpatialTemporalPredictor":
-        """Re-anchor the temporal models on a new training window.
+    ) -> "list[np.ndarray]":
+        """Re-anchor the temporal models on a new window: the first half.
 
         Keeps the fitted spatial model (signature set and reconstruction
-        weights — the expensive search) but refits the per-signature
-        temporal models on ``train_matrix``, so forecasts continue from
-        the advanced window.  This is the online controller's non-refit
-        step: cheap relative to a full :meth:`fit`, yet anchored to the
-        data the step actually follows.
+        weights — the expensive search) and returns the signature
+        histories of ``train_matrix`` for refitting, so forecasts continue
+        from the advanced window.  This is the online controller's
+        non-search step: cheap relative to a full :meth:`fit`, yet
+        anchored to the data the step actually follows.  The caller fits
+        the histories (the controller fits a whole chunk's refits in one
+        call, warm-started from :attr:`warm_state`) and completes the
+        predictor with :meth:`finish_refit_temporal`.
         """
         if self._spatial is None:
             raise RuntimeError("predictor has not been fitted")
-        arr = np.asarray(train_matrix, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"train matrix must be 2-D (n_series, T), got {arr.shape}")
+        arr = self._validate_train(train_matrix)
         if self._train is not None and arr.shape[0] != self._train.shape[0]:
             raise ValueError(
                 f"train matrix has {arr.shape[0]} series; the fitted spatial "
                 f"model expects {self._train.shape[0]}"
             )
         obs.inc("predict.temporal_refits")
-        indices = self._spatial.signature_indices
-        self._temporal = dict(
-            zip(indices, self._fit_temporal([arr[idx] for idx in indices]))
+        self._pending_train = arr
+        return [arr[idx] for idx in self._spatial.signature_indices]
+
+    def finish_refit_temporal(
+        self, fitted: Sequence[TemporalPredictor], warm_state: Optional[object] = None
+    ) -> "SpatialTemporalPredictor":
+        """Second half of :meth:`begin_refit_temporal`: adopt the fitted models.
+
+        Same contract as :meth:`finish_fit`; the spatial model and its
+        baseline reconstruction error stay those of the last search.
+        """
+        self._adopt_temporal(
+            "finish_refit_temporal", "begin_refit_temporal", fitted, warm_state
         )
-        self._train = arr
         return self
 
     def predict(self, horizon: int) -> BoxPrediction:

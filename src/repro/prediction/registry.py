@@ -10,9 +10,11 @@ multi-series training kernel.  :func:`fit_temporal_batch` (one box's
 signature series) and :func:`fit_temporal_batch_warm` (the same, chained
 fit to fit) hand a kernel model's series to one vectorized fit and fit
 every other model series by series, so callers never branch on which
-kind of model they hold.  :func:`fit_temporal_fleet_batch` fits many
-boxes' series at once: a kernel model fuses them into one cross-box pass,
-any other model fits them box by box.
+kind of model they hold.  :func:`fit_temporal_fleet_batch` and
+:func:`fit_temporal_fleet_batch_warm` fit many boxes' series at once: a
+kernel model fuses them into cross-box passes, any other model fits them
+box by box.  Each one-box function is the one-box case of its fleet
+form.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.prediction.temporal import (
     NeuralNetPredictor,
     SeasonalMeanPredictor,
     SeasonalNaivePredictor,
-    fit_neural_batch_warm,
+    fit_neural_fleet_warm,
     fit_neural_fused,
 )
 
@@ -41,6 +43,7 @@ __all__ = [
     "fit_temporal_batch",
     "fit_temporal_batch_warm",
     "fit_temporal_fleet_batch",
+    "fit_temporal_fleet_batch_warm",
     "make_temporal_model",
     "temporal_model_version",
 ]
@@ -98,6 +101,12 @@ def temporal_model_version(name: str) -> int:
     return _VERSIONS.get(name, 1)
 
 
+#: One box's warm-chained fit request, ``(histories, state)``, and its
+#: outcome, ``(models, next state)`` or the exception its fit raised.
+WarmRequest = Tuple[Sequence[np.ndarray], Optional[object]]
+WarmOutcome = Union[Tuple[List[TemporalPredictor], Optional[object]], Exception]
+
+
 class _Kernel(NamedTuple):
     """A model's multi-series training kernel; both fits are bit-identical
     to per-series fits of the model.
@@ -108,19 +117,18 @@ class _Kernel(NamedTuple):
     exception in place of the list (the caller degrades exactly that
     box); with it cleared, the failure raises as a one-box fit's would.
 
-    ``warm(histories, period, state)`` fits one box's histories from an
-    opaque fit-to-fit state (see :mod:`repro.prediction.temporal.warm`)
-    and returns the models with the next state.
+    ``warm(requests, period)`` does the same for warm-chained refits:
+    each request is one box's ``(histories, state)``, the state opaque
+    and fit to fit (see :mod:`repro.prediction.temporal.warm`), and each
+    outcome the box's models with its next state, or the exception its
+    fit raised.
     """
 
     fleet: Callable[
         [List[List[np.ndarray]], int, bool],
         List[Union[List[TemporalPredictor], Exception]],
     ]
-    warm: Callable[
-        [List[np.ndarray], int, Optional[object]],
-        Tuple[List[TemporalPredictor], Optional[object]],
-    ]
+    warm: Callable[[List[WarmRequest], int], List[WarmOutcome]]
 
 
 _KERNELS: Dict[str, _Kernel] = {
@@ -128,8 +136,8 @@ _KERNELS: Dict[str, _Kernel] = {
         fleet=lambda groups, period, fleet: fit_neural_fused(
             groups, MlpConfig(period=period), fleet=fleet
         ),
-        warm=lambda histories, period, state: fit_neural_batch_warm(
-            histories, MlpConfig(period=period), warm=state
+        warm=lambda requests, period: fit_neural_fleet_warm(
+            requests, MlpConfig(period=period)
         ),
     ),
 }
@@ -166,16 +174,42 @@ def fit_temporal_batch_warm(
 ) -> Tuple[List[TemporalPredictor], Optional[object]]:
     """Warm-started fit: resume from ``warm``, return ``(models, state)``.
 
-    Feed ``state`` back as ``warm`` on the next refit to chain.  An
-    incompatible ``warm`` (changed signature count, different model) is
-    ignored by the kernel, which then fits cold and returns a fresh state.
-    A model without a kernel fits series by series and its state is
-    ``None``.
+    The one-box case of :func:`fit_temporal_fleet_batch_warm`; a failed
+    fit raises.  Feed ``state`` back as ``warm`` on the next refit to
+    chain.  An incompatible ``warm`` (changed signature count, different
+    model) is ignored by the kernel, which then fits cold and returns a
+    fresh state.  A model without a kernel fits series by series and its
+    state is ``None``.
+    """
+    (outcome,) = fit_temporal_fleet_batch_warm(name, [(histories, warm)], period=period)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def fit_temporal_fleet_batch_warm(
+    name: str, requests: Sequence[WarmRequest], period: int = 96
+) -> List[WarmOutcome]:
+    """Warm-started fits of many boxes, one ``(histories, warm)`` request each.
+
+    Returns one ``(models, state)`` outcome per request, in order, each
+    bit-identical to fitting that request alone.
+    A model with a kernel fits every box of a history length in shared
+    cross-box passes; any other model fits box by box with a ``None``
+    state.  A box whose fit fails gets its exception in place of its
+    outcome, so one bad box never costs the others their fits.
     """
     kernel = _KERNELS.get(name)
-    if kernel is None:
-        return _fit_each(name, histories, period), None
-    return kernel.warm(list(histories), period, warm)
+    if kernel is not None:
+        return kernel.warm([(list(h), warm) for h, warm in requests], period)
+    _factory(name)
+    out: List[WarmOutcome] = []
+    for histories, _ in requests:
+        try:
+            out.append((_fit_each(name, histories, period), None))
+        except Exception as exc:
+            out.append(exc)
+    return out
 
 
 def fit_temporal_fleet_batch(

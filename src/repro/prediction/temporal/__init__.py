@@ -35,7 +35,7 @@ from repro.prediction.temporal.naive import (
     SeasonalNaivePredictor,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
-from repro.prediction.temporal.warm import fit_neural_batch_warm
+from repro.prediction.temporal.warm import fit_neural_fleet_warm
 
 __all__ = [
     "ArimaPredictor",
@@ -48,6 +48,6 @@ __all__ = [
     "NeuralNetPredictor",
     "SeasonalMeanPredictor",
     "SeasonalNaivePredictor",
-    "fit_neural_batch_warm",
+    "fit_neural_fleet_warm",
     "fit_neural_fused",
 ]

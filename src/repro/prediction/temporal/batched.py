@@ -37,8 +37,12 @@ stopping compacts in place (survivors move to the front rows; the kernel
 rebinds ``[:K]`` views).  A wide step's temporaries would run to
 megabytes, which glibc hands back to the OS on free and faults in again
 on the next step, at about the cost of the arithmetic itself.  The
-expressions and their order are unchanged, so none of the equivalence
-claims above depends on the workspace.
+workspace holds one buffer per layer activation and nothing per
+backprop delta: backprop writes the output delta into the output
+activation and each earlier layer's delta into the activation it has
+just consumed, and Adam's step reuses the gradient buffer, which every
+step rewrites.  The expressions and their order are unchanged, so none
+of the equivalence claims above depends on the workspace.
 
 Histories of different lengths are grouped and each equal-length group is
 batched (within a box all signature series share the training window, so
@@ -70,6 +74,7 @@ __all__ = [
     "fit_equal_length_state",
     "fit_neural_fused",
     "models_from_params",
+    "n_params",
 ]
 
 #: Default slab width of the fleet-fused kernel: how many models train in
@@ -79,10 +84,16 @@ __all__ = [
 #: (480 windows) of one atmbench fleet-neural repetition took a median
 #: 2.93 / 2.66 / 2.82 / 2.85 CPU-s at 16 / 32 / 64 / 128 models (2-core
 #: x86 host, 8 interleaved rounds, spread 2.1–3.4 s), all within the
-#: host's noise.  64 stays.  Slabs are bit-identical to any other split
-#: because every model's RNG stream and row-local math are independent of
-#: its slab neighbours.
-FUSED_SLAB_MODELS = 64
+#: host's noise.  A kernel step costs about 22 µs fixed plus ~17 µs per
+#: model (K=1: 39 µs, K=64: 1,139 µs; one BLAS thread), so past a few
+#: dozen models the fixed part is noise.  32 is the width that keeps the
+#: online controller's fused refits (3-box chunks on atmbench
+#: online-regime-shift) from raising peak RSS: +0.5–1.2 MB over the
+#: one-box controller at 32, +2.1 MB (+4.2%) at 64, for 1.12 against
+#: 1.15 CPU-s.  Slabs are bit-identical to any other split because every
+#: model's RNG stream and row-local math are independent of its slab
+#: neighbours.
+FUSED_SLAB_MODELS = 32
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -101,9 +112,9 @@ def fit_neural_fused(
     scattered back into per-group lists in input order.  Every model is
     bit-identical to its per-series ``NeuralNetPredictor(config).fit``,
     because all series share ``config.seed`` (identical RNG streams) and
-    every tensor op in the kernel is row-local with per-row flat
-    reductions (see the y_mean note in :func:`_prepare_batch`); which batch
-    a model happens to ride in cannot change its floats.
+    every tensor op in the kernel is row-local, its per-model scalar
+    reductions included (see the y_mean note in :func:`_prepare_batch`);
+    which batch a model happens to ride in cannot change its floats.
 
     Failure isolation mirrors the per-box degradation ladder: a group
     whose histories fail validation (too short, non-finite samples) gets
@@ -196,9 +207,10 @@ class _BatchedMlp:
 
     A training step allocates nothing.  One workspace, sized once per slab
     for the initial width and ``rows`` rows (the largest minibatch or
-    validation set it serves), holds every layer's activations, ReLU masks
-    and backprop deltas plus the L2/Adam scratch, and every op writes into
-    it with ``out=``.  Activation buffers are flat and a ``(K, n, width)``
+    validation set it serves), holds every layer's activations and ReLU
+    masks plus the L2/Adam scratch, and every op writes into it with
+    ``out=``; backprop deltas reuse the activation buffers and Adam's
+    step the gradient buffer.  Activation buffers are flat and a ``(K, n, width)``
     view is their contiguous prefix, so each op sees the memory layout a
     fresh allocation would have had.  :meth:`compact` moves the survivors
     to the front rows of the parameter and Adam buffers in place and
@@ -217,9 +229,8 @@ class _BatchedMlp:
         self.params, self.grads = np.empty(shape), np.empty(shape)
         self._adam_m, self._adam_v = np.zeros(shape), np.zeros(shape)
         self._adam_t = 0
-        self._scratch, self._step = np.empty(shape), np.empty(shape)
+        self._scratch = np.empty(shape)
         self._act_buf = [np.empty(n_models * rows * w) for w in self._widths]
-        self._delta_buf = [np.empty(n_models * rows * w) for w in self._widths]
         self._mask_buf = [
             np.empty(n_models * rows * w, dtype=bool) for w in self._widths[:-1]
         ]
@@ -246,7 +257,7 @@ class _BatchedMlp:
         self._row_views: dict = {}
 
     def _views(self, rows: int):
-        """``(acts, masks, deltas)`` workspace views for ``rows``-row inputs."""
+        """``(acts, masks)`` workspace views for ``rows``-row inputs."""
         views = self._row_views.get(rows)
         if views is None:
             k = self.n_models
@@ -257,7 +268,7 @@ class _BatchedMlp:
                     for buf, w in zip(bufs, self._widths)
                 ]
 
-            views = prefix(self._act_buf), prefix(self._mask_buf), prefix(self._delta_buf)
+            views = prefix(self._act_buf), prefix(self._mask_buf)
             self._row_views[rows] = views
         return views
 
@@ -270,7 +281,7 @@ class _BatchedMlp:
         positivity, so the bits match the serial path).  All elementwise
         steps run in place on the matmul result, in the serial op order.
         """
-        acts, masks, _ = self._views(x.shape[1])
+        acts, masks = self._views(x.shape[1])
         out = x
         last = len(self.weights) - 1
         for idx, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -286,8 +297,11 @@ class _BatchedMlp:
         """One minibatch step for all K models (same rows for each model)."""
         rows = x.shape[1]
         out = self.forward(x, with_masks=True)
-        acts, masks, deltas = self._views(rows)
-        delta = np.subtract(out, y, out=deltas[-1])  # dMSE/dout: 2 * (out - y) / n
+        acts, masks = self._views(rows)
+        # Every delta lands in an activation buffer that is spent: the
+        # output delta in the output, each earlier delta in the layer
+        # input whose weight gradient has just been taken.
+        delta = np.subtract(out, y, out=out)  # dMSE/dout: 2 * (out - y) / n
         delta *= 2.0
         delta /= rows
         for idx in range(len(self.weights) - 1, -1, -1):
@@ -300,9 +314,9 @@ class _BatchedMlp:
                 if w_t.shape[1] == 1:
                     # Inner dimension 1: the matmul is an outer product, one
                     # rounded multiply per element either way.
-                    delta = np.multiply(delta, w_t, out=deltas[idx - 1])
+                    delta = np.multiply(delta, w_t, out=inputs)
                 else:
-                    delta = np.matmul(delta, w_t, out=deltas[idx - 1])
+                    delta = np.matmul(delta, w_t, out=inputs)
                 delta *= masks[idx - 1]  # ReLU gradient
         # L2 term for every weight (not bias) in one slice op; elementwise,
         # so the per-parameter float sequence matches the serial
@@ -320,20 +334,21 @@ class _BatchedMlp:
         Mirrors the serial per-parameter update exactly (same expressions,
         in the same order, into the preallocated scratch rows); operating
         on the concatenated buffer only changes how the elementwise work
-        is chunked, not any individual float op.
+        is chunked, not any individual float op.  The step is built in the
+        gradient buffer, which the moments have consumed by then.
         """
         self._adam_t += 1
         c1 = 1 - _ADAM_BETA1**self._adam_t
         c2 = 1 - _ADAM_BETA2**self._adam_t
         grad, m, v = self.grads, self._adam_m, self._adam_v
-        scratch, step = self._scratch, self._step
+        scratch = self._scratch
         m *= _ADAM_BETA1  # m = beta1 * m + (1 - beta1) * grad
         m += np.multiply(grad, 1 - _ADAM_BETA1, out=scratch)
         v *= _ADAM_BETA2  # v = beta2 * v + ((1 - beta2) * grad) * grad
         grad_v = np.multiply(grad, 1 - _ADAM_BETA2, out=scratch)
         grad_v *= grad
         v += grad_v
-        np.divide(m, c1, out=step)  # lr * m_hat / (sqrt(v_hat) + eps)
+        step = np.divide(m, c1, out=grad)  # lr * m_hat / (sqrt(v_hat) + eps)
         step *= lr
         denom = np.divide(v, c2, out=scratch)
         np.sqrt(denom, out=denom)
@@ -365,7 +380,6 @@ class _BatchedMlp:
         self._adam_v = _keep_rows(self._adam_v, keep)
         self.grads = self.grads[: self.n_models]
         self._scratch = self._scratch[: self.n_models]
-        self._step = self._step[: self.n_models]
         self._build_views()
 
 
@@ -423,7 +437,7 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
     """
     _, size = matrix.shape
     period = cfg.period
-    depth = min(cfg.seasonal_depth, max(1, size // period - 1))
+    depth = _feature_depth(size, cfg)
     slot_means = phase_aligned_slot_means_batch(matrix, period)
 
     start = depth * period
@@ -431,18 +445,21 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
         start = period
     t_indices = np.arange(start, size)
     features = seasonal_feature_matrix_batch(matrix, t_indices, depth, period, slot_means)
-    target_rows = matrix[:, t_indices]  # (K, n)
+    # C-contiguous (K, n): fancy indexing would lay the rows out column-major.
+    target_rows = np.ascontiguousarray(matrix[:, start:])
     targets = target_rows[:, :, None]
 
     x_mean = features.mean(axis=1)  # (K, d)
     x_std = features.std(axis=1)
     x_std[x_std < 1e-9] = 1.0
-    # Scalar y stats per model as flat 1-D reductions: numpy's inner-axis
-    # 2-D reduction sums in a different order than the serial path's flat
-    # ``targets.mean()``, so a vectorized mean here would drift in the last
-    # ulp.  K scalar reductions per fit are free.
-    y_mean = np.array([float(row.mean()) for row in target_rows])
-    y_std = np.array([float(row.std()) or 1.0 for row in target_rows])
+    # Scalar y stats per model, bit-equal to the serial ``targets.mean()``
+    # and ``targets.std()``: numpy reduces each row of a C-contiguous
+    # matrix's inner axis with the same pairwise sum as that row alone, at
+    # any K and in any slab.  A column-major matrix would sum across rows
+    # instead, so the layout matters.
+    y_mean = _row_means(target_rows)
+    y_std = _row_stds(target_rows, y_mean)
+    y_std[y_std == 0.0] = 1.0
     x = (features - x_mean[:, None, :]) / x_std[:, None, :]
     y = (targets - y_mean[:, None, None]) / y_std[:, None, None]
 
@@ -472,12 +489,39 @@ def _prepare_batch(matrix: np.ndarray, cfg: MlpConfig) -> _Prepared:
     )
 
 
+def _feature_depth(size: int, cfg: MlpConfig) -> int:
+    """Seasonal lag depth of a ``size``-window history."""
+    return min(cfg.seasonal_depth, max(1, size // cfg.period - 1))
+
+
+def n_params(size: int, cfg: MlpConfig) -> int:
+    """Flat parameter count ``P`` of one model fit on ``size``-window histories."""
+    depth = _feature_depth(size, cfg)
+    return _param_layout([depth + 3, *cfg.hidden_layers, 1])[2]
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """``[float(r.mean()) for r in rows]``, bit for bit, of a C-contiguous ``(K, n)`` matrix.
+
+    See the y_mean note in :func:`_prepare_batch`; pinned by
+    ``tests/prediction/test_batched_temporal.py``.
+    """
+    return np.add.reduce(rows, axis=1) / rows.shape[1]
+
+
+def _row_stds(rows: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``[float(r.std()) for r in rows]``, bit for bit, given :func:`_row_means`."""
+    centered = rows - means[:, None]
+    np.square(centered, out=centered)
+    return np.sqrt(_row_means(centered))
+
+
 def _flat_val_losses(net: _BatchedMlp, x_val: np.ndarray, y_val: np.ndarray) -> np.ndarray:
-    """Per-model validation MSE as flat 1-D reductions (see y_mean note)."""
+    """Per-model validation MSE, bit-equal to each model's serial mean."""
     squared = net.forward(x_val)
     np.subtract(squared, y_val, out=squared)
     np.square(squared, out=squared)
-    return np.array([float(row.mean()) for row in squared.reshape(net.n_models, -1)])
+    return _row_means(squared.reshape(net.n_models, -1))
 
 
 def _models_from_batch(
@@ -545,11 +589,11 @@ def fit_equal_length_state(
     model draws from its own copy of the shared-seed RNG stream and all
     tensor math is row-local — so the bound is purely a working-set knob
     for the fleet-fused path (see :data:`FUSED_SLAB_MODELS`).  The claim
-    leans on every reduction in the kernel being per-row flat (see the
-    y_mean note in :func:`_prepare_batch`): a vectorized inner-axis mean
-    would put a ``(1, n)`` remainder slab in a different float family
-    than a wide stack, and the slab-straddling equivalence tests would
-    catch it.
+    leans on every per-model reduction in the kernel summing each row on
+    its own (see the y_mean note in :func:`_prepare_batch`): a reduction
+    whose order depended on K would put a ``(1, n)`` remainder slab in a
+    different float family than a wide stack, and the slab-straddling
+    equivalence tests would catch it.
     """
     n_models = matrix.shape[0]
     if max_models is not None:

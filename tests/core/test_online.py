@@ -114,7 +114,7 @@ class TestRefitCadenceAdvancesContext:
 
         predictor = SpatialTemporalPredictor(config.prediction)
         with pytest.raises(RuntimeError, match="not been fitted"):
-            predictor.refit_temporal(week_box.demand_matrix()[:, :480])
+            predictor.begin_refit_temporal(week_box.demand_matrix()[:, :480])
 
     def test_refit_temporal_rejects_series_mismatch(self, week_box, config):
         from repro.prediction.combined import SpatialTemporalPredictor
@@ -122,7 +122,7 @@ class TestRefitCadenceAdvancesContext:
         train = week_box.demand_matrix()[:, :480]
         predictor = SpatialTemporalPredictor(config.prediction).fit(train)
         with pytest.raises(ValueError, match="series"):
-            predictor.refit_temporal(train[:-1])
+            predictor.begin_refit_temporal(train[:-1])
 
 
 class TestShortTrainingWindow:
@@ -193,6 +193,23 @@ class TestFleetRunner:
         assert "windows required" in event.reason
         assert np.isnan(result.reduction_percent())
 
+    def test_chunks_are_capped(self, config, monkeypatch):
+        from repro.core import online
+
+        monkeypatch.setattr(online, "default_chunksize", lambda n_items, jobs: 64)
+        widths = []
+        chunk = online._run_online_chunk
+
+        def spy(boxes, *args):
+            boxes = list(boxes)
+            widths.append(len(boxes))
+            return chunk(boxes, *args)
+
+        monkeypatch.setattr(online, "_run_online_chunk", spy)
+        fleet = generate_fleet(FleetConfig(n_boxes=6, days=6, seed=62))
+        assert len(run_online_fleet(fleet, config, jobs=1)) == 6
+        assert widths == [online.ONLINE_CHUNK_BOXES, 6 - online.ONLINE_CHUNK_BOXES]
+
 
 #: Fault specs of the cross-driver parity grid (``None`` = clean).  Both
 #: faulted plans send every box to the seasonal rung: ``fit_error`` fails
@@ -235,3 +252,125 @@ class TestCrossDriverParity:
                 assert step.tickets_static == reduction.tickets_before, cell
                 assert step.tickets_atm == reduction.tickets_after, cell
                 assert step.predicted_mean == float(box.predicted[step.resource].mean()), cell
+
+
+#: Cadence cap out of reach: one search, then warm refits gated by drift.
+NEVER = 10**6
+
+
+def _run_key(result):
+    """Every observable of one box's rolling run, bytes for arrays."""
+    return (
+        result.box_id,
+        [
+            (
+                s.day_index, s.resource.value, repr(s.ape), s.tickets_static,
+                s.tickets_atm, s.allocation.tobytes(), repr(s.predicted_mean),
+                s.rung, s.reason,
+            )
+            for s in result.steps
+        ],
+        [(e.box_id, e.stage, e.rung, e.reason, e.step) for e in result.degradations],
+    )
+
+
+class TestLockStepParity:
+    """A chunk's boxes step together and share each step's fused fit, yet
+    every box's run equals its own one-box :meth:`OnlineAtmController.run`,
+    bit for bit, under faults too."""
+
+    @pytest.fixture
+    def config(self):
+        return AtmConfig.with_clustering(ClusteringMethod.CBC, temporal_model="neural")
+
+    @pytest.fixture
+    def fleet(self):
+        # Seven days: five to train, two online steps.
+        return generate_fleet(FleetConfig(n_boxes=3, days=7, seed=62))
+
+    @pytest.fixture
+    def fused_calls(self, monkeypatch):
+        """One chunk per fleet, and the request count of every fused fit call."""
+        from repro.core import online
+
+        monkeypatch.setattr(online, "default_chunksize", lambda n_items, jobs: n_items)
+        calls = []
+        fit = online.fit_temporal_fleet_batch_warm
+
+        def spy(name, requests, period=96):
+            calls.append(len(requests))
+            return fit(name, requests, period=period)
+
+        monkeypatch.setattr(online, "fit_temporal_fleet_batch_warm", spy)
+        return calls
+
+    def _assert_parity(self, fleet, config, fused_calls, refit_every=NEVER, **faults):
+        online = run_online_fleet(fleet, config, refit_every_steps=refit_every)
+        assert max(fused_calls) > 1, "the chunk must fuse several boxes' fits"
+        assert set(online) == {box.box_id for box in fleet}
+        for box in fleet:
+            alone = OnlineAtmController(box, config, refit_every_steps=refit_every).run()
+            assert _run_key(online[box.box_id]) == _run_key(alone), box.box_id
+        return online
+
+    def test_clean_run(self, fleet, config, fused_calls):
+        online = self._assert_parity(fleet, config, fused_calls)
+        assert online.report.ok
+
+    def test_fit_error_at_a_middle_step(self, fleet, config, fused_calls, monkeypatch):
+        from repro.core import faults
+
+        target = fleet.boxes[1].box_id
+        seen = []
+        inject = faults.inject_fault
+
+        def second_fit_fails(kind, key):
+            # Every run of the target box fails its second primary fit.
+            if kind == "fit_error" and key == target:
+                seen.append(key)
+                if len(seen) % 2 == 0:
+                    raise faults.InjectedFault(f"injected {kind} for {key!r}")
+            inject(kind, key)
+
+        monkeypatch.setattr(faults, "inject_fault", second_fit_fails)
+        # Cadence 1 would re-search anyway; a cap of 2 leaves the others
+        # warm at step 1 while the target falls back.
+        online = self._assert_parity(fleet, config, fused_calls, refit_every=2)
+        rungs = [s.rung for s in online[target].steps]
+        assert rungs == ["primary", "primary", "seasonal_mean", "seasonal_mean"]
+
+    def test_nan_poisoned_training_slice(self, fleet, config, fused_calls, monkeypatch):
+        from repro.core import faults
+
+        target = fleet.boxes[0].box_id
+
+        def poison_one(key, matrix):
+            if key != target:
+                return matrix
+            poisoned = matrix.copy()
+            poisoned[0, 7] = np.nan
+            return poisoned
+
+        monkeypatch.setattr(faults, "poison_training", poison_one)
+        online = self._assert_parity(fleet, config, fused_calls)
+        assert {s.rung for s in online[target].steps} == {"seasonal_mean"}
+        for box in fleet.boxes[1:]:
+            assert {s.rung for s in online[box.box_id].steps} == {"primary"}
+
+    def test_boxes_with_different_step_counts(self, config, fused_calls):
+        from repro.trace.model import FleetTrace
+
+        boxes = [generate_box(i, FleetConfig(days=days, seed=62)) for i, days in
+                 enumerate((8, 6, 7))]
+        online = self._assert_parity(FleetTrace(boxes, name="ragged"), config, fused_calls)
+        assert [len(online[box.box_id].steps) for box in boxes] == [6, 2, 4]
+
+    def test_two_workers_match_one(self, config):
+        # Five boxes: jobs=1 cuts chunks of 2, 2, 1 and jobs=2 chunks of 1,
+        # so the fused groups differ while every box's run must not.
+        fleet = generate_fleet(FleetConfig(n_boxes=5, days=7, seed=63))
+        serial = run_online_fleet(fleet, config, refit_every_steps=NEVER, jobs=1)
+        parallel = run_online_fleet(fleet, config, refit_every_steps=NEVER, jobs=2)
+        assert [_run_key(r) for r in serial.values()] == [
+            _run_key(r) for r in parallel.values()
+        ]

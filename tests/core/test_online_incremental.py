@@ -258,3 +258,25 @@ class TestInterruptedResume:
         c = _counters()
         assert c.get("warm.resume_hits", 0) >= 1
         assert _run_digest(first) == _run_digest(replay)
+
+
+class TestWarmKeysNeedAStore:
+    def test_only_a_store_run_hashes_warm_keys(self, tmp_path, monkeypatch):
+        """Warm-state keys exist to read and write the store: a run without
+        one hashes no stack or initializer for them."""
+        from repro.prediction.temporal import warm
+
+        calls = []
+        fingerprint = warm.data_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(warm, "data_fingerprint", counting)
+        fleet = generate_fleet(FleetConfig(n_boxes=2, days=7, seed=41))
+        run_online_fleet(fleet, _neural_config(), refit_every_steps=100)
+        assert calls == []
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+        run_online_fleet(fleet, _neural_config(), refit_every_steps=100)
+        assert len(calls) == 4  # two boxes x two steps

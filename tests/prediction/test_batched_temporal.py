@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
@@ -19,6 +21,8 @@ from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
 from repro.prediction.temporal.batched import (
     _BatchedMlp,
+    _row_means,
+    _row_stds,
     fit_equal_length_state,
     fit_neural_fused,
 )
@@ -140,6 +144,33 @@ class TestWorkspace:
         ]
         assert len(set(warm_state.epochs.tolist())) >= 2
         assert_equivalent(warm_serial, warm_models)
+
+
+class TestRowReductions:
+    """The kernel's per-model means are one inner-axis reduction, bit-equal
+    to reducing each row on its own (the serial path's scalar means)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 64),
+        n=st.integers(1, 300),
+        kept=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    )
+    def test_row_means_match_per_row_means(self, k, n, kept, seed, scale):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(40.0, 25.0, size=(k, n)) * scale
+        # After compaction the kernel reduces a [:K] prefix of its buffer.
+        prefix = rows[: min(kept, k)]
+        for matrix in (rows, prefix):
+            assert matrix.flags["C_CONTIGUOUS"]
+            means = _row_means(matrix)
+            expected = np.array([float(r.mean()) for r in matrix])
+            assert means.tobytes() == expected.tobytes()
+            stds = _row_stds(matrix, means)
+            expected_std = np.array([float(r.std()) for r in matrix])
+            assert stds.tobytes() == expected_std.tobytes()
 
 
 def test_train_step_allocates_nothing():

@@ -148,5 +148,20 @@ class TestSplitFit:
         predictor = SpatialTemporalPredictor(config)
         histories = predictor.begin_fit(data[:, :96])
         predictor.finish_fit(self._external_fits(config, histories))
-        predictor.refit_temporal(data[:, :120])
+        histories = predictor.begin_refit_temporal(data[:, :120])
+        predictor.finish_refit_temporal(self._external_fits(config, histories))
         assert predictor.predict(24).predictions.shape == (6, 24)
+
+    def test_finish_refit_without_begin_raises(self, rng, config):
+        predictor = SpatialTemporalPredictor(config).fit(periodic_matrix(rng))
+        with pytest.raises(RuntimeError, match="begin_refit_temporal"):
+            predictor.finish_refit_temporal([])
+
+    def test_a_new_search_resets_the_warm_chain(self, rng, config):
+        data = periodic_matrix(rng, days=6)
+        predictor = SpatialTemporalPredictor(config)
+        histories = predictor.begin_fit(data[:, :96])
+        predictor.finish_fit(self._external_fits(config, histories), object())
+        # A new search's fit is cold.
+        predictor.begin_fit(data[:, 24:120])
+        assert predictor.warm_state is None

@@ -11,7 +11,9 @@ The warm kernel's contract (see ``repro.prediction.temporal.warm``):
   with a garbage initializer, after which the result must be bit-identical
   to an all-cold fit;
 * every fit persists its state to the store's disk tier, and a replayed
-  identical fit is served with zero training.
+  identical fit is served with zero training;
+* many boxes' requests fitted in one fleet call (shared warm and cold
+  passes) give each box exactly its one-box outcome.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.prediction.temporal.batched import (
 from repro.prediction.temporal.neural import MlpConfig
 from repro.prediction.temporal.warm import (
     WARM_PATIENCE,
-    fit_neural_batch_warm,
+    fit_neural_fleet_warm,
     warm_state_key,
 )
 from repro.store import ArtifactKey
@@ -46,6 +48,14 @@ def _histories(k=3, periods=6, seed=0, offset=0):
         base * rng.uniform(0.8, 1.2) + rng.normal(0.0, 0.05, size=n)
         for _ in range(k)
     ]
+
+
+def fit_neural_batch_warm(histories, cfg, warm=None):
+    """One box's warm-chained fit: the one-request case of the fleet form."""
+    (outcome,) = fit_neural_fleet_warm([(histories, warm)], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _plain_fit(histories):
@@ -230,3 +240,76 @@ class TestWarmPatience:
         # exactly WARM_PATIENCE epochs.
         assert warm_state.epochs.min() >= WARM_PATIENCE
         assert warm_state.epochs.max() <= CFG.max_epochs
+
+
+def _assert_same_outcome(fleet_outcome, alone, served=False):
+    models, state = fleet_outcome
+    alone_models, alone_state = alone
+    np.testing.assert_array_equal(_predictions(models), _predictions(alone_models))
+    if not served:
+        # A served model reads its epochs from the state, which counts a
+        # guard-refit row's warm and cold epochs together.
+        assert [m._fit_epochs for m in models] == [m._fit_epochs for m in alone_models]
+    assert state.params.tobytes() == alone_state.params.tobytes()
+    assert state.best_val.tobytes() == alone_state.best_val.tobytes()
+    assert state.epochs.tobytes() == alone_state.epochs.tobytes()
+
+
+class TestFleetWarm:
+    """Boxes fitted together share passes but not outcomes."""
+
+    def _requests(self):
+        _, state_a = fit_neural_batch_warm(_histories(k=3, seed=1), CFG)
+        _, state_b = fit_neural_batch_warm(_histories(k=2, seed=2), CFG)
+        garbage = BatchFitState(
+            params=np.full_like(state_b.params, 50.0),
+            best_val=np.full(2, 1e-12),
+            epochs=np.zeros(2, dtype=int),
+        )
+        return [
+            (_histories(k=3, seed=1, offset=CFG.period), state_a),  # warm
+            (_histories(k=4, seed=3), None),  # cold
+            (_histories(k=2, seed=2, offset=CFG.period), garbage),  # guard fires
+            (_histories(k=2, seed=4), state_a),  # K mismatch: cold
+        ]
+
+    def test_each_box_matches_its_one_box_fit(self, counters):
+        requests = self._requests()
+        alone = [fit_neural_batch_warm(h, CFG, warm=w) for h, w in requests]
+        obs.reset_metrics()
+        fleet = fit_neural_fleet_warm(requests, CFG)
+        for outcome, expected in zip(fleet, alone):
+            _assert_same_outcome(outcome, expected)
+        c = counters()
+        assert c["warm.guard_cold_refits"] == 2
+        assert c["warm.models_warm"] == 3
+        assert c["warm.cold_batches"] == 2
+
+    def test_passes_are_shared_across_boxes(self, counters):
+        requests = self._requests()
+        fit_neural_fleet_warm(requests, CFG)
+        fused_steps = counters()["mlp.steps"]
+        obs.reset_metrics()
+        for histories, warm in requests:
+            fit_neural_batch_warm(histories, CFG, warm=warm)
+        assert fused_steps < counters()["mlp.steps"]
+
+    def test_a_failing_box_costs_only_itself(self):
+        requests = self._requests()
+        poisoned = [h.copy() for h in requests[1][0]]
+        poisoned[0][5] = np.nan
+        requests[1] = (poisoned, None)
+        fleet = fit_neural_fleet_warm(requests, CFG)
+        assert isinstance(fleet[1], ValueError)
+        for pos in (0, 2, 3):
+            histories, warm = requests[pos]
+            _assert_same_outcome(fleet[pos], fit_neural_batch_warm(histories, CFG, warm=warm))
+
+    def test_each_box_persists_under_its_own_key(self, store_env, counters):
+        requests = self._requests()
+        fleet = fit_neural_fleet_warm(requests, CFG)
+        obs.reset_metrics()
+        served = fit_neural_fleet_warm(requests, CFG)
+        assert counters()["warm.resume_hits"] == len(requests)
+        for outcome, expected in zip(served, fleet):
+            _assert_same_outcome(outcome, expected, served=True)

@@ -516,7 +516,7 @@ def test_every_registered_stage_round_trips_equal(tmp_path, monkeypatch):
     from repro.core.stages import BOX_RESULT_STAGE, FORECAST_STAGE, RESIZE_EVAL_STAGE
     from repro.prediction.spatial.signatures import SPATIAL_STAGE, ClusteringMethod
     from repro.prediction.temporal.neural import MlpConfig
-    from repro.prediction.temporal.warm import WARM_STAGE, fit_neural_batch_warm
+    from repro.prediction.temporal.warm import WARM_STAGE, fit_neural_fleet_warm
     from repro.resizing.evaluate import ResizingAlgorithm, evaluate_fleet_resizing
     from repro.store.artifacts import _unpack
     from repro.tickets.ops import OpsConfig, run_fleet_ops
@@ -540,8 +540,9 @@ def test_every_registered_stage_round_trips_equal(tmp_path, monkeypatch):
     run_fleet_ops(fleet, OpsConfig(atm=atm))
     evaluate_fleet_resizing(fleet, TicketPolicy(60.0), (ResizingAlgorithm.ATM,), eval_windows=96)
     history = 50.0 + 10.0 * np.sin(np.arange(60) / 3.0)
-    fit_neural_batch_warm(
-        [history, history[::-1]], MlpConfig(hidden_layers=(4,), period=8, max_epochs=3)
+    fit_neural_fleet_warm(
+        [([history, history[::-1]], None)],
+        MlpConfig(hidden_layers=(4,), period=8, max_epochs=3),
     )
 
     store = default_store()

@@ -48,6 +48,7 @@ ALLOWED_UNREACHED = {
     "silhouette_values": "per-item form of the production silhouette kernel the tests pin",
     "current_limit": "read side of the Actuator protocol, which the simulated actuator implements",
     "to_json": "writes the scenario file that --scenario loads; documented in the README",
+    "fit_temporal_batch_warm": "one-box form of fit_temporal_fleet_batch_warm; the atmbench tracer wraps it by name",
 }
 
 #: Defaulted parameters kept although no production call sets them, or
@@ -58,6 +59,8 @@ ALLOWED_PARAMETERS = {
     "ar1_noise(sigma)": "the generator identity tests pin its bytes through explicit arguments",
     "render_box(cfg)": "the scenario identity tests pin its bytes through explicit arguments",
     "resolve_evidence(store)": "the CI ticket-ops smoke passes it in inline Python",
+    "fit_temporal_batch_warm(period)": "keeps the signature the atmbench tracer wraps",
+    "fit_temporal_batch_warm(warm)": "the atmbench tracer reads it from the keyword arguments",
 }
 
 #: Defaulted parameters of the defs the scan skips (loaded as a value or
