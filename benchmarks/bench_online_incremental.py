@@ -14,10 +14,14 @@ temporal refit, so this bench measures exactly that substitution:
   read from the ``online.refit_temporal`` + ``online.drift_check``
   spans.
 
-Both spans count once per box-step.  A chunk's boxes share each step's
-fused fit, and each box-step's span holds an equal share of it.  Each
-run also reports the kernel's work: ``mlp.steps`` (tensor steps) and
-``mlp.step_models`` (models summed over those steps).
+Both spans count once per box-step; when a chunk's boxes share a step's
+fused fit, each box-step's span holds an equal share of it.  At the
+default sizes (1 box in ``--quick``, 3 in the full run) every chunk holds
+one box, so these are one-box refits.  With ``--boxes 5`` the serial
+runs step 2-box chunks and the ``jobs=2`` run 1-box chunks, so the
+parity check below compares fused cross-box refits with one-box ones.
+Each run also reports the kernel's work: ``mlp.steps`` (tensor steps)
+and ``mlp.step_models`` (models summed over those steps).
 
 The incremental step must be ≥ 5x cheaper (≥ 2x in ``--quick``), the
 ticket-reduction percentage must stay within tolerance of the cold

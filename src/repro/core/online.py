@@ -43,13 +43,17 @@ so with ``REPRO_STORE`` pointing at a store populated by an offline run
 (or a previous online run), the expensive spatial search of the first
 step is served from disk instead of recomputed.
 
-Steps are *incremental* by default, restarting nothing they can reuse:
+Steps can be *incremental*, restarting nothing they can reuse.  At the
+default ``refit_every_steps=1`` they are not: every step re-runs the
+signature search and fits cold.  A larger cadence cap enables both
+mechanisms below:
 
 * **Warm-started refits** — the controller chains each box's temporal
   fits (:mod:`repro.prediction.temporal.warm`): each refit resumes from
   the previous step's ``(K, P)`` parameter state instead of re-training
-  from scratch, with a validation-loss guard and per-step persistence for interrupted-run resume.  With
-  ``refit_every_steps=1`` every step re-searches, so every fit is cold.
+  from scratch, with a validation-loss guard and per-step persistence
+  for interrupted-run resume.  A re-search resets the chain, so its
+  step's fit is cold.
 * **Drift-gated re-search** — between cadence refits the controller
   scores workload drift as the rise of the spatial model's relative
   reconstruction error on the advanced window over its fit-time

@@ -5,24 +5,28 @@ plugged into the ATM framework"; this registry is that plug point.  Core
 configs reference temporal models by name so experiments can swap the
 signature predictor without code changes.
 
-The registry is also the one place that knows which models ship a
-multi-series training kernel.  :func:`fit_temporal_batch` (one box's
-signature series) and :func:`fit_temporal_batch_warm` (the same, chained
-fit to fit) hand a kernel model's series to one vectorized fit and fit
-every other model series by series, so callers never branch on which
-kind of model they hold.  :func:`fit_temporal_fleet_batch` and
-:func:`fit_temporal_fleet_batch_warm` fit many boxes' series at once: a
-kernel model fuses them into cross-box passes, any other model fits them
-box by box.  Each one-box function is the one-box case of its fleet
-form.
+The registry is also the one place that knows which model has a
+multi-series trainer: ``neural``, whose fits all go through the fleet
+trainer (:func:`repro.prediction.temporal.warm.fit_neural_fleet`).
+:func:`fit_temporal_fleet_batch` (the offline pipeline's fit of a chunk
+of boxes) is its all-cold case, with the states dropped, and
+:func:`fit_temporal_batch` (one box's signature series) its one-request
+case.  :func:`fit_temporal_fleet_batch_warm` (the online controller's
+chained refits) goes through the trainer's store layer,
+:func:`~repro.prediction.temporal.warm.fit_neural_fleet_warm`, and
+:func:`fit_temporal_batch_warm` is its one-box case.  Every other model
+fits series by series, so callers never branch on which kind of model
+they hold.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import obs
 from repro.prediction.base import TemporalPredictor
 from repro.prediction.temporal import (
     ArimaPredictor,
@@ -34,8 +38,9 @@ from repro.prediction.temporal import (
     NeuralNetPredictor,
     SeasonalMeanPredictor,
     SeasonalNaivePredictor,
+    batched,
+    fit_neural_fleet,
     fit_neural_fleet_warm,
-    fit_neural_fused,
 )
 
 __all__ = [
@@ -107,46 +112,14 @@ WarmRequest = Tuple[Sequence[np.ndarray], Optional[object]]
 WarmOutcome = Union[Tuple[List[TemporalPredictor], Optional[object]], Exception]
 
 
-class _Kernel(NamedTuple):
-    """A model's multi-series training kernel; both fits are bit-identical
-    to per-series fits of the model.
-
-    ``fleet(groups, period, fleet)`` trains *groups* of histories (one per
-    box) in fused cross-box batches and returns one model list per group.
-    With ``fleet`` set, a group whose histories fail validation gets its
-    exception in place of the list (the caller degrades exactly that
-    box); with it cleared, the failure raises as a one-box fit's would.
-
-    ``warm(requests, period)`` does the same for warm-chained refits:
-    each request is one box's ``(histories, state)``, the state opaque
-    and fit to fit (see :mod:`repro.prediction.temporal.warm`), and each
-    outcome the box's models with its next state, or the exception its
-    fit raised.
-    """
-
-    fleet: Callable[
-        [List[List[np.ndarray]], int, bool],
-        List[Union[List[TemporalPredictor], Exception]],
-    ]
-    warm: Callable[[List[WarmRequest], int], List[WarmOutcome]]
-
-
-_KERNELS: Dict[str, _Kernel] = {
-    "neural": _Kernel(
-        fleet=lambda groups, period, fleet: fit_neural_fused(
-            groups, MlpConfig(period=period), fleet=fleet
-        ),
-        warm=lambda requests, period: fit_neural_fleet_warm(
-            requests, MlpConfig(period=period)
-        ),
-    ),
-}
+#: The one model with a multi-series trainer (see the module docstring).
+_FLEET_TRAINED = "neural"
 
 
 def _fit_each(
     name: str, histories: Sequence[np.ndarray], period: int
 ) -> List[TemporalPredictor]:
-    """Per-series fits, for models without a multi-series kernel."""
+    """Per-series fits, for models without a multi-series trainer."""
     return [make_temporal_model(name, period=period).fit(h) for h in histories]
 
 
@@ -155,15 +128,16 @@ def fit_temporal_batch(
 ) -> List[TemporalPredictor]:
     """Fit one ``name`` model per history, in input order.
 
-    A model with a kernel fits all histories in one vectorized pass,
+    ``neural`` fits all histories as one request of the fleet trainer,
     bit-identical to the per-series path (pinned by the registry contract
     test); any other model fits series by series.  A bad history raises.
     """
-    kernel = _KERNELS.get(name)
-    if kernel is None:
+    if name != _FLEET_TRAINED:
         return _fit_each(name, histories, period)
-    (models,) = kernel.fleet([list(histories)], period, False)
-    return models  # type: ignore[return-value]
+    (outcome,) = fit_neural_fleet([(histories, None)], MlpConfig(period=period))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 def fit_temporal_batch_warm(
@@ -177,8 +151,8 @@ def fit_temporal_batch_warm(
     The one-box case of :func:`fit_temporal_fleet_batch_warm`; a failed
     fit raises.  Feed ``state`` back as ``warm`` on the next refit to
     chain.  An incompatible ``warm`` (changed signature count, different
-    model) is ignored by the kernel, which then fits cold and returns a
-    fresh state.  A model without a kernel fits series by series and its
+    model) is ignored by the fleet trainer, which then fits cold and
+    returns a fresh state.  Any other model fits series by series and its
     state is ``None``.
     """
     (outcome,) = fit_temporal_fleet_batch_warm(name, [(histories, warm)], period=period)
@@ -194,14 +168,13 @@ def fit_temporal_fleet_batch_warm(
 
     Returns one ``(models, state)`` outcome per request, in order, each
     bit-identical to fitting that request alone.
-    A model with a kernel fits every box of a history length in shared
-    cross-box passes; any other model fits box by box with a ``None``
-    state.  A box whose fit fails gets its exception in place of its
-    outcome, so one bad box never costs the others their fits.
+    ``neural`` fits every box of a history length in shared cross-box
+    passes; any other model fits box by box with a ``None`` state.  A
+    box whose fit fails gets its exception in place of its outcome, so
+    one bad box never costs the others their fits.
     """
-    kernel = _KERNELS.get(name)
-    if kernel is not None:
-        return kernel.warm([(list(h), warm) for h, warm in requests], period)
+    if name == _FLEET_TRAINED:
+        return fit_neural_fleet_warm(requests, MlpConfig(period=period))
     _factory(name)
     out: List[WarmOutcome] = []
     for histories, _ in requests:
@@ -222,16 +195,20 @@ def fit_temporal_fleet_batch(
     ``history_groups`` holds one sequence of signature series per box;
     the result keeps that grouping, each entry fitted in input order and
     bit-identical to handing the same group to :func:`fit_temporal_batch`
-    on its own (pinned by the fused equivalence test suite).  A model
-    with a kernel fuses every group into one cross-box pass; any other
-    model fits group by group.  A group that fails gets the exception its
-    own fit raised in place of its model list, so one bad box never costs
+    on its own (pinned by the fused equivalence test suite).  ``neural``
+    fits every group as a cold request of the fleet trainer, fusing all
+    series of a history length into one cross-box pass; any other model
+    fits group by group.  A group that fails gets the exception its own
+    fit raised in place of its model list, so one bad box never costs
     the others their fits.
     """
-    kernel = _KERNELS.get(name)
-    if kernel is not None:
-        return kernel.fleet([list(group) for group in history_groups], period, True)
     _factory(name)
+    if name == _FLEET_TRAINED:
+        outcomes = fit_neural_fleet(
+            [(group, None) for group in history_groups], MlpConfig(period=period)
+        )
+        _count_fused_passes(history_groups, outcomes)
+        return [o if isinstance(o, Exception) else o[0] for o in outcomes]
     out: List[Union[List[TemporalPredictor], Exception]] = []
     for group in history_groups:
         try:
@@ -239,3 +216,20 @@ def fit_temporal_fleet_batch(
         except Exception as exc:
             out.append(exc)
     return out
+
+
+def _count_fused_passes(
+    history_groups: Sequence[Sequence[np.ndarray]], outcomes: Sequence[object]
+) -> None:
+    """``fused.*``: the fleet fit's cold passes, one per history length."""
+    widths = Counter(
+        np.size(history)
+        for group, outcome in zip(history_groups, outcomes)
+        if not isinstance(outcome, Exception)
+        for history in group
+    )
+    for width in widths.values():
+        obs.inc("fused.groups")
+        obs.gauge_max(
+            "fused.models_per_pass", float(min(width, batched.FUSED_SLAB_MODELS))
+        )

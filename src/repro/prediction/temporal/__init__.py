@@ -15,17 +15,17 @@ implements that spectrum from scratch:
 * :mod:`repro.prediction.temporal.neural` — a NumPy multi-layer perceptron
   over seasonal-lag and time-of-day features (the ATM default).
 * :mod:`repro.prediction.temporal.batched` — the batched training kernel
-  that fits signature MLPs in vectorized passes: one box's series, or a
-  whole chunk of boxes fused into cross-box slabs.
+  that fits equal-length signature MLPs in vectorized slabs.
 * :mod:`repro.prediction.temporal.seasonal` — the shared vectorized
   slot-mean / seasonal-lag feature pipeline.
-* :mod:`repro.prediction.temporal.warm` — warm-started refits chaining
-  batched fits through persisted ``(K, P)`` parameter states (the online
-  controller's refits).
+* :mod:`repro.prediction.temporal.warm` — the one fleet trainer over that
+  kernel: many boxes' fits in shared cross-box passes, each cold or
+  warm-started from its previous ``(K, P)`` state, with the online
+  controller's store-persisted refits as a thin layer on top.
 """
 
 from repro.prediction.temporal.ar import AutoRegressivePredictor
-from repro.prediction.temporal.batched import BatchFitState, fit_neural_fused
+from repro.prediction.temporal.batched import BatchFitState
 from repro.prediction.temporal.arima import ArimaPredictor
 from repro.prediction.temporal.holtwinters import HoltWintersPredictor
 from repro.prediction.temporal.naive import (
@@ -35,7 +35,7 @@ from repro.prediction.temporal.naive import (
     SeasonalNaivePredictor,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
-from repro.prediction.temporal.warm import fit_neural_fleet_warm
+from repro.prediction.temporal.warm import fit_neural_fleet, fit_neural_fleet_warm
 
 __all__ = [
     "ArimaPredictor",
@@ -48,6 +48,6 @@ __all__ = [
     "NeuralNetPredictor",
     "SeasonalMeanPredictor",
     "SeasonalNaivePredictor",
+    "fit_neural_fleet",
     "fit_neural_fleet_warm",
-    "fit_neural_fused",
 ]

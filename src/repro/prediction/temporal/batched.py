@@ -1,4 +1,4 @@
-"""Batched MLP training kernel: all signature models of a box in one pass.
+"""Batched MLP training kernel: many signature models in one pass.
 
 A box's ATM fit trains one small MLP per signature series — many identical
 tiny models over equally shaped data.  Fitting them one by one spends most
@@ -7,10 +7,15 @@ epoch on 64×9 matrices).  This module stacks the K models along a leading
 axis and runs forward, backprop and Adam as 3-D ``np.matmul`` tensor ops:
 one Python-level training loop for the whole batch instead of K.
 
-This is the only MLP trainer: ``NeuralNetPredictor.fit`` is a width-1
-call of :func:`fit_equal_length_state`.  Its reference is the per-model
-serial loop kept as a test oracle (``tests/prediction/mlp_oracle.py``),
-and equivalence to it is exact, not approximate:
+:func:`fit_equal_length_state` is the one MLP kernel.
+``NeuralNetPredictor.fit`` is its width-1 call, and the fleet trainer
+(:func:`repro.prediction.temporal.warm.fit_neural_fleet`) is its only
+multi-row caller: it groups many boxes' series by history length and
+trains each group, cold or warm-started, as slabs of at most
+:data:`FUSED_SLAB_MODELS` models.  The kernel's reference is the
+per-model serial loop kept as a test oracle
+(``tests/prediction/mlp_oracle.py``), and equivalence to it is exact, not
+approximate:
 
 * Every series uses the same ``MlpConfig.seed``, so the K serial RNG
   streams are identical; drawing the validation split, weight init and
@@ -44,24 +49,19 @@ just consumed, and Adam's step reuses the gradient buffer, which every
 step rewrites.  The expressions and their order are unchanged, so none
 of the equivalence claims above depends on the workspace.
 
-Histories of different lengths are grouped and each equal-length group is
-batched (within a box all signature series share the training window, so
-this is one group in practice).
-
 The kernel composes with the process-level ``FleetExecutor``
-multiplicatively: processes fan out over boxes, the batch axis vectorizes
-within a box.
+multiplicatively: processes fan out over chunks of boxes, the batch axis
+vectorizes across a chunk's series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.prediction.base import validate_history
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor, _Mlp
 from repro.prediction.temporal.seasonal import (
     phase_aligned_slot_means_batch,
@@ -72,14 +72,13 @@ __all__ = [
     "FUSED_SLAB_MODELS",
     "BatchFitState",
     "fit_equal_length_state",
-    "fit_neural_fused",
     "models_from_params",
     "n_params",
 ]
 
-#: Default slab width of the fleet-fused kernel: how many models train in
-#: one ``(K, P)`` tensor pass.  Wider slabs amortize more Python dispatch
-#: but grow the per-step working set.  On the allocation-free kernel the
+#: Slab width of the kernel: how many models train in one ``(K, P)``
+#: tensor pass.  Wider slabs amortize more Python dispatch but grow the
+#: per-step working set.  On the allocation-free kernel the
 #: width barely matters: fitting the 265 paper-shaped signature histories
 #: (480 windows) of one atmbench fleet-neural repetition took a median
 #: 2.93 / 2.66 / 2.82 / 2.85 CPU-s at 16 / 32 / 64 / 128 models (2-core
@@ -96,73 +95,6 @@ __all__ = [
 FUSED_SLAB_MODELS = 32
 
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def fit_neural_fused(
-    history_groups: Sequence[Sequence[Sequence[float]]],
-    config: Optional[MlpConfig] = None,
-    *,
-    fleet: bool = True,
-) -> List[Union[List[NeuralNetPredictor], Exception]]:
-    """Fit many groups' (boxes') signature models in cross-group mega-batches.
-
-    All series of all groups that share a history length join one ragged
-    mega-batch, trained as ``(K, P)`` slabs of at most
-    :data:`FUSED_SLAB_MODELS` models, and the fitted predictors are
-    scattered back into per-group lists in input order.  Every model is
-    bit-identical to its per-series ``NeuralNetPredictor(config).fit``,
-    because all series share ``config.seed`` (identical RNG streams) and
-    every tensor op in the kernel is row-local, its per-model scalar
-    reductions included (see the y_mean note in :func:`_prepare_batch`);
-    which batch a model happens to ride in cannot change its floats.
-
-    Failure isolation mirrors the per-box degradation ladder: a group
-    whose histories fail validation (too short, non-finite samples) gets
-    the validation exception in the returned list instead of poisoning
-    the shared batch — the caller degrades exactly those boxes, with the
-    same error a one-box fit would have raised.
-
-    ``fleet=False`` is that per-box path: one box's fit through the same
-    code, where a failing history raises its own exception and the
-    ``fused.*`` instruments stay untouched, since nothing fuses across
-    boxes.
-    """
-    cfg = config or MlpConfig()
-    validated: List[Union[List[np.ndarray], Exception]] = []
-    for group in history_groups:
-        try:
-            validated.append(
-                [validate_history(h, minimum=cfg.period + 2) for h in group]
-            )
-        except Exception as exc:
-            if not fleet:
-                raise
-            validated.append(exc)
-    out: List[Union[List[NeuralNetPredictor], Exception]] = [
-        group if isinstance(group, Exception) else [None] * len(group)
-        for group in validated
-    ]
-    flat: List[Tuple[int, int, np.ndarray]] = [
-        (gi, si, arr)
-        for gi, group in enumerate(validated)
-        if not isinstance(group, Exception)
-        for si, arr in enumerate(group)
-    ]
-    by_length: dict = {}
-    for pos, (_, _, arr) in enumerate(flat):
-        by_length.setdefault(arr.size, []).append(pos)
-    for positions in by_length.values():
-        if fleet:
-            obs.inc("fused.groups")
-            obs.gauge_max(
-                "fused.models_per_pass", float(min(len(positions), FUSED_SLAB_MODELS))
-            )
-        stack = np.stack([flat[pos][2] for pos in positions])
-        models, _ = fit_equal_length_state(stack, cfg, max_models=FUSED_SLAB_MODELS)
-        for pos, model in zip(positions, models):
-            gi, si, _ = flat[pos]
-            out[gi][si] = model  # type: ignore[index]
-    return out
 
 
 _Layout = List[Tuple[int, int, int, int]]  # (w_off, b_off, in, out) per layer
@@ -568,7 +500,6 @@ def fit_equal_length_state(
     cfg: MlpConfig,
     init_params: Optional[np.ndarray] = None,
     patience: Optional[int] = None,
-    max_models: Optional[int] = None,
 ) -> Tuple[List[NeuralNetPredictor], BatchFitState]:
     """Train one equal-length batch, optionally warm-started.
 
@@ -583,39 +514,35 @@ def fit_equal_length_state(
     advanced window's optimum and a full cold-schedule patience mostly
     chases sub-1e-6 validation wiggles.
 
-    ``max_models`` bounds the tensor-stack width: a wider batch is trained
-    as consecutive slabs of at most that many models, each an independent
-    full fit.  Splitting is bit-identical to an unbounded stack — every
-    model draws from its own copy of the shared-seed RNG stream and all
-    tensor math is row-local — so the bound is purely a working-set knob
-    for the fleet-fused path (see :data:`FUSED_SLAB_MODELS`).  The claim
-    leans on every per-model reduction in the kernel summing each row on
-    its own (see the y_mean note in :func:`_prepare_batch`): a reduction
-    whose order depended on K would put a ``(1, n)`` remainder slab in a
+    A batch wider than :data:`FUSED_SLAB_MODELS` is trained as consecutive
+    slabs of at most that many models, each an independent full fit.
+    Splitting is bit-identical to an unbounded stack — every model draws
+    from its own copy of the shared-seed RNG stream and all tensor math is
+    row-local — so the bound only caps the working set.  The claim leans
+    on every per-model reduction in the kernel summing each row on its own
+    (see the y_mean note in :func:`_prepare_batch`): a reduction whose
+    order depended on K would put a ``(1, n)`` remainder slab in a
     different float family than a wide stack, and the slab-straddling
     equivalence tests would catch it.
     """
     n_models = matrix.shape[0]
-    if max_models is not None:
-        if max_models < 1:
-            raise ValueError(f"max_models must be >= 1, got {max_models}")
-        if n_models > max_models:
-            models: List[NeuralNetPredictor] = []
-            parts: List[BatchFitState] = []
-            for lo in range(0, n_models, max_models):
-                hi = lo + max_models
-                sub_init = None if init_params is None else init_params[lo:hi]
-                sub_models, sub_state = fit_equal_length_state(
-                    matrix[lo:hi], cfg, sub_init, patience
-                )
-                models.extend(sub_models)
-                parts.append(sub_state)
-            state = BatchFitState(
-                params=np.vstack([part.params for part in parts]),
-                best_val=np.concatenate([part.best_val for part in parts]),
-                epochs=np.concatenate([part.epochs for part in parts]),
+    if n_models > FUSED_SLAB_MODELS:
+        models: List[NeuralNetPredictor] = []
+        parts: List[BatchFitState] = []
+        for lo in range(0, n_models, FUSED_SLAB_MODELS):
+            hi = lo + FUSED_SLAB_MODELS
+            sub_init = None if init_params is None else init_params[lo:hi]
+            sub_models, sub_state = fit_equal_length_state(
+                matrix[lo:hi], cfg, sub_init, patience
             )
-            return models, state
+            models.extend(sub_models)
+            parts.append(sub_state)
+        state = BatchFitState(
+            params=np.vstack([part.params for part in parts]),
+            best_val=np.concatenate([part.best_val for part in parts]),
+            epochs=np.concatenate([part.epochs for part in parts]),
+        )
+        return models, state
     prepared = _prepare_batch(matrix, cfg)
     x_train, y_train = prepared.x_train, prepared.y_train
     x_val, y_val = prepared.x_val, prepared.y_val

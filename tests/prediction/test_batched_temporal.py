@@ -19,14 +19,15 @@ from repro import obs
 from repro.prediction.combined import SpatialTemporalConfig, SpatialTemporalPredictor
 from repro.prediction.registry import fit_temporal_batch
 from repro.prediction.spatial.signatures import ClusteringMethod, SignatureSearchConfig
+from repro.prediction.temporal import batched as batched_module
 from repro.prediction.temporal.batched import (
     _BatchedMlp,
     _row_means,
     _row_stds,
     fit_equal_length_state,
-    fit_neural_fused,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.warm import fit_neural_fleet
 from tests.prediction.mlp_oracle import SerialNeuralNetPredictor, serial_fits
 
 # A small config keeps every fit fast; bit-equivalence is config-agnostic.
@@ -47,8 +48,8 @@ def make_histories(k, size, seed, period=24):
 
 
 def batch_fits(histories, cfg=FAST):
-    """One box's batched fit: the one-group form of the fused kernel."""
-    (models,) = fit_neural_fused([histories], cfg, fleet=False)
+    """One box's batched fit: a cold one-request call of the fleet trainer."""
+    ((models, _),) = fit_neural_fleet([(histories, None)], cfg)
     return models
 
 
@@ -215,10 +216,11 @@ class TestTrainingCounters:
         assert counters["mlp.step_models"] == state.epochs.sum() * n_batches
         assert gauges["mlp.epochs_max"] == epochs_max
 
-    def test_slabs_add_up(self):
+    def test_slabs_add_up(self, monkeypatch):
         obs.reset_metrics()
+        monkeypatch.setattr(batched_module, "FUSED_SLAB_MODELS", 2)
         matrix = np.stack(make_histories(5, 24 * 4, seed=13))
-        _, state = fit_equal_length_state(matrix, FAST, max_models=2)
+        _, state = fit_equal_length_state(matrix, FAST)
         counters = obs.metrics_snapshot()["counters"]
         assert counters["mlp.model_epochs"] == state.epochs.sum()
         assert obs.metrics_snapshot()["gauges"]["mlp.epochs_max"] == state.epochs.max()

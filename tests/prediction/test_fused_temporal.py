@@ -1,12 +1,14 @@
 """Fleet-fused cross-box training: bit-identity, slabs, failure isolation.
 
-The fleet fitter (:func:`repro.prediction.temporal.batched.fit_neural_fused`)
-claims each group's models are *bit-identical* to fitting that group on its
-own (the one-box ``fleet=False`` form) — regardless of which other boxes
-ride in the same mega-batch, how ragged the group sizes are, or where the
-slab boundaries fall.  These tests pin that claim, the slab splitting (at
-``FUSED_SLAB_MODELS``, monkeypatched here; ``max_models`` in the kernel),
-per-group failure isolation, and the fused observability counters.
+The offline fleet fit is the all-cold case of the fleet trainer
+(:func:`repro.prediction.temporal.warm.fit_neural_fleet`): every group a
+``(histories, None)`` request.  It claims each group's models are
+*bit-identical* to fitting that group on its own (a one-request call) —
+regardless of which other boxes ride in the same mega-batch, how ragged
+the group sizes are, or where the slab boundaries fall.  These tests pin
+that claim, the kernel's slab splitting (at ``FUSED_SLAB_MODELS``,
+monkeypatched here), per-group failure isolation, and the fused
+observability counters of the registry's fleet fit.
 """
 
 import numpy as np
@@ -21,9 +23,9 @@ from repro.prediction.temporal import batched
 from repro.prediction.temporal.batched import (
     FUSED_SLAB_MODELS,
     fit_equal_length_state,
-    fit_neural_fused,
 )
 from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
+from repro.prediction.temporal.warm import fit_neural_fleet
 from tests.prediction.mlp_oracle import SerialNeuralNetPredictor
 
 # Small config keeps every fit fast; bit-equivalence is config-agnostic.
@@ -43,9 +45,17 @@ def make_histories(k, size, seed, period=24):
     return out
 
 
+def fit_fleet(groups, cfg=FAST):
+    """The offline fleet fit: every group a cold request, states dropped."""
+    outcomes = fit_neural_fleet([(group, None) for group in groups], cfg)
+    return [o if isinstance(o, Exception) else o[0] for o in outcomes]
+
+
 def fit_one_box(histories, cfg=FAST):
-    """The one-box (unfused) form of the kernel."""
-    (models,) = fit_neural_fused([histories], cfg, fleet=False)
+    """One box's fit: a one-request trainer call whose exception raises."""
+    (models,) = fit_fleet([histories], cfg)
+    if isinstance(models, Exception):
+        raise models
     return models
 
 
@@ -65,7 +75,7 @@ class TestFusedEquivalence:
             make_histories(4, 24 * 5, seed=2),  # different length bucket
             make_histories(2, 24 * 4, seed=3),
         ]
-        fused = fit_neural_fused(groups, FAST)
+        fused = fit_fleet(groups)
         for group, fused_models in zip(groups, fused):
             assert fused_models is not None
             per_box = fit_one_box(group)
@@ -83,35 +93,32 @@ class TestFusedEquivalence:
             make_histories(2, 24 * 4, seed=12),
         ]
         monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 1_000_000)
-        unbounded = fit_neural_fused(groups, FAST)
+        unbounded = fit_fleet(groups)
         monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 3)
-        slabbed = fit_neural_fused(groups, FAST)
+        slabbed = fit_fleet(groups)
         for wide, narrow in zip(unbounded, slabbed):
             assert_group_equivalent(wide, narrow)
 
     def test_single_series_fleet(self):
         """One group with one series: a width-1 slab, equal to the oracle."""
         histories = make_histories(1, 24 * 4, seed=20)
-        (fused_models,) = fit_neural_fused([histories], FAST)
+        (fused_models,) = fit_fleet([histories])
         serial = SerialNeuralNetPredictor(FAST).fit(histories[0])
         assert_group_equivalent([serial], fused_models)
 
-    def test_equal_length_state_slab_identity(self):
-        """The kernel-level knob: max_models slabs == one unbounded stack."""
+    def test_equal_length_state_slab_identity(self, monkeypatch):
+        """The kernel's own split: slabs of 3 == one unbounded stack."""
         matrix = np.stack(make_histories(7, 24 * 4, seed=30))
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 1_000_000)
         wide_models, wide_state = fit_equal_length_state(matrix, FAST)
-        slab_models, slab_state = fit_equal_length_state(matrix, FAST, max_models=3)
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 3)
+        slab_models, slab_state = fit_equal_length_state(matrix, FAST)
         assert_group_equivalent(wide_models, slab_models)
         np.testing.assert_array_equal(wide_state.params, slab_state.params)
         np.testing.assert_array_equal(wide_state.epochs, slab_state.epochs)
 
-    def test_max_models_must_be_positive(self):
-        matrix = np.stack(make_histories(2, 24 * 4, seed=31))
-        with pytest.raises(ValueError, match="max_models"):
-            fit_equal_length_state(matrix, FAST, max_models=0)
-
-    def test_width_one_slabs_identical(self):
-        """max_models=1 degenerates to per-model fits — still bit-identical.
+    def test_width_one_slabs_identical(self, monkeypatch):
+        """Slabs of 1 degenerate to per-model fits — still bit-identical.
 
         The strongest width-stability pin: every reduction in the kernel
         is per-row flat, so even a (1, n) slab stays in the same float
@@ -119,7 +126,8 @@ class TestFusedEquivalence:
         """
         matrix = np.stack(make_histories(3, 24 * 4, seed=33))
         wide_models, wide_state = fit_equal_length_state(matrix, FAST)
-        slab_models, slab_state = fit_equal_length_state(matrix, FAST, max_models=1)
+        monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 1)
+        slab_models, slab_state = fit_equal_length_state(matrix, FAST)
         assert_group_equivalent(wide_models, slab_models)
         np.testing.assert_array_equal(wide_state.params, slab_state.params)
 
@@ -131,7 +139,7 @@ class TestFailureIsolation:
         good = make_histories(2, 24 * 4, seed=40)
         bad = [np.full(24 * 4, np.nan)]  # non-finite -> validation failure
         short = [np.arange(5.0)]  # too short for period+2
-        fused = fit_neural_fused([good, bad, short], FAST)
+        fused = fit_fleet([good, bad, short])
         for group, got in ((bad, fused[1]), (short, fused[2])):
             with pytest.raises(ValueError) as one_box:
                 fit_one_box(group)
@@ -139,18 +147,18 @@ class TestFailureIsolation:
         assert_group_equivalent(fit_one_box(good), fused[0])
 
     def test_all_groups_bad(self):
-        [fused] = fit_neural_fused([[np.full(10, np.nan)]], FAST)
+        [fused] = fit_fleet([[np.full(10, np.nan)]])
         assert isinstance(fused, ValueError)
 
     def test_one_box_form_raises_and_counts_nothing(self):
-        """fleet=False: the per-box path's own error, no fused instruments."""
+        """The registry's one-box fit: its own error, no fused instruments."""
         obs.reset_metrics()
-        with pytest.raises(ValueError) as fused_error:
-            fit_one_box([np.arange(5.0)])
+        with pytest.raises(ValueError) as one_box_error:
+            fit_temporal_batch("neural", [np.arange(5.0)], period=24)
         with pytest.raises(ValueError) as serial_error:
             NeuralNetPredictor(FAST).fit(np.arange(5.0))
-        assert repr(fused_error.value) == repr(serial_error.value)
-        fit_one_box(make_histories(2, 24 * 4, seed=41))
+        assert repr(one_box_error.value) == repr(serial_error.value)
+        fit_temporal_batch("neural", make_histories(2, 24 * 4, seed=41), period=24)
         snap = obs.metrics_snapshot()
         assert "fused.groups" not in snap["counters"]
         assert "fused.models_per_pass" not in snap["gauges"]
@@ -202,7 +210,7 @@ class TestObservability:
             make_histories(3, 24 * 4, seed=61),  # same length bucket: fused
             make_histories(2, 24 * 5, seed=62),  # second length bucket
         ]
-        fit_neural_fused(groups, FAST)
+        fit_temporal_fleet_batch("neural", groups, period=24)
         snap = obs.metrics_snapshot()
         assert snap["counters"]["fused.groups"] == 2  # one per length bucket
         assert snap["gauges"]["fused.models_per_pass"] == 5.0
@@ -210,7 +218,7 @@ class TestObservability:
     def test_models_per_pass_capped_by_slab(self, monkeypatch):
         obs.reset_metrics()
         monkeypatch.setattr(batched, "FUSED_SLAB_MODELS", 2)
-        fit_neural_fused([make_histories(5, 24 * 4, seed=63)], FAST)
+        fit_temporal_fleet_batch("neural", [make_histories(5, 24 * 4, seed=63)], period=24)
         snap = obs.metrics_snapshot()
         assert snap["gauges"]["fused.models_per_pass"] == 2.0
 

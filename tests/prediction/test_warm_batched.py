@@ -2,9 +2,9 @@
 
 The warm kernel's contract (see ``repro.prediction.temporal.warm``):
 
-* with no initializer it is the cold kernel, bit-identical to the
-  one-box fit (``fit_neural_fused`` with ``fleet=False``) and, per
-  series, to the reference loop in :mod:`tests.prediction.mlp_oracle`;
+* with no initializer it is the cold kernel, bit-identical to per-series
+  ``NeuralNetPredictor`` fits and to the reference loop in
+  :mod:`tests.prediction.mlp_oracle`;
 * a warm-started refit converges in far fewer epochs than a cold fit;
 * the validation-loss guard cold-refits any model whose warm fit lands
   materially worse than its previous best — deterministically forced here
@@ -13,7 +13,9 @@ The warm kernel's contract (see ``repro.prediction.temporal.warm``):
 * every fit persists its state to the store's disk tier, and a replayed
   identical fit is served with zero training;
 * many boxes' requests fitted in one fleet call (shared warm and cold
-  passes) give each box exactly its one-box outcome.
+  passes, a mixed-length box's rows spread over cold passes of two
+  lengths) give each box exactly its one-box outcome, served from the
+  store or trained.
 """
 
 import numpy as np
@@ -23,9 +25,8 @@ from repro import obs
 from repro.prediction.temporal.batched import (
     BatchFitState,
     fit_equal_length_state,
-    fit_neural_fused,
 )
-from repro.prediction.temporal.neural import MlpConfig
+from repro.prediction.temporal.neural import MlpConfig, NeuralNetPredictor
 from repro.prediction.temporal.warm import (
     WARM_PATIENCE,
     fit_neural_fleet_warm,
@@ -59,9 +60,8 @@ def fit_neural_batch_warm(histories, cfg, warm=None):
 
 
 def _plain_fit(histories):
-    """The cold one-box fit the warm kernel must match without a state."""
-    (models,) = fit_neural_fused([histories], CFG, fleet=False)
-    return models
+    """Per-series cold fits, which the warm kernel must match without a state."""
+    return [NeuralNetPredictor(CFG).fit(h) for h in histories]
 
 
 def _predictions(models):
@@ -242,14 +242,14 @@ class TestWarmPatience:
         assert warm_state.epochs.max() <= CFG.max_epochs
 
 
-def _assert_same_outcome(fleet_outcome, alone, served=False):
+def _assert_same_outcome(fleet_outcome, alone):
     models, state = fleet_outcome
     alone_models, alone_state = alone
     np.testing.assert_array_equal(_predictions(models), _predictions(alone_models))
-    if not served:
-        # A served model reads its epochs from the state, which counts a
-        # guard-refit row's warm and cold epochs together.
-        assert [m._fit_epochs for m in models] == [m._fit_epochs for m in alone_models]
+    assert [m._fit_epochs for m in models] == [m._fit_epochs for m in alone_models]
+    if alone_state is None:  # a mixed-length box has no (K, P) state
+        assert state is None
+        return
     assert state.params.tobytes() == alone_state.params.tobytes()
     assert state.best_val.tobytes() == alone_state.best_val.tobytes()
     assert state.epochs.tobytes() == alone_state.epochs.tobytes()
@@ -271,6 +271,9 @@ class TestFleetWarm:
             (_histories(k=4, seed=3), None),  # cold
             (_histories(k=2, seed=2, offset=CFG.period), garbage),  # guard fires
             (_histories(k=2, seed=4), state_a),  # K mismatch: cold
+            # Mixed lengths: one row joins the k=4 box's cold pass, one a
+            # cold pass of its own length.
+            (_histories(k=1, seed=5) + _histories(k=1, periods=8, seed=6), None),
         ]
 
     def test_each_box_matches_its_one_box_fit(self, counters):
@@ -283,7 +286,7 @@ class TestFleetWarm:
         c = counters()
         assert c["warm.guard_cold_refits"] == 2
         assert c["warm.models_warm"] == 3
-        assert c["warm.cold_batches"] == 2
+        assert c["warm.cold_batches"] == 3
 
     def test_passes_are_shared_across_boxes(self, counters):
         requests = self._requests()
@@ -301,7 +304,7 @@ class TestFleetWarm:
         requests[1] = (poisoned, None)
         fleet = fit_neural_fleet_warm(requests, CFG)
         assert isinstance(fleet[1], ValueError)
-        for pos in (0, 2, 3):
+        for pos in (0, 2, 3, 4):
             histories, warm = requests[pos]
             _assert_same_outcome(fleet[pos], fit_neural_batch_warm(histories, CFG, warm=warm))
 
@@ -310,6 +313,7 @@ class TestFleetWarm:
         fleet = fit_neural_fleet_warm(requests, CFG)
         obs.reset_metrics()
         served = fit_neural_fleet_warm(requests, CFG)
-        assert counters()["warm.resume_hits"] == len(requests)
+        # Every box with a (K, P) state is served; the mixed-length box retrains.
+        assert counters()["warm.resume_hits"] == len(requests) - 1
         for outcome, expected in zip(served, fleet):
-            _assert_same_outcome(outcome, expected, served=True)
+            _assert_same_outcome(outcome, expected)

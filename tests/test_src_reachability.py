@@ -78,6 +78,7 @@ HAND_CHECKED = {
     "bursts(rate_per_window)": "the generator passes cfg.burst_rate, the spiky scenario 0.02",
     "bursts(mean_duration)": "the spiky scenario passes 2.0",
     "bursts(amplitude)": "the generator passes cfg.burst_amplitude, the spiky scenario 1.1",
+    "NeuralNetPredictor(config)": "the registry's neural factory passes MlpConfig(period=period)",
 }
 
 _DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
