@@ -69,15 +69,19 @@ offline pipeline (:func:`~repro.core.executor.run_fleet`), in-RAM or
 sharded, with one in-order fold for every worker count.  Inside a chunk
 the boxes run in *lock-step*: every controller takes step ``k`` before
 any takes step ``k + 1``, and each step gathers the boxes' searches or
-drift-checked re-anchors, fits all their temporal models in one fused
-call, then scatters the fits back for each box's forecast, sizing and
-ladder — the gather → fit → scatter shape of the offline chunk
-(:func:`repro.core.pipeline._run_primary`).  Early stopping leaves an
-online refit only ~5 live models wide, so a fused kernel step spreads
-its fixed cost over a chunk's boxes instead of one box's.  Every fit is
-bit-identical to the box's own, so the reordering shows only in
-wall-clock: :meth:`OnlineAtmController.run` is the one-box case of the
-same loop, and a chunk's runs equal their one-box runs bit for bit.
+drift-checked re-anchors, fits all their temporal models in the offline
+chunk's fit phase (:func:`repro.core.stages.fit_pending`, chained from
+each box's warm state), then scatters the fitted predictors for each
+box's forecast, sizing and ladder — the gather → fit → scatter shape of
+the offline chunk (:func:`repro.core.pipeline._run_primary`).  Only the
+fit phase is shared: the gather (drift gate, warm chain), the scatter
+and the ladder (ending at ``hold``) are the controller's own.  Early
+stopping leaves an online refit only ~5 live models wide, so a fused
+kernel step spreads its fixed cost over a chunk's boxes instead of one
+box's.  Every fit is bit-identical to the box's own, so the reordering
+shows only in wall-clock: :meth:`OnlineAtmController.run` is the
+one-box case of the same loop, and a chunk's runs equal their one-box
+runs bit for bit.
 """
 
 from __future__ import annotations
@@ -111,9 +115,8 @@ from repro.core.degrade import (
 )
 from repro.core.executor import default_chunksize, fleet_items, resolve_jobs, run_fleet
 from repro.core.results import BoxAtmResult
-from repro.core.stages import _BoxRun, evaluate_forecast_stages
+from repro.core.stages import _BoxRun, evaluate_forecast_stages, fit_pending
 from repro.prediction.combined import SpatialTemporalPredictor
-from repro.prediction.registry import fit_temporal_fleet_batch_warm
 from repro.resizing.evaluate import ResizingAlgorithm
 from repro.resizing.problem import ResizingProblem, tickets_for_allocation
 from repro.timeseries.metrics import finite_mean, mean_absolute_percentage_error
@@ -334,54 +337,49 @@ class OnlineAtmController:
         return False
 
     # ------------------------------------------------------- ladder rung 1
-    def _begin_primary(self, run: _BoxRun, step: int) -> "_PendingFit":
+    def _begin_primary(
+        self, run: _BoxRun, step: int
+    ) -> Tuple["_PendingFit", Tuple[SpatialTemporalPredictor, List[np.ndarray]]]:
         """Gather half of the primary rung: search or re-anchor, fit deferred.
 
-        A due search starts a fresh predictor (its warm chain empty, so
+        A due search installs a fresh predictor (its warm chain empty, so
         its fit is cold); otherwise the temporal models re-anchor on the
         advanced window, warm-started from the last fit, while the
         signature search is reused — else every intermediate step would
-        replay the prediction of the last refit verbatim.
+        replay the prediction of the last refit verbatim.  Returns the
+        step's bookkeeping and its :func:`~repro.core.stages.fit_pending`
+        entry.  A failure anywhere in the rung drops the predictor
+        (:meth:`_fall_back`), so an unfinished one never serves a step.
         """
         train = run.training_demands()
-        if self._search_due(step, train):
-            begun = time.perf_counter()
+        refit = not self._search_due(step, train)
+        begun = time.perf_counter()
+        if refit:
+            histories = self._predictor.begin_refit_temporal(train)
+        else:
             predictor = SpatialTemporalPredictor(self.config.prediction)
             histories = predictor.begin_fit(train)
-            return _PendingFit(predictor, False, histories, time.perf_counter() - begun)
-        begun = time.perf_counter()
-        histories = self._predictor.begin_refit_temporal(train)
-        return _PendingFit(self._predictor, True, histories, time.perf_counter() - begun)
+            self._predictor, self._fitted_at_step = predictor, step
+        pending = _PendingFit(refit, time.perf_counter() - begun)
+        return pending, (self._predictor, histories)
 
     def _finish_primary(
-        self,
-        run: _BoxRun,
-        step: int,
-        pending: "_PendingFit",
-        fitted: Tuple[list, Optional[object]],
-        fit_share_s: float,
+        self, run: _BoxRun, pending: "_PendingFit", fit_share_s: float
     ) -> BoxAtmResult:
-        """Scatter half of the primary rung: adopt the fit, forecast, size.
+        """Scatter half of the primary rung: forecast and size the fitted step.
 
         The step's ``online.fit`` or ``online.refit_temporal`` span is its
-        own begin and finish time plus ``fit_share_s``, its share of the
-        chunk's fused fit.
+        begin time plus ``fit_share_s``, its share of the chunk's fit
+        phase.
         """
-        begun = time.perf_counter()
-        predictor = pending.predictor
-        models, warm_state = fitted
         if pending.refit:
-            predictor.finish_refit_temporal(models, warm_state)
             span, counter = "online.refit_temporal", "online.refit_temporal"
         else:
-            predictor.finish_fit(models, warm_state)
-            self._predictor = predictor
-            self._fitted_at_step = step
             span, counter = "online.fit", "online.refit"
-        obs.add_span(span, pending.seconds + fit_share_s + time.perf_counter() - begun)
+        obs.add_span(span, pending.seconds + fit_share_s)
         obs.inc(counter)
         with obs.span("online.predict"):
-            prediction = predictor.predict(self.config.horizon_windows)
+            prediction = self._predictor.predict(self.config.horizon_windows)
         return evaluate_forecast_stages(run, prediction)
 
     def _degrade(self, step: int, rung: str, exc: Exception) -> str:
@@ -461,12 +459,10 @@ class OnlineAtmController:
 
 
 class _PendingFit(NamedTuple):
-    """One box's primary rung between its gather and scatter halves."""
+    """One box's primary-rung bookkeeping between its gather and scatter halves."""
 
-    predictor: SpatialTemporalPredictor
     #: A warm re-anchor of the temporal models (else a fresh search's cold fit).
     refit: bool
-    histories: List[np.ndarray]
     #: Time spent in the gather half's begin call.
     seconds: float
 
@@ -483,10 +479,10 @@ def _run_lockstep(
       the drift check or the cadence decision: a search with its cold fit
       deferred (:meth:`~SpatialTemporalPredictor.begin_fit`) or a warm
       re-anchor (:meth:`~SpatialTemporalPredictor.begin_refit_temporal`);
-    * *fit* — every gathered box's fit in one
-      :func:`~repro.prediction.registry.fit_temporal_fleet_batch_warm`
-      call (fused cross-box passes for a kernel model);
-    * *scatter* — each box's fit adopted, its forecast, the
+    * *fit* — every gathered box's fit in one chained
+      :func:`~repro.core.stages.fit_pending` call (fused cross-box passes
+      for a kernel model), each predictor finished with its models;
+    * *scatter* — each box's forecast, the
       :func:`~repro.core.stages.evaluate_forecast_stages` tail and, for a
       box whose primary rung raised anywhere, the seasonal then hold
       rungs.
@@ -504,7 +500,6 @@ def _run_lockstep(
             outcomes.append(controller._start())
         except Exception as exc:
             outcomes.append(exc)
-    prediction_cfg = controllers[0].config.prediction
     step = 0
     while True:
         live = [
@@ -516,6 +511,7 @@ def _run_lockstep(
             return outcomes
         runs: Dict[int, _BoxRun] = {}
         pending: Dict[int, _PendingFit] = {}
+        fits: Dict[int, Tuple[SpatialTemporalPredictor, List[np.ndarray]]] = {}
         failed: Dict[int, Exception] = {}
         for pos in live:
             obs.inc("online.steps")
@@ -525,36 +521,23 @@ def _run_lockstep(
                 outcomes[pos] = exc
                 continue
             try:
-                pending[pos] = controllers[pos]._begin_primary(runs[pos], step)
+                pending[pos], fits[pos] = controllers[pos]._begin_primary(runs[pos], step)
             except Exception as exc:
                 failed[pos] = exc
 
-        fitted: Dict[int, object] = {}
         share = 0.0
-        if pending:
+        if fits:
             begun = time.perf_counter()
-            try:
-                with obs.span("predict.temporal_fit"):
-                    outs = fit_temporal_fleet_batch_warm(
-                        prediction_cfg.temporal_model,
-                        [(p.histories, p.predictor.warm_state) for p in pending.values()],
-                        period=prediction_cfg.period,
-                    )
-            except Exception as exc:
-                outs = [exc] * len(pending)
-            share = (time.perf_counter() - begun) / len(pending)
-            fitted = dict(zip(pending, outs))
+            failed.update(fit_pending(fits, chained=True))
+            share = (time.perf_counter() - begun) / len(fits)
 
         for pos in runs:
             controller, run = controllers[pos], runs[pos]
             try:
                 try:
-                    outcome = failed.get(pos, fitted.get(pos))
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    sized = controller._finish_primary(
-                        run, step, pending[pos], outcome, share
-                    )
+                    if pos in failed:
+                        raise failed[pos]
+                    sized = controller._finish_primary(run, pending[pos], share)
                     rung, reason = RUNG_PRIMARY, None
                 except Exception as exc:
                     sized, rung, reason = controller._fall_back(run, step, exc)

@@ -16,13 +16,16 @@ descriptors and memory-map their boxes locally.
 
 A chunk is the unit of work (:func:`_run_box_atm_chunk`): its boxes'
 training slices and signature searches are gathered first, their
-signature series fit together in one call (one fused cross-box pass for
-a model with a multi-series kernel, such as the neural default), and
-each box is then forecast, sized and evaluated.  Because every fit is
-bit-identical to a one-box fit, the reordering is observable only as
-wall-clock.  Each box is a :class:`repro.core.stages._BoxRun` at the
-window after its training slice: the online controller runs the same
-record at later windows, through the same seasonal rung and tail.
+signature series fit cold together in the fit phase both fleet drivers
+share (:func:`repro.core.stages.fit_pending`: one fused cross-box pass
+for a model with a multi-series kernel, such as the neural default), and
+each box is then forecast, sized and evaluated.  The gather (with its
+forecast-artifact probe), the scatter and the ladder below stay this
+module's own.  Because every fit is bit-identical to a one-box fit, the
+reordering is observable only as wall-clock.  Each box is a
+:class:`repro.core.stages._BoxRun` at the window after its training
+slice: the online controller runs the same record at later windows,
+through the same seasonal rung and tail.
 
 A failing box degrades instead of aborting the fleet: it climbs the
 policy ladder (configured model → the search-free seasonal rung →
@@ -38,7 +41,17 @@ retry, as the fault harness's faults are deterministic per box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -50,7 +63,6 @@ from repro.core.executor import default_chunksize, fleet_items, resolve_jobs, ru
 from repro.core.results import BoxAtmResult, PredictionAccuracy, ape_cdf
 from repro.core.stages import RunKeys, _BoxRun
 from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
-from repro.prediction.registry import fit_temporal_fleet_batch
 from repro.resizing.evaluate import FleetReduction, ResizingAlgorithm
 from repro.store import ArtifactKey, default_store
 from repro.timeseries.ecdf import Ecdf
@@ -117,9 +129,9 @@ def _run_primary(
 
     * *gather* — each box's training slice (fault hooks included), its
       forecast probe in the persistent store, and its signature search;
-    * *fit* — every gathered box's signature series in one
-      :func:`~repro.prediction.registry.fit_temporal_fleet_batch` call
-      (one cross-box pass for a kernel model, box by box otherwise);
+    * *fit* — every gathered box's signature series fit cold in one
+      :func:`~repro.core.stages.fit_pending` call (one cross-box pass for
+      a kernel model, box by box otherwise), each predictor finished;
     * *scatter* — each box's forecast, persisted in the store;
     * *evaluate* — each box's sizing and accuracy, as the boxes are
       yielded, so a caller that saves each outcome as it arrives leaves
@@ -133,49 +145,36 @@ def _run_primary(
     if keys is None and store.persistent:
         keys = RunKeys.of(config)
     outcomes: List[Union[BoxPrediction, Exception, None]] = [None] * len(runs)
-    pending: List[
-        Tuple[int, SpatialTemporalPredictor, Optional[ArtifactKey], List[np.ndarray]]
-    ] = []
+    pending: Dict[int, Tuple[SpatialTemporalPredictor, List[np.ndarray]]] = {}
+    forecast_keys: Dict[int, ArtifactKey] = {}
     for pos, run in enumerate(runs):
         try:
             demands = run.training_demands()
-            key = spatial_key = None
+            spatial_key = None
             if store.persistent:
-                key, spatial_key = keys.training_keys(demands)
-                outcomes[pos] = store.get(key)
+                forecast_keys[pos], spatial_key = keys.training_keys(demands)
+                outcomes[pos] = store.get(forecast_keys[pos])
                 if outcomes[pos] is not None:
                     obs.inc("stages.forecast.hits")
                     continue
             predictor = SpatialTemporalPredictor(config.prediction)
             with obs.span("atm.fit"):
-                pending.append(
-                    (pos, predictor, key, predictor.begin_fit(demands, spatial_key))
-                )
+                pending[pos] = (predictor, predictor.begin_fit(demands, spatial_key))
         except Exception as exc:
             outcomes[pos] = exc
 
-    if pending:
+    failed = stages.fit_pending(pending, chained=False)
+    for pos, (predictor, _) in pending.items():
+        if pos in failed:
+            outcomes[pos] = failed[pos]
+            continue
         try:
-            with obs.span("predict.temporal_fit"):
-                fitted = fit_temporal_fleet_batch(
-                    config.prediction.temporal_model,
-                    [histories for *_, histories in pending],
-                    period=config.prediction.period,
-                )
+            prediction = predictor.predict(config.horizon_windows)
+            if pos in forecast_keys:
+                store.put(forecast_keys[pos], prediction)
+            outcomes[pos] = prediction
         except Exception as exc:
-            fitted = [exc] * len(pending)
-        for (pos, predictor, key, _), models in zip(pending, fitted):
-            if isinstance(models, Exception):
-                outcomes[pos] = models
-                continue
-            try:
-                predictor.finish_fit(models)
-                prediction = predictor.predict(config.horizon_windows)
-                if key is not None:
-                    store.put(key, prediction)
-                outcomes[pos] = prediction
-            except Exception as exc:
-                outcomes[pos] = exc
+            outcomes[pos] = exc
 
     for run, outcome in zip(runs, outcomes):
         if not isinstance(outcome, Exception):

@@ -11,9 +11,15 @@ evaluation window.  The offline chunk orchestrator
 after the training slice; the online controller
 (:class:`repro.core.online.OnlineAtmController`) runs step ``k`` at ``k``
 horizons later.  This module owns that run, its search-free seasonal
-rung (:meth:`_BoxRun.seasonal_forecast`), the resize → evaluate tail
+rung (:meth:`_BoxRun.seasonal_forecast`), the temporal-fit stage both
+drivers run over a chunk's begun predictors (:func:`fit_pending`: one
+fleet fit, cold offline and chained online), the resize → evaluate tail
 (:func:`evaluate_forecast_stages`), the stages' store keys and the codecs
-of the artifacts they materialize.  The artifacts in :mod:`repro.store`
+of the artifacts they materialize.  What differs between the two
+stays in each fleet driver: the gather before the fit (offline's
+forecast-artifact probe; online's drift gate and warm chain), the
+scatter after it and the degradation ladder (offline ends at
+``failed``, online at ``hold``).  The artifacts in :mod:`repro.store`
 (temporal fits are cheap relative to the search and travel inside the
 forecast artifact; the resize allocations travel inside the box result):
 
@@ -51,7 +57,7 @@ and search keys share one hash of the training slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,8 +66,8 @@ from repro.core import faults
 from repro.core.config import AtmConfig
 from repro.core.degrade import DegradationEvent, sanitize_demands
 from repro.core.results import BoxAtmResult, PredictionAccuracy, accuracy_for_box
-from repro.prediction.combined import BoxPrediction
-from repro.prediction.registry import temporal_model_version
+from repro.prediction.combined import BoxPrediction, SpatialTemporalPredictor
+from repro.prediction.registry import fit_temporal_fleet_batch, temporal_model_version
 from repro.prediction.spatial.signatures import SPATIAL_STAGE, SpatialModel
 from repro.prediction.temporal.seasonal import phase_aligned_slot_means_batch
 from repro.resizing.evaluate import (
@@ -86,8 +92,8 @@ __all__ = [
     "SPATIAL_STAGE",
     "RunKeys",
     "box_fingerprint",
-    "box_result_key",
     "evaluate_forecast_stages",
+    "fit_pending",
     "resize_eval_key",
 ]
 
@@ -136,32 +142,6 @@ def box_fingerprint(box: BoxTrace) -> str:
     return _last_read[2]
 
 
-def _box_result_config_fp(config: AtmConfig) -> str:
-    return config_fingerprint(
-        {
-            "config": config,
-            "degrade": True,
-            "faults": faults.active_plan(),
-        }
-    )
-
-
-def box_result_key(box: BoxTrace, config: AtmConfig) -> ArtifactKey:
-    """Key of one box's complete pipeline outcome.
-
-    Folds the active fault plan in so artifacts computed under injected
-    faults can never serve a clean run (and vice versa).  The constant
-    ``"degrade": True`` entry records the one failure contract (every
-    fleet run degrades); it stays in the payload so stored keys keep
-    their bytes.
-    """
-    return ArtifactKey(
-        stage=BOX_RESULT_STAGE,
-        data_fp=box_fingerprint(box),
-        config_fp=_box_result_config_fp(config),
-    )
-
-
 @dataclass(frozen=True)
 class RunKeys:
     """The config halves of one fleet run's box keys, fingerprinted once.
@@ -169,8 +149,7 @@ class RunKeys:
     Every box of a run shares its config, temporal model version and
     active fault plan, so a fleet driver fingerprints them once before it
     fans out and ships this record with its chunks' common args; per box
-    only the data halves are hashed.  Each field equals the ``config_fp``
-    the matching key function computes for the config.
+    only the data halves are hashed.
     """
 
     forecast: str
@@ -192,11 +171,20 @@ class RunKeys:
         return cls(
             forecast=config_fingerprint(forecast),
             spatial=config_fingerprint(config.prediction.search),
-            box_result=_box_result_config_fp(config),
+            box_result=config_fingerprint(
+                {"config": config, "degrade": True, "faults": faults.active_plan()}
+            ),
         )
 
     def box_result_key(self, box: BoxTrace) -> ArtifactKey:
-        """:func:`box_result_key` of ``box`` under this run's config."""
+        """Key of ``box``'s complete pipeline outcome under this run's config.
+
+        Folds the active fault plan in so artifacts computed under injected
+        faults can never serve a clean run (and vice versa).  The constant
+        ``"degrade": True`` entry records the one failure contract (every
+        fleet run degrades); it stays in the payload so stored keys keep
+        their bytes.
+        """
         return ArtifactKey(BOX_RESULT_STAGE, box_fingerprint(box), self.box_result)
 
     def training_keys(self, train_demands: np.ndarray) -> Tuple[ArtifactKey, ArtifactKey]:
@@ -222,9 +210,9 @@ def resize_eval_key(
 ) -> ArtifactKey:
     """Key of one box's standalone resizing sweep (the Fig. 8 study).
 
-    Like :func:`box_result_key`, it keeps the constant entries of options
-    that are gone (sizing demands, resources, ``"degrade"``) so stored
-    keys keep their bytes.
+    Like :meth:`RunKeys.box_result_key`, it keeps the constant entries of
+    options that are gone (sizing demands, resources, ``"degrade"``) so
+    stored keys keep their bytes.
     """
     resources = (Resource.CPU, Resource.RAM)
     return ArtifactKey(
@@ -324,6 +312,51 @@ class _BoxRun:
     def split(self, stacked: np.ndarray) -> Dict[Resource, np.ndarray]:
         """Split a stacked CPU+RAM array (first axis 2M) into per-resource rows."""
         return {r: stacked[self.box.rows(r)] for r in (Resource.CPU, Resource.RAM)}
+
+
+# ------------------------------------------------------------ temporal fit
+def fit_pending(
+    pending: Mapping[int, Tuple[SpatialTemporalPredictor, List[np.ndarray]]],
+    chained: bool,
+) -> Dict[int, Exception]:
+    """The temporal-fit stage of a chunk's begun predictors, in one call.
+
+    ``pending`` maps each box's position to its predictor, between a
+    begin (:meth:`~SpatialTemporalPredictor.begin_fit` or
+    :meth:`~SpatialTemporalPredictor.begin_refit_temporal`) and its
+    finish, and the signature histories the begin returned.  Every
+    box's histories fit in one
+    :func:`~repro.prediction.registry.fit_temporal_fleet_batch` call,
+    ``chained`` from each predictor's
+    :attr:`~SpatialTemporalPredictor.warm_state` (the online controller)
+    or cold (the offline chunk), and each predictor is finished with its
+    models.  Returns the exception of each box whose fit or finish
+    raised; the other boxes are unaffected.
+    """
+    if not pending:
+        return {}
+    predictors = [predictor for predictor, _ in pending.values()]
+    config = predictors[0].config
+    try:
+        with obs.span("predict.temporal_fit"):
+            outcomes = fit_temporal_fleet_batch(
+                config.temporal_model,
+                [histories for _, histories in pending.values()],
+                period=config.period,
+                states=[p.warm_state for p in predictors] if chained else None,
+            )
+    except Exception as exc:
+        outcomes = [exc] * len(pending)
+    failed: Dict[int, Exception] = {}
+    for pos, predictor, outcome in zip(pending, predictors, outcomes):
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            models, state = outcome
+            predictor.finish_fit(models, state)
+        except Exception as exc:
+            failed[pos] = exc
+    return failed
 
 
 # ------------------------------------------------------- resize → evaluate

@@ -107,12 +107,11 @@ class SpatialTemporalPredictor:
     def warm_state(self) -> Optional[object]:
         """The warm-refit chain's state after the last temporal fit.
 
-        The state the last :meth:`finish_fit` or
-        :meth:`finish_refit_temporal` was handed; ``None`` before any fit,
-        after a new signature search and after :meth:`fit`, whose
-        one-shot fit is cold, so the next refit fits cold.  An external
-        fitter passes it as the box's initializer (see
-        :func:`~repro.prediction.registry.fit_temporal_fleet_batch_warm`).
+        The state the last :meth:`finish_fit` was handed; ``None`` before
+        any fit, after a new signature search and after :meth:`fit`,
+        whose one-shot fit is cold, so the next refit fits cold.  A
+        chained fit phase passes it as the box's initializer (see
+        :func:`repro.core.stages.fit_pending`).
         """
         return self._warm_state
 
@@ -147,6 +146,7 @@ class SpatialTemporalPredictor:
             spatial = search_signature_set(arr, self.config.search, key=spatial_key)
         self._spatial = spatial
         self._warm_state = None  # a new spatial model resets the refit chain
+        self._baseline_recon_error = None  # taken by the search's finish_fit
         self._temporal = {}
         self._pending_train = arr
         return [arr[idx] for idx in spatial.signature_indices]
@@ -156,27 +156,20 @@ class SpatialTemporalPredictor:
     ) -> "SpatialTemporalPredictor":
         """Second half of :meth:`fit`: adopt externally fitted temporal models.
 
-        ``fitted`` must hold one model per signature history returned by
-        :meth:`begin_fit`, in the same order, and ``warm_state`` is the
-        state a warm-chained fitter returned with them.  The resulting
-        predictor state is exactly what :meth:`fit` would have produced had
-        it fitted the same models inline (the fused kernel guarantees the
-        models themselves are bit-identical, so the whole predictor is).
+        Completes either begin, :meth:`begin_fit` or
+        :meth:`begin_refit_temporal`.  ``fitted`` must hold one model per
+        signature history the begin returned, in the same order, and
+        ``warm_state`` is the state a chained fitter returned with them.
+        The resulting predictor state is exactly what :meth:`fit` would
+        have produced had it fitted the same models inline (the fused
+        kernel guarantees the models themselves are bit-identical, so the
+        whole predictor is).  The baseline reconstruction error is taken
+        only after a search: a refit keeps the last search's.
         """
-        arr = self._adopt_temporal("finish_fit", "begin_fit", fitted, warm_state)
-        self._baseline_recon_error = self.reconstruction_error(arr)
-        return self
-
-    def _adopt_temporal(
-        self,
-        finish: str,
-        begin: str,
-        fitted: Sequence[TemporalPredictor],
-        warm_state: Optional[object],
-    ) -> np.ndarray:
-        """Install the pending window's fitted models; returns that window."""
         if self._spatial is None or self._pending_train is None:
-            raise RuntimeError(f"{finish} requires a preceding {begin}")
+            raise RuntimeError(
+                "finish_fit requires a preceding begin_fit or begin_refit_temporal"
+            )
         arr = self._pending_train
         self._pending_train = None
         indices = list(self._spatial.signature_indices)
@@ -188,7 +181,9 @@ class SpatialTemporalPredictor:
         self._temporal = dict(zip(indices, fitted))
         self._train = arr
         self._warm_state = warm_state
-        return arr
+        if self._baseline_recon_error is None:
+            self._baseline_recon_error = self.reconstruction_error(arr)
+        return self
 
     @staticmethod
     def _validate_train(train_matrix: Sequence[Sequence[float]]) -> np.ndarray:
@@ -234,7 +229,7 @@ class SpatialTemporalPredictor:
         anchored to the data the step actually follows.  The caller fits
         the histories (the controller fits a whole chunk's refits in one
         call, warm-started from :attr:`warm_state`) and completes the
-        predictor with :meth:`finish_refit_temporal`.
+        predictor with :meth:`finish_fit`.
         """
         if self._spatial is None:
             raise RuntimeError("predictor has not been fitted")
@@ -247,19 +242,6 @@ class SpatialTemporalPredictor:
         obs.inc("predict.temporal_refits")
         self._pending_train = arr
         return [arr[idx] for idx in self._spatial.signature_indices]
-
-    def finish_refit_temporal(
-        self, fitted: Sequence[TemporalPredictor], warm_state: Optional[object] = None
-    ) -> "SpatialTemporalPredictor":
-        """Second half of :meth:`begin_refit_temporal`: adopt the fitted models.
-
-        Same contract as :meth:`finish_fit`; the spatial model and its
-        baseline reconstruction error stay those of the last search.
-        """
-        self._adopt_temporal(
-            "finish_refit_temporal", "begin_refit_temporal", fitted, warm_state
-        )
-        return self
 
     def predict(self, horizon: int) -> BoxPrediction:
         """Forecast every series of the box for the next ``horizon`` windows."""

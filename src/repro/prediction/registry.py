@@ -7,16 +7,17 @@ signature predictor without code changes.
 
 The registry is also the one place that knows which model has a
 multi-series trainer: ``neural``, whose fits all go through the fleet
-trainer (:func:`repro.prediction.temporal.warm.fit_neural_fleet`).
-:func:`fit_temporal_fleet_batch` (the offline pipeline's fit of a chunk
-of boxes) is its all-cold case, with the states dropped, and
-:func:`fit_temporal_batch` (one box's signature series) its one-request
-case.  :func:`fit_temporal_fleet_batch_warm` (the online controller's
-chained refits) goes through the trainer's store layer,
-:func:`~repro.prediction.temporal.warm.fit_neural_fleet_warm`, and
-:func:`fit_temporal_batch_warm` is its one-box case.  Every other model
-fits series by series, so callers never branch on which kind of model
-they hold.
+trainer (:mod:`repro.prediction.temporal.warm`).
+:func:`fit_temporal_fleet_batch` is the one fleet fitter, the fit phase
+of both fleet drivers (:func:`repro.core.stages.fit_pending`): without
+``states`` (the offline chunk) every box fits cold through
+:func:`~repro.prediction.temporal.warm.fit_neural_fleet`; with them (the
+online controller's chained refits) through the trainer's store layer,
+:func:`~repro.prediction.temporal.warm.fit_neural_fleet_warm`.
+:func:`fit_temporal_batch` (one box's signature series, cold) and
+:func:`fit_temporal_batch_warm` (one box's chained fit) are the one-box
+forms.  Every other model fits series by series, so callers never
+branch on which kind of model they hold.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "fit_temporal_batch",
     "fit_temporal_batch_warm",
     "fit_temporal_fleet_batch",
-    "fit_temporal_fleet_batch_warm",
     "make_temporal_model",
     "temporal_model_version",
 ]
@@ -106,21 +106,12 @@ def temporal_model_version(name: str) -> int:
     return _VERSIONS.get(name, 1)
 
 
-#: One box's warm-chained fit request, ``(histories, state)``, and its
-#: outcome, ``(models, next state)`` or the exception its fit raised.
-WarmRequest = Tuple[Sequence[np.ndarray], Optional[object]]
-WarmOutcome = Union[Tuple[List[TemporalPredictor], Optional[object]], Exception]
+#: One box's fit outcome: ``(models, state)``, or the exception its fit raised.
+FitOutcome = Union[Tuple[List[TemporalPredictor], Optional[object]], Exception]
 
 
 #: The one model with a multi-series trainer (see the module docstring).
 _FLEET_TRAINED = "neural"
-
-
-def _fit_each(
-    name: str, histories: Sequence[np.ndarray], period: int
-) -> List[TemporalPredictor]:
-    """Per-series fits, for models without a multi-series trainer."""
-    return [make_temporal_model(name, period=period).fit(h) for h in histories]
 
 
 def fit_temporal_batch(
@@ -133,7 +124,7 @@ def fit_temporal_batch(
     test); any other model fits series by series.  A bad history raises.
     """
     if name != _FLEET_TRAINED:
-        return _fit_each(name, histories, period)
+        return [make_temporal_model(name, period=period).fit(h) for h in histories]
     (outcome,) = fit_neural_fleet([(histories, None)], MlpConfig(period=period))
     if isinstance(outcome, Exception):
         raise outcome
@@ -148,74 +139,62 @@ def fit_temporal_batch_warm(
 ) -> Tuple[List[TemporalPredictor], Optional[object]]:
     """Warm-started fit: resume from ``warm``, return ``(models, state)``.
 
-    The one-box case of :func:`fit_temporal_fleet_batch_warm`; a failed
-    fit raises.  Feed ``state`` back as ``warm`` on the next refit to
-    chain.  An incompatible ``warm`` (changed signature count, different
-    model) is ignored by the fleet trainer, which then fits cold and
-    returns a fresh state.  Any other model fits series by series and its
-    state is ``None``.
+    The one-box chained case of :func:`fit_temporal_fleet_batch`; a
+    failed fit raises.  Feed ``state`` back as ``warm`` on the next refit
+    to chain.  An incompatible ``warm`` (changed signature count,
+    different model) is ignored by the fleet trainer, which then fits
+    cold and returns a fresh state.  Any other model fits series by
+    series and its state is ``None``.
     """
-    (outcome,) = fit_temporal_fleet_batch_warm(name, [(histories, warm)], period=period)
+    (outcome,) = fit_temporal_fleet_batch(name, [histories], period, states=[warm])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def fit_temporal_fleet_batch_warm(
-    name: str, requests: Sequence[WarmRequest], period: int = 96
-) -> List[WarmOutcome]:
-    """Warm-started fits of many boxes, one ``(histories, warm)`` request each.
-
-    Returns one ``(models, state)`` outcome per request, in order, each
-    bit-identical to fitting that request alone.
-    ``neural`` fits every box of a history length in shared cross-box
-    passes; any other model fits box by box with a ``None`` state.  A
-    box whose fit fails gets its exception in place of its outcome, so
-    one bad box never costs the others their fits.
-    """
-    if name == _FLEET_TRAINED:
-        return fit_neural_fleet_warm(requests, MlpConfig(period=period))
-    _factory(name)
-    out: List[WarmOutcome] = []
-    for histories, _ in requests:
-        try:
-            out.append((_fit_each(name, histories, period), None))
-        except Exception as exc:
-            out.append(exc)
-    return out
 
 
 def fit_temporal_fleet_batch(
     name: str,
     history_groups: Sequence[Sequence[np.ndarray]],
     period: int = 96,
-) -> List[Union[List[TemporalPredictor], Exception]]:
+    states: Optional[Sequence[Optional[object]]] = None,
+) -> List[FitOutcome]:
     """Fit many boxes' signature histories, one group per box.
 
-    ``history_groups`` holds one sequence of signature series per box;
-    the result keeps that grouping, each entry fitted in input order and
-    bit-identical to handing the same group to :func:`fit_temporal_batch`
-    on its own (pinned by the fused equivalence test suite).  ``neural``
-    fits every group as a cold request of the fleet trainer, fusing all
-    series of a history length into one cross-box pass; any other model
-    fits group by group.  A group that fails gets the exception its own
-    fit raised in place of its model list, so one bad box never costs
-    the others their fits.
+    ``history_groups`` holds one sequence of signature series per box.
+    Returns one ``(models, state)`` outcome per group, in order, each
+    fitted in input order and bit-identical to fitting that group alone
+    (pinned by the fused equivalence test suite).  A group that fails
+    gets the exception its own fit raised in place of its outcome, so
+    one bad box never costs the others their fits.
+
+    ``states`` chains the fits: one initializer per group, the state its
+    previous fit returned (``None``: cold).  ``neural`` then fits through
+    the trainer's store layer
+    (:func:`~repro.prediction.temporal.warm.fit_neural_fleet_warm`), and
+    each outcome's state continues the box's chain.  Without ``states``
+    every group fits cold through
+    :func:`~repro.prediction.temporal.warm.fit_neural_fleet`, counted as
+    ``fused.*`` and persisted nowhere; no chain continues from such a
+    fit, so its state is ``None``.  Either way ``neural`` fuses the rows
+    of a history length into shared cross-box passes; any other model
+    fits group by group through :func:`fit_temporal_batch` with a
+    ``None`` state.
     """
     _factory(name)
-    if name == _FLEET_TRAINED:
-        outcomes = fit_neural_fleet(
-            [(group, None) for group in history_groups], MlpConfig(period=period)
-        )
-        _count_fused_passes(history_groups, outcomes)
-        return [o if isinstance(o, Exception) else o[0] for o in outcomes]
-    out: List[Union[List[TemporalPredictor], Exception]] = []
-    for group in history_groups:
-        try:
-            out.append(fit_temporal_batch(name, group, period=period))
-        except Exception as exc:
-            out.append(exc)
-    return out
+    if name != _FLEET_TRAINED:
+        out: List[FitOutcome] = []
+        for group in history_groups:
+            try:
+                out.append((fit_temporal_batch(name, group, period=period), None))
+            except Exception as exc:
+                out.append(exc)
+        return out
+    config = MlpConfig(period=period)
+    if states is not None:
+        return fit_neural_fleet_warm(list(zip(history_groups, states)), config)
+    outcomes = fit_neural_fleet([(group, None) for group in history_groups], config)
+    _count_fused_passes(history_groups, outcomes)
+    return [o if isinstance(o, Exception) else (o[0], None) for o in outcomes]
 
 
 def _count_fused_passes(

@@ -357,7 +357,7 @@ def run_box_atm(box, config: AtmConfig, resume: bool = False) -> BoxOutcome:
     """
     box = resolve_box(box)
     cached, save = resume_probe(
-        "pipeline", lambda: stages.box_result_key(box, config), resume
+        "pipeline", lambda: stages.RunKeys.of(config).box_result_key(box), resume
     )
     if cached is not None:
         result, events = cached

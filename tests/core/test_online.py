@@ -291,17 +291,18 @@ class TestLockStepParity:
     @pytest.fixture
     def fused_calls(self, monkeypatch):
         """One chunk per fleet, and the request count of every fused fit call."""
-        from repro.core import online
+        from repro.core import online, stages
 
         monkeypatch.setattr(online, "default_chunksize", lambda n_items, jobs: n_items)
         calls = []
-        fit = online.fit_temporal_fleet_batch_warm
+        fit = stages.fit_temporal_fleet_batch
 
-        def spy(name, requests, period=96):
-            calls.append(len(requests))
-            return fit(name, requests, period=period)
+        def spy(name, history_groups, period=96, states=None):
+            assert states is not None, "online fits are chained"
+            calls.append(len(history_groups))
+            return fit(name, history_groups, period=period, states=states)
 
-        monkeypatch.setattr(online, "fit_temporal_fleet_batch_warm", spy)
+        monkeypatch.setattr(stages, "fit_temporal_fleet_batch", spy)
         return calls
 
     def _assert_parity(self, fleet, config, fused_calls, refit_every=NEVER, **faults):

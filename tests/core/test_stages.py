@@ -105,7 +105,6 @@ class TestKeys:
             data_fingerprint(train),
             config_fingerprint(config.prediction.search),
         )
-        assert keys.box_result_key(sample_box) == stages.box_result_key(sample_box, config)
 
     def test_run_keys_tell_signed_zeros_apart(self):
         # -0.0 == 0.0, yet the two configs are keyed apart, as one-off
@@ -115,18 +114,21 @@ class TestKeys:
         assert plus.forecast == minus.forecast  # ε is sizing-side
 
     def test_box_result_key_folds_fault_plan(self, sample_box):
-        clean = stages.box_result_key(sample_box, _config())
+        def key():
+            return stages.RunKeys.of(_config()).box_result_key(sample_box)
+
+        clean = key()
         plan = faults.parse_fault_spec("box_error:p=0.5", seed=3)
         with faults.fault_plan(plan):
-            faulted = stages.box_result_key(sample_box, _config())
+            faulted = key()
         assert clean != faulted
-        assert clean == stages.box_result_key(sample_box, _config())
+        assert clean == key()
 
     # Clean-run store keys, pinned as literals: artifacts written by an
     # earlier release must keep resolving.  The payloads still carry the
     # constant ``"degrade": True`` entry for exactly this reason.
     def test_box_result_key_pinned(self, sample_box):
-        key = stages.box_result_key(sample_box, _config())
+        key = stages.RunKeys.of(_config()).box_result_key(sample_box)
         assert key.digest() == "803ac8bdbdb5684940a16d2226ba8aa4a9f09383"
         assert key.config_fp == "ac1f87f29391fca827172e6d150475a1919a19f7"
 

@@ -148,14 +148,17 @@ class TestSplitFit:
         predictor = SpatialTemporalPredictor(config)
         histories = predictor.begin_fit(data[:, :96])
         predictor.finish_fit(self._external_fits(config, histories))
+        baseline = predictor.baseline_reconstruction_error
         histories = predictor.begin_refit_temporal(data[:, :120])
-        predictor.finish_refit_temporal(self._external_fits(config, histories))
+        predictor.finish_fit(self._external_fits(config, histories))
         assert predictor.predict(24).predictions.shape == (6, 24)
+        # A refit keeps the last search's baseline.
+        assert predictor.baseline_reconstruction_error == baseline
 
     def test_finish_refit_without_begin_raises(self, rng, config):
         predictor = SpatialTemporalPredictor(config).fit(periodic_matrix(rng))
         with pytest.raises(RuntimeError, match="begin_refit_temporal"):
-            predictor.finish_refit_temporal([])
+            predictor.finish_fit([])
 
     def test_a_new_search_resets_the_warm_chain(self, rng, config):
         data = periodic_matrix(rng, days=6)

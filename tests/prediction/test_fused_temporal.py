@@ -184,7 +184,9 @@ class TestRegistry:
         bad = [np.full(24 * 5, np.nan)]
         fused = fit_temporal_fleet_batch("seasonal_mean", [good, bad], period=24)
         per_box = fit_temporal_batch("seasonal_mean", good, period=24)
-        for s, f in zip(per_box, fused[0], strict=True):
+        models, state = fused[0]
+        assert state is None
+        for s, f in zip(per_box, models, strict=True):
             assert s.predict(24).tobytes() == f.predict(24).tobytes()
         with pytest.raises(Exception) as one_box:
             fit_temporal_batch("seasonal_mean", bad, period=24)
@@ -197,9 +199,25 @@ class TestRegistry:
         ]
         # Registry entry points use the default MlpConfig at this period.
         fused = fit_temporal_fleet_batch("neural", groups, period=24)
-        for group, fused_models in zip(groups, fused):
+        for group, (fused_models, state) in zip(groups, fused):
             per_box = fit_temporal_batch("neural", group, period=24)
             assert_group_equivalent(per_box, fused_models, horizon=24)
+            assert state is None  # no chain continues from an unchained fit
+
+    def test_chained_fits_count_warm_and_unchained_count_fused(self):
+        """``states`` picks the store layer: ``warm.*`` counters, never
+        ``fused.*``, and a state per box; the models are the cold ones."""
+        groups = [make_histories(2, 24 * 5, seed=54, period=24)]
+        obs.reset_metrics()
+        (cold,) = fit_temporal_fleet_batch("neural", groups, period=24)
+        unchained = obs.metrics_snapshot()["counters"]
+        obs.reset_metrics()
+        (chained,) = fit_temporal_fleet_batch("neural", groups, period=24, states=[None])
+        counters = obs.metrics_snapshot()["counters"]
+        assert "fused.groups" in unchained and "warm.cold_batches" not in unchained
+        assert "warm.cold_batches" in counters and "fused.groups" not in counters
+        assert chained[1] is not None
+        assert_group_equivalent(cold[0], chained[0], horizon=24)
 
 
 class TestObservability:

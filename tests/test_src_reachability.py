@@ -48,7 +48,7 @@ ALLOWED_UNREACHED = {
     "silhouette_values": "per-item form of the production silhouette kernel the tests pin",
     "current_limit": "read side of the Actuator protocol, which the simulated actuator implements",
     "to_json": "writes the scenario file that --scenario loads; documented in the README",
-    "fit_temporal_batch_warm": "one-box form of fit_temporal_fleet_batch_warm; the atmbench tracer wraps it by name",
+    "fit_temporal_batch_warm": "one-box chained form of fit_temporal_fleet_batch; the atmbench tracer wraps it by name",
 }
 
 #: Defaulted parameters kept although no production call sets them, or

@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.core import AtmConfig, run_fleet_atm
-from repro.core.stages import box_fingerprint, box_result_key
+from repro.core.stages import RunKeys, box_fingerprint
 from repro.prediction.spatial.signatures import ClusteringMethod
 from repro.store import (
     STORE_SCHEMA,
@@ -98,7 +98,7 @@ def _expected_bundles(box, config):
     predicted = allocations = None
     if config.atm is not None:
         predicted, allocations, _ = _probe_forecast_evidence(
-            box_result_key(box, config.atm), default_store()
+            RunKeys.of(config.atm).box_result_key(box), default_store()
         )
     incidents = group_incidents(
         tickets_for_box(box, config.policy), max_gap_windows=config.max_gap_windows
